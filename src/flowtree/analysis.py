@@ -9,6 +9,7 @@ anchors sample stratified vertices when the certified region is large.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -19,7 +20,8 @@ from numpy.polynomial.legendre import leggauss
 from . import abel, flowkernel
 from .chebyshev import ChebModel, cheb_approx, cheb_column
 from .localops import KernelColumn
-from .trees import FlowMeasure, TreeError, TreeWindow, Vertex, safe_region
+from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, ball_window,
+                    meeting_levels, safe_region)
 from .zline import heat_support_radius, heat_z_gradkernel
 
 SQRT_PI = math.sqrt(math.pi)
@@ -69,7 +71,7 @@ class EstimateReport:
         return [[r.get(k, "") for k in keys] for r in self.rows]
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureSpec:
     """Subordination quadrature for the inverse square root.
 
@@ -107,6 +109,34 @@ def _heat_gradk(t: float, tol: float = 1e-17) -> np.ndarray:
     return heat_z_gradkernel(t, heat_support_radius(t, tol))
 
 
+@functools.lru_cache(maxsize=None)
+def _riesz_gradkernels(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The quadrature's weighted sum of heat gradient kernels, and the part
+    of that sum from the last decade (t_cut / 10 to t_cut), zero-padded to
+    one length and read-only.
+
+    The ancestor-profile formula is linear in the line kernel, so profiling
+    these two sums equals profiling every node and summing the results.
+    The sums run in extended precision: rounded once, they keep the Riesz
+    values as close to the exact quadrature as the node-by-node sums were.
+    """
+    ndec = int(round(math.log10(spec.t_cut)))
+    total = np.zeros(0, dtype=np.longdouble)
+    last = np.zeros(0, dtype=np.longdouble)
+    for t, w, block in spec.nodes():
+        g = w * _heat_gradk(t)
+        if len(g) > len(total):
+            total = np.pad(total, (0, len(g) - len(total)))
+            last = np.pad(last, (0, len(g) - len(last)))
+        total[:len(g)] += g
+        if block == ndec:
+            last[:len(g)] += g
+    total, last = total.astype(float), last.astype(float)
+    total.setflags(write=False)
+    last.setflags(write=False)
+    return total, last
+
+
 def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
                        y: Vertex, degree: Optional[int] = None) -> KernelColumn:
     """Column of the heat operator at time t.
@@ -130,20 +160,47 @@ def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
 
 def _profile_column(window, measure, gradk, y, variant,
                     err: float = 1e-13) -> KernelColumn:
+    """Column of a profile kernel at anchor y.
+
+    Every term of the profile sum of a pair (x, y) sits at a common
+    ancestor (levels J >= the meeting level), so y's chain serves every x,
+    and the value depends on x only through level(x) and the meeting level.
+    """
     top = max(window.level[v] for v in window.vertices) + (len(gradk) // 2) + 2
-    vals: dict[Vertex, complex] = {}
-    truncated = False
+    chain = flowkernel.chain_of(window, measure, y, top)
     ly = window.level[y]
+    meet = meeting_levels(window, y)
+    by_levels: dict[tuple[int, int], complex] = {}
+    vals: dict[Vertex, complex] = {}
     for x in window.vertices:
-        cx = flowkernel.chain_of(window, measure, x, top)
-        truncated = truncated or cx.truncated
-        a = window.lca(x, y)
-        v = flowkernel.variant_value(gradk, cx, window.level[x], ly,
-                                     window.level[a], variant)
+        key = (window.level[x], meet[x])
+        v = by_levels.get(key)
+        if v is None:
+            v = by_levels[key] = flowkernel.variant_value(
+                gradk, chain, key[0], ly, key[1], variant)
         if v:
             vals[x] = v
-    safe = frozenset(window.vertices) if not truncated else frozenset()
+    safe = frozenset(window.vertices) if not chain.truncated else frozenset()
     return KernelColumn(y, vals, safe, err)
+
+
+def heat_ball_radius(q: int, t: float, tol: float) -> int:
+    """Smallest radius of a ball in the q-ary tree that holds all but at
+    most tol of the heat column's mass at time t.
+
+    The mass inside radius r is the column sum of the heat kernel with
+    weight 1{d <= r}, taken over the centre's ancestor profile, so no ball
+    is built; one sum with a vector of weights covers every radius up to
+    the kernel's support, past which a ball holds all the mass.
+    """
+    gradk = _heat_gradk(t)
+    w, m, c = ball_window(q, 0, backend="float")
+    chain = flowkernel.chain_of(w, m, c, len(gradk) + 2)
+    radii = np.arange(len(gradk) - 1)  # the last one covers the support
+    inside = flowkernel.weighted_colsum(chain, gradk, 0,
+                                        lambda d, lx, ly: (d <= radii) * 1.0)
+    held = np.flatnonzero(1.0 - inside <= tol)
+    return int(held[0]) if len(held) else int(radii[-1])
 
 
 def grad_heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
@@ -230,33 +287,28 @@ def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs,
                         spec: Optional[QuadratureSpec] = None):
     """Batched Riesz kernel values (gradient in the first variable).
 
-    The last decade of the t-quadrature feeds one Richardson step for the
-    truncated tail (contributions decay like 1/t there); the per-pair error
-    estimate combines that step with the chain-truncation flag.
+    Each pair profiles the quadrature's summed gradient kernel, built once
+    per spec.  The last decade of the t-quadrature feeds one Richardson
+    step for the truncated tail (contributions decay like 1/t there); the
+    per-pair error estimate combines that step with the chain-truncation
+    flag.
     """
     spec = spec or QuadratureSpec()
-    nodes = spec.nodes()
-    ndec = int(round(math.log10(spec.t_cut)))
+    total_k, last_k = _riesz_gradkernels(spec)
     top_needed = (max(window.level[x] for x, _ in pairs)
                   + heat_support_radius(spec.t_cut) // 2 + 4)
     chains = {}
     for x, _ in pairs:
         if x not in chains:
             chains[x] = flowkernel.chain_of(window, measure, x, top_needed)
-    ctx = []
-    for x, y in pairs:
-        a = window.lca(x, y)
-        ctx.append((chains[x], window.level[x], window.level[y], window.level[a]))
-
     totals = np.zeros(len(pairs), dtype=complex)
     last_decade = np.zeros(len(pairs), dtype=complex)
-    for t, w, block in nodes:
-        gradk = _heat_gradk(t)
-        for i, (chain, lx, ly, j0) in enumerate(ctx):
-            v = w * flowkernel.variant_value(gradk, chain, lx, ly, j0, "grad_x")
-            totals[i] += v
-            if block == ndec:
-                last_decade[i] += v
+    for i, (x, y) in enumerate(pairs):
+        lx, ly = window.level[x], window.level[y]
+        j0 = window.level[window.lca(x, y)]
+        totals[i] = flowkernel.variant_value(total_k, chains[x], lx, ly, j0, "grad_x")
+        last_decade[i] = flowkernel.variant_value(last_k, chains[x], lx, ly, j0,
+                                                  "grad_x")
     # Richardson: with 1/t tail behavior the remaining mass past t_cut is
     # (last decade contribution) / 9
     correction = last_decade / 9.0

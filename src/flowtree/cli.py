@@ -23,7 +23,7 @@ from . import abel, analysis, quotient, reports, zline
 from .bumps import imaginary_power_cut, named_multiplier
 from .localops import kernel_column_lambda_poly, kernel_column_poly
 from .ncpoly import NcPolynomial
-from .trees import (TreeError, ball_window, constant_ratio_window,
+from .trees import (TreeError, ball, ball_window, constant_ratio_window,
                     homogeneous_window, load_window, safe_region, spine_window)
 
 EXIT_OK = 0
@@ -147,8 +147,13 @@ def cmd_kernel(args, out):
 
 
 def cmd_heat(args, out):
-    window, measure, anchor = make_window(args, radius=10)
     t = args.t_param if args.t_param is not None else 1.0
+    tol = args.tol or 1e-6  # window truncation leaks a little column mass
+    radius = 10
+    if not args.tree and (args.window or "homog") == "homog":
+        # half the tolerance for the mass outside the ball
+        radius = max(radius, analysis.heat_ball_radius(args.q or 2, t, tol / 2))
+    window, measure, anchor = make_window(args, radius)
     col = analysis.heat_kernel_column(window, measure, t, anchor, args.degree)
     if not args.tree and (args.window or "homog") == "homog" and (args.q or 2) >= 2:
         rad = abel.e_f_coefficients(args.q or 2,
@@ -165,7 +170,6 @@ def cmd_heat(args, out):
                       comments=[f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
     reports.write_meta(pathcsv, {"t": t, "mass": complex(mass).real,
                                  **_window_meta(window)})
-    tol = args.tol or 1e-6  # window truncation leaks a little column mass
     if abs(complex(mass) - 1.0) > max(1e3 * col.err_bound * len(window) ** 0.5, tol):
         return {"check": "heat mass conservation", "mass": complex(mass).real}
     return {}
@@ -174,9 +178,7 @@ def cmd_heat(args, out):
 def cmd_riesz(args, out):
     radius = args.dmax or 6
     window, measure, anchor = make_window(args, radius + 2)
-    pairs = [(x, anchor) for x in window.vertices
-             if window.distance(x, anchor) <= radius]
-    pairs.sort()
+    pairs = sorted((x, anchor) for x in ball(window, anchor, radius))
     vals, errs = analysis.riesz_kernel_values(window, measure, pairs)
     rows = [(x, y, v.real, v.imag, e) for (x, y), v, e in zip(pairs, vals, errs)]
     pathcsv = os.path.join(out, "riesz.csv")
@@ -189,8 +191,8 @@ def cmd_riesz(args, out):
 def cmd_riesz_skew_check(args, out):
     radius = args.dmax or 8
     window, measure, anchor = make_window(args, radius + 1)
-    pairs = sorted((x, anchor) for x in window.vertices
-                   if 0 < window.distance(x, anchor) <= radius)
+    pairs = sorted((x, anchor) for x in ball(window, anchor, radius)
+                   if x != anchor)
     rep = analysis.riesz_skew_check(window, measure, pairs)
     pathcsv = os.path.join(out, "riesz_skew_check.csv")
     reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())

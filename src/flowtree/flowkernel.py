@@ -35,8 +35,8 @@ class AncestorChain:
 
     Index i corresponds to the ancestor at level base_level + i.  Chains
     built from a window extend past the apex when the window carries an
-    ambient growth law (up_ratio); otherwise `truncated` is set and pair
-    values report a tail bound instead of silently stopping.
+    ambient growth law (up_ratio); otherwise `truncated` is set and the
+    callers flag their results instead of silently stopping.
     """
 
     base_level: int
@@ -108,13 +108,6 @@ def profile_value(gradk: np.ndarray, chain: AncestorChain,
     return complex(np.dot(inv, gradk[ns]))
 
 
-def profile_truncation_bound(gradk_abs_tail: float, chain: AncestorChain) -> float:
-    """Bound on the mass lost past a truncated chain top."""
-    if not chain.truncated:
-        return 0.0
-    return float(chain.inv[-1]) * gradk_abs_tail
-
-
 def profile_value_exact(gradk: dict[int, Fraction], chain: AncestorChain,
                         lx: int, lz: int, j0: int) -> Fraction:
     if chain.masses is None:
@@ -154,21 +147,6 @@ def variant_value(gradk: np.ndarray, chain: AncestorChain, lx: int, lz: int,
     if variant == "grad_both":
         v = v + profile_value(gradk, chain, lx + 1, lz + 1, max(j0, lx + 1, lz + 1))
     return v
-
-
-def pair_value(window: TreeWindow, measure: FlowMeasure, gradk: np.ndarray,
-               x: Vertex, z: Vertex, variant: str = "plain",
-               chain: Optional[AncestorChain] = None,
-               top_level: Optional[int] = None) -> complex:
-    """Kernel value at an explicit window pair."""
-    if chain is None:
-        if top_level is None:
-            top_level = window.level[x] + (len(gradk) + abs(window.level[x])
-                                           + abs(window.level[z])) // 2 + 2
-        chain = chain_of(window, measure, x, top_level)
-    a = window.lca(x, z)
-    return variant_value(gradk, chain, window.level[x], window.level[z],
-                         window.level[a], variant)
 
 
 def level_sum(chain: AncestorChain, gradk: np.ndarray, lx: int, l: int,
@@ -216,6 +194,7 @@ def weighted_colsum(chain: AncestorChain, gradk: np.ndarray, ly: int,
 
     Grouped over (level(x), meeting level); the kernel's support truncates
     both ranges.  `lmin` optionally floors the level range (diagnostics).
+    A weight that returns an array gives one sum per entry.
     """
     nmax = len(gradk) - 1
     total = 0.0

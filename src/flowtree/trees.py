@@ -154,6 +154,41 @@ def safe_region(window: TreeWindow, n: int) -> set[Vertex]:
     return {v for v in window.vertices if dist.get(v, 0) >= n}
 
 
+def ball(window: TreeWindow, center: Vertex, radius: int) -> set[Vertex]:
+    """Window vertices within graph distance ``radius`` of center, by a
+    breadth-first search over the predecessor and successor maps."""
+    seen = {center}
+    frontier = [center]
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            p = window.pred.get(v)
+            for w in ([p] if p is not None else []) + window.children(v):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def meeting_levels(window: TreeWindow, y: Vertex) -> dict[Vertex, int]:
+    """level(lca(x, y)) for every window vertex x, in one top-down pass.
+
+    A vertex on y's ancestor line (y included) meets y at its own level;
+    any other vertex meets y where its parent does.
+    """
+    on_chain = set(window.ancestors(y))
+    meet: dict[Vertex, int] = {}
+    stack = [(window.apex, window.level[window.apex])]
+    while stack:
+        v, j = stack.pop()
+        if v in on_chain:
+            j = window.level[v]
+        meet[v] = j
+        stack.extend((c, j) for c in window.children(v))
+    return meet
+
+
 def validate_window(window: TreeWindow) -> None:
     """Check pred/succ consistency, levels, acyclicity, connectivity."""
     verts = set(window.vertices)
@@ -566,13 +601,17 @@ def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
 
 
 def window_to_json(window: TreeWindow, measure: FlowMeasure) -> dict:
-    """Inverse of load_window, suitable for json.dump."""
+    """Inverse of load_window, suitable for json.dump.
+
+    Records come in preorder from the apex (children in successor order).
+    """
     recs = []
     seen = set()
-
-    def emit(v):
+    stack = [window.apex]
+    while stack:
+        v = stack.pop()
         if v in seen:
-            return
+            continue
         seen.add(v)
         m = measure.values[v]
         recs.append({
@@ -581,8 +620,5 @@ def window_to_json(window: TreeWindow, measure: FlowMeasure) -> dict:
             "measure": str(m) if measure.backend == "rational" else float(m),
             "complete": window.is_complete(v),
         })
-        for c in window.children(v):
-            emit(c)
-
-    emit(window.apex)
+        stack.extend(reversed(window.children(v)))
     return {"apex_level": window.level[window.apex], "vertices": recs}

@@ -8,8 +8,9 @@ import pytest
 
 from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
                       safe_region, spine_window)
-from flowtree import analysis, zline
+from flowtree import analysis, flowkernel, zline
 from flowtree.analysis import QuadratureSpec
+from flowtree.trees import ball
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -279,3 +280,88 @@ def test_sobolev_growth_exponents():
     out = analysis.sobolev_growth(ts)
     assert abs(out[1]["slope"] - 1.0) <= 0.2
     assert abs(out[2]["slope"] - 2.0) <= 0.2
+
+
+def _riesz_per_node(window, measure, pairs, spec):
+    """Reference Riesz quadrature: every node's heat gradient kernel goes
+    through the profile formula at every pair, and the weighted results are
+    summed (one Richardson step on the last decade, as in the library)."""
+    ndec = int(round(math.log10(spec.t_cut)))
+    top = (max(window.level[x] for x, _ in pairs)
+           + zline.heat_support_radius(spec.t_cut) // 2 + 4)
+    ctx = []
+    for x, y in pairs:
+        chain = flowkernel.chain_of(window, measure, x, top)
+        ctx.append((chain, window.level[x], window.level[y],
+                    window.level[window.lca(x, y)]))
+    totals = np.zeros(len(pairs), dtype=complex)
+    last = np.zeros(len(pairs), dtype=complex)
+    for t, wt, block in spec.nodes():
+        gradk = zline.heat_z_gradkernel(t, zline.heat_support_radius(t, 1e-17))
+        for i, (chain, lx, ly, j0) in enumerate(ctx):
+            v = wt * flowkernel.variant_value(gradk, chain, lx, ly, j0, "grad_x")
+            totals[i] += v
+            if block == ndec:
+                last[i] += v
+    totals += last / 9.0
+    return totals, np.abs(last / 9.0) / 3.0 + 1e-12
+
+
+def test_riesz_summed_kernel_matches_per_node_quadrature():
+    """Profiling the summed quadrature kernel once equals the per-node sum,
+    on the line, the binary tree and a golden-ratio flow.  The line runs a
+    shorter quadrature: its chain does not decay, so every node costs a
+    dot product as long as the chain."""
+    zw, zm, zc = ball_window(1, 12)
+    bw, bm, bc = ball_window(2, 9)
+    gw, gm, gb = constant_ratio_window((GOLDEN, 1 - GOLDEN), depth=9, up=16,
+                                       backend="float")
+    ga = next(v for v in gw.vertices if gw.level[v] == gw.level[gb] - 4)
+    cases = [(zw, zm, [(zc, zw.parent(zc)), (zw.parent(zc), zc)],
+              QuadratureSpec(t_cut=1e6)),
+             (bw, bm, [(x, bc) for x in sorted(ball(bw, bc, 8))[::60]]
+              + [(bc, x) for x in sorted(ball(bw, bc, 8))[7::90]],
+              QuadratureSpec()),
+             (gw, gm, [(x, ga) for x in sorted(gw.vertices)[::90]]
+              + [(ga, x) for x in sorted(gw.vertices)[5::120]],
+              QuadratureSpec())]
+    for w, m, pairs, spec in cases:
+        vals, errs = analysis.riesz_kernel_values(w, m, pairs, spec)
+        want_v, want_e = _riesz_per_node(w, m, pairs, spec)
+        assert max(abs(v - u) for v, u in zip(vals, want_v)) < 1e-13
+        assert max(abs(e - u) for e, u in zip(errs, want_e)) < 1e-15
+
+
+def test_riesz_kernels_cached_per_spec():
+    a = analysis._riesz_gradkernels(QuadratureSpec())
+    assert analysis._riesz_gradkernels(QuadratureSpec(t_cut=1e8)) is a
+    b = analysis._riesz_gradkernels(QuadratureSpec(t_cut=1e7))
+    assert len(b[0]) < len(a[0]) and not np.array_equal(b[1], a[1][:len(b[1])])
+    for arr in a + b:
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("t", [1.0, 2.5, 16.0])
+def test_profile_columns_match_per_vertex_chains(t):
+    """Columns built from the anchor's chain are bit-equal to evaluating
+    every vertex with its own chain and meeting level."""
+    bw, bm, bc = ball_window(2, 8, backend="float")
+    gw, gm, gb = constant_ratio_window((GOLDEN, 1 - GOLDEN), depth=8, up=10,
+                                       backend="float")
+    gy = next(v for v in gw.vertices if gw.level[v] == gw.level[gb] - 3)
+    gradk = analysis._heat_gradk(t)
+    for w, m, y in ((bw, bm, bc), (bw, bm, sorted(bw.vertices)[-1]), (gw, gm, gy)):
+        top = max(w.level.values()) + len(gradk) // 2 + 2
+        cols = {"plain": analysis.heat_kernel_column(w, m, t, y),
+                "grad_x": analysis.grad_heat_kernel_column(w, m, t, y, side="x"),
+                "gradstar_z": analysis.grad_heat_kernel_column(w, m, t, y, side="y")}
+        for variant, col in cols.items():
+            want = {}
+            for x in w.vertices:
+                chain = flowkernel.chain_of(w, m, x, top)
+                v = flowkernel.variant_value(gradk, chain, w.level[x], w.level[y],
+                                             w.level[w.lca(x, y)], variant)
+                if v:
+                    want[x] = v
+            assert list(col.values.items()) == list(want.items())
+            assert col.safe == frozenset(w.vertices)

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from flowtree import ball_window
 from flowtree.cli import main
 
 
@@ -59,6 +60,17 @@ def test_heat_command(tmp_path):
     assert run(["heat", "--q", "2", "--t", "2.0", "--out", str(out)]) == 0
     meta = json.loads((out / "heat.csv.meta.json").read_text())
     assert abs(meta["mass"] - 1.0) < 1e-6  # window truncation leaks mass
+
+
+def test_heat_ball_grows_with_t(tmp_path):
+    """heat sizes its ball from t: radius 10 at t = 1 (the README
+    artifacts), radius 12 at t = 4, where radius 10 leaks 1.1e-5 of mass."""
+    for t, radius in (("1", 10), ("4", 12)):
+        out = tmp_path / t
+        assert run(["heat", "--q", "2", "--t", t, "--out", str(out)]) == 0
+        meta = json.loads((out / "heat.csv.meta.json").read_text())
+        assert abs(meta["mass"] - 1.0) < 1e-6
+        assert meta["window_size"] == len(ball_window(2, radius)[0])
 
 
 def test_riesz_skew_check_command(tmp_path):

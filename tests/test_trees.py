@@ -9,6 +9,7 @@ from flowtree import (TreeError, ball_window, constant_ratio_window,
                       homogeneous_window, load_window, safe_region,
                       spine_window, validate_measure, validate_window,
                       window_to_json)
+from flowtree.trees import ball, meeting_levels
 
 
 def doc(apex_level, vertices):
@@ -63,6 +64,28 @@ def test_json_roundtrip():
     w2, m2 = load_window(json.loads(json.dumps(window_to_json(w, m))))
     assert len(w2) == len(w)
     assert sorted(m2.values.values()) == sorted(m.values.values())
+
+
+def test_json_roundtrip_deep_spine_keeps_preorder():
+    """Dumping a 1500-level path does not recurse, and records stay in the
+    recursive preorder (children in successor order)."""
+    w, m, _ = spine_window(depth=1500)
+    doc_ = window_to_json(w, m)
+    w2, m2 = load_window(json.loads(json.dumps(doc_)))
+    assert w2.level == w.level and w2.pred == w.pred
+    assert m2.values == m.values
+
+    small, sm, _ = constant_ratio_window((Fraction(1, 3), Fraction(2, 3)),
+                                         depth=3, up=2)
+    order = []
+
+    def visit(v):
+        order.append(v)
+        for c in small.children(v):
+            visit(c)
+
+    visit(small.apex)
+    assert [r["id"] for r in window_to_json(small, sm)["vertices"]] == order
 
 
 def test_homogeneous_window_counts_and_measure():
@@ -202,3 +225,17 @@ def test_constant_ratio_flow_equation_exact():
     validate_measure(w, m)
     assert m.of(b) == 1
     assert m.of(w.apex) == 27
+
+
+def test_ball_and_meeting_levels_match_distance_and_lca():
+    windows = [ball_window(2, 6)[:2],
+               constant_ratio_window((0.618, 0.382), depth=7, up=5,
+                                     backend="float")[:2],
+               spine_window(depth=12)[:2]]
+    for w, _ in windows:
+        verts = sorted(w.vertices)
+        for y in verts[::7]:
+            for r in range(6):
+                assert ball(w, y, r) == {x for x in verts if w.distance(x, y) <= r}
+            meet = meeting_levels(w, y)
+            assert meet == {x: w.level[w.lca(x, y)] for x in verts}
