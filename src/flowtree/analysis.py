@@ -578,7 +578,7 @@ def spectrum_probe(window: TreeWindow, measure: FlowMeasure, o: Vertex,
         for d in d_grid:
             verts = [v for sl in slices[:d + 1] for v in sl]
             f = {v: complex(np.exp(1j * theta * window.level[v])) for v in verts}
-            wf = WindowFunction(f, frozenset(window.vertices), True)
+            wf = WindowFunction(f, window.all_vertices(), True)
             af = apply_averaging(window, measure, wf)
             num = 0.0
             den = 0.0

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .localops import KernelColumn, WindowFunction, indicator
-from .trees import FlowMeasure, InsufficientMarginError, TreeWindow, Vertex, safe_region
+from .localops import (KernelColumn, WindowFunction, _accumulate, _meet,
+                       apply_laplacian, indicator)
+from .trees import (FlowMeasure, InsufficientMarginError, TreeWindow, Vertex,
+                    in_safe_region)
 
 
 @dataclass
@@ -64,71 +66,46 @@ def cheb_approx(fn, degree: int, sample_factor: int = 32) -> ChebModel:
     return ChebModel(coef, degree, float(resid))
 
 
-def _clenshaw_on_window(window: TreeWindow, measure: FlowMeasure,
+def _forward_recurrence(window: TreeWindow, measure: FlowMeasure,
                         coef: np.ndarray, f: WindowFunction) -> WindowFunction:
-    """sum_k coef[k] T_k(L - I) applied to f, one stencil per degree."""
-    from .localops import apply_laplacian
+    """sum_k coef[k] T_k(L - I) f by the forward three-term recurrence
+    T_{k+1} = 2 (L - I) T_k - T_{k-1}, one Laplacian stencil per degree."""
 
     def shifted(g):
         lg = apply_laplacian(window, measure, g)
-        vals = dict(lg.values)
-        for v, x in g.values.items():
-            val = vals.get(v, 0) - x
-            if val:
-                vals[v] = val
-            elif v in vals:
-                del vals[v]
-        return WindowFunction(vals, lg.safe, lg.zero_outside)
+        return WindowFunction(_accumulate(dict(lg.values), -1, g.values),
+                              lg.safe, lg.zero_outside)
 
-    deg = len(coef) - 1
-    acc: dict[Vertex, complex] = {}
-    t_prev = f
+    acc = _accumulate({}, coef[0], f.values) if coef[0] else {}
     safe = f.safe
     zero = f.zero_outside
-
-    def accumulate(c, g):
-        if c:
-            for v, x in g.values.items():
-                val = acc.get(v, 0) + c * x
-                if val:
-                    acc[v] = val
-                elif v in acc:
-                    del acc[v]
-
-    accumulate(coef[0], t_prev)
-    if deg >= 1:
-        t_cur = shifted(f)
-        safe &= t_cur.safe
-        zero = zero and t_cur.zero_outside
-        accumulate(coef[1], t_cur)
-        for k in range(2, deg + 1):
-            s = shifted(t_cur)
-            vals = {}
-            for v in set(s.values) | set(t_prev.values):
-                val = 2 * s.values.get(v, 0) - t_prev.values.get(v, 0)
-                if val:
-                    vals[v] = val
-            t_next = WindowFunction(vals, s.safe, s.zero_outside)
-            safe &= t_next.safe
-            zero = zero and t_next.zero_outside
-            accumulate(coef[k], t_next)
-            t_prev, t_cur = t_cur, t_next
+    t_prev, t_cur = None, f
+    for k in range(1, len(coef)):
+        t_next = shifted(t_cur)
+        if k >= 2:
+            vals = _accumulate(_accumulate({}, 2, t_next.values), -1, t_prev.values)
+            t_next = WindowFunction(vals, t_next.safe, t_next.zero_outside)
+        safe = _meet(window, safe, t_next.safe)
+        zero = zero and t_next.zero_outside
+        if coef[k]:
+            _accumulate(acc, coef[k], t_next.values)
+        t_prev, t_cur = t_cur, t_next
     return WindowFunction(acc, safe, zero)
 
 
 def cheb_apply(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
                f: WindowFunction) -> WindowFunction:
     """Apply the interpolant of F to a window function."""
-    return _clenshaw_on_window(window, measure, model.coef, f)
+    return _forward_recurrence(window, measure, model.coef, f)
 
 
 def cheb_column(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
                 y: Vertex) -> KernelColumn:
     """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N)."""
-    if y not in safe_region(window, model.degree):
+    if not in_safe_region(window, y, model.degree):
         raise InsufficientMarginError(
             f"anchor {y} is not safe at radius {model.degree}")
-    g = _clenshaw_on_window(window, measure, model.coef, indicator(window, y))
+    g = _forward_recurrence(window, measure, model.coef, indicator(window, y))
     my = measure.as_float(y)
     vals = {v: complex(x) / my for v, x in g.values.items()}
     m_min = min((measure.as_float(v) for v in g.safe), default=my)
@@ -143,11 +120,11 @@ def kernel_value_general(window: TreeWindow, measure: FlowMeasure,
     |K_{F(L)}(x,y) - value| <= sup_err / sqrt(m(x) m(y)), since the spectrum
     lies in [0, 2] and the interpolation defect bounds the L2 operator norm.
     """
-    reg = safe_region(window, model.degree)
-    if x not in reg or y not in reg:
+    if not (in_safe_region(window, x, model.degree)
+            and in_safe_region(window, y, model.degree)):
         raise InsufficientMarginError(
             f"pair ({x}, {y}) not safe at radius {model.degree}")
-    g = _clenshaw_on_window(window, measure, model.coef, indicator(window, y))
+    g = _forward_recurrence(window, measure, model.coef, indicator(window, y))
     value = complex(g.values.get(x, 0)) / measure.as_float(y)
     cert = model.sup_err / np.sqrt(measure.as_float(x) * measure.as_float(y))
     return value, float(cert)

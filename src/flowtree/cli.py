@@ -23,14 +23,18 @@ from . import abel, analysis, quotient, reports, zline
 from .bumps import imaginary_power_cut, named_multiplier
 from .localops import kernel_column_lambda_poly, kernel_column_poly
 from .ncpoly import NcPolynomial
-from .trees import (TreeError, ball, ball_window, constant_ratio_window,
-                    homogeneous_window, load_window, safe_region, spine_window)
+from .trees import (DEFAULT_VERTEX_CAP, TreeError, ball, ball_vertex_bound,
+                    ball_window, constant_ratio_window, homogeneous_window,
+                    in_safe_region, load_window, safe_region, spine_window)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_SCHEMA = 2
 
 GOLDEN_RATIO = (math.sqrt(5) - 1) / 2  # heavier branch of the golden flow
+
+# `kernel --multiplier`: Chebyshev degree and, plus one, window radius
+DEFAULT_KERNEL_DEGREE = 8
 
 
 def parse_grid(text: str):
@@ -107,7 +111,11 @@ def _multiplier(args):
         params["alpha"] = args.alpha
     if args.k is not None:
         params["k"] = args.k
-    return named_multiplier(args.multiplier, **params)
+    try:
+        return named_multiplier(args.multiplier, **params)
+    except KeyError as exc:  # a parameter missing; each has a flag of its name
+        raise ValueError(f"multiplier {args.multiplier!r} needs "
+                         f"--{exc.args[0]}") from exc
 
 
 
@@ -118,8 +126,8 @@ def _window_meta(window) -> dict:
 
 def cmd_kernel(args, out):
     coeffs = _operator_coeffs(args)
-    radius = max((len(coeffs) - 1 if coeffs else args.degree or 8) + 1, 4)
-    window, measure, anchor = make_window(args, radius)
+    deg = len(coeffs) - 1 if coeffs else args.degree or DEFAULT_KERNEL_DEGREE
+    window, measure, anchor = make_window(args, max(deg + 1, 4))
     if coeffs is not None:
         col = kernel_column_lambda_poly(window, measure, coeffs, anchor)
         op_meta = {"lambda_coeffs": [str(c) for c in coeffs]}
@@ -128,7 +136,7 @@ def cmd_kernel(args, out):
         if fn is None:
             raise ValueError("need --coeffs or --multiplier")
         from .chebyshev import cheb_approx, cheb_column
-        model = cheb_approx(fn, args.degree or 24)
+        model = cheb_approx(fn, deg)
         col = cheb_column(window, measure, model, anchor)
         op_meta = {"multiplier": args.multiplier, "sup_err": model.sup_err}
         if (args.window or "homog") == "zline" and not args.tree:
@@ -152,7 +160,15 @@ def cmd_heat(args, out):
     radius = 10
     if not args.tree and (args.window or "homog") == "homog":
         # half the tolerance for the mass outside the ball
-        radius = max(radius, analysis.heat_ball_radius(args.q or 2, t, tol / 2))
+        q = args.q or 2
+        radius = max(radius, analysis.heat_ball_radius(q, t, tol / 2))
+        need = ball_vertex_bound(q, radius)
+        if need > DEFAULT_VERTEX_CAP:
+            raise TreeError(
+                f"heat at t={t:g} on the {q}-ary tree needs a ball of radius "
+                f"{radius} (up to {need:,} vertices, over the cap of "
+                f"{DEFAULT_VERTEX_CAP:,}); use a smaller --t, or a window "
+                "file with --tree")
     window, measure, anchor = make_window(args, radius)
     col = analysis.heat_kernel_column(window, measure, t, anchor, args.degree)
     if not args.tree and (args.window or "homog") == "homog" and (args.q or 2) >= 2:
@@ -251,7 +267,7 @@ def cmd_transfer_check(args, out):
     t_anchor = next(v for v in target.vertices
                     if target.level[v] == target.level[base] - deg)
     src_anchor = next(s for s, t in sub.mapping.items()
-                      if t == t_anchor and s in safe_region(sub.source, deg))
+                      if t == t_anchor and in_safe_region(sub.source, s, deg))
     for trial in range(trials):
         poly = NcPolynomial()
         for _ in range(rng.randint(1, 5)):

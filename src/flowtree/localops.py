@@ -6,6 +6,19 @@ exact.  Certification tracks two facts: which stored values were exact so
 far, and whether the function is known to vanish at every ambient vertex
 outside the window (true initially for finitely supported input, and
 invalidated once mass crosses the window boundary).
+
+Every operator is one stencil: the value at a vertex reads the vertex, its
+parent, its children, or a combination.  A stencil visits only the input's
+support and those vertices' parents and children, so its cost follows the
+support, not the window.  Certified sets are materialised only when needed:
+
+* While the input is certified at every vertex and vanishes outside the
+  window, so is the output.  "Every vertex" is the window's one cached
+  frozenset (``TreeWindow.all_vertices``), so meeting two such sets costs
+  an identity check.
+* Once the support reaches a window defect (the apex or an incomplete
+  vertex), the function may no longer vanish outside the window, and from
+  then on the certified set is computed vertex by vertex over the window.
 """
 
 from __future__ import annotations
@@ -15,7 +28,8 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .ncpoly import Z1, Z2, NcPolynomial
-from .trees import FlowMeasure, InsufficientMarginError, TreeWindow, Vertex, safe_region
+from .trees import (FlowMeasure, InsufficientMarginError, TreeWindow, Vertex,
+                    in_safe_region)
 
 
 @dataclass
@@ -31,52 +45,113 @@ class WindowFunction:
 def indicator(window: TreeWindow, y: Vertex, scale=1) -> WindowFunction:
     if y not in window.level:
         raise KeyError(f"vertex {y} not in window")
-    return WindowFunction({y: scale}, frozenset(window.vertices), True)
+    return WindowFunction({y: scale}, window.all_vertices(), True)
+
+
+def _accumulate(acc: dict, c, g: dict) -> dict:
+    """acc += c * g on sparse dicts, in place; entries that cancel are dropped."""
+    for v, x in g.items():
+        val = acc.get(v, 0) + c * x
+        if val:
+            acc[v] = val
+        elif v in acc:
+            del acc[v]
+    return acc
+
+
+def _meet(window: TreeWindow, a: frozenset, b: frozenset) -> frozenset:
+    """a & b for certified sets; free when either is the whole window."""
+    full = window.all_vertices()
+    if a is b or b is full:
+        return a
+    if a is full:
+        return b
+    return a & b
 
 
 def _zero_on_incomplete(window: TreeWindow, f: WindowFunction) -> bool:
     return all(window.is_complete(v) for v in f.values if f.values[v])
 
 
+def _certified(window: TreeWindow, f: WindowFunction, reads_self: bool,
+               reads_parent: bool, reads_children: bool) -> frozenset:
+    """Vertices whose stencil value is exact: every value read is certified,
+    a parent outside the window is known to carry zero, and a child list is
+    complete or the missing children are known to carry zero."""
+    fs = f.safe
+    if f.zero_outside and len(fs) == len(window):  # certified everywhere
+        return window.all_vertices()
+    safe = []
+    for v in window.vertices:
+        if reads_self and v not in fs:
+            continue
+        if reads_parent:
+            p = window.parent(v)
+            if not ((p in fs) if p is not None else f.zero_outside):
+                continue
+        if reads_children:
+            if not (all(c in fs for c in window.children(v))
+                    and (window.is_complete(v) or f.zero_outside)):
+                continue
+        safe.append(v)
+    return frozenset(safe)
+
+
+def _stencil(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
+             combine: Callable, reads_self: bool, reads_parent: bool,
+             reads_children: bool) -> WindowFunction:
+    """(Tf)(v) = combine(f(v), f(parent(v)), (1/m(v)) sum over children c of
+    f(c) m(c)), with combine(0, 0, 0) = 0.
+
+    Only the support and its parents and children can carry a nonzero value,
+    so only they are visited, in vertex order.
+    """
+    m = measure.values
+    fv = f.values
+    pred, succ = window.pred, window.succ
+    near = set()
+    for u, x in fv.items():
+        if not x:
+            continue
+        if reads_self:
+            near.add(u)
+        if reads_parent:
+            near.update(succ.get(u, ()))
+        if reads_children and u in pred:
+            near.add(pred[u])
+    vals: dict[Vertex, complex] = {}
+    for v in sorted(near):
+        p = pred.get(v)
+        fp = fv.get(p, 0) if p is not None else 0
+        child_acc = 0
+        if reads_children:
+            for c in succ.get(v, ()):
+                fc = fv.get(c, 0)
+                if fc:
+                    child_acc = child_acc + fc * m[c]
+            child_acc = child_acc / m[v] if child_acc else 0
+        x = combine(fv.get(v, 0), fp, child_acc)
+        if x:
+            vals[v] = x
+    zero = f.zero_outside
+    if reads_parent:
+        zero = zero and _zero_on_incomplete(window, f)
+    if reads_children:
+        zero = zero and not f.value(window.apex)
+    safe = _certified(window, f, reads_self, reads_parent, reads_children)
+    return WindowFunction(vals, safe, zero)
+
+
 def apply_shift(window: TreeWindow, measure: FlowMeasure, f: WindowFunction) -> WindowFunction:
     """(Sigma f)(x) = f(parent(x)); the apex value is known only if the
     function is certified zero outside the window."""
-    vals: dict[Vertex, complex] = {}
-    safe = set()
-    for v in window.vertices:
-        p = window.parent(v)
-        if p is None:
-            if f.zero_outside:
-                safe.add(v)
-            continue
-        x = f.value(p)
-        if x:
-            vals[v] = x
-        if p in f.safe:
-            safe.add(v)
-    zero = f.zero_outside and _zero_on_incomplete(window, f)
-    return WindowFunction(vals, frozenset(safe), zero)
+    return _stencil(window, measure, f, lambda fv, fp, fc: fp, False, True, False)
 
 
 def apply_shift_adjoint(window: TreeWindow, measure: FlowMeasure,
                         f: WindowFunction) -> WindowFunction:
     """(Sigma* f)(x) = (1/m(x)) sum over successors of f(y) m(y)."""
-    m = measure.values
-    vals: dict[Vertex, complex] = {}
-    safe = set()
-    for v in window.vertices:
-        cs = window.children(v)
-        acc = 0
-        for c in cs:
-            fv = f.value(c)
-            if fv:
-                acc = acc + fv * m[c]
-        if acc:
-            vals[v] = acc / m[v]
-        if all(c in f.safe for c in cs) and (window.is_complete(v) or f.zero_outside):
-            safe.add(v)
-    zero = f.zero_outside and not f.value(window.apex)
-    return WindowFunction(vals, frozenset(safe), zero)
+    return _stencil(window, measure, f, lambda fv, fp, fc: fc, False, False, True)
 
 
 def apply_letter(window, measure, f, letter):
@@ -98,98 +173,48 @@ def apply_word(window: TreeWindow, measure: FlowMeasure, word: Iterable[int],
 def apply_ncpoly(window: TreeWindow, measure: FlowMeasure, poly: NcPolynomial,
                  f: WindowFunction) -> WindowFunction:
     vals: dict[Vertex, complex] = {}
-    safe = None
+    safe = window.all_vertices()
     zero = True
     for word, c in poly.terms.items():
         g = apply_word(window, measure, word, f)
-        for v, x in g.values.items():
-            val = vals.get(v, 0) + c * x
-            if val:
-                vals[v] = val
-            elif v in vals:
-                del vals[v]
-        safe = g.safe if safe is None else (safe & g.safe)
+        _accumulate(vals, c, g.values)
+        safe = _meet(window, safe, g.safe)
         zero = zero and g.zero_outside
-    if safe is None:
-        safe = frozenset(window.vertices)
-    return WindowFunction(vals, frozenset(safe), zero)
-
-
-def _stencil(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
-             combine: Callable, needs_parent: bool, needs_children: bool) -> WindowFunction:
-    m = measure.values
-    vals: dict[Vertex, complex] = {}
-    safe = set()
-    for v in window.vertices:
-        p = window.parent(v)
-        fp = f.value(p) if p is not None else 0
-        child_acc = 0
-        if needs_children:
-            for c in window.children(v):
-                fc = f.value(c)
-                if fc:
-                    child_acc = child_acc + fc * m[c]
-            child_acc = child_acc / m[v] if child_acc else 0
-        x = combine(f.value(v), fp, child_acc)
-        if x:
-            vals[v] = x
-        ok = v in f.safe
-        if needs_parent and ok:
-            ok = (p in f.safe) if p is not None else f.zero_outside
-        if needs_children and ok:
-            ok = all(c in f.safe for c in window.children(v)) and \
-                (window.is_complete(v) or f.zero_outside)
-        if ok:
-            safe.add(v)
-    zero = f.zero_outside
-    if needs_parent:
-        zero = zero and _zero_on_incomplete(window, f)
-    if needs_children:
-        zero = zero and not f.value(window.apex)
-    return WindowFunction(vals, frozenset(safe), zero)
+    return WindowFunction(vals, safe, zero)
 
 
 def apply_gradient(window, measure, f):
     """(grad f)(x) = f(x) - f(parent(x))."""
-    return _stencil(window, measure, f, lambda fv, fp, fc: fv - fp, True, False)
-
-
-def apply_gradient_adjoint(window, measure, f):
-    return _stencil(window, measure, f, lambda fv, fp, fc: fv - fc, False, True)
+    return _stencil(window, measure, f, lambda fv, fp, fc: fv - fp, True, True, False)
 
 
 def apply_averaging(window, measure, f):
     """(A f)(x) = f(parent)/2 + (1/2m(x)) sum over successors of f m."""
     half = Fraction(1, 2) if measure.backend == "rational" else 0.5
     return _stencil(window, measure, f,
-                    lambda fv, fp, fc: half * fp + half * fc, True, True)
+                    lambda fv, fp, fc: half * fp + half * fc, True, True, True)
 
 
 def apply_laplacian(window, measure, f):
     """(L f)(x) = f(x) - (A f)(x); one unit of propagation per application."""
     half = Fraction(1, 2) if measure.backend == "rational" else 0.5
     return _stencil(window, measure, f,
-                    lambda fv, fp, fc: fv - half * fp - half * fc, True, True)
+                    lambda fv, fp, fc: fv - half * fp - half * fc, True, True, True)
 
 
 def apply_lambda_poly(window, measure, coeffs, f: WindowFunction) -> WindowFunction:
     """sum_k coeffs[k] L^k f by iterated Laplacian stencils (radius = degree)."""
     vals: dict[Vertex, complex] = {}
-    safe = frozenset(window.vertices)
+    safe = window.all_vertices()
     zero = f.zero_outside
     g = f
     for k, c in enumerate(coeffs):
         if k:
             g = apply_laplacian(window, measure, g)
-        safe = safe & g.safe
+        safe = _meet(window, safe, g.safe)
         zero = zero and g.zero_outside
         if c:
-            for v, x in g.values.items():
-                val = vals.get(v, 0) + c * x
-                if val:
-                    vals[v] = val
-                elif v in vals:
-                    del vals[v]
+            _accumulate(vals, c, g.values)
     return WindowFunction(vals, safe, zero)
 
 
@@ -230,7 +255,7 @@ def _column_from_function(window, measure, g: WindowFunction, y, err=0.0) -> Ker
 def kernel_column_poly(window: TreeWindow, measure: FlowMeasure,
                        poly: NcPolynomial, y: Vertex) -> KernelColumn:
     """Exact column of F(Sigma, Sigma*) at anchor y; needs y safe at deg F."""
-    if y not in safe_region(window, poly.degree):
+    if not in_safe_region(window, y, poly.degree):
         raise InsufficientMarginError(
             f"anchor {y} is not safe at radius {poly.degree}")
     g = apply_ncpoly(window, measure, poly, indicator(window, y))
@@ -241,7 +266,7 @@ def kernel_column_lambda_poly(window: TreeWindow, measure: FlowMeasure,
                               coeffs, y: Vertex) -> KernelColumn:
     """Column of sum coeffs[k] L^k, via stencils (margin = polynomial degree)."""
     deg = max(len(coeffs) - 1, 0)
-    if y not in safe_region(window, deg):
+    if not in_safe_region(window, y, deg):
         raise InsufficientMarginError(f"anchor {y} is not safe at radius {deg}")
     g = apply_lambda_poly(window, measure, coeffs, indicator(window, y))
     return _column_from_function(window, measure, g, y)

@@ -37,15 +37,6 @@ class NcPolynomial:
         return cls({(j,): 1})
 
     @classmethod
-    def gradient(cls):
-        """I - Z1."""
-        return cls({(): 1, (Z1,): -1})
-
-    @classmethod
-    def gradient_adjoint(cls):
-        return cls({(): 1, (Z2,): -1})
-
-    @classmethod
     def laplacian(cls):
         """(1/2)(1 - Z2)(1 - Z1)."""
         h = Fraction(1, 2)

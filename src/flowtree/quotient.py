@@ -36,6 +36,14 @@ class Submersion:
     target: TreeWindow
     target_measure: FlowMeasure
     mapping: dict[Vertex, Vertex]
+    _image: Optional[frozenset[Vertex]] = field(default=None, repr=False,
+                                                compare=False)
+
+    def image(self) -> frozenset[Vertex]:
+        """Target vertices the mapping hits, as one cached frozenset."""
+        if self._image is None:
+            self._image = frozenset(self.mapping.values())
+        return self._image
 
     def fibers(self) -> dict[Vertex, list[Vertex]]:
         out: dict[Vertex, list[Vertex]] = {}
@@ -203,29 +211,30 @@ def fiber_average_kernel(sub: Submersion, column: KernelColumn) -> KernelColumn:
     (1/m2(x)) * sum over the fiber of x of K_source(., anchor) m1; for
     operators generated by the shift pair this equals the target-side kernel
     exactly.  Requires every contributing fiber to sit inside the column's
-    certified set.
+    certified set.  The sums read the column's support only; a target
+    vertex is certified when its whole fiber is, which for a column
+    certified everywhere is every vertex of the image.
     """
     pi = sub.mapping
     m1 = sub.source_measure.values
     m2 = sub.target_measure.values
     anchor_t = pi[column.anchor]
     sums: dict[Vertex, complex] = {}
+    for s, v in column.values.items():
+        if v:
+            t = pi[s]
+            sums[t] = sums.get(t, 0) + v * m1[s]
+    vals = {t: x / m2[t] for t, x in sums.items()}
+    if len(column.safe) == len(sub.source):  # certified everywhere
+        return KernelColumn(anchor_t, vals, sub.image(), column.err_bound)
     fiber_safe: dict[Vertex, bool] = {}
     for s, t in pi.items():
-        v = column.value(s)
         fiber_safe[t] = fiber_safe.get(t, True) and (s in column.safe)
-        if v:
-            sums[t] = sums.get(t, 0) + v * m1[s]
-    vals = {}
-    safe = set()
-    for t, ok in fiber_safe.items():
-        if t in sums:
-            vals[t] = sums[t] / m2[t]
-        if ok:
-            safe.add(t)
-        elif sums.get(t):
+    for t, x in sums.items():
+        if x and not fiber_safe[t]:
             raise TreeError(f"fiber of target vertex {t} exits the certified region")
-    return KernelColumn(anchor_t, vals, frozenset(safe), column.err_bound)
+    safe = frozenset(t for t, ok in fiber_safe.items() if ok)
+    return KernelColumn(anchor_t, vals, safe, column.err_bound)
 
 
 @dataclass

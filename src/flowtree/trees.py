@@ -15,6 +15,7 @@ is the whole tree.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,6 +54,8 @@ class TreeWindow:
     complete: dict[Vertex, bool]
     up_ratio: Optional[Number] = None
     _defect_dist: Optional[dict[Vertex, int]] = field(default=None, repr=False)
+    _all_vertices: Optional[frozenset[Vertex]] = field(default=None, repr=False,
+                                                       compare=False)
 
     def __len__(self) -> int:
         return len(self.level)
@@ -60,6 +63,13 @@ class TreeWindow:
     @property
     def vertices(self) -> Iterable[Vertex]:
         return self.level.keys()
+
+    def all_vertices(self) -> frozenset[Vertex]:
+        """Every vertex, as one cached frozenset: the certified set of a
+        function that is exact everywhere on the window."""
+        if self._all_vertices is None:
+            self._all_vertices = frozenset(self.level)
+        return self._all_vertices
 
     def parent(self, v: Vertex) -> Optional[Vertex]:
         return self.pred.get(v)
@@ -152,6 +162,15 @@ def safe_region(window: TreeWindow, n: int) -> set[Vertex]:
         return set(window.vertices)
     dist = window.defect_distances()
     return {v for v in window.vertices if dist.get(v, 0) >= n}
+
+
+def in_safe_region(window: TreeWindow, v: Vertex, n: int) -> bool:
+    """v in safe_region(window, n), read from the cached defect distances."""
+    if n < 0:
+        raise ValueError("radius must be >= 0")
+    if v not in window.level:
+        return False
+    return n == 0 or window.defect_distances().get(v, 0) >= n
 
 
 def ball(window: TreeWindow, center: Vertex, radius: int) -> set[Vertex]:
@@ -247,6 +266,12 @@ def validate_measure(window: TreeWindow, measure: FlowMeasure,
                 raise TreeError(f"flow equation violated at vertex {v}")
 
 
+def ball_vertex_bound(q: int, radius: int) -> int:
+    """The vertex count ``ball_window`` checks against its cap: an upper
+    bound on the size of the radius ball in the q-ary tree."""
+    return (radius + 1) * (q ** radius) + radius + 1
+
+
 def _check_cap(count: int, max_vertices: int) -> None:
     if count > max_vertices:
         raise TreeError(
@@ -326,8 +351,7 @@ def ball_window(q: int, radius: int, center_level: int = 0,
     """
     if q < 1 or radius < 0:
         raise ValueError("need q >= 1 and radius >= 0")
-    est = (radius + 1) * (q ** radius) + radius + 1
-    _check_cap(est, max_vertices)
+    _check_cap(ball_vertex_bound(q, radius), max_vertices)
 
     pred: dict[int, int] = {}
     succ: dict[int, list[int]] = {}
@@ -500,13 +524,39 @@ def spine_window(depth: int, up: int = 2, split: tuple = (Fraction(1, 2), Fracti
 
 
 def _parse_measure(raw) -> tuple[Number, str]:
-    if isinstance(raw, str):
-        return Fraction(raw), "rational"
-    if isinstance(raw, int):
-        return Fraction(raw), "rational"
+    if isinstance(raw, bool):
+        raise TreeError(f"unsupported measure entry {raw!r}")
+    if isinstance(raw, (str, int)):
+        try:
+            return Fraction(raw), "rational"
+        except ZeroDivisionError as exc:
+            raise TreeError(f"measure {raw!r} has a zero denominator") from exc
     if isinstance(raw, float):
+        if not math.isfinite(raw):
+            raise TreeError(f"non-finite measure {raw!r}")
         return raw, "float"
     raise TreeError(f"unsupported measure entry {raw!r}")
+
+
+def _read_document(source) -> dict:
+    """The parsed document of a path, a JSON text, or a parsed dict.
+
+    A string that does not open as a file is read as JSON text only if it
+    starts like a JSON object or array; anything else is an unreadable path.
+    """
+    if isinstance(source, dict):
+        return source
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, TypeError, ValueError) as exc:
+        if not (isinstance(source, str) and source.lstrip()[:1] in ("{", "[")):
+            raise TreeError(f"cannot read tree file {source!r}: {exc}") from exc
+        text = source
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TreeError(f"malformed tree document: {exc}") from exc
 
 
 def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
@@ -516,20 +566,7 @@ def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
     "measure" ("p/q" string or float), "complete": bool}, ...]}.
     Successor order is array order among children of the same pred.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        text = None
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, TypeError):
-            text = source
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise TreeError(f"malformed tree document: {exc}") from exc
-
+    doc = _read_document(source)
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise TreeError("tree document must be an object with a 'vertices' array")
     apex_level = doc.get("apex_level", 0)

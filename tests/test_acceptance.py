@@ -62,7 +62,7 @@ def test_criterion_01_abel_direct_equivalence():
                 fval, _ = abel.homog_kernel_value(q, rad, w.level[x], lc, d)
                 worst_float = max(worst_float, abs(fval - float(direct)))
     ok = ok and worst_float <= 1e-10
-    finish(1, ok, f"abel/direct exact; float dev {worst_float:.2e}", t0, 30.0)
+    finish(1, ok, f"abel/direct exact; float dev {worst_float:.2e}", t0, 10.0)
 
 
 def test_criterion_02_abel_roundtrip():
@@ -165,7 +165,7 @@ def test_criterion_05_transference_exactness():
                     if pushed.value(v) != direct.value(v):
                         ok = False
     finish(5, ok, "3 ratio profiles validated; 20 random words each, exact",
-           t0, 120.0)
+           t0, 30.0)
 
 
 def test_criterion_06_rationalization_bounds():

@@ -29,6 +29,22 @@ def test_malformed_tree_exit_two(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("measure", [True, float("nan"), float("inf"), "1/0"])
+def test_bad_measure_entry_exit_two(tmp_path, capsys, measure):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vertices": [
+        {"id": 0, "pred": None, "measure": measure, "complete": False}]}))
+    assert run(["kernel", "--tree", str(bad), "--coeffs", "0,1",
+                "--out", str(tmp_path / "o")]) == 2
+    assert "bad vertex record" in capsys.readouterr().err
+
+
+def test_missing_tree_file_exit_two(tmp_path, capsys):
+    assert run(["kernel", "--tree", str(tmp_path / "missing.json"),
+                "--coeffs", "0,1", "--out", str(tmp_path / "o")]) == 2
+    assert "cannot read tree file" in capsys.readouterr().err
+
+
 def test_flow_violation_exit_two(tmp_path):
     bad = tmp_path / "bad2.json"
     bad.write_text(json.dumps({"apex_level": 0, "vertices": [
@@ -53,6 +69,34 @@ def test_kernel_metadata_sidecar(tmp_path):
     assert run(["kernel", "--q", "2", "--coeffs", "0,1", "--out", str(out)]) == 0
     meta = json.loads((out / "kernel.csv.meta.json").read_text())
     assert "window_size" in meta and "err_bound" in meta
+
+
+def test_kernel_multiplier_default_degree(tmp_path):
+    """One default degree sets both the Chebyshev degree and the window
+    radius (degree + 1), so the anchor has the margin the model needs."""
+    out = tmp_path / "o"
+    assert run(["kernel", "--q", "2", "--multiplier", "exp(-t*x)", "--t", "1",
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "kernel.csv.meta.json").read_text())
+    assert meta["window_size"] == len(ball_window(2, 9)[0])
+    assert meta["err_bound"] < 1e-6
+
+
+def test_kernel_multiplier_missing_parameter_names_flag(tmp_path, capsys):
+    assert run(["kernel", "--q", "2", "--multiplier", "exp(-t*x)",
+                "--out", str(tmp_path / "o")]) == 2
+    assert "needs --t" in capsys.readouterr().err
+
+
+def test_heat_too_large_names_radius_and_remedy(tmp_path, capsys):
+    """heat --t 10 on the binary tree needs a radius-18 ball, past the
+    vertex cap: exit 2 with the radius, the vertex count and what to do."""
+    assert run(["heat", "--q", "2", "--t", "10",
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "radius 18" in err and "4,980,755 vertices" in err
+    assert "smaller --t" in err and "--tree" in err
+    assert "max_vertices" not in err
 
 
 def test_heat_command(tmp_path):

@@ -1,0 +1,374 @@
+"""The support-local stencil core against a whole-window reference.
+
+The reference below applies every letter and stencil by sweeping every
+window vertex and builds each certified set vertex by vertex, the rules the
+support-local core must reproduce.  Values are compared exactly (rational
+windows) or bit for bit (float windows), certified sets and the
+zero-outside flag for equality.  Anchors sit at every defect distance from
+0 to DEG + 1, so words run into the window boundary and lose the
+zero-outside flag part way through.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowtree import (TreeError, constant_ratio_window, load_window,
+                      safe_region, window_to_json)
+from flowtree import ball_window, quotient
+from flowtree.chebyshev import cheb_apply, cheb_approx, cheb_column
+from flowtree.localops import (InsufficientMarginError, KernelColumn,
+                               WindowFunction, apply_averaging, apply_gradient,
+                               apply_lambda_poly, apply_laplacian, apply_ncpoly,
+                               apply_shift, apply_shift_adjoint, indicator,
+                               kernel_column_lambda_poly, kernel_column_poly)
+from flowtree.ncpoly import Z1, Z2, NcPolynomial
+
+DEG = 4
+HYPO = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+# -- whole-window reference -------------------------------------------------
+
+def ref_indicator(w, y):
+    return WindowFunction({y: 1}, frozenset(w.vertices), True)
+
+
+def _zero_on_incomplete(w, f):
+    return all(w.is_complete(v) for v, x in f.values.items() if x)
+
+
+def ref_shift(w, m, f):
+    vals, safe = {}, set()
+    for v in w.vertices:
+        p = w.parent(v)
+        if p is None:
+            if f.zero_outside:
+                safe.add(v)
+            continue
+        if f.value(p):
+            vals[v] = f.value(p)
+        if p in f.safe:
+            safe.add(v)
+    return WindowFunction(vals, frozenset(safe),
+                          f.zero_outside and _zero_on_incomplete(w, f))
+
+
+def ref_shift_adjoint(w, m, f):
+    vals, safe = {}, set()
+    for v in w.vertices:
+        cs = w.children(v)
+        acc = 0
+        for c in cs:
+            if f.value(c):
+                acc = acc + f.value(c) * m.values[c]
+        if acc:
+            vals[v] = acc / m.values[v]
+        if all(c in f.safe for c in cs) and (w.is_complete(v) or f.zero_outside):
+            safe.add(v)
+    return WindowFunction(vals, frozenset(safe),
+                          f.zero_outside and not f.value(w.apex))
+
+
+def ref_stencil(w, m, f, combine, needs_children):
+    vals, safe = {}, set()
+    for v in w.vertices:
+        p = w.parent(v)
+        fp = f.value(p) if p is not None else 0
+        child_acc = 0
+        if needs_children:
+            for c in w.children(v):
+                if f.value(c):
+                    child_acc = child_acc + f.value(c) * m.values[c]
+            child_acc = child_acc / m.values[v] if child_acc else 0
+        x = combine(f.value(v), fp, child_acc)
+        if x:
+            vals[v] = x
+        ok = v in f.safe and ((p in f.safe) if p is not None else f.zero_outside)
+        if needs_children and ok:
+            ok = (all(c in f.safe for c in w.children(v))
+                  and (w.is_complete(v) or f.zero_outside))
+        if ok:
+            safe.add(v)
+    zero = f.zero_outside and _zero_on_incomplete(w, f)
+    if needs_children:
+        zero = zero and not f.value(w.apex)
+    return WindowFunction(vals, frozenset(safe), zero)
+
+
+def _half(m):
+    return Fraction(1, 2) if m.backend == "rational" else 0.5
+
+
+REF_OPS = {
+    "Z1": ref_shift,
+    "Z2": ref_shift_adjoint,
+    "grad": lambda w, m, f: ref_stencil(w, m, f, lambda fv, fp, fc: fv - fp, False),
+    "avg": lambda w, m, f: ref_stencil(
+        w, m, f, lambda fv, fp, fc: _half(m) * fp + _half(m) * fc, True),
+    "lap": lambda w, m, f: ref_stencil(
+        w, m, f, lambda fv, fp, fc: fv - _half(m) * fp - _half(m) * fc, True),
+}
+OPS = {"Z1": apply_shift, "Z2": apply_shift_adjoint, "grad": apply_gradient,
+       "avg": apply_averaging, "lap": apply_laplacian}
+
+
+def ref_axpy(acc, c, g):
+    for v, x in g.items():
+        val = acc.get(v, 0) + c * x
+        if val:
+            acc[v] = val
+        elif v in acc:
+            del acc[v]
+
+
+def ref_ncpoly(w, m, poly, f):
+    vals, safe, zero = {}, frozenset(w.vertices), True
+    for word, c in poly.terms.items():
+        g = f
+        for letter in reversed(word):
+            g = REF_OPS["Z1" if letter == Z1 else "Z2"](w, m, g)
+        ref_axpy(vals, c, g.values)
+        safe, zero = safe & g.safe, zero and g.zero_outside
+    return WindowFunction(vals, safe, zero)
+
+
+def ref_lambda_poly(w, m, coeffs, f):
+    vals, safe, zero, g = {}, frozenset(w.vertices), f.zero_outside, f
+    for k, c in enumerate(coeffs):
+        if k:
+            g = REF_OPS["lap"](w, m, g)
+        safe, zero = safe & g.safe, zero and g.zero_outside
+        if c:
+            ref_axpy(vals, c, g.values)
+    return WindowFunction(vals, safe, zero)
+
+
+def ref_chebyshev(w, m, coef, f):
+    """sum_k coef[k] T_k(L - I) f, one whole-window Laplacian per degree."""
+    def shifted(g):
+        lg = REF_OPS["lap"](w, m, g)
+        vals = dict(lg.values)
+        for v, x in g.values.items():
+            val = vals.get(v, 0) - x
+            if val:
+                vals[v] = val
+            elif v in vals:
+                del vals[v]
+        return WindowFunction(vals, lg.safe, lg.zero_outside)
+
+    acc, safe, zero = {}, f.safe, f.zero_outside
+    if coef[0]:
+        ref_axpy(acc, coef[0], f.values)
+    t_prev, t_cur = None, f
+    for k in range(1, len(coef)):
+        s = shifted(t_cur)
+        if k == 1:
+            t_next = s
+        else:
+            vals = {}
+            for v in set(s.values) | set(t_prev.values):
+                val = 2 * s.values.get(v, 0) - t_prev.values.get(v, 0)
+                if val:
+                    vals[v] = val
+            t_next = WindowFunction(vals, s.safe, s.zero_outside)
+        safe, zero = safe & t_next.safe, zero and t_next.zero_outside
+        if coef[k]:
+            ref_axpy(acc, coef[k], t_next.values)
+        t_prev, t_cur = t_cur, t_next
+    return WindowFunction(acc, safe, zero)
+
+
+def ref_fiber_average(sub, column):
+    pi, m1, m2 = sub.mapping, sub.source_measure.values, sub.target_measure.values
+    sums, fiber_safe = {}, {}
+    for s, t in pi.items():
+        v = column.value(s)
+        fiber_safe[t] = fiber_safe.get(t, True) and (s in column.safe)
+        if v:
+            sums[t] = sums.get(t, 0) + v * m1[s]
+    vals, safe = {}, set()
+    for t, ok in fiber_safe.items():
+        if t in sums:
+            vals[t] = sums[t] / m2[t]
+        if ok:
+            safe.add(t)
+        elif sums.get(t):
+            raise TreeError(f"fiber of target vertex {t} exits the certified region")
+    return KernelColumn(pi[column.anchor], vals, frozenset(safe), column.err_bound)
+
+
+# -- windows and anchors ----------------------------------------------------
+
+def _windows():
+    ball_w, ball_m, _ = ball_window(2, 5)
+    ratio_w, ratio_m, _ = constant_ratio_window(
+        (Fraction(2, 3), Fraction(1, 3)), depth=5, up=3)
+    fw, fm, _ = constant_ratio_window((0.6, 0.4), depth=5, up=3, backend="float")
+    loaded_w, loaded_m = load_window(json.dumps(window_to_json(fw, fm)))
+    return {"ball": (ball_w, ball_m), "ratio": (ratio_w, ratio_m),
+            "loaded": (loaded_w, loaded_m)}
+
+
+WINDOWS = _windows()
+
+
+def anchor_at(w, d, pick):
+    """A vertex at defect distance d (the deepest one the window has, if
+    none sits at d exactly)."""
+    dist = w.defect_distances()
+    d = min(d, max(dist.values()))
+    cands = sorted(v for v in w.vertices if dist[v] == d)
+    return cands[pick % len(cands)]
+
+
+def assert_same(got, want):
+    assert got.values == want.values
+    for v, x in want.values.items():
+        assert type(got.values[v]) is type(x)
+    assert got.safe == want.safe
+    assert got.zero_outside == want.zero_outside
+
+
+windows_st = st.sampled_from(sorted(WINDOWS))
+distance_st = st.integers(0, DEG + 1)
+pick_st = st.integers(0, 10 ** 6)
+letter_st = st.sampled_from((Z1, Z2))
+coeff_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@HYPO
+@given(windows_st, distance_st, pick_st,
+       st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=DEG + 2))
+def test_letters_and_stencils_match_reference(name, d, pick, ops):
+    w, m = WINDOWS[name]
+    y = anchor_at(w, d, pick)
+    f, ref = indicator(w, y), ref_indicator(w, y)
+    assert_same(f, ref)
+    for op in ops:
+        f, ref = OPS[op](w, m, f), REF_OPS[op](w, m, ref)
+        assert_same(f, ref)
+
+
+@HYPO
+@given(windows_st, distance_st, pick_st,
+       st.dictionaries(st.lists(letter_st, max_size=DEG).map(tuple), coeff_st,
+                       min_size=1, max_size=4))
+def test_word_polynomials_match_reference(name, d, pick, terms):
+    w, m = WINDOWS[name]
+    y = anchor_at(w, d, pick)
+    poly = NcPolynomial(terms)
+    want = ref_ncpoly(w, m, poly, ref_indicator(w, y))
+    assert_same(apply_ncpoly(w, m, poly, indicator(w, y)), want)
+    if y not in safe_region(w, poly.degree):
+        with pytest.raises(InsufficientMarginError):
+            kernel_column_poly(w, m, poly, y)
+        return
+    col = kernel_column_poly(w, m, poly, y)
+    my = m.values[y]
+    assert col.values == {v: x / my for v, x in want.values.items()}
+    assert col.safe == want.safe
+
+
+@HYPO
+@given(windows_st, distance_st, pick_st,
+       st.lists(coeff_st, min_size=1, max_size=DEG + 1))
+def test_laplacian_polynomials_match_reference(name, d, pick, coeffs):
+    w, m = WINDOWS[name]
+    y = anchor_at(w, d, pick)
+    want = ref_lambda_poly(w, m, coeffs, ref_indicator(w, y))
+    assert_same(apply_lambda_poly(w, m, coeffs, indicator(w, y)), want)
+    if y not in safe_region(w, len(coeffs) - 1):
+        with pytest.raises(InsufficientMarginError):
+            kernel_column_lambda_poly(w, m, coeffs, y)
+        return
+    col = kernel_column_lambda_poly(w, m, coeffs, y)
+    assert col.values == {v: x / m.values[y] for v, x in want.values.items()}
+    assert col.safe == want.safe
+
+
+@HYPO
+@given(st.sampled_from(("ball", "loaded")), distance_st, pick_st,
+       st.integers(0, DEG), st.floats(0.1, 4.0))
+def test_chebyshev_recurrence_matches_reference(name, d, pick, degree, t):
+    w, m = WINDOWS[name]
+    y = anchor_at(w, d, pick)
+    model = cheb_approx(lambda lam: np.exp(-t * np.asarray(lam)), degree)
+    want = ref_chebyshev(w, m, model.coef, ref_indicator(w, y))
+    assert_same(cheb_apply(w, m, model, indicator(w, y)), want)
+    grad = apply_gradient(w, m, indicator(w, y))
+    assert_same(cheb_apply(w, m, model, grad),
+                ref_chebyshev(w, m, model.coef, REF_OPS["grad"](w, m, ref_indicator(w, y))))
+    if y not in safe_region(w, degree):
+        with pytest.raises(InsufficientMarginError):
+            cheb_column(w, m, model, y)
+        return
+    col = cheb_column(w, m, model, y)
+    my = m.as_float(y)
+    assert col.values == {v: complex(x) / my for v, x in want.values.items()}
+    assert col.safe == want.safe
+    m_min = min(m.as_float(v) for v in want.safe)
+    assert col.err_bound == float(model.sup_err / np.sqrt(m_min * my))
+
+
+SUB = quotient.build_submersion_rational(
+    *constant_ratio_window((Fraction(3, 4), Fraction(1, 4)), depth=4, up=0)[:2], 4)
+
+
+@HYPO
+@given(distance_st, pick_st,
+       st.dictionaries(st.lists(letter_st, max_size=DEG).map(tuple), coeff_st,
+                       min_size=1, max_size=4))
+def test_fiber_averaging_matches_reference(d, pick, terms):
+    src, sm = SUB.source, SUB.source_measure
+    s = anchor_at(src, d, pick)
+    g = ref_ncpoly(src, sm, NcPolynomial(terms), ref_indicator(src, s))
+    col = KernelColumn(s, {v: x / sm.values[s] for v, x in g.values.items()},
+                       g.safe)
+    try:
+        want = ref_fiber_average(SUB, col)
+    except TreeError:
+        with pytest.raises(TreeError, match="exits the certified region"):
+            quotient.fiber_average_kernel(SUB, col)
+        return
+    got = quotient.fiber_average_kernel(SUB, col)
+    assert (got.anchor, got.values, got.safe) == (want.anchor, want.values, want.safe)
+
+
+def test_fully_certified_sets_are_the_window_set():
+    """While nothing reaches a defect, every certified set is the window's
+    one cached frozenset, and fiber averaging certifies the image."""
+    w, m, c = ball_window(2, 5)
+    full = w.all_vertices()
+    assert full == frozenset(w.vertices) and w.all_vertices() is full
+    g = indicator(w, c)
+    for op in ("Z1", "Z2", "lap", "avg", "grad"):
+        g = OPS[op](w, m, g)
+        assert g.safe is full and g.zero_outside
+    col = kernel_column_poly(w, m, NcPolynomial({(Z2, Z1, Z1): 1}), c)
+    assert col.safe is full
+    s = anchor_at(SUB.source, DEG, 0)
+    pushed = quotient.fiber_average_kernel(
+        SUB, kernel_column_poly(SUB.source, SUB.source_measure,
+                                NcPolynomial({(Z1, Z2): 1}), s))
+    assert pushed.safe is SUB.image()
+    assert pushed.safe == frozenset(SUB.mapping.values())
+
+
+def test_fiber_averaging_rejects_uncertified_fiber():
+    """Z2 carries the column to the apex; Z1 Z2 Z2 leaves the window and
+    uncertifies the apex, so the pushed column would read an uncertified
+    fiber."""
+    src, sm = SUB.source, SUB.source_measure
+    child = src.children(src.apex)[0]
+    poly = NcPolynomial({(Z2,): 1, (Z1, Z2, Z2): 1})
+    g = apply_ncpoly(src, sm, poly, indicator(src, child))
+    assert src.apex in g.values and src.apex not in g.safe
+    col = KernelColumn(child, dict(g.values), g.safe)
+    for push in (ref_fiber_average, quotient.fiber_average_kernel):
+        with pytest.raises(TreeError, match="exits the certified region"):
+            push(SUB, col)

@@ -59,6 +59,31 @@ def test_load_rejects_nonpositive_and_cycles():
         load_window("{not json")
 
 
+def _one_vertex(measure):
+    return doc(0, [{"id": 0, "pred": None, "measure": measure, "complete": False}])
+
+
+@pytest.mark.parametrize("measure, match", [
+    (True, "unsupported measure"),
+    (float("nan"), "non-finite"),
+    (float("inf"), "non-finite"),
+    ("1/0", "zero denominator"),
+])
+def test_load_rejects_bad_measure_entries(measure, match):
+    with pytest.raises(TreeError, match=match):
+        load_window(_one_vertex(measure))
+    # the same entries written as JSON text (NaN and Infinity as JSON allows)
+    with pytest.raises(TreeError, match=match):
+        load_window(json.dumps(_one_vertex(measure)))
+
+
+def test_load_missing_path_is_unreadable(tmp_path):
+    with pytest.raises(TreeError, match="cannot read tree file"):
+        load_window(str(tmp_path / "missing.json"))
+    with pytest.raises(TreeError, match="malformed"):
+        load_window('  {"vertices": [')
+
+
 def test_json_roundtrip():
     w, m, _ = constant_ratio_window((Fraction(1, 3), Fraction(2, 3)), depth=3, up=2)
     w2, m2 = load_window(json.loads(json.dumps(window_to_json(w, m))))
