@@ -3,9 +3,11 @@
 Each subcommand writes CSV artifacts with a JSON metadata sidecar and exits
 0 when its internal assertions pass, 1 on an assertion failure (with a
 machine-readable failure record in the output directory), 2 on bad input.
-Configs are flat JSON documents mirroring the flags; explicit flags
-override config values.  Runs are sequential and deterministically ordered,
-so a rational-backend rerun reproduces artifacts byte for byte.
+A numerical failure (an aliasing guard or a consistency check) also exits
+1 with a failure record.  Configs are flat JSON documents whose keys are
+flag names; explicit flags override config values.  Runs are sequential and
+deterministically ordered, so a rational-backend rerun reproduces artifacts
+byte for byte.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def cmd_heat(args, out):
         if need > DEFAULT_VERTEX_CAP:
             raise TreeError(
                 f"heat at t={t:g} on the {q}-ary tree needs a ball of radius "
-                f"{radius} (up to {need:,} vertices, over the cap of "
+                f"{radius} ({need:,} vertices, over the cap of "
                 f"{DEFAULT_VERTEX_CAP:,}); use a smaller --t, or a window "
                 "file with --tree")
     window, measure, anchor = make_window(args, radius)
@@ -437,38 +439,55 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--backend", choices=["rational", "float"])
     p.add_argument("--out", default="flowtree-out")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker hint; output order is scheduling-independent")
     return p
+
+
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """A flat JSON config as ``--flag=value`` tokens, one per non-null key.
+
+    Keys are flag names (``q``, ``t``, ``t-grid`` or ``t_grid``).  The tokens
+    go before the explicit arguments, so argparse checks their types and
+    choices and a later explicit flag wins.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError("config must be a JSON object")
+    flags = set(parser._option_string_actions) - {"-h", "--help", "--config"}
+    tokens = []
+    for key, val in conf.items():
+        flag = "--" + key.replace("_", "-")
+        if flag not in flags:
+            raise ValueError(f"unknown key {key!r}")
+        if isinstance(val, (bool, list, dict)):
+            raise ValueError(f"key {key!r} takes a number or a string, "
+                             f"not {json.dumps(val)}")
+        if val is not None:
+            tokens.append(f"{flag}={val}")
+    return tokens
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            try:
+                tokens = _config_tokens(parser, args.config)
+            except (OSError, ValueError) as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return EXIT_SCHEMA
+            args = parser.parse_args(tokens + argv)
     except SystemExit as exc:
         return EXIT_SCHEMA if exc.code else EXIT_OK
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                conf = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
-        if not isinstance(conf, dict):
-            print("config must be a JSON object", file=sys.stderr)
-            return EXIT_SCHEMA
-        for key, val in conf.items():
-            attr = key.replace("-", "_")
-            if not hasattr(args, attr):
-                print(f"config error: unknown key {key!r}", file=sys.stderr)
-                return EXIT_SCHEMA
-            if getattr(args, attr) in (None, parser.get_default(attr)):
-                setattr(args, attr, val)
     out = args.out
     os.makedirs(out, exist_ok=True)
     try:
         failure = COMMANDS[args.command](args, out)
+    except (zline.AliasingError, zline.ConsistencyError) as exc:
+        failure = {"check": "numerical", "error": type(exc).__name__,
+                   "message": str(exc)}
     except (TreeError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .localops import KernelColumn
-from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex,
+from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, _Builder,
                     validate_measure, validate_window)
 
 
@@ -140,67 +140,44 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
     expands into the length-q list where y_i repeats q*m(y_i)/m(target vertex)
     times (successor file order).  The canonical source measure is scaled so
     apex masses agree, making fiber masses match target masses exactly.
+    Each target vertex's lifted list is computed once, for the first source
+    vertex of its fiber.
     """
     if target_measure.backend != "rational":
         raise TreeError("rational backend required to build an exact quotient")
     validate_window(target)
     validate_measure(target, target_measure)
 
-    pred: dict[int, int] = {}
-    succ: dict[int, list[int]] = {}
-    level: dict[int, int] = {}
-    complete: dict[int, bool] = {}
-    mvals: dict[int, Fraction] = {}
-    mapping: dict[int, int] = {}
-    next_id = 0
-
-    def add(p, lv, m):
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        level[v] = lv
-        succ[v] = []
-        complete[v] = False
-        mvals[v] = m
-        if p is not None:
-            pred[v] = p
-            succ[p].append(v)
-        return v
-
-    t_apex = target.apex
-    apex = add(None, target.level[t_apex], Fraction(target_measure.values[t_apex]))
-    mapping[apex] = t_apex
-    stack = [apex]
+    tm = target_measure.values
+    b = _Builder(target.level[target.apex], Fraction(tm[target.apex]))
+    mapping: dict[Vertex, Vertex] = {0: target.apex}
+    lifted: dict[Vertex, list[Vertex]] = {}  # target vertex -> lifted children
+    stack = [0]
     while stack:
         s = stack.pop()
         tv = mapping[s]
-        child_mass = mvals[s] / q
-        if not target.is_complete(tv):
-            # boundary vertex: siblings and multiplicities unknown upstairs,
-            # so lift each visible child once and leave the source incomplete
+        complete = target.is_complete(tv)
+        lift = lifted.get(tv)
+        if lift is None:
+            # a boundary vertex lifts each visible child once and stays
+            # incomplete: siblings and multiplicities are unknown upstairs
             # (fibers stay exact inside complete cones, where anchors live)
-            for tc in target.children(tv):
-                sc = add(s, level[s] - 1, child_mass)
-                mapping[sc] = tc
-                stack.append(sc)
-            continue
-        mt = Fraction(target_measure.values[tv])
-        expanded = []
-        for c in target.children(tv):
-            mult = _ratio_multiplicity(q, target_measure.values[c], mt)
-            expanded.extend([c] * mult)
-        if len(expanded) != q:
-            raise TreeError(
-                f"ratios at target vertex {tv} do not fill a length-{q} list "
-                f"(got {len(expanded)})")
-        for tc in expanded:
-            sc = add(s, level[s] - 1, child_mass)
-            mapping[sc] = tc
-            stack.append(sc)
-        complete[s] = True
+            lift = target.children(tv)
+            if complete:
+                mt = Fraction(tm[tv])
+                lift = [c for c in lift
+                        for _ in range(_ratio_multiplicity(q, tm[c], mt))]
+                if len(lift) != q:
+                    raise TreeError(
+                        f"ratios at target vertex {tv} do not fill a length-{q} list "
+                        f"(got {len(lift)})")
+            lifted[tv] = lift
+        if lift:
+            kids = b.add(s, [b.values[s] / q] * len(lift), complete)
+            mapping.update(zip(kids, lift))
+            stack.extend(kids)
 
-    window = TreeWindow(apex, pred, succ, level, complete, up_ratio=Fraction(q))
-    measure = FlowMeasure(mvals, "rational")
+    window, measure = b.finish("rational", Fraction(q))
     return Submersion(window, measure, target, target_measure, mapping)
 
 

@@ -14,6 +14,8 @@ is the whole tree.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from collections import deque
@@ -266,10 +268,15 @@ def validate_measure(window: TreeWindow, measure: FlowMeasure,
                 raise TreeError(f"flow equation violated at vertex {v}")
 
 
+def _cone_size(b: int, depth: int) -> int:
+    """Vertices of the full b-ary cone ``depth`` levels deep (0 for depth -1)."""
+    return depth + 1 if b == 1 else (b ** (depth + 1) - 1) // (b - 1)
+
+
 def ball_vertex_bound(q: int, radius: int) -> int:
-    """The vertex count ``ball_window`` checks against its cap: an upper
-    bound on the size of the radius ball in the q-ary tree."""
-    return (radius + 1) * (q ** radius) + radius + 1
+    """The size of the radius ball in the q-ary tree, which ``ball_window``
+    checks against its cap: 1 + (q+1)(q^r - 1)/(q - 1), or 2r + 1 for q = 1."""
+    return 1 + (q + 1) * _cone_size(q, radius - 1)
 
 
 def _check_cap(count: int, max_vertices: int) -> None:
@@ -277,6 +284,81 @@ def _check_cap(count: int, max_vertices: int) -> None:
         raise TreeError(
             f"window would exceed vertex cap ({count} > {max_vertices}); "
             "pass max_vertices to override")
+
+
+class _Builder:
+    """The one writer of generated windows.
+
+    It assigns sequential vertex ids from the apex (id 0) and writes pred,
+    succ, level, complete and the measure, every dict in id order.  The
+    generators keep their own math: they pass in the masses and say which
+    parents are complete.
+    """
+
+    def __init__(self, apex_level: int, apex_mass: Number):
+        self.pred: dict[Vertex, Vertex] = {}
+        self.succ: dict[Vertex, list[Vertex]] = {0: []}
+        self.level: dict[Vertex, int] = {0: apex_level}
+        self.complete: dict[Vertex, bool] = {0: False}
+        self.values: dict[Vertex, Number] = {0: apex_mass}
+
+    def add(self, p: Vertex, masses, complete: bool) -> list[Vertex]:
+        """Children of p, one per mass, at level(p) - 1; sets complete[p]."""
+        pred, succ, level, flags, values = (self.pred, self.succ, self.level,
+                                            self.complete, self.values)
+        lv = level[p] - 1
+        kids = []
+        for m in masses:
+            v = len(level)
+            pred[v] = p
+            succ[v] = []
+            level[v] = lv
+            flags[v] = False
+            values[v] = m
+            kids.append(v)
+        succ[p] += kids
+        flags[p] = complete
+        return kids
+
+    def cone(self, base: Vertex, depth: int, child_masses) -> None:
+        """Grow the full cone of a childless base ``depth`` levels down,
+        level by level.  ``child_masses(parent_masses, level)`` gives the
+        children's masses, parent by parent, b per parent; every parent
+        becomes complete."""
+        frontier = [base]
+        masses = [self.values[base]]
+        lv = self.level[base]
+        for _ in range(depth):
+            lv -= 1
+            masses = child_masses(masses, lv)
+            b = len(masses) // len(frontier)
+            start = len(self.level)
+            # one int object per id, shared by every map (a range would
+            # make a new one for each)
+            ids = list(range(start, start + len(masses)))
+            self.succ.update(zip(frontier, map(list, zip(*[iter(ids)] * b))))
+            self.complete.update(zip(frontier, itertools.repeat(True)))
+            self.pred.update(zip(ids, itertools.chain.from_iterable(
+                zip(*[frontier] * b))))
+            self.level.update(zip(ids, itertools.repeat(lv)))
+            self.values.update(zip(ids, masses))
+            frontier = ids
+        if depth > 0:
+            self.succ.update(zip(frontier, ([] for _ in frontier)))
+            self.complete.update(zip(frontier, itertools.repeat(False)))
+
+    def finish(self, backend: str, up_ratio: Optional[Number]
+               ) -> tuple[TreeWindow, FlowMeasure]:
+        window = TreeWindow(0, self.pred, self.succ, self.level, self.complete,
+                            up_ratio=up_ratio)
+        return window, FlowMeasure(self.values, backend)
+
+
+def _canonical_flow(q: int, backend: str):
+    """The q-ary tree's canonical flow, level -> q**level memoised per level,
+    and its up_ratio q, in the backend's number type."""
+    unit = Fraction(q) if backend == "rational" else float(q)
+    return functools.lru_cache(maxsize=None)(unit.__pow__), unit
 
 
 def homogeneous_window(q: int, depth: int, up: int = 0, apex_level: int = 0,
@@ -292,51 +374,14 @@ def homogeneous_window(q: int, depth: int, up: int = 0, apex_level: int = 0,
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    est = up + (q ** (depth + 1) - 1) // (q - 1) if q > 1 else up + depth + 1
-    _check_cap(est, max_vertices)
-
-    pred: dict[int, int] = {}
-    succ: dict[int, list[int]] = {}
-    level: dict[int, int] = {}
-    complete: dict[int, bool] = {}
-    next_id = 0
-
-    def add(p: Optional[int], lv: int) -> int:
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        level[v] = lv
-        succ[v] = []
-        complete[v] = False
-        if p is not None:
-            pred[v] = p
-            succ[p].append(v)
-        return v
-
-    apex = add(None, apex_level)
-    cur = apex
+    _check_cap(up + _cone_size(q, depth), max_vertices)
+    mass, unit = _canonical_flow(q, backend)
+    b = _Builder(apex_level, mass(apex_level))
+    base = 0
     for j in range(up):
-        nxt = add(cur, apex_level - j - 1)
-        complete[cur] = q == 1
-        cur = nxt
-    base = cur
-    frontier = [base]
-    for d in range(depth):
-        new = []
-        for v in frontier:
-            for _ in range(q):
-                new.append(add(v, level[v] - 1))
-            complete[v] = True
-        frontier = new
-
-    if backend == "rational":
-        values: dict[int, Number] = {v: Fraction(q) ** level[v] for v in level}
-    else:
-        values = {v: float(q) ** level[v] for v in level}
-    window = TreeWindow(apex, pred, succ, level, complete,
-                        up_ratio=Fraction(q) if backend == "rational" else float(q))
-    measure = FlowMeasure(values, backend)
-    return window, measure
+        base, = b.add(base, [mass(apex_level - j - 1)], q == 1)
+    b.cone(base, depth, lambda ms, lv: [mass(lv)] * (q * len(ms)))
+    return b.finish(backend, unit)
 
 
 def ball_window(q: int, radius: int, center_level: int = 0,
@@ -347,63 +392,33 @@ def ball_window(q: int, radius: int, center_level: int = 0,
 
     Returns (window, canonical measure, center).  The center is safe at the
     full radius, so a ball of radius r+? hosts columns of operators with
-    propagation up to ``radius``.
+    propagation up to ``radius``.  Vertex ids are depth first: a child's
+    whole cone comes before its next sibling.
     """
     if q < 1 or radius < 0:
         raise ValueError("need q >= 1 and radius >= 0")
     _check_cap(ball_vertex_bound(q, radius), max_vertices)
-
-    pred: dict[int, int] = {}
-    succ: dict[int, list[int]] = {}
-    level: dict[int, int] = {}
-    complete: dict[int, bool] = {}
-    next_id = 0
-
-    def add(p, lv):
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        level[v] = lv
-        succ[v] = []
-        complete[v] = False
-        if p is not None:
-            pred[v] = p
-            succ[p].append(v)
-        return v
-
-    def grow_cone(v, depth_left):
-        if depth_left <= 0:
-            return
-        for _ in range(q):
-            c = add(v, level[v] - 1)
-            grow_cone(c, depth_left - 1)
-        complete[v] = True
-
-    apex = add(None, center_level + radius)
-    chain = [apex]
+    mass, unit = _canonical_flow(q, backend)
+    b = _Builder(center_level + radius, mass(center_level + radius))
+    chain = [0]
     for j in range(radius):
-        chain.append(add(chain[-1], center_level + radius - j - 1))
-    center = chain[-1]
-    # center's own cone: depth = radius
-    grow_cone(center, radius)
-    # off-chain cones: chain[i] (level distance radius - i from center) gets
-    # q-1 extra children, each carrying a cone so total distance <= radius
-    for i, v in enumerate(chain[:-1]):
-        extra_depth = i - 1  # descendants must stay within distance `radius`
-        if extra_depth < 0:
-            continue
-        for _ in range(q - 1):
-            c = add(v, level[v] - 1)
-            grow_cone(c, extra_depth)
-        complete[v] = True
-
-    if backend == "rational":
-        values: dict[int, Number] = {v: Fraction(q) ** level[v] for v in level}
-    else:
-        values = {v: float(q) ** level[v] for v in level}
-    window = TreeWindow(apex, pred, succ, level, complete,
-                        up_ratio=Fraction(q) if backend == "rational" else float(q))
-    return window, FlowMeasure(values, backend), center
+        lv = center_level + radius - j - 1
+        chain += b.add(chain[-1], [mass(lv)], j >= 1)
+    # children to add as (parent, child's level, child's cone depth); a
+    # child with a cone of depth d pushes q children of depth d - 1
+    stack = [(chain[-1], center_level - 1, radius - 1)] * q if radius else []
+    # off-chain cones: chain[i] (level distance radius - i from the center)
+    # gets q - 1 extra children, each carrying a cone so total distance
+    # stays <= radius; the center's own cone comes first
+    for i in range(1, radius):
+        stack += [(chain[i], center_level + radius - i - 1, i - 1)] * (q - 1)
+    stack.reverse()
+    while stack:
+        p, lv, d = stack.pop()
+        c, = b.add(p, (mass(lv),), True)
+        if d > 0:
+            stack += [(c, lv - 1, d - 1)] * q
+    return (*b.finish(backend, unit), chain[-1])
 
 
 def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
@@ -418,61 +433,28 @@ def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
     ambient measure grows by 1/ratios[0] per level up.  Returns
     (window, measure, base).
     """
-    b = len(ratios)
     if backend is None:
         backend = "rational" if all(isinstance(r, (Fraction, int)) for r in ratios) else "float"
-    tot = sum(Fraction(r) if backend == "rational" else float(r) for r in ratios)
+    num = Fraction if backend == "rational" else float
+    rr = [num(r) for r in ratios]
     if backend == "rational":
-        if tot != 1:
+        if sum(rr) != 1:
             raise TreeError("ratios must sum to one")
-    elif abs(float(tot) - 1.0) > 1e-12:
+    elif abs(float(sum(rr)) - 1.0) > 1e-12:
         raise TreeError("ratios must sum to one")
-    est = up + (b ** (depth + 1) - 1) // (b - 1) if b > 1 else up + depth + 1
-    _check_cap(est, max_vertices)
+    _check_cap(up + _cone_size(len(ratios), depth), max_vertices)
     if apex_level is None:
         apex_level = up
 
-    pred: dict[int, int] = {}
-    succ: dict[int, list[int]] = {}
-    level: dict[int, int] = {}
-    complete: dict[int, bool] = {}
-    values: dict[int, Number] = {}
-    next_id = 0
-
-    def add(p, lv, m):
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        level[v] = lv
-        succ[v] = []
-        complete[v] = False
-        values[v] = m
-        if p is not None:
-            pred[v] = p
-            succ[p].append(v)
-        return v
-
-    r0 = Fraction(ratios[0]) if backend == "rational" else float(ratios[0])
-    base_mass = Fraction(root_mass) if backend == "rational" else float(root_mass)
-    apex_mass = base_mass / (r0 ** up) if up else base_mass
-    apex = add(None, apex_level, apex_mass)
-    cur = apex
-    for j in range(up):
-        cur = add(cur, apex_level - j - 1, values[cur] * r0)
-    base = cur
-    frontier = [base]
-    for _ in range(depth):
-        new = []
-        for v in frontier:
-            for r in ratios:
-                rr = Fraction(r) if backend == "rational" else float(r)
-                new.append(add(v, level[v] - 1, values[v] * rr))
-            complete[v] = True
-        frontier = new
-
-    window = TreeWindow(apex, pred, succ, level, complete,
-                        up_ratio=(1 / r0 if backend == "float" else Fraction(1, 1) / r0))
-    return window, FlowMeasure(values, backend), base
+    r0 = rr[0]
+    base_mass = num(root_mass)
+    b = _Builder(apex_level, base_mass / (r0 ** up) if up else base_mass)
+    base = 0
+    for _ in range(up):
+        base, = b.add(base, [b.values[base] * r0], False)
+    b.cone(base, depth, lambda ms, lv: [m * r for m in ms for r in rr])
+    return (*b.finish(backend, 1 / r0 if backend == "float" else Fraction(1, 1) / r0),
+            base)
 
 
 def spine_window(depth: int, up: int = 2, split: tuple = (Fraction(1, 2), Fraction(1, 2)),
@@ -483,44 +465,19 @@ def spine_window(depth: int, up: int = 2, split: tuple = (Fraction(1, 2), Fracti
     below x1 every vertex has a single (complete) successor carrying the full
     mass.  Returns (window, measure, x1).
     """
-    pred: dict[int, int] = {}
-    succ: dict[int, list[int]] = {}
-    level: dict[int, int] = {}
-    complete: dict[int, bool] = {}
-    values: dict[int, Number] = {}
-    next_id = 0
-
-    def add(p, lv, m):
-        nonlocal next_id
-        v = next_id
-        next_id += 1
-        level[v] = lv
-        succ[v] = []
-        complete[v] = False
-        values[v] = m
-        if p is not None:
-            pred[v] = p
-            succ[p].append(v)
-        return v
-
     one = Fraction(1) if backend == "rational" else 1.0
-    apex = add(None, up + 1, one)
-    cur = apex
-    for j in range(up):
-        cur = add(cur, level[cur] - 1, values[cur])
-    branch = cur
+    b = _Builder(up + 1, one)
+    branch = 0
+    for _ in range(up):
+        branch, = b.add(branch, [b.values[branch]], False)
     r0 = split[0] if backend == "rational" else float(split[0])
     r1 = split[1] if backend == "rational" else float(split[1])
-    x1 = add(branch, level[branch] - 1, values[branch] * r0)
-    add(branch, level[branch] - 1, values[branch] * r1)
-    complete[branch] = True
-    cur = x1
+    mb = b.values[branch]
+    x1, _ = b.add(branch, [mb * r0, mb * r1], True)
+    v = x1
     for _ in range(depth):
-        nxt = add(cur, level[cur] - 1, values[cur])
-        complete[cur] = True
-        cur = nxt
-    window = TreeWindow(apex, pred, succ, level, complete, up_ratio=one)
-    return window, FlowMeasure(values, backend), x1
+        v, = b.add(v, [b.values[v]], True)
+    return (*b.finish(backend, one), x1)
 
 
 def _parse_measure(raw) -> tuple[Number, str]:

@@ -1,0 +1,165 @@
+"""Window generators and the quotient lift: pinned outputs and edge cases.
+
+The digests below pin vertex ids, successor order, levels, completeness
+flags, masses, value types, ``up_ratio`` and backend of every generator
+(and the source and mapping of ``build_submersion_rational``) over a
+parameter sweep, with the order in which each map lists its vertices, so a
+change to the shared window builder cannot move any of them.
+"""
+
+import hashlib
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from flowtree import quotient, trees
+
+G = (0.6180339887498949, 0.3819660112501051)
+
+LOADED = {"apex_level": 0, "vertices": [
+    {"id": 0, "pred": None, "measure": "1", "complete": True},
+    {"id": 1, "pred": 0, "measure": "1/2", "complete": True},
+    {"id": 2, "pred": 0, "measure": "1/2", "complete": False},
+    {"id": 3, "pred": 1, "measure": "1/2", "complete": False},
+    {"id": 4, "pred": 2, "measure": "1/4", "complete": False}]}
+
+CASES = {
+    "homog-1-5-2-0-r": lambda: trees.homogeneous_window(1, 5, 2, 0),
+    "homog-2-4-0-0-r": lambda: trees.homogeneous_window(2, 4),
+    "homog-2-3-3-1-f": lambda: trees.homogeneous_window(2, 3, 3, 1, "float"),
+    "homog-3-3-2-m2-r": lambda: trees.homogeneous_window(3, 3, 2, -2),
+    "homog-5-2-1-0-f": lambda: trees.homogeneous_window(5, 2, 1, 0, "float"),
+    "homog-2-0-0-0-r": lambda: trees.homogeneous_window(2, 0),
+    "ball-1-0-r": lambda: trees.ball_window(1, 0),
+    "ball-1-4-r": lambda: trees.ball_window(1, 4),
+    "ball-2-0-r": lambda: trees.ball_window(2, 0),
+    "ball-2-1-r": lambda: trees.ball_window(2, 1),
+    "ball-2-4-r": lambda: trees.ball_window(2, 4),
+    "ball-3-3-r": lambda: trees.ball_window(3, 3),
+    "ball-5-2-r": lambda: trees.ball_window(5, 2),
+    "ball-2-4-m3-f": lambda: trees.ball_window(2, 4, -3, "float"),
+    "ball-3-2-f": lambda: trees.ball_window(3, 2, backend="float"),
+    "cr-34-3-0": lambda: trees.constant_ratio_window((F(3, 4), F(1, 4)), 3),
+    "cr-23-4-2-5-32": lambda: trees.constant_ratio_window(
+        (F(2, 3), F(1, 3)), 4, 2, apex_level=5, root_mass=F(3, 2)),
+    "cr-thirds-2-1": lambda: trees.constant_ratio_window((F(1, 3),) * 3, 2, 1),
+    "cr-golden-4-3": lambda: trees.constant_ratio_window(G, 4, 3),
+    "cr-one-3-2": lambda: trees.constant_ratio_window((1,), 3, 2),
+    "cr-244-2-0-f": lambda: trees.constant_ratio_window(
+        (F(1, 2), F(1, 4), F(1, 4)), 2, backend="float"),
+    "spine-6-2": lambda: trees.spine_window(6),
+    "spine-3-0-23": lambda: trees.spine_window(3, 0, (F(2, 3), F(1, 3))),
+    "spine-4-3-f": lambda: trees.spine_window(4, 3, backend="float"),
+}
+
+SUBMERSIONS = {
+    "sub-34-3-0-q4": lambda: trees.constant_ratio_window((F(3, 4), F(1, 4)), 3)[:2] + (4,),
+    "sub-23-3-1-q3": lambda: trees.constant_ratio_window((F(2, 3), F(1, 3)), 3, 1)[:2] + (3,),
+    "sub-ball-2-2-q4": lambda: trees.ball_window(2, 2)[:2] + (4,),
+    "sub-236-2-1-q6": lambda: trees.constant_ratio_window(
+        (F(1, 2), F(1, 3), F(1, 6)), 2, 1)[:2] + (6,),
+    "sub-loaded-q2": lambda: trees.load_window(LOADED) + (2,),
+}
+
+# Recorded from the per-generator code that the window builder replaced.
+EXPECTED = {
+    "ball-1-0-r": "2f7e5d7e8a34e4dd",
+    "ball-1-4-r": "8c457afa3b0661b8",
+    "ball-2-0-r": "79611fc468c0b5aa",
+    "ball-2-1-r": "7258681bad3bb158",
+    "ball-2-4-m3-f": "2094cfb49e08877b",
+    "ball-2-4-r": "66fcc178d9adc2e5",
+    "ball-3-2-f": "948546b49f8dfade",
+    "ball-3-3-r": "c392ad6d6bb32f71",
+    "ball-5-2-r": "f8d46e90c8ffbee4",
+    "cr-23-4-2-5-32": "87217b2a2e9a7f98",
+    "cr-244-2-0-f": "e832f1707ad2e8df",
+    "cr-34-3-0": "a7811ddb1d484697",
+    "cr-golden-4-3": "c5429d03a8ec13be",
+    "cr-one-3-2": "707c3496f5171755",
+    "cr-thirds-2-1": "80edbf75909248e7",
+    "homog-1-5-2-0-r": "03ace6caef39b380",
+    "homog-2-0-0-0-r": "356dd8e4925f0b09",
+    "homog-2-3-3-1-f": "10d485fc2712d610",
+    "homog-2-4-0-0-r": "920e88ba6f5b4bec",
+    "homog-3-3-2-m2-r": "58224863b4d9f027",
+    "homog-5-2-1-0-f": "f58e45d0badab7e8",
+    "spine-3-0-23": "7f51e9ba1909f788",
+    "spine-4-3-f": "59708b820fab8918",
+    "spine-6-2": "4a6036bea3d2ab6e",
+    "sub-23-3-1-q3": "9e9ca17b613523e5",
+    "sub-236-2-1-q6": "0502853eb38afaff",
+    "sub-34-3-0-q4": "e30e398da6bb974a",
+    "sub-ball-2-2-q4": "3e1c13727c398830",
+    "sub-loaded-q2": "ce0f19a59216d803",
+}
+
+
+def _sha(*parts) -> str:
+    return hashlib.sha256("\n".join(map(str, parts)).encode()).hexdigest()[:16]
+
+
+def _window_digest(w, m) -> str:
+    types = sorted({type(x).__name__ for x in m.values.values()})
+    maps = [list(d.items()) for d in (w.pred, w.succ, w.level, w.complete, m.values)]
+    return _sha(json.dumps(trees.window_to_json(w, m), sort_keys=True),
+                repr(w.up_ratio), m.backend, types, maps)
+
+
+def digest(name: str) -> str:
+    if name in SUBMERSIONS:
+        sub = quotient.build_submersion_rational(*SUBMERSIONS[name]())
+        return _sha(_window_digest(sub.source, sub.source_measure),
+                    sorted(sub.mapping.items()))
+    w, m, *extra = CASES[name]()
+    return _sha(_window_digest(w, m), extra)
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(SUBMERSIONS))
+def test_generated_windows_are_pinned(name):
+    assert digest(name) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_ball_vertex_bound_is_the_ball_size(q):
+    for radius in (0, 1, 2, 3, 5):
+        assert trees.ball_vertex_bound(q, radius) == len(trees.ball_window(q, radius)[0])
+
+
+def test_deep_ball_builds_without_recursion():
+    """The line's radius-1500 ball: 3,001 vertices, no recursion limit."""
+    w, m, c = trees.ball_window(1, 1500)
+    assert len(w) == 3001
+    assert trees.ball(w, c, 1500) == set(w.vertices)
+    trees.validate_window(w)
+    trees.validate_measure(w, m)
+
+
+def test_unfilled_lift_names_the_target_vertex(monkeypatch):
+    """A complete target vertex whose ratios do not add up to one (the
+    measure check switched off to reach it) stops the lift there."""
+    window = trees.TreeWindow(
+        0, {1: 0, 2: 0, 3: 1, 4: 1, 5: 2},
+        {0: [1, 2], 1: [3, 4], 2: [5], 3: [], 4: [], 5: []},
+        {0: 0, 1: -1, 2: -1, 3: -2, 4: -2, 5: -2},
+        {0: True, 1: True, 2: True, 3: False, 4: False, 5: False})
+    measure = trees.FlowMeasure({0: F(1), 1: F(1, 2), 2: F(1, 2), 3: F(1, 4),
+                                 4: F(1, 4), 5: F(1, 4)}, "rational")
+    monkeypatch.setattr(quotient, "validate_measure", lambda *a, **k: None)
+    with pytest.raises(trees.TreeError,
+                       match=r"target vertex 2 do not fill a length-4 list \(got 2\)"):
+        quotient.build_submersion_rational(window, measure, 4)
+
+
+def test_lift_reads_each_target_vertex_once(monkeypatch):
+    """Multiplicities are computed once per target child, not once per
+    source vertex of the fiber."""
+    calls = []
+    real = quotient._ratio_multiplicity
+    monkeypatch.setattr(quotient, "_ratio_multiplicity",
+                        lambda *a: calls.append(a) or real(*a))
+    target, tmeas, _ = trees.constant_ratio_window((F(3, 4), F(1, 4)), 4)
+    sub = quotient.build_submersion_rational(target, tmeas, 4)
+    assert len(sub.source) == (4 ** 5 - 1) // 3
+    assert len(calls) == len(target) - 1

@@ -2,10 +2,13 @@
 
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtree import ball_window
+from flowtree import ball_window, cli, zline
 from flowtree.cli import main
 
 
@@ -89,14 +92,14 @@ def test_kernel_multiplier_missing_parameter_names_flag(tmp_path, capsys):
 
 
 def test_heat_too_large_names_radius_and_remedy(tmp_path, capsys):
-    """heat --t 10 on the binary tree needs a radius-18 ball, past the
+    """heat --t 12 on the binary tree needs a radius-20 ball, past the
     vertex cap: exit 2 with the radius, the vertex count and what to do."""
-    assert run(["heat", "--q", "2", "--t", "10",
+    assert run(["heat", "--q", "2", "--t", "12",
                 "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "radius 18" in err and "4,980,755 vertices" in err
+    assert "radius 20 (3,145,726 vertices" in err
     assert "smaller --t" in err and "--tree" in err
-    assert "max_vertices" not in err
+    assert "max_vertices" not in err and "up to" not in err
 
 
 def test_heat_command(tmp_path):
@@ -152,6 +155,100 @@ def test_config_unknown_key_exit_two(tmp_path):
     conf.write_text(json.dumps({"nope": 1}))
     assert run(["abel-check", "--config", str(conf),
                 "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_values_go_through_the_parser(tmp_path):
+    """A string number is converted by the flag's type, not passed on."""
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"q": "3", "degree": "3"}))
+    out = tmp_path / "o"
+    assert run(["abel-check", "--config", str(conf), "--out", str(out)]) == 0
+    meta = json.loads((out / "abel_check.csv.meta.json").read_text())
+    assert meta["q"] == 3 and meta["max_degree"] == 3
+
+
+def test_config_keys_are_flag_names(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"multiplier": "exp(-t*x)", "t": 1, "q-grid": None}))
+    assert run(["kernel", "--config", str(conf), "--q", "2",
+                "--out", str(tmp_path / "o")]) == 0
+    conf.write_text(json.dumps({"t_param": 1}))
+    assert run(["kernel", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_config_loses_to_explicit_flag_equal_to_default(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"out": "from-config", "q": 3, "degree": 2}))
+    assert run(["abel-check", "--config", str(conf), "--out", "flowtree-out"]) == 0
+    assert (tmp_path / "flowtree-out" / "abel_check.csv").exists()
+    assert not (tmp_path / "from-config").exists()
+
+
+@pytest.mark.parametrize("value", [True, [3], {"q": 3}])
+def test_config_rejects_structured_values(tmp_path, capsys, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"q": value}))
+    assert run(["abel-check", "--config", str(conf),
+                "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _parses(kind, text) -> bool:
+    try:
+        kind(text)
+    except ValueError:
+        return False
+    return True
+
+
+FLAGS = {a.option_strings[0][2:]: a for a in cli.build_parser()._actions
+         if a.option_strings and a.dest not in ("help", "config")}
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+STRUCTURED = st.one_of(st.booleans(), st.lists(st.integers(), max_size=2),
+                       st.dictionaries(TEXT, st.integers(), max_size=1))
+
+
+def _ill_typed(key):
+    action = FLAGS[key]
+    if action.choices:
+        return st.one_of(STRUCTURED, TEXT.filter(lambda t: t not in action.choices))
+    if action.type is int:
+        return st.one_of(STRUCTURED, st.floats(),
+                         TEXT.filter(lambda t: not _parses(int, t)))
+    if action.type is float:
+        return st.one_of(STRUCTURED, TEXT.filter(lambda t: not _parses(float, t)))
+    return STRUCTURED
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(FLAGS)).flatmap(
+    lambda key: st.tuples(st.just(key), _ill_typed(key))))
+def test_config_ill_typed_value_exits_two(item):
+    key, value = item
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = os.path.join(tmp, "conf.json")
+        with open(conf, "w", encoding="utf-8") as fh:
+            json.dump({key: value}, fh)
+        assert run(["abel-check", "--config", conf,
+                    "--out", os.path.join(tmp, "o")]) == 2
+
+
+def test_jobs_flag_is_gone(tmp_path):
+    assert run(["abel-check", "--jobs", "2", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("error", [zline.AliasingError, zline.ConsistencyError])
+def test_numerical_failure_exits_one_with_record(tmp_path, monkeypatch, error):
+    def fail(args, out):
+        raise error("grid too coarse for the kernel")
+    monkeypatch.setitem(cli.COMMANDS, "kernel", fail)
+    out = tmp_path / "o"
+    assert run(["kernel", "--out", str(out)]) == 1
+    rec = json.loads((out / "failure.json").read_text())
+    assert rec["command"] == "kernel"
+    assert rec["failure"]["error"] == error.__name__
+    assert rec["failure"]["message"] == "grid too coarse for the kernel"
 
 
 def test_transfer_check_command(tmp_path):
