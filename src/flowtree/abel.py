@@ -21,7 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import QSurd
-from .zline import z_grad_multiplier_kernel, z_gradkernel_lambda_poly
+from .zline import (NumericalError, z_grad_multiplier_kernel,
+                    z_gradkernel_lambda_poly)
 
 
 def sphere_count(q: int, d: int, r: int) -> int:
@@ -215,6 +216,10 @@ def homog_kernel_value_exact(q: int, A_exact, lx: int, ly: int, d: int) -> Fract
 _VARIANTS = ("plain", "grad_x", "gradstar_y", "grad_both")
 
 
+class DominatedTailError(NumericalError):
+    """The last block of a truncated weighted sum does not decay."""
+
+
 def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str = "plain",
                          tail_check: bool = True):
     """sup_y sum_x w(d(x,y)) |K(x,y)| m(x) on the q-ary tree, in closed form.
@@ -222,7 +227,8 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str = "p
     variant selects the operator: F(L) itself, grad F(L) (gradient in the
     first variable), F(L) grad* (gradient in the second), or grad F(L) grad*.
     The sum collapses over spheres; by homogeneity it does not depend on y.
-    Returns (value, tail_estimate); raises if the truncated tail fails the
+    Returns (value, tail_estimate); raises NumericalError if a weight
+    overflows, and DominatedTailError if the truncated tail fails the
     dominated check.
     """
     if variant not in _VARIANTS:
@@ -245,13 +251,16 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str = "p
                 b_comp = abs(A[d] - A[d - 1] - A[d + 1] / q + A[d] / q)
                 b_inc = abs(A[d] - 2 * A[d - 1] + (A[d - 2] if d >= 2 else 0.0))
                 val = 2.0 * b_comp + max(s - 2.0, 0.0) * b_inc
-        terms[d] = weight(d) * val
+        try:
+            terms[d] = weight(d) * val
+        except OverflowError as exc:
+            raise NumericalError(f"weight at distance {d} overflows: {exc}") from exc
     total = float(np.sum(terms))
     tail = float(np.sum(terms[-4:]))
     if tail_check and total > 0 and tail > 1e-6 * total + 1e-300:
         head = float(np.sum(terms[-8:-4]))
         if head <= tail:
-            raise ValueError(
+            raise DominatedTailError(
                 f"dominated-tail check failed (kmax={kmax} too small: "
                 f"last block {tail:.3e} vs previous {head:.3e})")
     return total, tail

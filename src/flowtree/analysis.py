@@ -55,9 +55,6 @@ class EstimateReport:
     fit: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
 
-    def column(self, key):
-        return [r[key] for r in self.rows]
-
     def csv_header(self):
         keys = []
         for r in self.rows:

@@ -3,9 +3,10 @@
 Each subcommand writes CSV artifacts with a JSON metadata sidecar and exits
 0 when its internal assertions pass, 1 on an assertion failure (with a
 machine-readable failure record in the output directory), 2 on bad input.
-A numerical failure (an aliasing guard or a consistency check) also exits
-1 with a failure record.  Configs are flat JSON documents whose keys are
-flag names; explicit flags override config values.  Runs are sequential and
+A numerical failure (an aliasing guard, a consistency check, the
+dominated-tail check of a weighted sum) also exits 1 with a failure
+record.  Configs are flat JSON documents whose keys are flag names;
+explicit flags override config values.  Runs are sequential and
 deterministically ordered, so a rational-backend rerun reproduces artifacts
 byte for byte.
 """
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
     os.makedirs(out, exist_ok=True)
     try:
         failure = COMMANDS[args.command](args, out)
-    except (zline.AliasingError, zline.ConsistencyError) as exc:
+    except zline.NumericalError as exc:
         failure = {"check": "numerical", "error": type(exc).__name__,
                    "message": str(exc)}
     except (TreeError, ValueError, OSError, KeyError) as exc:

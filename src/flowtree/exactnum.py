@@ -108,13 +108,5 @@ class QSurd:
     def __float__(self):
         return float(self.a) + float(self.b) * math.sqrt(self.q)
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise ValueError(f"{self!r} has a nonzero sqrt({self.q}) part")
-        return self.a
-
     def __repr__(self):
         return f"QSurd({self.q}, {self.a}, {self.b})"

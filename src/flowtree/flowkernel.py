@@ -48,9 +48,6 @@ class AncestorChain:
     def top_level(self) -> int:
         return self.base_level + len(self.inv) - 1
 
-    def inv_slice(self, j_from: int) -> np.ndarray:
-        return self.inv[j_from - self.base_level:]
-
 
 def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
              top_level: Optional[int] = None,

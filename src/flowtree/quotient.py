@@ -59,67 +59,66 @@ def validate_submersion(sub: Submersion) -> SubmersionReport:
     """Check the intertwining axioms, level-shift constancy, and measure
     compatibility at every vertex where both sides are determined.
 
-    Exact in the rational backend; each violation carries a witness vertex.
+    One pass over the source; a complete vertex sums its children's masses
+    once per image for its successor and compatibility checks.  Exact in
+    the rational backend; each violation carries a witness vertex (by kind,
+    then in source order).  A vertex mapped nowhere or outside the target
+    is reported as "unmapped", and then nothing else is.
     """
     src, tgt = sub.source, sub.target
     m1, m2 = sub.source_measure.values, sub.target_measure.values
     pi = sub.mapping
-    bad = []
-    counts = {"pred": 0, "succ": 0, "level": 0, "compat": 0}
-
-    for v in src.vertices:
-        if v not in pi:
-            bad.append(("unmapped", v))
-    if bad:
-        return SubmersionReport(False, bad)
-
-    shift = None
-    for v in src.vertices:
-        s = tgt.level[pi[v]] - src.level[v]
-        if shift is None:
-            shift = s
-        elif s != shift:
-            bad.append(("level_shift", v))
-        counts["level"] += 1
-
-    for v in src.vertices:
-        p = src.parent(v)
-        if p is None:
-            continue
-        tp = tgt.parent(pi[v])
-        if tp is None:
-            continue  # image apex: predecessor not visible downstairs
-        counts["pred"] += 1
-        if pi[p] != tp:
-            bad.append(("pred_intertwine", v))
-
-    for v in src.vertices:
-        if not src.is_complete(v) or not tgt.is_complete(pi[v]):
-            continue
-        counts["succ"] += 1
-        if {pi[c] for c in src.children(v)} != set(tgt.children(pi[v])):
-            bad.append(("succ_onto", v))
-
     exact = (sub.source_measure.backend == "rational"
              and sub.target_measure.backend == "rational")
-    for v in src.vertices:
-        p = src.parent(v)
-        if p is None or not src.is_complete(p):
-            continue
-        tv = pi[v]
-        tp = tgt.parent(tv)
-        if tp is None:
-            continue
-        counts["compat"] += 1
-        lhs = m2[tv] * m1[p]
-        rhs = m2[tp] * sum(m1[c] for c in src.children(p) if pi[c] == tv)
-        if exact:
-            if lhs != rhs:
-                bad.append(("compatibility", v))
-        elif abs(float(lhs) - float(rhs)) > 1e-10 * max(abs(float(lhs)), 1.0):
-            bad.append(("compatibility", v))
+    bad: dict[str, list] = {kind: [] for kind in (
+        "unmapped", "level_shift", "pred_intertwine", "succ_onto", "compatibility")}
+    counts = {"pred": 0, "succ": 0, "level": len(src), "compat": 0}
 
-    return SubmersionReport(not bad, bad, shift, counts)
+    shift = None
+    for v, lv in src.level.items():
+        tv = pi.get(v)
+        tl = tgt.level.get(tv)
+        if tl is None:
+            bad["unmapped"].append(v)
+            continue
+        if shift is None:
+            shift = tl - lv
+        elif tl - lv != shift:
+            bad["level_shift"].append(v)
+        p, tp = src.pred.get(v), tgt.pred.get(tv)
+        if p is not None and tp is not None:  # else the image is the apex
+            counts["pred"] += 1
+            if pi.get(p) != tp:
+                bad["pred_intertwine"].append(v)
+        if not src.is_complete(v):
+            continue
+        kids = src.children(v)
+        slices: dict = {}  # image -> mass of v's children mapped there
+        for c in kids:
+            t = pi.get(c)
+            slices[t] = slices.get(t, 0) + m1[c]
+        if tgt.is_complete(tv):
+            counts["succ"] += 1
+            if slices.keys() != set(tgt.children(tv)):
+                bad["succ_onto"].append(v)
+        off = {}  # image with a target parent -> compatibility violated
+        for t, mass in slices.items():
+            tp = tgt.pred.get(t)
+            if tp is not None:
+                lhs, rhs = m2[t] * m1[v], m2[tp] * mass
+                off[t] = (lhs != rhs if exact else abs(float(lhs) - float(rhs))
+                          > 1e-10 * max(abs(float(lhs)), 1.0))
+        checked = [c for c in kids if pi.get(c) in off]
+        counts["compat"] += len(checked)
+        bad["compatibility"] += [c for c in checked if off[pi[c]]]
+
+    if bad["unmapped"]:
+        return SubmersionReport(False, [("unmapped", v) for v in bad["unmapped"]])
+    if bad["compatibility"]:  # witnessed by children, found parent by parent
+        rank = {v: i for i, v in enumerate(src.level)}
+        bad["compatibility"].sort(key=rank.__getitem__)
+    violations = [(kind, v) for kind, vs in bad.items() for v in vs]
+    return SubmersionReport(not violations, violations, shift, counts)
 
 
 def _ratio_multiplicity(q: int, mv, mp) -> int:

@@ -210,40 +210,49 @@ def meeting_levels(window: TreeWindow, y: Vertex) -> dict[Vertex, int]:
     return meet
 
 
+def _levels_from_apex(apex: Vertex, apex_level: int,
+                      succ: dict[Vertex, list[Vertex]]) -> dict[Vertex, int]:
+    """Levels of the vertices below the apex along successor lists, by one
+    walk down with an explicit stack; vertices cut off from the apex get
+    none.  Each vertex must sit in at most one successor list, the apex in
+    none."""
+    level = {apex: apex_level}
+    stack = [apex]
+    while stack:
+        p = stack.pop()
+        for c in succ.get(p, ()):
+            level[c] = level[p] - 1
+            stack.append(c)
+    return level
+
+
 def validate_window(window: TreeWindow) -> None:
-    """Check pred/succ consistency, levels, acyclicity, connectivity."""
-    verts = set(window.vertices)
+    """Check pred/succ consistency, levels, acyclicity, connectivity (the
+    last three by one walk down from the apex once pred and succ agree)."""
+    verts = window.level
     if window.apex not in verts:
         raise TreeError("apex not among vertices")
     if window.apex in window.pred:
         raise TreeError("apex must have no predecessor")
-    for v in verts:
-        if v != window.apex and v not in window.pred:
-            raise TreeError(f"vertex {v} has no predecessor and is not the apex")
     for v, p in window.pred.items():
+        if v not in verts:
+            raise TreeError(f"vertex {v} has a predecessor but no level")
         if p not in verts:
             raise TreeError(f"predecessor {p} of {v} not in window")
         if v not in window.succ.get(p, []):
             raise TreeError(f"vertex {v} missing from successor list of {p}")
-        if window.level[v] != window.level[p] - 1:
-            raise TreeError(f"level of {v} is not level({p}) - 1")
     for v, cs in window.succ.items():
         for c in cs:
             if window.pred.get(c) != v:
                 raise TreeError(f"successor {c} of {v} has wrong predecessor")
         if len(set(cs)) != len(cs):
             raise TreeError(f"duplicate successor at {v}")
-    # connectivity + acyclicity: every vertex reaches the apex by pred steps
-    seen_ok = {window.apex}
-    for v in verts:
-        chain = []
-        w = v
-        while w not in seen_ok:
-            chain.append(w)
-            if w not in window.pred or len(chain) > len(verts):
-                raise TreeError("window is disconnected or cyclic")
-            w = window.pred[w]
-        seen_ok.update(chain)
+    level = _levels_from_apex(window.apex, verts[window.apex], window.succ)
+    if level != verts:
+        v = next(v for v, lv in verts.items() if level.get(v) != lv)
+        raise TreeError(f"level of {v} is not level({window.pred[v]}) - 1"
+                        if v in level else f"vertex {v} has no path up to the "
+                        "apex (no predecessor, or a cycle)")
 
 
 def validate_measure(window: TreeWindow, measure: FlowMeasure,
@@ -521,7 +530,8 @@ def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
 
     Schema: {"apex_level": int, "vertices": [{"id", "pred" (null for apex),
     "measure" ("p/q" string or float), "complete": bool}, ...]}.
-    Successor order is array order among children of the same pred.
+    Successor order is array order among children of the same pred, and
+    vertices keep document order.
     """
     doc = _read_document(source)
     if not isinstance(doc, dict) or "vertices" not in doc:
@@ -571,23 +581,12 @@ def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
     if backend == "float":
         values = {v: float(m) for v, m in values.items()}
 
-    # derive levels from the apex
-    level: dict[int, int] = {}
+    level = _levels_from_apex(apex, apex_level, succ)
     for vid in order:
-        chain = []
-        w = vid
-        while w not in level:
-            if w == apex:
-                level[w] = apex_level
-                break
-            chain.append(w)
-            if w not in pred or len(chain) > len(order):
-                raise TreeError(f"vertex {vid}: disconnected from apex or cyclic")
-            w = pred[w]
-        for u in reversed(chain):
-            level[u] = level[pred[u]] - 1
+        if vid not in level:
+            raise TreeError(f"vertex {vid}: disconnected from apex or cyclic")
 
-    window = TreeWindow(apex, pred, succ, level, complete)
+    window = TreeWindow(apex, pred, succ, {v: level[v] for v in order}, complete)
     measure = FlowMeasure(values, backend)
     validate_window(window)
     validate_measure(window, measure)

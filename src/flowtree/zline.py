@@ -18,11 +18,15 @@ from scipy.integrate import quad
 from scipy.special import ive, loggamma
 
 
-class AliasingError(ValueError):
+class NumericalError(ValueError):
+    """A numerical check failed: the computed values cannot be trusted."""
+
+
+class AliasingError(NumericalError):
     """Doubling the quadrature grid moved a kernel value too much."""
 
 
-class ConsistencyError(ValueError):
+class ConsistencyError(NumericalError):
     """Two evaluation routes that must agree did not."""
 
 

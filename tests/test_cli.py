@@ -251,6 +251,25 @@ def test_numerical_failure_exits_one_with_record(tmp_path, monkeypatch, error):
     assert rec["failure"]["message"] == "grid too coarse for the kernel"
 
 
+@pytest.mark.parametrize("epsilon, error, message", [
+    ("5", "DominatedTailError", "dominated-tail check failed"),
+    ("40", "NumericalError", "overflows"),
+])
+def test_weighted_sweep_numerical_failure_exits_one(tmp_path, capsys, epsilon,
+                                                    error, message):
+    """A tail that does not decay, and a weight past the float range, are
+    numerical failures with a record, not bad input or a traceback."""
+    out = tmp_path / "o"
+    assert run(["weighted-sweep", "--epsilon", epsilon, "--t-grid", "1,4",
+                "--q-grid", "2", "--out", str(out)]) == 1
+    rec = json.loads((out / "failure.json").read_text())
+    assert rec["command"] == "weighted-sweep"
+    assert rec["failure"]["check"] == "numerical"
+    assert rec["failure"]["error"] == error
+    assert message in rec["failure"]["message"]
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_transfer_check_command(tmp_path):
     out = tmp_path / "o"
     assert run(["transfer-check", "--q", "2", "--ratios", "1/2,1/2",

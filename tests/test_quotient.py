@@ -1,5 +1,6 @@
 """Submersions: validation, quotient construction, transference, perturbation."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -250,3 +251,124 @@ def test_perturbation_probe_golden_monotone():
     devs = [r["max_kernel_dev"] for r in tbl]
     assert all(a > b for a, b in zip(devs, devs[1:]))
     assert devs[-1] < devs[0] / 10
+
+
+# Every violation kind on one small quotient: the 4-ary window over the
+# (1/2, 1/2) window of depth 2 (21 source vertices over 7 target vertices;
+# target vertices 1, 2 at level -1, leaves 3..6 at level -2).
+CHECKED = {"pred": 20, "succ": 5, "level": 21, "compat": 20}
+
+
+def small_quotient(backend):
+    target, tmeas, _ = constant_ratio_window((Fraction(1, 2), Fraction(1, 2)),
+                                             depth=2)
+    sub = quotient.build_submersion_rational(target, tmeas, 4)
+    if backend == "float":
+        sub = dataclasses.replace(
+            sub, source_measure=FlowMeasure(
+                {v: float(m) for v, m in sub.source_measure.values.items()}, "float"),
+            target_measure=FlowMeasure(
+                {v: float(m) for v, m in tmeas.values.items()}, "float"))
+    return sub
+
+
+def fiber(sub, t):
+    """The fiber of target vertex t, in source-vertex order."""
+    return [s for s in sub.source.vertices if sub.mapping[s] == t]
+
+
+def witnesses(kind, vertices):
+    return [(kind, v) for v in vertices]
+
+
+BACKENDS = pytest.mark.parametrize("backend", ["rational", "float"])
+
+
+@BACKENDS
+def test_small_quotient_validates(backend):
+    rep = quotient.validate_submersion(small_quotient(backend))
+    assert (rep.ok, rep.violations, rep.level_shift, rep.checked) == (
+        True, [], 0, CHECKED)
+
+
+@BACKENDS
+def test_unmapped_vertices_are_reported_alone(backend):
+    sub = small_quotient(backend)
+    sub.target.level[3] += 1  # a level fault the early return never sees
+    del sub.mapping[20], sub.mapping[5]
+    rep = quotient.validate_submersion(sub)
+    assert (rep.ok, rep.violations, rep.level_shift, rep.checked) == (
+        False, witnesses("unmapped", [5, 20]), None, {})
+
+
+@BACKENDS
+def test_image_outside_target_is_unmapped(backend):
+    sub = small_quotient(backend)
+    sub.mapping[7] = 10 ** 6
+    rep = quotient.validate_submersion(sub)
+    assert (rep.ok, rep.violations, rep.checked) == (
+        False, witnesses("unmapped", [7]), {})
+
+
+@BACKENDS
+def test_level_shift_witnesses(backend):
+    sub = small_quotient(backend)
+    sub.target.level[4] += 1
+    rep = quotient.validate_submersion(sub)
+    assert rep.violations == witnesses("level_shift", fiber(sub, 4))
+    assert (rep.level_shift, rep.checked) == (0, CHECKED)
+
+
+@BACKENDS
+def test_pred_intertwine_witnesses(backend):
+    sub = small_quotient(backend)
+    # 3 hangs under 2 instead of 1; both weigh 1/2, so compatibility holds
+    sub.target.pred[3] = 2
+    rep = quotient.validate_submersion(sub)
+    assert rep.violations == witnesses("pred_intertwine", fiber(sub, 3))
+    assert rep.checked == CHECKED
+
+
+@BACKENDS
+def test_succ_onto_witnesses(backend):
+    sub = small_quotient(backend)
+    sub.target.succ[2] = [5]
+    rep = quotient.validate_submersion(sub)
+    assert rep.violations == witnesses("succ_onto", fiber(sub, 2))
+    assert rep.checked == CHECKED
+
+
+@BACKENDS
+def test_compatibility_witnesses_in_source_order(backend):
+    sub = small_quotient(backend)
+    sub.target_measure.values[3] *= 2
+    rep = quotient.validate_submersion(sub)
+    # found parent by parent (17 and 18, under source vertex 1, come
+    # first), reported in source order
+    assert fiber(sub, 3) == [13, 14, 17, 18]
+    assert rep.violations == witnesses("compatibility", [13, 14, 17, 18])
+    assert rep.checked == CHECKED
+
+
+@BACKENDS
+def test_compatibility_float_tolerance(backend):
+    sub = small_quotient(backend)
+    sub.target_measure.values[3] *= 1 + Fraction(1, 10 ** 14)
+    rep = quotient.validate_submersion(sub)
+    expect = [] if backend == "float" else witnesses("compatibility", fiber(sub, 3))
+    assert rep.violations == expect
+
+
+@BACKENDS
+def test_violations_ordered_by_kind_then_source(backend):
+    sub = small_quotient(backend)
+    sub.target_measure.values[4] *= 2
+    sub.target.succ[2] = [5]
+    sub.target.pred[3] = 2
+    sub.target.level[6] += 1
+    rep = quotient.validate_submersion(sub)
+    assert rep.violations == (witnesses("level_shift", fiber(sub, 6))
+                              + witnesses("pred_intertwine", fiber(sub, 3))
+                              + witnesses("succ_onto", fiber(sub, 2))
+                              + witnesses("compatibility", fiber(sub, 4)))
+    assert (rep.ok, rep.level_shift, rep.checked) == (False, 0, CHECKED)

@@ -4,11 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtree import (TreeError, ball_window, constant_ratio_window,
-                      homogeneous_window, load_window, safe_region,
-                      spine_window, validate_measure, validate_window,
-                      window_to_json)
+from flowtree import (TreeError, TreeWindow, ball_window,
+                      constant_ratio_window, homogeneous_window, load_window,
+                      safe_region, spine_window, validate_measure,
+                      validate_window, window_to_json)
 from flowtree.trees import ball, meeting_levels
 
 
@@ -144,6 +146,22 @@ def test_validate_catches_bad_levels():
         validate_window(w)
 
 
+def test_validate_catches_pred_without_level():
+    w = TreeWindow(0, {1: 0}, {0: [1], 1: []}, {0: 0}, {0: False, 1: False})
+    with pytest.raises(TreeError, match="no level"):
+        validate_window(w)
+
+
+def test_validate_catches_vertices_cut_off_from_apex():
+    orphan = TreeWindow(0, {}, {0: [], 1: []}, {0: 0, 1: -1}, {})
+    with pytest.raises(TreeError, match="vertex 1"):
+        validate_window(orphan)
+    two_cycle = TreeWindow(0, {1: 2, 2: 1}, {0: [], 1: [2], 2: [1]},
+                           {0: 0, 1: -1, 2: -2}, {})
+    with pytest.raises(TreeError):
+        validate_window(two_cycle)
+
+
 def test_measure_float_tolerance():
     w, m = homogeneous_window(2, depth=2, backend="float")
     validate_measure(w, m)
@@ -264,3 +282,66 @@ def test_ball_and_meeting_levels_match_distance_and_lca():
                 assert ball(w, y, r) == {x for x in verts if w.distance(x, y) <= r}
             meet = meeting_levels(w, y)
             assert meet == {x: w.level[w.lca(x, y)] for x in verts}
+
+
+BACKEND = st.sampled_from(["rational", "float"])
+WINDOWS = st.one_of(
+    st.builds(lambda q, depth, up, bk: homogeneous_window(q, depth, up=up,
+                                                          backend=bk),
+              st.integers(1, 3), st.integers(0, 3), st.integers(0, 2), BACKEND),
+    st.builds(lambda r, depth, up: constant_ratio_window(r, depth=depth, up=up)[:2],
+              st.sampled_from([(Fraction(1, 3), Fraction(2, 3)), (0.618, 0.382),
+                               (Fraction(1),)]),
+              st.integers(0, 3), st.integers(0, 2)),
+    st.builds(lambda q, r, bk: ball_window(q, r, backend=bk)[:2],
+              st.integers(1, 3), st.integers(0, 3), BACKEND),
+    st.builds(lambda depth, up, bk: spine_window(depth, up=up, backend=bk)[:2],
+              st.integers(0, 6), st.integers(0, 2), BACKEND),
+)
+MUTATIONS = ("none", "drop", "repoint", "two_cycle", "duplicate_id",
+             "flip_complete", "measure")
+
+
+def mutate(recs, kind, draw):
+    """Apply one mutation of the given kind to the vertex records."""
+    index = st.integers(0, len(recs) - 1)
+    rec = recs[draw(index)]
+    if kind == "drop":
+        recs.remove(rec)
+    elif kind == "repoint":
+        rec["pred"] = draw(st.sampled_from([r["id"] for r in recs] + [None, 10 ** 6]))
+    elif kind == "two_cycle":  # a 1-cycle when both picks agree
+        other = recs[draw(index)]
+        rec["pred"], other["pred"] = other["id"], rec["id"]
+    elif kind == "duplicate_id":
+        rec["id"] = recs[draw(index)]["id"]
+    elif kind == "flip_complete":
+        rec["complete"] = not rec["complete"]
+    elif kind == "measure":
+        rec["measure"] = draw(st.sampled_from(
+            ["0", "-1/2", "3/7", 0.25, -1.0, str(2 * Fraction(rec["measure"]))]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(WINDOWS, st.sampled_from(MUTATIONS), st.data())
+def test_loader_mutations_give_tree_error_or_valid_window(wm, kind, data):
+    """One random mutation of a dumped window: the loader either refuses it
+    with a TreeError or returns a window that validates; an unmutated
+    document round-trips."""
+    w, m = wm
+    doc_ = json.loads(json.dumps(window_to_json(w, m)))
+    mutate(doc_["vertices"], kind, data.draw)
+    try:
+        w2, m2 = load_window(doc_)
+    except TreeError:
+        assert kind != "none"
+        return
+    validate_window(w2)
+    validate_measure(w2, m2)
+    if kind == "none":
+        assert w2.level == w.level and w2.pred == w.pred
+        assert {v: w2.children(v) for v in w2.vertices} == \
+            {v: w.children(v) for v in w.vertices}
+        assert {v: w2.is_complete(v) for v in w2.vertices} == \
+            {v: w.is_complete(v) for v in w.vertices}
+        assert (m2.values, m2.backend) == (m.values, m.backend)
