@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -161,22 +162,17 @@ def _profile_column(window, measure, gradk, y, variant,
 
     Every term of the profile sum of a pair (x, y) sits at a common
     ancestor (levels J >= the meeting level), so y's chain serves every x,
-    and the value depends on x only through level(x) and the meeting level.
+    and the value depends on x only through level(x) and the meeting level:
+    one array call evaluates the distinct (level, meeting level) keys.
     """
     top = max(window.level[v] for v in window.vertices) + (len(gradk) // 2) + 2
     chain = flowkernel.chain_of(window, measure, y, top)
-    ly = window.level[y]
     meet = meeting_levels(window, y)
-    by_levels: dict[tuple[int, int], complex] = {}
-    vals: dict[Vertex, complex] = {}
-    for x in window.vertices:
-        key = (window.level[x], meet[x])
-        v = by_levels.get(key)
-        if v is None:
-            v = by_levels[key] = flowkernel.variant_value(
-                gradk, chain, key[0], ly, key[1], variant)
-        if v:
-            vals[x] = v
+    keys, key_of = np.unique([list(window.level.values()),
+                              [meet[x] for x in window.vertices]], axis=1, return_inverse=True)
+    at_key = flowkernel.variant_value(gradk, chain, keys[0], window.level[y],
+                                      keys[1], variant)
+    vals = {x: v for x, v in zip(window.vertices, at_key[key_of].tolist()) if v}
     safe = frozenset(window.vertices) if not chain.truncated else frozenset()
     return KernelColumn(y, vals, safe, err)
 
@@ -185,19 +181,17 @@ def heat_ball_radius(q: int, t: float, tol: float) -> int:
     """Smallest radius of a ball in the q-ary tree that holds all but at
     most tol of the heat column's mass at time t.
 
-    The mass inside radius r is the column sum of the heat kernel with
-    weight 1{d <= r}, taken over the centre's ancestor profile, so no ball
-    is built; one sum with a vector of weights covers every radius up to
-    the kernel's support, past which a ball holds all the mass.
+    The mass inside radius r is the cumulative sum, up to r, of the heat
+    column's mass per distance, taken over the centre's ancestor profile,
+    so no ball is built; radii run up to the kernel's support, past which
+    a ball holds all the mass.
     """
     gradk = _heat_gradk(t)
     w, m, c = ball_window(q, 0, backend="float")
     chain = flowkernel.chain_of(w, m, c, len(gradk) + 2)
-    radii = np.arange(len(gradk) - 1)  # the last one covers the support
-    inside = flowkernel.weighted_colsum(chain, gradk, 0,
-                                        lambda d, lx, ly: (d <= radii) * 1.0)
+    inside = np.cumsum(flowkernel.distance_masses(chain, gradk, 0))[:len(gradk) - 1]
     held = np.flatnonzero(1.0 - inside <= tol)
-    return int(held[0]) if len(held) else int(radii[-1])
+    return int(held[0]) if len(held) else len(inside) - 1
 
 
 def grad_heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
@@ -254,16 +248,12 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
     chain = flowkernel.chain_of(window, measure, x, top_needed)
     for t in ts:
         gradk = _heat_gradk(t)
-        if l == "sup":
-            span = int(3 * math.sqrt(t)) + 3
-            levels = range(lx - span, lx + span + 1)
-        else:
-            levels = [l]
-        best, best_l = 0.0, None
-        for ll in levels:
-            val = flowkernel.level_sum(chain, gradk, lx, ll, orientation)
-            if val > best:
-                best, best_l = val, ll
+        span = int(3 * math.sqrt(t)) + 3
+        levels = range(lx - span, lx + span + 1) if l == "sup" else [l]
+        vals = [flowkernel.level_sum(chain, gradk, lx, ll, orientation)
+                for ll in levels]
+        best = max(vals)
+        best_l = levels[vals.index(best)] if best > 0 else None
         rows.append({"t": t, "value": best, "level": best_l,
                      "chain_truncated": chain.truncated})
     fit = fit_loglog([1.0 + t for t in ts], [r["value"] for r in rows])
@@ -285,27 +275,29 @@ def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs,
     """Batched Riesz kernel values (gradient in the first variable).
 
     Each pair profiles the quadrature's summed gradient kernel, built once
-    per spec.  The last decade of the t-quadrature feeds one Richardson
-    step for the truncated tail (contributions decay like 1/t there); the
-    per-pair error estimate combines that step with the chain-truncation
-    flag.
+    per spec.  Every term of a pair's profile sum sits at a common
+    ancestor, so either end's chain serves the pair; pairs take the end
+    that more pairs share, and each chain makes one array call per kernel.
+    The last decade of the t-quadrature feeds one Richardson step for the
+    truncated tail (contributions decay like 1/t there); the per-pair error
+    estimate combines that step with the chain-truncation flag.
     """
     spec = spec or QuadratureSpec()
     total_k, last_k = _riesz_gradkernels(spec)
-    top_needed = (max(window.level[x] for x, _ in pairs)
+    top_needed = (max(window.level[v] for pair in pairs for v in pair)
                   + heat_support_radius(spec.t_cut) // 2 + 4)
-    chains = {}
-    for x, _ in pairs:
-        if x not in chains:
-            chains[x] = flowkernel.chain_of(window, measure, x, top_needed)
-    totals = np.zeros(len(pairs), dtype=complex)
-    last_decade = np.zeros(len(pairs), dtype=complex)
-    for i, (x, y) in enumerate(pairs):
-        lx, ly = window.level[x], window.level[y]
-        j0 = window.level[window.lca(x, y)]
-        totals[i] = flowkernel.variant_value(total_k, chains[x], lx, ly, j0, "grad_x")
-        last_decade[i] = flowkernel.variant_value(last_k, chains[x], lx, ly, j0,
-                                                  "grad_x")
+    lx, ly, j0 = np.array([(window.level[x], window.level[y],
+                            window.level[window.lca(x, y)]) for x, y in pairs]).T
+    uses = Counter(v for pair in pairs for v in pair)
+    ends = np.array([x if uses[x] >= uses[y] else y for x, y in pairs])
+    totals, last_decade = np.zeros((2, len(pairs)), dtype=complex)
+    chains = {e: flowkernel.chain_of(window, measure, e, top_needed)
+              for e in dict.fromkeys(ends.tolist())}
+    for e, chain in chains.items():
+        idx = np.flatnonzero(ends == e)
+        for out, gk in ((totals, total_k), (last_decade, last_k)):
+            out[idx] = flowkernel.variant_value(gk, chain, lx[idx], ly[idx],
+                                                j0[idx], "grad_x")
     # Richardson: with 1/t tail behavior the remaining mass past t_cut is
     # (last decade contribution) / 9
     correction = last_decade / 9.0
@@ -357,6 +349,8 @@ def weighted_heat_sweep(eps: float, t_grid, q_grid) -> EstimateReport:
     """
     rows = []
     ts = sorted(set(float(t) for t in t_grid))
+    if ts[0] <= 0:
+        raise ValueError("t must be > 0")
     for q in q_grid:
         for t in ts:
             gradk = _heat_gradk(t)
@@ -399,13 +393,13 @@ def window_weighted_heat_sweep(window: TreeWindow, measure: FlowMeasure,
         gradk = _heat_gradk(t)
         top = max(window.level[y] for y in anchors) + len(gradk) // 2 + 3
         sup = {"heat": 0.0, "grad_heat": 0.0, "grad_heat_gradstar": 0.0}
+        w = lambda d: np.exp(eps * d / math.sqrt(t))
         for y in anchors:
             chain = flowkernel.chain_of(window, measure, y, top)
-            w = lambda d, lx, ly: math.exp(eps * d / math.sqrt(t))
             for variant, name in (("plain", "heat"), ("grad_x", "grad_heat"),
                                   ("grad_both", "grad_heat_gradstar")):
-                val = flowkernel.weighted_colsum(chain, gradk,
-                                                 window.level[y], w, variant)
+                val = flowkernel.weighted_colsum(chain, gradk, window.level[y],
+                                                 w, variant)
                 sup[name] = max(sup[name], val)
         rows.append({"t": t, **sup})
     fits = {name: fit_loglog([1 + t for t in ts], [r[name] for r in rows])["slope"]

@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -40,19 +41,41 @@ GOLDEN_RATIO = (math.sqrt(5) - 1) / 2  # heavier branch of the golden flow
 DEFAULT_KERNEL_DEGREE = 8
 
 
-def parse_grid(text: str):
-    """a:b:n for linear, a:b:nlog for log-spaced, or comma-separated values."""
+def parse_grid(text: str) -> list[float]:
+    """a:b:n for linear, a:b:nlog for log-spaced, or comma-separated values;
+    at least one value, every one finite."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ValueError(f"bad grid {text!r}")
         a, b = float(parts[0]), float(parts[1])
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"grid {text!r} has an end that is not finite")
         log = parts[2].endswith("log")
         n = int(parts[2][:-3] if log else parts[2])
-        if log:
-            return list(np.exp(np.linspace(np.log(a), np.log(b), n)))
-        return list(np.linspace(a, b, n))
-    return [float(_eval_angle(tok)) for tok in text.split(",") if tok]
+        if log and min(a, b) <= 0:
+            raise ValueError(f"log grid {text!r} needs positive ends")
+        vals = (np.exp(np.linspace(np.log(a), np.log(b), n)) if log
+                else np.linspace(a, b, n)).tolist()
+    else:
+        vals = [float(_eval_angle(tok)) for tok in text.split(",") if tok]
+    if not vals:
+        raise ValueError(f"empty grid {text!r}")
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"grid {text!r} has a value that is not finite")
+    return vals
+
+
+def _int_grid(text: str, least: Optional[int] = None) -> list[int]:
+    """A grid of integers, none below `least`; log-spaced points round to
+    the nearest one."""
+    vals = parse_grid(text)
+    ints = [round(v) for v in vals]
+    if any(abs(v - i) > 1e-9 * max(1.0, abs(v)) for v, i in zip(vals, ints)):
+        raise ValueError(f"grid {text!r} must hold integers")
+    if least is not None and min(ints) < least:
+        raise ValueError(f"grid {text!r} has a value below {least}")
+    return ints
 
 
 def _eval_angle(tok: str) -> float:
@@ -65,8 +88,12 @@ def _eval_angle(tok: str) -> float:
     return float(tok)
 
 
-def parse_ratios(text: str):
-    return tuple(Fraction(tok) for tok in text.split(","))
+def parse_ratios(text: str) -> tuple:
+    """Comma-separated fractions (branching ratios, Laplacian coefficients)."""
+    try:
+        return tuple(Fraction(tok) for tok in text.split(","))
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def make_window(args, radius: int = 10):
@@ -100,7 +127,7 @@ def make_window(args, radius: int = 10):
 
 def _operator_coeffs(args):
     if args.coeffs:
-        return [Fraction(tok) for tok in args.coeffs.split(",")]
+        return list(parse_ratios(args.coeffs))
     return None
 
 
@@ -316,7 +343,7 @@ def cmd_rationalize(args, out):
 
 def cmd_weighted_sweep(args, out):
     ts = parse_grid(args.t_grid) if args.t_grid else [1.0, 4.0, 16.0, 64.0]
-    qs = [int(v) for v in parse_grid(args.q_grid)] if args.q_grid else [2, 3, 5]
+    qs = _int_grid(args.q_grid, least=1) if args.q_grid else [2, 3, 5]
     eps = args.epsilon if args.epsilon is not None else 1.0
     rep = analysis.weighted_heat_sweep(eps, ts, qs)
     pathcsv = os.path.join(out, "weighted_sweep.csv")
@@ -342,7 +369,7 @@ def cmd_level_sum(args, out):
 
 def cmd_mh_norms(args, out):
     alpha = args.alpha if args.alpha is not None else 1.0
-    ls = [int(v) for v in parse_grid(args.l_grid)] if args.l_grid else list(range(7))
+    ls = _int_grid(args.l_grid) if args.l_grid else list(range(7))
     rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
                                    q=args.q or 64)
     pathcsv = os.path.join(out, "mh_norms.csv")
@@ -352,7 +379,7 @@ def cmd_mh_norms(args, out):
 
 
 def cmd_sharpness(args, out):
-    ts = [int(v) for v in parse_grid(args.t_grid)] if args.t_grid \
+    ts = _int_grid(args.t_grid, least=2) if args.t_grid \
         else list(range(10, 41))
     rep = analysis.sharpness_fit(args.q or 2, ts)
     sob = analysis.sobolev_growth(list(np.exp(np.linspace(np.log(30.0), np.log(300.0), 12))))
@@ -365,7 +392,7 @@ def cmd_sharpness(args, out):
 
 
 def cmd_divergence(args, out):
-    ds = [int(v) for v in parse_grid(args.d_grid)] if args.d_grid else [16, 32, 64]
+    ds = _int_grid(args.d_grid, least=1) if args.d_grid else [16, 32, 64]
     window, measure, x1 = (make_window(args) if getattr(args, "tree", None)
                            else spine_window(depth=2 * max(ds) + 4))
     if getattr(args, "tree", None):
@@ -380,7 +407,7 @@ def cmd_divergence(args, out):
 def cmd_spectrum(args, out):
     thetas = parse_grid(args.theta_grid) if args.theta_grid \
         else [0.0, math.pi / 3, math.pi]
-    ds = [int(v) for v in parse_grid(args.d_grid)] if args.d_grid \
+    ds = _int_grid(args.d_grid, least=1) if args.d_grid \
         else [25, 50, 100, 200]
     window, measure = homogeneous_window(1, depth=max(ds) + 4, up=4)
     o = next(v for v in window.vertices
@@ -468,6 +495,18 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
     return tokens
 
 
+def _check_numbers(parser: argparse.ArgumentParser, args) -> None:
+    """Integer flags are non-negative, float flags finite."""
+    for action in parser._actions:
+        val = getattr(args, action.dest, None)
+        if val is None:
+            continue
+        if action.type is int and val < 0:
+            raise ValueError(f"{action.option_strings[0]} must be >= 0, not {val}")
+        if action.type is float and not math.isfinite(val):
+            raise ValueError(f"{action.option_strings[0]} must be finite, not {val}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -485,11 +524,12 @@ def main(argv=None) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     try:
+        _check_numbers(parser, args)
         failure = COMMANDS[args.command](args, out)
     except zline.NumericalError as exc:
         failure = {"check": "numerical", "error": type(exc).__name__,
                    "message": str(exc)}
-    except (TreeError, ValueError, OSError, KeyError) as exc:
+    except (TreeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     if failure:

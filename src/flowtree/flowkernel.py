@@ -16,6 +16,11 @@ Because only the ancestor chain enters, heat-type kernels remain computable
 at times far beyond what any materialized window could certify, and level
 sums or weighted column sums collapse to sums over common-ancestor groups
 whose masses the flow equation gives in closed form.
+
+One engine evaluates them: for fixed s = level(x) + level(z) the sums from
+every meeting level at once are one cumulative sum down the chain, and one
+enumerator lists a column's groups (level, meeting level, mass) as arrays
+for the column, level and ball sums.
 """
 
 from __future__ import annotations
@@ -88,23 +93,6 @@ def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
     return AncestorChain(lvl, np.asarray(invs, dtype=float), exact, truncated)
 
 
-def profile_value(gradk: np.ndarray, chain: AncestorChain,
-                  lx: int, lz: int, j0: int) -> complex:
-    """sum_{J >= j0} gradk(2J - lx - lz + 1) / m(a_J), truncated at both the
-    gradient-kernel support and the chain top."""
-    if j0 < chain.base_level:
-        raise TreeError("meeting level below the chain base")
-    nmax = len(gradk) - 1
-    jmax_kernel = (nmax - 1 + lx + lz) // 2
-    j_hi = min(chain.top_level, jmax_kernel)
-    if j_hi < j0:
-        return 0.0 + 0.0j
-    js = np.arange(j0, j_hi + 1)
-    ns = 2 * js - lx - lz + 1
-    inv = chain.inv[j0 - chain.base_level: j_hi - chain.base_level + 1]
-    return complex(np.dot(inv, gradk[ns]))
-
-
 def profile_value_exact(gradk: dict[int, Fraction], chain: AncestorChain,
                         lx: int, lz: int, j0: int) -> Fraction:
     if chain.masses is None:
@@ -120,100 +108,129 @@ def profile_value_exact(gradk: dict[int, Fraction], chain: AncestorChain,
     return total
 
 
+def _at(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a[n] for indices n >= 0, zero past the end of a."""
+    return np.where(n < len(a), a[np.minimum(n, len(a) - 1)], 0)
+
+
+_BLOCK_ENTRIES = 1 << 22   # table entries summed at once, to bound memory
+
+
+def _suffix_sums(h: np.ndarray, chain: AncestorChain, s: np.ndarray,
+                 j0: np.ndarray) -> np.ndarray:
+    """sum_{J >= j0} h(2J - s + 1) / m(a_J) for 1-d arrays s, j0 (h is zero
+    past its end).  One row per distinct s runs down from its top level (the
+    last inside h and the chain); one cumulative sum gives every start, each
+    added from the top down whatever else shares the call."""
+    rows, row = np.unique(s, return_inverse=True)
+    hi = np.minimum(chain.top_level, (len(h) - 2 + rows) // 2)
+    k = hi[row] - j0
+    width = max(k.max(initial=0), 0) + 1
+    out = np.zeros(len(s), dtype=np.result_type(chain.inv, h))
+    per_block = max(1, _BLOCK_ENTRIES // width)
+    for first in range(0, len(rows), per_block):
+        J = hi[first:first + per_block, None] - np.arange(width)
+        # entries below a row's lowest j0 are never read; clip them into range
+        terms = (chain.inv[np.maximum(J - chain.base_level, 0)]
+                 * h[np.clip(2 * J - rows[first:first + per_block, None] + 1,
+                             0, len(h) - 1)])
+        at = np.flatnonzero((row >= first) & (row < first + per_block) & (k >= 0))
+        out[at] = np.cumsum(terms, axis=1)[row[at] - first, k[at]]
+    return out
+
+
 _GRAD_VARIANTS = ("plain", "grad_x", "gradstar_z", "grad_both")
 
 
-def variant_value(gradk: np.ndarray, chain: AncestorChain, lx: int, lz: int,
-                  j0: int, variant: str = "plain") -> complex:
-    """Kernel of F(L), grad F(L), F(L) grad*, or grad F(L) grad* at a pair
+def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
+                  variant: str = "plain"):
+    """Kernel of F(L), grad F(L), F(L) grad*, or grad F(L) grad* at pairs
     described by (levels, meeting level).
 
-    Replacing a vertex by its predecessor moves the meeting level to
-    max(j0, level + 1); that single rule covers the comparable and
-    incomparable cases alike.
+    lx, lz and j0 are integers (a complex result) or integer arrays,
+    broadcast together (a complex array).  Replacing a vertex by its
+    predecessor moves the meeting level to max(j0, level + 1) and the kernel
+    index down by one.  So each gradient differences the line kernel once
+    before summing (neighbours subtract exactly, leaving the sums no
+    cancellation), and where the vertex is the meeting point the level-j0
+    term, which its predecessor's sum skips, is added apart.
     """
     if variant not in _GRAD_VARIANTS:
         raise ValueError(f"variant must be one of {_GRAD_VARIANTS}")
-    v = profile_value(gradk, chain, lx, lz, j0)
-    if variant == "plain":
-        return v
-    if variant in ("grad_x", "grad_both"):
-        v = v - profile_value(gradk, chain, lx + 1, lz, max(j0, lx + 1))
-    if variant in ("gradstar_z", "grad_both"):
-        v = v - profile_value(gradk, chain, lx, lz + 1, max(j0, lz + 1))
-    if variant == "grad_both":
-        v = v + profile_value(gradk, chain, lx + 1, lz + 1, max(j0, lx + 1, lz + 1))
-    return v
+    lx, lz, j0 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=np.int64) for a in (lx, lz, j0)))
+    shape = j0.shape
+    lx, lz, j0 = lx.ravel(), lz.ravel(), j0.ravel()
+    if (j0 < np.maximum(np.maximum(lx, lz), chain.base_level)).any():
+        raise TreeError("meeting level below the chain base or a vertex's level")
+    on_x = variant in ("grad_x", "grad_both")
+    on_z = variant in ("gradstar_z", "grad_both")
+    x_meets, z_meets = on_x & (j0 == lx), on_z & (j0 == lz)
+    head = x_meets | z_meets
+    order = on_x + on_z
+    h = np.diff(gradk, order, prepend=np.zeros(order), append=np.zeros(order))
+    v = _suffix_sums(h, chain, lx + lz, j0 + head)
+    # level j0: plain, less a one-gradient part whose vertex does not meet
+    n0 = 2 * j0 - lx - lz + 1
+    at_j0 = np.where((on_x & ~x_meets) | (on_z & ~z_meets),
+                     _at(np.diff(gradk, prepend=0, append=0), n0), _at(gradk, n0))
+    v = v + np.where(head, _at(chain.inv, j0 - chain.base_level) * at_j0, 0)
+    v = v.astype(complex).reshape(shape)
+    return complex(v) if not shape else v
+
+
+def _groups(chain: AncestorChain, ly: int, nmax: int):
+    """The column at the chain's vertex (level ly) as arrays of groups:
+    level lam, meeting level j, and mass from the flow equation (a slice
+    below the anchor: m(a_ly); a_j alone: m(a_j); the rest of a slice
+    meeting at j: m(a_j) - m(a_{j-1})).  Empty groups, and groups past the
+    kernel's support for every variant (2j - lam - ly > nmax + 2), are left
+    out."""
+    j = np.arange(ly, min(chain.top_level, ly + nmax + 2) + 1)
+    count = nmax + 3 + ly - j   # levels j down to 2j - ly - nmax - 2
+    J = np.repeat(j, count)
+    lam = J - (np.arange(len(J)) - np.repeat(np.cumsum(count) - count, count))
+    m = 1.0 / chain.inv[J - chain.base_level]
+    m_below = 1.0 / chain.inv[np.maximum(J - 1, ly) - chain.base_level]
+    mass = np.where((J == ly) | (lam == J), m, m - m_below)
+    keep = mass > 0
+    return lam[keep], J[keep], mass[keep]
 
 
 def level_sum(chain: AncestorChain, gradk: np.ndarray, lx: int, l: int,
-              orientation: str = "x", variant: str = "grad_x",
-              j0_cap: Optional[int] = None) -> float:
-    """sum over the level-l slice of |K(x, .)| m(.), grouped by meeting level.
+              orientation: str = "x", j0_cap: Optional[int] = None) -> float:
+    """sum over the level-l slice of |grad K(x, .)| m(.), by the groups of
+    x's column at that level.
 
     orientation "x": gradient acts on the fixed vertex (kernel K(x, z));
-    orientation "z": the roles are swapped (kernel K(z, x)).  The group at
-    meeting level j collects the z with LCA(x, z) = a_j; its slice mass is
-    m(a_j) - m(a_{j-1}) by the flow equation, with the bottom group carrying
-    the full m at the meeting start.  j0_cap restricts the slice to the
-    subtree below that ancestor level (kernel values still use the whole
-    chain).
+    orientation "z": the roles are swapped (kernel K(z, x)).  j0_cap
+    restricts the slice to the subtree below that ancestor level (kernel
+    values still use the whole chain).
     """
     if orientation not in ("x", "z"):
         raise ValueError("orientation must be 'x' or 'z'")
+    lam, j, mass = _groups(chain, lx, len(gradk) - 1)
+    at = (lam == l) & (j <= (chain.top_level if j0_cap is None else j0_cap))
+    a, b = (lx, l) if orientation == "x" else (l, lx)
+    vals = variant_value(gradk, chain, a, b, j[at], "grad_x")
+    return float(np.sum(mass[at] * np.abs(vals)))
+
+
+def distance_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
+                    variant: str = "plain") -> np.ndarray:
+    """Entry d: sum over x at distance d from the chain's vertex y (level
+    ly) of |K variant(x, y)| m(x); length nmax + 3, past which K vanishes."""
     nmax = len(gradk) - 1
-    j_start = max(lx, l)
-    jmax_kernel = (nmax - 1 + lx + l) // 2 + 1
-    j_hi = min(chain.top_level, jmax_kernel)
-    if j0_cap is not None:
-        j_hi = min(j_hi, j0_cap)
-    total = 0.0
-    prev_mass = 0.0
-    for j0 in range(j_start, j_hi + 1):
-        inv_m = chain.inv[j0 - chain.base_level]
-        mass = (1.0 / inv_m) - prev_mass
-        prev_mass = 1.0 / inv_m
-        if mass <= 0:
-            continue
-        if orientation == "x":
-            val = variant_value(gradk, chain, lx, l, j0, variant)
-        else:
-            val = variant_value(gradk, chain, l, lx, j0, variant)
-        total += mass * abs(val)
-    return total
+    lam, j, mass = _groups(chain, ly, nmax)
+    vals = variant_value(gradk, chain, lam, ly, j, variant)
+    return np.bincount(2 * j - lam - ly, np.abs(vals) * mass, minlength=nmax + 3)
 
 
 def weighted_colsum(chain: AncestorChain, gradk: np.ndarray, ly: int,
-                    weight: Callable[[int, int, int], float],
-                    variant: str = "plain",
-                    lmin: Optional[int] = None) -> float:
-    """sum over x of w(d(x,y), level(x), level(y)) |K variant(x, y)| m(x).
-
-    Grouped over (level(x), meeting level); the kernel's support truncates
-    both ranges.  `lmin` optionally floors the level range (diagnostics).
-    A weight that returns an array gives one sum per entry.
-    """
-    nmax = len(gradk) - 1
-    total = 0.0
-    for j0 in range(ly, chain.top_level + 1):
-        if j0 - ly + 1 > nmax + 2:
-            break  # even the nearest slice is past the kernel support
-        inv_m = chain.inv[j0 - chain.base_level]
-        inv_prev = chain.inv[j0 - 1 - chain.base_level] if j0 > ly else None
-        lam_lo = 2 * j0 - ly - nmax - 2
-        if lmin is not None:
-            lam_lo = max(lam_lo, lmin)
-        for lam in range(j0, lam_lo - 1, -1):
-            d = (j0 - lam) + (j0 - ly)
-            if j0 == ly:
-                mass = 1.0 / inv_m  # every slice of Delta_y carries m(y)
-            elif lam <= j0 - 1:
-                mass = 1.0 / inv_m - 1.0 / inv_prev
-            else:
-                mass = 1.0 / inv_m  # the single vertex a_{j0} itself
-            if mass <= 0:
-                continue
-            val = variant_value(gradk, chain, lam, ly, j0, variant)
-            if val:
-                total += weight(d, lam, ly) * abs(val) * mass
-    return total
+                    weight: Callable[[np.ndarray], np.ndarray],
+                    variant: str = "plain") -> float:
+    """sum over x of w(d(x,y)) |K variant(x, y)| m(x); the weight takes an
+    integer array of the distances where the column has mass."""
+    per_d = distance_masses(chain, gradk, ly, variant)
+    ds = np.flatnonzero(per_d)
+    return float(np.sum(weight(ds) * per_d[ds]))

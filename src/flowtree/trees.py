@@ -451,6 +451,8 @@ def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
             raise TreeError("ratios must sum to one")
     elif abs(float(sum(rr)) - 1.0) > 1e-12:
         raise TreeError("ratios must sum to one")
+    if min(rr) <= 0:
+        raise TreeError("ratios must be positive")
     _check_cap(up + _cone_size(len(ratios), depth), max_vertices)
     if apex_level is None:
         apex_level = up

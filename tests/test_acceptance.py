@@ -123,7 +123,7 @@ def test_criterion_04_riesz_skew_identity():
                 if 0 < wg.distance(x, anchor) <= 8)
     worst = max(worst, analysis.riesz_skew_check(wg, mg, pg).meta["max_dev"])
     finish(4, worst <= 1e-6,
-           f"max skew deviation {worst:.2e} over line/binary/golden", t0, 300.0)
+           f"max skew deviation {worst:.2e} over line/binary/golden", t0, 10.0)
 
 
 def test_criterion_05_transference_exactness():
@@ -224,7 +224,7 @@ def test_criterion_08_level_sum_decay():
                                      orientation="z").fit["slope"]
     ok = all(abs(s + 1.0) <= 0.1 for s in (s1, s2, s3))
     finish(8, ok, f"slopes {s1:.3f} (binary), {s2:.3f}/{s3:.3f} (3:1 flow)",
-           t0, 120.0)
+           t0, 10.0)
 
 
 def test_criterion_09_sharpness_exponent():

@@ -1,5 +1,7 @@
 """CLI subcommands: exit codes, artifacts, reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import tempfile
@@ -303,3 +305,74 @@ def test_spectrum_command(tmp_path):
                 "--out", str(out)]) == 0
     meta = json.loads((out / "spectrum.csv.meta.json").read_text())
     assert meta["rayleigh"][0] >= -1e-10
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["transfer-check", "--ratios", "1/0"], "zero denominator"),
+    (["weighted-sweep", "--q-grid", "inf", "--t-grid", "1"], "not finite"),
+    (["heat", "--t", "inf"], "must be finite"),
+    (["transfer-check", "--degree", "-1"], "must be >= 0"),
+    (["divergence", "--d-grid", "0,8"], "below 1"),
+])
+def test_bad_numeric_flag_exits_two(tmp_path, capsys, argv, message):
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_int_grid_rounds_log_points_and_rejects_fractions():
+    assert cli._int_grid("25:200:4log") == [25, 50, 100, 200]
+    assert cli._int_grid("10:40:31") == list(range(10, 41))
+    with pytest.raises(ValueError, match="integers"):
+        cli._int_grid("1.5")
+    for text in ("1:8:0log", "1:8:0", "", "0:8:3log"):
+        with pytest.raises(ValueError):
+            cli.parse_grid(text)
+
+
+# The numeric flags each subcommand reads, and values that are not finite,
+# have a zero denominator, or lie out of range, by the kind of flag.
+NUMERIC_FLAGS = {
+    "kernel": ("--q", "--degree", "--dmax", "--coeffs"),
+    "heat": ("--q", "--t", "--tol", "--degree"),
+    "riesz": ("--q", "--dmax"),
+    "riesz-skew-check": ("--q", "--dmax", "--tol"),
+    "abel-check": ("--q", "--degree"),
+    "transfer-check": ("--q", "--ratios", "--degree", "--trials"),
+    "rationalize": ("--q", "--depth"),
+    "weighted-sweep": ("--t-grid", "--q-grid", "--epsilon"),
+    "level-sum": ("--t-grid", "--q", "--ratios"),
+    "mh-norms": ("--alpha", "--l-grid", "--q"),
+    "sharpness": ("--t-grid", "--q"),
+    "divergence": ("--d-grid",),
+    "spectrum": ("--theta-grid", "--d-grid"),
+}
+NONFINITE = ("inf", "-inf", "nan", "1/0")
+BAD_VALUES = {
+    int: NONFINITE + ("-1", "-7"),
+    float: NONFINITE + ("-1",),
+    "grid": NONFINITE + ("1:inf:3", "nan:2:3", "1:8:0log", "0:8:3log", "-1", "0", "1.5"),
+    "fractions": ("1/0", "1/0,1", "0,1", "-1/2,3/2", "inf", "nan"),
+}
+
+
+def _kind(flag):
+    if flag in ("--ratios", "--coeffs"):
+        return "fractions"
+    return FLAGS[flag[2:]].type or "grid"
+
+
+BAD_CASES = [(cmd, flag, value) for cmd, flags in NUMERIC_FLAGS.items()
+             for flag in flags for value in BAD_VALUES[_kind(flag)]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(BAD_CASES))
+def test_bad_numeric_values_never_raise(case):
+    """Exit 0, 1 or 2 with no traceback, whatever the numeric flag holds."""
+    cmd, flag, value = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        rc = run([cmd, f"{flag}={value}", "--out", os.path.join(tmp, "o")])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

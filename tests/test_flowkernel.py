@@ -12,9 +12,10 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from flowtree import ball_window, constant_ratio_window
-from flowtree import abel, flowkernel, zline
+from flowtree import TreeError, ball_window, constant_ratio_window
+from flowtree import abel, analysis, flowkernel, zline
 from flowtree.localops import kernel_column_lambda_poly, weighted_col_sums
 
 
@@ -132,11 +133,11 @@ def test_weighted_colsum_matches_homog_radial():
     w, m, c = ball_window(q, 4)
     chain = flowkernel.chain_of(w, m, c, w.level[c] + 120)
     eps = 1.0
-    wfun = lambda d: math.exp(eps * d / math.sqrt(t))
+    wfun = lambda d: np.exp(eps * d / math.sqrt(t))
     for variant_prof, variant_rad in (("plain", "plain"), ("grad_x", "grad_x"),
                                       ("grad_both", "grad_both")):
-        got = flowkernel.weighted_colsum(
-            chain, gradk, w.level[c], lambda d, lx, ly: wfun(d), variant_prof)
+        got = flowkernel.weighted_colsum(chain, gradk, w.level[c], wfun,
+                                         variant_prof)
         want, _ = abel.homog_weighted_opsum(q, rad, wfun, variant_rad,
                                             tail_check=False)
         assert abs(got - want) < 1e-9 * max(1.0, want)
@@ -216,5 +217,102 @@ def test_weighted_colsum_matches_window_enumeration():
     assert not truncated
     chain = flowkernel.chain_of(w, m, y, w.level[w.apex])
     got = flowkernel.weighted_colsum(chain, gradk, w.level[y],
-                                     lambda d, lx, ly: 1.0 + d, "plain")
+                                     lambda d: 1.0 + d, "plain")
     assert abs(got - float(want)) < 1e-12
+
+
+VARIANTS = ("plain", "grad_x", "gradstar_z", "grad_both")
+
+
+def exact_variant(gk, chain, lx, lz, j0, variant):
+    """A variant from exact profile sums: a gradient replaces its vertex by
+    the predecessor, which meets the other vertex at max(j0, level + 1)."""
+    p = lambda a, b, j: flowkernel.profile_value_exact(gk, chain, a, b, j)
+    v = p(lx, lz, j0)
+    if variant in ("grad_x", "grad_both"):
+        v -= p(lx + 1, lz, max(j0, lx + 1))
+    if variant in ("gradstar_z", "grad_both"):
+        v -= p(lx, lz + 1, max(j0, lz + 1))
+    if variant == "grad_both":
+        v += p(lx + 1, lz + 1, max(j0, lx + 1, lz + 1))
+    return v
+
+
+@pytest.mark.parametrize("ratios", [
+    (Fraction(2, 3), Fraction(1, 3)),
+    (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))])
+def test_array_variants_match_exact_profile_sums(ratios):
+    """Array calls of every variant against exact profile sums on rational
+    chains, at random pairs plus the kernel-support edge and the chain top;
+    a scalar call gives the same bits as the array entry."""
+    w, m, b = constant_ratio_window(ratios, depth=5, up=12)
+    x = next(v for v in w.vertices if w.level[v] == w.level[b] - 5)
+    chain = flowkernel.chain_of(w, m, x)
+    rng = random.Random(17)
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
+    gk = zline.z_gradkernel_lambda_poly(coeffs)
+    nmax = max(gk)
+    gradk = np.array([float(gk.get(n, 0)) for n in range(nmax + 1)])
+    base, top = chain.base_level, chain.top_level
+    pairs = []
+    for _ in range(150):
+        j0 = rng.randint(base, top + 1)
+        pairs.append((rng.randint(j0 - nmax - 2, j0), rng.randint(j0 - nmax - 2, j0), j0))
+    for lz in range(base - 3, base + 2):
+        for lx in range(lz - 2, lz + 3):
+            # meeting levels on both sides of the kernel-support edge, and
+            # the chain top
+            j_edge = (nmax + lx + lz) // 2
+            pairs += [(lx, lz, j) for j in (j_edge - 1, j_edge, j_edge + 1, top)
+                      if base <= j and max(lx, lz) <= j]
+    lx, lz, j0 = (np.array(col) for col in zip(*pairs))
+    for variant in VARIANTS:
+        got = flowkernel.variant_value(gradk, chain, lx, lz, j0, variant)
+        want = np.array([float(exact_variant(gk, chain, *p, variant)) for p in pairs])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        for i in range(0, len(pairs), 7):
+            one = flowkernel.variant_value(gradk, chain, *pairs[i], variant)
+            assert isinstance(one, complex) and one == got[i]
+
+
+def test_meeting_level_below_chain_or_vertex_raises():
+    w, m, b = constant_ratio_window((Fraction(2, 3), Fraction(1, 3)), depth=3, up=4)
+    chain = flowkernel.chain_of(w, m, b)
+    gradk = zline.heat_z_gradkernel(1.0, 20)
+    lb = w.level[b]
+    with pytest.raises(TreeError, match="below the chain base"):
+        flowkernel.variant_value(gradk, chain, lb - 1, lb - 2, np.array([lb, lb - 1]))
+    with pytest.raises(TreeError, match="a vertex's level"):
+        flowkernel.variant_value(gradk, chain, lb + 1, lb, lb, "grad_x")
+    with pytest.raises(TreeError, match="a vertex's level"):
+        flowkernel.variant_value(gradk, chain, lb + 2, lb, lb + 1, "grad_x")
+
+
+@pytest.mark.parametrize("q, t", [(2, 0.5), (2, 1.0), (2, 4.0), (3, 0.5), (3, 1.0)])
+def test_heat_ball_radius_is_the_smallest_that_holds_the_mass(q, t):
+    """Summed vertex by vertex, the heat column holds all but tol of its
+    mass in the ball of the returned radius, and not in the next smaller."""
+    tol = 1e-6
+    r = analysis.heat_ball_radius(q, t, tol)
+    w, m, c = ball_window(q, r, backend="float")
+    col = analysis.heat_kernel_column(w, m, t, c)
+    held = {r: 0.0, r - 1: 0.0}
+    for x, v in col.values.items():
+        mass = v.real * m.as_float(x)
+        held[r] += mass
+        if w.distance(x, c) <= r - 1:
+            held[r - 1] += mass
+    assert 1.0 - held[r] <= tol
+    assert 1.0 - held[r - 1] > tol
+
+
+def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
+    """A table split into row blocks (to bound memory) sums every value in
+    the same order as one block."""
+    w, m, c = ball_window(2, 0, backend="float")
+    gradk = zline.heat_z_gradkernel(16.0, 80)
+    chain = flowkernel.chain_of(w, m, c, 90)
+    whole = flowkernel.distance_masses(chain, gradk, 0, "grad_both")
+    monkeypatch.setattr(flowkernel, "_BLOCK_ENTRIES", 50)
+    assert np.array_equal(flowkernel.distance_masses(chain, gradk, 0, "grad_both"),
+                          whole)
