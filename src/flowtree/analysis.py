@@ -462,8 +462,11 @@ def sharpness_fit(q: int, t_grid, kmax_pad: int = 3) -> EstimateReport:
     """Growth of the oscillating-multiplier lower-bound functional.
 
     For each t the functional sums (k+1) q^{k/2} |Etilde(k)| over the window
-    t/4 <= k+1 <= t/2; stationary-phase predicts growth t^{3/2}.
+    t/4 <= k+1 <= t/2; stationary-phase predicts growth t^{3/2}.  That
+    window is empty below t = 2, so every t must be at least 2.
     """
+    if any(t < 2 for t in t_grid):
+        raise ValueError("sharpness_fit needs every t >= 2")
     rows = []
     for t in t_grid:
         kmax = int(t / 2) + kmax_pad
@@ -508,8 +511,11 @@ def divergence_probe(window: TreeWindow, measure: FlowMeasure, x1: Vertex,
     Sums |K_(skew)(x, x1)| m(x) over descendants within distance D; the
     growth tracks harmonic numbers (the driver of the endpoint failure).
     Partial sums run to twice the largest requested D so doubling
-    increments are available at every grid point.
+    increments are available at every grid point.  Every D must be at
+    least 1.
     """
+    if any(d < 1 for d in d_grid):
+        raise ValueError("divergence_probe needs every D >= 1")
     dmax = 2 * max(d_grid)
     # need the full descendant slices down to dmax
     by_depth: dict[int, list[Vertex]] = {0: [x1]}
@@ -546,8 +552,11 @@ def spectrum_probe(window: TreeWindow, measure: FlowMeasure, o: Vertex,
 
     f = exp(i theta level) on the descendant chain of o down d levels; the
     residual against cos(theta) f shrinks like d^{-1/2} (boundary terms
-    only), probing that the spectrum fills the full band.
+    only), probing that the spectrum fills the full band.  Every d must be
+    at least 1.
     """
+    if any(d < 1 for d in d_grid):
+        raise ValueError("spectrum_probe needs every d >= 1")
     from .localops import WindowFunction, apply_averaging
 
     dmax = max(d_grid)

@@ -28,8 +28,8 @@ from .bumps import imaginary_power_cut, named_multiplier
 from .localops import kernel_column_lambda_poly, kernel_column_poly
 from .ncpoly import NcPolynomial
 from .trees import (DEFAULT_VERTEX_CAP, TreeError, ball, ball_vertex_bound,
-                    ball_window, constant_ratio_window, homogeneous_window,
-                    in_safe_region, load_window, safe_region, spine_window)
+                    ball_window, in_safe_region, load_window, safe_region,
+                    spine_window)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -96,39 +96,30 @@ def parse_ratios(text: str) -> tuple:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
+def _given(value, default):
+    """A flag's value, or the default when the flag is unset (0 is a value)."""
+    return default if value is None else value
+
+
 def make_window(args, radius: int = 10):
-    """Window selection shared by the subcommands."""
+    """Window selection shared by the subcommands: a loaded file, or a
+    built-in ball around the anchor it returns (the spine: ``--depth`` long)."""
     if getattr(args, "tree", None):
         window, measure = load_window(args.tree)
         anchors = sorted(safe_region(window, min(radius, 4))) or [window.apex]
         return window, measure, anchors[len(anchors) // 2]
     kind = getattr(args, "window", "homog") or "homog"
-    q = args.q or 2
+    backend = args.backend or "rational"
     if kind == "homog":
-        w, m, c = ball_window(q, radius, backend=args.backend or "rational")
-        return w, m, c
+        return ball_window(_given(args.q, 2), radius, backend=backend)
     if kind == "zline":
-        w, m, c = ball_window(1, max(radius, 12), backend=args.backend or "rational")
-        return w, m, c
+        return ball_window(1, max(radius, 12), backend=backend)
     if kind == "golden":
-        depth = min(args.depth or 2 * radius, 2 * radius)
-        w, m, c = constant_ratio_window((GOLDEN_RATIO, 1 - GOLDEN_RATIO),
-                                        depth=depth, up=max(radius, 12),
-                                        backend="float")
-        # anchor mid-cone so pairs within `radius` stay inside
-        vs = [v for v in w.vertices
-              if w.level[v] == w.level[c] - depth // 2]
-        return w, m, vs[0]
+        return ball_window((GOLDEN_RATIO, 1 - GOLDEN_RATIO), radius,
+                           center_level=-radius, backend="float")
     if kind == "spine":
-        w, m, x1 = spine_window(depth=args.depth or 140)
-        return w, m, x1
+        return spine_window(depth=_given(args.depth, 140))
     raise ValueError(f"unknown window kind {kind!r}")
-
-
-def _operator_coeffs(args):
-    if args.coeffs:
-        return list(parse_ratios(args.coeffs))
-    return None
 
 
 def _multiplier(args):
@@ -148,15 +139,14 @@ def _multiplier(args):
                          f"--{exc.args[0]}") from exc
 
 
-
 def _window_meta(window) -> dict:
     return {"window_size": len(window),
             "apex_level": window.level[window.apex]}
 
 
 def cmd_kernel(args, out):
-    coeffs = _operator_coeffs(args)
-    deg = len(coeffs) - 1 if coeffs else args.degree or DEFAULT_KERNEL_DEGREE
+    coeffs = list(parse_ratios(args.coeffs)) if args.coeffs else None
+    deg = len(coeffs) - 1 if coeffs else _given(args.degree, DEFAULT_KERNEL_DEGREE)
     window, measure, anchor = make_window(args, max(deg + 1, 4))
     if coeffs is not None:
         col = kernel_column_lambda_poly(window, measure, coeffs, anchor)
@@ -170,7 +160,7 @@ def cmd_kernel(args, out):
         col = cheb_column(window, measure, model, anchor)
         op_meta = {"multiplier": args.multiplier, "sup_err": model.sup_err}
         if (args.window or "homog") == "zline" and not args.tree:
-            zk = zline.z_multiplier_kernel(fn, args.dmax or 16)
+            zk = zline.z_multiplier_kernel(fn, _given(args.dmax, 16))
             zcsv = os.path.join(out, "zkernel.csv")
             reports.write_csv(zcsv, ["n", "re", "im"], zk.csv_rows())
             reports.write_meta(zcsv, {"multiplier": args.multiplier,
@@ -185,12 +175,13 @@ def cmd_kernel(args, out):
 
 
 def cmd_heat(args, out):
-    t = args.t_param if args.t_param is not None else 1.0
-    tol = args.tol or 1e-6  # window truncation leaks a little column mass
+    t = _given(args.t_param, 1.0)
+    tol = _given(args.tol, 1e-6)  # window truncation leaks a little column mass
+    q = _given(args.q, 2)
+    homog = not args.tree and (args.window or "homog") == "homog"
     radius = 10
-    if not args.tree and (args.window or "homog") == "homog":
+    if homog:
         # half the tolerance for the mass outside the ball
-        q = args.q or 2
         radius = max(radius, analysis.heat_ball_radius(q, t, tol / 2))
         need = ball_vertex_bound(q, radius)
         if need > DEFAULT_VERTEX_CAP:
@@ -201,13 +192,13 @@ def cmd_heat(args, out):
                 "file with --tree")
     window, measure, anchor = make_window(args, radius)
     col = analysis.heat_kernel_column(window, measure, t, anchor, args.degree)
-    if not args.tree and (args.window or "homog") == "homog" and (args.q or 2) >= 2:
-        rad = abel.e_f_coefficients(args.q or 2,
+    if homog and q >= 2:
+        rad = abel.e_f_coefficients(q,
                                     lambda lam: np.exp(-t * np.asarray(lam)),
                                     kmax=24)
         rcsv = os.path.join(out, "radial.csv")
         reports.write_csv(rcsv, ["k", "E_re", "E_im", "tail_bound"], rad.csv_rows())
-        reports.write_meta(rcsv, {"q": args.q or 2, "t": t, "kmax": 24,
+        reports.write_meta(rcsv, {"q": q, "t": t, "kmax": 24,
                                   "tail_scaled": rad.tail_scaled, **rad.meta})
     mass = sum(v * measure.as_float(x) for x, v in col.values.items())
     pathcsv = os.path.join(out, "heat.csv")
@@ -222,7 +213,7 @@ def cmd_heat(args, out):
 
 
 def cmd_riesz(args, out):
-    radius = args.dmax or 6
+    radius = _given(args.dmax, 6)
     window, measure, anchor = make_window(args, radius + 2)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius))
     vals, errs = analysis.riesz_kernel_values(window, measure, pairs)
@@ -235,7 +226,7 @@ def cmd_riesz(args, out):
 
 
 def cmd_riesz_skew_check(args, out):
-    radius = args.dmax or 8
+    radius = _given(args.dmax, 8)
     window, measure, anchor = make_window(args, radius + 1)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius)
                    if x != anchor)
@@ -245,7 +236,7 @@ def cmd_riesz_skew_check(args, out):
     reports.write_meta(pathcsv, {"max_dev": rep.meta["max_dev"],
                                  "pairs": len(pairs), "tol": args.tol,
                                  **_window_meta(window)})
-    tol = args.tol or 1e-6
+    tol = _given(args.tol, 1e-6)
     if rep.meta["max_dev"] > tol:
         return {"check": "riesz skew identity", "max_dev": rep.meta["max_dev"],
                 "tol": tol}
@@ -253,8 +244,8 @@ def cmd_riesz_skew_check(args, out):
 
 
 def cmd_abel_check(args, out):
-    q = args.q or 3
-    deg = args.degree or 5
+    q = _given(args.q, 3)
+    deg = _given(args.degree, 5)
     radius = deg + 1
     window, measure, center = ball_window(q, radius)
     rows = []
@@ -283,19 +274,17 @@ def cmd_abel_check(args, out):
 
 
 def cmd_transfer_check(args, out):
-    q = args.q or 4
+    q = _given(args.q, 4)
     ratios = parse_ratios(args.ratios) if args.ratios else (Fraction(3, 4), Fraction(1, 4))
-    deg = args.degree or 4
-    trials = args.trials or 20
+    deg = _given(args.degree, 4)
+    trials = _given(args.trials, 20)
     import random
     rng = random.Random(20240811)
-    target, tmeas, base = constant_ratio_window(ratios, depth=2 * deg, up=0)
+    target, tmeas, t_anchor = ball_window(ratios, deg)
     sub = quotient.build_submersion_rational(target, tmeas, q)
     rep = quotient.validate_submersion(sub)
     rows = []
     ok_all = rep.ok
-    t_anchor = next(v for v in target.vertices
-                    if target.level[v] == target.level[base] - deg)
     src_anchor = next(s for s, t in sub.mapping.items()
                       if t == t_anchor and in_safe_region(sub.source, s, deg))
     for trial in range(trials):
@@ -330,7 +319,7 @@ def cmd_transfer_check(args, out):
 
 def cmd_rationalize(args, out):
     window, measure, _ = make_window(args, radius=6)
-    q = args.q or 64
+    q = _given(args.q, 64)
     mq, rows, max_err = quotient.rationalize_flow(window, measure, q)
     csv_rows = [(r.vertex, r.child_index, r.ratio.numerator, r.ratio.denominator,
                  r.error) for r in rows]
@@ -344,7 +333,7 @@ def cmd_rationalize(args, out):
 def cmd_weighted_sweep(args, out):
     ts = parse_grid(args.t_grid) if args.t_grid else [1.0, 4.0, 16.0, 64.0]
     qs = _int_grid(args.q_grid, least=1) if args.q_grid else [2, 3, 5]
-    eps = args.epsilon if args.epsilon is not None else 1.0
+    eps = _given(args.epsilon, 1.0)
     rep = analysis.weighted_heat_sweep(eps, ts, qs)
     pathcsv = os.path.join(out, "weighted_sweep.csv")
     reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
@@ -354,11 +343,8 @@ def cmd_weighted_sweep(args, out):
 
 def cmd_level_sum(args, out):
     ts = parse_grid(args.t_grid) if args.t_grid else [2.0 ** k for k in range(8)]
-    if args.ratios:
-        window, measure, x = constant_ratio_window(parse_ratios(args.ratios),
-                                                   depth=3, up=6)
-    else:
-        window, measure, x = ball_window(args.q or 2, 4)
+    flow = parse_ratios(args.ratios) if args.ratios else _given(args.q, 2)
+    window, measure, x = ball_window(flow, 4)
     rep = analysis.level_sum_estimate(window, measure, ts, x)
     pathcsv = os.path.join(out, "level_sum.csv")
     reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
@@ -368,10 +354,10 @@ def cmd_level_sum(args, out):
 
 
 def cmd_mh_norms(args, out):
-    alpha = args.alpha if args.alpha is not None else 1.0
+    alpha = _given(args.alpha, 1.0)
     ls = _int_grid(args.l_grid) if args.l_grid else list(range(7))
     rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
-                                   q=args.q or 64)
+                                   q=_given(args.q, 64))
     pathcsv = os.path.join(out, "mh_norms.csv")
     reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
     reports.write_meta(pathcsv, {"fit": rep.fit, "alpha": alpha, **rep.meta})
@@ -381,7 +367,7 @@ def cmd_mh_norms(args, out):
 def cmd_sharpness(args, out):
     ts = _int_grid(args.t_grid, least=2) if args.t_grid \
         else list(range(10, 41))
-    rep = analysis.sharpness_fit(args.q or 2, ts)
+    rep = analysis.sharpness_fit(_given(args.q, 2), ts)
     sob = analysis.sobolev_growth(list(np.exp(np.linspace(np.log(30.0), np.log(300.0), 12))))
     pathcsv = os.path.join(out, "sharpness.csv")
     reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
@@ -409,9 +395,7 @@ def cmd_spectrum(args, out):
         else [0.0, math.pi / 3, math.pi]
     ds = _int_grid(args.d_grid, least=1) if args.d_grid \
         else [25, 50, 100, 200]
-    window, measure = homogeneous_window(1, depth=max(ds) + 4, up=4)
-    o = next(v for v in window.vertices
-             if window.level[v] == window.level[window.apex] - 4)
+    window, measure, o = ball_window(1, max(ds) + 1)
     rep = analysis.spectrum_probe(window, measure, o, thetas, ds)
     small, smeas, _ = ball_window(2, 6)
     lo, hi = analysis.rayleigh_bounds(small, smeas)

@@ -144,6 +144,8 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
     """
     if target_measure.backend != "rational":
         raise TreeError("rational backend required to build an exact quotient")
+    if q < 1:
+        raise TreeError(f"a q-ary source needs q >= 1, not {q}")
     validate_window(target)
     validate_measure(target, target_measure)
 

@@ -363,9 +363,9 @@ class _Builder:
         return window, FlowMeasure(self.values, backend)
 
 
-def _canonical_flow(q: int, backend: str):
-    """The q-ary tree's canonical flow, level -> q**level memoised per level,
-    and its up_ratio q, in the backend's number type."""
+def _canonical_flow(q: Number, backend: str):
+    """The flow level -> q**level (the q-ary tree's canonical one), memoised
+    per level, and its up_ratio q, in the backend's number type."""
     unit = Fraction(q) if backend == "rational" else float(q)
     return functools.lru_cache(maxsize=None)(unit.__pow__), unit
 
@@ -393,41 +393,68 @@ def homogeneous_window(q: int, depth: int, up: int = 0, apex_level: int = 0,
     return b.finish(backend, unit)
 
 
-def ball_window(q: int, radius: int, center_level: int = 0,
+def ball_window(q: Union[int, tuple], radius: int, center_level: int = 0,
                 backend: str = "rational",
                 max_vertices: int = DEFAULT_VERTEX_CAP
                 ) -> tuple[TreeWindow, FlowMeasure, Vertex]:
-    """The closed ball of the given radius around a center in the q-ary tree.
+    """The closed ball of the given radius around a center in the q-ary
+    tree, or, for a tuple ``q`` of branching ratios, in the flow of
+    ``constant_ratio_window``: the center's ancestors follow the first
+    ratio, with m = ratios[0]**-level, and any other child has its
+    parent's mass times its ratio.
 
-    Returns (window, canonical measure, center).  The center is safe at the
-    full radius, so a ball of radius r+? hosts columns of operators with
+    Returns (window, measure, center).  The center is safe at the full
+    radius, so a ball of radius r+? hosts columns of operators with
     propagation up to ``radius``.  Vertex ids are depth first: a child's
     whole cone comes before its next sibling.
     """
-    if q < 1 or radius < 0:
+    degree = len(q) if isinstance(q, tuple) else q
+    if degree < 1 or radius < 0:
         raise ValueError("need q >= 1 and radius >= 0")
-    _check_cap(ball_vertex_bound(q, radius), max_vertices)
-    mass, unit = _canonical_flow(q, backend)
+    # children(p, lv, m, d): stack entries for the children of a vertex p
+    # of mass m, at level lv with cones of depth d, the first child last
+    if isinstance(q, tuple):
+        backend, rr = _ratio_flow(q, backend)
+        mass, unit = _canonical_flow(1 / rr[0], backend)
+        children = lambda p, lv, m, d: [(p, lv, m * r, d) for r in reversed(rr)]
+    else:
+        mass, unit = _canonical_flow(q, backend)
+        children = lambda p, lv, m, d: [(p, lv, mass(lv), d)] * q
+    _check_cap(ball_vertex_bound(degree, radius), max_vertices)
     b = _Builder(center_level + radius, mass(center_level + radius))
     chain = [0]
     for j in range(radius):
         lv = center_level + radius - j - 1
         chain += b.add(chain[-1], [mass(lv)], j >= 1)
-    # children to add as (parent, child's level, child's cone depth); a
-    # child with a cone of depth d pushes q children of depth d - 1
-    stack = [(chain[-1], center_level - 1, radius - 1)] * q if radius else []
     # off-chain cones: chain[i] (level distance radius - i from the center)
-    # gets q - 1 extra children, each carrying a cone so total distance
-    # stays <= radius; the center's own cone comes first
-    for i in range(1, radius):
-        stack += [(chain[i], center_level + radius - i - 1, i - 1)] * (q - 1)
-    stack.reverse()
+    # gets its children after the first, each carrying a cone so total
+    # distance stays <= radius; the center's own cone comes first
+    stack = []
+    for i in range(radius - 1, 0, -1):
+        p = chain[i]
+        stack += children(p, b.level[p] - 1, b.values[p], i - 1)[:-1]
+    if radius:
+        stack += children(chain[-1], center_level - 1, b.values[chain[-1]],
+                          radius - 1)
     while stack:
-        p, lv, d = stack.pop()
-        c, = b.add(p, (mass(lv),), True)
+        p, lv, m, d = stack.pop()
+        c, = b.add(p, (m,), True)
         if d > 0:
-            stack += [(c, lv - 1, d - 1)] * q
+            stack += children(c, lv - 1, m, d - 1)
     return (*b.finish(backend, unit), chain[-1])
+
+
+def _ratio_flow(ratios: tuple, backend: Optional[str]) -> tuple[str, list]:
+    """The backend (read from the ratios' types when None) and the ratios in
+    its number type, checked to be positive and to sum to one."""
+    if backend is None:
+        backend = "rational" if all(isinstance(r, (Fraction, int)) for r in ratios) else "float"
+    rr = [(Fraction if backend == "rational" else float)(r) for r in ratios]
+    if abs(sum(rr) - 1) > (0 if backend == "rational" else 1e-12):
+        raise TreeError("ratios must sum to one")
+    if min(rr) <= 0:
+        raise TreeError("ratios must be positive")
+    return backend, rr
 
 
 def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
@@ -442,30 +469,19 @@ def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
     ambient measure grows by 1/ratios[0] per level up.  Returns
     (window, measure, base).
     """
-    if backend is None:
-        backend = "rational" if all(isinstance(r, (Fraction, int)) for r in ratios) else "float"
-    num = Fraction if backend == "rational" else float
-    rr = [num(r) for r in ratios]
-    if backend == "rational":
-        if sum(rr) != 1:
-            raise TreeError("ratios must sum to one")
-    elif abs(float(sum(rr)) - 1.0) > 1e-12:
-        raise TreeError("ratios must sum to one")
-    if min(rr) <= 0:
-        raise TreeError("ratios must be positive")
+    backend, rr = _ratio_flow(ratios, backend)
     _check_cap(up + _cone_size(len(ratios), depth), max_vertices)
     if apex_level is None:
         apex_level = up
 
     r0 = rr[0]
-    base_mass = num(root_mass)
+    base_mass = (Fraction if backend == "rational" else float)(root_mass)
     b = _Builder(apex_level, base_mass / (r0 ** up) if up else base_mass)
     base = 0
     for _ in range(up):
         base, = b.add(base, [b.values[base] * r0], False)
     b.cone(base, depth, lambda ms, lv: [m * r for m in ms for r in rr])
-    return (*b.finish(backend, 1 / r0 if backend == "float" else Fraction(1, 1) / r0),
-            base)
+    return (*b.finish(backend, 1 / r0), base)
 
 
 def spine_window(depth: int, up: int = 2, split: tuple = (Fraction(1, 2), Fraction(1, 2)),

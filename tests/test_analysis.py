@@ -365,3 +365,19 @@ def test_profile_columns_match_per_vertex_chains(t):
                     want[x] = v
             assert list(col.values.items()) == list(want.items())
             assert col.safe == frozenset(w.vertices)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: analysis.sharpness_fit(2, [10, 1.5]), "every t >= 2"),
+    (lambda: analysis.sharpness_fit(2, [0]), "every t >= 2"),
+    (lambda: analysis.spectrum_probe(*ball_window(1, 6), [0.0], [4, 0]),
+     "every d >= 1"),
+    (lambda: analysis.divergence_probe(*spine_window(depth=10), [0]),
+     "every D >= 1"),
+], ids=["sharpness-t1.5", "sharpness-t0", "spectrum-d0", "divergence-D0"])
+def test_probes_reject_grid_points_below_their_range(call, message):
+    """A t below 2 leaves the sharpness window empty, and d = 0 or D = 0
+    leaves a probe nothing to sum: each is a ValueError, not a log(0) fit
+    or a KeyError."""
+    with pytest.raises(ValueError, match=message):
+        call()

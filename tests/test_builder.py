@@ -163,3 +163,61 @@ def test_lift_reads_each_target_vertex_once(monkeypatch):
     sub = quotient.build_submersion_rational(target, tmeas, 4)
     assert len(sub.source) == (4 ** 5 - 1) // 3
     assert len(calls) == len(target) - 1
+
+
+RATIO_SETS = {
+    "13-23": (F(1, 3), F(2, 3)),
+    "34-14": (F(3, 4), F(1, 4)),
+    "12-14-14": (F(1, 2), F(1, 4), F(1, 4)),
+    "golden": G,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATIO_SETS))
+def test_ratio_ball_is_the_ball_of_the_constant_ratio_flow(name):
+    """Exact size, valid window and measure, a center safe at the full
+    radius, m = r0**-level on the center's ancestor line, and every
+    complete vertex's children splitting its mass by the ratios in order."""
+    ratios = RATIO_SETS[name]
+    backend = "float" if name == "golden" else "rational"
+    same = ((lambda x: pytest.approx(x, rel=1e-14)) if backend == "float"
+            else (lambda x: x))
+    r0 = ratios[0]
+    for radius in range(6):
+        w, m, c = trees.ball_window(ratios, radius, center_level=-radius,
+                                    backend=backend)
+        assert len(w) == trees.ball_vertex_bound(len(ratios), radius)
+        trees.validate_window(w)
+        trees.validate_measure(w, m)
+        assert c in trees.safe_region(w, radius)
+        assert w.level[c] == -radius and w.up_ratio == same(1 / r0)
+        for v in w.ancestors(c):
+            assert m.values[v] == same(r0 ** -w.level[v])
+        for p in w.vertices:
+            if w.is_complete(p):
+                assert [m.values[k] for k in w.children(p)] == \
+                    same([m.values[p] * r for r in ratios])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_uniform_ratio_ball_is_the_q_ary_ball(q):
+    for radius in range(5):
+        w, m, c = trees.ball_window((F(1, q),) * q, radius)
+        w2, m2, c2 = trees.ball_window(q, radius)
+        assert (w, m, c) == (w2, m2, c2)
+        assert [list(d.items()) for d in (w.succ, m.values)] == \
+            [list(d.items()) for d in (w2.succ, m2.values)]
+
+
+@pytest.mark.parametrize("name, q", [("13-23", 3), ("34-14", 4),
+                                     ("12-14-14", 4)])
+def test_lifted_ratio_ball_is_a_submersion(name, q):
+    """The q-ary lift of a rational ratio ball is a valid submersion, and
+    every source copy of the center is safe at the ball's radius."""
+    for radius in range(5):
+        w, m, c = trees.ball_window(RATIO_SETS[name], radius)
+        sub = quotient.build_submersion_rational(w, m, q)
+        assert quotient.validate_submersion(sub).ok
+        copies = [s for s, t in sub.mapping.items() if t == c]
+        assert copies and all(trees.in_safe_region(sub.source, s, radius)
+                              for s in copies)

@@ -1,16 +1,20 @@
 """CLI subcommands: exit codes, artifacts, reproducibility."""
 
 import contextlib
+import csv
 import io
 import json
 import os
+import pathlib
+import shlex
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtree import ball_window, cli, zline
+from flowtree import (analysis, ball_window, cli, constant_ratio_window, trees,
+                      zline)
 from flowtree.cli import main
 
 
@@ -313,6 +317,8 @@ def test_spectrum_command(tmp_path):
     (["heat", "--t", "inf"], "must be finite"),
     (["transfer-check", "--degree", "-1"], "must be >= 0"),
     (["divergence", "--d-grid", "0,8"], "below 1"),
+    (["heat", "--q", "0"], "need q >= 1"),
+    (["transfer-check", "--q", "0"], "needs q >= 1"),
 ])
 def test_bad_numeric_flag_exits_two(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -376,3 +382,90 @@ def test_bad_numeric_values_never_raise(case):
         rc = run([cmd, f"{flag}={value}", "--out", os.path.join(tmp, "o")])
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def test_transfer_check_zero_trials(tmp_path):
+    """--trials 0 runs no trial: a header-only CSV, exit 0."""
+    out = tmp_path / "o"
+    assert run(["transfer-check", "--trials", "0", "--out", str(out)]) == 0
+    assert (out / "transfer_check.csv").read_text().splitlines() == \
+        ["trial,degree,match"]
+
+
+def test_heat_golden_window(tmp_path):
+    """The golden window is a radius-10 ball around its anchor, so heat
+    runs on it and conserves mass."""
+    out = tmp_path / "o"
+    assert run(["heat", "--window", "golden", "--out", str(out)]) == 0
+    meta = json.loads((out / "heat.csv.meta.json").read_text())
+    assert abs(meta["mass"] - 1.0) <= 1e-6
+    assert meta["window_size"] == trees.ball_vertex_bound(2, 10)
+
+
+def _paths_from(window, anchor) -> dict:
+    """Each vertex as (levels up from the anchor to where their paths meet,
+    the child indices down from there)."""
+    paths = {}
+    for x in window.vertices:
+        top = window.lca(x, anchor)
+        down, v = [], x
+        while v != top:
+            p = window.pred[v]
+            down.append(window.succ[p].index(v))
+            v = p
+        paths[x] = (window.level[top] - window.level[anchor], tuple(down[::-1]))
+    return paths
+
+
+def test_golden_skew_rows_match_the_cone_route(tmp_path):
+    """riesz-skew-check on the golden ball gives, path for path from the
+    anchor, the rows of a golden cone deep enough to hold the same pairs
+    (anchor at the same level, -(dmax + 1))."""
+    out = tmp_path / "o"
+    assert run(["riesz-skew-check", "--window", "golden", "--dmax", "4",
+                "--out", str(out)]) == 0
+    golden = (cli.GOLDEN_RATIO, 1 - cli.GOLDEN_RATIO)
+    w, _, c = ball_window(golden, 5, center_level=-5, backend="float")
+    by_id = _paths_from(w, c)
+    with open(out / "riesz_skew_check.csv", newline="") as fh:
+        rows = {by_id[int(r["x"])]: r for r in csv.DictReader(fh)}
+    cone, cmeas, base = constant_ratio_window(golden, depth=10, up=12)
+    anchor = next(v for v in cone.vertices
+                  if cone.level[v] == cone.level[base] - 5)
+    pairs = sorted((x, anchor) for x in trees.ball(cone, anchor, 4)
+                   if x != anchor)
+    rep = analysis.riesz_skew_check(cone, cmeas, pairs)
+    cone_paths = _paths_from(cone, anchor)
+    assert len(rows) == len(rep.rows) == len(pairs)
+    for r in rep.rows:
+        got = rows[cone_paths[r["x"]]]
+        assert int(got["d"]) == r["d"]
+        for key in ("skew_re", "closed"):
+            assert abs(float(got[key]) - r[key]) <= \
+                1e-13 * max(abs(r[key]), abs(float(got[key])))
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch):
+    """Every command in the README's command-line block exits 0, and none
+    builds a window larger than heat's radius-12 binary ball."""
+    block = README.read_text(encoding="utf-8").split("## Command line")[1]
+    lines = [ln.split("#")[0] for ln in block.split("```")[1].splitlines()]
+    commands = [shlex.split(ln) for ln in lines if ln.strip()]
+    assert len(commands) >= 13
+    sizes = []
+    finish = trees._Builder.finish
+
+    def recording_finish(builder, *args):
+        sizes.append(len(builder.level))
+        return finish(builder, *args)
+    monkeypatch.setattr(trees._Builder, "finish", recording_finish)
+    failed = []
+    for i, argv in enumerate(commands):
+        assert argv[0] == "flowtree" and argv[-2] == "--out"
+        if run(argv[1:-2] + ["--out", str(tmp_path / str(i))]) != 0:
+            failed.append(" ".join(argv))
+    assert not failed
+    assert max(sizes) <= trees.ball_vertex_bound(2, 12)
