@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
+import os
+from collections import Counter, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Optional
 
 import numpy as np
@@ -117,18 +120,29 @@ def _riesz_gradkernels(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     these two sums equals profiling every node and summing the results.
     The sums run in extended precision: rounded once, they keep the Riesz
     values as close to the exact quadrature as the node-by-node sums were.
+    `ive` releases the GIL, so the kernels are evaluated on one thread per
+    CPU, at most two per thread ahead of the sums, which add them in node
+    order: the result does not depend on the CPU count.
     """
     ndec = int(round(math.log10(spec.t_cut)))
-    total = np.zeros(0, dtype=np.longdouble)
-    last = np.zeros(0, dtype=np.longdouble)
-    for t, w, block in spec.nodes():
-        g = w * _heat_gradk(t)
-        if len(g) > len(total):
-            total = np.pad(total, (0, len(g) - len(total)))
-            last = np.pad(last, (0, len(g) - len(last)))
-        total[:len(g)] += g
-        if block == ndec:
-            last[:len(g)] += g
+    nodes = spec.nodes()
+    # kernel lengths grow with t, so the longest fixes the sums' length
+    size = heat_support_radius(max(t for t, _, _ in nodes), 1e-17) + 1
+    total = np.zeros(size, dtype=np.longdouble)
+    last = np.zeros(size, dtype=np.longdouble)
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:
+        workers = os.cpu_count() or 1
+    with ThreadPoolExecutor(workers) as pool:
+        futures = (pool.submit(_heat_gradk, t) for t, _, _ in nodes)
+        pending = deque(islice(futures, 2 * workers))
+        for _, w, block in nodes:
+            g = w * pending.popleft().result()
+            pending.extend(islice(futures, 1))
+            total[:len(g)] += g
+            if block == ndec:
+                last[:len(g)] += g
     total, last = total.astype(float), last.astype(float)
     total.setflags(write=False)
     last.setflags(write=False)

@@ -101,6 +101,13 @@ def _given(value, default):
     return default if value is None else value
 
 
+def _at_least(flag: str, value: int, least: int) -> int:
+    """An integer flag's value, refused when it is below `least`."""
+    if value < least:
+        raise ValueError(f"{flag} must be >= {least}, not {value}")
+    return value
+
+
 def make_window(args, radius: int = 10):
     """Window selection shared by the subcommands: a loaded file, or a
     built-in ball around the anchor it returns (the spine: ``--depth`` long)."""
@@ -226,7 +233,7 @@ def cmd_riesz(args, out):
 
 
 def cmd_riesz_skew_check(args, out):
-    radius = _given(args.dmax, 8)
+    radius = _at_least("--dmax", _given(args.dmax, 8), 1)
     window, measure, anchor = make_window(args, radius + 1)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius)
                    if x != anchor)
@@ -293,7 +300,7 @@ def cmd_transfer_check(args, out):
             word = tuple(rng.choice((1, 2)) for _ in range(rng.randint(0, deg)))
             poly = poly + NcPolynomial({word: Fraction(rng.randint(-3, 3), rng.randint(1, 3))})
         if poly.degree > deg or not poly.terms:
-            poly = NcPolynomial({(1,): Fraction(1)})
+            poly = NcPolynomial({(1,) * min(deg, 1): Fraction(1)})
         src_col = kernel_column_poly(sub.source, sub.source_measure, poly, src_anchor)
         pushed = quotient.fiber_average_kernel(sub, src_col)
         direct = kernel_column_poly(target, tmeas, poly, t_anchor)
@@ -485,8 +492,8 @@ def _check_numbers(parser: argparse.ArgumentParser, args) -> None:
         val = getattr(args, action.dest, None)
         if val is None:
             continue
-        if action.type is int and val < 0:
-            raise ValueError(f"{action.option_strings[0]} must be >= 0, not {val}")
+        if action.type is int:
+            _at_least(action.option_strings[0], val, 0)
         if action.type is float and not math.isfinite(val):
             raise ValueError(f"{action.option_strings[0]} must be finite, not {val}")
 

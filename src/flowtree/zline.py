@@ -10,6 +10,7 @@ against the finite difference k(n-1) - k(n+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,12 +201,12 @@ def imaginary_power_gamma(alpha: float, n: int) -> complex:
 def imaginary_power_quad(alpha: float, n: int, tol: float = 1e-12) -> complex:
     """Adaptive quadrature of (1/pi) int_0^pi (1-cos t)^{i a} cos(nt) dt."""
     def f_re(th):
-        lam = max(1.0 - np.cos(th), 1e-300)
-        return np.cos(alpha * np.log(lam)) * np.cos(n * th) / np.pi
+        lam = max(1.0 - math.cos(th), 1e-300)
+        return math.cos(alpha * math.log(lam)) * math.cos(n * th) / math.pi
 
     def f_im(th):
-        lam = max(1.0 - np.cos(th), 1e-300)
-        return np.sin(alpha * np.log(lam)) * np.cos(n * th) / np.pi
+        lam = max(1.0 - math.cos(th), 1e-300)
+        return math.sin(alpha * math.log(lam)) * math.cos(n * th) / math.pi
 
     import warnings
     with warnings.catch_warnings():

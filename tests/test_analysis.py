@@ -1,6 +1,9 @@
 """Heat, Riesz, level-sum, multiplier, and spectrum experiments."""
 
 import math
+import os
+import threading
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -339,6 +342,87 @@ def test_riesz_kernels_cached_per_spec():
     assert len(b[0]) < len(a[0]) and not np.array_equal(b[1], a[1][:len(b[1])])
     for arr in a + b:
         assert not arr.flags.writeable
+
+
+def _riesz_gradkernels_serial(spec):
+    """Reference: one kernel after another, each padded into the sums."""
+    ndec = int(round(math.log10(spec.t_cut)))
+    total = np.zeros(0, dtype=np.longdouble)
+    last = np.zeros(0, dtype=np.longdouble)
+    for t, w, block in spec.nodes():
+        g = w * analysis._heat_gradk(t)
+        if len(g) > len(total):
+            total = np.pad(total, (0, len(g) - len(total)))
+            last = np.pad(last, (0, len(g) - len(last)))
+        total[:len(g)] += g
+        if block == ndec:
+            last[:len(g)] += g
+    return total.astype(float), last.astype(float)
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_riesz_kernels_bit_equal_to_serial_sum():
+    spec = QuadratureSpec()
+    _assert_same_bits(analysis._riesz_gradkernels(spec), _riesz_gradkernels_serial(spec))
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3])
+def test_riesz_kernels_keep_node_order_with_few_nodes(monkeypatch, cpus):
+    """Two nodes, fewer than the kernels kept in flight: none is dropped
+    and both add in node order, whatever the CPU count."""
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    spec = QuadratureSpec(interior_nodes=1, panels_per_decade=1, t_cut=10)
+    assert len(spec.nodes()) == 2
+    _assert_same_bits(analysis._riesz_gradkernels.__wrapped__(spec),
+                      _riesz_gradkernels_serial(spec))
+
+
+def test_riesz_kernels_do_not_depend_on_cpu_count(monkeypatch):
+    spec = QuadratureSpec(t_cut=1e6)
+    want = analysis._riesz_gradkernels(spec)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    _assert_same_bits(analysis._riesz_gradkernels.__wrapped__(spec), want)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    _assert_same_bits(analysis._riesz_gradkernels.__wrapped__(spec), want)
+
+
+def test_riesz_kernels_in_flight_bounded(monkeypatch):
+    """A kernel counts from the call that makes it until it is freed; at
+    most two per worker are alive at once."""
+    workers = 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
+    lock = threading.Lock()
+    count = {"calls": 0, "alive": 0, "peak": 0}
+    heat_gradk = analysis._heat_gradk
+
+    def release():
+        with lock:
+            count["alive"] -= 1
+
+    def counted(t):
+        with lock:
+            count["calls"] += 1
+            count["alive"] += 1
+            count["peak"] = max(count["peak"], count["alive"])
+        g = heat_gradk(t)
+        weakref.finalize(g, release)
+        return g
+
+    monkeypatch.setattr(analysis, "_heat_gradk", counted)
+    spec = QuadratureSpec(t_cut=1e5)
+    got = analysis._riesz_gradkernels.__wrapped__(spec)
+    assert count["calls"] == len(spec.nodes())
+    assert count["alive"] == 0
+    assert 2 <= count["peak"] <= 2 * workers
+    monkeypatch.setattr(analysis, "_heat_gradk", heat_gradk)
+    _assert_same_bits(got, _riesz_gradkernels_serial(spec))
 
 
 @pytest.mark.parametrize("t", [1.0, 2.5, 16.0])

@@ -319,6 +319,8 @@ def test_spectrum_command(tmp_path):
     (["divergence", "--d-grid", "0,8"], "below 1"),
     (["heat", "--q", "0"], "need q >= 1"),
     (["transfer-check", "--q", "0"], "needs q >= 1"),
+    # a radius-0 ball holds no pair besides the anchor
+    (["riesz-skew-check", "--dmax", "0"], "--dmax must be >= 1"),
 ])
 def test_bad_numeric_flag_exits_two(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -390,6 +392,17 @@ def test_transfer_check_zero_trials(tmp_path):
     assert run(["transfer-check", "--trials", "0", "--out", str(out)]) == 0
     assert (out / "transfer_check.csv").read_text().splitlines() == \
         ["trial,degree,match"]
+
+
+def test_transfer_check_degree_zero(tmp_path):
+    """--degree 0 runs constant (identity) polynomials, and every row agrees."""
+    out = tmp_path / "o"
+    assert run(["transfer-check", "--degree", "0", "--trials", "5",
+                "--out", str(out)]) == 0
+    with open(out / "transfer_check.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 5
+    assert all(r["degree"] == "0" and r["match"] == "1" for r in rows)
 
 
 def test_heat_golden_window(tmp_path):

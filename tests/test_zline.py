@@ -102,6 +102,29 @@ def test_imaginary_power_quad_vs_gamma():
     assert abs(k2 - np.conj(zline.imaginary_power_gamma(1.0, 7))) < 1e-15
 
 
+def _imaginary_power_quad_numpy(alpha, n, tol=1e-12):
+    """Reference: the same quadrature with numpy scalar integrands."""
+    import warnings
+
+    from scipy.integrate import quad
+
+    def f(th, part):
+        lam = max(1.0 - np.cos(th), 1e-300)
+        return part(alpha * np.log(lam)) * np.cos(n * th) / np.pi
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        re, _ = quad(f, 0.0, np.pi, args=(np.cos,), limit=400, epsabs=tol, epsrel=tol)
+        im, _ = quad(f, 0.0, np.pi, args=(np.sin,), limit=400, epsabs=tol, epsrel=tol)
+    return re + 1j * im
+
+
+def test_imaginary_power_quad_matches_numpy_integrands():
+    for n in range(51):
+        got = zline.imaginary_power_quad(1.0, n)
+        assert abs(got - _imaginary_power_quad_numpy(1.0, n)) < 1e-15, n
+
+
 def test_imaginary_power_band():
     vals = [abs(zline.imaginary_power_gamma(1.0, n)) * n for n in range(10, 201)]
     assert max(vals) / min(vals) <= 1.2
