@@ -24,6 +24,9 @@ from .exactnum import QSurd
 from .zline import (NumericalError, z_grad_multiplier_kernel,
                     z_gradkernel_lambda_poly)
 
+# truncation target of e_f_coefficients: geometric tail and kernel mass
+E_F_TOL = 1e-12
+
 
 def sphere_count(q: int, d: int, r: int) -> int:
     """Number of vertices at distance d and level offset r from a fixed vertex."""
@@ -37,16 +40,14 @@ def sphere_count(q: int, d: int, r: int) -> int:
     return 0
 
 
-def sphere_weight_scaled(q: int, d: int, exact: bool = False):
+def sphere_weight_scaled(q: int, d: int) -> float:
     """q**(-d/2) * sum over the distance-d sphere of q**((level offset)/2).
 
     Equals 2 + (d-1)(q-1)/q for d >= 1 and 1 for d = 0; this is the scaled
     sphere weight entering every radial column sum (the degree-one factor).
     """
     if d == 0:
-        return Fraction(1) if exact else 1.0
-    if exact:
-        return 2 + Fraction((d - 1) * (q - 1), q)
+        return 1.0
     return 2.0 + (d - 1) * (q - 1) / q
 
 
@@ -57,23 +58,18 @@ def _surd(q, x):
 def abel_forward(q: int, phi) -> list:
     """J_q(phi)(j) = q^{j/2} [phi(j) + ((q-1)/q) sum_{k>=1} q^k phi(j+2k)].
 
-    phi is a finitely supported sequence on the naturals (list); exact
-    rational/QSurd input stays exact, floats go through floats.
+    phi is a finitely supported sequence on the naturals (list) of
+    rationals, QSurds or floats; every entry is taken exactly (a float as
+    its Fraction value) and the result is a list of QSurds.
     """
     phi = list(phi)
     n = len(phi)
-    exact = not any(isinstance(x, float) or isinstance(x, complex) for x in phi)
     out = []
     for j in range(n):
-        if exact:
-            tail = sum((Fraction(q) ** k) * _surd(q, phi[j + 2 * k])
-                       for k in range(1, (n - 1 - j) // 2 + 1)) or QSurd(q)
-            s = _surd(q, phi[j]) + _surd(q, tail) * Fraction(q - 1, q)
-            out.append(QSurd.sqrt_q_power(q, j) * s)
-        else:
-            tail = sum((float(q) ** k) * phi[j + 2 * k]
-                       for k in range(1, (n - 1 - j) // 2 + 1))
-            out.append(q ** (j / 2) * (phi[j] + (q - 1) / q * tail))
+        tail = sum((Fraction(q) ** k) * _surd(q, phi[j + 2 * k])
+                   for k in range(1, (n - 1 - j) // 2 + 1)) or QSurd(q)
+        s = _surd(q, phi[j]) + _surd(q, tail) * Fraction(q - 1, q)
+        out.append(QSurd.sqrt_q_power(q, j) * s)
     return out
 
 
@@ -81,30 +77,22 @@ def abel_inverse(q: int, psi) -> list:
     """Inverse transform: sum_{j>=0} q^{-(n+2j)/2} (psi(n+2j) - psi(n+2j+2)).
 
     The summand is the symmetric gradient of psi at n+2j+1, with psi extended
-    by zeros beyond its support.
+    by zeros beyond its support.  Entries are taken exactly, as in
+    abel_forward.
     """
     psi = list(psi)
     n = len(psi)
-    exact = not any(isinstance(x, float) or isinstance(x, complex) for x in psi)
 
     def at(i):
-        if 0 <= i < n:
-            return psi[i]
-        return Fraction(0) if exact else 0.0
+        return psi[i] if 0 <= i < n else Fraction(0)
 
     out = []
     for m in range(n):
-        if exact:
-            acc = QSurd(q)
-            for j in range(0, (n - m) // 2 + 1):
-                g = _surd(q, at(m + 2 * j)) - _surd(q, at(m + 2 * j + 2))
-                acc = acc + QSurd.sqrt_q_power(q, -(m + 2 * j)) * g
-            out.append(acc)
-        else:
-            acc = 0.0
-            for j in range(0, (n - m) // 2 + 1):
-                acc += q ** (-(m + 2 * j) / 2) * (at(m + 2 * j) - at(m + 2 * j + 2))
-            out.append(acc)
+        acc = QSurd(q)
+        for j in range(0, (n - m) // 2 + 1):
+            g = _surd(q, at(m + 2 * j)) - _surd(q, at(m + 2 * j + 2))
+            acc = acc + QSurd.sqrt_q_power(q, -(m + 2 * j)) * g
+        out.append(acc)
     return out
 
 
@@ -155,12 +143,11 @@ def radial_from_gradkernel(q: int, gradk: np.ndarray, kmax: int,
     return RadialKernel(q, A[:kmax + 1].copy(), kmax, float(tail), meta or {})
 
 
-def e_f_coefficients(q: int, fn, kmax: int, tol: float = 1e-12,
-                     bandwidth: int = 64, grid: int | None = None) -> RadialKernel:
+def e_f_coefficients(q: int, fn, kmax: int) -> RadialKernel:
     """Radial coefficients of F(flow Laplacian) on the q-ary tree.
 
     The gradient kernel on the line is computed far enough out that both the
-    geometric truncation and the remaining kernel mass are below tol.
+    geometric truncation and the remaining kernel mass are below E_F_TOL.
     """
     if q < 2:
         raise ValueError("need q >= 2")
@@ -169,16 +156,17 @@ def e_f_coefficients(q: int, fn, kmax: int, tol: float = 1e-12,
     supf = float(np.max(np.abs(np.asarray(fn(lam), dtype=complex))))
     supg = 2.0 * supf if supf > 0 else 1.0
     jmax = 1
-    while supg * q ** (-jmax) / (1.0 - 1.0 / q) > tol:
+    while supg * q ** (-jmax) / (1.0 - 1.0 / q) > E_F_TOL:
         jmax += 1
         if jmax > 4000:
             raise ValueError("tolerance unreachable within j-limit")
     nmax = kmax + 2 * jmax + 2
-    zk = z_grad_multiplier_kernel(fn, nmax, grid=grid, bandwidth=bandwidth)
+    zk = z_grad_multiplier_kernel(fn, nmax)
     gradk = zk.one_sided()
     tail_grad = float(np.max(np.abs(gradk[-3:])))
     rad = radial_from_gradkernel(q, gradk, kmax, grad_tail=max(tail_grad, 0.0),
-                                 meta={"nmax": nmax, "grid": zk.grid, "tol": tol})
+                                 meta={"nmax": nmax, "grid": zk.grid,
+                                       "tol": E_F_TOL})
     rad.tail_scaled += supg * q ** (-jmax) / (1.0 - 1.0 / q)
     return rad
 
@@ -266,29 +254,21 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str = "p
     return total, tail
 
 
-def homog_weighted_l1(q: int, radial: RadialKernel, weight, tail_check: bool = True):
-    """Weighted L1 column mass of F(L) on the q-ary tree (anchor-independent)."""
-    return homog_weighted_opsum(q, radial, weight, "plain", tail_check)
-
-
-def sharpness_radial(q: int, t: float, kmax: int, grid: int | None = None,
-                     bump=None) -> dict:
+def sharpness_radial(q: int, t: float, kmax: int) -> dict:
     """Scaled oscillating-multiplier coefficients for the modulated cutoff.
 
-    The multiplier is exp(i t lam) * bump(lam) with the documented smooth
-    bump (plateau on [-1/4, 1/4], support in (-1/2, 1/2)).  Returns per-k
+    The multiplier is exp(i t lam) * chi0(lam), with the documented smooth
+    bump chi0 (plateau on [-1/4, 1/4], support in (-1/2, 1/2)).  Returns per-k
     values of q^{k/2} * (E(k) - sqrt(q) E(k+1)), the quantity whose
     (k+1)-weighted partial sums exhibit the lower-bound growth.
     """
     from .bumps import chi0
-    bump = bump or chi0
 
     def fn(lam):
-        return np.exp(1j * t * np.asarray(lam)) * bump(np.asarray(lam))
+        return np.exp(1j * t * np.asarray(lam)) * chi0(np.asarray(lam))
 
     nmax = int(2 * t) + 2 * kmax + 120
-    if grid is None:
-        grid = 1 << int(np.ceil(np.log2(max(8192, 16 * (nmax + int(t) + 40)))))
+    grid = 1 << int(np.ceil(np.log2(max(8192, 16 * (nmax + int(t) + 40)))))
     zk = z_grad_multiplier_kernel(fn, nmax, grid=grid)
     rad = radial_from_gradkernel(q, zk.one_sided(), kmax + 1,
                                  grad_tail=float(np.max(np.abs(zk.one_sided()[-3:]))),

@@ -29,6 +29,10 @@ from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, ball_window,
 from .zline import heat_support_radius, heat_z_gradkernel
 
 SQRT_PI = math.sqrt(math.pi)
+# heat kernels on the line are cut where they fall below this
+HEAT_TOL = 1e-17
+# rayleigh_bounds solves densely up to this many vertices
+DENSE_SOLVE_CAP = 500
 
 
 def ktilde_z(n: int) -> float:
@@ -106,8 +110,8 @@ class QuadratureSpec:
         return out
 
 
-def _heat_gradk(t: float, tol: float = 1e-17) -> np.ndarray:
-    return heat_z_gradkernel(t, heat_support_radius(t, tol))
+def _heat_gradk(t: float) -> np.ndarray:
+    return heat_z_gradkernel(t, heat_support_radius(t, HEAT_TOL))
 
 
 @functools.lru_cache(maxsize=None)
@@ -127,7 +131,7 @@ def _riesz_gradkernels(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     ndec = int(round(math.log10(spec.t_cut)))
     nodes = spec.nodes()
     # kernel lengths grow with t, so the longest fixes the sums' length
-    size = heat_support_radius(max(t for t, _, _ in nodes), 1e-17) + 1
+    size = heat_support_radius(max(t for t, _, _ in nodes), HEAT_TOL) + 1
     total = np.zeros(size, dtype=np.longdouble)
     last = np.zeros(size, dtype=np.longdouble)
     try:
@@ -170,14 +174,14 @@ def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
     return _profile_column(window, measure, gradk, y, "plain")
 
 
-def _profile_column(window, measure, gradk, y, variant,
-                    err: float = 1e-13) -> KernelColumn:
+def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     """Column of a profile kernel at anchor y.
 
     Every term of the profile sum of a pair (x, y) sits at a common
     ancestor (levels J >= the meeting level), so y's chain serves every x,
     and the value depends on x only through level(x) and the meeting level:
     one array call evaluates the distinct (level, meeting level) keys.
+    The column carries the fixed error estimate 1e-13 (not derived).
     """
     top = max(window.level[v] for v in window.vertices) + (len(gradk) // 2) + 2
     chain = flowkernel.chain_of(window, measure, y, top)
@@ -188,7 +192,7 @@ def _profile_column(window, measure, gradk, y, variant,
                                       keys[1], variant)
     vals = {x: v for x, v in zip(window.vertices, at_key[key_of].tolist()) if v}
     safe = frozenset(window.vertices) if not chain.truncated else frozenset()
-    return KernelColumn(y, vals, safe, err)
+    return KernelColumn(y, vals, safe, 1e-13)
 
 
 def heat_ball_radius(q: int, t: float, tol: float) -> int:
@@ -248,12 +252,12 @@ def grad_heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
 
 def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
                        t_grid: Iterable[float], x: Vertex,
-                       l="sup", orientation: str = "x") -> EstimateReport:
+                       orientation: str = "x") -> EstimateReport:
     """Level-slice L1 mass of the gradient heat kernel against 1/(1+t).
 
-    l may be a fixed level or "sup", which scans levels within a few
-    diffusion lengths of the anchor and keeps the maximum (the decay rate of
-    the supremum is the quantity bounded by the level estimates).
+    Scans the levels within a few diffusion lengths of the anchor and keeps
+    the maximum: the decay rate of this supremum over levels is the
+    quantity bounded by the level estimates.
     """
     rows = []
     ts = list(t_grid)
@@ -263,7 +267,7 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
     for t in ts:
         gradk = _heat_gradk(t)
         span = int(3 * math.sqrt(t)) + 3
-        levels = range(lx - span, lx + span + 1) if l == "sup" else [l]
+        levels = range(lx - span, lx + span + 1)
         vals = [flowkernel.level_sum(chain, gradk, lx, ll, orientation)
                 for ll in levels]
         best = max(vals)
@@ -272,16 +276,8 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
                      "chain_truncated": chain.truncated})
     fit = fit_loglog([1.0 + t for t in ts], [r["value"] for r in rows])
     return EstimateReport(rows, fit, {
-        "anchor": x, "orientation": orientation, "l": l,
+        "anchor": x, "orientation": orientation, "l": "sup",
         "abscissa": "log(1+t)"})
-
-
-def riesz_kernel_value(window: TreeWindow, measure: FlowMeasure, x: Vertex,
-                       y: Vertex, spec: Optional[QuadratureSpec] = None):
-    """Riesz kernel at one pair by subordination quadrature of gradient heat
-    kernels; returns (value, error_estimate)."""
-    vals, errs = riesz_kernel_values(window, measure, [(x, y)], spec)
-    return vals[0], errs[0]
 
 
 def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs,
@@ -335,11 +331,11 @@ def riesz_skew_closed(window: TreeWindow, measure: FlowMeasure,
     return 0.0
 
 
-def riesz_skew_check(window: TreeWindow, measure: FlowMeasure, pairs,
-                     spec: Optional[QuadratureSpec] = None) -> EstimateReport:
+def riesz_skew_check(window: TreeWindow, measure: FlowMeasure,
+                     pairs) -> EstimateReport:
     """Antisymmetrized quadrature Riesz kernel against the closed form."""
     both = list(pairs) + [(y, x) for x, y in pairs]
-    vals, errs = riesz_kernel_values(window, measure, both, spec)
+    vals, errs = riesz_kernel_values(window, measure, both)
     fwd, rev = vals[:len(pairs)], vals[len(pairs):]
     errf, errr = errs[:len(pairs)], errs[len(pairs):]
     rows = []
@@ -439,21 +435,26 @@ def stratified_anchors(window: TreeWindow, max_anchors: int = 1000,
     return out[:max_anchors]
 
 
-def mh_dyadic_norms(fn, l_grid, q: int = 64, eps: float = 0.5,
-                    scale_base: int = 40) -> EstimateReport:
+def mh_dyadic_norms(fn, l_grid, q: int = 64) -> EstimateReport:
     """Weighted and gradient column sums of the dyadic multiplier pieces.
 
     Piece l applies the symbol cut to the dyadic shell at scale 2^-l via the
     fixed partition bump; the gradient sums track 2^{-l/2} (slope fit in
-    log2 against l), while the weighted sums stay bounded.
+    log2 against l), while the weighted sums, with weight
+    (1 + d / 2^{l/2})^{1/2}, stay bounded.  The fit needs at least two
+    distinct l, each at least 0.
     """
     from .bumps import dyadic_phi
     from .zline import z_grad_multiplier_kernel
 
+    l_grid = list(l_grid)
+    if len(set(l_grid)) < 2 or min(l_grid) < 0:
+        raise ValueError("mh_dyadic_norms needs at least two distinct l >= 0")
+    eps = 0.5
     rows = []
     for l in l_grid:
         piece = lambda lam, l=l: np.asarray(fn(lam)) * dyadic_phi((2.0 ** l) * np.asarray(lam))
-        nmax = int(scale_base * 2 ** (l / 2) * 5 + 200)
+        nmax = int(40 * 2 ** (l / 2) * 5 + 200)
         grid = 1 << int(np.ceil(np.log2(max(16384, 8 * nmax))))
         zk = z_grad_multiplier_kernel(piece, nmax, grid=grid)
         rad = abel.radial_from_gradkernel(q, zk.one_sided(), nmax - 3)
@@ -472,7 +473,7 @@ def mh_dyadic_norms(fn, l_grid, q: int = 64, eps: float = 0.5,
                           {"q": q, "eps": eps})
 
 
-def sharpness_fit(q: int, t_grid, kmax_pad: int = 3) -> EstimateReport:
+def sharpness_fit(q: int, t_grid) -> EstimateReport:
     """Growth of the oscillating-multiplier lower-bound functional.
 
     For each t the functional sums (k+1) q^{k/2} |Etilde(k)| over the window
@@ -483,7 +484,7 @@ def sharpness_fit(q: int, t_grid, kmax_pad: int = 3) -> EstimateReport:
         raise ValueError("sharpness_fit needs every t >= 2")
     rows = []
     for t in t_grid:
-        kmax = int(t / 2) + kmax_pad
+        kmax = int(t / 2) + 3
         sh = abel.sharpness_radial(q, float(t), kmax)
         tot = 0.0
         for k, v in sh["etilde_scaled"].items():
@@ -494,19 +495,21 @@ def sharpness_fit(q: int, t_grid, kmax_pad: int = 3) -> EstimateReport:
     return EstimateReport(rows, fit, {"q": q})
 
 
-def sobolev_growth(t_grid, s_values=(1, 2), span: float = 8.0,
-                   grid: int = 1 << 15) -> dict:
-    """Fitted growth exponents of the L2 Sobolev norms of the wave packet.
+def sobolev_growth(t_grid) -> dict:
+    """Fitted growth exponents of the L2 Sobolev norms of the wave packet,
+    for s = 1 and 2.
 
-    Norms are computed spectrally from samples of exp(i t lam) chi0(lam);
-    the exponent of t in ||F_t||_{L^2_s} should match s.
+    Norms are computed spectrally from 2^15 samples of exp(i t lam)
+    chi0(lam) on a period of 8; the exponent of t in ||F_t||_{L^2_s} should
+    match s.
     """
     from .bumps import chi0
+    grid, span = 1 << 15, 8.0
     lam = (np.arange(grid) - grid / 2) * (span / grid)
     xi = (np.arange(grid) - grid / 2) * (2 * np.pi / span)
     base = chi0(lam)
     out = {}
-    for s in s_values:
+    for s in (1, 2):
         norms = []
         for t in t_grid:
             f = np.exp(1j * t * lam) * base
@@ -516,6 +519,28 @@ def sobolev_growth(t_grid, s_values=(1, 2), span: float = 8.0,
             norms.append(float(val))
         out[s] = fit_loglog(list(t_grid), norms)
     return out
+
+
+def _descendant_slices(window: TreeWindow, v: Vertex,
+                       depth: int) -> list[list[Vertex]]:
+    """The descendants of v by depth, 0 (v itself) to `depth`.
+
+    Every vertex above the last slice must be complete and every slice
+    nonempty, or a TreeError says the window is too shallow.
+    """
+    slices = [[v]]
+    for n in range(1, depth + 1):
+        nxt = []
+        for u in slices[-1]:
+            if not window.is_complete(u):
+                raise TreeError(f"window too shallow: vertex {u} at depth "
+                                f"{n - 1} below {v} is incomplete")
+            nxt.extend(window.children(u))
+        if not nxt:
+            raise TreeError(f"window too shallow: no descendants at depth "
+                            f"{n} below {v}")
+        slices.append(nxt)
+    return slices
 
 
 def divergence_probe(window: TreeWindow, measure: FlowMeasure, x1: Vertex,
@@ -531,18 +556,7 @@ def divergence_probe(window: TreeWindow, measure: FlowMeasure, x1: Vertex,
     if any(d < 1 for d in d_grid):
         raise ValueError("divergence_probe needs every D >= 1")
     dmax = 2 * max(d_grid)
-    # need the full descendant slices down to dmax
-    by_depth: dict[int, list[Vertex]] = {0: [x1]}
-    frontier = [x1]
-    for n in range(1, dmax + 1):
-        nxt = []
-        for v in frontier:
-            if not window.is_complete(v):
-                raise TreeError(
-                    f"window too shallow: vertex {v} incomplete at depth {n} below x1")
-            nxt.extend(window.children(v))
-        by_depth[n] = nxt
-        frontier = nxt
+    by_depth = _descendant_slices(window, x1, dmax)
     partial = {}
     acc = 0.0
     for n in range(1, dmax + 1):
@@ -573,18 +587,7 @@ def spectrum_probe(window: TreeWindow, measure: FlowMeasure, o: Vertex,
         raise ValueError("spectrum_probe needs every d >= 1")
     from .localops import WindowFunction, apply_averaging
 
-    dmax = max(d_grid)
-    slices = [[o]]
-    for n in range(dmax + 1):
-        nxt = []
-        for v in slices[-1]:
-            if not window.is_complete(v):
-                raise TreeError("descendant set incomplete at depth "
-                                f"{n} below the probe vertex")
-            nxt.extend(window.children(v))
-        if not nxt:
-            raise TreeError("descending set too short for requested d")
-        slices.append(nxt)
+    slices = _descendant_slices(window, o, max(d_grid) + 1)
 
     rows = []
     for theta in theta_grid:
@@ -614,8 +617,7 @@ def spectrum_probe(window: TreeWindow, measure: FlowMeasure, o: Vertex,
     return EstimateReport(rows, {"slopes": fits}, {"o": o})
 
 
-def rayleigh_bounds(window: TreeWindow, measure: FlowMeasure,
-                    max_size: int = 500):
+def rayleigh_bounds(window: TreeWindow, measure: FlowMeasure):
     """Eigenvalues of the window compression of the flow Laplacian.
 
     The compression of a self-adjoint operator with spectrum in [0, 2] stays
@@ -623,8 +625,9 @@ def rayleigh_bounds(window: TreeWindow, measure: FlowMeasure,
     """
     verts = sorted(window.vertices)
     n = len(verts)
-    if n > max_size:
-        raise TreeError(f"window too large for dense solve ({n} > {max_size})")
+    if n > DENSE_SOLVE_CAP:
+        raise TreeError(
+            f"window too large for dense solve ({n} > {DENSE_SOLVE_CAP})")
     idx = {v: i for i, v in enumerate(verts)}
     a = np.zeros((n, n))
     for v in verts:

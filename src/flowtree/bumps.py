@@ -50,11 +50,11 @@ def schrodinger_multiplier(t: float):
     return fn
 
 
-def imaginary_power_cut(alpha: float, floor: float = 1e-300):
+def imaginary_power_cut(alpha: float):
     """Bounded oscillating symbol lam^{i alpha}, zeroed at the origin."""
     def fn(lam):
         lam = np.asarray(lam, dtype=float)
-        safe = np.maximum(lam, floor)
+        safe = np.maximum(lam, 1e-300)
         out = np.exp(1j * alpha * np.log(safe))
         return np.where(lam > 0, out, 0.0)
     return fn

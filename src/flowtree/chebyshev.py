@@ -32,11 +32,11 @@ class ChebModel:
         return npcheb.chebval(np.asarray(lam) - 1.0, self.coef)
 
 
-def cheb_approx(fn, degree: int, sample_factor: int = 32) -> ChebModel:
+def cheb_approx(fn, degree: int) -> ChebModel:
     """Degree-N Chebyshev interpolant of fn on [0, 2].
 
-    sup_err is the max defect on a dense grid of at least sample_factor * N
-    points (an estimate, not a rigorous remainder).
+    sup_err is the max defect on a dense grid of max(32 N, 512) points (an
+    estimate, not a rigorous remainder).
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -60,7 +60,7 @@ def cheb_approx(fn, degree: int, sample_factor: int = 32) -> ChebModel:
     if np.max(np.abs(coef.imag)) == 0:
         coef = coef.real.astype(complex)
 
-    npts = max(sample_factor * max(degree, 1), 512)
+    npts = max(32 * max(degree, 1), 512)
     grid = np.linspace(-1.0, 1.0, npts)
     resid = np.max(np.abs(g(grid) - npcheb.chebval(grid, coef)))
     return ChebModel(coef, degree, float(resid))

@@ -362,7 +362,12 @@ def cmd_level_sum(args, out):
 
 def cmd_mh_norms(args, out):
     alpha = _given(args.alpha, 1.0)
-    ls = _int_grid(args.l_grid) if args.l_grid else list(range(7))
+    try:
+        ls = _int_grid(args.l_grid, least=0) if args.l_grid else list(range(7))
+        if len(set(ls)) < 2:
+            raise ValueError(f"grid {args.l_grid!r} needs two distinct values")
+    except ValueError as exc:
+        raise ValueError(f"--l-grid: {exc}") from exc
     rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
                                    q=_given(args.q, 64))
     pathcsv = os.path.join(out, "mh_norms.csv")

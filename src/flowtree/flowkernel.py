@@ -55,14 +55,13 @@ class AncestorChain:
 
 
 def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
-             top_level: Optional[int] = None,
-             rel_floor: float = 1e-45) -> AncestorChain:
+             top_level: Optional[int] = None) -> AncestorChain:
     """Ancestor chain of x, analytically extended above the apex if possible.
 
     The synthetic extension (driven by the window's ambient growth law) is
-    float-only and stops once the inverse measure falls below rel_floor of
-    its largest value: such ancestors contribute nothing at double
-    precision, so stopping there is not a truncation.  Exact masses cover
+    float-only and stops once the inverse measure falls below 1e-45 of its
+    largest value: such ancestors contribute nothing at double precision,
+    so stopping there is not a truncation.  Exact masses cover
     the in-window part only.
     """
     invs = []
@@ -78,7 +77,7 @@ def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
         if need > 0:
             if window.up_ratio is not None:
                 growth = float(window.up_ratio)
-                floor = invs[0] * rel_floor
+                floor = invs[0] * 1e-45
                 last = invs[-1]
                 for _ in range(need):
                     last = last / growth

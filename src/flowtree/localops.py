@@ -42,10 +42,10 @@ class WindowFunction:
         return self.values.get(v, 0)
 
 
-def indicator(window: TreeWindow, y: Vertex, scale=1) -> WindowFunction:
+def indicator(window: TreeWindow, y: Vertex) -> WindowFunction:
     if y not in window.level:
         raise KeyError(f"vertex {y} not in window")
-    return WindowFunction({y: scale}, window.all_vertices(), True)
+    return WindowFunction({y: 1}, window.all_vertices(), True)
 
 
 def _accumulate(acc: dict, c, g: dict) -> dict:
@@ -154,19 +154,16 @@ def apply_shift_adjoint(window: TreeWindow, measure: FlowMeasure,
     return _stencil(window, measure, f, lambda fv, fp, fc: fc, False, False, True)
 
 
-def apply_letter(window, measure, f, letter):
-    if letter == Z1:
-        return apply_shift(window, measure, f)
-    if letter == Z2:
-        return apply_shift_adjoint(window, measure, f)
-    raise ValueError(f"unknown letter {letter}")
-
-
 def apply_word(window: TreeWindow, measure: FlowMeasure, word: Iterable[int],
                f: WindowFunction) -> WindowFunction:
     """Apply a word over {Z1, Z2}; the rightmost letter acts first."""
     for letter in reversed(tuple(word)):
-        f = apply_letter(window, measure, f, letter)
+        if letter == Z1:
+            f = apply_shift(window, measure, f)
+        elif letter == Z2:
+            f = apply_shift_adjoint(window, measure, f)
+        else:
+            raise ValueError(f"unknown letter {letter}")
     return f
 
 
@@ -246,10 +243,10 @@ class KernelColumn:
         return rows
 
 
-def _column_from_function(window, measure, g: WindowFunction, y, err=0.0) -> KernelColumn:
+def _column_from_function(window, measure, g: WindowFunction, y) -> KernelColumn:
     my = measure.values[y]
     vals = {v: x / my for v, x in g.values.items()}
-    return KernelColumn(y, vals, g.safe, err)
+    return KernelColumn(y, vals, g.safe)
 
 
 def kernel_column_poly(window: TreeWindow, measure: FlowMeasure,

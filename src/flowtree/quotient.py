@@ -224,15 +224,15 @@ class RationalizationRow:
     error: float
 
 
-def rationalize_flow(window: TreeWindow, measure: FlowMeasure, q: int,
-                     anchor_value=None):
+def rationalize_flow(window: TreeWindow, measure: FlowMeasure, q: int):
     """Approximate branching ratios by multiples of 1/q (floor off-anchor,
     remainder absorbed at the child of minimal measure, ties broken by
     successor order).
 
     Requires q at least the max branching and 1/q at most the least ratio at
     every parental vertex; the error is at most 1/q off-anchor and
-    (q0 - 1)/q at the anchor child.  Returns (measure, rows, max_error).
+    (q0 - 1)/q at the anchor child.  The apex keeps its measure.  Returns
+    (measure, rows, max_error).
     """
     rows: list[RationalizationRow] = []
     ratios: dict[Vertex, Fraction] = {}
@@ -278,9 +278,8 @@ def rationalize_flow(window: TreeWindow, measure: FlowMeasure, q: int,
             ratios[c] = w[i]
 
     root = window.apex
-    base = anchor_value if anchor_value is not None else measure.values[root]
     new_vals: dict[Vertex, Fraction] = {}
-    stack = [(root, Fraction(base))]
+    stack = [(root, Fraction(measure.values[root]))]
     while stack:
         v, m = stack.pop()
         new_vals[v] = m

@@ -9,6 +9,7 @@ byte-identical regardless of scheduling.
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
@@ -32,23 +33,26 @@ def write_csv(path: str, header, rows, comments=()) -> None:
 
 
 def _jsonable(obj):
+    """obj with JSON types only; a float that is not finite becomes null."""
+    if hasattr(obj, "item"):  # numpy scalars
+        obj = obj.item()
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (set, frozenset)):
         return [_jsonable(v) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item"):
-        return obj.item()
     return obj
 
 
 def write_meta(csv_path: str, meta: dict) -> None:
     path = csv_path + ".meta.json"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(meta), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(meta), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -255,9 +255,9 @@ def validate_window(window: TreeWindow) -> None:
                         "apex (no predecessor, or a cycle)")
 
 
-def validate_measure(window: TreeWindow, measure: FlowMeasure,
-                     rtol: float = FLOAT_FLOW_RTOL) -> None:
-    """Positivity everywhere; flow equation at every complete vertex."""
+def validate_measure(window: TreeWindow, measure: FlowMeasure) -> None:
+    """Positivity everywhere; flow equation at every complete vertex (to
+    FLOAT_FLOW_RTOL relative on the float backend)."""
     for v in window.vertices:
         m = measure.values.get(v)
         if m is None:
@@ -273,7 +273,7 @@ def validate_measure(window: TreeWindow, measure: FlowMeasure,
                 raise TreeError(f"flow equation violated at vertex {v}")
         else:
             mv = float(measure.values[v])
-            if abs(float(total) - mv) > rtol * abs(mv):
+            if abs(float(total) - mv) > FLOAT_FLOW_RTOL * abs(mv):
                 raise TreeError(f"flow equation violated at vertex {v}")
 
 

@@ -60,65 +60,63 @@ def _fourier_sum(symbol_values: np.ndarray, nmax: int) -> np.ndarray:
     return k[idx]
 
 
-def _default_grid(nmax: int, bandwidth: int) -> int:
-    g = 4 * (nmax + bandwidth) + 64
+ALIAS_TOL = 1e-10        # most a kernel value may move when the grid doubles
+CONSISTENCY_TOL = 1e-12  # most the gradient's two routes may differ
+
+
+def _default_grid(nmax: int) -> int:
+    g = 4 * (nmax + 64) + 64
     return 1 << int(np.ceil(np.log2(g)))
 
 
-def z_multiplier_kernel(fn, nmax: int, grid: int | None = None,
-                        bandwidth: int = 64, guard_tol: float = 1e-10) -> ZKernel:
+def _doubled_grid(fn, G: int, route):
+    """route(theta, symbol) on G, then on 2G points (one grid at a time),
+    with the symbol F(1 - cos theta) checked finite; returns route's kernel
+    and the symbol on 2G points, or raises AliasingError (ALIAS_TOL)."""
+    out = None
+    for g in (G, 2 * G):
+        theta = 2 * np.pi * np.arange(g) / g
+        symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
+        if not np.all(np.isfinite(symbol)):
+            raise ValueError("non-finite symbol value")
+        k = route(theta, symbol)
+        if out is not None and np.max(np.abs(k - out)) > ALIAS_TOL:
+            raise AliasingError(
+                f"grid {G} insufficient: doubling moved values by "
+                f"{np.max(np.abs(k - out)):.3e}")
+        out = k
+    return out, symbol
+
+
+def z_multiplier_kernel(fn, nmax: int, grid: int | None = None) -> ZKernel:
     """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums.
 
     Raises AliasingError if doubling the grid changes any value by more than
-    guard_tol.
+    ALIAS_TOL.
     """
-    G = grid or _default_grid(nmax, bandwidth)
+    G = grid or _default_grid(nmax)
     if G < 4 * nmax + 8:
         raise ValueError("grid too small for requested nmax")
-    out = None
-    for g in (G, 2 * G):
-        theta = 2 * np.pi * np.arange(g) / g
-        vals = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("non-finite symbol value")
-        k = _fourier_sum(vals, nmax)
-        if out is not None and np.max(np.abs(k - out)) > guard_tol:
-            raise AliasingError(
-                f"grid {G} insufficient: doubling moved values by "
-                f"{np.max(np.abs(k - out)):.3e}")
-        out = k
+    out, _ = _doubled_grid(fn, G, lambda theta, symbol: _fourier_sum(symbol, nmax))
     return ZKernel(out, nmax, 2 * G)
 
 
-def z_grad_multiplier_kernel(fn, nmax: int, grid: int | None = None,
-                             bandwidth: int = 64, guard_tol: float = 1e-10,
-                             consistency_tol: float = 1e-12) -> ZKernel:
+def z_grad_multiplier_kernel(fn, nmax: int, grid: int | None = None) -> ZKernel:
     """Symmetric-gradient kernel k(n-1) - k(n+1), via the odd symbol route.
 
-    Primary evaluation integrates sin(t) F(1 - cos t); the finite-difference
-    route on the plain kernel must agree within consistency_tol.
+    Primary evaluation integrates sin(t) F(1 - cos t), with the aliasing
+    guard; the finite-difference route on the plain kernel, on the doubled
+    grid, must agree within CONSISTENCY_TOL.
     """
-    G = grid or _default_grid(nmax, bandwidth)
+    G = grid or _default_grid(nmax)
     if G < 4 * (nmax + 2) + 8:
         raise ValueError("grid too small for requested nmax")
-    out = None
-    plain = None
-    for g in (G, 2 * G):
-        theta = 2 * np.pi * np.arange(g) / g
-        base = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
-        if not np.all(np.isfinite(base)):
-            raise ValueError("non-finite symbol value")
-        mf = np.sin(theta) * base
-        k = -2j * _fourier_sum(mf, nmax)
-        if out is not None and np.max(np.abs(k - out)) > guard_tol:
-            raise AliasingError(
-                f"grid {G} insufficient: doubling moved values by "
-                f"{np.max(np.abs(k - out)):.3e}")
-        out = k
-        plain = _fourier_sum(base, nmax + 1)
+    out, symbol = _doubled_grid(
+        fn, G, lambda theta, symbol: -2j * _fourier_sum(np.sin(theta) * symbol, nmax))
+    plain = _fourier_sum(symbol, nmax + 1)
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))
-    if dev > consistency_tol:
+    if dev > CONSISTENCY_TOL:
         raise ConsistencyError(
             f"odd-symbol and finite-difference routes differ by {dev:.3e}")
     return ZKernel(out, nmax, 2 * G)
@@ -198,7 +196,7 @@ def imaginary_power_gamma(alpha: float, n: int) -> complex:
     return complex(np.exp(lg))
 
 
-def imaginary_power_quad(alpha: float, n: int, tol: float = 1e-12) -> complex:
+def imaginary_power_quad(alpha: float, n: int) -> complex:
     """Adaptive quadrature of (1/pi) int_0^pi (1-cos t)^{i a} cos(nt) dt."""
     def f_re(th):
         lam = max(1.0 - math.cos(th), 1e-300)
@@ -211,8 +209,8 @@ def imaginary_power_quad(alpha: float, n: int, tol: float = 1e-12) -> complex:
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        re, _ = quad(f_re, 0.0, np.pi, limit=400, epsabs=tol, epsrel=tol)
-        im, _ = quad(f_im, 0.0, np.pi, limit=400, epsabs=tol, epsrel=tol)
+        re, _ = quad(f_re, 0.0, np.pi, limit=400, epsabs=1e-12, epsrel=1e-12)
+        im, _ = quad(f_im, 0.0, np.pi, limit=400, epsabs=1e-12, epsrel=1e-12)
     return re + 1j * im
 
 
@@ -240,8 +238,10 @@ def imaginary_power_kernel(alpha: float, nmax: int, quad_nmax: int = 50):
     return ZKernel(vals, nmax, 0), quad_vals, worst
 
 
-def parseval_residual(fn, kernel: ZKernel, grid: int = 1 << 14) -> float:
-    """|sum |k(n)|^2 - (1/2pi) int |F(1-cos t)|^2 dt| for smooth symbols."""
+def parseval_residual(fn, kernel: ZKernel) -> float:
+    """|sum |k(n)|^2 - (1/2pi) int |F(1-cos t)|^2 dt| for smooth symbols,
+    the integral by a trapezoid sum on 2^14 points."""
+    grid = 1 << 14
     theta = 2 * np.pi * np.arange(grid) / grid
     sym = np.abs(np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)) ** 2
     rhs = float(np.mean(sym))

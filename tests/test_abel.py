@@ -54,6 +54,15 @@ def test_abel_forward_delta2():
     assert out[2] == QSurd(q, q)
 
 
+def test_abel_transforms_take_floats_exactly():
+    """A float entry is its Fraction value: no float arithmetic happens."""
+    xs = [0.1, -2.5, 1 / 3, 0.0, 7.25, 1e-9]
+    for q in (2, 3, 5):
+        exact = [Fraction(x) for x in xs]
+        assert abel.abel_forward(q, xs) == abel.abel_forward(q, exact)
+        assert abel.abel_inverse(q, xs) == abel.abel_inverse(q, exact)
+
+
 def test_abel_roundtrip_exact():
     rng = random.Random(5)
     for q in (2, 3, 5, 10):
@@ -135,13 +144,13 @@ def test_homog_weighted_l1_examples():
     q = 4
     a_id = abel.e_f_exact(q, [Fraction(1)], 6)
     rad = abel.RadialKernel(q, np.array([complex(v) for v in a_id]), 6)
-    val, _ = abel.homog_weighted_l1(q, rad, lambda d: 1.0)
+    val, _ = abel.homog_weighted_opsum(q, rad, lambda d: 1.0, "plain")
     assert abs(val - 1.0) < 1e-14
     a_lap = abel.e_f_exact(q, [Fraction(0), Fraction(1)], 6)
     radl = abel.RadialKernel(q, np.array([complex(v) for v in a_lap]), 6)
-    val, _ = abel.homog_weighted_l1(q, radl, lambda d: 1.0)
+    val, _ = abel.homog_weighted_opsum(q, radl, lambda d: 1.0, "plain")
     assert abs(val - 2.0) < 1e-14
-    val, _ = abel.homog_weighted_l1(q, radl, lambda d: 1.0 + d)
+    val, _ = abel.homog_weighted_opsum(q, radl, lambda d: 1.0 + d, "plain")
     assert abs(val - 3.0) < 1e-14
 
 
@@ -154,8 +163,8 @@ def test_homog_weighted_l1_matches_window_colsum():
     assert not truncated
     a_ex = abel.e_f_exact(q, coeffs, 8)
     rad = abel.RadialKernel(q, np.array([complex(v) for v in a_ex]), 8)
-    got, _ = abel.homog_weighted_l1(q, rad, lambda d: 1.0 + d // 2,
-                                    tail_check=False)
+    got, _ = abel.homog_weighted_opsum(q, rad, lambda d: 1.0 + d // 2, "plain",
+                                       tail_check=False)
     assert abs(got - float(want)) < 1e-12
 
 
@@ -164,7 +173,7 @@ def test_heat_weighted_l1_uniform_in_q():
     for q in (2, 3, 5):
         gradk = zline.heat_z_gradkernel(1.0, 120)
         rad = abel.radial_from_gradkernel(q, gradk, 60)
-        v, _ = abel.homog_weighted_l1(q, rad, lambda d: math.exp(d / 10.0))
+        v, _ = abel.homog_weighted_opsum(q, rad, lambda d: math.exp(d / 10.0), "plain")
         vals.append(v)
     assert max(vals) / min(vals) < 3.0
 

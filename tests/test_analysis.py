@@ -138,8 +138,8 @@ def test_riesz_truncation_consistency(z_ball):
     p = w.parent(c)
     full = QuadratureSpec(t_cut=1e8)
     trunc = QuadratureSpec(t_cut=1e7)
-    v1, e1 = analysis.riesz_kernel_value(w, m, c, p, full)
-    v2, e2 = analysis.riesz_kernel_value(w, m, c, p, trunc)
+    (v1,), (e1,) = analysis.riesz_kernel_values(w, m, [(c, p)], full)
+    (v2,), (e2,) = analysis.riesz_kernel_values(w, m, [(c, p)], trunc)
     assert abs(v1 - v2) <= 10 * (e1 + e2)
 
 
@@ -276,6 +276,20 @@ def test_divergence_window_too_shallow():
     w, m, x1 = spine_window(depth=10)
     with pytest.raises(TreeError, match="shallow"):
         analysis.divergence_probe(w, m, x1, [16])
+
+
+def test_spectrum_window_too_shallow():
+    from flowtree import TreeError
+    w, m, o = ball_window(1, 5)
+    with pytest.raises(TreeError, match="too shallow"):
+        analysis.spectrum_probe(w, m, o, [1.0], [10])
+
+
+@pytest.mark.parametrize("l_grid", [[0], [2, 2], [-1, 0, 1], []])
+def test_mh_dyadic_norms_needs_two_distinct_levels(l_grid):
+    from flowtree.bumps import imaginary_power_cut
+    with pytest.raises(ValueError, match="two distinct l >= 0"):
+        analysis.mh_dyadic_norms(imaginary_power_cut(1.0), l_grid)
 
 
 def test_sobolev_growth_exponents():

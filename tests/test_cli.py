@@ -328,6 +328,43 @@ def test_bad_numeric_flag_exits_two(tmp_path, capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["-1", "2,2", "0"])
+def test_mh_norms_l_grid_needs_two_distinct_levels(tmp_path, capfd, value):
+    """A negative level, a repeated level or a single level exit 2 naming
+    the flag, before any fit runs (no LAPACK message, no traceback)."""
+    assert run(["mh-norms", f"--l-grid={value}", "--out", str(tmp_path / "o")]) == 2
+    out, err = capfd.readouterr()
+    assert "--l-grid" in err
+    assert "DLASCL" not in out + err and "Traceback" not in err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv, sidecar, slopes", [
+    (["sharpness", "--t-grid", "10"], "sharpness.csv.meta.json",
+     lambda m: [m["fit"]["slope"]]),
+    (["level-sum", "--t-grid", "4"], "level_sum.csv.meta.json",
+     lambda m: [m["fit"]["slope"]]),
+    (["weighted-sweep", "--t-grid", "4"], "weighted_sweep.csv.meta.json",
+     lambda m: [s for name in ("grad_heat", "heat_gradstar", "grad_heat_gradstar")
+                for s in m["fits"][name].values()]),
+    (["spectrum", "--d-grid", "25"], "spectrum.csv.meta.json",
+     lambda m: list(m["fit"]["slopes"].values())),
+], ids=["sharpness", "level-sum", "weighted-sweep", "spectrum"])
+def test_one_point_fit_sidecars_are_strict_json(tmp_path, argv, sidecar, slopes):
+    """A fit through one grid point has no slope: the sidecar says null,
+    and it parses under a parser that refuses NaN and Infinity."""
+    out = tmp_path / "o"
+    assert run(argv + ["--out", str(out)]) == 0
+    meta = _strict_json((out / sidecar).read_text())
+    got = slopes(meta)
+    assert got and all(s is None for s in got)
+
+
 def test_int_grid_rounds_log_points_and_rejects_fractions():
     assert cli._int_grid("25:200:4log") == [25, 50, 100, 200]
     assert cli._int_grid("10:40:31") == list(range(10, 41))

@@ -1,6 +1,7 @@
 """Window construction, validation, the JSON loader, and safe regions."""
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from flowtree import (TreeError, TreeWindow, ball_window,
                       safe_region, spine_window, validate_measure,
                       validate_window, window_to_json)
 from flowtree.trees import ball, meeting_levels
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def doc(apex_level, vertices):
@@ -345,3 +348,16 @@ def test_loader_mutations_give_tree_error_or_valid_window(wm, kind, data):
         assert {v: w2.is_complete(v) for v in w2.vertices} == \
             {v: w.is_complete(v) for v in w.vertices}
         assert (m2.values, m2.backend) == (m.values, m.backend)
+
+
+def test_readme_python_example_writes_a_loadable_window(tmp_path, monkeypatch):
+    """The README's window-file example runs, and load_window reads the
+    file it writes back as the same window."""
+    block = README.read_text(encoding="utf-8").split("```python")[1]
+    monkeypatch.chdir(tmp_path)
+    exec(block.split("```")[0], {})
+    w, m = load_window(str(tmp_path / "golden.json"))
+    want, wm, _ = constant_ratio_window((0.6180339887498949, 0.3819660112501051),
+                                        depth=10, up=150, backend="float")
+    assert len(w) == len(want) and w.level == want.level
+    assert m.values == wm.values

@@ -76,6 +76,12 @@ def test_aliasing_guard_trips():
         zline.z_multiplier_kernel(osc, 4, grid=64)
 
 
+def test_grad_aliasing_guard_trips():
+    osc = lambda lam: np.exp(60j * lam)
+    with pytest.raises(zline.AliasingError):
+        zline.z_grad_multiplier_kernel(osc, 4, grid=64)
+
+
 def test_heat_closed_forms_match_quadrature():
     t = 1.0
     zk = zline.z_multiplier_kernel(lambda lam: np.exp(-t * lam), 20)
