@@ -183,8 +183,7 @@ def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     one array call evaluates the distinct (level, meeting level) keys.
     The column carries the fixed error estimate 1e-13 (not derived).
     """
-    top = max(window.level[v] for v in window.vertices) + (len(gradk) // 2) + 2
-    chain = flowkernel.chain_of(window, measure, y, top)
+    chain = flowkernel.chain_of(window, measure, y, len(gradk) - 1)
     meet = meeting_levels(window, y)
     keys, key_of = np.unique([list(window.level.values()),
                               [meet[x] for x in window.vertices]], axis=1, return_inverse=True)
@@ -206,7 +205,7 @@ def heat_ball_radius(q: int, t: float, tol: float) -> int:
     """
     gradk = _heat_gradk(t)
     w, m, c = ball_window(q, 0, backend="float")
-    chain = flowkernel.chain_of(w, m, c, len(gradk) + 2)
+    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     inside = np.cumsum(flowkernel.distance_masses(chain, gradk, 0))[:len(gradk) - 1]
     held = np.flatnonzero(1.0 - inside <= tol)
     return int(held[0]) if len(held) else len(inside) - 1
@@ -259,17 +258,22 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
     the maximum: the decay rate of this supremum over levels is the
     quantity bounded by the level estimates.
     """
-    rows = []
+    if orientation not in ("x", "z"):
+        raise ValueError("orientation must be 'x' or 'z'")
     ts = list(t_grid)
+    if min(ts) < 0:
+        raise ValueError("t must be >= 0")
+    # orientation "x": the gradient acts on x, the column's fixed vertex
+    variant = "gradstar_z" if orientation == "x" else "grad_x"
+    gradks = [_heat_gradk(t) for t in ts]
     lx = window.level[x]
-    top_needed = lx + heat_support_radius(max(ts)) // 2 + 4
-    chain = flowkernel.chain_of(window, measure, x, top_needed)
-    for t in ts:
-        gradk = _heat_gradk(t)
+    chain = flowkernel.chain_of(window, measure, x, max(map(len, gradks)) - 1)
+    rows = []
+    for t, gradk in zip(ts, gradks):
+        lam, _, km = flowkernel.column_masses(chain, gradk, lx, variant)
         span = int(3 * math.sqrt(t)) + 3
         levels = range(lx - span, lx + span + 1)
-        vals = [flowkernel.level_sum(chain, gradk, lx, ll, orientation)
-                for ll in levels]
+        vals = [float(np.sum(km[lam == ll])) for ll in levels]
         best = max(vals)
         best_l = levels[vals.index(best)] if best > 0 else None
         rows.append({"t": t, "value": best, "level": best_l,
@@ -294,14 +298,12 @@ def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs,
     """
     spec = spec or QuadratureSpec()
     total_k, last_k = _riesz_gradkernels(spec)
-    top_needed = (max(window.level[v] for pair in pairs for v in pair)
-                  + heat_support_radius(spec.t_cut) // 2 + 4)
     lx, ly, j0 = np.array([(window.level[x], window.level[y],
                             window.level[window.lca(x, y)]) for x, y in pairs]).T
     uses = Counter(v for pair in pairs for v in pair)
     ends = np.array([x if uses[x] >= uses[y] else y for x, y in pairs])
     totals, last_decade = np.zeros((2, len(pairs)), dtype=complex)
-    chains = {e: flowkernel.chain_of(window, measure, e, top_needed)
+    chains = {e: flowkernel.chain_of(window, measure, e, len(total_k) - 1)
               for e in dict.fromkeys(ends.tolist())}
     for e, chain in chains.items():
         idx = np.flatnonzero(ends == e)
@@ -401,11 +403,10 @@ def window_weighted_heat_sweep(window: TreeWindow, measure: FlowMeasure,
     ts = sorted(set(float(t) for t in t_grid))
     for t in ts:
         gradk = _heat_gradk(t)
-        top = max(window.level[y] for y in anchors) + len(gradk) // 2 + 3
         sup = {"heat": 0.0, "grad_heat": 0.0, "grad_heat_gradstar": 0.0}
         w = lambda d: np.exp(eps * d / math.sqrt(t))
         for y in anchors:
-            chain = flowkernel.chain_of(window, measure, y, top)
+            chain = flowkernel.chain_of(window, measure, y, len(gradk) - 1)
             for variant, name in (("plain", "heat"), ("grad_x", "grad_heat"),
                                   ("grad_both", "grad_heat_gradstar")):
                 val = flowkernel.weighted_colsum(chain, gradk, window.level[y],

@@ -19,7 +19,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -66,16 +65,46 @@ def parse_grid(text: str) -> list[float]:
     return vals
 
 
-def _int_grid(text: str, least: Optional[int] = None) -> list[int]:
-    """A grid of integers, none below `least`; log-spaced points round to
-    the nearest one."""
+def _int_grid(text: str) -> list[int]:
+    """A grid of integers; log-spaced points round to the nearest one."""
     vals = parse_grid(text)
     ints = [round(v) for v in vals]
     if any(abs(v - i) > 1e-9 * max(1.0, abs(v)) for v, i in zip(vals, ints)):
         raise ValueError(f"grid {text!r} must hold integers")
-    if least is not None and min(ints) < least:
-        raise ValueError(f"grid {text!r} has a value below {least}")
     return ints
+
+
+def _distinct_int_grid(text: str) -> list[int]:
+    """A grid of integers with at least two distinct values (a fit)."""
+    ints = _int_grid(text)
+    if len(set(ints)) < 2:
+        raise ValueError(f"grid {text!r} needs two distinct values")
+    return ints
+
+
+def _positive_grid(text: str) -> list[float]:
+    """A grid of positive values."""
+    vals = parse_grid(text)
+    if min(vals) <= 0:
+        raise ValueError(f"grid {text!r} has a value that is not positive")
+    return vals
+
+
+def _grid(args, flag: str, default: list, read=parse_grid,
+          least=None) -> list:
+    """The values of grid flag `flag`, read by `read`, none below `least`;
+    `default` when the flag is unset.  A grid refused for its form or its
+    range is a ValueError that names the flag."""
+    text = getattr(args, flag[2:].replace("-", "_"))
+    if text is None:
+        return default
+    try:
+        vals = read(text)
+        if least is not None and min(vals) < least:
+            raise ValueError(f"grid {text!r} has a value below {least}")
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+    return vals
 
 
 def _eval_angle(tok: str) -> float:
@@ -181,6 +210,17 @@ def cmd_kernel(args, out):
     return {}
 
 
+def _check_ball(q: int, t: float, radius: int) -> None:
+    """Refuse a heat ball on the q-ary tree that passes the vertex cap."""
+    need = ball_vertex_bound(q, radius)
+    if need > DEFAULT_VERTEX_CAP:
+        raise TreeError(
+            f"heat at t={t:g} on the {q}-ary tree needs a ball of radius "
+            f"{radius} ({need:,} vertices, over the cap of "
+            f"{DEFAULT_VERTEX_CAP:,}); use a smaller --t, or a window "
+            "file with --tree")
+
+
 def cmd_heat(args, out):
     t = _given(args.t_param, 1.0)
     tol = _given(args.tol, 1e-6)  # window truncation leaks a little column mass
@@ -188,15 +228,11 @@ def cmd_heat(args, out):
     homog = not args.tree and (args.window or "homog") == "homog"
     radius = 10
     if homog:
-        # half the tolerance for the mass outside the ball
+        # the least radius first: no group sum runs for a q whose least
+        # ball is over the cap; then half the tolerance for the mass outside
+        _check_ball(q, t, radius)
         radius = max(radius, analysis.heat_ball_radius(q, t, tol / 2))
-        need = ball_vertex_bound(q, radius)
-        if need > DEFAULT_VERTEX_CAP:
-            raise TreeError(
-                f"heat at t={t:g} on the {q}-ary tree needs a ball of radius "
-                f"{radius} ({need:,} vertices, over the cap of "
-                f"{DEFAULT_VERTEX_CAP:,}); use a smaller --t, or a window "
-                "file with --tree")
+        _check_ball(q, t, radius)
     window, measure, anchor = make_window(args, radius)
     col = analysis.heat_kernel_column(window, measure, t, anchor, args.degree)
     if homog and q >= 2:
@@ -240,10 +276,10 @@ def cmd_riesz_skew_check(args, out):
     rep = analysis.riesz_skew_check(window, measure, pairs)
     pathcsv = os.path.join(out, "riesz_skew_check.csv")
     reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
-    reports.write_meta(pathcsv, {"max_dev": rep.meta["max_dev"],
-                                 "pairs": len(pairs), "tol": args.tol,
-                                 **_window_meta(window)})
     tol = _given(args.tol, 1e-6)
+    reports.write_meta(pathcsv, {"max_dev": rep.meta["max_dev"],
+                                 "pairs": len(pairs), "tol": tol,
+                                 **_window_meta(window)})
     if rep.meta["max_dev"] > tol:
         return {"check": "riesz skew identity", "max_dev": rep.meta["max_dev"],
                 "tol": tol}
@@ -338,8 +374,8 @@ def cmd_rationalize(args, out):
 
 
 def cmd_weighted_sweep(args, out):
-    ts = parse_grid(args.t_grid) if args.t_grid else [1.0, 4.0, 16.0, 64.0]
-    qs = _int_grid(args.q_grid, least=1) if args.q_grid else [2, 3, 5]
+    ts = _grid(args, "--t-grid", [1.0, 4.0, 16.0, 64.0], _positive_grid)
+    qs = _grid(args, "--q-grid", [2, 3, 5], _int_grid, least=1)
     eps = _given(args.epsilon, 1.0)
     rep = analysis.weighted_heat_sweep(eps, ts, qs)
     pathcsv = os.path.join(out, "weighted_sweep.csv")
@@ -349,7 +385,7 @@ def cmd_weighted_sweep(args, out):
 
 
 def cmd_level_sum(args, out):
-    ts = parse_grid(args.t_grid) if args.t_grid else [2.0 ** k for k in range(8)]
+    ts = _grid(args, "--t-grid", [2.0 ** k for k in range(8)], least=0)
     flow = parse_ratios(args.ratios) if args.ratios else _given(args.q, 2)
     window, measure, x = ball_window(flow, 4)
     rep = analysis.level_sum_estimate(window, measure, ts, x)
@@ -362,12 +398,7 @@ def cmd_level_sum(args, out):
 
 def cmd_mh_norms(args, out):
     alpha = _given(args.alpha, 1.0)
-    try:
-        ls = _int_grid(args.l_grid, least=0) if args.l_grid else list(range(7))
-        if len(set(ls)) < 2:
-            raise ValueError(f"grid {args.l_grid!r} needs two distinct values")
-    except ValueError as exc:
-        raise ValueError(f"--l-grid: {exc}") from exc
+    ls = _grid(args, "--l-grid", list(range(7)), _distinct_int_grid, least=0)
     rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
                                    q=_given(args.q, 64))
     pathcsv = os.path.join(out, "mh_norms.csv")
@@ -377,8 +408,7 @@ def cmd_mh_norms(args, out):
 
 
 def cmd_sharpness(args, out):
-    ts = _int_grid(args.t_grid, least=2) if args.t_grid \
-        else list(range(10, 41))
+    ts = _grid(args, "--t-grid", list(range(10, 41)), _int_grid, least=2)
     rep = analysis.sharpness_fit(_given(args.q, 2), ts)
     sob = analysis.sobolev_growth(list(np.exp(np.linspace(np.log(30.0), np.log(300.0), 12))))
     pathcsv = os.path.join(out, "sharpness.csv")
@@ -390,7 +420,7 @@ def cmd_sharpness(args, out):
 
 
 def cmd_divergence(args, out):
-    ds = _int_grid(args.d_grid, least=1) if args.d_grid else [16, 32, 64]
+    ds = _grid(args, "--d-grid", [16, 32, 64], _int_grid, least=1)
     window, measure, x1 = (make_window(args) if getattr(args, "tree", None)
                            else spine_window(depth=2 * max(ds) + 4))
     if getattr(args, "tree", None):
@@ -403,10 +433,8 @@ def cmd_divergence(args, out):
 
 
 def cmd_spectrum(args, out):
-    thetas = parse_grid(args.theta_grid) if args.theta_grid \
-        else [0.0, math.pi / 3, math.pi]
-    ds = _int_grid(args.d_grid, least=1) if args.d_grid \
-        else [25, 50, 100, 200]
+    thetas = _grid(args, "--theta-grid", [0.0, math.pi / 3, math.pi])
+    ds = _grid(args, "--d-grid", [25, 50, 100, 200], _int_grid, least=1)
     window, measure, o = ball_window(1, max(ds) + 1)
     rep = analysis.spectrum_probe(window, measure, o, thetas, ds)
     small, smeas, _ = ball_window(2, 6)

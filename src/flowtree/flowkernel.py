@@ -19,12 +19,13 @@ whose masses the flow equation gives in closed form.
 
 One engine evaluates them: for fixed s = level(x) + level(z) the sums from
 every meeting level at once are one cumulative sum down the chain, and one
-enumerator lists a column's groups (level, meeting level, mass) as arrays
-for the column, level and ball sums.
+group reader lists a column's groups (level, meeting level, |K| m) as
+arrays for the column, level and ball sums.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -32,16 +33,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .trees import FlowMeasure, TreeError, TreeWindow, Vertex
+from .zline import NumericalError
 
 
 @dataclass
 class AncestorChain:
     """Inverse measures 1/m(a_J) along a vertex's ancestor line.
 
-    Index i corresponds to the ancestor at level base_level + i.  Chains
-    built from a window extend past the apex when the window carries an
-    ambient growth law (up_ratio); otherwise `truncated` is set and the
-    callers flag their results instead of silently stopping.
+    Index i corresponds to the ancestor at level base_level + i.  A chain
+    that must climb past the apex of a window with no ambient growth law
+    (up_ratio) stops there with `truncated` set, and the callers flag their
+    results instead of silently stopping.
     """
 
     base_level: int
@@ -55,14 +57,20 @@ class AncestorChain:
 
 
 def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
-             top_level: Optional[int] = None) -> AncestorChain:
-    """Ancestor chain of x, analytically extended above the apex if possible.
+             nmax: Optional[int] = None) -> AncestorChain:
+    """Ancestor chain of x, for line kernels whose largest index is nmax.
 
-    The synthetic extension (driven by the window's ambient growth law) is
-    float-only and stops once the inverse measure falls below 1e-45 of its
-    largest value: such ancestors contribute nothing at double precision,
-    so stopping there is not a truncation.  Exact masses cover
-    the in-window part only.
+    A profile-sum term at level J with x as one end reads the kernel at
+    index 2J - level(x) - level(z) + 1, at least J - level(x) + 1 as J >=
+    level(z); the differenced variants read at most 2 past nmax, so no term
+    above level(x) + nmax + 1 is nonzero, and column_masses reads measures
+    up to level(x) + nmax + 2.  The chain climbs to that level: past the
+    apex by the window's growth law (floats only; exact masses cover the
+    window), or, with no growth law, not past the apex, with `truncated`
+    set.  With no nmax it stops at the apex.  It stops early only where the
+    next inverse measure would fall below the smallest normal double; every
+    pair-sum term there is below double range, so that is no truncation,
+    and column_masses raises NumericalError where it needs those levels.
     """
     invs = []
     masses = []
@@ -70,22 +78,16 @@ def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
         masses.append(measure.values[v])
         invs.append(1.0 / measure.as_float(v))
     lvl = window.level[x]
-    truncated = False
-    if top_level is not None:
-        have = lvl + len(invs) - 1
-        need = top_level - have
-        if need > 0:
-            if window.up_ratio is not None:
-                growth = float(window.up_ratio)
-                floor = invs[0] * 1e-45
-                last = invs[-1]
-                for _ in range(need):
-                    last = last / growth
-                    if last <= floor:
-                        break
-                    invs.append(last)
-            else:
-                truncated = True
+    need = 0 if nmax is None else nmax + 3 - len(invs)
+    truncated = need > 0 and window.up_ratio is None
+    if need > 0 and not truncated:
+        growth = float(window.up_ratio)
+        last = invs[-1]
+        for _ in range(need):
+            last = last / growth
+            if last < sys.float_info.min:
+                break
+            invs.append(last)
     exact = None
     if measure.backend == "rational" and all(isinstance(m, (Fraction, int)) for m in masses):
         exact = masses
@@ -178,14 +180,25 @@ def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
     return complex(v) if not shape else v
 
 
-def _groups(chain: AncestorChain, ly: int, nmax: int):
-    """The column at the chain's vertex (level ly) as arrays of groups:
-    level lam, meeting level j, and mass from the flow equation (a slice
-    below the anchor: m(a_ly); a_j alone: m(a_j); the rest of a slice
+def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
+                  variant: str):
+    """The column of K variant(., y) at the chain's vertex y (level ly) as
+    arrays of groups: level lam, meeting level j, and |K variant(x, y)| m
+    summed over the group.  A group's mass comes from the flow equation (a
+    slice below the anchor: m(a_ly); a_j alone: m(a_j); the rest of a slice
     meeting at j: m(a_j) - m(a_{j-1})).  Empty groups, and groups past the
     kernel's support for every variant (2j - lam - ly > nmax + 2), are left
-    out."""
-    j = np.arange(ly, min(chain.top_level, ly + nmax + 2) + 1)
+    out.  A chain that is not truncated yet ends below ly + nmax + 2 lost
+    the levels whose inverse measures leave double range: NumericalError.
+    """
+    nmax = len(gradk) - 1
+    reach = ly + nmax + 2
+    if chain.top_level < reach and not chain.truncated:
+        raise NumericalError(
+            f"group sums read ancestor measures up to level {reach}, but "
+            f"the inverse measures leave double range above level "
+            f"{chain.top_level}")
+    j = np.arange(ly, min(chain.top_level, reach) + 1)
     count = nmax + 3 + ly - j   # levels j down to 2j - ly - nmax - 2
     J = np.repeat(j, count)
     lam = J - (np.arange(len(J)) - np.repeat(np.cumsum(count) - count, count))
@@ -193,36 +206,17 @@ def _groups(chain: AncestorChain, ly: int, nmax: int):
     m_below = 1.0 / chain.inv[np.maximum(J - 1, ly) - chain.base_level]
     mass = np.where((J == ly) | (lam == J), m, m - m_below)
     keep = mass > 0
-    return lam[keep], J[keep], mass[keep]
-
-
-def level_sum(chain: AncestorChain, gradk: np.ndarray, lx: int, l: int,
-              orientation: str = "x", j0_cap: Optional[int] = None) -> float:
-    """sum over the level-l slice of |grad K(x, .)| m(.), by the groups of
-    x's column at that level.
-
-    orientation "x": gradient acts on the fixed vertex (kernel K(x, z));
-    orientation "z": the roles are swapped (kernel K(z, x)).  j0_cap
-    restricts the slice to the subtree below that ancestor level (kernel
-    values still use the whole chain).
-    """
-    if orientation not in ("x", "z"):
-        raise ValueError("orientation must be 'x' or 'z'")
-    lam, j, mass = _groups(chain, lx, len(gradk) - 1)
-    at = (lam == l) & (j <= (chain.top_level if j0_cap is None else j0_cap))
-    a, b = (lx, l) if orientation == "x" else (l, lx)
-    vals = variant_value(gradk, chain, a, b, j[at], "grad_x")
-    return float(np.sum(mass[at] * np.abs(vals)))
+    lam, J, mass = lam[keep], J[keep], mass[keep]
+    vals = variant_value(gradk, chain, lam, ly, J, variant)
+    return lam, J, np.abs(vals) * mass
 
 
 def distance_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
                     variant: str = "plain") -> np.ndarray:
     """Entry d: sum over x at distance d from the chain's vertex y (level
     ly) of |K variant(x, y)| m(x); length nmax + 3, past which K vanishes."""
-    nmax = len(gradk) - 1
-    lam, j, mass = _groups(chain, ly, nmax)
-    vals = variant_value(gradk, chain, lam, ly, j, variant)
-    return np.bincount(2 * j - lam - ly, np.abs(vals) * mass, minlength=nmax + 3)
+    lam, j, km = column_masses(chain, gradk, ly, variant)
+    return np.bincount(2 * j - lam - ly, km, minlength=len(gradk) + 2)
 
 
 def weighted_colsum(chain: AncestorChain, gradk: np.ndarray, ly: int,

@@ -177,7 +177,7 @@ def heat_z_gradkernel(t: float, nmax: int) -> np.ndarray:
     return (2.0 * n / t) * ive(n, t)
 
 
-def heat_support_radius(t: float, tol: float = 1e-16) -> int:
+def heat_support_radius(t: float, tol: float) -> int:
     """n beyond which the heat kernel on Z is below tol (Gaussian scale)."""
     if t <= 0:
         return 4

@@ -304,11 +304,10 @@ def _riesz_per_node(window, measure, pairs, spec):
     through the profile formula at every pair, and the weighted results are
     summed (one Richardson step on the last decade, as in the library)."""
     ndec = int(round(math.log10(spec.t_cut)))
-    top = (max(window.level[x] for x, _ in pairs)
-           + zline.heat_support_radius(spec.t_cut) // 2 + 4)
+    nmax = zline.heat_support_radius(spec.t_cut, 1e-17)
     ctx = []
     for x, y in pairs:
-        chain = flowkernel.chain_of(window, measure, x, top)
+        chain = flowkernel.chain_of(window, measure, x, nmax)
         ctx.append((chain, window.level[x], window.level[y],
                     window.level[window.lca(x, y)]))
     totals = np.zeros(len(pairs), dtype=complex)
@@ -449,14 +448,13 @@ def test_profile_columns_match_per_vertex_chains(t):
     gy = next(v for v in gw.vertices if gw.level[v] == gw.level[gb] - 3)
     gradk = analysis._heat_gradk(t)
     for w, m, y in ((bw, bm, bc), (bw, bm, sorted(bw.vertices)[-1]), (gw, gm, gy)):
-        top = max(w.level.values()) + len(gradk) // 2 + 2
         cols = {"plain": analysis.heat_kernel_column(w, m, t, y),
                 "grad_x": analysis.grad_heat_kernel_column(w, m, t, y, side="x"),
                 "gradstar_z": analysis.grad_heat_kernel_column(w, m, t, y, side="y")}
         for variant, col in cols.items():
             want = {}
             for x in w.vertices:
-                chain = flowkernel.chain_of(w, m, x, top)
+                chain = flowkernel.chain_of(w, m, x, len(gradk) - 1)
                 v = flowkernel.variant_value(gradk, chain, w.level[x], w.level[y],
                                              w.level[w.lca(x, y)], variant)
                 if v:
@@ -479,3 +477,14 @@ def test_probes_reject_grid_points_below_their_range(call, message):
     or a KeyError."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("ts, orientation, message", [
+    ([4.0, -1.0], "x", "t must be >= 0"),
+    ([4.0], "y", "orientation must be 'x' or 'z'"),
+])
+def test_level_sum_estimate_rejects_negative_t_and_unknown_orientation(
+        ts, orientation, message):
+    w, m, c = ball_window(2, 4)
+    with pytest.raises(ValueError, match=message):
+        analysis.level_sum_estimate(w, m, ts, c, orientation=orientation)

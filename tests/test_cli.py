@@ -108,6 +108,30 @@ def test_heat_too_large_names_radius_and_remedy(tmp_path, capsys):
     assert "max_vertices" not in err and "up to" not in err
 
 
+@pytest.mark.parametrize("q", [5, 64])
+def test_heat_checks_the_cap_at_radius_10_first(tmp_path, capsys, monkeypatch, q):
+    """For q >= 5 the radius-10 ball is already over the vertex cap: exit 2
+    naming radius 10 and the cap, before any group sum sizes the ball."""
+    def no_group_sums(*args):
+        raise AssertionError("heat sized its ball past the cap")
+    monkeypatch.setattr(analysis, "heat_ball_radius", no_group_sums)
+    assert run(["heat", "--q", str(q), "--t", "256",
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "radius 10 (" in err and "cap of 2,000,000" in err
+
+
+def test_heat_group_sum_past_double_range_exits_one(tmp_path):
+    """At q = 4, t = 4096 the heat column's group sums need measures past
+    double range: exit 1 with a failure record, not a ball sized from a
+    column that lost mass."""
+    out = tmp_path / "o"
+    assert run(["heat", "--q", "4", "--t", "4096", "--out", str(out)]) == 1
+    rec = json.loads((out / "failure.json").read_text())
+    assert rec["failure"]["check"] == "numerical"
+    assert "double range" in rec["failure"]["message"]
+
+
 def test_heat_command(tmp_path):
     out = tmp_path / "o"
     assert run(["heat", "--q", "2", "--t", "2.0", "--out", str(out)]) == 0
@@ -140,6 +164,15 @@ def test_riesz_skew_check_failure_record(tmp_path):
     assert code == 1
     rec = json.loads((out / "failure.json").read_text())
     assert rec["command"] == "riesz-skew-check"
+
+
+def test_riesz_skew_check_records_the_applied_tol(tmp_path):
+    """With --tol unset the check applies 1e-6, and the sidecar says so."""
+    out = tmp_path / "o"
+    assert run(["riesz-skew-check", "--window", "zline", "--dmax", "4",
+                "--out", str(out)]) == 0
+    meta = json.loads((out / "riesz_skew_check.csv.meta.json").read_text())
+    assert meta["tol"] == 1e-6
 
 
 def test_config_file_and_override(tmp_path):
@@ -338,6 +371,24 @@ def test_mh_norms_l_grid_needs_two_distinct_levels(tmp_path, capfd, value):
     assert "DLASCL" not in out + err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["sharpness", "--t-grid", "1"], "--t-grid"),
+    (["divergence", "--d-grid", "0,8"], "--d-grid"),
+    (["weighted-sweep", "--q-grid", "0"], "--q-grid"),
+    (["spectrum", "--d-grid", "0"], "--d-grid"),
+    (["weighted-sweep", "--t-grid", "0"], "--t-grid"),
+    (["level-sum", "--t-grid", "inf"], "--t-grid"),
+    (["spectrum", "--theta-grid", "x"], "--theta-grid"),
+    (["level-sum", "--t-grid=-1,2"], "--t-grid"),
+], ids=["sharpness-t1", "divergence-d0", "weighted-sweep-q0", "spectrum-d0",
+        "weighted-sweep-t0", "level-sum-inf", "spectrum-theta-x", "level-sum-t-1"])
+def test_bad_grid_names_its_flag(tmp_path, capsys, argv, flag):
+    """A grid refused for its form or its range exits 2 naming the flag."""
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
 def _strict_json(text):
     def reject(token):
         raise ValueError(f"{token} is not JSON")
@@ -500,7 +551,8 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_commands_exit_zero(tmp_path, monkeypatch):
     """Every command in the README's command-line block exits 0, and none
-    builds a window larger than heat's radius-12 binary ball."""
+    builds a window larger than heat's radius-12 binary ball.  A second run
+    of every command writes byte-identical artifacts, sidecars included."""
     block = README.read_text(encoding="utf-8").split("## Command line")[1]
     lines = [ln.split("#")[0] for ln in block.split("```")[1].splitlines()]
     commands = [shlex.split(ln) for ln in lines if ln.strip()]
@@ -513,9 +565,14 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
         return finish(builder, *args)
     monkeypatch.setattr(trees._Builder, "finish", recording_finish)
     failed = []
-    for i, argv in enumerate(commands):
-        assert argv[0] == "flowtree" and argv[-2] == "--out"
-        if run(argv[1:-2] + ["--out", str(tmp_path / str(i))]) != 0:
-            failed.append(" ".join(argv))
+    for rerun in ("first", "second"):
+        for i, argv in enumerate(commands):
+            assert argv[0] == "flowtree" and argv[-2] == "--out"
+            if run(argv[1:-2] + ["--out", str(tmp_path / rerun / str(i))]) != 0:
+                failed.append(" ".join(argv))
     assert not failed
     assert max(sizes) <= trees.ball_vertex_bound(2, 12)
+    artifacts = [{p.relative_to(root): p.read_bytes()
+                  for p in root.rglob("*") if p.is_file()}
+                 for root in (tmp_path / "first", tmp_path / "second")]
+    assert artifacts[0] and artifacts[0] == artifacts[1]

@@ -7,6 +7,7 @@ rational nonhomogeneous, and float windows, plus the grouped level and
 column sums against brute-force window enumeration.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -62,7 +63,7 @@ def test_matches_radial_formula_on_canonical_tree():
     gradk = zline.heat_z_gradkernel(t, 90)
     rad = abel.radial_from_gradkernel(q, gradk, 40)
     w, m, c = ball_window(q, 8)
-    chain = flowkernel.chain_of(w, m, c, top_level=w.level[c] + 44)
+    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     for z in list(w.vertices)[:200]:
         d = w.distance(z, c)
         if d > 16:
@@ -81,15 +82,14 @@ def test_float_gradient_variants_match_shifted_pairs():
     import flowtree.trees as trees
     safe = sorted(trees.safe_region(w, 2))
     rng = random.Random(9)
-    top = w.level[w.apex]
     for _ in range(20):
         x, z = rng.choice(safe), rng.choice(safe)
-        cx = flowkernel.chain_of(w, m, x, top)
+        cx = flowkernel.chain_of(w, m, x)
         a = w.lca(x, z)
         lx, lz, j0 = w.level[x], w.level[z], w.level[a]
         base = flowkernel.variant_value(gradk, cx, lx, lz, j0, "plain")
         px = w.parent(x)
-        cpx = flowkernel.chain_of(w, m, px, top)
+        cpx = flowkernel.chain_of(w, m, px)
         apx = w.lca(px, z)
         base_px = flowkernel.variant_value(gradk, cpx, w.level[px], lz,
                                            w.level[apx], "plain")
@@ -110,11 +110,11 @@ def test_level_sum_matches_brute_force():
     gradk = zline.heat_z_gradkernel(t, 160)
     x = w.children(b)[0]
     lx = w.level[x]
-    full = flowkernel.chain_of(w, m, x, lx + 80)
+    full = flowkernel.chain_of(w, m, x, len(gradk) - 1)
     lb = w.level[b]
+    lam, j, km = flowkernel.column_masses(full, gradk, lx, "gradstar_z")
     for l in (lx - 3, lx - 1, lx, lx + 1):
-        got = flowkernel.level_sum(full, gradk, lx, l, orientation="x",
-                                   j0_cap=lb)
+        got = float(np.sum(km[(lam == l) & (j <= lb)]))
         brute = 0.0
         for z in w.vertices:
             if w.level[z] != l or not w.is_below(z, b):
@@ -131,7 +131,7 @@ def test_weighted_colsum_matches_homog_radial():
     gradk = zline.heat_z_gradkernel(t, 140)
     rad = abel.radial_from_gradkernel(q, gradk, 100)
     w, m, c = ball_window(q, 4)
-    chain = flowkernel.chain_of(w, m, c, w.level[c] + 120)
+    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     eps = 1.0
     wfun = lambda d: np.exp(eps * d / math.sqrt(t))
     for variant_prof, variant_rad in (("plain", "plain"), ("grad_x", "grad_x"),
@@ -215,7 +215,7 @@ def test_weighted_colsum_matches_window_enumeration():
     col = kernel_column_lambda_poly(w, m, coeffs, y)
     want, truncated = weighted_col_sums(w, m, col, lambda d, lx, ly: 1.0 + d)
     assert not truncated
-    chain = flowkernel.chain_of(w, m, y, w.level[w.apex])
+    chain = flowkernel.chain_of(w, m, y)
     got = flowkernel.weighted_colsum(chain, gradk, w.level[y],
                                      lambda d: 1.0 + d, "plain")
     assert abs(got - float(want)) < 1e-12
@@ -311,8 +311,57 @@ def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
     the same order as one block."""
     w, m, c = ball_window(2, 0, backend="float")
     gradk = zline.heat_z_gradkernel(16.0, 80)
-    chain = flowkernel.chain_of(w, m, c, 90)
+    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     whole = flowkernel.distance_masses(chain, gradk, 0, "grad_both")
     monkeypatch.setattr(flowkernel, "_BLOCK_ENTRIES", 50)
     assert np.array_equal(flowkernel.distance_masses(chain, gradk, 0, "grad_both"),
                           whole)
+
+
+# (q, t) where q^(nmax + 2) stays inside double range; a chain cut where its
+# inverse measures fell below 1e-45 of the first read these 1.2-14.5 % low
+FULL_REACH = [(2, 4096.0), (3, 1024.0), (8, 256.0), (64, 64.0)]
+
+
+@pytest.mark.parametrize("q, t", FULL_REACH)
+def test_group_sums_match_the_radial_route(q, t):
+    """The profile route's weighted column sums (weight e^{d/sqrt t}) equal
+    the radial route's closed-form operator sums, and the heat column's
+    masses per distance add up to 1, at large t and large q."""
+    gradk = analysis._heat_gradk(t)
+    rad = abel.radial_from_gradkernel(q, gradk, len(gradk) - 3)
+    w, m, c = ball_window(q, 0, backend="float")
+    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
+    assert not chain.truncated
+    for variant in ("plain", "grad_x"):
+        got = flowkernel.weighted_colsum(chain, gradk, 0,
+                                         lambda d: np.exp(d / math.sqrt(t)), variant)
+        want, _ = abel.homog_weighted_opsum(q, rad, lambda d: math.exp(d / math.sqrt(t)),
+                                            variant)
+        assert abs(got - want) <= 1e-12 * want
+    assert abs(flowkernel.distance_masses(chain, gradk, 0).sum() - 1.0) <= 1e-12
+
+
+def test_group_sum_past_double_range_raises():
+    """At q = 64, t = 4096 the chain's inverse measures leave double range
+    below the levels the column's groups read: a NumericalError, not a sum
+    that lost mass.  Pair values from the same chain still evaluate."""
+    gradk = analysis._heat_gradk(4096.0)
+    w, m, c = ball_window(64, 0, backend="float")
+    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
+    assert not chain.truncated and chain.top_level < len(gradk) + 1
+    with pytest.raises(zline.NumericalError, match="double range"):
+        flowkernel.distance_masses(chain, gradk, 0)
+    assert flowkernel.variant_value(gradk, chain, 0, 0, 0) != 0
+
+
+def test_chain_climbs_to_its_reach():
+    """A chain for a kernel of largest index nmax holds levels up to
+    level(x) + nmax + 2, past the apex by the growth law; with no nmax it
+    stops at the apex; a window with no growth law is flagged truncated."""
+    w, m, b = constant_ratio_window((Fraction(2, 3), Fraction(1, 3)), depth=3, up=4)
+    lb = w.level[b]
+    assert flowkernel.chain_of(w, m, b).top_level == w.level[w.apex]
+    assert flowkernel.chain_of(w, m, b, 40).top_level == lb + 42
+    chain = flowkernel.chain_of(dataclasses.replace(w, up_ratio=None), m, b, 40)
+    assert chain.truncated and chain.top_level == w.level[w.apex]
