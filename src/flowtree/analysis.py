@@ -2,20 +2,18 @@
 
 Everything here reduces to two engines: the radial calculus on the q-ary
 tree (module abel) and the ancestor-profile formula (module flowkernel),
-fed with closed-form gradient heat kernels on the integer line.  Slope fits
-are ordinary least squares on logs with the residual reported; suprema over
-anchors sample stratified vertices when the certified region is large.
+fed with closed-form line kernels: heat gradient kernels, and ktilde_z for
+the Riesz transform.  Slope fits are ordinary least squares on logs with
+the residual reported; suprema over anchors sample stratified vertices
+when the certified region is large.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
-from collections import Counter, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Iterable, Optional
 
 import numpy as np
@@ -33,14 +31,20 @@ SQRT_PI = math.sqrt(math.pi)
 HEAT_TOL = 1e-17
 # rayleigh_bounds solves densely up to this many vertices
 DENSE_SOLVE_CAP = 500
+# Riesz values profile the line kernel on n = 0..RIESZ_CUT and sum the rest
+RIESZ_CUT = 10_000
 
 
-def ktilde_z(n: int) -> float:
-    """Convolution kernel of the skew Riesz part on the line:
-    (2 sqrt(2) / pi) n / (n^2 - 1/4)."""
-    if n == 0:
-        return 0.0
-    return (2.0 * math.sqrt(2.0) / math.pi) * n / (n * n - 0.25)
+def ktilde_z(n) -> np.ndarray:
+    """Convolution kernel of the skew Riesz part on the line, and the
+    symmetric-gradient line kernel of L^(-1/2): (2 sqrt(2) / pi) n /
+    (n^2 - 1/4), zero at n = 0, for an integer or an integer array."""
+    n = np.asarray(n, dtype=float)
+    return np.where(n == 0, 0.0, (2.0 * math.sqrt(2.0) / math.pi) * n / (n * n - 0.25))
+
+
+_RIESZ_KERNEL = ktilde_z(np.arange(RIESZ_CUT + 1))
+_RIESZ_KERNEL.setflags(write=False)
 
 
 def fit_loglog(xs, ys) -> dict:
@@ -64,12 +68,7 @@ class EstimateReport:
     meta: dict = field(default_factory=dict)
 
     def csv_header(self):
-        keys = []
-        for r in self.rows:
-            for k in r:
-                if k not in keys:
-                    keys.append(k)
-        return keys
+        return list(dict.fromkeys(k for r in self.rows for k in r))
 
     def csv_rows(self):
         keys = self.csv_header()
@@ -83,7 +82,8 @@ class QuadratureSpec:
     The t-integral runs as u = sqrt(t) Gauss-Legendre on (0, 1], then
     per-decade Gauss-Legendre panels in log t up to t_cut; the remaining
     tail decays like 1/t_cut (gradient heat kernels decay like t^{-3/2}
-    pointwise) and is handled by one Richardson step on the last decade.
+    pointwise), so one Richardson step on the last decade estimates it.
+    No command uses it: it is the tests' oracle for the Riesz kernel.
     """
 
     interior_nodes: int = 48
@@ -122,35 +122,21 @@ def _riesz_gradkernels(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
 
     The ancestor-profile formula is linear in the line kernel, so profiling
     these two sums equals profiling every node and summing the results.
-    The sums run in extended precision: rounded once, they keep the Riesz
-    values as close to the exact quadrature as the node-by-node sums were.
-    `ive` releases the GIL, so the kernels are evaluated on one thread per
-    CPU, at most two per thread ahead of the sums, which add them in node
-    order: the result does not depend on the CPU count.
+    The sums run in extended precision and in node order: rounded once,
+    they keep the Riesz values as close to the exact quadrature as the
+    node-by-node sums were.
     """
     ndec = int(round(math.log10(spec.t_cut)))
     nodes = spec.nodes()
     # kernel lengths grow with t, so the longest fixes the sums' length
     size = heat_support_radius(max(t for t, _, _ in nodes), HEAT_TOL) + 1
-    total = np.zeros(size, dtype=np.longdouble)
-    last = np.zeros(size, dtype=np.longdouble)
-    try:
-        workers = len(os.sched_getaffinity(0))
-    except AttributeError:
-        workers = os.cpu_count() or 1
-    with ThreadPoolExecutor(workers) as pool:
-        futures = (pool.submit(_heat_gradk, t) for t, _, _ in nodes)
-        pending = deque(islice(futures, 2 * workers))
-        for _, w, block in nodes:
-            g = w * pending.popleft().result()
-            pending.extend(islice(futures, 1))
-            total[:len(g)] += g
-            if block == ndec:
-                last[:len(g)] += g
-    total, last = total.astype(float), last.astype(float)
-    total.setflags(write=False)
-    last.setflags(write=False)
-    return total, last
+    sums = np.zeros((2, size), dtype=np.longdouble)
+    for t, w, block in nodes:
+        g = w * _heat_gradk(t)
+        sums[:1 + (block == ndec), :len(g)] += g   # row 1: the last decade
+    sums = sums.astype(float)
+    sums.setflags(write=False)
+    return sums[0], sums[1]
 
 
 def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
@@ -284,40 +270,52 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
         "abscissa": "log(1+t)"})
 
 
-def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs,
-                        spec: Optional[QuadratureSpec] = None):
-    """Batched Riesz kernel values (gradient in the first variable).
+def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs):
+    """Batched Riesz kernel values (gradient in the first variable) and
+    computed bounds on what they leave out.
 
-    Each pair profiles the quadrature's summed gradient kernel, built once
-    per spec.  Every term of a pair's profile sum sits at a common
-    ancestor, so either end's chain serves the pair; pairs take the end
-    that more pairs share, and each chain makes one array call per kernel.
-    The last decade of the t-quadrature feeds one Richardson step for the
-    truncated tail (contributions decay like 1/t there); the per-pair error
-    estimate combines that step with the chain-truncation flag.
+    A value is the grad_x profile sum of the line kernel k = ktilde_z of
+    L^(-1/2), profiled on n = 0..N (N = RIESZ_CUT) from the chain of the end
+    more pairs share (either end's chain holds every common ancestor).
+
+    Remainder: with s = level(x) + level(y), level J reads h(n) = k(n) -
+    k(n - 1) at n = 2J - s + 1, and the profiled h ends with h(N + 1) =
+    -k(N).  The omitted levels J >= J_a = ceil((N + s) / 2), with inverse
+    measures w_J, add up to sum_i w_{J_a + i} e_i, where e = (k(N+1),
+    k(N+3) - k(N+2), ...) if N - s is even, else (k(N+2) - k(N+1), k(N+4) -
+    k(N+3), ...).  As k(n) = (sqrt(2)/pi) (1/(n - 1/2) + 1/(n + 1/2)), the
+    sum over j >= 0 of (-1)^j k(n + j) telescopes to (sqrt(2)/pi)/(n - 1/2).
+    So where w is constant from J_a up (growth law 1, J_a at or above the
+    apex), the remainder is +-(sqrt(2)/pi) w_{J_a} / (N + 1/2), + if N - s
+    is even: it is added, and the bound is 0.  Elsewhere w never increases
+    going up and k falls, so |remainder| <= w_{J_a} k(N + 1), the bound: 0
+    where the chain left double range below J_a, inf on a truncated chain.
+    Rounding is left out.  Pairs must lie at distance below N.
     """
-    spec = spec or QuadratureSpec()
-    total_k, last_k = _riesz_gradkernels(spec)
     lx, ly, j0 = np.array([(window.level[x], window.level[y],
                             window.level[window.lca(x, y)]) for x, y in pairs]).T
+    s = lx + ly
+    if (2 * j0 - s >= RIESZ_CUT).any():
+        raise ValueError(f"Riesz values need pairs at distance below {RIESZ_CUT}")
+    first = (RIESZ_CUT + s + 1) // 2
+    exact = (window.up_ratio == 1) & (first >= window.level[window.apex])
+    tail = np.where(exact, (-1.0) ** (RIESZ_CUT - s) * math.sqrt(2.0) / math.pi
+                    / (RIESZ_CUT + 0.5), 0.0)
+    bound = np.where(exact, 0.0, ktilde_z(RIESZ_CUT + 1))
     uses = Counter(v for pair in pairs for v in pair)
     ends = np.array([x if uses[x] >= uses[y] else y for x, y in pairs])
-    totals, last_decade = np.zeros((2, len(pairs)), dtype=complex)
-    chains = {e: flowkernel.chain_of(window, measure, e, len(total_k) - 1)
-              for e in dict.fromkeys(ends.tolist())}
-    for e, chain in chains.items():
+    vals = np.zeros(len(pairs), dtype=complex)
+    bounds = np.full(len(pairs), np.inf)
+    for e in dict.fromkeys(ends.tolist()):
+        chain = flowkernel.chain_of(window, measure, e, RIESZ_CUT)
         idx = np.flatnonzero(ends == e)
-        for out, gk in ((totals, total_k), (last_decade, last_k)):
-            out[idx] = flowkernel.variant_value(gk, chain, lx[idx], ly[idx],
-                                                j0[idx], "grad_x")
-    # Richardson: with 1/t tail behavior the remaining mass past t_cut is
-    # (last decade contribution) / 9
-    correction = last_decade / 9.0
-    totals += correction
-    errs = np.abs(correction) / 3.0 + 1e-12
-    if any(c.truncated for c in chains.values()):
-        errs += np.inf
-    return [complex(v) for v in totals], [float(e) for e in errs]
+        vals[idx] = flowkernel.variant_value(_RIESZ_KERNEL, chain, lx[idx], ly[idx],
+                                             j0[idx], "grad_x")
+        if not chain.truncated:
+            w = flowkernel._at(chain.inv, first[idx] - chain.base_level)
+            vals[idx] += tail[idx] * w
+            bounds[idx] = bound[idx] * w
+    return [complex(v) for v in vals], [float(b) for b in bounds]
 
 
 def riesz_skew_closed(window: TreeWindow, measure: FlowMeasure,
@@ -325,32 +323,26 @@ def riesz_skew_closed(window: TreeWindow, measure: FlowMeasure,
     """Closed form of the skew Riesz kernel: ktilde of the level gap over the
     measure of the upper vertex on comparable pairs, zero otherwise."""
     a = window.lca(x, y)
-    n = window.level[x] - window.level[y]
-    if a == y and x != y:  # x strictly below y
-        return ktilde_z(n) / measure.as_float(y)
-    if a == x and x != y:  # y strictly below x
-        return ktilde_z(n) / measure.as_float(x)
-    return 0.0
+    if x == y or a not in (x, y):
+        return 0.0
+    return float(ktilde_z(window.level[x] - window.level[y])) / measure.as_float(a)
 
 
 def riesz_skew_check(window: TreeWindow, measure: FlowMeasure,
                      pairs) -> EstimateReport:
-    """Antisymmetrized quadrature Riesz kernel against the closed form."""
-    both = list(pairs) + [(y, x) for x, y in pairs]
-    vals, errs = riesz_kernel_values(window, measure, both)
-    fwd, rev = vals[:len(pairs)], vals[len(pairs):]
-    errf, errr = errs[:len(pairs)], errs[len(pairs):]
+    """Antisymmetrized Riesz kernel against the closed form, with the sum of
+    the two values' tail bounds."""
+    n = len(pairs)
+    vals, bounds = riesz_kernel_values(window, measure,
+                                       list(pairs) + [(y, x) for x, y in pairs])
     rows = []
-    worst = 0.0
-    for (x, y), kf, kr, e1, e2 in zip(pairs, fwd, rev, errf, errr):
-        skew = complex(kf) - complex(kr).conjugate()
+    for (x, y), kf, kr, b1, b2 in zip(pairs, vals, vals[n:], bounds, bounds[n:]):
+        skew = kf - kr.conjugate()
         closed = riesz_skew_closed(window, measure, x, y)
-        dev = abs(skew - closed)
-        worst = max(worst, dev)
         rows.append({"x": x, "y": y, "d": window.distance(x, y),
-                     "skew_re": skew.real, "closed": closed, "dev": dev,
-                     "err_est": e1 + e2})
-    return EstimateReport(rows, {}, {"max_dev": worst})
+                     "skew_re": skew.real, "closed": closed,
+                     "dev": abs(skew - closed), "tail_bound": b1 + b2})
+    return EstimateReport(rows, {}, {"max_dev": max(r["dev"] for r in rows)})
 
 
 def weighted_heat_sweep(eps: float, t_grid, q_grid) -> EstimateReport:

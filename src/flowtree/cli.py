@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -214,9 +215,11 @@ def _check_ball(q: int, t: float, radius: int) -> None:
     """Refuse a heat ball on the q-ary tree that passes the vertex cap."""
     need = ball_vertex_bound(q, radius)
     if need > DEFAULT_VERTEX_CAP:
+        # counts of more than 12 digits to two figures
+        count = f"{need:,}" if need < 10 ** 12 else f"about {Decimal(need):.1e}"
         raise TreeError(
             f"heat at t={t:g} on the {q}-ary tree needs a ball of radius "
-            f"{radius} ({need:,} vertices, over the cap of "
+            f"{radius} ({count} vertices, over the cap of "
             f"{DEFAULT_VERTEX_CAP:,}); use a smaller --t, or a window "
             "file with --tree")
 
@@ -262,7 +265,7 @@ def cmd_riesz(args, out):
     vals, errs = analysis.riesz_kernel_values(window, measure, pairs)
     rows = [(x, y, v.real, v.imag, e) for (x, y), v, e in zip(pairs, vals, errs)]
     pathcsv = os.path.join(out, "riesz.csv")
-    reports.write_csv(pathcsv, ["x", "y", "re", "im", "err_est"], rows)
+    reports.write_csv(pathcsv, ["x", "y", "re", "im", "tail_bound"], rows)
     reports.write_meta(pathcsv, {"pairs": len(pairs), "anchor": anchor,
                                  **_window_meta(window)})
     return {}
@@ -387,7 +390,8 @@ def cmd_weighted_sweep(args, out):
 def cmd_level_sum(args, out):
     ts = _grid(args, "--t-grid", [2.0 ** k for k in range(8)], least=0)
     flow = parse_ratios(args.ratios) if args.ratios else _given(args.q, 2)
-    window, measure, x = ball_window(flow, 4)
+    # the sums read the anchor's ancestor chain only: the radius-0 ball
+    window, measure, x = ball_window(flow, 0)
     rep = analysis.level_sum_estimate(window, measure, ts, x)
     pathcsv = os.path.join(out, "level_sum.csv")
     reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())

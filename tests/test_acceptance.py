@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import record_acceptance, riesz_quadrature
 from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
                       safe_region, spine_window)
 from flowtree import abel, analysis, quotient, zline
@@ -96,16 +96,28 @@ def test_criterion_03_line_base_cases():
     finish(3, ok, f"one-step kernel dev {dev:.1e}; Parseval {resid:.1e}", t0, 30.0)
 
 
+def _within_quadrature(w, m, pairs) -> bool:
+    """The closed-form Riesz values in both orders of each pair lie within
+    the quadrature oracle's error estimate."""
+    both = pairs + [(y, x) for x, y in pairs]
+    vals, _ = analysis.riesz_kernel_values(w, m, both)
+    want, errs = riesz_quadrature(w, m, both)
+    return all(abs(v - u) <= e for v, u, e in zip(vals, want, errs))
+
+
 def test_criterion_04_riesz_skew_identity():
-    """Antisymmetrized quadrature Riesz kernel equals the closed skew form to
-    1e-6 at all pairs within distance 8, on the line, the binary canonical
-    tree, and a golden-ratio flow window."""
+    """Antisymmetrized Riesz kernel equals the closed skew form to 1e-6 at
+    all pairs within distance 8, on the line, the binary canonical tree,
+    and a golden-ratio flow window; there the closed-form Riesz values lie
+    within the subordination quadrature's error estimate."""
     t0 = time.time()
     worst = 0.0
+    oracle = True
     # the line
     w, m, c = ball_window(1, 12)
     pairs = sorted((x, c) for x in w.vertices if 0 < w.distance(x, c) <= 8)
     worst = max(worst, analysis.riesz_skew_check(w, m, pairs).meta["max_dev"])
+    oracle &= _within_quadrature(w, m, pairs)
     # sanity pin of the nearest-neighbour constant
     p = w.parent(c)
     skew_1 = analysis.riesz_skew_closed(w, m, p, c)
@@ -115,6 +127,7 @@ def test_criterion_04_riesz_skew_identity():
     w2, m2, c2 = ball_window(2, 9)
     pairs2 = sorted((x, c2) for x in w2.vertices if 0 < w2.distance(x, c2) <= 8)
     worst = max(worst, analysis.riesz_skew_check(w2, m2, pairs2).meta["max_dev"])
+    oracle &= _within_quadrature(w2, m2, pairs2)
     # golden-ratio flow
     wg, mg, bg = constant_ratio_window((GOLDEN, 1 - GOLDEN), depth=13, up=16,
                                        backend="float")
@@ -122,8 +135,10 @@ def test_criterion_04_riesz_skew_identity():
     pg = sorted((x, anchor) for x in wg.vertices
                 if 0 < wg.distance(x, anchor) <= 8)
     worst = max(worst, analysis.riesz_skew_check(wg, mg, pg).meta["max_dev"])
-    finish(4, worst <= 1e-6,
-           f"max skew deviation {worst:.2e} over line/binary/golden", t0, 10.0)
+    oracle &= _within_quadrature(wg, mg, pg)
+    finish(4, worst <= 1e-6 and oracle,
+           f"max skew deviation {worst:.2e} over line/binary/golden; "
+           f"within the quadrature's error estimate: {oracle}", t0, 10.0)
 
 
 def test_criterion_05_transference_exactness():
@@ -299,3 +314,29 @@ def test_criterion_13_divergence_increments():
     ok = all(abs(incs[d] / math.log(2.0) - 1.0) <= 0.25 for d in (16, 32, 64))
     detail = ", ".join(f"D={d}: {incs[d]:.4f}" for d in (16, 32, 64))
     finish(13, ok, f"{detail} vs log2={math.log(2.0):.4f}", t0, 60.0)
+
+
+def _ktilde_doubling_sum(d: int) -> float:
+    """sum_{k=D+1}^{2D} ktilde_z(k) in digamma form: ktilde_z(k) =
+    (sqrt(2)/pi) (1/(k - 1/2) + 1/(k + 1/2))."""
+    from scipy.special import psi
+    return (math.sqrt(2.0) / math.pi) * (psi(2 * d + 0.5) - psi(d + 0.5)
+                                         + psi(2 * d + 1.5) - psi(d + 1.5))
+
+
+def test_criterion_13_increments_are_ktilde_sums():
+    """Criterion 13's increments are exactly sum_{k=D+1}^{2D} ktilde_z(k)
+    (every depth-n slice below x1 has mass m(x1)), whose limit is
+    (2 sqrt(2)/pi) log 2, not log 2; the gap to it falls like
+    1/(pi sqrt(2) D)."""
+    w, m, x1 = spine_window(depth=132)
+    incs = analysis.divergence_probe(w, m, x1, [16, 32, 64]).fit["increments"]
+    for d, inc in incs.items():
+        want = math.fsum(analysis.ktilde_z(np.arange(d + 1, 2 * d + 1)))
+        assert abs(inc - want) <= 1e-12
+        assert abs(_ktilde_doubling_sum(d) - want) <= 1e-12
+    limit = (2 * math.sqrt(2.0) / math.pi) * math.log(2.0)
+    assert abs(_ktilde_doubling_sum(2 ** 20) - limit) <= 1e-6
+    for d in (2 ** 10, 2 ** 20):
+        gap = limit - _ktilde_doubling_sum(d)
+        assert abs(gap * d - 1 / (math.pi * math.sqrt(2.0))) <= 1e-3

@@ -1,9 +1,7 @@
 """Heat, Riesz, level-sum, multiplier, and spectrum experiments."""
 
+import dataclasses
 import math
-import os
-import threading
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +10,10 @@ import pytest
 from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
                       safe_region, spine_window)
 from flowtree import analysis, flowkernel, zline
-from flowtree.analysis import QuadratureSpec
+from flowtree.analysis import RIESZ_CUT, QuadratureSpec
 from flowtree.trees import ball
+
+from conftest import riesz_quadrature
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -133,14 +133,71 @@ def test_riesz_quadrature_incomparable_skew_vanishes(t2_ball):
 
 
 def test_riesz_truncation_consistency(z_ball):
-    """Halving the quadrature cutoff moves values within the error budget."""
+    """Cutting the oracle quadrature a decade earlier moves its values
+    within its error budget."""
     w, m, c = z_ball
     p = w.parent(c)
     full = QuadratureSpec(t_cut=1e8)
     trunc = QuadratureSpec(t_cut=1e7)
-    (v1,), (e1,) = analysis.riesz_kernel_values(w, m, [(c, p)], full)
-    (v2,), (e2,) = analysis.riesz_kernel_values(w, m, [(c, p)], trunc)
+    (v1,), (e1,) = riesz_quadrature(w, m, [(c, p)], full)
+    (v2,), (e2,) = riesz_quadrature(w, m, [(c, p)], trunc)
     assert abs(v1 - v2) <= 10 * (e1 + e2)
+
+
+def _line_riesz_direct(lx, lz, nmax):
+    """The Riesz value (gradient in x) on the line, where m = 1, summed
+    term by term to index nmax: the level-lx term when x is not below z,
+    then k(n + 1) - k(n) at n = 2J - lx - lz from J = max(lx + 1, lz) on;
+    what is left alternates, and telescopes to -(sqrt(2)/pi) / (n - 1/2)
+    from the first omitted n."""
+    k = analysis.ktilde_z
+    n = np.arange(2 * max(lx + 1, lz) - lx - lz, nmax, 2)
+    head = float(k(lx - lz + 1)) if lx >= lz else 0.0
+    tail = -(math.sqrt(2.0) / math.pi) / (n[-1] + 1.5)
+    return head + math.fsum(k(n + 1) - k(n)) + tail
+
+
+def test_riesz_line_values_match_a_long_direct_sum():
+    """On the line the profiled kernel plus its telescoped remainder equals
+    a direct sum to n = 10^6 plus its tail, and the bound is 0."""
+    w, m, c = ball_window(1, 12)
+    pairs = [(x, c) for x in w.vertices if w.distance(x, c) <= 8]
+    pairs += [(c, x) for x, _ in pairs]
+    vals, bounds = analysis.riesz_kernel_values(w, m, pairs)
+    for (x, y), v, b in zip(pairs, vals, bounds):
+        want = _line_riesz_direct(w.level[x], w.level[y], 10 ** 6)
+        assert abs(v - want) <= 1e-14 and v.imag == 0.0 and b == 0.0
+
+
+def test_riesz_tail_bound_holds_where_weights_fall_slowly():
+    """Where the inverse measures fall by 0.9999 a level, the remainder past
+    the cut is left in the bound: profiling to n = 10^6 moves the values by
+    at most the bound, and by at least a quarter of it."""
+    w, m, c = ball_window((0.9999, 0.0001), 2, backend="float")
+    pairs = sorted((x, c) for x in w.vertices if x != c)
+    vals, bounds = analysis.riesz_kernel_values(w, m, pairs)
+    nmax = 10 ** 6
+    chain = flowkernel.chain_of(w, m, c, nmax)
+    for (x, y), v, b in zip(pairs, vals, bounds):
+        at = (w.level[x], w.level[y], w.level[w.lca(x, y)])
+        want = flowkernel.variant_value(analysis.ktilde_z(np.arange(nmax + 1)),
+                                        chain, *at, "grad_x")
+        assert b / 4 <= abs(v - want) <= b
+
+
+def test_riesz_truncated_chain_has_no_bound(t2_ball):
+    """A window with no growth law cannot say what lies past its apex."""
+    w, m, c = t2_ball
+    vals, bounds = analysis.riesz_kernel_values(
+        dataclasses.replace(w, up_ratio=None), m, [(c, w.parent(c))])
+    assert bounds == [math.inf] and math.isfinite(abs(vals[0]))
+
+
+def test_riesz_pairs_beyond_the_cut_are_refused():
+    w, m, c = ball_window(1, RIESZ_CUT)
+    far = next(x for x in w.vertices if w.distance(x, c) == RIESZ_CUT)
+    with pytest.raises(ValueError, match="distance below"):
+        analysis.riesz_kernel_values(w, m, [(far, c)])
 
 
 def test_weighted_heat_sweep_bands():
@@ -302,7 +359,7 @@ def test_sobolev_growth_exponents():
 def _riesz_per_node(window, measure, pairs, spec):
     """Reference Riesz quadrature: every node's heat gradient kernel goes
     through the profile formula at every pair, and the weighted results are
-    summed (one Richardson step on the last decade, as in the library)."""
+    summed (one Richardson step on the last decade, as in the oracle)."""
     ndec = int(round(math.log10(spec.t_cut)))
     nmax = zline.heat_support_radius(spec.t_cut, 1e-17)
     ctx = []
@@ -325,9 +382,10 @@ def _riesz_per_node(window, measure, pairs, spec):
 
 def test_riesz_summed_kernel_matches_per_node_quadrature():
     """Profiling the summed quadrature kernel once equals the per-node sum,
-    on the line, the binary tree and a golden-ratio flow.  The line runs a
-    shorter quadrature: its chain does not decay, so every node costs a
-    dot product as long as the chain."""
+    and the closed-form values lie within each pair's quadrature error
+    estimate, on the line, the binary tree and a golden-ratio flow.  The
+    line runs a shorter quadrature: its chain does not decay, so every node
+    costs a sum as long as the chain."""
     zw, zm, zc = ball_window(1, 12)
     bw, bm, bc = ball_window(2, 9)
     gw, gm, gb = constant_ratio_window((GOLDEN, 1 - GOLDEN), depth=9, up=16,
@@ -342,10 +400,12 @@ def test_riesz_summed_kernel_matches_per_node_quadrature():
               + [(ga, x) for x in sorted(gw.vertices)[5::120]],
               QuadratureSpec())]
     for w, m, pairs, spec in cases:
-        vals, errs = analysis.riesz_kernel_values(w, m, pairs, spec)
+        vals, errs = riesz_quadrature(w, m, pairs, spec)
         want_v, want_e = _riesz_per_node(w, m, pairs, spec)
         assert max(abs(v - u) for v, u in zip(vals, want_v)) < 1e-13
         assert max(abs(e - u) for e, u in zip(errs, want_e)) < 1e-15
+        closed, _ = analysis.riesz_kernel_values(w, m, pairs)
+        assert all(abs(v - u) <= e for v, u, e in zip(closed, want_v, want_e))
 
 
 def test_riesz_kernels_cached_per_spec():
@@ -355,87 +415,6 @@ def test_riesz_kernels_cached_per_spec():
     assert len(b[0]) < len(a[0]) and not np.array_equal(b[1], a[1][:len(b[1])])
     for arr in a + b:
         assert not arr.flags.writeable
-
-
-def _riesz_gradkernels_serial(spec):
-    """Reference: one kernel after another, each padded into the sums."""
-    ndec = int(round(math.log10(spec.t_cut)))
-    total = np.zeros(0, dtype=np.longdouble)
-    last = np.zeros(0, dtype=np.longdouble)
-    for t, w, block in spec.nodes():
-        g = w * analysis._heat_gradk(t)
-        if len(g) > len(total):
-            total = np.pad(total, (0, len(g) - len(total)))
-            last = np.pad(last, (0, len(g) - len(last)))
-        total[:len(g)] += g
-        if block == ndec:
-            last[:len(g)] += g
-    return total.astype(float), last.astype(float)
-
-
-def _assert_same_bits(got, want):
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def test_riesz_kernels_bit_equal_to_serial_sum():
-    spec = QuadratureSpec()
-    _assert_same_bits(analysis._riesz_gradkernels(spec), _riesz_gradkernels_serial(spec))
-
-
-@pytest.mark.parametrize("cpus", [None, 1, 3])
-def test_riesz_kernels_keep_node_order_with_few_nodes(monkeypatch, cpus):
-    """Two nodes, fewer than the kernels kept in flight: none is dropped
-    and both add in node order, whatever the CPU count."""
-    if cpus is not None:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-    spec = QuadratureSpec(interior_nodes=1, panels_per_decade=1, t_cut=10)
-    assert len(spec.nodes()) == 2
-    _assert_same_bits(analysis._riesz_gradkernels.__wrapped__(spec),
-                      _riesz_gradkernels_serial(spec))
-
-
-def test_riesz_kernels_do_not_depend_on_cpu_count(monkeypatch):
-    spec = QuadratureSpec(t_cut=1e6)
-    want = analysis._riesz_gradkernels(spec)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    _assert_same_bits(analysis._riesz_gradkernels.__wrapped__(spec), want)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    _assert_same_bits(analysis._riesz_gradkernels.__wrapped__(spec), want)
-
-
-def test_riesz_kernels_in_flight_bounded(monkeypatch):
-    """A kernel counts from the call that makes it until it is freed; at
-    most two per worker are alive at once."""
-    workers = 3
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
-                        raising=False)
-    lock = threading.Lock()
-    count = {"calls": 0, "alive": 0, "peak": 0}
-    heat_gradk = analysis._heat_gradk
-
-    def release():
-        with lock:
-            count["alive"] -= 1
-
-    def counted(t):
-        with lock:
-            count["calls"] += 1
-            count["alive"] += 1
-            count["peak"] = max(count["peak"], count["alive"])
-        g = heat_gradk(t)
-        weakref.finalize(g, release)
-        return g
-
-    monkeypatch.setattr(analysis, "_heat_gradk", counted)
-    spec = QuadratureSpec(t_cut=1e5)
-    got = analysis._riesz_gradkernels.__wrapped__(spec)
-    assert count["calls"] == len(spec.nodes())
-    assert count["alive"] == 0
-    assert 2 <= count["peak"] <= 2 * workers
-    monkeypatch.setattr(analysis, "_heat_gradk", heat_gradk)
-    _assert_same_bits(got, _riesz_gradkernels_serial(spec))
 
 
 @pytest.mark.parametrize("t", [1.0, 2.5, 16.0])

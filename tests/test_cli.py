@@ -8,6 +8,7 @@ import os
 import pathlib
 import shlex
 import tempfile
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,15 @@ def test_heat_too_large_names_radius_and_remedy(tmp_path, capsys):
     assert "max_vertices" not in err and "up to" not in err
 
 
+def test_heat_too_large_gives_a_long_count_to_two_figures(tmp_path, capsys):
+    """heat --t 1024 on the 3-ary tree needs a ball of 81 digits' worth of
+    vertices: the message gives its order of magnitude."""
+    assert run(["heat", "--q", "3", "--t", "1024",
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "radius 180 (about 1.5e+86 vertices" in err
+
+
 @pytest.mark.parametrize("q", [5, 64])
 def test_heat_checks_the_cap_at_radius_10_first(tmp_path, capsys, monkeypatch, q):
     """For q >= 5 the radius-10 ball is already over the vertex cap: exit 2
@@ -158,8 +168,10 @@ def test_riesz_skew_check_command(tmp_path):
 
 
 def test_riesz_skew_check_failure_record(tmp_path):
+    """A tolerance below the golden flow's rounding fails the check (on the
+    line the deviation is exactly 0)."""
     out = tmp_path / "o"
-    code = run(["riesz-skew-check", "--window", "zline", "--dmax", "4",
+    code = run(["riesz-skew-check", "--window", "golden", "--dmax", "4",
                 "--tol", "1e-30", "--out", str(out)])
     assert code == 1
     rec = json.loads((out / "failure.json").read_text())
@@ -329,6 +341,19 @@ def test_level_sum_command(tmp_path):
                 "--out", str(out)]) == 0
     meta = json.loads((out / "level_sum.csv.meta.json").read_text())
     assert "fit" in meta
+
+
+def test_level_sum_builds_no_ball(tmp_path):
+    """level-sum reads only the anchor's ancestor chain, so a 64-ary flow
+    runs; at t = 4096 its sums leave double range: exit 1 with a record."""
+    out = tmp_path / "o"
+    assert run(["level-sum", "--q", "64", "--t-grid", "64",
+                "--out", str(out)]) == 0
+    assert json.loads((out / "level_sum.csv.meta.json").read_text())["window_size"] == 1
+    out = tmp_path / "far"
+    assert run(["level-sum", "--q", "64", "--t-grid", "4096",
+                "--out", str(out)]) == 1
+    assert json.loads((out / "failure.json").read_text())["failure"]["check"] == "numerical"
 
 
 def test_divergence_command(tmp_path):
@@ -550,9 +575,10 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_commands_exit_zero(tmp_path, monkeypatch):
-    """Every command in the README's command-line block exits 0, and none
-    builds a window larger than heat's radius-12 binary ball.  A second run
-    of every command writes byte-identical artifacts, sidecars included."""
+    """Every command in the README's command-line block exits 0, starts no
+    thread, and builds no window larger than heat's radius-12 binary ball.
+    A second run of every command writes byte-identical artifacts, sidecars
+    included."""
     block = README.read_text(encoding="utf-8").split("## Command line")[1]
     lines = [ln.split("#")[0] for ln in block.split("```")[1].splitlines()]
     commands = [shlex.split(ln) for ln in lines if ln.strip()]
@@ -564,13 +590,19 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
         sizes.append(len(builder.level))
         return finish(builder, *args)
     monkeypatch.setattr(trees._Builder, "finish", recording_finish)
+    threads = []
+
+    def no_thread(thread):
+        threads.append(thread.name)
+        raise RuntimeError("the CLI runs serially")
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     failed = []
     for rerun in ("first", "second"):
         for i, argv in enumerate(commands):
             assert argv[0] == "flowtree" and argv[-2] == "--out"
             if run(argv[1:-2] + ["--out", str(tmp_path / rerun / str(i))]) != 0:
                 failed.append(" ".join(argv))
-    assert not failed
+    assert not failed and not threads
     assert max(sizes) <= trees.ball_vertex_bound(2, 12)
     artifacts = [{p.relative_to(root): p.read_bytes()
                   for p in root.rglob("*") if p.is_file()}
