@@ -281,6 +281,14 @@ def test_criterion_11_imaginary_powers():
     finish(11, ok, f"band x{ratio:.4f}; quad-vs-Gamma {worst:.2e}", t0, 60.0)
 
 
+def test_criterion_11_quadrature_meets_gamma_to_rounding():
+    """Beside criterion 11: the graded Gauss-Legendre quadrature meets the
+    Gamma formula within 1e-13 on [1,50], at alpha in {1, -1, 0.5, 2}."""
+    for alpha in (1.0, -1.0, 0.5, 2.0):
+        _, _, worst = zline.imaginary_power_kernel(alpha, 200, quad_nmax=50)
+        assert worst <= 1e-13, alpha
+
+
 def test_criterion_12_spectrum_probe():
     """Averaging-operator residuals on truncated waves decay like d^{-1/2}
     (exponent -0.5 +- 0.1, theta in {0, pi/3, pi}, d up to 200); dense

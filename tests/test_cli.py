@@ -7,6 +7,8 @@ import json
 import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import tempfile
 import threading
 
@@ -608,3 +610,18 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
                   for p in root.rglob("*") if p.is_file()}
                  for root in (tmp_path / "first", tmp_path / "second")]
     assert artifacts[0] and artifacts[0] == artifacts[1]
+
+
+def test_cli_heat_imports_no_scipy(tmp_path):
+    """A fresh interpreter that imports the CLI and runs heat has no scipy
+    module loaded, at the top level or deferred into a function."""
+    code = ("import sys\n"
+            "from flowtree.cli import main\n"
+            f"rc = main(['heat', '--q', '2', '--t', '4', '--out', {str(tmp_path)!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"

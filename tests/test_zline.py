@@ -1,10 +1,16 @@
 """Fourier kernels on the integer line: multipliers, gradients, imaginary powers."""
 
+import functools
+import json
 import math
+import pathlib
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowtree import zline
 from flowtree.bumps import chi0
@@ -94,6 +100,81 @@ def test_heat_closed_forms_match_quadrature():
         assert abs(zg.value(n) - gk[n]) < 1e-14
 
 
+# mpmath.besseli(n, 1e5) e^{-1e5} at 30 digits, frozen to 22: mpmath takes
+# seconds a value at t = 1e5 from n = 2500 on
+MP_HEAT_1E5 = {
+    2508: "2.772411691250366830796e-17", 2952: "1.511190222481526876471e-22",
+    3709: "1.705812228752568341127e-33", 5486: "5.806319906747827664271e-69",
+    8114: "1.641568076506811717458e-146", 11504: "1.091766196954825391296e-290",
+    11703: "1.076890398464756744953e-300", 12000: "6.038806143419467971869e-316",
+}
+HEAT_T = (1e-3, 0.5, 1.0, 7.3, 105.5, 1000.0, 4096.0, 1e5)
+HEAT_N = {0, 1, 2, 11504, 11703, *(int(round(x)) for x in np.geomspace(1, 12000, 25))}
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_heat(n, t):
+    """e^{-t} I_n(t) as an mpmath number, at 30 digits."""
+    if t == 1e5 and n >= 2500:
+        return mpmath.mpf(MP_HEAT_1E5[n])
+    with mpmath.workdps(30):
+        return +(mpmath.besseli(n, t, maxterms=10 ** 6) * mpmath.exp(-t))
+
+
+@pytest.mark.parametrize("t", HEAT_T)
+def test_heat_kernels_match_mpmath_besseli(t):
+    """Both heat kernels within 2e-14 relative of mpmath where above 1e-300
+    (within 1e-300 below it), at every nmax from 0 to past underflow."""
+    radius = zline.heat_support_radius(t, 1e-17)
+    for nmax in (0, 1, 50, radius, 12000):
+        k, g = zline.heat_z_kernel(t, nmax), zline.heat_z_gradkernel(t, nmax)
+        assert len(k) == len(g) == nmax + 1
+        for n in sorted(HEAT_N | {radius, nmax}):
+            if n > nmax:
+                break
+            want = _mp_heat(n, t)
+            for got, w in ((k[n], want), (g[n], want * 2 * n / t)):
+                assert abs(got - w) <= (2e-14 * w if w > 1e-300 else 1e-300), (nmax, n)
+
+
+@pytest.mark.parametrize("t", HEAT_T)
+def test_heat_kernel_crosschecks_scipy_ive(t):
+    """scipy's ive agrees within 1e-12 relative where above 1e-300; at
+    t = 1e5 only above 1e-50, where scipy's own error passes 1e-12 (1.5e-12
+    at n = 11504 against MP_HEAT_1E5)."""
+    from scipy.special import ive
+    want = ive(np.arange(12001), t)
+    got = zline.heat_z_kernel(t, 12000)
+    on = want > (1e-50 if t == 1e5 else 1e-300)
+    assert np.all(np.abs(got[on] - want[on]) <= 1e-12 * want[on])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-3.0, 4.0), st.integers(0, 400))
+def test_heat_kernel_is_a_decreasing_recurrence_solution(log_t, nmax):
+    """k(n) >= 0, non-increasing in n, and (2n/t) k(n) = k(n-1) - k(n+1)
+    to rounding (to 1e-300 among subnormal values)."""
+    t = 10.0 ** log_t
+    k, g = zline.heat_z_kernel(t, nmax), zline.heat_z_gradkernel(t, nmax)
+    assert np.all(k >= 0) and np.all(np.diff(k) <= 0)
+    eps = np.finfo(float).eps
+    tol = np.maximum(64 * eps * (k[:-2] + k[2:]), 1e-300)
+    assert np.all(np.abs(g[1:-1] - (k[:-2] - k[2:])) <= tol)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
+def test_heat_kernels_reject_bad_t(t):
+    for kernel in (zline.heat_z_kernel, zline.heat_z_gradkernel):
+        with pytest.raises(ValueError, match="t must be finite"):
+            kernel(t, 5)
+
+
+def test_heat_kernels_at_t_zero_and_tiny_t():
+    for t in (0.0, 1e-310):
+        assert zline.heat_z_kernel(t, 3).tolist() == [1.0, t / 2, 0.0, 0.0]
+        assert zline.heat_z_gradkernel(t, 3).tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
 def test_parseval_smooth_bump():
     fn = lambda lam: chi0(lam - 0.8)
     zk = zline.z_multiplier_kernel(fn, 220)
@@ -108,32 +189,80 @@ def test_imaginary_power_quad_vs_gamma():
     assert abs(k2 - np.conj(zline.imaginary_power_gamma(1.0, 7))) < 1e-15
 
 
-def _imaginary_power_quad_numpy(alpha, n, tol=1e-12):
-    """Reference: the same quadrature with numpy scalar integrands."""
-    import warnings
-
-    from scipy.integrate import quad
-
-    def f(th, part):
-        lam = max(1.0 - np.cos(th), 1e-300)
-        return part(alpha * np.log(lam)) * np.cos(n * th) / np.pi
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        re, _ = quad(f, 0.0, np.pi, args=(np.cos,), limit=400, epsabs=tol, epsrel=tol)
-        im, _ = quad(f, 0.0, np.pi, args=(np.sin,), limit=400, epsabs=tol, epsrel=tol)
-    return re + 1j * im
+QUAD_TABLE = pathlib.Path(__file__).with_name("data") / "imaginary_power_quad_mpmath.json"
 
 
-def test_imaginary_power_quad_matches_numpy_integrands():
-    for n in range(51):
-        got = zline.imaginary_power_quad(1.0, n)
-        assert abs(got - _imaginary_power_quad_numpy(1.0, n)) < 1e-15, n
+def _mp_quad(alpha, n):
+    """(1/pi) int_0^pi (1 - cos th)^{ia} cos(n th) dth by mpmath.quad at 30
+    digits, in s = log(pi / th), where the integrand is smooth and decays
+    like e^{-s}, split where cos(n th) oscillates."""
+    with mpmath.workdps(30):
+        a, pi = mpmath.mpf(alpha), mpmath.pi
+
+        def g(s):
+            th = pi * mpmath.exp(-s)
+            lam = 2 * mpmath.sin(th / 2) ** 2
+            return th * mpmath.exp(1j * a * mpmath.log(lam)) * mpmath.cos(n * th) / pi
+
+        k = max(1, n // 8)
+        pts = ([-mpmath.log(1 - mpmath.mpf(j) / (2 * k)) for j in range(k)]
+               + [j * mpmath.log(2) for j in (1, 2, 3)] + [mpmath.inf])
+        return complex(mpmath.quad(g, pts))
+
+
+def _quad_table():
+    """_mp_quad at alpha in {1, 0.5, 2}, n = 0..50, frozen (mpmath takes
+    about 0.1 s a value); alpha = -1 is the conjugate of alpha = 1."""
+    tab = {float(a): [complex(re, im) for re, im in rows]
+           for a, rows in json.loads(QUAD_TABLE.read_text())["alpha"].items()}
+    tab[-1.0] = [v.conjugate() for v in tab[1.0]]
+    return tab
+
+
+def test_imaginary_power_quad_matches_mpmath_quad():
+    for alpha, want in _quad_table().items():
+        got = zline.imaginary_power_quad(alpha, np.arange(51))
+        assert np.max(np.abs(got - want)) <= 5e-14, alpha
+        for n in (0, 7, 50):    # a scalar n gets a rule sized for n alone
+            assert abs(zline.imaginary_power_quad(alpha, n) - want[n]) <= 5e-14
+
+
+@pytest.mark.parametrize("alpha, n", [(1.0, 0), (1.0, 50), (2.0, 23)])
+def test_quad_table_is_mpmath_quad(alpha, n):
+    assert abs(_mp_quad(alpha, n) - _quad_table()[alpha][n]) <= 1e-16
+
+
+def test_imaginary_power_gamma_matches_mpmath_gamma():
+    for alpha in (1.0, -1.0, 0.5, 2.0, 10.0):
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            c = mpmath.power(2, 1j * a) * mpmath.gamma(0.5 + 1j * a) / (
+                mpmath.sqrt(mpmath.pi) * mpmath.gamma(-1j * a))
+            want = [complex(c * mpmath.gamma(n - 1j * a) / mpmath.gamma(n + 1 + 1j * a))
+                    for n in range(1, 201)]
+        got = zline.imaginary_power_gamma(alpha, np.arange(1, 201))
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, alpha
 
 
 def test_imaginary_power_band():
     vals = [abs(zline.imaginary_power_gamma(1.0, n)) * n for n in range(10, 201)]
     assert max(vals) / min(vals) <= 1.2
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+def test_imaginary_power_kernel_rejects_bad_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
+        zline.imaginary_power_kernel(alpha, 3)
+
+
+def test_imaginary_power_kernel_gap_keeps_nan(monkeypatch):
+    """A NaN on the quadrature route makes the reported gap NaN, not 0."""
+    def quad(alpha, n):
+        out = np.ones(len(n), dtype=complex)
+        out[2] = np.nan
+        return out
+    monkeypatch.setattr(zline, "imaginary_power_quad", quad)
+    assert math.isnan(zline.imaginary_power_kernel(1.0, 3)[2])
 
 
 def test_weighted_l2_grad_stable_under_refinement():
