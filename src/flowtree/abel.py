@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exactnum import QSurd
+from .flowkernel import VARIANTS
 from .zline import (NumericalError, z_grad_multiplier_kernel,
                     z_gradkernel_lambda_poly)
 
@@ -201,9 +202,6 @@ def homog_kernel_value_exact(q: int, A_exact, lx: int, ly: int, d: int) -> Fract
     return A_exact[d] * Fraction(q) ** (-(lx + ly + d) // 2)
 
 
-_VARIANTS = ("plain", "grad_x", "gradstar_y", "grad_both")
-
-
 class DominatedTailError(NumericalError):
     """The last block of a truncated weighted sum does not decay."""
 
@@ -219,8 +217,8 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str = "p
     overflows, and DominatedTailError if the truncated tail fails the
     dominated check.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     A = radial.A
     kmax = radial.kmax
     terms = np.zeros(kmax - 1 if variant == "grad_both" else kmax, dtype=float)
@@ -228,7 +226,7 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str = "p
         s = sphere_weight_scaled(q, d)
         if variant == "plain":
             val = abs(A[d]) * s
-        elif variant in ("grad_x", "gradstar_y"):
+        elif variant in ("grad_x", "gradstar_z"):
             b_near = abs(A[d] - A[d + 1] / q)
             b_far = abs(A[d] - A[d - 1]) if d >= 1 else 0.0
             val = b_near + (s - 1.0) * b_far

@@ -4,8 +4,7 @@ Everything here reduces to two engines: the radial calculus on the q-ary
 tree (module abel) and the ancestor-profile formula (module flowkernel),
 fed with closed-form line kernels: heat gradient kernels, and ktilde_z for
 the Riesz transform.  Slope fits are ordinary least squares on logs with
-the residual reported; suprema over anchors sample stratified vertices
-when the certified region is large.
+the residual reported.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from . import abel, flowkernel
 from .chebyshev import ChebModel, cheb_approx, cheb_column
 from .localops import KernelColumn
 from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, ball_window,
-                    meeting_levels, safe_region)
+                    meeting_levels)
 from .zline import heat_support_radius, heat_z_gradkernel
 
 SQRT_PI = math.sqrt(math.pi)
@@ -198,41 +197,14 @@ def heat_ball_radius(q: int, t: float, tol: float) -> int:
 
 
 def grad_heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
-                            y: Vertex, degree: Optional[int] = None,
-                            side: str = "x") -> KernelColumn:
+                            y: Vertex, side: str = "x") -> KernelColumn:
     """Gradient of the heat column in the first (side 'x') or second
-    (side 'y') variable: K(x,y) - K(parent(x), y) resp. K(x,y) - K(x, parent(y))."""
+    (side 'y') variable: K(x,y) - K(parent(x), y) resp. K(x,y) - K(x, parent(y)),
+    from the ancestor-profile formula, exact at t = 0."""
     if side not in ("x", "y"):
         raise ValueError("side must be 'x' or 'y'")
-    if degree is not None or t == 0:
-        base = heat_kernel_column(window, measure, t, y,
-                                  degree if t > 0 else None)
-        if side == "y":
-            p = window.parent(y)
-            if p is None:
-                raise TreeError("anchor has no predecessor in window")
-            other = heat_kernel_column(window, measure, t, p,
-                                       degree if t > 0 else None)
-            vals = {}
-            for v in set(base.values) | set(other.values):
-                d = base.value(v) - other.value(v)
-                if d:
-                    vals[v] = d
-            return KernelColumn(y, vals, base.safe & other.safe,
-                                base.err_bound + other.err_bound)
-        vals = {}
-        safe = set()
-        for v in window.vertices:
-            p = window.parent(v)
-            d = base.value(v) - (base.value(p) if p is not None else 0)
-            if d:
-                vals[v] = d
-            if v in base.safe and (p is None or p in base.safe):
-                safe.add(v)
-        return KernelColumn(y, vals, frozenset(safe), 2 * base.err_bound)
-    gradk = _heat_gradk(t)
     variant = "grad_x" if side == "x" else "gradstar_z"
-    return _profile_column(window, measure, gradk, y, variant)
+    return _profile_column(window, measure, _heat_gradk(t), y, variant)
 
 
 def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
@@ -363,7 +335,7 @@ def weighted_heat_sweep(eps: float, t_grid, q_grid) -> EstimateReport:
             w = lambda d: math.exp(eps * d / math.sqrt(t))
             vals = {}
             for variant, name in (("plain", "heat"), ("grad_x", "grad_heat"),
-                                  ("gradstar_y", "heat_gradstar"),
+                                  ("gradstar_z", "heat_gradstar"),
                                   ("grad_both", "grad_heat_gradstar")):
                 vals[name], _ = abel.homog_weighted_opsum(q, rad, w, variant)
             rows.append({"q": q, "t": t, **vals})
@@ -382,50 +354,6 @@ def weighted_heat_sweep(eps: float, t_grid, q_grid) -> EstimateReport:
     fits["heat_variation"] = {"per_q": heat_ratio,
                               "overall": max(all_heat) / min(all_heat)}
     return EstimateReport(rows, fits, {"eps": eps, "abscissa": "log(1+t)"})
-
-
-def window_weighted_heat_sweep(window: TreeWindow, measure: FlowMeasure,
-                               eps: float, t_grid, anchors=None,
-                               max_anchors: int = 24) -> EstimateReport:
-    """Window variant of the sweep: supremum over sampled anchors via the
-    ancestor-profile column sums."""
-    if anchors is None:
-        anchors = stratified_anchors(window, max_anchors)
-    rows = []
-    ts = sorted(set(float(t) for t in t_grid))
-    for t in ts:
-        gradk = _heat_gradk(t)
-        sup = {"heat": 0.0, "grad_heat": 0.0, "grad_heat_gradstar": 0.0}
-        w = lambda d: np.exp(eps * d / math.sqrt(t))
-        for y in anchors:
-            chain = flowkernel.chain_of(window, measure, y, len(gradk) - 1)
-            for variant, name in (("plain", "heat"), ("grad_x", "grad_heat"),
-                                  ("grad_both", "grad_heat_gradstar")):
-                val = flowkernel.weighted_colsum(chain, gradk, window.level[y],
-                                                 w, variant)
-                sup[name] = max(sup[name], val)
-        rows.append({"t": t, **sup})
-    fits = {name: fit_loglog([1 + t for t in ts], [r[name] for r in rows])["slope"]
-            for name in ("grad_heat", "grad_heat_gradstar")}
-    return EstimateReport(rows, fits, {"eps": eps, "anchors": len(anchors)})
-
-
-def stratified_anchors(window: TreeWindow, max_anchors: int = 1000,
-                       margin: int = 0) -> list[Vertex]:
-    """All certified vertices when few, else a deterministic per-level sample."""
-    cand = sorted(safe_region(window, margin)) if margin else sorted(window.vertices)
-    if len(cand) <= max_anchors:
-        return cand
-    by_level: dict[int, list[Vertex]] = {}
-    for v in cand:
-        by_level.setdefault(window.level[v], []).append(v)
-    out = []
-    per = max(1, max_anchors // max(len(by_level), 1))
-    for lvl in sorted(by_level):
-        vs = by_level[lvl]
-        step = max(1, len(vs) // per)
-        out.extend(vs[::step][:per])
-    return out[:max_anchors]
 
 
 def mh_dyadic_norms(fn, l_grid, q: int = 64) -> EstimateReport:
@@ -455,7 +383,7 @@ def mh_dyadic_norms(fn, l_grid, q: int = 64) -> EstimateReport:
         weighted, _ = abel.homog_weighted_opsum(q, rad, wfun, "plain",
                                                 tail_check=False)
         gradsum, _ = abel.homog_weighted_opsum(q, rad, lambda d: 1.0,
-                                               "gradstar_y", tail_check=False)
+                                               "gradstar_z", tail_check=False)
         rows.append({"l": l, "weighted": weighted, "gradsum": gradsum})
     ls = [r["l"] for r in rows]
     gs = [r["gradsum"] for r in rows]

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .localops import (KernelColumn, WindowFunction, _accumulate, _meet,
-                       apply_laplacian, indicator)
-from .trees import (FlowMeasure, InsufficientMarginError, TreeWindow, Vertex,
-                    in_safe_region)
+from .localops import (KernelColumn, WindowFunction, _accumulate, _anchored,
+                       _combine, apply_laplacian)
+from .trees import FlowMeasure, TreeWindow, Vertex
 
 
 @dataclass
@@ -71,26 +70,18 @@ def _forward_recurrence(window: TreeWindow, measure: FlowMeasure,
     """sum_k coef[k] T_k(L - I) f by the forward three-term recurrence
     T_{k+1} = 2 (L - I) T_k - T_{k-1}, one Laplacian stencil per degree."""
 
-    def shifted(g):
-        lg = apply_laplacian(window, measure, g)
-        return WindowFunction(_accumulate(dict(lg.values), -1, g.values),
-                              lg.safe, lg.zero_outside)
+    def terms():
+        yield coef[0], f
+        t_prev, t_cur = None, f
+        for k in range(1, len(coef)):
+            lt = apply_laplacian(window, measure, t_cur)
+            vals = _accumulate(dict(lt.values), -1, t_cur.values)
+            if k >= 2:
+                vals = _accumulate(_accumulate({}, 2, vals), -1, t_prev.values)
+            t_prev, t_cur = t_cur, WindowFunction(vals, lt.safe, lt.zero_outside)
+            yield coef[k], t_cur
 
-    acc = _accumulate({}, coef[0], f.values) if coef[0] else {}
-    safe = f.safe
-    zero = f.zero_outside
-    t_prev, t_cur = None, f
-    for k in range(1, len(coef)):
-        t_next = shifted(t_cur)
-        if k >= 2:
-            vals = _accumulate(_accumulate({}, 2, t_next.values), -1, t_prev.values)
-            t_next = WindowFunction(vals, t_next.safe, t_next.zero_outside)
-        safe = _meet(window, safe, t_next.safe)
-        zero = zero and t_next.zero_outside
-        if coef[k]:
-            _accumulate(acc, coef[k], t_next.values)
-        t_prev, t_cur = t_cur, t_next
-    return WindowFunction(acc, safe, zero)
+    return _combine(window, terms())
 
 
 def cheb_apply(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
@@ -102,10 +93,8 @@ def cheb_apply(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
 def cheb_column(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
                 y: Vertex) -> KernelColumn:
     """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N)."""
-    if not in_safe_region(window, y, model.degree):
-        raise InsufficientMarginError(
-            f"anchor {y} is not safe at radius {model.degree}")
-    g = _forward_recurrence(window, measure, model.coef, indicator(window, y))
+    g = _forward_recurrence(window, measure, model.coef,
+                            _anchored(window, model.degree, y))
     my = measure.as_float(y)
     vals = {v: complex(x) / my for v, x in g.values.items()}
     m_min = min((measure.as_float(v) for v in g.safe), default=my)
@@ -120,11 +109,8 @@ def kernel_value_general(window: TreeWindow, measure: FlowMeasure,
     |K_{F(L)}(x,y) - value| <= sup_err / sqrt(m(x) m(y)), since the spectrum
     lies in [0, 2] and the interpolation defect bounds the L2 operator norm.
     """
-    if not (in_safe_region(window, x, model.degree)
-            and in_safe_region(window, y, model.degree)):
-        raise InsufficientMarginError(
-            f"pair ({x}, {y}) not safe at radius {model.degree}")
-    g = _forward_recurrence(window, measure, model.coef, indicator(window, y))
+    g = _forward_recurrence(window, measure, model.coef,
+                            _anchored(window, model.degree, y, x))
     value = complex(g.values.get(x, 0)) / measure.as_float(y)
     cert = model.sup_err / np.sqrt(measure.as_float(x) * measure.as_float(y))
     return value, float(cert)

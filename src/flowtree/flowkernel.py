@@ -140,7 +140,8 @@ def _suffix_sums(h: np.ndarray, chain: AncestorChain, s: np.ndarray,
     return out
 
 
-_GRAD_VARIANTS = ("plain", "grad_x", "gradstar_z", "grad_both")
+# F(L), grad F(L), F(L) grad* and grad F(L) grad*; abel takes the same names
+VARIANTS = ("plain", "grad_x", "gradstar_z", "grad_both")
 
 
 def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
@@ -156,8 +157,8 @@ def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
     cancellation), and where the vertex is the meeting point the level-j0
     term, which its predecessor's sum skips, is added apart.
     """
-    if variant not in _GRAD_VARIANTS:
-        raise ValueError(f"variant must be one of {_GRAD_VARIANTS}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
     lx, lz, j0 = np.broadcast_arrays(
         *(np.asarray(a, dtype=np.int64) for a in (lx, lz, j0)))
     shape = j0.shape

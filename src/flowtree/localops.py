@@ -19,6 +19,9 @@ support, not the window.  Certified sets are materialised only when needed:
 * Once the support reaches a window defect (the apex or an incomplete
   vertex), the function may no longer vanish outside the window, and from
   then on the certified set is computed vertex by vertex over the window.
+
+Word polynomials, Laplacian polynomials and the Chebyshev recurrence sum
+their stencil results through one helper, ``_combine``.
 """
 
 from __future__ import annotations
@@ -67,6 +70,29 @@ def _meet(window: TreeWindow, a: frozenset, b: frozenset) -> frozenset:
     if a is full:
         return b
     return a & b
+
+
+def _combine(window: TreeWindow, terms: Iterable) -> WindowFunction:
+    """sum of c g over the (c, g) pairs, in order, certified where every g
+    is and zero outside the window if every g is (whatever c is)."""
+    vals: dict[Vertex, complex] = {}
+    safe = window.all_vertices()
+    zero = True
+    for c, g in terms:
+        safe = _meet(window, safe, g.safe)
+        zero = zero and g.zero_outside
+        if c:
+            _accumulate(vals, c, g.values)
+    return WindowFunction(vals, safe, zero)
+
+
+def _anchored(window: TreeWindow, radius: int, y: Vertex, *also: Vertex) -> WindowFunction:
+    """indicator(window, y), once y and every vertex of `also` are safe at
+    `radius`; otherwise InsufficientMarginError."""
+    for v in (y, *also):
+        if not in_safe_region(window, v, radius):
+            raise InsufficientMarginError(f"vertex {v} is not safe at radius {radius}")
+    return indicator(window, y)
 
 
 def _zero_on_incomplete(window: TreeWindow, f: WindowFunction) -> bool:
@@ -169,15 +195,8 @@ def apply_word(window: TreeWindow, measure: FlowMeasure, word: Iterable[int],
 
 def apply_ncpoly(window: TreeWindow, measure: FlowMeasure, poly: NcPolynomial,
                  f: WindowFunction) -> WindowFunction:
-    vals: dict[Vertex, complex] = {}
-    safe = window.all_vertices()
-    zero = True
-    for word, c in poly.terms.items():
-        g = apply_word(window, measure, word, f)
-        _accumulate(vals, c, g.values)
-        safe = _meet(window, safe, g.safe)
-        zero = zero and g.zero_outside
-    return WindowFunction(vals, safe, zero)
+    return _combine(window, ((c, apply_word(window, measure, word, f))
+                             for word, c in poly.terms.items()))
 
 
 def apply_gradient(window, measure, f):
@@ -201,18 +220,14 @@ def apply_laplacian(window, measure, f):
 
 def apply_lambda_poly(window, measure, coeffs, f: WindowFunction) -> WindowFunction:
     """sum_k coeffs[k] L^k f by iterated Laplacian stencils (radius = degree)."""
-    vals: dict[Vertex, complex] = {}
-    safe = window.all_vertices()
-    zero = f.zero_outside
-    g = f
-    for k, c in enumerate(coeffs):
-        if k:
-            g = apply_laplacian(window, measure, g)
-        safe = _meet(window, safe, g.safe)
-        zero = zero and g.zero_outside
-        if c:
-            _accumulate(vals, c, g.values)
-    return WindowFunction(vals, safe, zero)
+    def powers():
+        g = f
+        for k, c in enumerate(coeffs):
+            if k:
+                g = apply_laplacian(window, measure, g)
+            yield c, g
+
+    return _combine(window, powers())
 
 
 @dataclass
@@ -252,20 +267,15 @@ def _column_from_function(window, measure, g: WindowFunction, y) -> KernelColumn
 def kernel_column_poly(window: TreeWindow, measure: FlowMeasure,
                        poly: NcPolynomial, y: Vertex) -> KernelColumn:
     """Exact column of F(Sigma, Sigma*) at anchor y; needs y safe at deg F."""
-    if not in_safe_region(window, y, poly.degree):
-        raise InsufficientMarginError(
-            f"anchor {y} is not safe at radius {poly.degree}")
-    g = apply_ncpoly(window, measure, poly, indicator(window, y))
+    g = apply_ncpoly(window, measure, poly, _anchored(window, poly.degree, y))
     return _column_from_function(window, measure, g, y)
 
 
 def kernel_column_lambda_poly(window: TreeWindow, measure: FlowMeasure,
                               coeffs, y: Vertex) -> KernelColumn:
     """Column of sum coeffs[k] L^k, via stencils (margin = polynomial degree)."""
-    deg = max(len(coeffs) - 1, 0)
-    if not in_safe_region(window, y, deg):
-        raise InsufficientMarginError(f"anchor {y} is not safe at radius {deg}")
-    g = apply_lambda_poly(window, measure, coeffs, indicator(window, y))
+    g = apply_lambda_poly(window, measure, coeffs,
+                          _anchored(window, max(len(coeffs) - 1, 0), y))
     return _column_from_function(window, measure, g, y)
 
 

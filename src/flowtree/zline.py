@@ -324,13 +324,14 @@ def imaginary_power_gamma(alpha: float, n):
     """Closed-form kernel of the imaginary power symbol at n != 0 (an int,
     or an integer array), from the Gamma-quotient representation
     2^{ia} Gamma(1/2 + ia) Gamma(n - ia) / (sqrt(pi) Gamma(-ia)
-    Gamma(n + 1 + ia)), evaluated through _loggamma."""
+    Gamma(n + 1 + ia)) through _loggamma.  With G = Gamma(n + ia), the n part
+    is conj(G) / ((n + ia) G), so no two log-Gammas of size n log n cancel."""
     n = np.abs(np.asarray(n))
     if np.any(n == 0):
         raise ValueError("closed form used only for n != 0")
     lg = (1j * alpha * math.log(2.0) - 0.5 * math.log(math.pi)
           + _loggamma(0.5 + 1j * alpha) - _loggamma(-1j * alpha)
-          + _loggamma(n - 1j * alpha) - _loggamma(n + 1 + 1j * alpha))
+          - 2j * _loggamma(n + 1j * alpha).imag - np.log(n + 1j * alpha))
     out = np.exp(lg)
     return complex(out) if out.ndim == 0 else out
 

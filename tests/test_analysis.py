@@ -76,11 +76,34 @@ def test_grad_heat_sides_and_decay(z_ball):
 
 
 def test_grad_heat_side_y_profile_vs_cheb():
+    from flowtree.chebyshev import cheb_approx, cheb_column
     w, m, c = ball_window(2, 12, backend="float")
     prof = analysis.grad_heat_kernel_column(w, m, 1.0, c, side="y")
-    cheb = analysis.grad_heat_kernel_column(w, m, 1.0, c, side="y", degree=11)
-    for x in cheb.safe:
-        assert abs(prof.value(x) - cheb.value(x)) <= cheb.err_bound + 1e-10
+    model = cheb_approx(lambda lam: np.exp(-lam), 11)
+    base = cheb_column(w, m, model, c)
+    other = cheb_column(w, m, model, w.parent(c))
+    for x in base.safe & other.safe:
+        cheb = base.value(x) - other.value(x)
+        assert abs(prof.value(x) - cheb) <= base.err_bound + other.err_bound + 1e-10
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ball_window(2, 4),
+    lambda: ball_window(3, 3, backend="float"),
+    lambda: constant_ratio_window((Fraction(2, 3), Fraction(1, 3)), depth=4, up=3),
+], ids=["rational_ball", "float_ball", "ratio_window"])
+def test_grad_heat_t0_columns_are_the_gradient_stencils(make):
+    """At t = 0 the heat operator is the identity, so side "x" is y less its
+    children and side "y" is y less its parent, exactly and certified on
+    the whole window."""
+    w, m, y = make()
+    my, p = m.as_float(y), w.parent(y)
+    want = {"x": {y: 1 / my, **{c: -1 / my for c in w.children(y)}},
+            "y": {y: 1 / my, p: -1 / m.as_float(p)}}
+    for side, values in want.items():
+        col = analysis.grad_heat_kernel_column(w, m, 0.0, y, side=side)
+        assert col.values == values
+        assert col.safe == frozenset(w.vertices)
 
 
 def test_level_sum_small_t_bounded():
@@ -207,16 +230,6 @@ def test_weighted_heat_sweep_bands():
         assert abs(s + 0.5) <= 0.1
     for q, s in rep.fit["grad_heat_gradstar"].items():
         assert abs(s + 1.0) <= 0.15
-
-
-def test_window_sweep_matches_homog():
-    w, m, c = ball_window(3, 3)
-    repw = analysis.window_weighted_heat_sweep(w, m, 1.0, [1.0, 4.0],
-                                               anchors=[c])
-    reph = analysis.weighted_heat_sweep(1.0, [1.0, 4.0], [3])
-    for roww, rowh in zip(repw.rows, reph.rows):
-        assert abs(roww["heat"] - rowh["heat"]) < 1e-9
-        assert abs(roww["grad_heat"] - rowh["grad_heat"]) < 1e-9
 
 
 def test_mh_dyadic_norms_reference_symbol():

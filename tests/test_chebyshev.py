@@ -7,7 +7,7 @@ from flowtree import ball_window
 from flowtree import zline
 from flowtree.chebyshev import cheb_approx, cheb_column, kernel_value_general
 from flowtree.localops import kernel_column_lambda_poly
-from flowtree.trees import InsufficientMarginError
+from flowtree.trees import InsufficientMarginError, in_safe_region
 
 
 def test_polynomial_reproduced():
@@ -73,6 +73,27 @@ def test_margin_enforced():
     model = cheb_approx(lambda lam: np.exp(-lam), 10)
     with pytest.raises(InsufficientMarginError):
         kernel_value_general(w, m, model, c, c)
+
+
+def test_kernel_value_general_is_the_column_value():
+    w, m, c = ball_window(2, 8, backend="float")
+    model = cheb_approx(lambda lam: np.exp(-lam), 5)
+    col = cheb_column(w, m, model, c)
+    xs = [x for x in w.vertices if in_safe_region(w, x, model.degree)]
+    assert len(xs) > 1
+    for x in xs:
+        val, cert = kernel_value_general(w, m, model, x, c)
+        assert val == col.value(x)
+        assert cert == float(model.sup_err / np.sqrt(m.as_float(x) * m.as_float(c)))
+
+
+def test_margin_enforced_on_x_alone():
+    w, m, c = ball_window(2, 8, backend="float")
+    model = cheb_approx(lambda lam: np.exp(-lam), 5)
+    leaf = next(x for x in w.vertices if not in_safe_region(w, x, model.degree))
+    assert in_safe_region(w, c, model.degree)
+    with pytest.raises(InsufficientMarginError):
+        kernel_value_general(w, m, model, leaf, c)
 
 
 def test_pointwise_certificate_formula(z_ball):

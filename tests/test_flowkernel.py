@@ -134,11 +134,9 @@ def test_weighted_colsum_matches_homog_radial():
     chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     eps = 1.0
     wfun = lambda d: np.exp(eps * d / math.sqrt(t))
-    for variant_prof, variant_rad in (("plain", "plain"), ("grad_x", "grad_x"),
-                                      ("grad_both", "grad_both")):
-        got = flowkernel.weighted_colsum(chain, gradk, w.level[c], wfun,
-                                         variant_prof)
-        want, _ = abel.homog_weighted_opsum(q, rad, wfun, variant_rad,
+    for variant in flowkernel.VARIANTS:
+        got = flowkernel.weighted_colsum(chain, gradk, w.level[c], wfun, variant)
+        want, _ = abel.homog_weighted_opsum(q, rad, wfun, variant,
                                             tail_check=False)
         assert abs(got - want) < 1e-9 * max(1.0, want)
 

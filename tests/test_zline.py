@@ -244,6 +244,22 @@ def test_imaginary_power_gamma_matches_mpmath_gamma():
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12, alpha
 
 
+def test_imaginary_power_gamma_keeps_digits_at_large_n():
+    """log Gamma(n - ia) and log Gamma(n + 1 + ia) are each about n log n,
+    so their difference must not carry that size's rounding into the
+    kernel: within 1e-13 relative of mpmath's Gamma up to n = 10^7."""
+    ns = np.unique(np.round(np.logspace(0, 7, 29)).astype(np.int64))
+    for alpha in (1.0, -1.0, 0.5, 2.0, 10.0):
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            c = mpmath.power(2, 1j * a) * mpmath.gamma(0.5 + 1j * a) / (
+                mpmath.sqrt(mpmath.pi) * mpmath.gamma(-1j * a))
+            want = [complex(c * mpmath.gamma(n - 1j * a) / mpmath.gamma(n + 1 + 1j * a))
+                    for n in ns.tolist()]
+        got = zline.imaginary_power_gamma(alpha, ns)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13, alpha
+
+
 def test_imaginary_power_band():
     vals = [abs(zline.imaginary_power_gamma(1.0, n)) * n for n in range(10, 201)]
     assert max(vals) / min(vals) <= 1.2
