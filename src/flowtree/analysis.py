@@ -13,13 +13,13 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import abel, flowkernel
-from .chebyshev import ChebModel, cheb_approx, cheb_column
+from .chebyshev import ChebModel
 from .localops import KernelColumn
 from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, ball_window,
                     meeting_levels)
@@ -139,24 +139,13 @@ def _riesz_gradkernels(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
-                       y: Vertex, degree: Optional[int] = None) -> KernelColumn:
-    """Column of the heat operator at time t.
-
-    With an explicit Chebyshev degree the column is certified through the
-    interpolation route (window margins permitting).  Without one, values
-    come from the ancestor-profile formula with closed-form line kernels,
-    exact up to Bessel evaluation and any flagged chain truncation.
-    """
+                       y: Vertex) -> KernelColumn:
+    """Column of the heat operator at time t >= 0, from the ancestor-profile
+    formula with closed-form line kernels: exact up to Bessel evaluation and
+    any flagged chain truncation (at t = 0, exactly 1/m(y) at y)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    if degree is not None:
-        model = cheb_approx(lambda lam: np.exp(-t * lam), degree)
-        return cheb_column(window, measure, model, y)
-    if t == 0:
-        return KernelColumn(y, {y: 1.0 / measure.as_float(y)},
-                            frozenset(window.vertices), 0.0)
-    gradk = _heat_gradk(t)
-    return _profile_column(window, measure, gradk, y, "plain")
+    return _profile_column(window, measure, _heat_gradk(t), y, "plain")
 
 
 def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
@@ -179,9 +168,10 @@ def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     return KernelColumn(y, vals, safe, 1e-13)
 
 
-def heat_ball_radius(q: int, t: float, tol: float) -> int:
-    """Smallest radius of a ball in the q-ary tree that holds all but at
-    most tol of the heat column's mass at time t.
+def heat_ball_radius(flow, t: float, tol: float) -> int:
+    """Smallest radius of a ball of the given flow (any ``ball_window``
+    takes: a degree q, or branching ratios) that holds all but at most tol
+    of the heat column's mass at time t.
 
     The mass inside radius r is the cumulative sum, up to r, of the heat
     column's mass per distance, taken over the centre's ancestor profile,
@@ -189,7 +179,7 @@ def heat_ball_radius(q: int, t: float, tol: float) -> int:
     a ball holds all the mass.
     """
     gradk = _heat_gradk(t)
-    w, m, c = ball_window(q, 0, backend="float")
+    w, m, c = ball_window(flow, 0, backend="float")
     chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     inside = np.cumsum(flowkernel.distance_masses(chain, gradk, 0))[:len(gradk) - 1]
     held = np.flatnonzero(1.0 - inside <= tol)

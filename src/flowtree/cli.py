@@ -138,25 +138,38 @@ def _at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
-def make_window(args, radius: int = 10):
-    """Window selection shared by the subcommands: a loaded file, or a
-    built-in ball around the anchor it returns (the spine: ``--depth`` long)."""
-    if getattr(args, "tree", None):
+def _flow(args, q: int):
+    """The flow of a built-in ball, as ``ball_window`` takes it: ``--ratios``,
+    the golden ratios, 1 for the line, or else the degree q; None for a
+    loaded file and the spine, which are not balls."""
+    kind = args.window or "homog"
+    if args.ratios:
+        if args.tree or kind != "homog":
+            other = "--tree" if args.tree else f"--window {kind}"
+            raise ValueError(f"--ratios and {other} both set the window")
+        return parse_ratios(args.ratios)
+    if args.tree or kind == "spine":
+        return None
+    if kind == "golden":
+        return (GOLDEN_RATIO, 1 - GOLDEN_RATIO)
+    return 1 if kind == "zline" else q
+
+
+def make_window(args, radius: int, q: int):
+    """Window selection shared by the subcommands: a loaded file, the spine
+    (``--depth`` long), or the ball of ``_flow``'s flow around the anchor it
+    returns (the line's ball: radius at least 12)."""
+    flow = _flow(args, q)
+    if args.tree:
         window, measure = load_window(args.tree)
         anchors = sorted(safe_region(window, min(radius, 4))) or [window.apex]
         return window, measure, anchors[len(anchors) // 2]
-    kind = getattr(args, "window", "homog") or "homog"
-    backend = args.backend or "rational"
-    if kind == "homog":
-        return ball_window(_given(args.q, 2), radius, backend=backend)
-    if kind == "zline":
-        return ball_window(1, max(radius, 12), backend=backend)
-    if kind == "golden":
-        return ball_window((GOLDEN_RATIO, 1 - GOLDEN_RATIO), radius,
-                           center_level=-radius, backend="float")
-    if kind == "spine":
+    if flow is None:
         return spine_window(depth=_given(args.depth, 140))
-    raise ValueError(f"unknown window kind {kind!r}")
+    if args.window == "golden":
+        return ball_window(flow, radius, center_level=-radius, backend="float")
+    return ball_window(flow, max(radius, 12) if flow == 1 else radius,
+                       backend=args.backend or "rational")
 
 
 def _multiplier(args):
@@ -181,10 +194,25 @@ def _window_meta(window) -> dict:
             "apex_level": window.level[window.apex]}
 
 
+def _write(out, name, header, rows, meta, comments=()):
+    """The artifact ``out/name``: its CSV rows and its .meta.json sidecar."""
+    path = os.path.join(out, name)
+    reports.write_csv(path, header, rows, comments=comments)
+    reports.write_meta(path, meta)
+
+
+def _write_column(out, name, window, col, meta):
+    """A kernel column's artifact: one row per vertex of its support."""
+    _write(out, name, ["x_id", "value_re", "value_im", "distance", "level_x"],
+           col.csv_rows(window), meta,
+           [f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
+
+
 def cmd_kernel(args, out):
     coeffs = list(parse_ratios(args.coeffs)) if args.coeffs else None
     deg = len(coeffs) - 1 if coeffs else _given(args.degree, DEFAULT_KERNEL_DEGREE)
-    window, measure, anchor = make_window(args, max(deg + 1, 4))
+    q = _given(args.q, 2)
+    window, measure, anchor = make_window(args, max(deg + 1, 4), q)
     if coeffs is not None:
         col = kernel_column_lambda_poly(window, measure, coeffs, anchor)
         op_meta = {"lambda_coeffs": [str(c) for c in coeffs]}
@@ -196,63 +224,55 @@ def cmd_kernel(args, out):
         model = cheb_approx(fn, deg)
         col = cheb_column(window, measure, model, anchor)
         op_meta = {"multiplier": args.multiplier, "sup_err": model.sup_err}
-        if (args.window or "homog") == "zline" and not args.tree:
+        if _flow(args, q) == 1:
             zk = zline.z_multiplier_kernel(fn, _given(args.dmax, 16))
-            zcsv = os.path.join(out, "zkernel.csv")
-            reports.write_csv(zcsv, ["n", "re", "im"], zk.csv_rows())
-            reports.write_meta(zcsv, {"multiplier": args.multiplier,
-                                      "nmax": zk.nmax, "grid": zk.grid})
-    pathcsv = os.path.join(out, "kernel.csv")
-    reports.write_csv(pathcsv, ["x_id", "value_re", "value_im", "distance", "level_x"],
-                      col.csv_rows(window),
-                      comments=[f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
-    reports.write_meta(pathcsv, {**_window_meta(window), "anchor": col.anchor,
-                                 "err_bound": col.err_bound, **op_meta})
+            _write(out, "zkernel.csv", ["n", "re", "im"], zk.csv_rows(),
+                   {"multiplier": args.multiplier, "nmax": zk.nmax, "grid": zk.grid})
+    _write_column(out, "kernel.csv", window, col,
+                  {**_window_meta(window), "anchor": col.anchor,
+                   "err_bound": col.err_bound, **op_meta})
     return {}
 
 
-def _check_ball(q: int, t: float, radius: int) -> None:
-    """Refuse a heat ball on the q-ary tree that passes the vertex cap."""
-    need = ball_vertex_bound(q, radius)
+def _check_ball(flow, t: float, radius: int) -> None:
+    """Refuse a heat ball of the given flow that passes the vertex cap."""
+    need = ball_vertex_bound(len(flow) if isinstance(flow, tuple) else flow, radius)
     if need > DEFAULT_VERTEX_CAP:
         # counts of more than 12 digits to two figures
         count = f"{need:,}" if need < 10 ** 12 else f"about {Decimal(need):.1e}"
         raise TreeError(
-            f"heat at t={t:g} on the {q}-ary tree needs a ball of radius "
-            f"{radius} ({count} vertices, over the cap of "
-            f"{DEFAULT_VERTEX_CAP:,}); use a smaller --t, or a window "
-            "file with --tree")
+            f"heat at t={t:g} needs a ball of radius {radius} ({count} "
+            f"vertices, over the cap of {DEFAULT_VERTEX_CAP:,}); use a smaller "
+            "--t, or a window file with --tree")
 
 
 def cmd_heat(args, out):
+    if args.degree is not None:
+        raise ValueError("heat has no --degree; a Chebyshev heat column is "
+                         "kernel --multiplier 'exp(-t*x)' --t T --degree N")
     t = _given(args.t_param, 1.0)
     tol = _given(args.tol, 1e-6)  # window truncation leaks a little column mass
     q = _given(args.q, 2)
-    homog = not args.tree and (args.window or "homog") == "homog"
+    flow = _flow(args, q)
     radius = 10
-    if homog:
-        # the least radius first: no group sum runs for a q whose least
+    if flow is not None:
+        # the least radius first: no group sum runs for a flow whose least
         # ball is over the cap; then half the tolerance for the mass outside
-        _check_ball(q, t, radius)
-        radius = max(radius, analysis.heat_ball_radius(q, t, tol / 2))
-        _check_ball(q, t, radius)
-    window, measure, anchor = make_window(args, radius)
-    col = analysis.heat_kernel_column(window, measure, t, anchor, args.degree)
-    if homog and q >= 2:
-        rad = abel.e_f_coefficients(q,
+        _check_ball(flow, t, radius)
+        radius = max(radius, analysis.heat_ball_radius(flow, t, tol / 2))
+        _check_ball(flow, t, radius)
+    window, measure, anchor = make_window(args, radius, q)
+    col = analysis.heat_kernel_column(window, measure, t, anchor)
+    if isinstance(flow, int) and flow >= 2:
+        rad = abel.e_f_coefficients(flow,
                                     lambda lam: np.exp(-t * np.asarray(lam)),
                                     kmax=24)
-        rcsv = os.path.join(out, "radial.csv")
-        reports.write_csv(rcsv, ["k", "E_re", "E_im", "tail_bound"], rad.csv_rows())
-        reports.write_meta(rcsv, {"q": q, "t": t, "kmax": 24,
-                                  "tail_scaled": rad.tail_scaled, **rad.meta})
+        _write(out, "radial.csv", ["k", "E_re", "E_im", "tail_bound"], rad.csv_rows(),
+               {"q": flow, "t": t, "kmax": 24, "tail_scaled": rad.tail_scaled,
+                **rad.meta})
     mass = sum(v * measure.as_float(x) for x, v in col.values.items())
-    pathcsv = os.path.join(out, "heat.csv")
-    reports.write_csv(pathcsv, ["x_id", "value_re", "value_im", "distance", "level_x"],
-                      col.csv_rows(window),
-                      comments=[f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
-    reports.write_meta(pathcsv, {"t": t, "mass": complex(mass).real,
-                                 **_window_meta(window)})
+    _write_column(out, "heat.csv", window, col,
+                  {"t": t, "mass": complex(mass).real, **_window_meta(window)})
     if abs(complex(mass) - 1.0) > max(1e3 * col.err_bound * len(window) ** 0.5, tol):
         return {"check": "heat mass conservation", "mass": complex(mass).real}
     return {}
@@ -260,29 +280,25 @@ def cmd_heat(args, out):
 
 def cmd_riesz(args, out):
     radius = _given(args.dmax, 6)
-    window, measure, anchor = make_window(args, radius + 2)
+    window, measure, anchor = make_window(args, radius + 2, _given(args.q, 2))
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius))
     vals, errs = analysis.riesz_kernel_values(window, measure, pairs)
     rows = [(x, y, v.real, v.imag, e) for (x, y), v, e in zip(pairs, vals, errs)]
-    pathcsv = os.path.join(out, "riesz.csv")
-    reports.write_csv(pathcsv, ["x", "y", "re", "im", "tail_bound"], rows)
-    reports.write_meta(pathcsv, {"pairs": len(pairs), "anchor": anchor,
-                                 **_window_meta(window)})
+    _write(out, "riesz.csv", ["x", "y", "re", "im", "tail_bound"], rows,
+           {"pairs": len(pairs), "anchor": anchor, **_window_meta(window)})
     return {}
 
 
 def cmd_riesz_skew_check(args, out):
     radius = _at_least("--dmax", _given(args.dmax, 8), 1)
-    window, measure, anchor = make_window(args, radius + 1)
+    window, measure, anchor = make_window(args, radius + 1, _given(args.q, 2))
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius)
                    if x != anchor)
     rep = analysis.riesz_skew_check(window, measure, pairs)
-    pathcsv = os.path.join(out, "riesz_skew_check.csv")
-    reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
     tol = _given(args.tol, 1e-6)
-    reports.write_meta(pathcsv, {"max_dev": rep.meta["max_dev"],
-                                 "pairs": len(pairs), "tol": tol,
-                                 **_window_meta(window)})
+    _write(out, "riesz_skew_check.csv", rep.csv_header(), rep.csv_rows(),
+           {"max_dev": rep.meta["max_dev"], "pairs": len(pairs), "tol": tol,
+            **_window_meta(window)})
     if rep.meta["max_dev"] > tol:
         return {"check": "riesz skew identity", "max_dev": rep.meta["max_dev"],
                 "tol": tol}
@@ -296,8 +312,6 @@ def cmd_abel_check(args, out):
     window, measure, center = ball_window(q, radius)
     rows = []
     exact = True
-    col = None
-    coeffs = [Fraction(0)] * (deg + 1)
     for k in range(0, deg + 1):
         coeffs_k = [Fraction(0)] * k + [Fraction(1)]
         colk = kernel_column_lambda_poly(window, measure, coeffs_k, center)
@@ -310,10 +324,8 @@ def cmd_abel_check(args, out):
             ok = direct == radial
             exact = exact and ok
             rows.append((k, x, d, str(direct), str(radial), int(ok)))
-    pathcsv = os.path.join(out, "abel_check.csv")
-    reports.write_csv(pathcsv, ["degree", "x", "d", "direct", "radial", "match"],
-                      rows)
-    reports.write_meta(pathcsv, {"q": q, "max_degree": deg, "exact": exact})
+    _write(out, "abel_check.csv", ["degree", "x", "d", "direct", "radial", "match"],
+           rows, {"q": q, "max_degree": deg, "exact": exact})
     if not exact:
         return {"check": "abel/direct equivalence", "q": q}
     return {}
@@ -348,31 +360,27 @@ def cmd_transfer_check(args, out):
                     if v in pushed.safe and v in direct.safe)
         ok_all = ok_all and agree
         rows.append((trial, poly.degree, int(agree)))
-    pathcsv = os.path.join(out, "transfer_check.csv")
-    reports.write_csv(pathcsv, ["trial", "degree", "match"], rows)
-    reports.write_meta(pathcsv, {"q": q, "ratios": [str(r) for r in ratios],
-                                 "submersion_ok": rep.ok,
-                                 "violations": rep.violations[:10]})
-    subcsv = os.path.join(out, "submersion.csv")
-    reports.write_csv(subcsv, ["source_id", "target_id"], sub.csv_rows())
-    reports.write_meta(subcsv, {"q": q, "source_size": len(sub.source),
-                                "target_size": len(sub.target),
-                                "level_shift": rep.level_shift})
+    _write(out, "transfer_check.csv", ["trial", "degree", "match"], rows,
+           {"q": q, "ratios": [str(r) for r in ratios], "submersion_ok": rep.ok,
+            "violations": rep.violations[:10]})
+    _write(out, "submersion.csv", ["source_id", "target_id"], sub.csv_rows(),
+           {"q": q, "source_size": len(sub.source), "target_size": len(sub.target),
+            "level_shift": rep.level_shift})
     if not ok_all:
         return {"check": "transference exactness"}
     return {}
 
 
 def cmd_rationalize(args, out):
-    window, measure, _ = make_window(args, radius=6)
+    # --q is the denominator here, not the degree of a ball
+    window, measure, _ = make_window(args, 6, 2)
     q = _given(args.q, 64)
     mq, rows, max_err = quotient.rationalize_flow(window, measure, q)
     csv_rows = [(r.vertex, r.child_index, r.ratio.numerator, r.ratio.denominator,
                  r.error) for r in rows]
-    pathcsv = os.path.join(out, "rationalize.csv")
-    reports.write_csv(pathcsv, ["vertex", "child_index", "ratio_num", "ratio_den",
-                                "error"], csv_rows)
-    reports.write_meta(pathcsv, {"q": q, "max_error": max_err})
+    _write(out, "rationalize.csv",
+           ["vertex", "child_index", "ratio_num", "ratio_den", "error"], csv_rows,
+           {"q": q, "max_error": max_err})
     return {}
 
 
@@ -381,22 +389,18 @@ def cmd_weighted_sweep(args, out):
     qs = _grid(args, "--q-grid", [2, 3, 5], _int_grid, least=1)
     eps = _given(args.epsilon, 1.0)
     rep = analysis.weighted_heat_sweep(eps, ts, qs)
-    pathcsv = os.path.join(out, "weighted_sweep.csv")
-    reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
-    reports.write_meta(pathcsv, {"fits": rep.fit, **rep.meta})
+    _write(out, "weighted_sweep.csv", rep.csv_header(), rep.csv_rows(),
+           {"fits": rep.fit, **rep.meta})
     return {}
 
 
 def cmd_level_sum(args, out):
     ts = _grid(args, "--t-grid", [2.0 ** k for k in range(8)], least=0)
-    flow = parse_ratios(args.ratios) if args.ratios else _given(args.q, 2)
     # the sums read the anchor's ancestor chain only: the radius-0 ball
-    window, measure, x = ball_window(flow, 0)
+    window, measure, x = make_window(args, 0, _given(args.q, 2))
     rep = analysis.level_sum_estimate(window, measure, ts, x)
-    pathcsv = os.path.join(out, "level_sum.csv")
-    reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
-    reports.write_meta(pathcsv, {"fit": rep.fit, **rep.meta,
-                                 **_window_meta(window)})
+    _write(out, "level_sum.csv", rep.csv_header(), rep.csv_rows(),
+           {"fit": rep.fit, **rep.meta, **_window_meta(window)})
     return {}
 
 
@@ -405,9 +409,8 @@ def cmd_mh_norms(args, out):
     ls = _grid(args, "--l-grid", list(range(7)), _distinct_int_grid, least=0)
     rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
                                    q=_given(args.q, 64))
-    pathcsv = os.path.join(out, "mh_norms.csv")
-    reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
-    reports.write_meta(pathcsv, {"fit": rep.fit, "alpha": alpha, **rep.meta})
+    _write(out, "mh_norms.csv", rep.csv_header(), rep.csv_rows(),
+           {"fit": rep.fit, "alpha": alpha, **rep.meta})
     return {}
 
 
@@ -415,24 +418,21 @@ def cmd_sharpness(args, out):
     ts = _grid(args, "--t-grid", list(range(10, 41)), _int_grid, least=2)
     rep = analysis.sharpness_fit(_given(args.q, 2), ts)
     sob = analysis.sobolev_growth(list(np.exp(np.linspace(np.log(30.0), np.log(300.0), 12))))
-    pathcsv = os.path.join(out, "sharpness.csv")
-    reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
-    reports.write_meta(pathcsv, {"fit": rep.fit,
-                                 "sobolev": {s: f for s, f in sob.items()},
-                                 **rep.meta})
+    _write(out, "sharpness.csv", rep.csv_header(), rep.csv_rows(),
+           {"fit": rep.fit, "sobolev": {s: f for s, f in sob.items()}, **rep.meta})
     return {}
 
 
 def cmd_divergence(args, out):
     ds = _grid(args, "--d-grid", [16, 32, 64], _int_grid, least=1)
-    window, measure, x1 = (make_window(args) if getattr(args, "tree", None)
-                           else spine_window(depth=2 * max(ds) + 4))
-    if getattr(args, "tree", None):
+    if args.tree:
+        window, measure = load_window(args.tree)
         x1 = window.apex  # loaded windows: probe from the apex area
+    else:
+        window, measure, x1 = spine_window(depth=2 * max(ds) + 4)
     rep = analysis.divergence_probe(window, measure, x1, ds)
-    pathcsv = os.path.join(out, "divergence.csv")
-    reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
-    reports.write_meta(pathcsv, {"fit": rep.fit, **rep.meta})
+    _write(out, "divergence.csv", rep.csv_header(), rep.csv_rows(),
+           {"fit": rep.fit, **rep.meta})
     return {}
 
 
@@ -443,9 +443,8 @@ def cmd_spectrum(args, out):
     rep = analysis.spectrum_probe(window, measure, o, thetas, ds)
     small, smeas, _ = ball_window(2, 6)
     lo, hi = analysis.rayleigh_bounds(small, smeas)
-    pathcsv = os.path.join(out, "spectrum.csv")
-    reports.write_csv(pathcsv, rep.csv_header(), rep.csv_rows())
-    reports.write_meta(pathcsv, {"fit": rep.fit, "rayleigh": [lo, hi]})
+    _write(out, "spectrum.csv", rep.csv_header(), rep.csv_rows(),
+           {"fit": rep.fit, "rayleigh": [lo, hi]})
     if lo < -1e-10 or hi > 2 + 1e-10:
         return {"check": "rayleigh bounds", "eig_range": [lo, hi]}
     return {}

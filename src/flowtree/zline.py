@@ -273,8 +273,10 @@ def _heat(t: float, nmax: int) -> np.ndarray:
 
 def heat_z_kernel(t: float, nmax: int) -> np.ndarray:
     """k(n) = e^{-t} I_n(t) for n = 0..nmax, by Miller's backward recurrence
-    (_miller), and 0 past the Chernoff bound's underflow point.  Within a
-    few 1e-16 relative of mpmath.besseli where above 1e-300 up to t = 1e8;
+    (_miller), and 0 past the Chernoff bound's underflow point.  Against
+    mpmath.besseli at 30 digits, where above 1e-300: within 2e-14 relative
+    up to t = 1e5, and at most 4.5e-15 at the points checked from t = 1e6
+    to 1e8 (3.7e-15 at t = 1e7, n = 0; 4.5e-15 at t = 1e8, n = 44,646);
     rounding over the ~12 sqrt(t) steps makes that about 1e-13 at t = 1e14.
     Raises ValueError unless 0 <= t <= MAX_HEAT_T and nmax >= 0."""
     return _heat(t, nmax)

@@ -16,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtree import (analysis, ball_window, cli, constant_ratio_window, trees,
-                      zline)
+from flowtree import (analysis, ball_window, cli, constant_ratio_window, reports,
+                      trees, zline)
 from flowtree.cli import main
 
 
@@ -456,13 +456,13 @@ def test_int_grid_rounds_log_points_and_rejects_fractions():
 # The numeric flags each subcommand reads, and values that are not finite,
 # have a zero denominator, or lie out of range, by the kind of flag.
 NUMERIC_FLAGS = {
-    "kernel": ("--q", "--degree", "--dmax", "--coeffs"),
-    "heat": ("--q", "--t", "--tol", "--degree"),
-    "riesz": ("--q", "--dmax"),
-    "riesz-skew-check": ("--q", "--dmax", "--tol"),
+    "kernel": ("--q", "--degree", "--dmax", "--coeffs", "--ratios"),
+    "heat": ("--q", "--t", "--tol", "--ratios"),
+    "riesz": ("--q", "--dmax", "--ratios"),
+    "riesz-skew-check": ("--q", "--dmax", "--tol", "--ratios"),
     "abel-check": ("--q", "--degree"),
     "transfer-check": ("--q", "--ratios", "--degree", "--trials"),
-    "rationalize": ("--q", "--depth"),
+    "rationalize": ("--q", "--depth", "--ratios"),
     "weighted-sweep": ("--t-grid", "--q-grid", "--epsilon"),
     "level-sum": ("--t-grid", "--q", "--ratios"),
     "mh-norms": ("--alpha", "--l-grid", "--q"),
@@ -528,6 +528,65 @@ def test_heat_golden_window(tmp_path):
     meta = json.loads((out / "heat.csv.meta.json").read_text())
     assert abs(meta["mass"] - 1.0) <= 1e-6
     assert meta["window_size"] == trees.ball_vertex_bound(2, 10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "zline", "--t", "8"], ["--window", "zline", "--t", "16"],
+    ["--window", "golden", "--t", "4"], ["--window", "golden", "--t", "8"],
+    ["--ratios", "3/4,1/4", "--t", "4"],
+], ids=["zline-8", "zline-16", "golden-4", "golden-8", "ratios-4"])
+def test_heat_sizes_every_built_in_ball_from_t(tmp_path, argv):
+    """Line, golden and --ratios balls are sized from t like q-ary ones,
+    so the column keeps its mass to the default --tol."""
+    out = tmp_path / "o"
+    assert run(["heat", *argv, "--out", str(out)]) == 0
+    meta = json.loads((out / "heat.csv.meta.json").read_text())
+    assert abs(meta["mass"] - 1.0) <= 1e-6
+
+
+def test_heat_degree_names_the_chebyshev_route(tmp_path, capsys):
+    """heat has one route, the ancestor profile; a Chebyshev heat column is
+    kernel --multiplier."""
+    assert run(["heat", "--degree", "9", "--out", str(tmp_path / "o")]) == 2
+    assert "kernel --multiplier" in capsys.readouterr().err
+
+
+def test_ratios_with_another_window_exits_two(tmp_path, capsys):
+    assert run(["riesz", "--window", "golden", "--ratios", "1/2,1/2",
+                "--out", str(tmp_path / "o")]) == 2
+    assert "--ratios" in capsys.readouterr().err
+
+
+def test_rationalize_q_is_the_denominator(tmp_path):
+    """--q 64 sets the denominator, not the degree of the ball to rationalize."""
+    out = tmp_path / "o"
+    assert run(["rationalize", "--q", "64", "--out", str(out)]) == 0
+    assert json.loads((out / "rationalize.csv.meta.json").read_text())["q"] == 64
+
+
+def test_level_sum_reads_the_window_flag(tmp_path):
+    """level-sum --window golden sums over the golden anchor's chain."""
+    out = tmp_path / "o"
+    assert run(["level-sum", "--window", "golden", "--t-grid", "1,4,16",
+                "--out", str(out)]) == 0
+    golden = (cli.GOLDEN_RATIO, 1 - cli.GOLDEN_RATIO)
+    w, m, c = ball_window(golden, 0, backend="float")
+    rep = analysis.level_sum_estimate(w, m, [1.0, 4.0, 16.0], c)
+    want = tmp_path / "want.csv"
+    reports.write_csv(str(want), rep.csv_header(), rep.csv_rows())
+    assert (out / "level_sum.csv").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("argv, ratios, name", [
+    (["riesz", "--dmax", "3"], "2/3,1/3", "riesz.csv"),
+    (["heat", "--t", "4"], "3/4,1/4", "heat.csv"),
+], ids=["riesz", "heat"])
+def test_ratios_set_the_flow(tmp_path, argv, ratios, name):
+    """--ratios gives a ball of its own flow, not the binary default's."""
+    for sub, extra in (("binary", []), ("ratios", ["--ratios", ratios])):
+        assert run([*argv, *extra, "--out", str(tmp_path / sub)]) == 0
+    assert (tmp_path / "binary" / name).read_bytes() != \
+        (tmp_path / "ratios" / name).read_bytes()
 
 
 def _paths_from(window, anchor) -> dict:

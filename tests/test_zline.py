@@ -137,6 +137,19 @@ def test_heat_kernels_match_mpmath_besseli(t):
                 assert abs(got - w) <= (2e-14 * w if w > 1e-300 else 1e-300), (nmax, n)
 
 
+@pytest.mark.parametrize("t", [1e6, 1e7, 1e8])
+def test_heat_kernels_match_mpmath_besseli_at_large_t(t):
+    """Both heat kernels within 1e-14 relative of mpmath at the times the
+    Riesz quadrature oracle reads (up to its t_cut = 1e8), on the kernel's
+    support radius n_last: at n = 0, 1, sqrt(t), 3 sqrt(t) and n_last / 2."""
+    n_last = zline.heat_support_radius(t, 1e-17)
+    k, g = zline.heat_z_kernel(t, n_last), zline.heat_z_gradkernel(t, n_last)
+    for n in (0, 1, math.isqrt(int(t)), math.isqrt(int(9 * t)), n_last // 2):
+        want = _mp_heat(n, t)
+        assert abs(k[n] - want) <= 1e-14 * want, n
+        assert abs(g[n] - want * 2 * n / t) <= 1e-14 * want * 2 * n / t, n
+
+
 @pytest.mark.parametrize("t", HEAT_T)
 def test_heat_kernel_crosschecks_scipy_ive(t):
     """scipy's ive agrees within 1e-12 relative where above 1e-300; at
