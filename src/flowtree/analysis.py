@@ -21,8 +21,7 @@ from numpy.polynomial.legendre import leggauss
 from . import abel, flowkernel
 from .chebyshev import ChebModel
 from .localops import KernelColumn
-from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, ball_window,
-                    meeting_levels)
+from .trees import FlowMeasure, TreeError, TreeWindow, Vertex, meeting_levels
 from .zline import heat_support_radius, heat_z_gradkernel
 
 SQRT_PI = math.sqrt(math.pi)
@@ -148,6 +147,33 @@ def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
     return _profile_column(window, measure, _heat_gradk(t), y, "plain")
 
 
+def heat_column_groups(window: TreeWindow, measure: FlowMeasure, t: float,
+                       y: Vertex) -> EstimateReport:
+    """The heat column at time t >= 0 and anchor y, one row per nonempty
+    (level, meeting level) group: its distance from y, the value every
+    vertex of the group takes, and the group's flow-equation mass.
+
+    Only y's ancestor chain is read, so the rows cover the column's whole
+    support in the flow tree around the window.  The meta holds the anchor,
+    the column's mass (sum of value * mass) and whether the chain was
+    truncated.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    gradk = _heat_gradk(t)
+    ly = window.level[y]
+    chain = flowkernel.chain_of(window, measure, y, len(gradk) - 1)
+    lam, j, vals, mass = flowkernel.column_masses(chain, gradk, ly, "plain")
+    vals = vals.real
+    rows = [{"level": l, "meeting_level": jj, "distance": 2 * jj - l - ly,
+             "value": v, "mass": mm}
+            for l, jj, v, mm in zip(lam.tolist(), j.tolist(), vals.tolist(),
+                                    mass.tolist())]
+    return EstimateReport(rows, {}, {"anchor": y,
+                                     "mass": float(np.sum(vals * mass)),
+                                     "truncated": chain.truncated})
+
+
 def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     """Column of a profile kernel at anchor y.
 
@@ -166,24 +192,6 @@ def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     vals = {x: v for x, v in zip(window.vertices, at_key[key_of].tolist()) if v}
     safe = frozenset(window.vertices) if not chain.truncated else frozenset()
     return KernelColumn(y, vals, safe, 1e-13)
-
-
-def heat_ball_radius(flow, t: float, tol: float) -> int:
-    """Smallest radius of a ball of the given flow (any ``ball_window``
-    takes: a degree q, or branching ratios) that holds all but at most tol
-    of the heat column's mass at time t.
-
-    The mass inside radius r is the cumulative sum, up to r, of the heat
-    column's mass per distance, taken over the centre's ancestor profile,
-    so no ball is built; radii run up to the kernel's support, past which
-    a ball holds all the mass.
-    """
-    gradk = _heat_gradk(t)
-    w, m, c = ball_window(flow, 0, backend="float")
-    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
-    inside = np.cumsum(flowkernel.distance_masses(chain, gradk, 0))[:len(gradk) - 1]
-    held = np.flatnonzero(1.0 - inside <= tol)
-    return int(held[0]) if len(held) else len(inside) - 1
 
 
 def grad_heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
@@ -218,7 +226,8 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
     chain = flowkernel.chain_of(window, measure, x, max(map(len, gradks)) - 1)
     rows = []
     for t, gradk in zip(ts, gradks):
-        lam, _, km = flowkernel.column_masses(chain, gradk, lx, variant)
+        lam, _, k, mass = flowkernel.column_masses(chain, gradk, lx, variant)
+        km = np.abs(k) * mass
         span = int(3 * math.sqrt(t)) + 3
         levels = range(lx - span, lx + span + 1)
         vals = [float(np.sum(km[lam == ll])) for ll in levels]

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -27,9 +26,8 @@ from . import abel, analysis, quotient, reports, zline
 from .bumps import imaginary_power_cut, named_multiplier
 from .localops import kernel_column_lambda_poly, kernel_column_poly
 from .ncpoly import NcPolynomial
-from .trees import (DEFAULT_VERTEX_CAP, TreeError, ball, ball_vertex_bound,
-                    ball_window, in_safe_region, load_window, safe_region,
-                    spine_window)
+from .trees import (TreeError, ball, ball_window, in_safe_region, load_window,
+                    safe_region, spine_window)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -201,13 +199,6 @@ def _write(out, name, header, rows, meta, comments=()):
     reports.write_meta(path, meta)
 
 
-def _write_column(out, name, window, col, meta):
-    """A kernel column's artifact: one row per vertex of its support."""
-    _write(out, name, ["x_id", "value_re", "value_im", "distance", "level_x"],
-           col.csv_rows(window), meta,
-           [f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
-
-
 def cmd_kernel(args, out):
     coeffs = list(parse_ratios(args.coeffs)) if args.coeffs else None
     deg = len(coeffs) - 1 if coeffs else _given(args.degree, DEFAULT_KERNEL_DEGREE)
@@ -228,22 +219,13 @@ def cmd_kernel(args, out):
             zk = zline.z_multiplier_kernel(fn, _given(args.dmax, 16))
             _write(out, "zkernel.csv", ["n", "re", "im"], zk.csv_rows(),
                    {"multiplier": args.multiplier, "nmax": zk.nmax, "grid": zk.grid})
-    _write_column(out, "kernel.csv", window, col,
-                  {**_window_meta(window), "anchor": col.anchor,
-                   "err_bound": col.err_bound, **op_meta})
+    _write(out, "kernel.csv",
+           ["x_id", "value_re", "value_im", "distance", "level_x"],
+           col.csv_rows(window),
+           {**_window_meta(window), "anchor": col.anchor,
+            "err_bound": col.err_bound, **op_meta},
+           [f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
     return {}
-
-
-def _check_ball(flow, t: float, radius: int) -> None:
-    """Refuse a heat ball of the given flow that passes the vertex cap."""
-    need = ball_vertex_bound(len(flow) if isinstance(flow, tuple) else flow, radius)
-    if need > DEFAULT_VERTEX_CAP:
-        # counts of more than 12 digits to two figures
-        count = f"{need:,}" if need < 10 ** 12 else f"about {Decimal(need):.1e}"
-        raise TreeError(
-            f"heat at t={t:g} needs a ball of radius {radius} ({count} "
-            f"vertices, over the cap of {DEFAULT_VERTEX_CAP:,}); use a smaller "
-            "--t, or a window file with --tree")
 
 
 def cmd_heat(args, out):
@@ -251,18 +233,12 @@ def cmd_heat(args, out):
         raise ValueError("heat has no --degree; a Chebyshev heat column is "
                          "kernel --multiplier 'exp(-t*x)' --t T --degree N")
     t = _given(args.t_param, 1.0)
-    tol = _given(args.tol, 1e-6)  # window truncation leaks a little column mass
+    tol = _given(args.tol, 1e-6)
     q = _given(args.q, 2)
+    # the column's groups read the anchor's ancestor chain only: the radius-0 ball
+    window, measure, anchor = make_window(args, 0, q)
+    rep = analysis.heat_column_groups(window, measure, t, anchor)
     flow = _flow(args, q)
-    radius = 10
-    if flow is not None:
-        # the least radius first: no group sum runs for a flow whose least
-        # ball is over the cap; then half the tolerance for the mass outside
-        _check_ball(flow, t, radius)
-        radius = max(radius, analysis.heat_ball_radius(flow, t, tol / 2))
-        _check_ball(flow, t, radius)
-    window, measure, anchor = make_window(args, radius, q)
-    col = analysis.heat_kernel_column(window, measure, t, anchor)
     if isinstance(flow, int) and flow >= 2:
         rad = abel.e_f_coefficients(flow,
                                     lambda lam: np.exp(-t * np.asarray(lam)),
@@ -270,11 +246,10 @@ def cmd_heat(args, out):
         _write(out, "radial.csv", ["k", "E_re", "E_im", "tail_bound"], rad.csv_rows(),
                {"q": flow, "t": t, "kmax": 24, "tail_scaled": rad.tail_scaled,
                 **rad.meta})
-    mass = sum(v * measure.as_float(x) for x, v in col.values.items())
-    _write_column(out, "heat.csv", window, col,
-                  {"t": t, "mass": complex(mass).real, **_window_meta(window)})
-    if abs(complex(mass) - 1.0) > max(1e3 * col.err_bound * len(window) ** 0.5, tol):
-        return {"check": "heat mass conservation", "mass": complex(mass).real}
+    _write(out, "heat.csv", rep.csv_header(), rep.csv_rows(),
+           {"t": t, **rep.meta, **_window_meta(window)})
+    if abs(rep.meta["mass"] - 1.0) > tol:
+        return {"check": "heat mass conservation", "mass": rep.meta["mass"]}
     return {}
 
 

@@ -19,8 +19,8 @@ whose masses the flow equation gives in closed form.
 
 One engine evaluates them: for fixed s = level(x) + level(z) the sums from
 every meeting level at once are one cumulative sum down the chain, and one
-group reader lists a column's groups (level, meeting level, |K| m) as
-arrays for the column, level and ball sums.
+group reader lists a column's groups (level, meeting level, value, mass) as
+arrays for heat's rows and the column and level sums.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .trees import FlowMeasure, TreeError, TreeWindow, Vertex
+from .trees import DEFAULT_VERTEX_CAP, FlowMeasure, TreeError, TreeWindow, Vertex
 from .zline import NumericalError
 
 
@@ -48,7 +48,6 @@ class AncestorChain:
 
     base_level: int
     inv: np.ndarray
-    masses: Optional[list] = None  # exact measures when available
     truncated: bool = False
 
     @property
@@ -65,18 +64,14 @@ def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
     level(z); the differenced variants read at most 2 past nmax, so no term
     above level(x) + nmax + 1 is nonzero, and column_masses reads measures
     up to level(x) + nmax + 2.  The chain climbs to that level: past the
-    apex by the window's growth law (floats only; exact masses cover the
-    window), or, with no growth law, not past the apex, with `truncated`
-    set.  With no nmax it stops at the apex.  It stops early only where the
-    next inverse measure would fall below the smallest normal double; every
-    pair-sum term there is below double range, so that is no truncation,
-    and column_masses raises NumericalError where it needs those levels.
+    apex by the window's growth law, or, with no growth law, not past the
+    apex, with `truncated` set.  With no nmax it stops at the apex.  It
+    stops early only where the next inverse measure would fall below the
+    smallest normal double; every pair-sum term there is below double
+    range, so that is no truncation, and column_masses raises
+    NumericalError where it needs those levels.
     """
-    invs = []
-    masses = []
-    for v in window.ancestors(x):
-        masses.append(measure.values[v])
-        invs.append(1.0 / measure.as_float(v))
+    invs = [1.0 / measure.as_float(v) for v in window.ancestors(x)]
     lvl = window.level[x]
     need = 0 if nmax is None else nmax + 3 - len(invs)
     truncated = need > 0 and window.up_ratio is None
@@ -88,24 +83,25 @@ def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
             if last < sys.float_info.min:
                 break
             invs.append(last)
-    exact = None
-    if measure.backend == "rational" and all(isinstance(m, (Fraction, int)) for m in masses):
-        exact = masses
-    return AncestorChain(lvl, np.asarray(invs, dtype=float), exact, truncated)
+    return AncestorChain(lvl, np.asarray(invs, dtype=float), truncated)
 
 
-def profile_value_exact(gradk: dict[int, Fraction], chain: AncestorChain,
-                        lx: int, lz: int, j0: int) -> Fraction:
-    if chain.masses is None:
-        raise TreeError("chain lacks exact measures")
+def profile_value_exact(gradk: dict[int, Fraction], window: TreeWindow,
+                        measure: FlowMeasure, v: Vertex, lx: int, lz: int,
+                        j0: int) -> Fraction:
+    """The profile sum of a pair at levels lx, lz meeting at level j0, in
+    exact arithmetic over the window ancestors of v at levels j0 and up,
+    with their rational measures: the tests' oracle."""
+    if measure.backend != "rational":
+        raise TreeError("exact profile sums need the rational backend")
     total = Fraction(0)
-    for i, m in enumerate(chain.masses):
-        J = chain.base_level + i
+    for a in window.ancestors(v):
+        J = window.level[a]
         if J < j0:
             continue
         g = gradk.get(2 * J - lx - lz + 1)
         if g:
-            total += g / m
+            total += g / measure.values[a]
     return total
 
 
@@ -114,7 +110,7 @@ def _at(a: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.where(n < len(a), a[np.minimum(n, len(a) - 1)], 0)
 
 
-_BLOCK_ENTRIES = 1 << 22   # table entries summed at once, to bound memory
+_BLOCK_ENTRIES = 1 << 18   # table entries summed at once, to bound memory
 
 
 def _suffix_sums(h: np.ndarray, chain: AncestorChain, s: np.ndarray,
@@ -184,13 +180,16 @@ def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
 def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
                   variant: str):
     """The column of K variant(., y) at the chain's vertex y (level ly) as
-    arrays of groups: level lam, meeting level j, and |K variant(x, y)| m
-    summed over the group.  A group's mass comes from the flow equation (a
-    slice below the anchor: m(a_ly); a_j alone: m(a_j); the rest of a slice
-    meeting at j: m(a_j) - m(a_{j-1})).  Empty groups, and groups past the
-    kernel's support for every variant (2j - lam - ly > nmax + 2), are left
-    out.  A chain that is not truncated yet ends below ly + nmax + 2 lost
-    the levels whose inverse measures leave double range: NumericalError.
+    arrays of groups: level lam, meeting level j, the value K variant(x, y)
+    that every vertex x of the group takes, and the group's mass.  A
+    group's mass comes from the flow equation (a slice below the anchor:
+    m(a_ly); a_j alone: m(a_j); the rest of a slice meeting at j: m(a_j) -
+    m(a_{j-1})).  A level j > ly whose rest is empty (m(a_j) = m(a_{j-1}))
+    gives the group of a_j only, and groups past the kernel's support for
+    every variant (2j - lam - ly > nmax + 2) are left out.  A chain that is
+    not truncated yet ends below ly + nmax + 2 lost the levels whose inverse
+    measures leave double range: NumericalError.  A column of more than
+    DEFAULT_VERTEX_CAP groups is refused before it is listed: TreeError.
     """
     nmax = len(gradk) - 1
     reach = ly + nmax + 2
@@ -200,24 +199,28 @@ def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
             f"the inverse measures leave double range above level "
             f"{chain.top_level}")
     j = np.arange(ly, min(chain.top_level, reach) + 1)
-    count = nmax + 3 + ly - j   # levels j down to 2j - ly - nmax - 2
+    m = 1.0 / chain.inv[j - chain.base_level]
+    rest = np.diff(m, prepend=m[0])
+    # levels j down to 2j - ly - nmax - 2, or a_j alone
+    count = np.where((j == ly) | (rest > 0), nmax + 3 + ly - j, 1)
+    total = int(count.sum())
+    if total > DEFAULT_VERTEX_CAP:
+        raise TreeError(
+            f"the column has {total:,} (level, meeting level) groups, over "
+            f"the cap of {DEFAULT_VERTEX_CAP:,}")
     J = np.repeat(j, count)
-    lam = J - (np.arange(len(J)) - np.repeat(np.cumsum(count) - count, count))
-    m = 1.0 / chain.inv[J - chain.base_level]
-    m_below = 1.0 / chain.inv[np.maximum(J - 1, ly) - chain.base_level]
-    mass = np.where((J == ly) | (lam == J), m, m - m_below)
-    keep = mass > 0
-    lam, J, mass = lam[keep], J[keep], mass[keep]
-    vals = variant_value(gradk, chain, lam, ly, J, variant)
-    return lam, J, np.abs(vals) * mass
+    lam = J - (np.arange(total) - np.repeat(np.cumsum(count) - count, count))
+    mass = np.where((J == ly) | (lam == J), m[J - ly], rest[J - ly])
+    return lam, J, variant_value(gradk, chain, lam, ly, J, variant), mass
 
 
 def distance_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
                     variant: str = "plain") -> np.ndarray:
     """Entry d: sum over x at distance d from the chain's vertex y (level
     ly) of |K variant(x, y)| m(x); length nmax + 3, past which K vanishes."""
-    lam, j, km = column_masses(chain, gradk, ly, variant)
-    return np.bincount(2 * j - lam - ly, km, minlength=len(gradk) + 2)
+    lam, j, vals, mass = column_masses(chain, gradk, ly, variant)
+    return np.bincount(2 * j - lam - ly, np.abs(vals) * mass,
+                       minlength=len(gradk) + 2)
 
 
 def weighted_colsum(chain: AncestorChain, gradk: np.ndarray, ly: int,

@@ -1,17 +1,19 @@
 """Heat, Riesz, level-sum, multiplier, and spectrum experiments."""
 
 import dataclasses
+import json
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
-                      safe_region, spine_window)
+                      load_window, safe_region, spine_window, window_to_json)
 from flowtree import analysis, flowkernel, zline
 from flowtree.analysis import RIESZ_CUT, QuadratureSpec
-from flowtree.trees import ball
+from flowtree.trees import ball, meeting_levels
 
 from conftest import riesz_quadrature
 
@@ -38,6 +40,83 @@ def test_heat_mass_conservation():
     col = analysis.heat_kernel_column(w, m, 2.0, c)
     mass = sum(complex(v).real * m.as_float(x) for x, v in col.values.items())
     assert abs(mass - 1.0) < 1e-9
+
+
+def _ratio_cone():
+    w, m, b = constant_ratio_window((Fraction(2, 3), Fraction(1, 3)), depth=6, up=40)
+    return w, m, next(v for v in w.vertices if w.level[v] == w.level[b] - 3)
+
+
+def _loaded_file():
+    w, m, _ = constant_ratio_window((Fraction(3, 4), Fraction(1, 4)), depth=5, up=8)
+    w, m = load_window(json.dumps(window_to_json(w, m)))
+    return w, m, sorted(w.vertices)[len(w) // 2]
+
+
+# (window maker, whether the group masses are exact sums of vertex masses)
+GROUP_WINDOWS = {
+    "binary-6": (lambda: ball_window(2, 6), True),
+    "ternary-4": (lambda: ball_window(3, 4), True),
+    "binary-float-8": (lambda: ball_window(2, 8, backend="float"), False),
+    "golden": (lambda: ball_window((GOLDEN, 1 - GOLDEN), 6, center_level=-6,
+                                   backend="float"), False),
+    "ratio-cone": (_ratio_cone, False),
+    "spine": (lambda: spine_window(40), False),
+    "loaded": (_loaded_file, False),
+}
+
+
+@pytest.mark.parametrize("name", GROUP_WINDOWS)
+def test_heat_column_groups_match_the_vertices(name):
+    """Every vertex's heat value is its (level, meeting level) group's value
+    bit for bit, and a group wholly inside the anchor's complete ball holds
+    the group's mass: exactly on rational balls, else to 1e-12."""
+    make, exact = GROUP_WINDOWS[name]
+    w, m, y = make()
+    meet = meeting_levels(w, y)
+    inside = w.defect_distances().get(y, 0)
+    for t in (0.0, 0.5, 4.0):
+        rep = analysis.heat_column_groups(w, m, t, y)
+        col = analysis.heat_kernel_column(w, m, t, y)
+        groups = {(r["level"], r["meeting_level"]): r for r in rep.rows}
+        assert len(groups) == len(rep.rows)
+        held = defaultdict(int)
+        for x in w.vertices:
+            key = (w.level[x], meet[x])
+            v = complex(col.values.get(x, 0))
+            if key not in groups:
+                assert v == 0
+                continue
+            assert groups[key]["value"] == v.real and v.imag == 0
+            assert groups[key]["distance"] == w.distance(x, y)
+            held[key] += m.values[x]
+        checked = 0
+        for key, total in held.items():
+            want = groups[key]["mass"]
+            if groups[key]["distance"] <= inside:
+                checked += 1
+                if exact:
+                    assert float(total) == want
+                else:
+                    assert abs(float(total) - want) <= 1e-12 * want
+        assert checked > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ball_window(2, 0), lambda: ball_window(3, 0), lambda: ball_window(8, 0),
+    lambda: ball_window(1, 12),
+    lambda: ball_window((GOLDEN, 1 - GOLDEN), 0, backend="float"),
+    lambda: ball_window((Fraction(3, 4), Fraction(1, 4)), 0),
+    lambda: spine_window(140),
+], ids=["q2", "q3", "q8", "line", "golden", "ratios", "spine"])
+def test_heat_column_groups_hold_the_mass(make):
+    """The groups' value * mass adds up to 1 within 1e-12, from t = 0 to 64."""
+    w, m, y = make()
+    for t in (0.0, 0.5, 4.0, 64.0):
+        rep = analysis.heat_column_groups(w, m, t, y)
+        assert not rep.meta["truncated"]
+        assert abs(rep.meta["mass"] - 1.0) <= 1e-12
+        assert abs(math.fsum(r["value"] * r["mass"] for r in rep.rows) - 1.0) <= 1e-12
 
 
 def test_heat_positivity(t2_ball):

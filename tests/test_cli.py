@@ -11,13 +11,14 @@ import subprocess
 import sys
 import tempfile
 import threading
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtree import (analysis, ball_window, cli, constant_ratio_window, reports,
-                      trees, zline)
+from flowtree import (analysis, ball_window, cli, constant_ratio_window, flowkernel,
+                      reports, trees, zline)
 from flowtree.cli import main
 
 
@@ -100,39 +101,6 @@ def test_kernel_multiplier_missing_parameter_names_flag(tmp_path, capsys):
     assert "needs --t" in capsys.readouterr().err
 
 
-def test_heat_too_large_names_radius_and_remedy(tmp_path, capsys):
-    """heat --t 12 on the binary tree needs a radius-20 ball, past the
-    vertex cap: exit 2 with the radius, the vertex count and what to do."""
-    assert run(["heat", "--q", "2", "--t", "12",
-                "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "radius 20 (3,145,726 vertices" in err
-    assert "smaller --t" in err and "--tree" in err
-    assert "max_vertices" not in err and "up to" not in err
-
-
-def test_heat_too_large_gives_a_long_count_to_two_figures(tmp_path, capsys):
-    """heat --t 1024 on the 3-ary tree needs a ball of 81 digits' worth of
-    vertices: the message gives its order of magnitude."""
-    assert run(["heat", "--q", "3", "--t", "1024",
-                "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "radius 180 (about 1.5e+86 vertices" in err
-
-
-@pytest.mark.parametrize("q", [5, 64])
-def test_heat_checks_the_cap_at_radius_10_first(tmp_path, capsys, monkeypatch, q):
-    """For q >= 5 the radius-10 ball is already over the vertex cap: exit 2
-    naming radius 10 and the cap, before any group sum sizes the ball."""
-    def no_group_sums(*args):
-        raise AssertionError("heat sized its ball past the cap")
-    monkeypatch.setattr(analysis, "heat_ball_radius", no_group_sums)
-    assert run(["heat", "--q", str(q), "--t", "256",
-                "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "radius 10 (" in err and "cap of 2,000,000" in err
-
-
 def test_heat_group_sum_past_double_range_exits_one(tmp_path):
     """At q = 4, t = 4096 the heat column's group sums need measures past
     double range: exit 1 with a failure record, not a ball sized from a
@@ -148,18 +116,61 @@ def test_heat_command(tmp_path):
     out = tmp_path / "o"
     assert run(["heat", "--q", "2", "--t", "2.0", "--out", str(out)]) == 0
     meta = json.loads((out / "heat.csv.meta.json").read_text())
-    assert abs(meta["mass"] - 1.0) < 1e-6  # window truncation leaks mass
+    assert abs(meta["mass"] - 1.0) <= 1e-12
 
 
-def test_heat_ball_grows_with_t(tmp_path):
-    """heat sizes its ball from t: radius 10 at t = 1 (the README
-    artifacts), radius 12 at t = 4, where radius 10 leaks 1.1e-5 of mass."""
-    for t, radius in (("1", 10), ("4", 12)):
-        out = tmp_path / t
-        assert run(["heat", "--q", "2", "--t", t, "--out", str(out)]) == 0
-        meta = json.loads((out / "heat.csv.meta.json").read_text())
-        assert abs(meta["mass"] - 1.0) < 1e-6
-        assert meta["window_size"] == len(ball_window(2, radius)[0])
+def test_heat_writes_one_row_per_group_from_the_anchor_alone(tmp_path):
+    """heat --q 3 --t 4 reads the anchor's chain only: a 1-vertex window
+    and 990 (level, meeting level) rows out to distance 43, mass 1."""
+    out = tmp_path / "o"
+    assert run(["heat", "--q", "3", "--t", "4", "--out", str(out)]) == 0
+    meta = json.loads((out / "heat.csv.meta.json").read_text())
+    assert meta["window_size"] == 1 and meta["truncated"] is False
+    assert abs(meta["mass"] - 1.0) <= 1e-12
+    with open(out / "heat.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 990
+    assert list(rows[0]) == ["level", "meeting_level", "distance", "value", "mass"]
+    assert max(int(r["distance"]) for r in rows) == 43
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "spine", "--t", "1"], ["--q", "3", "--t", "1024"]],
+    ids=["spine", "q3-1024"])
+def test_heat_runs_where_no_ball_holds_the_column(tmp_path, argv):
+    """The spine (whose anchor's sibling is a leaf of the window) and the
+    3-ary column at t = 1024 (whose ball would hold about 1.5e86 vertices)
+    hold their mass: exit 0."""
+    out = tmp_path / "o"
+    assert run(["heat", *argv, "--out", str(out)]) == 0
+    meta = json.loads((out / "heat.csv.meta.json").read_text())
+    assert abs(meta["mass"] - 1.0) <= 1e-12
+
+
+def test_heat_refuses_a_column_of_too_many_groups(tmp_path, capsys, monkeypatch):
+    """At ratios 999/1000, 1/1000 and t = 1e6 the chain stays in double
+    range and all ~41.6M groups are nonempty: exit 2 naming the cap, before
+    any kernel value is evaluated."""
+    def no_values(*args):
+        raise AssertionError("heat evaluated a column over the cap")
+    monkeypatch.setattr(flowkernel, "variant_value", no_values)
+    assert run(["heat", "--ratios", "999/1000,1/1000", "--t", "1e6",
+                "--out", str(tmp_path / "o")]) == 2
+    assert "cap of 2,000,000" in capsys.readouterr().err
+
+
+def test_heat_on_a_short_loaded_chain_flags_truncation(tmp_path):
+    """A loaded file whose apex sits below the levels the column reads:
+    the sidecar says truncated, and the lost mass fails the check."""
+    w, m, _ = constant_ratio_window((Fraction(3, 4), Fraction(1, 4)), depth=4, up=2)
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(trees.window_to_json(w, m)))
+    out = tmp_path / "o"
+    assert run(["heat", "--tree", str(tree), "--t", "4", "--out", str(out)]) == 1
+    meta = json.loads((out / "heat.csv.meta.json").read_text())
+    assert meta["truncated"] is True
+    assert json.loads((out / "failure.json").read_text())["failure"]["check"] == \
+        "heat mass conservation"
 
 
 def test_riesz_skew_check_command(tmp_path):
@@ -521,13 +532,11 @@ def test_transfer_check_degree_zero(tmp_path):
 
 
 def test_heat_golden_window(tmp_path):
-    """The golden window is a radius-10 ball around its anchor, so heat
-    runs on it and conserves mass."""
+    """heat runs on the golden flow and conserves mass."""
     out = tmp_path / "o"
     assert run(["heat", "--window", "golden", "--out", str(out)]) == 0
     meta = json.loads((out / "heat.csv.meta.json").read_text())
-    assert abs(meta["mass"] - 1.0) <= 1e-6
-    assert meta["window_size"] == trees.ball_vertex_bound(2, 10)
+    assert abs(meta["mass"] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("argv", [
@@ -536,12 +545,11 @@ def test_heat_golden_window(tmp_path):
     ["--ratios", "3/4,1/4", "--t", "4"],
 ], ids=["zline-8", "zline-16", "golden-4", "golden-8", "ratios-4"])
 def test_heat_sizes_every_built_in_ball_from_t(tmp_path, argv):
-    """Line, golden and --ratios balls are sized from t like q-ary ones,
-    so the column keeps its mass to the default --tol."""
+    """Line, golden and --ratios columns keep their mass like q-ary ones."""
     out = tmp_path / "o"
     assert run(["heat", *argv, "--out", str(out)]) == 0
     meta = json.loads((out / "heat.csv.meta.json").read_text())
-    assert abs(meta["mass"] - 1.0) <= 1e-6
+    assert abs(meta["mass"] - 1.0) <= 1e-12
 
 
 def test_heat_degree_names_the_chebyshev_route(tmp_path, capsys):
@@ -637,7 +645,8 @@ README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_commands_exit_zero(tmp_path, monkeypatch):
     """Every command in the README's command-line block exits 0, starts no
-    thread, and builds no window larger than heat's radius-12 binary ball.
+    thread, and builds no window larger than transfer-check's 9,426-vertex
+    quotient source.
     A second run of every command writes byte-identical artifacts, sidecars
     included."""
     block = README.read_text(encoding="utf-8").split("## Command line")[1]
@@ -664,7 +673,7 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch):
             if run(argv[1:-2] + ["--out", str(tmp_path / rerun / str(i))]) != 0:
                 failed.append(" ".join(argv))
     assert not failed and not threads
-    assert max(sizes) <= trees.ball_vertex_bound(2, 12)
+    assert max(sizes) <= 9_426
     artifacts = [{p.relative_to(root): p.read_bytes()
                   for p in root.rglob("*") if p.is_file()}
                  for root in (tmp_path / "first", tmp_path / "second")]

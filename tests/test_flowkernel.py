@@ -10,22 +10,22 @@ column sums against brute-force window enumeration.
 import dataclasses
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from flowtree import TreeError, ball_window, constant_ratio_window
+from flowtree import TreeError, ball_window, constant_ratio_window, spine_window
 from flowtree import abel, analysis, flowkernel, zline
 from flowtree.localops import kernel_column_lambda_poly, weighted_col_sums
 
 
 def exact_pair(window, measure, coeffs, x, z):
     gk = zline.z_gradkernel_lambda_poly(coeffs)
-    chain = flowkernel.chain_of(window, measure, x)
     a = window.lca(x, z)
     return flowkernel.profile_value_exact(
-        gk, chain, window.level[x], window.level[z], window.level[a])
+        gk, window, measure, x, window.level[x], window.level[z], window.level[a])
 
 
 def test_exact_on_homogeneous():
@@ -112,7 +112,8 @@ def test_level_sum_matches_brute_force():
     lx = w.level[x]
     full = flowkernel.chain_of(w, m, x, len(gradk) - 1)
     lb = w.level[b]
-    lam, j, km = flowkernel.column_masses(full, gradk, lx, "gradstar_z")
+    lam, j, vals, mass = flowkernel.column_masses(full, gradk, lx, "gradstar_z")
+    km = np.abs(vals) * mass
     for l in (lx - 3, lx - 1, lx, lx + 1):
         got = float(np.sum(km[(lam == l) & (j <= lb)]))
         brute = 0.0
@@ -222,10 +223,11 @@ def test_weighted_colsum_matches_window_enumeration():
 VARIANTS = ("plain", "grad_x", "gradstar_z", "grad_both")
 
 
-def exact_variant(gk, chain, lx, lz, j0, variant):
-    """A variant from exact profile sums: a gradient replaces its vertex by
-    the predecessor, which meets the other vertex at max(j0, level + 1)."""
-    p = lambda a, b, j: flowkernel.profile_value_exact(gk, chain, a, b, j)
+def exact_variant(gk, window, measure, x, lx, lz, j0, variant):
+    """A variant from exact profile sums over the ancestors of x: a gradient
+    replaces its vertex by the predecessor, which meets the other vertex at
+    max(j0, level + 1)."""
+    p = lambda a, b, j: flowkernel.profile_value_exact(gk, window, measure, x, a, b, j)
     v = p(lx, lz, j0)
     if variant in ("grad_x", "grad_both"):
         v -= p(lx + 1, lz, max(j0, lx + 1))
@@ -266,7 +268,7 @@ def test_array_variants_match_exact_profile_sums(ratios):
     lx, lz, j0 = (np.array(col) for col in zip(*pairs))
     for variant in VARIANTS:
         got = flowkernel.variant_value(gradk, chain, lx, lz, j0, variant)
-        want = np.array([float(exact_variant(gk, chain, *p, variant)) for p in pairs])
+        want = np.array([float(exact_variant(gk, w, m, x, *p, variant)) for p in pairs])
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         for i in range(0, len(pairs), 7):
             one = flowkernel.variant_value(gradk, chain, *pairs[i], variant)
@@ -286,22 +288,56 @@ def test_meeting_level_below_chain_or_vertex_raises():
         flowkernel.variant_value(gradk, chain, lb + 2, lb, lb + 1, "grad_x")
 
 
-@pytest.mark.parametrize("q, t", [(2, 0.5), (2, 1.0), (2, 4.0), (3, 0.5), (3, 1.0)])
-def test_heat_ball_radius_is_the_smallest_that_holds_the_mass(q, t):
-    """Summed vertex by vertex, the heat column holds all but tol of its
-    mass in the ball of the returned radius, and not in the next smaller."""
-    tol = 1e-6
-    r = analysis.heat_ball_radius(q, t, tol)
-    w, m, c = ball_window(q, r, backend="float")
-    col = analysis.heat_kernel_column(w, m, t, c)
-    held = {r: 0.0, r - 1: 0.0}
-    for x, v in col.values.items():
-        mass = v.real * m.as_float(x)
-        held[r] += mass
-        if w.distance(x, c) <= r - 1:
-            held[r - 1] += mass
-    assert 1.0 - held[r] <= tol
-    assert 1.0 - held[r - 1] > tol
+def _every_candidate_group(chain, gradk, ly, variant):
+    """column_masses listed the long way: every level j down to 2j - ly -
+    nmax - 2 at every meeting level j, with the empty groups dropped after."""
+    nmax = len(gradk) - 1
+    rows = []
+    for j in range(ly, min(chain.top_level, ly + nmax + 2) + 1):
+        m = 1.0 / chain.inv[j - chain.base_level]
+        below = 1.0 / chain.inv[max(j - 1, ly) - chain.base_level]
+        for lam in range(j, 2 * j - ly - nmax - 3, -1):
+            mass = m if j == ly or lam == j else m - below
+            if mass > 0:
+                rows.append((lam, j, mass))
+    lam, j, mass = (np.array(col) for col in zip(*rows))
+    return lam, j, flowkernel.variant_value(gradk, chain, lam, ly, j, variant), mass
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ball_window(1, 12), lambda: spine_window(40), lambda: ball_window(2, 0),
+    lambda: ball_window((Fraction(3, 4), Fraction(1, 4)), 0)],
+    ids=["line", "spine", "binary", "ratios"])
+def test_column_groups_skip_empty_slices_in_the_same_order(make):
+    """A level whose slice holds its chain vertex alone lists that vertex
+    only; the groups, their order, values and masses are those of listing
+    every candidate and dropping the empty ones."""
+    w, m, y = make()
+    gradk = analysis._heat_gradk(16.0)
+    chain = flowkernel.chain_of(w, m, y, len(gradk) - 1)
+    for variant in ("plain", "gradstar_z"):
+        got = flowkernel.column_masses(chain, gradk, w.level[y], variant)
+        want = _every_candidate_group(chain, gradk, w.level[y], variant)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+def test_line_column_groups_are_few_and_small():
+    """On the line at t = 1e5 only the slice below the anchor and the chain
+    vertices are groups: 2 nmax + 5 of them, listed under 20 MiB."""
+    w, m, y = ball_window(1, 12)
+    gradk = analysis._heat_gradk(1e5)
+    chain = flowkernel.chain_of(w, m, y, len(gradk) - 1)
+    tracemalloc.start()
+    try:
+        lam, j, vals, mass = flowkernel.column_masses(chain, gradk, w.level[y], "plain")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+    assert len(lam) == 2 * (len(gradk) - 1) + 5
+    assert np.all((j == w.level[y]) | (lam == j)) and np.all(mass == 1.0)
+    assert abs(np.sum(vals.real * mass) - 1.0) <= 1e-12
 
 
 def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
