@@ -150,12 +150,13 @@ def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
 def heat_column_groups(window: TreeWindow, measure: FlowMeasure, t: float,
                        y: Vertex) -> EstimateReport:
     """The heat column at time t >= 0 and anchor y, one row per nonempty
-    (level, meeting level) group: its distance from y, the value every
-    vertex of the group takes, and the group's flow-equation mass.
+    (level, meeting level) group: its distance from y, log10 of |value|
+    (every vertex of the group has the value) and of the group's flow-
+    equation mass, and value_mass, their product, in range where they are not.
 
     Only y's ancestor chain is read, so the rows cover the column's whole
     support in the flow tree around the window.  The meta holds the anchor,
-    the column's mass (sum of value * mass) and whether the chain was
+    the column's mass (the sum of value_mass) and whether the chain was
     truncated.
     """
     if t < 0:
@@ -163,14 +164,16 @@ def heat_column_groups(window: TreeWindow, measure: FlowMeasure, t: float,
     gradk = _heat_gradk(t)
     ly = window.level[y]
     chain = flowkernel.chain_of(window, measure, y, len(gradk) - 1)
-    lam, j, vals, mass = flowkernel.column_masses(chain, gradk, ly, "plain")
-    vals = vals.real
+    lam, j, value_mass, log2_mass = flowkernel.column_masses(chain, gradk, ly, "plain")
+    value_mass = value_mass.real
+    log10_mass = log2_mass * math.log10(2)
+    with np.errstate(divide="ignore"):   # a group of value 0: -inf
+        log10_value = np.log10(np.abs(value_mass)) - log10_mass
     rows = [{"level": l, "meeting_level": jj, "distance": 2 * jj - l - ly,
-             "value": v, "mass": mm}
-            for l, jj, v, mm in zip(lam.tolist(), j.tolist(), vals.tolist(),
-                                    mass.tolist())]
-    return EstimateReport(rows, {}, {"anchor": y,
-                                     "mass": float(np.sum(vals * mass)),
+             "log10_value": lv, "log10_mass": lm, "value_mass": vm}
+            for l, jj, lv, lm, vm in zip(lam.tolist(), j.tolist(), log10_value.tolist(),
+                                         log10_mass.tolist(), value_mass.tolist())]
+    return EstimateReport(rows, {}, {"anchor": y, "mass": float(np.sum(value_mass)),
                                      "truncated": chain.truncated})
 
 
@@ -226,14 +229,14 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
     chain = flowkernel.chain_of(window, measure, x, max(map(len, gradks)) - 1)
     rows = []
     for t, gradk in zip(ts, gradks):
-        lam, _, k, mass = flowkernel.column_masses(chain, gradk, lx, variant)
-        km = np.abs(k) * mass
+        lam, _, value_mass, _ = flowkernel.column_masses(chain, gradk, lx, variant)
         span = int(3 * math.sqrt(t)) + 3
-        levels = range(lx - span, lx + span + 1)
-        vals = [float(np.sum(km[lam == ll])) for ll in levels]
-        best = max(vals)
-        best_l = levels[vals.index(best)] if best > 0 else None
-        rows.append({"t": t, "value": best, "level": best_l,
+        near = np.abs(lam - lx) <= span
+        per_level = np.bincount(lam[near] - (lx - span), np.abs(value_mass[near]),
+                                minlength=2 * span + 1)
+        best = int(np.argmax(per_level))
+        rows.append({"t": t, "value": float(per_level[best]),
+                     "level": lx - span + best if per_level[best] > 0 else None,
                      "chain_truncated": chain.truncated})
     fit = fit_loglog([1.0 + t for t in ts], [r["value"] for r in rows])
     return EstimateReport(rows, fit, {
@@ -260,7 +263,7 @@ def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs):
     apex), the remainder is +-(sqrt(2)/pi) w_{J_a} / (N + 1/2), + if N - s
     is even: it is added, and the bound is 0.  Elsewhere w never increases
     going up and k falls, so |remainder| <= w_{J_a} k(N + 1), the bound: 0
-    where the chain left double range below J_a, inf on a truncated chain.
+    where w_{J_a} is below double range, inf on a truncated chain.
     Rounding is left out.  Pairs must lie at distance below N.
     """
     lx, ly, j0 = np.array([(window.level[x], window.level[y],
@@ -283,7 +286,7 @@ def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs):
         vals[idx] = flowkernel.variant_value(_RIESZ_KERNEL, chain, lx[idx], ly[idx],
                                              j0[idx], "grad_x")
         if not chain.truncated:
-            w = flowkernel._at(chain.inv, first[idx] - chain.base_level)
+            w = chain.inverse_measures(first[idx])
             vals[idx] += tail[idx] * w
             bounds[idx] = bound[idx] * w
     return [complex(v) for v in vals], [float(b) for b in bounds]

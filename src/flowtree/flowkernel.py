@@ -18,41 +18,52 @@ sums or weighted column sums collapse to sums over common-ancestor groups
 whose masses the flow equation gives in closed form.
 
 One engine evaluates them: for fixed s = level(x) + level(z) the sums from
-every meeting level at once are one cumulative sum down the chain, and one
-group reader lists a column's groups (level, meeting level, value, mass) as
-arrays for heat's rows and the column and level sums.
+every meeting level at once are cumulative sums down the chain of ratios
+m(a_j)/m(a_J) <= 1, which stay in double range where the measures leave
+it; one group reader lists a column's groups as arrays for heat's rows and
+the column and level sums.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
 from .trees import DEFAULT_VERTEX_CAP, FlowMeasure, TreeError, TreeWindow, Vertex
-from .zline import NumericalError
 
 
 @dataclass
 class AncestorChain:
-    """Inverse measures 1/m(a_J) along a vertex's ancestor line.
-
-    Index i corresponds to the ancestor at level base_level + i.  A chain
-    that must climb past the apex of a window with no ambient growth law
-    (up_ratio) stops there with `truncated` set, and the callers flag their
-    results instead of silently stopping.
+    """Measures m(a_J) = mantissa * 2**exponent along a vertex's ancestor
+    line (index i: level base_level + i), with integer exponents: none
+    leaves range, and one in range keeps its float bits.  A chain that must
+    climb past the apex of a window with no ambient growth law (up_ratio)
+    stops there with `truncated` set, and the callers flag their results.
     """
 
     base_level: int
-    inv: np.ndarray
+    mantissa: np.ndarray
+    exponent: np.ndarray
+    rise: float            # the steepest growth of log2 m from a level to the next
     truncated: bool = False
 
     @property
     def top_level(self) -> int:
-        return self.base_level + len(self.inv) - 1
+        return self.base_level + len(self.mantissa) - 1
+
+    def ratio(self, i, k) -> np.ndarray:
+        """m(a_J)/m(a_K) at chain indices i = J - base_level, k = K - base_level."""
+        return np.ldexp(self.mantissa[i] / self.mantissa[k],
+                        self.exponent[i] - self.exponent[k])
+
+    def inverse_measures(self, levels) -> np.ndarray:
+        """1/m(a_J) at integer levels J >= base_level, zero above the top."""
+        n = np.asarray(levels) - self.base_level
+        i = np.minimum(n, len(self.mantissa) - 1)
+        return np.where(n < len(self.mantissa),
+                        np.ldexp(1.0 / self.mantissa[i], -self.exponent[i]), 0.0)
 
 
 def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
@@ -64,45 +75,20 @@ def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
     level(z); the differenced variants read at most 2 past nmax, so no term
     above level(x) + nmax + 1 is nonzero, and column_masses reads measures
     up to level(x) + nmax + 2.  The chain climbs to that level: past the
-    apex by the window's growth law, or, with no growth law, not past the
-    apex, with `truncated` set.  With no nmax it stops at the apex.  It
-    stops early only where the next inverse measure would fall below the
-    smallest normal double; every pair-sum term there is below double
-    range, so that is no truncation, and column_masses raises
-    NumericalError where it needs those levels.
+    apex by the window's growth law, log2 m rising by log2(up_ratio) a
+    level, or, with no growth law, not past the apex, with `truncated` set.
+    With no nmax it stops at the apex.
     """
-    invs = [1.0 / measure.as_float(v) for v in window.ancestors(x)]
-    lvl = window.level[x]
-    need = 0 if nmax is None else nmax + 3 - len(invs)
+    mantissa, exponent = np.frexp(list(map(measure.as_float, window.ancestors(x))))
+    need = 0 if nmax is None else nmax + 3 - len(mantissa)
     truncated = need > 0 and window.up_ratio is None
     if need > 0 and not truncated:
-        growth = float(window.up_ratio)
-        last = invs[-1]
-        for _ in range(need):
-            last = last / growth
-            if last < sys.float_info.min:
-                break
-            invs.append(last)
-    return AncestorChain(lvl, np.asarray(invs, dtype=float), truncated)
-
-
-def profile_value_exact(gradk: dict[int, Fraction], window: TreeWindow,
-                        measure: FlowMeasure, v: Vertex, lx: int, lz: int,
-                        j0: int) -> Fraction:
-    """The profile sum of a pair at levels lx, lz meeting at level j0, in
-    exact arithmetic over the window ancestors of v at levels j0 and up,
-    with their rational measures: the tests' oracle."""
-    if measure.backend != "rational":
-        raise TreeError("exact profile sums need the rational backend")
-    total = Fraction(0)
-    for a in window.ancestors(v):
-        J = window.level[a]
-        if J < j0:
-            continue
-        g = gradk.get(2 * J - lx - lz + 1)
-        if g:
-            total += g / measure.values[a]
-    return total
+        bits = np.log2(mantissa[-1]) + np.arange(1, need + 1) * np.log2(float(window.up_ratio))
+        whole = np.floor(bits)
+        mantissa = np.concatenate([mantissa, np.exp2(bits - whole)])
+        exponent = np.concatenate([exponent, exponent[-1] + whole.astype(exponent.dtype)])
+    rise = np.diff(np.log2(mantissa) + exponent).max(initial=0.0)
+    return AncestorChain(window.level[x], mantissa, exponent, rise, truncated)
 
 
 def _at(a: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -111,33 +97,66 @@ def _at(a: np.ndarray, n: np.ndarray) -> np.ndarray:
 
 
 _BLOCK_ENTRIES = 1 << 18   # table entries summed at once, to bound memory
+_SPAN_BITS = 864           # largest power of 2 a scaled sum forms (2^1024 overflows)
 
 
 def _suffix_sums(h: np.ndarray, chain: AncestorChain, s: np.ndarray,
-                 j0: np.ndarray) -> np.ndarray:
-    """sum_{J >= j0} h(2J - s + 1) / m(a_J) for 1-d arrays s, j0 (h is zero
-    past its end).  One row per distinct s runs down from its top level (the
-    last inside h and the chain); one cumulative sum gives every start, each
-    added from the top down whatever else shares the call."""
+                 j0: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """sum_{J >= first} h(2J - s + 1) m(a_j0)/m(a_J) for 1-d arrays s and
+    j0 <= first (h is zero past its end).  One row per distinct s runs down
+    from its top level (the last inside h and the chain) in blocks over
+    which log2 m rises by at most _SPAN_BITS: terms scaled to the measure at
+    their block's top, one cumulative sum per block, and the blocks above
+    carried down, rescaled block by block.  Each value is added from the
+    top down whatever else shares the call."""
     rows, row = np.unique(s, return_inverse=True)
     hi = np.minimum(chain.top_level, (len(h) - 2 + rows) // 2)
-    k = hi[row] - j0
+    k = hi[row] - first
     width = max(k.max(initial=0), 0) + 1
-    out = np.zeros(len(s), dtype=np.result_type(chain.inv, h))
-    per_block = max(1, _BLOCK_ENTRIES // width)
-    for first in range(0, len(rows), per_block):
-        J = hi[first:first + per_block, None] - np.arange(width)
-        # entries below a row's lowest j0 are never read; clip them into range
-        terms = (chain.inv[np.maximum(J - chain.base_level, 0)]
-                 * h[np.clip(2 * J - rows[first:first + per_block, None] + 1,
-                             0, len(h) - 1)])
-        at = np.flatnonzero((row >= first) & (row < first + per_block) & (k >= 0))
-        out[at] = np.cumsum(terms, axis=1)[row[at] - first, k[at]]
+    size = width if chain.rise <= 0 else max(1, min(width, int(_SPAN_BITS / chain.rise)))
+    width = -(-width // size) * size
+    out = np.zeros(len(s), dtype=np.result_type(chain.mantissa, h))
+    per_chunk = max(1, _BLOCK_ENTRIES // width)
+    for lo in range(0, len(rows), per_chunk):
+        J = hi[lo:lo + per_chunk, None] - np.arange(width)
+        # entries below a row's lowest start are never read; clip them into range
+        n = np.maximum(J - chain.base_level, 0)
+        top = n[:, ::size]
+        terms = (chain.ratio(np.repeat(top, size, axis=1), n)
+                 * h[np.clip(2 * J - rows[lo:lo + per_chunk, None] + 1, 0, len(h) - 1)])
+        part = np.cumsum(terms.reshape(len(J), -1, size), axis=2)
+        for b in range(1, part.shape[1]):   # add the blocks above, rescaled
+            part[:, b] += part[:, b - 1, -1:] * chain.ratio(top[:, b], top[:, b - 1])[:, None]
+        at = np.flatnonzero((row >= lo) & (row < lo + per_chunk) & (k >= 0))
+        i, b = row[at] - lo, k[at] // size
+        out[at] = chain.ratio(j0[at] - chain.base_level, top[i, b]) * part[i, b, k[at] % size]
     return out
 
 
 # F(L), grad F(L), F(L) grad* and grad F(L) grad*; abel takes the same names
 VARIANTS = ("plain", "grad_x", "gradstar_z", "grad_both")
+
+
+def _scaled_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
+                  variant: str) -> np.ndarray:
+    """m(a_j0) times the kernel of a variant at 1-d arrays of levels lx, lz
+    and meeting levels j0 (see variant_value)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}")
+    if (j0 < np.maximum(np.maximum(lx, lz), chain.base_level)).any():
+        raise TreeError("meeting level below the chain base or a vertex's level")
+    on_x = variant in ("grad_x", "grad_both")
+    on_z = variant in ("gradstar_z", "grad_both")
+    x_meets, z_meets = on_x & (j0 == lx), on_z & (j0 == lz)
+    head = x_meets | z_meets
+    order = on_x + on_z
+    h = np.diff(gradk, order, prepend=np.zeros(order), append=np.zeros(order))
+    v = _suffix_sums(h, chain, lx + lz, j0, j0 + head)
+    # level j0: plain, less a one-gradient part whose vertex does not meet
+    n0 = 2 * j0 - lx - lz + 1
+    at_j0 = np.where((on_x & ~x_meets) | (on_z & ~z_meets),
+                     _at(np.diff(gradk, prepend=0, append=0), n0), _at(gradk, n0))
+    return v + np.where(head, at_j0, 0)
 
 
 def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
@@ -153,54 +172,30 @@ def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
     cancellation), and where the vertex is the meeting point the level-j0
     term, which its predecessor's sum skips, is added apart.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}")
-    lx, lz, j0 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=np.int64) for a in (lx, lz, j0)))
-    shape = j0.shape
-    lx, lz, j0 = lx.ravel(), lz.ravel(), j0.ravel()
-    if (j0 < np.maximum(np.maximum(lx, lz), chain.base_level)).any():
-        raise TreeError("meeting level below the chain base or a vertex's level")
-    on_x = variant in ("grad_x", "grad_both")
-    on_z = variant in ("gradstar_z", "grad_both")
-    x_meets, z_meets = on_x & (j0 == lx), on_z & (j0 == lz)
-    head = x_meets | z_meets
-    order = on_x + on_z
-    h = np.diff(gradk, order, prepend=np.zeros(order), append=np.zeros(order))
-    v = _suffix_sums(h, chain, lx + lz, j0 + head)
-    # level j0: plain, less a one-gradient part whose vertex does not meet
-    n0 = 2 * j0 - lx - lz + 1
-    at_j0 = np.where((on_x & ~x_meets) | (on_z & ~z_meets),
-                     _at(np.diff(gradk, prepend=0, append=0), n0), _at(gradk, n0))
-    v = v + np.where(head, _at(chain.inv, j0 - chain.base_level) * at_j0, 0)
-    v = v.astype(complex).reshape(shape)
-    return complex(v) if not shape else v
+    lx, lz, j0 = np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in (lx, lz, j0)))
+    v = _scaled_value(gradk, chain, lx.ravel(), lz.ravel(), j0.ravel(), variant)
+    v = (v * chain.inverse_measures(j0.ravel())).astype(complex).reshape(j0.shape)
+    return complex(v) if not j0.shape else v
 
 
 def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
                   variant: str):
     """The column of K variant(., y) at the chain's vertex y (level ly) as
-    arrays of groups: level lam, meeting level j, the value K variant(x, y)
-    that every vertex x of the group takes, and the group's mass.  A
-    group's mass comes from the flow equation (a slice below the anchor:
-    m(a_ly); a_j alone: m(a_j); the rest of a slice meeting at j: m(a_j) -
-    m(a_{j-1})).  A level j > ly whose rest is empty (m(a_j) = m(a_{j-1}))
-    gives the group of a_j only, and groups past the kernel's support for
-    every variant (2j - lam - ly > nmax + 2) are left out.  A chain that is
-    not truncated yet ends below ly + nmax + 2 lost the levels whose inverse
-    measures leave double range: NumericalError.  A column of more than
-    DEFAULT_VERTEX_CAP groups is refused before it is listed: TreeError.
+    arrays of groups: level lam, meeting level j, value_mass (the value K
+    variant(x, y) of every vertex x of the group times the group's mass, in
+    range wherever the column's mass is) and log2 of the mass, which comes
+    from the flow equation (a slice below the anchor: m(a_ly); a_j alone:
+    m(a_j); the rest of a slice meeting at j: m(a_j) - m(a_{j-1})).  A level
+    j > ly whose rest is empty gives the group of a_j only; groups past the
+    kernel's support for every variant (2j - lam - ly > nmax + 2) or the
+    chain's top are left out.  A column of more than DEFAULT_VERTEX_CAP
+    groups is refused before it is listed: TreeError.
     """
     nmax = len(gradk) - 1
-    reach = ly + nmax + 2
-    if chain.top_level < reach and not chain.truncated:
-        raise NumericalError(
-            f"group sums read ancestor measures up to level {reach}, but "
-            f"the inverse measures leave double range above level "
-            f"{chain.top_level}")
-    j = np.arange(ly, min(chain.top_level, reach) + 1)
-    m = 1.0 / chain.inv[j - chain.base_level]
-    rest = np.diff(m, prepend=m[0])
+    j = np.arange(ly, min(chain.top_level, ly + nmax + 2) + 1)
+    i = j - chain.base_level
+    # the share of m(a_j) off the chain: 1 - m(a_{j-1})/m(a_j)
+    rest = 1.0 - chain.ratio(np.maximum(i - 1, i[0]), i)
     # levels j down to 2j - ly - nmax - 2, or a_j alone
     count = np.where((j == ly) | (rest > 0), nmax + 3 + ly - j, 1)
     total = int(count.sum())
@@ -210,16 +205,18 @@ def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
             f"the cap of {DEFAULT_VERTEX_CAP:,}")
     J = np.repeat(j, count)
     lam = J - (np.arange(total) - np.repeat(np.cumsum(count) - count, count))
-    mass = np.where((J == ly) | (lam == J), m[J - ly], rest[J - ly])
-    return lam, J, variant_value(gradk, chain, lam, ly, J, variant), mass
+    share = np.where((J == ly) | (lam == J), 1.0, rest[J - ly])
+    n = J - chain.base_level
+    return (lam, J, _scaled_value(gradk, chain, lam, ly, J, variant) * share,
+            np.log2(chain.mantissa[n] * share) + chain.exponent[n])
 
 
 def distance_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
                     variant: str = "plain") -> np.ndarray:
     """Entry d: sum over x at distance d from the chain's vertex y (level
     ly) of |K variant(x, y)| m(x); length nmax + 3, past which K vanishes."""
-    lam, j, vals, mass = column_masses(chain, gradk, ly, variant)
-    return np.bincount(2 * j - lam - ly, np.abs(vals) * mass,
+    lam, j, value_mass, _ = column_masses(chain, gradk, ly, variant)
+    return np.bincount(2 * j - lam - ly, np.abs(value_mass),
                        minlength=len(gradk) + 2)
 
 

@@ -5,6 +5,7 @@ so every criterion shows an explicit pass/fail verdict in the pytest output.
 """
 
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,22 @@ def riesz_quadrature(window, measure, pairs, spec=None):
         if chain.truncated:
             truncated[idx] = np.inf
     return vals + tails / 9.0, np.abs(tails / 9.0) / 3.0 + 1e-12 + truncated
+
+
+def profile_value_exact(gradk, window, measure, v, lx, lz, j0):
+    """The profile sum of a pair at levels lx, lz meeting at level j0, in
+    exact arithmetic over the window ancestors of v at levels j0 and up,
+    with their rational measures: the oracle of flowkernel's float sums."""
+    assert measure.backend == "rational"
+    total = Fraction(0)
+    for a in window.ancestors(v):
+        J = window.level[a]
+        if J < j0:
+            continue
+        g = gradk.get(2 * J - lx - lz + 1)
+        if g:
+            total += g / measure.values[a]
+    return total
 
 
 def record_acceptance(num, ok, detail=""):

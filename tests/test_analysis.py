@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import math
+import warnings
 from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
                       load_window, safe_region, spine_window, window_to_json)
@@ -68,16 +71,20 @@ GROUP_WINDOWS = {
 
 @pytest.mark.parametrize("name", GROUP_WINDOWS)
 def test_heat_column_groups_match_the_vertices(name):
-    """Every vertex's heat value is its (level, meeting level) group's value
-    bit for bit, and a group wholly inside the anchor's complete ball holds
-    the group's mass: exactly on rational balls, else to 1e-12."""
+    """Every vertex's heat value is its (level, meeting level) group's
+    value: bit for bit as value_mass / m(a_j) where the group's mass is its
+    meeting ancestor's, else to 1e-12; and a group wholly inside the
+    anchor's complete ball holds the group's mass, to 1e-14 on rational
+    balls, else to 1e-12."""
     make, exact = GROUP_WINDOWS[name]
     w, m, y = make()
+    ly = w.level[y]
     meet = meeting_levels(w, y)
     inside = w.defect_distances().get(y, 0)
     for t in (0.0, 0.5, 4.0):
         rep = analysis.heat_column_groups(w, m, t, y)
         col = analysis.heat_kernel_column(w, m, t, y)
+        chain = flowkernel.chain_of(w, m, y, len(analysis._heat_gradk(t)) - 1)
         groups = {(r["level"], r["meeting_level"]): r for r in rep.rows}
         assert len(groups) == len(rep.rows)
         held = defaultdict(int)
@@ -87,18 +94,20 @@ def test_heat_column_groups_match_the_vertices(name):
             if key not in groups:
                 assert v == 0
                 continue
-            assert groups[key]["value"] == v.real and v.imag == 0
-            assert groups[key]["distance"] == w.distance(x, y)
+            g = groups[key]
+            assert v.imag == 0 and g["distance"] == w.distance(x, y)
+            if key[1] == ly or key[0] == key[1]:   # the group's mass is m(a_j)
+                assert g["value_mass"] * chain.inverse_measures(key[1]) == v.real
+            else:
+                assert abs(v.real * 10 ** g["log10_mass"] - g["value_mass"]) <= \
+                    1e-12 * abs(g["value_mass"])
             held[key] += m.values[x]
         checked = 0
         for key, total in held.items():
-            want = groups[key]["mass"]
+            want = 10 ** groups[key]["log10_mass"]
             if groups[key]["distance"] <= inside:
                 checked += 1
-                if exact:
-                    assert float(total) == want
-                else:
-                    assert abs(float(total) - want) <= 1e-12 * want
+                assert abs(float(total) - want) <= (1e-14 if exact else 1e-12) * want
         assert checked > 0
 
 
@@ -116,7 +125,23 @@ def test_heat_column_groups_hold_the_mass(make):
         rep = analysis.heat_column_groups(w, m, t, y)
         assert not rep.meta["truncated"]
         assert abs(rep.meta["mass"] - 1.0) <= 1e-12
-        assert abs(math.fsum(r["value"] * r["mass"] for r in rep.rows) - 1.0) <= 1e-12
+        assert abs(math.fsum(r["value_mass"] for r in rep.rows) - 1.0) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 64).flatmap(lambda b: st.tuples(st.integers(1, b - 1), st.just(b))),
+       st.floats(0.0, 1024.0))
+@example((1, 64), 1024.0)
+def test_heat_groups_hold_the_mass_on_two_way_flows(split, t):
+    """On every two-way flow (a/b, 1 - a/b) with b <= 64, for t up to 1024,
+    where the ancestor measures may grow past 1e308, the groups' value_mass
+    adds up to 1 within 1e-12, with no exception and no RuntimeWarning."""
+    a, b = split
+    w, m, y = ball_window((Fraction(a, b), 1 - Fraction(a, b)), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = analysis.heat_column_groups(w, m, t, y)
+    assert abs(rep.meta["mass"] - 1.0) <= 1e-12
 
 
 def test_heat_positivity(t2_ball):
@@ -197,6 +222,25 @@ def test_level_sum_slopes_both_orientations():
     for orient in ("x", "z"):
         rep = analysis.level_sum_estimate(w, m, ts, c, orientation=orient)
         assert abs(rep.fit["slope"] + 1.0) < 0.1
+
+
+@pytest.mark.parametrize("flow", [2, 64, (Fraction(3, 4), Fraction(1, 4))],
+                         ids=["q2", "q64", "3:1"])
+def test_level_sum_rows_match_the_per_level_loop(flow):
+    """The per-level sums, one bincount over the column's groups, equal a
+    masked sum per level within 1e-14 (they add in another order), at the
+    same level."""
+    w, m, c = ball_window(flow, 0)
+    ts = [0.5, 4.0, 64.0, 1024.0]
+    rep = analysis.level_sum_estimate(w, m, ts, c)
+    gradks = [analysis._heat_gradk(t) for t in ts]
+    chain = flowkernel.chain_of(w, m, c, max(map(len, gradks)) - 1)
+    for t, gradk, row in zip(ts, gradks, rep.rows):
+        lam, _, value_mass, _ = flowkernel.column_masses(chain, gradk, 0, "gradstar_z")
+        span = int(3 * math.sqrt(t)) + 3
+        sums = [float(np.sum(np.abs(value_mass[lam == l]))) for l in range(-span, span + 1)]
+        assert abs(row["value"] - max(sums)) <= 1e-14 * max(sums)
+        assert row["level"] == sums.index(max(sums)) - span
 
 
 def test_riesz_skew_z_pinned_constant(z_ball):

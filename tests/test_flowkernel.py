@@ -20,11 +20,13 @@ from flowtree import TreeError, ball_window, constant_ratio_window, spine_window
 from flowtree import abel, analysis, flowkernel, zline
 from flowtree.localops import kernel_column_lambda_poly, weighted_col_sums
 
+from conftest import profile_value_exact
+
 
 def exact_pair(window, measure, coeffs, x, z):
     gk = zline.z_gradkernel_lambda_poly(coeffs)
     a = window.lca(x, z)
-    return flowkernel.profile_value_exact(
+    return profile_value_exact(
         gk, window, measure, x, window.level[x], window.level[z], window.level[a])
 
 
@@ -112,8 +114,8 @@ def test_level_sum_matches_brute_force():
     lx = w.level[x]
     full = flowkernel.chain_of(w, m, x, len(gradk) - 1)
     lb = w.level[b]
-    lam, j, vals, mass = flowkernel.column_masses(full, gradk, lx, "gradstar_z")
-    km = np.abs(vals) * mass
+    lam, j, value_mass, _ = flowkernel.column_masses(full, gradk, lx, "gradstar_z")
+    km = np.abs(value_mass)
     for l in (lx - 3, lx - 1, lx, lx + 1):
         got = float(np.sum(km[(lam == l) & (j <= lb)]))
         brute = 0.0
@@ -227,7 +229,7 @@ def exact_variant(gk, window, measure, x, lx, lz, j0, variant):
     """A variant from exact profile sums over the ancestors of x: a gradient
     replaces its vertex by the predecessor, which meets the other vertex at
     max(j0, level + 1)."""
-    p = lambda a, b, j: flowkernel.profile_value_exact(gk, window, measure, x, a, b, j)
+    p = lambda a, b, j: profile_value_exact(gk, window, measure, x, a, b, j)
     v = p(lx, lz, j0)
     if variant in ("grad_x", "grad_both"):
         v -= p(lx + 1, lz, max(j0, lx + 1))
@@ -290,18 +292,21 @@ def test_meeting_level_below_chain_or_vertex_raises():
 
 def _every_candidate_group(chain, gradk, ly, variant):
     """column_masses listed the long way: every level j down to 2j - ly -
-    nmax - 2 at every meeting level j, with the empty groups dropped after."""
+    nmax - 2 at every meeting level j, with the empty groups dropped after;
+    a group's share of m(a_j) is 1, or 1 - m(a_{j-1})/m(a_j) for the rest
+    of a slice."""
     nmax = len(gradk) - 1
     rows = []
     for j in range(ly, min(chain.top_level, ly + nmax + 2) + 1):
-        m = 1.0 / chain.inv[j - chain.base_level]
-        below = 1.0 / chain.inv[max(j - 1, ly) - chain.base_level]
         for lam in range(j, 2 * j - ly - nmax - 3, -1):
-            mass = m if j == ly or lam == j else m - below
-            if mass > 0:
-                rows.append((lam, j, mass))
-    lam, j, mass = (np.array(col) for col in zip(*rows))
-    return lam, j, flowkernel.variant_value(gradk, chain, lam, ly, j, variant), mass
+            rows.append((lam, j, j == ly or lam == j))
+    lam, j, whole = (np.array(col) for col in zip(*rows))
+    n = j - chain.base_level
+    share = np.where(whole, 1.0, 1.0 - chain.ratio(np.maximum(n - 1, ly - chain.base_level), n))
+    keep = share > 0
+    lam, j, share, n = lam[keep], j[keep], share[keep], n[keep]
+    value_mass = flowkernel._scaled_value(gradk, chain, lam, ly, j, variant) * share
+    return lam, j, value_mass, np.log2(chain.mantissa[n] * share) + chain.exponent[n]
 
 
 @pytest.mark.parametrize("make", [
@@ -310,8 +315,8 @@ def _every_candidate_group(chain, gradk, ly, variant):
     ids=["line", "spine", "binary", "ratios"])
 def test_column_groups_skip_empty_slices_in_the_same_order(make):
     """A level whose slice holds its chain vertex alone lists that vertex
-    only; the groups, their order, values and masses are those of listing
-    every candidate and dropping the empty ones."""
+    only; the groups, their order, values times masses and log masses are
+    those of listing every candidate and dropping the empty ones."""
     w, m, y = make()
     gradk = analysis._heat_gradk(16.0)
     chain = flowkernel.chain_of(w, m, y, len(gradk) - 1)
@@ -330,14 +335,15 @@ def test_line_column_groups_are_few_and_small():
     chain = flowkernel.chain_of(w, m, y, len(gradk) - 1)
     tracemalloc.start()
     try:
-        lam, j, vals, mass = flowkernel.column_masses(chain, gradk, w.level[y], "plain")
+        lam, j, value_mass, log2_mass = flowkernel.column_masses(chain, gradk,
+                                                                 w.level[y], "plain")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2 ** 20
     assert len(lam) == 2 * (len(gradk) - 1) + 5
-    assert np.all((j == w.level[y]) | (lam == j)) and np.all(mass == 1.0)
-    assert abs(np.sum(vals.real * mass) - 1.0) <= 1e-12
+    assert np.all((j == w.level[y]) | (lam == j)) and np.all(log2_mass == 0.0)
+    assert abs(np.sum(value_mass.real) - 1.0) <= 1e-12
 
 
 def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
@@ -352,41 +358,29 @@ def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
                           whole)
 
 
-# (q, t) where q^(nmax + 2) stays inside double range; a chain cut where its
-# inverse measures fell below 1e-45 of the first read these 1.2-14.5 % low
-FULL_REACH = [(2, 4096.0), (3, 1024.0), (8, 256.0), (64, 64.0)]
+# (q, t) across degrees and times: at q^(nmax + 2) past 1e308 (q = 8 from
+# t = 1024, q = 64 from t = 256) the measures leave double range, and the
+# group sums run on their ratios
+FULL_REACH = [(q, t) for q in (2, 8, 64, 512, 4096) for t in (16.0, 256.0, 1024.0, 4096.0)]
 
 
 @pytest.mark.parametrize("q, t", FULL_REACH)
 def test_group_sums_match_the_radial_route(q, t):
     """The profile route's weighted column sums (weight e^{d/sqrt t}) equal
-    the radial route's closed-form operator sums, and the heat column's
-    masses per distance add up to 1, at large t and large q."""
+    the radial route's closed-form operator sums for every variant, and the
+    heat column's masses per distance add up to 1, at large t and large q."""
     gradk = analysis._heat_gradk(t)
     rad = abel.radial_from_gradkernel(q, gradk, len(gradk) - 3)
     w, m, c = ball_window(q, 0, backend="float")
     chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     assert not chain.truncated
-    for variant in ("plain", "grad_x"):
+    for variant in flowkernel.VARIANTS:
         got = flowkernel.weighted_colsum(chain, gradk, 0,
                                          lambda d: np.exp(d / math.sqrt(t)), variant)
         want, _ = abel.homog_weighted_opsum(q, rad, lambda d: math.exp(d / math.sqrt(t)),
                                             variant)
         assert abs(got - want) <= 1e-12 * want
     assert abs(flowkernel.distance_masses(chain, gradk, 0).sum() - 1.0) <= 1e-12
-
-
-def test_group_sum_past_double_range_raises():
-    """At q = 64, t = 4096 the chain's inverse measures leave double range
-    below the levels the column's groups read: a NumericalError, not a sum
-    that lost mass.  Pair values from the same chain still evaluate."""
-    gradk = analysis._heat_gradk(4096.0)
-    w, m, c = ball_window(64, 0, backend="float")
-    chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
-    assert not chain.truncated and chain.top_level < len(gradk) + 1
-    with pytest.raises(zline.NumericalError, match="double range"):
-        flowkernel.distance_masses(chain, gradk, 0)
-    assert flowkernel.variant_value(gradk, chain, 0, 0, 0) != 0
 
 
 def test_chain_climbs_to_its_reach():

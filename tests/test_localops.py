@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from flowtree import ball_window, homogeneous_window, safe_region
-from flowtree.localops import (InsufficientMarginError, apply_gradient,
-                               apply_laplacian, apply_ncpoly, apply_word,
+from flowtree.localops import (InsufficientMarginError, WindowFunction,
+                               apply_gradient, apply_laplacian, apply_ncpoly,
+                               apply_shift, apply_shift_adjoint, apply_word,
                                indicator, kernel_column_lambda_poly,
                                kernel_column_poly, modulation,
                                weighted_col_sums)
@@ -201,3 +202,27 @@ def test_apply_ncpoly_linear_in_terms(t2_ball):
     g2 = apply_ncpoly(w, m, p2, f)
     for v in set(g12.values) | set(g1.values) | set(g2.values):
         assert g12.values.get(v, 0) == g1.values.get(v, 0) + g2.values.get(v, 0)
+
+
+@pytest.mark.parametrize("flow", [2, 3, (Fraction(3, 4), Fraction(1, 4))],
+                         ids=["q2", "q3", "3:1"])
+def test_gradient_square_is_twice_the_laplacian(flow):
+    """grad* grad = 2L and Sigma* Sigma = I, exactly on the certified set,
+    for seeded rational functions on rational balls: with g = grad f,
+    2 L f = g - Sigma* g (grad* = I - Sigma*), and Sigma* Sigma f = f.  The
+    certified sets hold every vertex safe at radius 1."""
+    w, m, _ = ball_window(flow, 4)
+    interior = safe_region(w, 1)
+    rng = random.Random(5)
+    for _ in range(4):
+        f = WindowFunction({v: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                            for v in sorted(w.vertices) if rng.random() < 0.5},
+                           w.all_vertices(), True)
+        lap, g = apply_laplacian(w, m, f), apply_gradient(w, m, f)
+        gg = apply_shift_adjoint(w, m, g)
+        both = lap.safe & g.safe & gg.safe
+        assert interior <= both
+        assert all(2 * lap.value(v) == g.value(v) - gg.value(v) for v in both)
+        back = apply_shift_adjoint(w, m, apply_shift(w, m, f))
+        assert interior <= back.safe
+        assert all(back.value(v) == f.value(v) for v in back.safe)
