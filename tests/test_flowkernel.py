@@ -360,8 +360,10 @@ def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
 
 # (q, t) across degrees and times: at q^(nmax + 2) past 1e308 (q = 8 from
 # t = 1024, q = 64 from t = 256) the measures leave double range, and the
-# group sums run on their ratios
-FULL_REACH = [(q, t) for q in (2, 8, 64, 512, 4096) for t in (16.0, 256.0, 1024.0, 4096.0)]
+# group sums run on their ratios; (3, 1024) and (64, 64) add an odd degree
+# and a time between the grid's
+FULL_REACH = ([(q, t) for q in (2, 8, 64, 512, 4096) for t in (16.0, 256.0, 1024.0, 4096.0)]
+              + [(3, 1024.0), (64, 64.0)])
 
 
 @pytest.mark.parametrize("q, t", FULL_REACH)
