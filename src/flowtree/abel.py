@@ -15,6 +15,7 @@ backend never leaves the rationals.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ def sphere_weight_scaled(q: int, d: int) -> float:
 
 
 def _surd(q, x):
-    return x if isinstance(x, QSurd) else QSurd(q, Fraction(x))
+    return x if isinstance(x, QSurd) else QSurd(q, x)
 
 
 def abel_forward(q: int, phi) -> list:
@@ -61,17 +62,18 @@ def abel_forward(q: int, phi) -> list:
 
     phi is a finitely supported sequence on the naturals (list) of
     rationals, QSurds or floats; every entry is taken exactly (a float as
-    its Fraction value) and the result is a list of QSurds.
+    its Fraction value) and the result is a list of QSurds.  The tail sums
+    run in one pass from the end, tail(j) = q (phi(j+2) + tail(j+2)), zero
+    for j >= n - 2; tests/conftest.py keeps the quadratic definition as the
+    reference.
     """
-    phi = list(phi)
+    phi = [_surd(q, x) for x in phi]
     n = len(phi)
-    out = []
-    for j in range(n):
-        tail = sum((Fraction(q) ** k) * _surd(q, phi[j + 2 * k])
-                   for k in range(1, (n - 1 - j) // 2 + 1)) or QSurd(q)
-        s = _surd(q, phi[j]) + _surd(q, tail) * Fraction(q - 1, q)
-        out.append(QSurd.sqrt_q_power(q, j) * s)
-    return out
+    tail = [QSurd(q)] * (n + 2)
+    for j in range(n - 3, -1, -1):
+        tail[j] = (phi[j + 2] + tail[j + 2]) * q
+    c = Fraction(q - 1, q)
+    return [QSurd.sqrt_q_power(q, j) * (phi[j] + tail[j] * c) for j in range(n)]
 
 
 def abel_inverse(q: int, psi) -> list:
@@ -79,22 +81,17 @@ def abel_inverse(q: int, psi) -> list:
 
     The summand is the symmetric gradient of psi at n+2j+1, with psi extended
     by zeros beyond its support.  Entries are taken exactly, as in
-    abel_forward.
+    abel_forward.  The sums run in one pass from the end, out(m) =
+    q^{-m/2} (psi(m) - psi(m+2)) + out(m+2), zero for m >= n;
+    tests/conftest.py keeps the quadratic definition as the reference.
     """
-    psi = list(psi)
+    psi = [_surd(q, x) for x in psi]
     n = len(psi)
-
-    def at(i):
-        return psi[i] if 0 <= i < n else Fraction(0)
-
-    out = []
-    for m in range(n):
-        acc = QSurd(q)
-        for j in range(0, (n - m) // 2 + 1):
-            g = _surd(q, at(m + 2 * j)) - _surd(q, at(m + 2 * j + 2))
-            acc = acc + QSurd.sqrt_q_power(q, -(m + 2 * j)) * g
-        out.append(acc)
-    return out
+    psi += [QSurd(q)] * 2
+    out = [QSurd(q)] * (n + 2)
+    for m in range(n - 1, -1, -1):
+        out[m] = QSurd.sqrt_q_power(q, -m) * (psi[m] - psi[m + 2]) + out[m + 2]
+    return out[:n]
 
 
 @dataclass
@@ -196,10 +193,15 @@ def homog_kernel_value(q: int, radial: RadialKernel, lx: int, ly: int, d: int):
     return complex(radial.A[d]) * pref, radial.tail_scaled * pref
 
 
+@functools.lru_cache(maxsize=1024)
+def _q_power(q: int, e: int) -> Fraction:
+    return Fraction(q) ** e
+
+
 def homog_kernel_value_exact(q: int, A_exact, lx: int, ly: int, d: int) -> Fraction:
     if (lx + ly + d) % 2:
         raise ValueError("no vertex pair has odd level(x)+level(y)+d")
-    return A_exact[d] * Fraction(q) ** (-(lx + ly + d) // 2)
+    return A_exact[d] * _q_power(q, -(lx + ly + d) // 2)
 
 
 class DominatedTailError(NumericalError):

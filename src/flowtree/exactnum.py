@@ -7,10 +7,12 @@ round-trip and equivalence tests can assert equality instead of closeness.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 
+@functools.lru_cache(maxsize=64)
 def _is_square(q: int) -> bool:
     r = math.isqrt(q)
     return r * r == q
@@ -28,8 +30,10 @@ class QSurd:
     def __init__(self, q: int, a=0, b=0):
         if q < 1:
             raise ValueError("q must be a positive integer")
-        a = Fraction(a)
-        b = Fraction(b)
+        if type(a) is not Fraction:
+            a = Fraction(a)
+        if type(b) is not Fraction:
+            b = Fraction(b)
         if b and _is_square(q):
             a += b * math.isqrt(q)
             b = Fraction(0)

@@ -22,6 +22,13 @@ support, not the window.  Certified sets are materialised only when needed:
 
 Word polynomials, Laplacian polynomials and the Chebyshev recurrence sum
 their stencil results through one helper, ``_combine``.
+
+Zero reads are skipped, not added: a child sum starts from its first
+nonzero product, and an entry new to a sum starts from its term, with no
+int 0 in front (a Fraction would take its slow reverse add for it) and no
+multiplication by a unit coefficient.  A float or complex term still gets
+that 0 +, which clears the signed zeros of a complex value, so every value
+keeps its type and its bits.
 """
 
 from __future__ import annotations
@@ -51,10 +58,25 @@ def indicator(window: TreeWindow, y: Vertex) -> WindowFunction:
     return WindowFunction({y: 1}, window.all_vertices(), True)
 
 
+def _seed(x):
+    """0 + x: x itself when it is a Fraction (the same value and type, without
+    the int-to-Fraction add); other types keep the add, which clears the
+    signed zeros of a complex x."""
+    return x if type(x) is Fraction else 0 + x
+
+
 def _accumulate(acc: dict, c, g: dict) -> dict:
-    """acc += c * g on sparse dicts, in place; entries that cancel are dropped."""
+    """acc += c * g on sparse dicts, in place; entries that cancel are dropped.
+    Into an empty acc, c = 1 (an int or a Fraction) adds g's Fraction values
+    as they are."""
+    unit = not acc and type(c) in (int, Fraction) and c == 1
     for v, x in g.items():
-        val = acc.get(v, 0) + c * x
+        if unit and type(x) is Fraction:
+            val = x
+        elif v in acc:
+            val = acc[v] + c * x
+        else:
+            val = _seed(c * x)
         if val:
             acc[v] = val
         elif v in acc:
@@ -151,11 +173,14 @@ def _stencil(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
         fp = fv.get(p, 0) if p is not None else 0
         child_acc = 0
         if reads_children:
+            acc = None
             for c in succ.get(v, ()):
-                fc = fv.get(c, 0)
+                fc = fv.get(c)
                 if fc:
-                    child_acc = child_acc + fc * m[c]
-            child_acc = child_acc / m[v] if child_acc else 0
+                    fc = fc * m[c]
+                    acc = _seed(fc) if acc is None else acc + fc
+            if acc:
+                child_acc = acc / m[v]
         x = combine(fv.get(v, 0), fp, child_acc)
         if x:
             vals[v] = x

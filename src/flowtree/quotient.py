@@ -96,7 +96,7 @@ def validate_submersion(sub: Submersion) -> SubmersionReport:
         slices: dict = {}  # image -> mass of v's children mapped there
         for c in kids:
             t = pi.get(c)
-            slices[t] = slices.get(t, 0) + m1[c]
+            slices[t] = slices[t] + m1[c] if t in slices else m1[c]
         if tgt.is_complete(tv):
             counts["succ"] += 1
             if slices.keys() != set(tgt.children(tv)):
@@ -140,7 +140,8 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
     times (successor file order).  The canonical source measure is scaled so
     apex masses agree, making fiber masses match target masses exactly.
     Each target vertex's lifted list is computed once, for the first source
-    vertex of its fiber.
+    vertex of its fiber, and each level's mass once, as the canonical
+    measure depends on the level only.
     """
     if target_measure.backend != "rational":
         raise TreeError("rational backend required to build an exact quotient")
@@ -153,6 +154,7 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
     b = _Builder(target.level[target.apex], Fraction(tm[target.apex]))
     mapping: dict[Vertex, Vertex] = {0: target.apex}
     lifted: dict[Vertex, list[Vertex]] = {}  # target vertex -> lifted children
+    child_mass: dict[int, Fraction] = {}      # source level -> its children's mass
     stack = [0]
     while stack:
         s = stack.pop()
@@ -174,7 +176,10 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
                         f"(got {len(lift)})")
             lifted[tv] = lift
         if lift:
-            kids = b.add(s, [b.values[s] / q] * len(lift), complete)
+            lv = b.level[s]
+            if lv not in child_mass:
+                child_mass[lv] = b.values[s] / q
+            kids = b.add(s, [child_mass[lv]] * len(lift), complete)
             mapping.update(zip(kids, lift))
             stack.extend(kids)
 

@@ -55,6 +55,40 @@ def profile_value_exact(gradk, window, measure, v, lx, lz, j0):
     return total
 
 
+def abel_forward_quadratic(q, phi):
+    """J_q(phi)(j) = q^{j/2} [phi(j) + ((q-1)/q) sum_{k>=1} q^k phi(j+2k)],
+    every tail summed afresh: the reference of abel.abel_forward."""
+    from flowtree.exactnum import QSurd
+    phi = [x if isinstance(x, QSurd) else QSurd(q, Fraction(x)) for x in phi]
+    n = len(phi)
+    out = []
+    for j in range(n):
+        tail = QSurd(q)
+        for k in range(1, (n - 1 - j) // 2 + 1):
+            tail = tail + Fraction(q) ** k * phi[j + 2 * k]
+        out.append(QSurd.sqrt_q_power(q, j) * (phi[j] + tail * Fraction(q - 1, q)))
+    return out
+
+
+def abel_inverse_quadratic(q, psi):
+    """sum_{j>=0} q^{-(m+2j)/2} (psi(m+2j) - psi(m+2j+2)), every sum taken
+    afresh: the reference of abel.abel_inverse."""
+    from flowtree.exactnum import QSurd
+    psi = [x if isinstance(x, QSurd) else QSurd(q, Fraction(x)) for x in psi]
+    n = len(psi)
+
+    def at(i):
+        return psi[i] if i < n else QSurd(q)
+
+    out = []
+    for m in range(n):
+        acc = QSurd(q)
+        for j in range(0, (n - m) // 2 + 1):
+            acc = acc + QSurd.sqrt_q_power(q, -(m + 2 * j)) * (at(m + 2 * j) - at(m + 2 * j + 2))
+        out.append(acc)
+    return out
+
+
 def record_acceptance(num, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     ACCEPTANCE_LINES.append((num, f"ACCEPTANCE {num:2d}: {status}  {detail}"))

@@ -13,6 +13,8 @@ from flowtree import abel, zline
 from flowtree.exactnum import QSurd
 from flowtree.localops import kernel_column_lambda_poly, weighted_col_sums
 
+from conftest import abel_forward_quadratic, abel_inverse_quadratic
+
 
 def test_sphere_count_known_cases():
     assert abel.sphere_count(2, 3, 3) == 1
@@ -61,6 +63,25 @@ def test_abel_transforms_take_floats_exactly():
         exact = [Fraction(x) for x in xs]
         assert abel.abel_forward(q, xs) == abel.abel_forward(q, exact)
         assert abel.abel_inverse(q, xs) == abel.abel_inverse(q, exact)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 10])
+def test_abel_transforms_match_the_quadratic_definitions(q):
+    """The linear-time recursions equal the definitions summed term by term
+    (square q folds the sqrt(q) part away), for Fraction, float and QSurd
+    entries and every length from 0 to 16."""
+    rng = random.Random(q)
+    for n in range(17):
+        fracs = [Fraction(rng.randint(-99, 99), rng.randint(1, 23)) for _ in range(n)]
+        floats = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+        surds = [QSurd(q, a, Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for a in fracs]
+        for seq in (fracs, floats, surds):
+            for fast, slow in ((abel.abel_forward, abel_forward_quadratic),
+                               (abel.abel_inverse, abel_inverse_quadratic)):
+                got, want = fast(q, seq), slow(q, seq)
+                assert len(got) == n
+                assert [(v.a, v.b) for v in got] == [(v.a, v.b) for v in want]
+                assert all(type(v.a) is Fraction and type(v.b) is Fraction for v in got)
 
 
 def test_abel_roundtrip_exact():
@@ -138,6 +159,16 @@ def test_homog_kernel_value_trivial_and_cross():
         -Fraction(1, 2) * Fraction(q) ** 2
     with pytest.raises(ValueError):
         abel.homog_kernel_value_exact(q, a_lap, 0, 0, 1)  # parity
+    # q^e for positive, zero and negative e = -(lx + ly + d)/2, twice over
+    # (the second time from the cache): the same Fractions
+    for q in (2, 3, 10):
+        a_lap = abel.e_f_exact(q, [Fraction(0), Fraction(1)], 3)
+        for _ in range(2):
+            for lx, ly, d in ((-5, -3, 0), (-2, -2, 0), (-3, -2, 1), (0, 0, 0),
+                              (1, 0, 1), (2, 4, 0), (7, 3, 2)):
+                got = abel.homog_kernel_value_exact(q, a_lap, lx, ly, d)
+                assert type(got) is Fraction
+                assert got == a_lap[d] * Fraction(q) ** (-(lx + ly + d) // 2)
 
 
 def test_homog_weighted_l1_examples():

@@ -358,6 +358,30 @@ def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
                           whole)
 
 
+@pytest.mark.parametrize("spike, drops", [(False, [1]), (True, [1, 0])])
+def test_suffix_sums_drop_only_blocks_that_change_no_bit(monkeypatch, spike, drops):
+    """On the binary chain (blocks of 864 levels) a row read 1,728 levels
+    below its top leaves out its top block when the block below carries its
+    sum on unchanged, and is summed from the top when a spike in the top
+    block reaches the read entry through zeros; either way the bits are
+    those of the whole row (a chain said to fall is never cut)."""
+    w, m, c = ball_window(2, 0, backend="float")
+    n = np.arange(5000)
+    h = np.zeros(5000) if spike else 1.0 / (n + 1.0) ** 2
+    h[2 * 1640 + 1] = 1.0          # a term at level 1640, in the top block
+    chain = flowkernel.chain_of(w, m, c, len(h) - 1)
+    whole = dataclasses.replace(chain)
+    whole.never_falls = False
+    args = (np.array([0]), np.array([771]), np.array([771]))
+    block_sums, seen = flowkernel._block_sums, []
+    monkeypatch.setattr(flowkernel, "_block_sums",
+                        lambda *a: seen.append(a[-1]) or block_sums(*a))
+    got = flowkernel._suffix_sums(h, chain, *args)
+    assert seen == drops
+    want = flowkernel._suffix_sums(h, whole, *args)
+    assert got.tobytes() == want.tobytes() and (want != 0).all()
+
+
 # (q, t) across degrees and times: at q^(nmax + 2) past 1e308 (q = 8 from
 # t = 1024, q = 64 from t = 256) the measures leave double range, and the
 # group sums run on their ratios; (3, 1024) and (64, 64) add an odd degree

@@ -234,24 +234,43 @@ def assert_same(got, want):
     assert got.zero_outside == want.zero_outside
 
 
+def assert_same_bits(got, want):
+    """Values agree bit for bit, signed zeros included (== does not see them)."""
+    assert repr(sorted(got.values.items())) == repr(sorted(want.values.items()))
+
+
+def start_pair(w, y, start):
+    """The input of a test and its reference copy: the indicator of y, or
+    complex values with signed-zero parts at y and its children (where
+    0 + x and x differ in their bits)."""
+    if start == "indicator":
+        return indicator(w, y), ref_indicator(w, y)
+    vals = {y: complex(-1.0, -0.0)}
+    vals.update((c, complex(-0.0, 0.5)) for c in w.children(y))
+    return (WindowFunction(dict(vals), w.all_vertices(), True),
+            WindowFunction(dict(vals), frozenset(w.vertices), True))
+
+
 windows_st = st.sampled_from(sorted(WINDOWS))
 distance_st = st.integers(0, DEG + 1)
 pick_st = st.integers(0, 10 ** 6)
 letter_st = st.sampled_from((Z1, Z2))
 coeff_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+start_st = st.sampled_from(("indicator", "signed zeros"))
 
 
 @HYPO
 @given(windows_st, distance_st, pick_st,
-       st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=DEG + 2))
-def test_letters_and_stencils_match_reference(name, d, pick, ops):
+       st.lists(st.sampled_from(sorted(OPS)), min_size=1, max_size=DEG + 2), start_st)
+def test_letters_and_stencils_match_reference(name, d, pick, ops, start):
     w, m = WINDOWS[name]
     y = anchor_at(w, d, pick)
-    f, ref = indicator(w, y), ref_indicator(w, y)
+    f, ref = start_pair(w, y, start)
     assert_same(f, ref)
     for op in ops:
         f, ref = OPS[op](w, m, f), REF_OPS[op](w, m, ref)
         assert_same(f, ref)
+        assert_same_bits(f, ref)
 
 
 @HYPO
@@ -276,12 +295,17 @@ def test_word_polynomials_match_reference(name, d, pick, terms):
 
 @HYPO
 @given(windows_st, distance_st, pick_st,
-       st.lists(coeff_st, min_size=1, max_size=DEG + 1))
-def test_laplacian_polynomials_match_reference(name, d, pick, coeffs):
+       st.lists(coeff_st, min_size=1, max_size=DEG + 1), start_st)
+def test_laplacian_polynomials_match_reference(name, d, pick, coeffs, start):
     w, m = WINDOWS[name]
     y = anchor_at(w, d, pick)
-    want = ref_lambda_poly(w, m, coeffs, ref_indicator(w, y))
-    assert_same(apply_lambda_poly(w, m, coeffs, indicator(w, y)), want)
+    f, ref = start_pair(w, y, start)
+    want = ref_lambda_poly(w, m, coeffs, ref)
+    got = apply_lambda_poly(w, m, coeffs, f)
+    assert_same(got, want)
+    assert_same_bits(got, want)
+    if start != "indicator":
+        return
     if y not in safe_region(w, len(coeffs) - 1):
         with pytest.raises(InsufficientMarginError):
             kernel_column_lambda_poly(w, m, coeffs, y)
