@@ -30,18 +30,6 @@ from .zline import (NumericalError, z_grad_multiplier_kernel,
 E_F_TOL = 1e-12
 
 
-def sphere_count(q: int, d: int, r: int) -> int:
-    """Number of vertices at distance d and level offset r from a fixed vertex."""
-    if q < 1 or d < 0:
-        raise ValueError("need q >= 1 and d >= 0")
-    if abs(r) == d:
-        return q ** ((d - r) // 2)
-    gap = d - abs(r)
-    if gap > 0 and gap % 2 == 0:
-        return (q - 1) * q ** ((d - r) // 2 - 1)
-    return 0
-
-
 def sphere_weight_scaled(q: int, d: int) -> float:
     """q**(-d/2) * sum over the distance-d sphere of q**((level offset)/2).
 
@@ -121,13 +109,11 @@ class RadialKernel:
                 for k in range(self.kmax + 1)]
 
 
-def radial_from_gradkernel(q: int, gradk: np.ndarray, kmax: int,
-                           grad_tail: float = 0.0, meta=None) -> RadialKernel:
+def radial_from_gradkernel(q: int, gradk: np.ndarray, kmax: int) -> RadialKernel:
     """Assemble A from one-sided gradient-kernel values gradk[n], n = 0..nmax.
 
     A(d) = sum_{j>=0} q^{-j} gradk(d+2j+1); the recursion runs backward from
-    the end of the array.  grad_tail bounds |gradk(n)| past nmax, and feeds
-    the recorded tail bound (geometric in 1/q).
+    the end of the array.  The tail bound and meta are left to the caller.
     """
     if q < 2:
         raise ValueError("radial assembly needs q >= 2 (use zline for q = 1)")
@@ -137,8 +123,7 @@ def radial_from_gradkernel(q: int, gradk: np.ndarray, kmax: int,
     A = np.zeros(nmax + 2, dtype=complex)
     for d in range(nmax - 1, -1, -1):
         A[d] = gradk[d + 1] + A[d + 2] / q
-    tail = grad_tail / (1.0 - 1.0 / q)
-    return RadialKernel(q, A[:kmax + 1].copy(), kmax, float(tail), meta or {})
+    return RadialKernel(q, A[:kmax + 1].copy(), kmax)
 
 
 def e_f_coefficients(q: int, fn, kmax: int) -> RadialKernel:
@@ -146,6 +131,8 @@ def e_f_coefficients(q: int, fn, kmax: int) -> RadialKernel:
 
     The gradient kernel on the line is computed far enough out that both the
     geometric truncation and the remaining kernel mass are below E_F_TOL.
+    The tail bound adds the largest |gradk(n)| of the last three n, summed
+    geometrically in 1/q as a bound past nmax, to the truncation bound.
     """
     if q < 2:
         raise ValueError("need q >= 2")
@@ -162,10 +149,10 @@ def e_f_coefficients(q: int, fn, kmax: int) -> RadialKernel:
     zk = z_grad_multiplier_kernel(fn, nmax)
     gradk = zk.one_sided()
     tail_grad = float(np.max(np.abs(gradk[-3:])))
-    rad = radial_from_gradkernel(q, gradk, kmax, grad_tail=max(tail_grad, 0.0),
-                                 meta={"nmax": nmax, "grid": zk.grid,
-                                       "tol": E_F_TOL})
+    rad = radial_from_gradkernel(q, gradk, kmax)
+    rad.tail_scaled = max(tail_grad, 0.0) / (1.0 - 1.0 / q)
     rad.tail_scaled += supg * q ** (-jmax) / (1.0 - 1.0 / q)
+    rad.meta = {"nmax": nmax, "grid": zk.grid, "tol": E_F_TOL}
     return rad
 
 
@@ -270,16 +257,9 @@ def sharpness_radial(q: int, t: float, kmax: int) -> dict:
     nmax = int(2 * t) + 2 * kmax + 120
     grid = 1 << int(np.ceil(np.log2(max(8192, 16 * (nmax + int(t) + 40)))))
     zk = z_grad_multiplier_kernel(fn, nmax, grid=grid)
-    rad = radial_from_gradkernel(q, zk.one_sided(), kmax + 1,
-                                 grad_tail=float(np.max(np.abs(zk.one_sided()[-3:]))),
-                                 meta={"t": t, "grid": zk.grid})
-    A = rad.A
+    A = radial_from_gradkernel(q, zk.one_sided(), kmax + 1).A
     scaled = {k: complex(A[k] - A[k + 1]) for k in range(kmax + 1)}
     return {
-        "q": q,
-        "t": t,
         "etilde_scaled": scaled,
         "etilde": {k: v * q ** (-k / 2.0) for k, v in scaled.items()},
-        "tail_scaled": rad.tail_scaled,
-        "grid": zk.grid,
     }

@@ -19,7 +19,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import abel, flowkernel
-from .chebyshev import ChebModel
 from .localops import KernelColumn
 from .trees import FlowMeasure, TreeError, TreeWindow, Vertex, meeting_levels
 from .zline import heat_support_radius, heat_z_gradkernel
@@ -563,10 +562,3 @@ def rayleigh_bounds(window: TreeWindow, measure: FlowMeasure):
             a[idx[p], i] = w
     vals = np.linalg.eigvalsh(a)
     return float(vals[0]), float(vals[-1])
-
-
-def modulation_conjugate_model(model: ChebModel) -> ChebModel:
-    """Chebyshev model of lam -> F(2 - lam): flips odd coefficients."""
-    coef = model.coef.copy()
-    coef[1::2] = -coef[1::2]
-    return ChebModel(coef, model.degree, model.sup_err)

@@ -302,35 +302,3 @@ def kernel_column_lambda_poly(window: TreeWindow, measure: FlowMeasure,
     g = apply_lambda_poly(window, measure, coeffs,
                           _anchored(window, max(len(coeffs) - 1, 0), y))
     return _column_from_function(window, measure, g, y)
-
-
-def modulation(window: TreeWindow, f: dict) -> dict:
-    """Pointwise sign flip by level parity; involutive."""
-    return {v: (x if window.level[v] % 2 == 0 else -x) for v, x in f.items()}
-
-
-def weighted_col_sums(window: TreeWindow, measure: FlowMeasure,
-                      column: KernelColumn,
-                      weight: Callable[[int, int, int], float]):
-    """sum over safe x of w(d(x,y), level(x), level(y)) |K(x,y)| m(x).
-
-    Returns (value, truncated): truncated flags support reaching vertices
-    that are unsafe or sit on the window boundary, where tail mass may be
-    missing.
-    """
-    y = column.anchor
-    ly = window.level[y]
-    total = 0
-    truncated = False
-    dist = window.defect_distances()
-    for v, x in column.values.items():
-        if not x:
-            continue
-        if v not in column.safe:
-            truncated = True
-            continue
-        if dist.get(v, 0) == 0:
-            truncated = True
-        d = window.distance(v, y)
-        total = total + weight(d, window.level[v], ly) * abs(x) * measure.values[v]
-    return total, truncated

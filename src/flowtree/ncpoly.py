@@ -89,9 +89,9 @@ class NcPolynomial:
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def norm(self, radius=1):
-        """sum over words of |coefficient| * radius**length (exact for exact input)."""
-        return sum(abs(c) * (radius ** len(w)) for w, c in self.terms.items())
+    def norm(self):
+        """sum over words of |coefficient| (exact for exact input)."""
+        return sum(abs(c) for c in self.terms.values())
 
     def __eq__(self, other):
         return isinstance(other, NcPolynomial) and self.terms == other.terms

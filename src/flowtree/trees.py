@@ -15,11 +15,11 @@ is the whole tree.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -105,10 +105,6 @@ class TreeWindow:
     def distance(self, x: Vertex, y: Vertex) -> int:
         a = self.lca(x, y)
         return 2 * self.level[a] - self.level[x] - self.level[y]
-
-    def is_below(self, x: Vertex, y: Vertex) -> bool:
-        """True iff x <= y (y lies on the geodesic from x to the root)."""
-        return self.lca(x, y) == y
 
     def defect_distances(self) -> dict[Vertex, int]:
         """Graph distance from each vertex to the nearest window defect.
@@ -288,11 +284,13 @@ def ball_vertex_bound(q: int, radius: int) -> int:
     return 1 + (q + 1) * _cone_size(q, radius - 1)
 
 
-def _check_cap(count: int, max_vertices: int) -> None:
-    if count > max_vertices:
-        raise TreeError(
-            f"window would exceed vertex cap ({count} > {max_vertices}); "
-            "pass max_vertices to override")
+def _check_cap(count: int) -> None:
+    """Refuse a window of more than DEFAULT_VERTEX_CAP vertices, naming its
+    size: in full up to 12 digits, else to two significant ones."""
+    if count > DEFAULT_VERTEX_CAP:
+        size = f"{count:,}" if count < 10 ** 12 else f"about {Decimal(count):.1e}"
+        raise TreeError(f"the window would have {size} vertices, over the cap "
+                        f"of {DEFAULT_VERTEX_CAP:,}")
 
 
 class _Builder:
@@ -331,30 +329,13 @@ class _Builder:
 
     def cone(self, base: Vertex, depth: int, child_masses) -> None:
         """Grow the full cone of a childless base ``depth`` levels down,
-        level by level.  ``child_masses(parent_masses, level)`` gives the
-        children's masses, parent by parent, b per parent; every parent
-        becomes complete."""
+        level by level, parent by parent.  ``child_masses(mass, level)``
+        gives the masses of the children, at ``level``, of a parent of the
+        given mass; every parent becomes complete."""
         frontier = [base]
-        masses = [self.values[base]]
-        lv = self.level[base]
-        for _ in range(depth):
-            lv -= 1
-            masses = child_masses(masses, lv)
-            b = len(masses) // len(frontier)
-            start = len(self.level)
-            # one int object per id, shared by every map (a range would
-            # make a new one for each)
-            ids = list(range(start, start + len(masses)))
-            self.succ.update(zip(frontier, map(list, zip(*[iter(ids)] * b))))
-            self.complete.update(zip(frontier, itertools.repeat(True)))
-            self.pred.update(zip(ids, itertools.chain.from_iterable(
-                zip(*[frontier] * b))))
-            self.level.update(zip(ids, itertools.repeat(lv)))
-            self.values.update(zip(ids, masses))
-            frontier = ids
-        if depth > 0:
-            self.succ.update(zip(frontier, ([] for _ in frontier)))
-            self.complete.update(zip(frontier, itertools.repeat(False)))
+        for lv in range(self.level[base] - 1, self.level[base] - depth - 1, -1):
+            frontier = [v for p in frontier
+                        for v in self.add(p, child_masses(self.values[p], lv), True)]
 
     def finish(self, backend: str, up_ratio: Optional[Number]
                ) -> tuple[TreeWindow, FlowMeasure]:
@@ -370,32 +351,30 @@ def _canonical_flow(q: Number, backend: str):
     return functools.lru_cache(maxsize=None)(unit.__pow__), unit
 
 
-def homogeneous_window(q: int, depth: int, up: int = 0, apex_level: int = 0,
-                       backend: str = "rational",
-                       max_vertices: int = DEFAULT_VERTEX_CAP
+def homogeneous_window(q: int, depth: int, up: int = 0
                        ) -> tuple[TreeWindow, FlowMeasure]:
-    """Window into the q-ary tree with its canonical flow m(x) = q**level(x).
+    """Window into the q-ary tree with its canonical flow m(x) = q**level(x),
+    on the rational backend.
 
-    An ancestor chain of length ``up`` sits above a base vertex, and the full
-    q-ary cone of the base extends ``depth`` levels down.  Chain vertices are
-    complete only for q = 1 (their ambient siblings are missing otherwise).
-    The level convention: the apex carries ``apex_level``.
+    The apex sits at level 0, an ancestor chain of length ``up`` below it
+    leads to a base vertex, and the full q-ary cone of the base extends
+    ``depth`` levels down.  Chain vertices are complete only for q = 1
+    (their ambient siblings are missing otherwise).
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    _check_cap(up + _cone_size(q, depth), max_vertices)
-    mass, unit = _canonical_flow(q, backend)
-    b = _Builder(apex_level, mass(apex_level))
+    _check_cap(up + _cone_size(q, depth))
+    mass, unit = _canonical_flow(q, "rational")
+    b = _Builder(0, mass(0))
     base = 0
     for j in range(up):
-        base, = b.add(base, [mass(apex_level - j - 1)], q == 1)
-    b.cone(base, depth, lambda ms, lv: [mass(lv)] * (q * len(ms)))
-    return b.finish(backend, unit)
+        base, = b.add(base, [mass(-j - 1)], q == 1)
+    b.cone(base, depth, lambda m, lv: [mass(lv)] * q)
+    return b.finish("rational", unit)
 
 
 def ball_window(q: Union[int, tuple], radius: int, center_level: int = 0,
-                backend: str = "rational",
-                max_vertices: int = DEFAULT_VERTEX_CAP
+                backend: str = "rational"
                 ) -> tuple[TreeWindow, FlowMeasure, Vertex]:
     """The closed ball of the given radius around a center in the q-ary
     tree, or, for a tuple ``q`` of branching ratios, in the flow of
@@ -420,7 +399,7 @@ def ball_window(q: Union[int, tuple], radius: int, center_level: int = 0,
     else:
         mass, unit = _canonical_flow(q, backend)
         children = lambda p, lv, m, d: [(p, lv, mass(lv), d)] * q
-    _check_cap(ball_vertex_bound(degree, radius), max_vertices)
+    _check_cap(ball_vertex_bound(degree, radius))
     b = _Builder(center_level + radius, mass(center_level + radius))
     chain = [0]
     for j in range(radius):
@@ -458,53 +437,45 @@ def _ratio_flow(ratios: tuple, backend: Optional[str]) -> tuple[str, list]:
 
 
 def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
-                          apex_level: Optional[int] = None,
-                          root_mass: Number = 1,
-                          backend: Optional[str] = None,
-                          max_vertices: int = DEFAULT_VERTEX_CAP
+                          backend: Optional[str] = None
                           ) -> tuple[TreeWindow, FlowMeasure, Vertex]:
     """Self-similar flow tree: every vertex splits its mass by ``ratios``.
 
-    The ancestor chain above the base follows the first-ratio branch, so the
-    ambient measure grows by 1/ratios[0] per level up.  Returns
-    (window, measure, base).
+    The base sits at level 0 with mass 1, under an ancestor chain of length
+    ``up`` that follows the first-ratio branch (so the apex is at level
+    ``up``), and the ambient measure grows by 1/ratios[0] per level up.
+    Returns (window, measure, base).
     """
     backend, rr = _ratio_flow(ratios, backend)
-    _check_cap(up + _cone_size(len(ratios), depth), max_vertices)
-    if apex_level is None:
-        apex_level = up
-
+    _check_cap(up + _cone_size(len(ratios), depth))
     r0 = rr[0]
-    base_mass = (Fraction if backend == "rational" else float)(root_mass)
-    b = _Builder(apex_level, base_mass / (r0 ** up) if up else base_mass)
+    base_mass = (Fraction if backend == "rational" else float)(1)
+    b = _Builder(up, base_mass / (r0 ** up) if up else base_mass)
     base = 0
     for _ in range(up):
         base, = b.add(base, [b.values[base] * r0], False)
-    b.cone(base, depth, lambda ms, lv: [m * r for m in ms for r in rr])
+    b.cone(base, depth, lambda m, lv: [m * r for r in rr])
     return (*b.finish(backend, 1 / r0), base)
 
 
-def spine_window(depth: int, up: int = 2, split: tuple = (Fraction(1, 2), Fraction(1, 2)),
-                 backend: str = "rational") -> tuple[TreeWindow, FlowMeasure, Vertex]:
+def spine_window(depth: int) -> tuple[TreeWindow, FlowMeasure, Vertex]:
     """One branching vertex whose first child continues as a deep path.
 
-    Used by the divergence probe: the returned vertex x1 has a sibling, and
-    below x1 every vertex has a single (complete) successor carrying the full
-    mass.  Returns (window, measure, x1).
+    Used by the divergence probe.  The apex, of mass 1 at level 3, sits
+    2 levels above the branching vertex, which splits its mass 1/2, 1/2
+    between x1 (at level 0) and a sibling; below x1 every vertex has a
+    single (complete) successor carrying the full mass, ``depth`` levels
+    down.  Rational backend.  Returns (window, measure, x1).
     """
-    one = Fraction(1) if backend == "rational" else 1.0
-    b = _Builder(up + 1, one)
-    branch = 0
-    for _ in range(up):
-        branch, = b.add(branch, [b.values[branch]], False)
-    r0 = split[0] if backend == "rational" else float(split[0])
-    r1 = split[1] if backend == "rational" else float(split[1])
-    mb = b.values[branch]
-    x1, _ = b.add(branch, [mb * r0, mb * r1], True)
+    one, half = Fraction(1), Fraction(1, 2)
+    b = _Builder(3, one)
+    branch, = b.add(0, [one], False)
+    branch, = b.add(branch, [one], False)
+    x1, _ = b.add(branch, [half, half], True)
     v = x1
     for _ in range(depth):
-        v, = b.add(v, [b.values[v]], True)
-    return (*b.finish(backend, one), x1)
+        v, = b.add(v, [half], True)
+    return (*b.finish("rational", one), x1)
 
 
 def _parse_measure(raw) -> tuple[Number, str]:

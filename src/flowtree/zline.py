@@ -73,6 +73,7 @@ def _fourier_sum(symbol_values: np.ndarray, nmax: int) -> np.ndarray:
 
 ALIAS_TOL = 1e-10        # most a kernel value may move when the grid doubles
 CONSISTENCY_TOL = 1e-12  # most the gradient's two routes may differ
+IMAG_QUAD_NMAX = 50      # imaginary powers: the quadrature checks n <= this
 
 
 def _default_grid(nmax: int) -> int:
@@ -99,15 +100,14 @@ def _doubled_grid(fn, G: int, route):
     return out, symbol
 
 
-def z_multiplier_kernel(fn, nmax: int, grid: int | None = None) -> ZKernel:
-    """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums.
+def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
+    """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums on the
+    default grid for nmax.
 
     Raises AliasingError if doubling the grid changes any value by more than
     ALIAS_TOL.
     """
-    G = grid or _default_grid(nmax)
-    if G < 4 * nmax + 8:
-        raise ValueError("grid too small for requested nmax")
+    G = _default_grid(nmax)
     out, _ = _doubled_grid(fn, G, lambda theta, symbol: _fourier_sum(symbol, nmax))
     return ZKernel(out, nmax, 2 * G)
 
@@ -374,17 +374,18 @@ def imaginary_power_quad(alpha: float, n):
     return out if np.ndim(n) else complex(out[0])
 
 
-def imaginary_power_kernel(alpha: float, nmax: int, quad_nmax: int = 50):
+def imaginary_power_kernel(alpha: float, nmax: int):
     """Imaginary-power kernel: Gamma values for n >= 1, quadrature crosscheck.
 
     Returns (kernel, quad_values, max_discrepancy) where kernel.value(0) is
     the quadrature value (the closed form is used only away from 0) and the
-    discrepancy is over 1 <= n <= quad_nmax; a NaN on either route makes
-    it NaN.  Raises ValueError unless alpha is finite and nonzero.
+    discrepancy is over 1 <= n <= min(IMAG_QUAD_NMAX, nmax); a NaN on either
+    route makes it NaN.  Raises ValueError unless alpha is finite and
+    nonzero.
     """
     if not math.isfinite(alpha) or alpha == 0:
         raise ValueError(f"alpha must be finite and nonzero, not {alpha}")
-    m = max(0, min(quad_nmax, nmax))
+    m = max(0, min(IMAG_QUAD_NMAX, nmax))
     quad = imaginary_power_quad(alpha, np.arange(m + 1))
     gamma = imaginary_power_gamma(alpha, np.arange(1, nmax + 1))
     vals = np.concatenate([gamma[::-1], quad[:1], gamma])

@@ -89,6 +89,46 @@ def abel_inverse_quadratic(q, psi):
     return out
 
 
+def weighted_col_sums(window, measure, column, weight):
+    """sum over safe x of w(d(x,y), level(x), level(y)) |K(x,y)| m(x), over
+    the window's vertices: the window oracle of the closed-form and profile
+    column sums.
+
+    Returns (value, truncated): truncated flags support reaching vertices
+    that are unsafe or sit on the window boundary, where tail mass may be
+    missing.
+    """
+    y = column.anchor
+    ly = window.level[y]
+    total = 0
+    truncated = False
+    dist = window.defect_distances()
+    for v, x in column.values.items():
+        if not x:
+            continue
+        if v not in column.safe:
+            truncated = True
+            continue
+        if dist.get(v, 0) == 0:
+            truncated = True
+        d = window.distance(v, y)
+        total = total + weight(d, window.level[v], ly) * abs(x) * measure.values[v]
+    return total, truncated
+
+
+def modulation(window, f: dict) -> dict:
+    """Pointwise sign flip by level parity; involutive."""
+    return {v: (x if window.level[v] % 2 == 0 else -x) for v, x in f.items()}
+
+
+def modulation_conjugate_model(model):
+    """Chebyshev model of lam -> F(2 - lam): flips odd coefficients."""
+    from flowtree.chebyshev import ChebModel
+    coef = model.coef.copy()
+    coef[1::2] = -coef[1::2]
+    return ChebModel(coef, model.degree, model.sup_err)
+
+
 def record_acceptance(num, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     ACCEPTANCE_LINES.append((num, f"ACCEPTANCE {num:2d}: {status}  {detail}"))

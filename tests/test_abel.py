@@ -1,4 +1,4 @@
-"""Discrete Abel bridge: sphere counts, transforms, radial kernels, sums."""
+"""Discrete Abel bridge: sphere weights, transforms, radial kernels, sums."""
 
 import math
 import random
@@ -11,18 +11,21 @@ import pytest
 from flowtree import ball_window
 from flowtree import abel, zline
 from flowtree.exactnum import QSurd
-from flowtree.localops import kernel_column_lambda_poly, weighted_col_sums
+from flowtree.localops import kernel_column_lambda_poly
 
-from conftest import abel_forward_quadratic, abel_inverse_quadratic
+from conftest import abel_forward_quadratic, abel_inverse_quadratic, weighted_col_sums
 
 
-def test_sphere_count_known_cases():
-    assert abel.sphere_count(2, 3, 3) == 1
-    assert abel.sphere_count(2, 2, 0) == 1
-    assert abel.sphere_count(2, 3, 1) == 1
-    assert abel.sphere_count(2, 3, -3) == 8
-    assert abel.sphere_count(5, 4, 2) == 4
-    assert abel.sphere_count(2, 3, 0) == 0  # parity mismatch
+def _sphere_count(q, d, r):
+    """Vertices at distance d and level offset r from a fixed vertex of the
+    homogeneous tree: q^((d-r)/2) on the geodesic up-down path (|r| = d),
+    (q-1) q^((d-r)/2 - 1) when the even gap d - |r| > 0 allows a branch."""
+    if abs(r) == d:
+        return q ** ((d - r) // 2)
+    gap = d - abs(r)
+    if gap > 0 and gap % 2 == 0:
+        return (q - 1) * q ** ((d - r) // 2 - 1)
+    return 0
 
 
 def test_sphere_count_vs_enumeration():
@@ -32,14 +35,18 @@ def test_sphere_count_vs_enumeration():
             cnt = Counter(w.level[v] - w.level[c]
                           for v in w.vertices if w.distance(v, c) == d)
             for r in range(-d, d + 1):
-                assert abel.sphere_count(q, d, r) == cnt.get(r, 0), (q, d, r)
+                assert _sphere_count(q, d, r) == cnt.get(r, 0), (q, d, r)
 
 
 def test_sphere_weight_scaled_closed_form():
-    for q in (2, 3, 5):
-        for d in range(0, 8):
-            brute = sum(abel.sphere_count(q, d, r) * q ** (r / 2.0)
-                        for r in range(-d, d + 1))
+    """The closed form against the spheres of a ball, enumerated by level
+    offset r: q^(-d/2) sum over the sphere of q^(r/2)."""
+    for q, radius in ((2, 7), (3, 7), (5, 5)):
+        w, _, c = ball_window(q, radius)
+        for d in range(0, radius + 1):
+            cnt = Counter(w.level[v] - w.level[c]
+                          for v in w.vertices if w.distance(v, c) == d)
+            brute = sum(n * q ** (r / 2.0) for r, n in cnt.items())
             assert abs(abel.sphere_weight_scaled(q, d) - brute * q ** (-d / 2.0)) < 1e-12
 
 
@@ -127,6 +134,20 @@ def test_e_f_float_matches_exact():
     a_ex = abel.e_f_exact(q, coeffs, 6)
     for k in range(7):
         assert abs(rad.A[k] - float(a_ex[k])) < 1e-12
+
+
+@pytest.mark.parametrize("q, t, kmax", [(2, 1.0, 12), (3, 8.0, 20)])
+def test_e_f_tail_bound_covers_the_closed_form(q, t, kmax):
+    """e_f_coefficients records its tail bound and its line-kernel grid:
+    the heat coefficients lie within tail_scaled of the ones assembled from
+    the closed-form heat gradient kernel, summed much further out."""
+    rad = abel.e_f_coefficients(q, lambda lam: np.exp(-t * np.asarray(lam)), kmax)
+    ref = abel.radial_from_gradkernel(q, zline.heat_z_gradkernel(t, 400), kmax)
+    assert 0 < rad.tail_scaled < 1e-11
+    assert np.max(np.abs(rad.A - ref.A)) <= rad.tail_scaled
+    assert sorted(rad.meta) == ["grid", "nmax", "tol"]
+    assert rad.meta["tol"] == abel.E_F_TOL and rad.meta["nmax"] > kmax
+    assert rad.meta["grid"] >= 4 * (rad.meta["nmax"] + 2)
 
 
 def test_e_f_heat_decay_and_window_oracle():

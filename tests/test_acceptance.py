@@ -274,7 +274,7 @@ def test_criterion_11_imaginary_powers():
     """Gamma-formula kernel of the imaginary power: |k(n)| n within a 1.2x
     band on [10,200]; quadrature matches the formula to 1e-8 on [1,50]."""
     t0 = time.time()
-    kern, quads, worst = zline.imaginary_power_kernel(1.0, 200, quad_nmax=50)
+    kern, quads, worst = zline.imaginary_power_kernel(1.0, 200)
     band = [abs(kern.value(n)) * n for n in range(10, 201)]
     ratio = max(band) / min(band)
     ok = ratio <= 1.2 and worst <= 1e-8
@@ -285,7 +285,7 @@ def test_criterion_11_quadrature_meets_gamma_to_rounding():
     """Beside criterion 11: the graded Gauss-Legendre quadrature meets the
     Gamma formula within 1e-13 on [1,50], at alpha in {1, -1, 0.5, 2}."""
     for alpha in (1.0, -1.0, 0.5, 2.0):
-        _, _, worst = zline.imaginary_power_kernel(alpha, 200, quad_nmax=50)
+        _, _, worst = zline.imaginary_power_kernel(alpha, 200)
         assert worst <= 1e-13, alpha
 
 

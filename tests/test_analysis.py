@@ -18,7 +18,7 @@ from flowtree import analysis, flowkernel, zline
 from flowtree.analysis import RIESZ_CUT, QuadratureSpec
 from flowtree.trees import ball, meeting_levels
 
-from conftest import riesz_quadrature
+from conftest import modulation, modulation_conjugate_model, riesz_quadrature
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -429,10 +429,9 @@ def test_rayleigh_bounds_in_band():
 def test_modulation_conjugation_of_multiplier():
     """Kernel of F(2-L) equals the sign-conjugated kernel of F(L)."""
     from flowtree.chebyshev import cheb_approx, cheb_column
-    from flowtree.localops import modulation
     w, m, c = ball_window(2, 10, backend="float")
     model = cheb_approx(lambda lam: np.exp(-1.3 * lam), 9)
-    flipped_model = analysis.modulation_conjugate_model(model)
+    flipped_model = modulation_conjugate_model(model)
     grid = np.linspace(0, 2, 64)
     assert np.max(np.abs(flipped_model(grid) - model(2 - grid))) < 1e-12
     col = cheb_column(w, m, model, c)

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, artifacts, reproducibility."""
 
+import cmath
 import contextlib
 import csv
 import io
@@ -100,6 +101,62 @@ def test_kernel_multiplier_missing_parameter_names_flag(tmp_path, capsys):
     assert run(["kernel", "--q", "2", "--multiplier", "exp(-t*x)",
                 "--out", str(tmp_path / "o")]) == 2
     assert "needs --t" in capsys.readouterr().err
+
+
+def test_kernel_over_the_vertex_cap_names_its_size_and_the_cap(tmp_path, capsys):
+    """The degree-20 ball of the 3-ary tree exits 2 before it is built; the
+    message names both numbers and offers no way around the cap."""
+    assert run(["kernel", "--q", "3", "--multiplier", "exp(-t*x)", "--t", "1",
+                "--degree", "20", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "20,920,706,405 vertices" in err and "cap of 2,000,000" in err
+    assert "max_vertices" not in err
+
+
+def _kernel_values(out) -> dict:
+    with open(out / "kernel.csv", encoding="utf-8") as fh:
+        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        return {int(r["x_id"]): complex(float(r["value_re"]), float(r["value_im"]))
+                for r in rows}
+
+
+def test_kernel_on_the_line_writes_the_line_kernel(tmp_path):
+    """On the line, a multiplier column also writes the trapezoid line
+    kernel, n = -16..16 by default: for exp(-t*x) it is e^-t I_n(t)."""
+    out = tmp_path / "o"
+    assert run(["kernel", "--window", "zline", "--multiplier", "exp(-t*x)",
+                "--t", "1", "--out", str(out)]) == 0
+    with open(out / "zkernel.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(r["n"]) for r in rows] == list(range(-16, 17))
+    want = zline.heat_z_kernel(1.0, 16)
+    for r in rows:
+        got = complex(float(r["re"]), float(r["im"]))
+        assert abs(got - want[abs(int(r["n"]))]) < 1e-12
+
+
+def test_kernel_power_multiplier_matches_the_polynomial_column(tmp_path):
+    """x^k with k = 2 through the Chebyshev route is the exact column of
+    L^2, on the same radius-4 ball, within the certified error."""
+    cheb, exact = tmp_path / "cheb", tmp_path / "exact"
+    assert run(["kernel", "--q", "2", "--multiplier", "x^k", "--k", "2",
+                "--degree", "3", "--out", str(cheb)]) == 0
+    assert run(["kernel", "--q", "2", "--coeffs", "0,0,1", "--out", str(exact)]) == 0
+    metas = [json.loads((d / "kernel.csv.meta.json").read_text()) for d in (cheb, exact)]
+    assert metas[0]["window_size"] == metas[1]["window_size"] == len(ball_window(2, 4)[0])
+    got, want = _kernel_values(cheb), _kernel_values(exact)
+    for x in set(got) | set(want):
+        assert abs(got.get(x, 0) - want.get(x, 0)) <= metas[0]["err_bound"] + 1e-12
+
+
+@pytest.mark.parametrize("argv", [["--multiplier", "x^{i*alpha}", "--alpha", "1"],
+                                  ["--multiplier", "schrodinger", "--t", "2"]],
+                         ids=["imaginary-power", "schrodinger"])
+def test_kernel_oscillating_multipliers(tmp_path, argv):
+    out = tmp_path / "o"
+    assert run(["kernel", "--q", "2", *argv, "--out", str(out)]) == 0
+    values = _kernel_values(out)
+    assert values and all(cmath.isfinite(v) for v in values.values())
 
 
 @pytest.mark.parametrize("argv", [

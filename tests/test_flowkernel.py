@@ -18,9 +18,9 @@ import pytest
 
 from flowtree import TreeError, ball_window, constant_ratio_window, spine_window
 from flowtree import abel, analysis, flowkernel, zline
-from flowtree.localops import kernel_column_lambda_poly, weighted_col_sums
+from flowtree.localops import kernel_column_lambda_poly
 
-from conftest import profile_value_exact
+from conftest import profile_value_exact, weighted_col_sums
 
 
 def exact_pair(window, measure, coeffs, x, z):
@@ -120,7 +120,7 @@ def test_level_sum_matches_brute_force():
         got = float(np.sum(km[(lam == l) & (j <= lb)]))
         brute = 0.0
         for z in w.vertices:
-            if w.level[z] != l or not w.is_below(z, b):
+            if w.level[z] != l or w.lca(z, b) != b:
                 continue
             a = w.lca(x, z)
             v = flowkernel.variant_value(gradk, full, lx, l, w.level[a], "grad_x")

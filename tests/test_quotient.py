@@ -11,8 +11,10 @@ from flowtree import (FlowMeasure, TreeError, constant_ratio_window,
                       safe_region, validate_measure)
 from flowtree import quotient
 from flowtree.localops import (indicator, kernel_column_lambda_poly,
-                               kernel_column_poly, weighted_col_sums)
+                               kernel_column_poly)
 from flowtree.ncpoly import Z1, Z2, NcPolynomial
+
+from conftest import weighted_col_sums
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 

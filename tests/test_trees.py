@@ -142,6 +142,14 @@ def test_vertex_cap():
         homogeneous_window(2, depth=40)
 
 
+def test_vertex_cap_names_a_huge_count_to_two_digits():
+    """A count past 12 digits (here 3 * 2^5000 - 2, past float range) is
+    named to two significant digits, before anything is built."""
+    with pytest.raises(TreeError, match=r"about 4\.2e\+1505 vertices, over the "
+                       r"cap of 2,000,000"):
+        ball_window(2, 5000)
+
+
 def test_validate_catches_bad_levels():
     w, m = homogeneous_window(2, depth=2)
     w.level[w.children(w.apex)[0]] += 1
@@ -166,7 +174,7 @@ def test_validate_catches_vertices_cut_off_from_apex():
 
 
 def test_measure_float_tolerance():
-    w, m = homogeneous_window(2, depth=2, backend="float")
+    w, m, _ = ball_window(2, 2, backend="float")
     validate_measure(w, m)
     m.values[w.children(w.apex)[0]] *= 1 + 1e-6
     with pytest.raises(TreeError):
@@ -243,7 +251,7 @@ def test_distance_and_lca():
     assert w.distance(c, sib) == 2
     assert w.lca(c, sib) == p
     assert w.distance(c, c) == 0
-    assert w.is_below(c, p) and not w.is_below(p, c)
+    assert w.lca(c, p) == p and w.lca(p, c) != c
 
 
 def test_spine_window_structure():
@@ -289,17 +297,15 @@ def test_ball_and_meeting_levels_match_distance_and_lca():
 
 BACKEND = st.sampled_from(["rational", "float"])
 WINDOWS = st.one_of(
-    st.builds(lambda q, depth, up, bk: homogeneous_window(q, depth, up=up,
-                                                          backend=bk),
-              st.integers(1, 3), st.integers(0, 3), st.integers(0, 2), BACKEND),
+    st.builds(lambda q, depth, up: homogeneous_window(q, depth, up=up),
+              st.integers(1, 3), st.integers(0, 3), st.integers(0, 2)),
     st.builds(lambda r, depth, up: constant_ratio_window(r, depth=depth, up=up)[:2],
               st.sampled_from([(Fraction(1, 3), Fraction(2, 3)), (0.618, 0.382),
                                (Fraction(1),)]),
               st.integers(0, 3), st.integers(0, 2)),
     st.builds(lambda q, r, bk: ball_window(q, r, backend=bk)[:2],
               st.integers(1, 3), st.integers(0, 3), BACKEND),
-    st.builds(lambda depth, up, bk: spine_window(depth, up=up, backend=bk)[:2],
-              st.integers(0, 6), st.integers(0, 2), BACKEND),
+    st.builds(lambda depth: spine_window(depth)[:2], st.integers(0, 6)),
 )
 MUTATIONS = ("none", "drop", "repoint", "two_cycle", "duplicate_id",
              "flip_complete", "measure")
