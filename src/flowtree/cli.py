@@ -5,10 +5,12 @@ Each subcommand writes CSV artifacts with a JSON metadata sidecar and exits
 machine-readable failure record in the output directory), 2 on bad input.
 A numerical failure (an aliasing guard, a consistency check, the
 dominated-tail check of a weighted sum) also exits 1 with a failure
-record.  Configs are flat JSON documents whose keys are flag names;
-explicit flags override config values.  Runs are sequential and
-deterministically ordered, so a rational-backend rerun reproduces artifacts
-byte for byte.
+record.  ``READS`` lists the flags each command reads and their defaults;
+an explicit flag the command does not read exits 2.  Configs are flat JSON
+documents whose keys are flag names; a key for a flag the command does not
+read is checked, then ignored, and explicit flags override config values.
+Runs are sequential and deterministically ordered, so a rational-backend
+rerun reproduces artifacts byte for byte.
 """
 
 from __future__ import annotations
@@ -35,8 +37,32 @@ EXIT_SCHEMA = 2
 
 GOLDEN_RATIO = (math.sqrt(5) - 1) / 2  # heavier branch of the golden flow
 
-# `kernel --multiplier`: Chebyshev degree and, plus one, window radius
-DEFAULT_KERNEL_DEGREE = 8
+# The flags each command reads, by parser dest, and their defaults (None:
+# unset).  A grid's or a ratio list's default is its flag text, read by the
+# same parser as a typed flag.  Every command also reads --out and --config.
+WINDOW = {"tree": None, "window": "homog", "ratios": None,
+          "backend": "rational", "depth": 140}  # make_window's flags
+READS = {
+    # kernel --multiplier: --degree is the Chebyshev degree and, plus one,
+    # the window radius; --dmax is the line kernel's nmax
+    "kernel": {**WINDOW, "q": 2, "degree": 8, "dmax": 16, "coeffs": None,
+               "multiplier": None, "t_param": None, "k": None, "alpha": None},
+    "heat": {**WINDOW, "q": 2, "t_param": 1.0, "tol": 1e-6},
+    "riesz": {**WINDOW, "q": 2, "dmax": 6},
+    "riesz-skew-check": {**WINDOW, "q": 2, "dmax": 8, "tol": 1e-6},
+    "abel-check": {"q": 3, "degree": 5},
+    "transfer-check": {"q": 4, "ratios": "3/4,1/4", "degree": 4, "trials": 20},
+    "rationalize": {**WINDOW, "q": 64},  # --q is the denominator
+    "weighted-sweep": {"epsilon": 1.0, "t_grid": "1,4,16,64", "q_grid": "2,3,5"},
+    "level-sum": {**WINDOW, "q": 2, "t_grid": "1,2,4,8,16,32,64,128"},
+    "mh-norms": {"alpha": 1.0, "q": 64, "l_grid": "0:6:7"},
+    "sharpness": {"q": 2, "t_grid": "10:40:31"},
+    "divergence": {"tree": None, "d_grid": "16,32,64"},
+    "spectrum": {"theta_grid": "0,pi/3,pi", "d_grid": "25,50,100,200"},
+}
+# what a refusal adds, by (command, flag)
+HINTS = {("heat", "--degree"): "a Chebyshev heat column is "
+                               "kernel --multiplier 'exp(-t*x)' --t T --degree N"}
 
 
 def parse_grid(text: str) -> list[float]:
@@ -89,14 +115,11 @@ def _positive_grid(text: str) -> list[float]:
     return vals
 
 
-def _grid(args, flag: str, default: list, read=parse_grid,
-          least=None) -> list:
-    """The values of grid flag `flag`, read by `read`, none below `least`;
-    `default` when the flag is unset.  A grid refused for its form or its
-    range is a ValueError that names the flag."""
+def _grid(args, flag: str, read=parse_grid, least=None) -> list:
+    """The values of grid flag `flag`, read by `read`, none below `least`.
+    A grid refused for its form or its range is a ValueError that names the
+    flag."""
     text = getattr(args, flag[2:].replace("-", "_"))
-    if text is None:
-        return default
     try:
         vals = read(text)
         if least is not None and min(vals) < least:
@@ -124,11 +147,6 @@ def parse_ratios(text: str) -> tuple:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
-def _given(value, default):
-    """A flag's value, or the default when the flag is unset (0 is a value)."""
-    return default if value is None else value
-
-
 def _at_least(flag: str, value: int, least: int) -> int:
     """An integer flag's value, refused when it is below `least`."""
     if value < least:
@@ -140,7 +158,7 @@ def _flow(args, q: int):
     """The flow of a built-in ball, as ``ball_window`` takes it: ``--ratios``,
     the golden ratios, 1 for the line, or else the degree q; None for a
     loaded file and the spine, which are not balls."""
-    kind = args.window or "homog"
+    kind = args.window
     if args.ratios:
         if args.tree or kind != "homog":
             other = "--tree" if args.tree else f"--window {kind}"
@@ -163,11 +181,11 @@ def make_window(args, radius: int, q: int):
         anchors = sorted(safe_region(window, min(radius, 4))) or [window.apex]
         return window, measure, anchors[len(anchors) // 2]
     if flow is None:
-        return spine_window(depth=_given(args.depth, 140))
+        return spine_window(depth=args.depth)
     if args.window == "golden":
         return ball_window(flow, radius, center_level=-radius, backend="float")
     return ball_window(flow, max(radius, 12) if flow == 1 else radius,
-                       backend=args.backend or "rational")
+                       backend=args.backend)
 
 
 def _multiplier(args):
@@ -201,9 +219,8 @@ def _write(out, name, header, rows, meta, comments=()):
 
 def cmd_kernel(args, out):
     coeffs = list(parse_ratios(args.coeffs)) if args.coeffs else None
-    deg = len(coeffs) - 1 if coeffs else _given(args.degree, DEFAULT_KERNEL_DEGREE)
-    q = _given(args.q, 2)
-    window, measure, anchor = make_window(args, max(deg + 1, 4), q)
+    deg = len(coeffs) - 1 if coeffs else args.degree
+    window, measure, anchor = make_window(args, max(deg + 1, 4), args.q)
     if coeffs is not None:
         col = kernel_column_lambda_poly(window, measure, coeffs, anchor)
         op_meta = {"lambda_coeffs": [str(c) for c in coeffs]}
@@ -215,8 +232,8 @@ def cmd_kernel(args, out):
         model = cheb_approx(fn, deg)
         col = cheb_column(window, measure, model, anchor)
         op_meta = {"multiplier": args.multiplier, "sup_err": model.sup_err}
-        if _flow(args, q) == 1:
-            zk = zline.z_multiplier_kernel(fn, _given(args.dmax, 16))
+        if _flow(args, args.q) == 1:
+            zk = zline.z_multiplier_kernel(fn, args.dmax)
             _write(out, "zkernel.csv", ["n", "re", "im"], zk.csv_rows(),
                    {"multiplier": args.multiplier, "nmax": zk.nmax, "grid": zk.grid})
     _write(out, "kernel.csv",
@@ -229,16 +246,11 @@ def cmd_kernel(args, out):
 
 
 def cmd_heat(args, out):
-    if args.degree is not None:
-        raise ValueError("heat has no --degree; a Chebyshev heat column is "
-                         "kernel --multiplier 'exp(-t*x)' --t T --degree N")
-    t = _given(args.t_param, 1.0)
-    tol = _given(args.tol, 1e-6)
-    q = _given(args.q, 2)
+    t = args.t_param
     # the column's groups read the anchor's ancestor chain only: the radius-0 ball
-    window, measure, anchor = make_window(args, 0, q)
+    window, measure, anchor = make_window(args, 0, args.q)
     rep = analysis.heat_column_groups(window, measure, t, anchor)
-    flow = _flow(args, q)
+    flow = _flow(args, args.q)
     if isinstance(flow, int) and flow >= 2:
         rad = abel.e_f_coefficients(flow,
                                     lambda lam: np.exp(-t * np.asarray(lam)),
@@ -248,14 +260,14 @@ def cmd_heat(args, out):
                 **rad.meta})
     _write(out, "heat.csv", rep.csv_header(), rep.csv_rows(),
            {"t": t, **rep.meta, **_window_meta(window)})
-    if abs(rep.meta["mass"] - 1.0) > tol:
+    if abs(rep.meta["mass"] - 1.0) > args.tol:
         return {"check": "heat mass conservation", "mass": rep.meta["mass"]}
     return {}
 
 
 def cmd_riesz(args, out):
-    radius = _given(args.dmax, 6)
-    window, measure, anchor = make_window(args, radius + 2, _given(args.q, 2))
+    radius = args.dmax
+    window, measure, anchor = make_window(args, radius + 2, args.q)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius))
     vals, errs = analysis.riesz_kernel_values(window, measure, pairs)
     rows = [(x, y, v.real, v.imag, e) for (x, y), v, e in zip(pairs, vals, errs)]
@@ -265,12 +277,12 @@ def cmd_riesz(args, out):
 
 
 def cmd_riesz_skew_check(args, out):
-    radius = _at_least("--dmax", _given(args.dmax, 8), 1)
-    window, measure, anchor = make_window(args, radius + 1, _given(args.q, 2))
+    radius = _at_least("--dmax", args.dmax, 1)
+    window, measure, anchor = make_window(args, radius + 1, args.q)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius)
                    if x != anchor)
     rep = analysis.riesz_skew_check(window, measure, pairs)
-    tol = _given(args.tol, 1e-6)
+    tol = args.tol
     _write(out, "riesz_skew_check.csv", rep.csv_header(), rep.csv_rows(),
            {"max_dev": rep.meta["max_dev"], "pairs": len(pairs), "tol": tol,
             **_window_meta(window)})
@@ -281,8 +293,7 @@ def cmd_riesz_skew_check(args, out):
 
 
 def cmd_abel_check(args, out):
-    q = _given(args.q, 3)
-    deg = _given(args.degree, 5)
+    q, deg = args.q, args.degree
     radius = deg + 1
     window, measure, center = ball_window(q, radius)
     rows = []
@@ -307,10 +318,8 @@ def cmd_abel_check(args, out):
 
 
 def cmd_transfer_check(args, out):
-    q = _given(args.q, 4)
-    ratios = parse_ratios(args.ratios) if args.ratios else (Fraction(3, 4), Fraction(1, 4))
-    deg = _given(args.degree, 4)
-    trials = _given(args.trials, 20)
+    q, deg, trials = args.q, args.degree, args.trials
+    ratios = parse_ratios(args.ratios)
     import random
     rng = random.Random(20240811)
     target, tmeas, t_anchor = ball_window(ratios, deg)
@@ -349,7 +358,7 @@ def cmd_transfer_check(args, out):
 def cmd_rationalize(args, out):
     # --q is the denominator here, not the degree of a ball
     window, measure, _ = make_window(args, 6, 2)
-    q = _given(args.q, 64)
+    q = args.q
     mq, rows, max_err = quotient.rationalize_flow(window, measure, q)
     csv_rows = [(r.vertex, r.child_index, r.ratio.numerator, r.ratio.denominator,
                  r.error) for r in rows]
@@ -360,19 +369,18 @@ def cmd_rationalize(args, out):
 
 
 def cmd_weighted_sweep(args, out):
-    ts = _grid(args, "--t-grid", [1.0, 4.0, 16.0, 64.0], _positive_grid)
-    qs = _grid(args, "--q-grid", [2, 3, 5], _int_grid, least=1)
-    eps = _given(args.epsilon, 1.0)
-    rep = analysis.weighted_heat_sweep(eps, ts, qs)
+    ts = _grid(args, "--t-grid", _positive_grid)
+    qs = _grid(args, "--q-grid", _int_grid, least=1)
+    rep = analysis.weighted_heat_sweep(args.epsilon, ts, qs)
     _write(out, "weighted_sweep.csv", rep.csv_header(), rep.csv_rows(),
            {"fits": rep.fit, **rep.meta})
     return {}
 
 
 def cmd_level_sum(args, out):
-    ts = _grid(args, "--t-grid", [2.0 ** k for k in range(8)], least=0)
+    ts = _grid(args, "--t-grid", least=0)
     # the sums read the anchor's ancestor chain only: the radius-0 ball
-    window, measure, x = make_window(args, 0, _given(args.q, 2))
+    window, measure, x = make_window(args, 0, args.q)
     rep = analysis.level_sum_estimate(window, measure, ts, x)
     _write(out, "level_sum.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, **rep.meta, **_window_meta(window)})
@@ -380,31 +388,48 @@ def cmd_level_sum(args, out):
 
 
 def cmd_mh_norms(args, out):
-    alpha = _given(args.alpha, 1.0)
-    ls = _grid(args, "--l-grid", list(range(7)), _distinct_int_grid, least=0)
-    rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
-                                   q=_given(args.q, 64))
+    alpha = args.alpha
+    ls = _grid(args, "--l-grid", _distinct_int_grid, least=0)
+    rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls, q=args.q)
     _write(out, "mh_norms.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, "alpha": alpha, **rep.meta})
     return {}
 
 
 def cmd_sharpness(args, out):
-    ts = _grid(args, "--t-grid", list(range(10, 41)), _int_grid, least=2)
-    rep = analysis.sharpness_fit(_given(args.q, 2), ts)
+    ts = _grid(args, "--t-grid", _int_grid, least=2)
+    rep = analysis.sharpness_fit(args.q, ts)
     sob = analysis.sobolev_growth(list(np.exp(np.linspace(np.log(30.0), np.log(300.0), 12))))
     _write(out, "sharpness.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, "sobolev": {s: f for s, f in sob.items()}, **rep.meta})
     return {}
 
 
+def _probe_anchor(window, depth: int):
+    """The highest vertex whose cone is complete `depth` levels down (every
+    descendant above that level complete), the smallest id on ties."""
+    full = {}  # vertex -> how many levels down its cone is complete
+    best = None
+    # children before parents, so one pass fills `full` and picks the anchor
+    for v in sorted(window.vertices, key=window.level.__getitem__):
+        kids = window.children(v)
+        full[v] = (1 + min(full[c] for c in kids)
+                   if kids and window.is_complete(v) else 0)
+        if full[v] >= depth and (best is None or (-window.level[v], v)
+                                 < (-window.level[best], best)):
+            best = v
+    if best is None:
+        raise TreeError(f"no vertex of the window has a cone complete "
+                        f"{depth} levels down")
+    return best
+
+
 def cmd_divergence(args, out):
-    ds = _grid(args, "--d-grid", [16, 32, 64], _int_grid, least=1)
-    if args.tree:
-        window, measure = load_window(args.tree)
-        x1 = window.apex  # loaded windows: probe from the apex area
-    else:
-        window, measure, x1 = spine_window(depth=2 * max(ds) + 4)
+    ds = _grid(args, "--d-grid", _int_grid, least=1)
+    window, measure = (load_window(args.tree) if args.tree
+                       else spine_window(depth=2 * max(ds) + 4)[:2])
+    # the probe sums over 2 max(D) levels below its anchor
+    x1 = _probe_anchor(window, 2 * max(ds))
     rep = analysis.divergence_probe(window, measure, x1, ds)
     _write(out, "divergence.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, **rep.meta})
@@ -412,8 +437,8 @@ def cmd_divergence(args, out):
 
 
 def cmd_spectrum(args, out):
-    thetas = _grid(args, "--theta-grid", [0.0, math.pi / 3, math.pi])
-    ds = _grid(args, "--d-grid", [25, 50, 100, 200], _int_grid, least=1)
+    thetas = _grid(args, "--theta-grid")
+    ds = _grid(args, "--d-grid", _int_grid, least=1)
     window, measure, o = ball_window(1, max(ds) + 1)
     rep = analysis.spectrum_probe(window, measure, o, thetas, ds)
     small, smeas, _ = ball_window(2, 6)
@@ -509,11 +534,33 @@ def _check_numbers(parser: argparse.ArgumentParser, args) -> None:
             raise ValueError(f"{action.option_strings[0]} must be finite, not {val}")
 
 
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """Parser dest -> flag, for every flag a command may read or refuse."""
+    return {a.dest: a.option_strings[0] for a in parser._actions
+            if a.option_strings and a.dest not in ("help", "config", "out")}
+
+
+def _read_flags(parser: argparse.ArgumentParser, args, explicit: set) -> None:
+    """Refuse an explicit flag the command does not read, and give each flag
+    it reads its READS default when unset.  A config key the command does
+    not read is ignored: the command never looks at it."""
+    reads = READS[args.command]
+    for dest, flag in _options(parser).items():
+        if dest not in reads:
+            if dest in explicit:
+                hint = HINTS.get((args.command, flag))
+                raise ValueError(f"{args.command} does not read {flag}"
+                                 + (f"; {hint}" if hint else ""))
+        elif getattr(args, dest) is None:
+            setattr(args, dest, reads[dest])
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
+        explicit = {d for d in _options(parser) if getattr(args, d) is not None}
         if args.config:
             try:
                 tokens = _config_tokens(parser, args.config)
@@ -526,6 +573,7 @@ def main(argv=None) -> int:
     out = args.out
     os.makedirs(out, exist_ok=True)
     try:
+        _read_flags(parser, args, explicit)
         _check_numbers(parser, args)
         failure = COMMANDS[args.command](args, out)
     except zline.NumericalError as exc:

@@ -316,6 +316,44 @@ def test_config_loses_to_explicit_flag_equal_to_default(tmp_path, monkeypatch):
     assert not (tmp_path / "from-config").exists()
 
 
+README_CONFIG = {"q": 3, "t": 4, "t-grid": "1:64:4log"}
+
+
+def test_config_keys_a_command_does_not_read_are_ignored(tmp_path, capsys):
+    """The README's example config serves heat (q, t) and level-sum (q,
+    t-grid), and abel-check (q) ignores its t; a key that names no flag, a
+    value its flag refuses, and an explicit flag the command does not read
+    still exit 2."""
+    assert json.dumps(README_CONFIG) in README.read_text(encoding="utf-8")
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(README_CONFIG))
+    for cmd in ("heat", "level-sum", "abel-check"):
+        assert run([cmd, "--config", str(conf), "--out", str(tmp_path / cmd)]) == 0
+    heat = json.loads((tmp_path / "heat" / "heat.csv.meta.json").read_text())
+    radial = json.loads((tmp_path / "heat" / "radial.csv.meta.json").read_text())
+    assert heat["t"] == 4.0 and radial["q"] == 3
+    with open(tmp_path / "level-sum" / "level_sum.csv", newline="") as fh:
+        ts = [float(r["t"]) for r in csv.DictReader(fh)]
+    assert ts == pytest.approx([1, 4, 16, 64])
+    want = tmp_path / "want"
+    assert run(["level-sum", "--q", "3", "--t-grid", "1:64:4log", "--out", str(want)]) == 0
+    for name in ("level_sum.csv", "level_sum.csv.meta.json"):
+        assert (tmp_path / "level-sum" / name).read_bytes() == (want / name).read_bytes()
+    assert json.loads((tmp_path / "abel-check" / "abel_check.csv.meta.json")
+                      .read_text())["q"] == 3
+    capsys.readouterr()
+    conf.write_text(json.dumps({**README_CONFIG, "nope": 1}))
+    assert run(["heat", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key 'nope'" in capsys.readouterr().err
+    conf.write_text(json.dumps({**README_CONFIG, "depth": -1}))
+    assert run(["abel-check", "--config", str(conf), "--out", str(tmp_path / "o")]) == 2
+    assert "--depth must be >= 0" in capsys.readouterr().err
+    conf.write_text(json.dumps(README_CONFIG))
+    assert run(["abel-check", "--config", str(conf), "--t", "4",
+                "--out", str(tmp_path / "o")]) == 2
+    assert "abel-check does not read --t" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [True, [3], {"q": 3}])
 def test_config_rejects_structured_values(tmp_path, capsys, value):
     conf = tmp_path / "conf.json"
@@ -367,6 +405,57 @@ def test_config_ill_typed_value_exits_two(item):
 
 def test_jobs_flag_is_gone(tmp_path):
     assert run(["abel-check", "--jobs", "2", "--out", str(tmp_path / "o")]) == 2
+
+
+# each command with each flag it does not read, and a value the flag parses
+UNREAD = [(cmd, f"--{flag}", action.choices[0] if action.choices else "1")
+          for cmd, reads in cli.READS.items() for flag, action in FLAGS.items()
+          if flag != "out" and action.dest not in reads]
+
+
+def test_every_command_refuses_each_flag_it_does_not_read(tmp_path, capsys):
+    """Exit 2 before the command runs, naming the command and the flag; the
+    last two cases once ran the 3-ary ball and the spine."""
+    cases = UNREAD + [("abel-check", "--ratios", "1/3,2/3"),
+                      ("divergence", "--window", "golden")]
+    for i, (cmd, flag, value) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run([cmd, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cmd} does not read {flag}" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+
+def test_reads_names_every_command_and_only_parser_flags():
+    assert list(cli.READS) == list(cli.COMMANDS)
+    dests = {a.dest for a in FLAGS.values()} - {"out"}
+    for reads in cli.READS.values():
+        assert set(reads) <= dests
+
+
+def _readme_entry(tokens) -> dict:
+    """The flags of one README flag-list row, by dest: the value after each
+    flag, read by the flag's type, or None when another flag follows."""
+    entry = {}
+    for i, tok in enumerate(tokens):
+        if tok.startswith("--"):
+            action = FLAGS[tok[2:]]
+            val = tokens[i + 1] if i + 1 < len(tokens) else "--"
+            entry[action.dest] = (None if val.startswith("--")
+                                  else (action.type or str)(val))
+    return entry
+
+
+def test_readme_flag_list_is_the_reads_table():
+    """The README's list of each command's flags and defaults is cli.READS."""
+    text = README.read_text(encoding="utf-8").split("Each command reads the flags")[1]
+    rows = {ln.split()[0]: ln.split()[1:]
+            for ln in text.split("```")[1].splitlines() if ln.strip()}
+    window = _readme_entry(rows.pop("window"))
+    assert window == cli.WINDOW
+    got = {cmd: {**(window if tokens[0] == "window" else {}), **_readme_entry(tokens)}
+           for cmd, tokens in rows.items()}
+    assert got == cli.READS
 
 
 @pytest.mark.parametrize("error", [zline.AliasingError, zline.ConsistencyError])
@@ -435,6 +524,25 @@ def test_level_sum_builds_no_ball(tmp_path):
 def test_divergence_command(tmp_path):
     out = tmp_path / "o"
     assert run(["divergence", "--d-grid", "8,16", "--out", str(out)]) == 0
+
+
+def test_divergence_on_a_saved_spine_probes_from_x1(tmp_path, capsys):
+    """A saved spine, whose apex is incomplete, is probed from x1, the
+    highest vertex with a cone complete 2 max(D) levels down: the same rows
+    as the built-in spine.  A cone too shallow for the grid exits 2."""
+    w, m, x1 = trees.spine_window(depth=140)
+    tree = tmp_path / "spine.json"
+    tree.write_text(json.dumps(trees.window_to_json(w, m)))
+    grid = ["--d-grid", "16,32,64"]
+    for sub, extra in (("saved", ["--tree", str(tree)]), ("built-in", [])):
+        assert run(["divergence", *extra, *grid, "--out", str(tmp_path / sub)]) == 0
+    meta = json.loads((tmp_path / "saved" / "divergence.csv.meta.json").read_text())
+    assert meta["x1"] == x1
+    assert (tmp_path / "saved" / "divergence.csv").read_bytes() == \
+        (tmp_path / "built-in" / "divergence.csv").read_bytes()
+    assert run(["divergence", "--tree", str(tree), "--d-grid", "71",
+                "--out", str(tmp_path / "o")]) == 2
+    assert "complete 142 levels down" in capsys.readouterr().err
 
 
 def test_spectrum_command(tmp_path):
@@ -527,23 +635,8 @@ def test_int_grid_rounds_log_points_and_rejects_fractions():
             cli.parse_grid(text)
 
 
-# The numeric flags each subcommand reads, and values that are not finite,
-# have a zero denominator, or lie out of range, by the kind of flag.
-NUMERIC_FLAGS = {
-    "kernel": ("--q", "--degree", "--dmax", "--coeffs", "--ratios"),
-    "heat": ("--q", "--t", "--tol", "--ratios"),
-    "riesz": ("--q", "--dmax", "--ratios"),
-    "riesz-skew-check": ("--q", "--dmax", "--tol", "--ratios"),
-    "abel-check": ("--q", "--degree"),
-    "transfer-check": ("--q", "--ratios", "--degree", "--trials"),
-    "rationalize": ("--q", "--depth", "--ratios"),
-    "weighted-sweep": ("--t-grid", "--q-grid", "--epsilon"),
-    "level-sum": ("--t-grid", "--q", "--ratios"),
-    "mh-norms": ("--alpha", "--l-grid", "--q"),
-    "sharpness": ("--t-grid", "--q"),
-    "divergence": ("--d-grid",),
-    "spectrum": ("--theta-grid", "--d-grid"),
-}
+# Values that are not finite, have a zero denominator, or lie out of range,
+# by the kind of flag.
 NONFINITE = ("inf", "-inf", "nan", "1/0")
 BAD_VALUES = {
     int: NONFINITE + ("-1", "-7"),
@@ -551,16 +644,22 @@ BAD_VALUES = {
     "grid": NONFINITE + ("1:inf:3", "nan:2:3", "1:8:0log", "0:8:3log", "-1", "0", "1.5"),
     "fractions": ("1/0", "1/0,1", "0,1", "-1/2,3/2", "inf", "nan"),
 }
+DESTS = {a.dest: a for a in FLAGS.values()}
 
 
-def _kind(flag):
-    if flag in ("--ratios", "--coeffs"):
+def _kind(dest):
+    """The kind of a numeric flag, None for any other flag."""
+    if dest in ("ratios", "coeffs"):
         return "fractions"
-    return FLAGS[flag[2:]].type or "grid"
+    if dest.endswith("_grid"):
+        return "grid"
+    return DESTS[dest].type
 
 
-BAD_CASES = [(cmd, flag, value) for cmd, flags in NUMERIC_FLAGS.items()
-             for flag in flags for value in BAD_VALUES[_kind(flag)]]
+# every numeric flag each command reads, with each bad value of its kind
+BAD_CASES = [(cmd, DESTS[dest].option_strings[0], value)
+             for cmd, reads in cli.READS.items() for dest in reads if _kind(dest)
+             for value in BAD_VALUES[_kind(dest)]]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
