@@ -6,7 +6,8 @@ machine-readable failure record in the output directory), 2 on bad input.
 A numerical failure (an aliasing guard, a consistency check, the
 dominated-tail check of a weighted sum) also exits 1 with a failure
 record.  ``READS`` lists the flags each command reads and their defaults;
-an explicit flag the command does not read exits 2.  Configs are flat JSON
+an explicit flag the command does not read, or that the window route its
+flags choose does not read, exits 2.  Configs are flat JSON
 documents whose keys are flag names; a key for a flag the command does not
 read is checked, then ignored, and explicit flags override config values.
 Runs are sequential and deterministically ordered, so a rational-backend
@@ -154,38 +155,82 @@ def _at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
-def _flow(args, q: int):
+def _flow(args, q=None):
     """The flow of a built-in ball, as ``ball_window`` takes it: ``--ratios``,
-    the golden ratios, 1 for the line, or else the degree q; None for a
-    loaded file and the spine, which are not balls."""
-    kind = args.window
+    the golden ratios, 1 for the line, or else the degree q (``--q`` when
+    q is None); None for a loaded file and the spine, which are not balls."""
     if args.ratios:
-        if args.tree or kind != "homog":
-            other = "--tree" if args.tree else f"--window {kind}"
+        if args.tree or args.window != "homog":
+            other = "--tree" if args.tree else f"--window {args.window}"
             raise ValueError(f"--ratios and {other} both set the window")
         return parse_ratios(args.ratios)
-    if args.tree or kind == "spine":
+    if args.tree:
+        return None
+    kind = args.window
+    if kind == "spine":
         return None
     if kind == "golden":
         return (GOLDEN_RATIO, 1 - GOLDEN_RATIO)
-    return 1 if kind == "zline" else q
+    if kind == "zline":
+        return 1
+    return args.q if q is None else q
 
 
-def make_window(args, radius: int, q: int):
-    """Window selection shared by the subcommands: a loaded file, the spine
-    (``--depth`` long), or the ball of ``_flow``'s flow around the anchor it
-    returns (the line's ball: radius at least 12)."""
+class _Seen:
+    """The parsed flags, noting the dest of every flag read through it."""
+
+    def __init__(self, args):
+        self.args, self.read = args, set()
+
+    def __getattr__(self, dest):
+        self.read.add(dest)
+        return getattr(self.args, dest)
+
+
+def _route(args, q=None):
+    """The window the flags choose, as a function of the radius; every flag
+    it reads is read here, before anything is built."""
     flow = _flow(args, q)
     if args.tree:
-        window, measure = load_window(args.tree)
-        anchors = sorted(safe_region(window, min(radius, 4))) or [window.apex]
-        return window, measure, anchors[len(anchors) // 2]
+        path = args.tree
+
+        def loaded(radius):
+            window, measure = load_window(path)
+            anchors = sorted(safe_region(window, min(radius, 4))) or [window.apex]
+            return window, measure, anchors[len(anchors) // 2]
+        return loaded
     if flow is None:
-        return spine_window(depth=args.depth)
+        depth = args.depth
+        return lambda radius: spine_window(depth=depth)
     if args.window == "golden":
-        return ball_window(flow, radius, center_level=-radius, backend="float")
-    return ball_window(flow, max(radius, 12) if flow == 1 else radius,
-                       backend=args.backend)
+        return lambda radius: ball_window(flow, radius, center_level=-radius,
+                                          backend="float")
+    backend = args.backend
+    return lambda radius: ball_window(flow, max(radius, 12) if flow == 1 else radius,
+                                      backend=backend)
+
+
+def _refuse(args, route: str, dests) -> None:
+    """Exit 2 on an explicit flag among ``dests``, which ``route`` does not read."""
+    for dest in dests:
+        if dest in args.explicit:
+            raise ValueError(f"{route} does not read {args.explicit[dest]}")
+
+
+def make_window(args, radius: int, q=None):
+    """Window selection shared by the subcommands: a loaded file, the spine
+    (``--depth`` long), or the ball of ``_flow``'s flow around the anchor it
+    returns (the line's ball: radius at least 12).  A given q is the ball's
+    degree in place of ``--q``.  An explicit window flag, or ``--q`` when q
+    is not given, that the chosen route does not read exits 2 before
+    anything is built."""
+    seen = _Seen(args)
+    build = _route(seen, q)
+    how = ("--tree" if args.tree else "--ratios" if args.ratios
+           else f"--window {args.window}")
+    flags = (*WINDOW, "q") if q is None else tuple(WINDOW)
+    _refuse(args, f"{args.command} {how}", [d for d in flags if d not in seen.read])
+    return build(radius)
 
 
 def _multiplier(args):
@@ -219,8 +264,10 @@ def _write(out, name, header, rows, meta, comments=()):
 
 def cmd_kernel(args, out):
     coeffs = list(parse_ratios(args.coeffs)) if args.coeffs else None
+    if coeffs:  # the polynomial's degree is the column's
+        _refuse(args, "kernel --coeffs", ["degree"])
     deg = len(coeffs) - 1 if coeffs else args.degree
-    window, measure, anchor = make_window(args, max(deg + 1, 4), args.q)
+    window, measure, anchor = make_window(args, max(deg + 1, 4))
     if coeffs is not None:
         col = kernel_column_lambda_poly(window, measure, coeffs, anchor)
         op_meta = {"lambda_coeffs": [str(c) for c in coeffs]}
@@ -232,7 +279,7 @@ def cmd_kernel(args, out):
         model = cheb_approx(fn, deg)
         col = cheb_column(window, measure, model, anchor)
         op_meta = {"multiplier": args.multiplier, "sup_err": model.sup_err}
-        if _flow(args, args.q) == 1:
+        if _flow(args) == 1:
             zk = zline.z_multiplier_kernel(fn, args.dmax)
             _write(out, "zkernel.csv", ["n", "re", "im"], zk.csv_rows(),
                    {"multiplier": args.multiplier, "nmax": zk.nmax, "grid": zk.grid})
@@ -248,9 +295,9 @@ def cmd_kernel(args, out):
 def cmd_heat(args, out):
     t = args.t_param
     # the column's groups read the anchor's ancestor chain only: the radius-0 ball
-    window, measure, anchor = make_window(args, 0, args.q)
+    window, measure, anchor = make_window(args, 0)
     rep = analysis.heat_column_groups(window, measure, t, anchor)
-    flow = _flow(args, args.q)
+    flow = _flow(args)
     if isinstance(flow, int) and flow >= 2:
         rad = abel.e_f_coefficients(flow,
                                     lambda lam: np.exp(-t * np.asarray(lam)),
@@ -267,7 +314,7 @@ def cmd_heat(args, out):
 
 def cmd_riesz(args, out):
     radius = args.dmax
-    window, measure, anchor = make_window(args, radius + 2, args.q)
+    window, measure, anchor = make_window(args, radius + 2)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius))
     vals, errs = analysis.riesz_kernel_values(window, measure, pairs)
     rows = [(x, y, v.real, v.imag, e) for (x, y), v, e in zip(pairs, vals, errs)]
@@ -278,7 +325,7 @@ def cmd_riesz(args, out):
 
 def cmd_riesz_skew_check(args, out):
     radius = _at_least("--dmax", args.dmax, 1)
-    window, measure, anchor = make_window(args, radius + 1, args.q)
+    window, measure, anchor = make_window(args, radius + 1)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius)
                    if x != anchor)
     rep = analysis.riesz_skew_check(window, measure, pairs)
@@ -357,7 +404,7 @@ def cmd_transfer_check(args, out):
 
 def cmd_rationalize(args, out):
     # --q is the denominator here, not the degree of a ball
-    window, measure, _ = make_window(args, 6, 2)
+    window, measure, _ = make_window(args, 6, q=2)
     q = args.q
     mq, rows, max_err = quotient.rationalize_flow(window, measure, q)
     csv_rows = [(r.vertex, r.child_index, r.ratio.numerator, r.ratio.denominator,
@@ -380,7 +427,7 @@ def cmd_weighted_sweep(args, out):
 def cmd_level_sum(args, out):
     ts = _grid(args, "--t-grid", least=0)
     # the sums read the anchor's ancestor chain only: the radius-0 ball
-    window, measure, x = make_window(args, 0, args.q)
+    window, measure, x = make_window(args, 0)
     rep = analysis.level_sum_estimate(window, measure, ts, x)
     _write(out, "level_sum.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, **rep.meta, **_window_meta(window)})
@@ -543,8 +590,11 @@ def _options(parser: argparse.ArgumentParser) -> dict:
 def _read_flags(parser: argparse.ArgumentParser, args, explicit: set) -> None:
     """Refuse an explicit flag the command does not read, and give each flag
     it reads its READS default when unset.  A config key the command does
-    not read is ignored: the command never looks at it."""
+    not read is ignored: the command never looks at it.  The explicit
+    flags stay on ``args.explicit``, by dest, for the refusals of routes
+    that leave a flag unread (``_refuse``)."""
     reads = READS[args.command]
+    args.explicit = {d: f for d, f in _options(parser).items() if d in explicit}
     for dest, flag in _options(parser).items():
         if dest not in reads:
             if dest in explicit:

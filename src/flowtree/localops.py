@@ -229,18 +229,51 @@ def apply_gradient(window, measure, f):
     return _stencil(window, measure, f, lambda fv, fp, fc: fv - fp, True, True, False)
 
 
+_HALF = Fraction(1, 2)
+_RATIONAL = (int, Fraction)
+
+
+def _half_sum(fp, fc):
+    """fp + fc of ints and Fractions, with no int on the left of a Fraction
+    (its slow reverse add); None when either is another type."""
+    if type(fp) not in _RATIONAL or type(fc) not in _RATIONAL:
+        return None
+    return fc if not fp else fp if not fc else fp + fc
+
+
+def _average_rational(fv, fp, fc):
+    """fp/2 + fc/2 in one Fraction multiply; other values as on floats."""
+    s = _half_sum(fp, fc)
+    if s is None:
+        return _HALF * fp + _HALF * fc
+    return _HALF * s
+
+
+def _laplacian_rational(fv, fp, fc):
+    """fv - fp/2 - fc/2 in one Fraction multiply, and fv as a Fraction when
+    fp and fc are zero; other values as on floats, which keeps the rounding
+    and the signed zeros of float and complex values."""
+    s = _half_sum(fp, fc) if type(fv) in _RATIONAL else None
+    if s is None:
+        return fv - _HALF * fp - _HALF * fc
+    if not s:
+        return fv if type(fv) is Fraction else Fraction(fv)
+    s = _HALF * s
+    return fv - s if fv else -s
+
+
 def apply_averaging(window, measure, f):
     """(A f)(x) = f(parent)/2 + (1/2m(x)) sum over successors of f m."""
-    half = Fraction(1, 2) if measure.backend == "rational" else 0.5
-    return _stencil(window, measure, f,
-                    lambda fv, fp, fc: half * fp + half * fc, True, True, True)
+    combine = (_average_rational if measure.backend == "rational"
+               else lambda fv, fp, fc: 0.5 * fp + 0.5 * fc)
+    return _stencil(window, measure, f, combine, True, True, True)
 
 
 def apply_laplacian(window, measure, f):
     """(L f)(x) = f(x) - (A f)(x); one unit of propagation per application."""
-    half = Fraction(1, 2) if measure.backend == "rational" else 0.5
-    return _stencil(window, measure, f,
-                    lambda fv, fp, fc: fv - half * fp - half * fc, True, True, True)
+    combine = (_laplacian_rational if measure.backend == "rational"
+               else lambda fv, fp, fc: fv - 0.5 * fp - 0.5 * fc)
+    return _stencil(window, measure, f, combine, True, True, True)
 
 
 def apply_lambda_poly(window, measure, coeffs, f: WindowFunction) -> WindowFunction:

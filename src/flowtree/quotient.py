@@ -60,10 +60,21 @@ def validate_submersion(sub: Submersion) -> SubmersionReport:
     compatibility at every vertex where both sides are determined.
 
     One pass over the source; a complete vertex sums its children's masses
-    once per image for its successor and compatibility checks.  Exact in
-    the rational backend; each violation carries a witness vertex (by kind,
-    then in source order).  A vertex mapped nowhere or outside the target
-    is reported as "unmapped", and then nothing else is.
+    once per image for its successor and compatibility checks.  Each
+    violation carries a witness vertex (by kind, then in source order).  A
+    vertex mapped nowhere or outside the target is reported as "unmapped",
+    and then nothing else is.
+
+    Compatibility at a child slice of v mapped to t, under tp = pred(t),
+    is m2(t) m1(v) = m2(tp) mass, mass the slice's summed child masses.
+    Floats pass within 1e-10 relative.  Rational masses (ints or Fractions)
+    are checked exactly in integers: with A = num m2(t) den m2(tp) and
+    B = num m2(tp) den m2(t), taken once per target vertex, and the slice
+    summed as an unreduced fraction N/D, the identity holds iff
+    A num m1(v) D = B N den m1(v).  The two sides are the sides of the
+    identity times den m2(t) den m2(tp) den m1(v) D, a product of positive
+    denominators, so both the equality and its failure carry over, zero
+    masses included.
     """
     src, tgt = sub.source, sub.target
     m1, m2 = sub.source_measure.values, sub.target_measure.values
@@ -72,12 +83,19 @@ def validate_submersion(sub: Submersion) -> SubmersionReport:
              and sub.target_measure.backend == "rational")
     bad: dict[str, list] = {kind: [] for kind in (
         "unmapped", "level_shift", "pred_intertwine", "succ_onto", "compatibility")}
-    counts = {"pred": 0, "succ": 0, "level": len(src), "compat": 0}
+    spred, scomplete, ssucc = src.pred, src.complete, src.succ
+    tpred, tlevel, tcomplete, tsucc = tgt.pred, tgt.level, tgt.complete, tgt.succ
+    if exact:  # target vertex -> (A, B) against its parent
+        cross = {}
+        for t, tp in tpred.items():
+            a, b = m2[t], m2[tp]
+            cross[t] = (a.numerator * b.denominator, b.numerator * a.denominator)
+    n_pred = n_succ = n_compat = 0
 
     shift = None
     for v, lv in src.level.items():
         tv = pi.get(v)
-        tl = tgt.level.get(tv)
+        tl = tlevel.get(tv)
         if tl is None:
             bad["unmapped"].append(v)
             continue
@@ -85,31 +103,49 @@ def validate_submersion(sub: Submersion) -> SubmersionReport:
             shift = tl - lv
         elif tl - lv != shift:
             bad["level_shift"].append(v)
-        p, tp = src.pred.get(v), tgt.pred.get(tv)
+        p, tp = spred.get(v), tpred.get(tv)
         if p is not None and tp is not None:  # else the image is the apex
-            counts["pred"] += 1
+            n_pred += 1
             if pi.get(p) != tp:
                 bad["pred_intertwine"].append(v)
-        if not src.is_complete(v):
+        if not scomplete.get(v, False):
             continue
-        kids = src.children(v)
+        kids = ssucc.get(v, [])
         slices: dict = {}  # image -> mass of v's children mapped there
-        for c in kids:
-            t = pi.get(c)
-            slices[t] = slices[t] + m1[c] if t in slices else m1[c]
-        if tgt.is_complete(tv):
-            counts["succ"] += 1
-            if slices.keys() != set(tgt.children(tv)):
-                bad["succ_onto"].append(v)
         off = {}  # image with a target parent -> compatibility violated
-        for t, mass in slices.items():
-            tp = tgt.pred.get(t)
-            if tp is not None:
-                lhs, rhs = m2[t] * m1[v], m2[tp] * mass
-                off[t] = (lhs != rhs if exact else abs(float(lhs) - float(rhs))
-                          > 1e-10 * max(abs(float(lhs)), 1.0))
+        if exact:
+            for c in kids:  # the mass as [N, D], unreduced
+                t, x = pi.get(c), m1[c]
+                s = slices.get(t)
+                if s is None:
+                    slices[t] = [x.numerator, x.denominator]
+                elif s[1] == x.denominator:
+                    s[0] += x.numerator
+                else:
+                    s[0] = s[0] * x.denominator + x.numerator * s[1]
+                    s[1] *= x.denominator
+            mv = m1[v]
+            for t, (n, d) in slices.items():
+                ab = cross.get(t)
+                if ab is not None:
+                    off[t] = (ab[0] * mv.numerator * d
+                              != ab[1] * n * mv.denominator)
+        else:
+            for c in kids:
+                t = pi.get(c)
+                slices[t] = slices[t] + m1[c] if t in slices else m1[c]
+            for t, mass in slices.items():
+                tp = tpred.get(t)
+                if tp is not None:
+                    lhs, rhs = m2[t] * m1[v], m2[tp] * mass
+                    off[t] = (abs(float(lhs) - float(rhs))
+                              > 1e-10 * max(abs(float(lhs)), 1.0))
+        if tcomplete.get(tv, False):
+            n_succ += 1
+            if slices.keys() != set(tsucc.get(tv, [])):
+                bad["succ_onto"].append(v)
         checked = [c for c in kids if pi.get(c) in off]
-        counts["compat"] += len(checked)
+        n_compat += len(checked)
         bad["compatibility"] += [c for c in checked if off[pi[c]]]
 
     if bad["unmapped"]:
@@ -118,6 +154,7 @@ def validate_submersion(sub: Submersion) -> SubmersionReport:
         rank = {v: i for i, v in enumerate(src.level)}
         bad["compatibility"].sort(key=rank.__getitem__)
     violations = [(kind, v) for kind, vs in bad.items() for v in vs]
+    counts = {"pred": n_pred, "succ": n_succ, "level": len(src), "compat": n_compat}
     return SubmersionReport(not violations, violations, shift, counts)
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -115,21 +114,24 @@ class TreeWindow:
         distance is >= N.
         """
         if self._defect_dist is None:
-            dist = {}
-            dq: deque[Vertex] = deque()
-            for v in self.vertices:
-                if v == self.apex or not self.complete.get(v, False):
-                    dist[v] = 0
-                    dq.append(v)
-            while dq:
-                v = dq.popleft()
-                d = dist[v] + 1
-                p = self.pred.get(v)
-                nbrs = self.succ.get(v, [])
-                for w in ([p] if p is not None else []) + list(nbrs):
-                    if w not in dist:
-                        dist[w] = d
-                        dq.append(w)
+            pred, succ, complete = self.pred, self.succ, self.complete
+            frontier = [v for v in self.vertices
+                        if v == self.apex or not complete.get(v, False)]
+            dist = dict.fromkeys(frontier, 0)
+            d = 0
+            while frontier:  # breadth first, one distance at a time
+                d += 1
+                found = []
+                for v in frontier:
+                    p = pred.get(v)
+                    if p is not None and p not in dist:
+                        dist[p] = d
+                        found.append(p)
+                    for w in succ.get(v, ()):
+                        if w not in dist:
+                            dist[w] = d
+                            found.append(w)
+                frontier = found
             self._defect_dist = dist
         return self._defect_dist
 

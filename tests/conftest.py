@@ -89,6 +89,68 @@ def abel_inverse_quadratic(q, psi):
     return out
 
 
+def validate_submersion_fraction(sub):
+    """quotient.validate_submersion with every compatibility check made on
+    the masses themselves, m2(t) m1(v) against m2(tp) times the slice's
+    summed masses, in Fraction arithmetic on the rational backend: the
+    reference of the integer cross-products."""
+    from flowtree.quotient import SubmersionReport
+    src, tgt = sub.source, sub.target
+    m1, m2 = sub.source_measure.values, sub.target_measure.values
+    pi = sub.mapping
+    exact = (sub.source_measure.backend == "rational"
+             and sub.target_measure.backend == "rational")
+    bad = {kind: [] for kind in (
+        "unmapped", "level_shift", "pred_intertwine", "succ_onto", "compatibility")}
+    counts = {"pred": 0, "succ": 0, "level": len(src), "compat": 0}
+
+    shift = None
+    for v, lv in src.level.items():
+        tv = pi.get(v)
+        tl = tgt.level.get(tv)
+        if tl is None:
+            bad["unmapped"].append(v)
+            continue
+        if shift is None:
+            shift = tl - lv
+        elif tl - lv != shift:
+            bad["level_shift"].append(v)
+        p, tp = src.pred.get(v), tgt.pred.get(tv)
+        if p is not None and tp is not None:
+            counts["pred"] += 1
+            if pi.get(p) != tp:
+                bad["pred_intertwine"].append(v)
+        if not src.is_complete(v):
+            continue
+        kids = src.children(v)
+        slices = {}
+        for c in kids:
+            t = pi.get(c)
+            slices[t] = slices[t] + m1[c] if t in slices else m1[c]
+        if tgt.is_complete(tv):
+            counts["succ"] += 1
+            if slices.keys() != set(tgt.children(tv)):
+                bad["succ_onto"].append(v)
+        off = {}
+        for t, mass in slices.items():
+            tp = tgt.pred.get(t)
+            if tp is not None:
+                lhs, rhs = m2[t] * m1[v], m2[tp] * mass
+                off[t] = (lhs != rhs if exact else abs(float(lhs) - float(rhs))
+                          > 1e-10 * max(abs(float(lhs)), 1.0))
+        checked = [c for c in kids if pi.get(c) in off]
+        counts["compat"] += len(checked)
+        bad["compatibility"] += [c for c in checked if off[pi[c]]]
+
+    if bad["unmapped"]:
+        return SubmersionReport(False, [("unmapped", v) for v in bad["unmapped"]])
+    if bad["compatibility"]:
+        rank = {v: i for i, v in enumerate(src.level)}
+        bad["compatibility"].sort(key=rank.__getitem__)
+    violations = [(kind, v) for kind, vs in bad.items() for v in vs]
+    return SubmersionReport(not violations, violations, shift, counts)
+
+
 def weighted_col_sums(window, measure, column, weight):
     """sum over safe x of w(d(x,y), level(x), level(y)) |K(x,y)| m(x), over
     the window's vertices: the window oracle of the closed-form and profile

@@ -426,6 +426,68 @@ def test_every_command_refuses_each_flag_it_does_not_read(tmp_path, capsys):
         assert not any(out.iterdir())
 
 
+# the commands whose ball has degree --q, and the window routes that leave a
+# flag unread: the route's flags, what the refusal names it, and the flags
+ROUTE_COMMANDS = ("kernel", "heat", "riesz", "riesz-skew-check", "level-sum")
+ROUTES = [
+    (["--ratios", "3/4,1/4"], "--ratios", ["--q 3", "--depth 9"]),
+    (["--window", "golden"], "--window golden", ["--q 3", "--depth 9", "--backend float"]),
+    (["--window", "zline"], "--window zline", ["--q 3", "--depth 9"]),
+    (["--window", "spine"], "--window spine", ["--q 3", "--backend rational"]),
+    (["--window", "homog"], "--window homog", ["--depth 9"]),
+    (["--tree", "TREE"], "--tree", ["--q 3", "--depth 9", "--backend float",
+                                    "--window homog"]),
+]
+
+
+def test_window_routes_refuse_each_flag_they_do_not_read(tmp_path, capsys):
+    """Exit 2 before anything is built, naming the route and the flag, on
+    every command whose window route leaves the flag unread; rationalize
+    reads --q as its denominator on every route, and kernel --coeffs takes
+    its degree from the coefficients."""
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(trees.window_to_json(*ball_window(2, 3)[:2])))
+    cases = [(cmd, [str(tree) if a == "TREE" else a for a in route] + extra.split(),
+              f"{cmd} {how}", extra.split()[0])
+             for cmd in ROUTE_COMMANDS + ("rationalize",)
+             for route, how, flags in ROUTES for extra in flags
+             if not (cmd == "rationalize" and extra.startswith("--q"))]
+    cases.append(("kernel", ["--coeffs", "0,1", "--degree", "5"],
+                  "kernel --coeffs", "--degree"))
+    assert len(cases) == 6 * 14 - 5 + 1
+    for i, (cmd, argv, route, flag) in enumerate(cases):
+        out = tmp_path / str(i)
+        assert run([cmd, *argv, "--out", str(out)]) == 2, (cmd, argv)
+        err = capsys.readouterr().err
+        assert f"{route} does not read {flag}" in err and "Traceback" not in err
+        assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["riesz", "--window", "zline", "--backend", "float", "--dmax", "2"],
+    ["level-sum", "--window", "spine", "--depth", "40", "--t-grid", "1"],
+    ["heat", "--ratios", "3/4,1/4", "--backend", "float"],
+    ["rationalize", "--ratios", "3/4,1/4", "--q", "8"],
+], ids=["zline-backend", "spine-depth", "ratios-backend", "rationalize-ratios"])
+def test_window_routes_read_their_flags(tmp_path, argv):
+    """Each flag here is read by the route beside it (rationalize's --q is
+    its denominator), so the command runs."""
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_config_keys_a_route_does_not_read_are_ignored(tmp_path):
+    """A config's q, depth and backend beside --window golden change
+    nothing: the route never reads them."""
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"q": 3, "depth": 9, "backend": "rational"}))
+    argv = ["riesz", "--window", "golden", "--dmax", "2"]
+    assert run([*argv, "--config", str(conf), "--out", str(tmp_path / "conf")]) == 0
+    assert run([*argv, "--out", str(tmp_path / "flags")]) == 0
+    for name in ("riesz.csv", "riesz.csv.meta.json"):
+        assert (tmp_path / "conf" / name).read_bytes() == \
+            (tmp_path / "flags" / name).read_bytes()
+
+
 def test_reads_names_every_command_and_only_parser_flags():
     assert list(cli.READS) == list(cli.COMMANDS)
     dests = {a.dest for a in FLAGS.values()} - {"out"}
@@ -499,7 +561,7 @@ def test_transfer_check_command(tmp_path):
 def test_rationalize_command(tmp_path):
     out = tmp_path / "o"
     assert run(["rationalize", "--window", "golden", "--q", "64",
-                "--depth", "5", "--out", str(out)]) == 0
+                "--out", str(out)]) == 0
     text = (out / "rationalize.csv").read_text().splitlines()
     assert text[0].split(",")[:2] == ["vertex", "child_index"]
 

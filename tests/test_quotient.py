@@ -1,20 +1,23 @@
 """Submersions: validation, quotient construction, transference, perturbation."""
 
+import copy
 import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowtree import (FlowMeasure, TreeError, constant_ratio_window,
+from flowtree import (FlowMeasure, TreeError, ball_window, constant_ratio_window,
                       safe_region, validate_measure)
 from flowtree import quotient
 from flowtree.localops import (indicator, kernel_column_lambda_poly,
                                kernel_column_poly)
 from flowtree.ncpoly import Z1, Z2, NcPolynomial
 
-from conftest import weighted_col_sums
+from conftest import validate_submersion_fraction, weighted_col_sums
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -261,17 +264,20 @@ def test_perturbation_probe_golden_monotone():
 CHECKED = {"pred": 20, "succ": 5, "level": 21, "compat": 20}
 
 
+def as_float(sub):
+    """The same quotient with both measures on the float backend."""
+    return dataclasses.replace(
+        sub, source_measure=FlowMeasure(
+            {v: float(m) for v, m in sub.source_measure.values.items()}, "float"),
+        target_measure=FlowMeasure(
+            {v: float(m) for v, m in sub.target_measure.values.items()}, "float"))
+
+
 def small_quotient(backend):
     target, tmeas, _ = constant_ratio_window((Fraction(1, 2), Fraction(1, 2)),
                                              depth=2)
     sub = quotient.build_submersion_rational(target, tmeas, 4)
-    if backend == "float":
-        sub = dataclasses.replace(
-            sub, source_measure=FlowMeasure(
-                {v: float(m) for v, m in sub.source_measure.values.items()}, "float"),
-            target_measure=FlowMeasure(
-                {v: float(m) for v, m in tmeas.values.items()}, "float"))
-    return sub
+    return as_float(sub) if backend == "float" else sub
 
 
 def fiber(sub, t):
@@ -374,3 +380,104 @@ def test_violations_ordered_by_kind_then_source(backend):
                               + witnesses("succ_onto", fiber(sub, 2))
                               + witnesses("compatibility", fiber(sub, 4)))
     assert (rep.ok, rep.level_shift, rep.checked) == (False, 0, CHECKED)
+
+
+# -- the integer cross-products against the Fraction reference ------------
+
+def _quotients():
+    out = {"binary": small_quotient("rational")}
+    for name, ratios, q in (("three-one", (Fraction(3, 4), Fraction(1, 4)), 4),
+                            ("two-one", (Fraction(2, 3), Fraction(1, 3)), 3)):
+        target, tmeas, _ = constant_ratio_window(ratios, depth=3, up=1)
+        out[name] = quotient.build_submersion_rational(target, tmeas, q)
+    return out
+
+
+QUOTIENTS = _quotients()
+FACTORS = (Fraction(2), Fraction(1, 3), Fraction(-1), Fraction(0),
+           1 + Fraction(1, 10 ** 14), Fraction(7, 5))
+
+
+def mutate(sub, kind, i, j, factor):
+    """One mutation of sub, in place; i and j pick the vertices."""
+    src, tgt = sub.source, sub.target
+    s_vs, t_vs = list(src.vertices), list(tgt.vertices)
+    s, t, t2 = s_vs[i % len(s_vs)], t_vs[i % len(t_vs)], t_vs[j % len(t_vs)]
+    m1, m2 = sub.source_measure.values, sub.target_measure.values
+    if kind == "scale target mass":
+        m2[t] = m2[t] * factor
+    elif kind == "scale source mass":
+        m1[s] = m1[s] * factor
+    elif kind == "move mass":  # between two children of s with one image
+        kids = src.succ.get(s, [])
+        twins = [(a, b) for a in kids for b in kids
+                 if a < b and sub.mapping.get(a) == sub.mapping.get(b)]
+        if twins:
+            a, b = twins[j % len(twins)]
+            delta = m1[a] * factor / 7
+            m1[a], m1[b] = m1[a] + delta, m1[b] - delta
+    elif kind == "zero target mass":
+        m2[t] = 0 * m2[t]
+    elif kind == "int masses":  # an int where a Fraction (or float) was
+        m1[s] = math.ceil(m1[s])
+        m2[t] = math.floor(m2[t] * 4)
+    elif kind == "rewire pred":
+        tgt.pred[t] = t2
+    elif kind == "shift level":
+        (tgt.level if j % 2 else src.level)[t if j % 2 else s] += 1 if j % 3 else -1
+    elif kind == "edit succ":
+        kids = list(tgt.succ.get(t, []))
+        tgt.succ[t] = kids[1:] + [t2] if j % 2 else kids[::-1][:1]
+        src.succ[s] = list(src.succ.get(s, []))[j % 2:]
+    elif kind == "flip complete":
+        tgt.complete[t] = not tgt.complete.get(t, False)
+    elif kind == "remap":
+        sub.mapping[s] = t2
+    elif kind == "unmap":
+        if j % 2:
+            sub.mapping.pop(s, None)
+        else:
+            sub.mapping[s] = 10 ** 6
+
+
+MUTATIONS = ("scale target mass", "scale source mass", "move mass",
+             "zero target mass", "int masses", "rewire pred", "shift level",
+             "edit succ", "flip complete", "remap", "unmap")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(QUOTIENTS)), st.sampled_from(["rational", "float"]),
+       st.lists(st.tuples(st.sampled_from(MUTATIONS), st.integers(0, 10 ** 6),
+                          st.integers(0, 10 ** 6), st.sampled_from(FACTORS)),
+                max_size=3))
+def test_validation_matches_the_fraction_reference(name, backend, mutations):
+    """Mutated quotients give the report of the Fraction reference: the same
+    ok, violations and witnesses in order, level shift and counts."""
+    sub = copy.deepcopy(QUOTIENTS[name])
+    if backend == "float":
+        sub = as_float(sub)
+    for kind, i, j, factor in mutations:
+        mutate(sub, kind, i, j, factor if backend == "rational" else float(factor))
+    assert quotient.validate_submersion(sub) == validate_submersion_fraction(sub)
+
+
+@pytest.mark.parametrize("ratios, q, size", [
+    ((Fraction(2, 3), Fraction(1, 3)), 3, 29_524),
+    ((Fraction(3, 4), Fraction(1, 4)), 4, 9_426),
+], ids=["two-one-depth-9", "three-one-ball-4"])
+def test_benchmark_sized_quotients_match_the_fraction_reference(ratios, q, size):
+    """The two quotients the benchmark validates, intact and with one deep
+    source mass off by a part in 10^12."""
+    if q == 3:
+        target, tmeas, _ = constant_ratio_window(ratios, depth=9)
+    else:
+        target, tmeas, _ = ball_window(ratios, 4)
+    sub = quotient.build_submersion_rational(target, tmeas, q)
+    assert len(sub.source) == size
+    rep = quotient.validate_submersion(sub)
+    assert rep.ok and rep == validate_submersion_fraction(sub)
+    deep = max(sub.source.vertices, key=lambda v: (-sub.source.level[v], v))
+    sub.source_measure.values[deep] *= 1 + Fraction(1, 10 ** 12)
+    rep = quotient.validate_submersion(sub)
+    assert rep == validate_submersion_fraction(sub)
+    assert rep.violations == [("compatibility", deep)]

@@ -9,6 +9,7 @@ zero-outside flag for equality.  Anchors sit at every defect distance from
 zero-outside flag part way through.
 """
 
+import itertools
 import json
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from flowtree import (TreeError, constant_ratio_window, load_window,
                       safe_region, window_to_json)
-from flowtree import ball_window, quotient
+from flowtree import ball_window, localops, quotient
 from flowtree.chebyshev import cheb_apply, cheb_approx, cheb_column
 from flowtree.localops import (InsufficientMarginError, KernelColumn,
                                WindowFunction, apply_averaging, apply_gradient,
@@ -396,3 +397,21 @@ def test_fiber_averaging_rejects_uncertified_fiber():
     for push in (ref_fiber_average, quotient.fiber_average_kernel):
         with pytest.raises(TreeError, match="exits the certified region"):
             push(SUB, col)
+
+
+COMBINE_VALUES = (0, 1, -2, Fraction(0), Fraction(3, 4), Fraction(-5, 6), 0.5,
+                  -0.0, complex(-1.0, -0.0), complex(-0.0, 0.5))
+
+
+def test_rational_combines_match_the_reference_lambdas():
+    """On the rational backend the Laplacian and averaging combines give the
+    value, the type and the bits of the reference lambdas on every mix of
+    ints, Fractions, floats and complex values, signed zeros included (the
+    indicator's int 1 comes out a Fraction)."""
+    half = Fraction(1, 2)
+    for fv, fp, fc in itertools.product(COMBINE_VALUES, repeat=3):
+        for got, want in ((localops._laplacian_rational(fv, fp, fc),
+                           fv - half * fp - half * fc),
+                          (localops._average_rational(fv, fp, fc),
+                           half * fp + half * fc)):
+            assert type(got) is type(want) and repr(got) == repr(want)

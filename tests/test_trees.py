@@ -236,6 +236,19 @@ def test_safe_region_matches_dependency_closure():
         assert safe_region(bw, n) == brute_force_safe(bw, n)
 
 
+def test_defect_distances_are_distances_to_the_nearest_defect():
+    """Each vertex's distance to the apex or the nearest incomplete vertex,
+    in breadth-first order from the defects (the order the dict keeps)."""
+    for w in (homogeneous_window(2, depth=4, up=3)[0], ball_window(3, 3)[0],
+              spine_window(12)[0]):
+        defects = [v for v in w.vertices if v == w.apex or not w.is_complete(v)]
+        dist = w.defect_distances()
+        assert dist == {v: min(w.distance(v, d) for d in defects)
+                        for v in w.vertices}
+        assert list(dist.values()) == sorted(dist.values())
+        assert list(dist)[:len(defects)] == defects
+
+
 def test_ball_window_center_safety():
     w, m, c = ball_window(2, 5)
     assert c in safe_region(w, 5)
