@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import abel, flowkernel
 from .localops import KernelColumn
-from .trees import FlowMeasure, TreeError, TreeWindow, Vertex, meeting_levels
+from .trees import FlowMeasure, TreeError, TreeWindow, Vertex
 from .zline import heat_support_radius, heat_z_gradkernel
 
 SQRT_PI = math.sqrt(math.pi)
@@ -176,21 +176,48 @@ def heat_column_groups(window: TreeWindow, measure: FlowMeasure, t: float,
                                      "truncated": chain.truncated})
 
 
+def _meeting_levels(window: TreeWindow, y: Vertex) -> tuple[np.ndarray, np.ndarray]:
+    """level(x) and level(lca(x, y)) for every window vertex x, in window
+    order, as int64 arrays.
+
+    One pass over the window's dicts gives the levels and each vertex's
+    parent index.  A vertex of y's ancestor line (y and the apex included)
+    points at itself, any other at its parent, and pointer jumping (every
+    pointer replaced by its target's) takes each vertex to its nearest
+    ancestor on the line, where it meets y, in log2(depth) array steps.
+    """
+    index = dict(zip(window.level, range(len(window))))
+    level = np.fromiter(window.level.values(), dtype=np.int64, count=len(window))
+    up = np.fromiter(map(index.__getitem__, map(window.pred.get, window.level, window.level)),
+                     dtype=np.int64, count=len(window))
+    line = np.fromiter(map(index.__getitem__, window.ancestors(y)), dtype=np.int64)
+    up[line] = line
+    while True:
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            return level, level[up]
+        up = jumped
+
+
 def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     """Column of a profile kernel at anchor y.
 
     Every term of the profile sum of a pair (x, y) sits at a common
     ancestor (levels J >= the meeting level), so y's chain serves every x,
     and the value depends on x only through level(x) and the meeting level:
-    one array call evaluates the distinct (level, meeting level) keys.
+    the arrays of _meeting_levels give every vertex one integer key, (level
+    - low) span + (meeting level - low), ordered as the pairs are, and one
+    array call evaluates the distinct keys.
     The column carries the fixed error estimate 1e-13 (not derived).
     """
     chain = flowkernel.chain_of(window, measure, y, len(gradk) - 1)
-    meet = meeting_levels(window, y)
-    keys, key_of = np.unique([list(window.level.values()),
-                              [meet[x] for x in window.vertices]], axis=1, return_inverse=True)
-    at_key = flowkernel.variant_value(gradk, chain, keys[0], window.level[y],
-                                      keys[1], variant)
+    level, meet = _meeting_levels(window, y)
+    low = level.min()
+    span = meet.max() - low + 1
+    keys, key_of = np.unique((level - low) * span + (meet - low), return_inverse=True)
+    lam, j = np.divmod(keys, span)
+    at_key = flowkernel.variant_value(gradk, chain, lam + low, window.level[y],
+                                      j + low, variant)
     vals = {x: v for x, v in zip(window.vertices, at_key[key_of].tolist()) if v}
     safe = frozenset(window.vertices) if not chain.truncated else frozenset()
     return KernelColumn(y, vals, safe, 1e-13)
@@ -422,25 +449,23 @@ def sobolev_growth(t_grid) -> dict:
     for s = 1 and 2.
 
     Norms are computed spectrally from 2^15 samples of exp(i t lam)
-    chi0(lam) on a period of 8; the exponent of t in ||F_t||_{L^2_s} should
-    match s.
+    chi0(lam) on a period of 8: one transform per t, whose |f^|^2 gives
+    both weighted norms.  The exponent of t in ||F_t||_{L^2_s} should match
+    s.
     """
     from .bumps import chi0
     grid, span = 1 << 15, 8.0
     lam = (np.arange(grid) - grid / 2) * (span / grid)
     xi = (np.arange(grid) - grid / 2) * (2 * np.pi / span)
     base = chi0(lam)
-    out = {}
-    for s in (1, 2):
-        norms = []
-        for t in t_grid:
-            f = np.exp(1j * t * lam) * base
-            fh = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f))) * (span / grid)
-            val = np.sqrt(np.sum((1 + xi ** 2) ** s * np.abs(fh) ** 2)
-                          / (2 * np.pi) * (2 * np.pi / span))
-            norms.append(float(val))
-        out[s] = fit_loglog(list(t_grid), norms)
-    return out
+    norms = {1: [], 2: []}
+    for t in t_grid:
+        f = np.exp(1j * t * lam) * base
+        power = np.abs(np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f))) * (span / grid)) ** 2
+        for s, vals in norms.items():
+            vals.append(float(np.sqrt(np.sum((1 + xi ** 2) ** s * power)
+                                      / (2 * np.pi) * (2 * np.pi / span))))
+    return {s: fit_loglog(list(t_grid), vals) for s, vals in norms.items()}
 
 
 def _descendant_slices(window: TreeWindow, v: Vertex,

@@ -264,8 +264,11 @@ def _write(out, name, header, rows, meta, comments=()):
 
 def cmd_kernel(args, out):
     coeffs = list(parse_ratios(args.coeffs)) if args.coeffs else None
-    if coeffs:  # the polynomial's degree is the column's
-        _refuse(args, "kernel --coeffs", ["degree"])
+    if coeffs:  # the polynomial's degree is the column's, and no multiplier
+        _refuse(args, "kernel --coeffs",
+                ["degree", "multiplier", "t_param", "k", "alpha", "dmax"])
+    elif args.multiplier and _flow(args) != 1:  # --dmax: the line kernel's nmax
+        _refuse(args, "kernel --multiplier off the line", ["dmax"])
     deg = len(coeffs) - 1 if coeffs else args.degree
     window, measure, anchor = make_window(args, max(deg + 1, 4))
     if coeffs is not None:

@@ -190,24 +190,6 @@ def ball(window: TreeWindow, center: Vertex, radius: int) -> set[Vertex]:
     return seen
 
 
-def meeting_levels(window: TreeWindow, y: Vertex) -> dict[Vertex, int]:
-    """level(lca(x, y)) for every window vertex x, in one top-down pass.
-
-    A vertex on y's ancestor line (y included) meets y at its own level;
-    any other vertex meets y where its parent does.
-    """
-    on_chain = set(window.ancestors(y))
-    meet: dict[Vertex, int] = {}
-    stack = [(window.apex, window.level[window.apex])]
-    while stack:
-        v, j = stack.pop()
-        if v in on_chain:
-            j = window.level[v]
-        meet[v] = j
-        stack.extend((c, j) for c in window.children(v))
-    return meet
-
-
 def _levels_from_apex(apex: Vertex, apex_level: int,
                       succ: dict[Vertex, list[Vertex]]) -> dict[Vertex, int]:
     """Levels of the vertices below the apex along successor lists, by one

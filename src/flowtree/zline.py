@@ -2,8 +2,10 @@
 
 The multiplier symbol of the standard Laplacian on Z is 1 - cos(theta), and
 kernels come from uniform trapezoid sums over the circle, which are exact for
-trigonometric polynomials and spectrally accurate for smooth symbols.  An
-aliasing guard recomputes on a doubled grid.  The symmetric-gradient kernel
+trigonometric polynomials and spectrally accurate for smooth symbols.  The
+sums run on a doubled grid, and the aliasing guard reads how far they moved
+from the half grid off the doubled grid's aliased image, so a kernel takes
+one symbol evaluation and one transform.  The symmetric-gradient kernel
 is computed from the odd symbol sin(theta) F(1 - cos(theta)) and crosschecked
 against the finite difference k(n-1) - k(n+1).
 
@@ -81,34 +83,41 @@ def _default_grid(nmax: int) -> int:
     return 1 << int(np.ceil(np.log2(g)))
 
 
-def _doubled_grid(fn, G: int, route):
-    """route(theta, symbol) on G, then on 2G points (one grid at a time),
-    with the symbol F(1 - cos theta) checked finite; returns route's kernel
-    and the symbol on 2G points, or raises AliasingError (ALIAS_TOL)."""
-    out = None
-    for g in (G, 2 * G):
-        theta = 2 * np.pi * np.arange(g) / g
-        symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
-        if not np.all(np.isfinite(symbol)):
-            raise ValueError("non-finite symbol value")
-        k = route(theta, symbol)
-        if out is not None and np.max(np.abs(k - out)) > ALIAS_TOL:
-            raise AliasingError(
-                f"grid {G} insufficient: doubling moved values by "
-                f"{np.max(np.abs(k - out)):.3e}")
-        out = k
-    return out, symbol
+def _doubled_grid(fn, G: int, nmax: int, transform):
+    """The kernel transform(theta, symbol)[n], |n| <= nmax, of the symbol
+    F(1 - cos theta) on 2G points, checked finite; returns it and the
+    symbol, or raises AliasingError when the G-point sums differ from it by
+    more than ALIAS_TOL.
+
+    transform returns its full length-2G transform, linear in the symbol.
+    The G points are the even ones of the 2G, and the even samples' sums
+    alias two values of the 2G sums: k_G(n) = k_2G(n) + k_2G(n + G).  So
+    doubling moves k(n) by k_2G(n + G), read from the same array: one
+    symbol evaluation and one transform per kernel.
+    """
+    points = 2 * G
+    theta = 2 * np.pi * np.arange(points) / points
+    symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
+    if not np.all(np.isfinite(symbol)):
+        raise ValueError("non-finite symbol value")
+    full = transform(theta, symbol)
+    idx = np.arange(-nmax, nmax + 1) % points
+    moved = np.max(np.abs(full[(idx + G) % points]))
+    if moved > ALIAS_TOL:
+        raise AliasingError(
+            f"grid {G} insufficient: doubling moved values by {moved:.3e}")
+    return full[idx], symbol
 
 
 def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums on the
-    default grid for nmax.
+    doubled default grid for nmax.
 
-    Raises AliasingError if doubling the grid changes any value by more than
-    ALIAS_TOL.
+    Raises AliasingError if the sums on half the grid differ from them by
+    more than ALIAS_TOL at any n.
     """
     G = _default_grid(nmax)
-    out, _ = _doubled_grid(fn, G, lambda theta, symbol: _fourier_sum(symbol, nmax))
+    out, _ = _doubled_grid(fn, G, nmax, lambda theta, symbol: np.fft.ifft(symbol))
     return ZKernel(out, nmax, 2 * G)
 
 
@@ -123,7 +132,7 @@ def z_grad_multiplier_kernel(fn, nmax: int, grid: int | None = None) -> ZKernel:
     if G < 4 * (nmax + 2) + 8:
         raise ValueError("grid too small for requested nmax")
     out, symbol = _doubled_grid(
-        fn, G, lambda theta, symbol: -2j * _fourier_sum(np.sin(theta) * symbol, nmax))
+        fn, G, nmax, lambda theta, symbol: -2j * np.fft.ifft(np.sin(theta) * symbol))
     plain = _fourier_sum(symbol, nmax + 1)
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))

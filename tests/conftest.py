@@ -39,6 +39,46 @@ def riesz_quadrature(window, measure, pairs, spec=None):
     return vals + tails / 9.0, np.abs(tails / 9.0) / 3.0 + 1e-12 + truncated
 
 
+def meeting_levels(window, y):
+    """level(lca(x, y)) for every window vertex x, in one top-down pass.
+
+    A vertex on y's ancestor line (y included) meets y at its own level;
+    any other vertex meets y where its parent does: the dict walk that
+    analysis._meeting_levels's arrays are checked against.
+    """
+    on_chain = set(window.ancestors(y))
+    meet = {}
+    stack = [(window.apex, window.level[window.apex])]
+    while stack:
+        v, j = stack.pop()
+        if v in on_chain:
+            j = window.level[v]
+        meet[v] = j
+        stack.extend((c, j) for c in window.children(v))
+    return meet
+
+
+def doubled_grid_two_pass(fn, G, nmax, odd):
+    """The line kernel of F(1 - cos theta) (odd: of the odd symbol
+    sin(theta) F(1 - cos theta), times -2i), |n| <= nmax, by trapezoid sums
+    on G and then on 2G points, each grid's symbol evaluated and
+    transformed on its own, and the most any value moved between them:
+    the two-pass guard that zline._doubled_grid's aliased image replaces.
+    Returns the 2G kernel and that move."""
+    out = None
+    for g in (G, 2 * G):
+        theta = 2 * np.pi * np.arange(g) / g
+        symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
+        assert np.all(np.isfinite(symbol))
+        if odd:
+            k = -2j * np.fft.ifft(np.sin(theta) * symbol)[np.arange(-nmax, nmax + 1) % g]
+        else:
+            k = np.fft.ifft(symbol)[np.arange(-nmax, nmax + 1) % g]
+        moved = None if out is None else float(np.max(np.abs(k - out)))
+        out = k
+    return out, moved
+
+
 def profile_value_exact(gradk, window, measure, v, lx, lz, j0):
     """The profile sum of a pair at levels lx, lz meeting at level j0, in
     exact arithmetic over the window ancestors of v at levels j0 and up,

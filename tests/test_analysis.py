@@ -16,9 +16,10 @@ from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
                       load_window, safe_region, spine_window, window_to_json)
 from flowtree import analysis, flowkernel, zline
 from flowtree.analysis import RIESZ_CUT, QuadratureSpec
-from flowtree.trees import ball, meeting_levels
+from flowtree.trees import ball
 
-from conftest import modulation, modulation_conjugate_model, riesz_quadrature
+from conftest import (meeting_levels, modulation, modulation_conjugate_model,
+                      riesz_quadrature)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -575,6 +576,79 @@ def test_profile_columns_match_per_vertex_chains(t):
                     want[x] = v
             assert list(col.values.items()) == list(want.items())
             assert col.safe == frozenset(w.vertices)
+
+
+def _shuffled_file():
+    """A loaded (3/4, 1/4) ball whose ids are scattered and whose records,
+    and so window order, are not in level order."""
+    w, m, _ = ball_window((Fraction(3, 4), Fraction(1, 4)), 4)
+    doc = window_to_json(w, m)
+    new_id = {r["id"]: 7919 * r["id"] % 10007 + 50 for r in doc["vertices"]}
+    for r in doc["vertices"]:
+        r["id"] = new_id[r["id"]]
+        r["pred"] = new_id.get(r["pred"])
+    doc["vertices"] = doc["vertices"][1::2] + doc["vertices"][::2]
+    w, m = load_window(doc)
+    assert list(w.level.values()) != sorted(w.level.values(), reverse=True)
+    return w, m
+
+
+MEETING_WINDOWS = {
+    "line": lambda: ball_window(1, 12)[:2],
+    "binary": lambda: ball_window(2, 4)[:2],
+    "ternary": lambda: ball_window(3, 3)[:2],
+    "golden": lambda: ball_window((GOLDEN, 1 - GOLDEN), 5, center_level=-5,
+                                  backend="float")[:2],
+    "3:1": lambda: ball_window((Fraction(3, 4), Fraction(1, 4)), 5)[:2],
+    "spine": lambda: spine_window(30)[:2],
+    "shuffled file": _shuffled_file,
+}
+
+
+@pytest.mark.parametrize("name", MEETING_WINDOWS)
+def test_meeting_level_arrays_match_the_dict_walk(name):
+    """At every anchor, the level and meeting-level arrays hold, in window
+    order, each vertex's level and the dict walk's meeting level."""
+    w, _ = MEETING_WINDOWS[name]()
+    for y in w.vertices:
+        level, meet = analysis._meeting_levels(w, y)
+        assert level.dtype == meet.dtype == np.int64
+        want = meeting_levels(w, y)
+        assert level.tolist() == list(w.level.values())
+        assert meet.tolist() == [want[x] for x in w.vertices]
+
+
+def _profile_column_by_pairs(w, m, gradk, y, variant):
+    """A profile column keyed by the dict walk's meeting levels and the
+    distinct (level, meeting level) columns of a 2 x N array."""
+    chain = flowkernel.chain_of(w, m, y, len(gradk) - 1)
+    meet = meeting_levels(w, y)
+    keys, key_of = np.unique([list(w.level.values()), [meet[x] for x in w.vertices]],
+                             axis=1, return_inverse=True)
+    at_key = flowkernel.variant_value(gradk, chain, keys[0], w.level[y], keys[1], variant)
+    return {x: v for x, v in zip(w.vertices, at_key[key_of].tolist()) if v}
+
+
+@pytest.fixture(scope="module")
+def bench_ball():
+    return ball_window(2, 13, backend="float")
+
+
+@pytest.mark.parametrize("t", [1.0, 2.5])
+def test_profile_columns_bit_equal_to_the_pair_keys(bench_ball, t):
+    """On float ball_window(2, 13), the window of the profile heat columns
+    in the benchmark, heat and gradient heat columns are bit-equal, as
+    ordered dicts, to the columns keyed by (level, meeting level) pairs."""
+    w, m, c = bench_ball
+    anchors = sorted(safe_region(w, 11))
+    gradk = analysis._heat_gradk(t)
+    for y in (c, anchors[0], anchors[-1]):
+        cols = {"plain": analysis.heat_kernel_column(w, m, t, y),
+                "grad_x": analysis.grad_heat_kernel_column(w, m, t, y, side="x"),
+                "gradstar_z": analysis.grad_heat_kernel_column(w, m, t, y, side="y")}
+        for variant, col in cols.items():
+            want = _profile_column_by_pairs(w, m, gradk, y, variant)
+            assert list(col.values.items()) == list(want.items())
 
 
 @pytest.mark.parametrize("call, message", [

@@ -103,6 +103,40 @@ def test_kernel_multiplier_missing_parameter_names_flag(tmp_path, capsys):
     assert "needs --t" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, route, flag", [
+    (["--q", "2", "--coeffs", "0,1", "--multiplier", "exp(-t*x)"],
+     "kernel --coeffs", "--multiplier"),
+    (["--q", "2", "--coeffs", "0,1", "--t", "1"], "kernel --coeffs", "--t"),
+    (["--q", "2", "--coeffs", "0,1", "--k", "2"], "kernel --coeffs", "--k"),
+    (["--q", "2", "--coeffs", "0,1", "--alpha", "1"], "kernel --coeffs", "--alpha"),
+    (["--q", "2", "--coeffs", "0,1", "--dmax", "20"], "kernel --coeffs", "--dmax"),
+    (["--window", "zline", "--coeffs", "0,1", "--dmax", "20"], "kernel --coeffs", "--dmax"),
+    (["--q", "2", "--multiplier", "exp(-t*x)", "--t", "1", "--dmax", "20"],
+     "kernel --multiplier off the line", "--dmax"),
+    (["--window", "golden", "--multiplier", "exp(-t*x)", "--t", "1", "--dmax", "20"],
+     "kernel --multiplier off the line", "--dmax"),
+], ids=["coeffs-multiplier", "coeffs-t", "coeffs-k", "coeffs-alpha", "coeffs-dmax",
+        "coeffs-dmax-line", "multiplier-dmax-q2", "multiplier-dmax-golden"])
+def test_kernel_refuses_the_flags_of_its_other_route(tmp_path, capsys, argv, route, flag):
+    """A polynomial column reads no multiplier flag, and a multiplier
+    column off the line writes no line kernel, so reads no --dmax: exit 2
+    before anything is built, naming the route and the flag."""
+    out = tmp_path / "o"
+    assert run(["kernel", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{route} does not read {flag}" in err and "Traceback" not in err
+    assert not any(out.iterdir())
+
+
+def test_kernel_on_the_line_reads_dmax(tmp_path):
+    """On the line, --dmax sets the line kernel's nmax."""
+    out = tmp_path / "o"
+    assert run(["kernel", "--window", "zline", "--multiplier", "exp(-t*x)",
+                "--t", "1", "--dmax", "5", "--out", str(out)]) == 0
+    meta = json.loads((out / "zkernel.csv.meta.json").read_text())
+    assert meta["nmax"] == 5
+
+
 def test_kernel_over_the_vertex_cap_names_its_size_and_the_cap(tmp_path, capsys):
     """The degree-20 ball of the 3-ary tree exits 2 before it is built; the
     message names both numbers and offers no way around the cap."""

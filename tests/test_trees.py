@@ -12,7 +12,9 @@ from flowtree import (TreeError, TreeWindow, ball_window,
                       constant_ratio_window, homogeneous_window, load_window,
                       safe_region, spine_window, validate_measure,
                       validate_window, window_to_json)
-from flowtree.trees import ball, meeting_levels
+from flowtree.trees import ball
+
+from conftest import meeting_levels
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 

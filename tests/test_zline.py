@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from flowtree import zline
 from flowtree.bumps import chi0, schrodinger_multiplier
 
+from conftest import doubled_grid_two_pass
+
 
 def test_identity_symbol_gives_delta():
     zk = zline.z_multiplier_kernel(lambda lam: np.ones_like(lam), 8)
@@ -87,6 +89,58 @@ def test_grad_aliasing_guard_trips():
     osc = lambda lam: np.exp(60j * lam)
     with pytest.raises(zline.AliasingError):
         zline.z_grad_multiplier_kernel(osc, 4, grid=64)
+
+
+GUARD_SYMBOLS = {
+    "heat t=1": lambda lam: np.exp(-np.asarray(lam)),
+    "heat t=40": lambda lam: np.exp(-40.0 * np.asarray(lam)),
+    "wave packet t=2": schrodinger_multiplier(2.0),
+    "wave packet t=8": schrodinger_multiplier(8.0),
+    "bump": lambda lam: chi0(np.asarray(lam) - 0.9),
+    "oscillating": lambda lam: np.exp(60j * np.asarray(lam)),
+}
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("name", GUARD_SYMBOLS)
+def test_one_grid_guard_matches_the_two_pass_guard(monkeypatch, name, odd):
+    """On grids G = 64 to 16,384, each kernel equals the two-pass guard's
+    2G kernel bit for bit, the guard trips exactly where the two-pass
+    guard's move passes ALIAS_TOL, and its own move lies within
+    1e-14 max|k| of that one: the guard holds at the move plus that margin
+    and trips below the move less it.  A grid that passes is not followed
+    by a finer one that trips."""
+    fn = GUARD_SYMBOLS[name]
+    trips = []
+    for G in (64, 256, 1024, 4096, 16384):
+        nmax = min(G // 4 - 10, 300)
+        want, moved = doubled_grid_two_pass(fn, G, nmax, odd)
+        margin = 1e-14 * np.max(np.abs(want))
+        monkeypatch.setattr(zline, "_default_grid", lambda n: G)
+
+        def kernel():
+            try:
+                if odd:
+                    return zline.z_grad_multiplier_kernel(fn, nmax, grid=G)
+                return zline.z_multiplier_kernel(fn, nmax)
+            except zline.ConsistencyError:
+                return None     # past the guard
+
+        for tol, trip in ((zline.ALIAS_TOL, moved > zline.ALIAS_TOL),
+                          (moved + margin, False), (moved - margin, True)):
+            if tol <= 0:
+                continue
+            monkeypatch.setattr(zline, "ALIAS_TOL", tol)
+            if trip:
+                with pytest.raises(zline.AliasingError):
+                    kernel()
+            else:
+                zk = kernel()
+                assert zk is None or (zk.grid == 2 * G
+                                      and np.array_equal(zk.values, want))
+        monkeypatch.undo()
+        trips.append(moved > zline.ALIAS_TOL)
+    assert trips == sorted(trips, reverse=True)
 
 
 def test_heat_closed_forms_match_quadrature():
