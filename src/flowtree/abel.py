@@ -195,7 +195,7 @@ class DominatedTailError(NumericalError):
     """The last block of a truncated weighted sum does not decay."""
 
 
-def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str = "plain",
+def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str,
                          tail_check: bool = True):
     """sup_y sum_x w(d(x,y)) |K(x,y)| m(x) on the q-ary tree, in closed form.
 
@@ -255,11 +255,6 @@ def sharpness_radial(q: int, t: float, kmax: int) -> dict:
         return np.exp(1j * t * np.asarray(lam)) * chi0(np.asarray(lam))
 
     nmax = int(2 * t) + 2 * kmax + 120
-    grid = 1 << int(np.ceil(np.log2(max(8192, 16 * (nmax + int(t) + 40)))))
-    zk = z_grad_multiplier_kernel(fn, nmax, grid=grid)
+    zk = z_grad_multiplier_kernel(fn, nmax)
     A = radial_from_gradkernel(q, zk.one_sided(), kmax + 1).A
-    scaled = {k: complex(A[k] - A[k + 1]) for k in range(kmax + 1)}
-    return {
-        "etilde_scaled": scaled,
-        "etilde": {k: v * q ** (-k / 2.0) for k, v in scaled.items()},
-    }
+    return {k: complex(A[k] - A[k + 1]) for k in range(kmax + 1)}

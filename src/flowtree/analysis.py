@@ -223,17 +223,6 @@ def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     return KernelColumn(y, vals, safe, 1e-13)
 
 
-def grad_heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
-                            y: Vertex, side: str = "x") -> KernelColumn:
-    """Gradient of the heat column in the first (side 'x') or second
-    (side 'y') variable: K(x,y) - K(parent(x), y) resp. K(x,y) - K(x, parent(y)),
-    from the ancestor-profile formula, exact at t = 0."""
-    if side not in ("x", "y"):
-        raise ValueError("side must be 'x' or 'y'")
-    variant = "grad_x" if side == "x" else "gradstar_z"
-    return _profile_column(window, measure, _heat_gradk(t), y, variant)
-
-
 def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
                        t_grid: Iterable[float], x: Vertex,
                        orientation: str = "x") -> EstimateReport:
@@ -384,7 +373,7 @@ def weighted_heat_sweep(eps: float, t_grid, q_grid) -> EstimateReport:
     return EstimateReport(rows, fits, {"eps": eps, "abscissa": "log(1+t)"})
 
 
-def mh_dyadic_norms(fn, l_grid, q: int = 64) -> EstimateReport:
+def mh_dyadic_norms(fn, l_grid, q: int) -> EstimateReport:
     """Weighted and gradient column sums of the dyadic multiplier pieces.
 
     Piece l applies the symbol cut to the dyadic shell at scale 2^-l via the
@@ -404,8 +393,7 @@ def mh_dyadic_norms(fn, l_grid, q: int = 64) -> EstimateReport:
     for l in l_grid:
         piece = lambda lam, l=l: np.asarray(fn(lam)) * dyadic_phi((2.0 ** l) * np.asarray(lam))
         nmax = int(40 * 2 ** (l / 2) * 5 + 200)
-        grid = 1 << int(np.ceil(np.log2(max(16384, 8 * nmax))))
-        zk = z_grad_multiplier_kernel(piece, nmax, grid=grid)
+        zk = z_grad_multiplier_kernel(piece, nmax)
         rad = abel.radial_from_gradkernel(q, zk.one_sided(), nmax - 3)
         wfun = lambda d, l=l: (1.0 + d / 2.0 ** (l / 2.0)) ** eps
         weighted, _ = abel.homog_weighted_opsum(q, rad, wfun, "plain",
@@ -436,7 +424,7 @@ def sharpness_fit(q: int, t_grid) -> EstimateReport:
         kmax = int(t / 2) + 3
         sh = abel.sharpness_radial(q, float(t), kmax)
         tot = 0.0
-        for k, v in sh["etilde_scaled"].items():
+        for k, v in sh.items():
             if t / 4 <= k + 1 <= t / 2:
                 tot += (k + 1) * abs(v)
         rows.append({"t": t, "functional": tot})

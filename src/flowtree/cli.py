@@ -223,7 +223,9 @@ def make_window(args, radius: int, q=None):
     returns (the line's ball: radius at least 12).  A given q is the ball's
     degree in place of ``--q``.  An explicit window flag, or ``--q`` when q
     is not given, that the chosen route does not read exits 2 before
-    anything is built."""
+    anything is built.  q stays a parameter for ``rationalize``, which
+    reads ``--q`` as its denominator on every route, so that a ball it
+    builds takes its degree from q and ``--q`` is not refused."""
     seen = _Seen(args)
     build = _route(seen, q)
     how = ("--tree" if args.tree else "--ratios" if args.ratios

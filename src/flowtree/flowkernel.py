@@ -201,7 +201,7 @@ def _scaled_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
 
 
 def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
-                  variant: str = "plain"):
+                  variant: str):
     """Kernel of F(L), grad F(L), F(L) grad*, or grad F(L) grad* at pairs
     described by (levels, meeting level).
 

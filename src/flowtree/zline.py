@@ -4,8 +4,10 @@ The multiplier symbol of the standard Laplacian on Z is 1 - cos(theta), and
 kernels come from uniform trapezoid sums over the circle, which are exact for
 trigonometric polynomials and spectrally accurate for smooth symbols.  The
 sums run on a doubled grid, and the aliasing guard reads how far they moved
-from the half grid off the doubled grid's aliased image, so a kernel takes
-one symbol evaluation and one transform.  The symmetric-gradient kernel
+from the half grid off the doubled grid's aliased image, so a grid takes one
+symbol evaluation and one transform.  The guard picks the grid: it starts
+at the default grid for nmax and doubles it until the sums hold still, up
+to MAX_GRID, where it gives up.  The symmetric-gradient kernel
 is computed from the odd symbol sin(theta) F(1 - cos(theta)) and crosschecked
 against the finite difference k(n-1) - k(n+1).
 
@@ -74,6 +76,7 @@ def _fourier_sum(symbol_values: np.ndarray, nmax: int) -> np.ndarray:
 
 
 ALIAS_TOL = 1e-10        # most a kernel value may move when the grid doubles
+MAX_GRID = 1 << 16       # the finest grid the aliasing guard tries
 CONSISTENCY_TOL = 1e-12  # most the gradient's two routes may differ
 IMAG_QUAD_NMAX = 50      # imaginary powers: the quadrature checks n <= this
 
@@ -83,63 +86,62 @@ def _default_grid(nmax: int) -> int:
     return 1 << int(np.ceil(np.log2(g)))
 
 
-def _doubled_grid(fn, G: int, nmax: int, transform):
+def _doubled_grid(fn, nmax: int, transform):
     """The kernel transform(theta, symbol)[n], |n| <= nmax, of the symbol
-    F(1 - cos theta) on 2G points, checked finite; returns it and the
-    symbol, or raises AliasingError when the G-point sums differ from it by
-    more than ALIAS_TOL.
+    F(1 - cos theta) on 2G points, the symbol there (checked finite) and 2G.
+
+    G starts at _default_grid(nmax) and doubles until the G-point sums
+    differ from the 2G-point ones by at most ALIAS_TOL; a G of MAX_GRID or
+    more where they still differ raises AliasingError, naming G.
 
     transform returns its full length-2G transform, linear in the symbol.
     The G points are the even ones of the 2G, and the even samples' sums
     alias two values of the 2G sums: k_G(n) = k_2G(n) + k_2G(n + G).  So
     doubling moves k(n) by k_2G(n + G), read from the same array: one
-    symbol evaluation and one transform per kernel.
+    symbol evaluation and one transform per grid tried.
     """
-    points = 2 * G
-    theta = 2 * np.pi * np.arange(points) / points
-    symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
-    if not np.all(np.isfinite(symbol)):
-        raise ValueError("non-finite symbol value")
-    full = transform(theta, symbol)
-    idx = np.arange(-nmax, nmax + 1) % points
-    moved = np.max(np.abs(full[(idx + G) % points]))
-    if moved > ALIAS_TOL:
-        raise AliasingError(
-            f"grid {G} insufficient: doubling moved values by {moved:.3e}")
-    return full[idx], symbol
+    G = _default_grid(nmax)
+    while True:
+        points = 2 * G
+        theta = 2 * np.pi * np.arange(points) / points
+        symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
+        if not np.all(np.isfinite(symbol)):
+            raise ValueError("non-finite symbol value")
+        full = transform(theta, symbol)
+        idx = np.arange(-nmax, nmax + 1) % points
+        moved = np.max(np.abs(full[(idx + G) % points]))
+        if moved <= ALIAS_TOL:
+            return full[idx], symbol, points
+        if G >= MAX_GRID:
+            raise AliasingError(
+                f"grid {G} insufficient: doubling moved values by {moved:.3e}")
+        G *= 2
 
 
 def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums on the
-    doubled default grid for nmax.
-
-    Raises AliasingError if the sums on half the grid differ from them by
-    more than ALIAS_TOL at any n.
-    """
-    G = _default_grid(nmax)
-    out, _ = _doubled_grid(fn, G, nmax, lambda theta, symbol: np.fft.ifft(symbol))
-    return ZKernel(out, nmax, 2 * G)
+    grid the aliasing guard picks (_doubled_grid)."""
+    out, _, points = _doubled_grid(
+        fn, nmax, lambda theta, symbol: np.fft.ifft(symbol))
+    return ZKernel(out, nmax, points)
 
 
-def z_grad_multiplier_kernel(fn, nmax: int, grid: int | None = None) -> ZKernel:
+def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """Symmetric-gradient kernel k(n-1) - k(n+1), via the odd symbol route.
 
-    Primary evaluation integrates sin(t) F(1 - cos t), with the aliasing
-    guard; the finite-difference route on the plain kernel, on the doubled
-    grid, must agree within CONSISTENCY_TOL.
+    Primary evaluation integrates sin(t) F(1 - cos t) on the grid the
+    aliasing guard picks; the finite-difference route on the plain kernel,
+    on the same grid, must agree within CONSISTENCY_TOL.
     """
-    G = grid or _default_grid(nmax)
-    if G < 4 * (nmax + 2) + 8:
-        raise ValueError("grid too small for requested nmax")
-    out, symbol = _doubled_grid(
-        fn, G, nmax, lambda theta, symbol: -2j * np.fft.ifft(np.sin(theta) * symbol))
+    out, symbol, points = _doubled_grid(
+        fn, nmax, lambda theta, symbol: -2j * np.fft.ifft(np.sin(theta) * symbol))
     plain = _fourier_sum(symbol, nmax + 1)
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))
     if dev > CONSISTENCY_TOL:
         raise ConsistencyError(
             f"odd-symbol and finite-difference routes differ by {dev:.3e}")
-    return ZKernel(out, nmax, 2 * G)
+    return ZKernel(out, nmax, points)
 
 
 def z_kernel_lambda_poly(coeffs) -> dict[int, Fraction]:

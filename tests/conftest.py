@@ -39,6 +39,17 @@ def riesz_quadrature(window, measure, pairs, spec=None):
     return vals + tails / 9.0, np.abs(tails / 9.0) / 3.0 + 1e-12 + truncated
 
 
+def grad_heat_kernel_column(window, measure, t, y, side="x"):
+    """Gradient of the heat column in the first (side 'x') or second
+    (side 'y') variable: K(x,y) - K(parent(x), y) resp. K(x,y) - K(x, parent(y)),
+    from the ancestor-profile formula, exact at t = 0."""
+    from flowtree import analysis
+    if side not in ("x", "y"):
+        raise ValueError("side must be 'x' or 'y'")
+    variant = "grad_x" if side == "x" else "gradstar_z"
+    return analysis._profile_column(window, measure, analysis._heat_gradk(t), y, variant)
+
+
 def meeting_levels(window, y):
     """level(lca(x, y)) for every window vertex x, in one top-down pass.
 

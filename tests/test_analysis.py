@@ -18,8 +18,8 @@ from flowtree import analysis, flowkernel, zline
 from flowtree.analysis import RIESZ_CUT, QuadratureSpec
 from flowtree.trees import ball
 
-from conftest import (meeting_levels, modulation, modulation_conjugate_model,
-                      riesz_quadrature)
+from conftest import (doubled_grid_two_pass, grad_heat_kernel_column, meeting_levels,
+                      modulation, modulation_conjugate_model, riesz_quadrature)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -153,21 +153,21 @@ def test_heat_positivity(t2_ball):
 
 def test_grad_heat_t0_and_zero_pairing(t2_ball):
     w, m, c = t2_ball
-    col0 = analysis.grad_heat_kernel_column(w, m, 0.0, c, side="x")
+    col0 = grad_heat_kernel_column(w, m, 0.0, c, side="x")
     assert col0.value(c) == 1.0 / m.as_float(c)
     for ch in w.children(c):
         assert col0.value(ch) == -1.0 / m.as_float(c)
     assert set(col0.support()) == {c, *w.children(c)}
     # pairing with constants vanishes: columns of grad e^{-tL} kill 1
     w2, m2, c2 = ball_window(2, 14, backend="float")
-    col = analysis.grad_heat_kernel_column(w2, m2, 1.0, c2, side="x")
+    col = grad_heat_kernel_column(w2, m2, 1.0, c2, side="x")
     tot = sum(complex(v) * m2.as_float(x) for x, v in col.values.items())
     assert abs(tot) < 1e-10
 
 
 def test_grad_heat_sides_and_decay(z_ball):
     w, m, c = z_ball
-    gx = analysis.grad_heat_kernel_column(w, m, 1.0, c, side="x")
+    gx = grad_heat_kernel_column(w, m, 1.0, c, side="x")
     gk = zline.heat_z_gradkernel(1.0, 30)
     kk = zline.heat_z_kernel(1.0, 31)
     for x in w.vertices:
@@ -175,7 +175,7 @@ def test_grad_heat_sides_and_decay(z_ball):
         want = kk[abs(n)] - kk[abs(n + 1)]
         assert abs(gx.value(x) - want) < 1e-12
     sup1 = sum(abs(gx.value(x)) for x in w.vertices)
-    gx16 = analysis.grad_heat_kernel_column(w, m, 16.0, c, side="x")
+    gx16 = grad_heat_kernel_column(w, m, 16.0, c, side="x")
     sup16 = sum(abs(gx16.value(x)) for x in w.vertices)
     assert sup16 < sup1
 
@@ -183,7 +183,7 @@ def test_grad_heat_sides_and_decay(z_ball):
 def test_grad_heat_side_y_profile_vs_cheb():
     from flowtree.chebyshev import cheb_approx, cheb_column
     w, m, c = ball_window(2, 12, backend="float")
-    prof = analysis.grad_heat_kernel_column(w, m, 1.0, c, side="y")
+    prof = grad_heat_kernel_column(w, m, 1.0, c, side="y")
     model = cheb_approx(lambda lam: np.exp(-lam), 11)
     base = cheb_column(w, m, model, c)
     other = cheb_column(w, m, model, w.parent(c))
@@ -206,7 +206,7 @@ def test_grad_heat_t0_columns_are_the_gradient_stencils(make):
     want = {"x": {y: 1 / my, **{c: -1 / my for c in w.children(y)}},
             "y": {y: 1 / my, p: -1 / m.as_float(p)}}
     for side, values in want.items():
-        col = analysis.grad_heat_kernel_column(w, m, 0.0, y, side=side)
+        col = grad_heat_kernel_column(w, m, 0.0, y, side=side)
         assert col.values == values
         assert col.safe == frozenset(w.vertices)
 
@@ -364,6 +364,49 @@ def test_mh_dyadic_norms_reference_symbol():
     assert rep.fit["gradsum_slope_log2"] < -0.3
 
 
+def _recorded_line_kernels(monkeypatch, module):
+    """Have module's z_grad_multiplier_kernel record (fn, nmax, kernel) of
+    each call in the list returned."""
+    calls = []
+    inner = zline.z_grad_multiplier_kernel
+
+    def record(fn, nmax):
+        calls.append((fn, nmax, inner(fn, nmax)))
+        return calls[-1][2]
+    monkeypatch.setattr(module, "z_grad_multiplier_kernel", record)
+    return calls
+
+
+def test_sharpness_kernels_match_their_old_hand_set_grid(monkeypatch):
+    """At criterion 9's t, the aliasing guard's grid gives sharpness_radial
+    the line kernels of the grid it used to set by hand, within 1e-15, from
+    fewer points."""
+    from flowtree import abel
+    calls = _recorded_line_kernels(monkeypatch, abel)
+    for t in range(10, 41):
+        abel.sharpness_radial(2, float(t), int(t / 2) + 3)
+        fn, nmax, zk = calls[-1]
+        old = 1 << int(np.ceil(np.log2(max(8192, 16 * (nmax + t + 40)))))
+        want, _ = doubled_grid_two_pass(fn, old, nmax, True)
+        assert zk.grid < 2 * old
+        assert np.max(np.abs(zk.values - want)) <= 1e-15
+
+
+def test_mh_dyadic_kernels_match_their_old_hand_set_grid(monkeypatch):
+    """At criterion 10's l, the aliasing guard's grid gives mh_dyadic_norms
+    the line kernels of the grid it used to set by hand, within 1e-15, from
+    fewer points."""
+    from flowtree.bumps import imaginary_power_cut
+    calls = _recorded_line_kernels(monkeypatch, zline)
+    analysis.mh_dyadic_norms(imaginary_power_cut(1.0), range(7), 64)
+    assert len(calls) == 7
+    for fn, nmax, zk in calls:
+        old = 1 << int(np.ceil(np.log2(max(16384, 8 * nmax))))
+        want, _ = doubled_grid_two_pass(fn, old, nmax, True)
+        assert zk.grid < 2 * old
+        assert np.max(np.abs(zk.values - want)) <= 1e-15
+
+
 def test_mh_partition_mass():
     """The dyadic bumps sum to one below the cut: piece masses reproduce it."""
     from flowtree.bumps import dyadic_phi
@@ -379,9 +422,9 @@ def test_sharpness_fit_quick():
     from flowtree import abel
     t = 16.0
     sh = abel.sharpness_radial(2, t, int(t / 2) + 3)
-    window_sum = sum((k + 1) * abs(v) for k, v in sh["etilde_scaled"].items()
+    window_sum = sum((k + 1) * abs(v) for k, v in sh.items()
                      if t / 4 <= k + 1 <= t / 2)
-    full_sum = sum((k + 1) * abs(v) for k, v in sh["etilde_scaled"].items())
+    full_sum = sum((k + 1) * abs(v) for k, v in sh.items())
     assert window_sum <= full_sum + 1e-12
 
 
@@ -482,7 +525,7 @@ def test_spectrum_window_too_shallow():
 def test_mh_dyadic_norms_needs_two_distinct_levels(l_grid):
     from flowtree.bumps import imaginary_power_cut
     with pytest.raises(ValueError, match="two distinct l >= 0"):
-        analysis.mh_dyadic_norms(imaginary_power_cut(1.0), l_grid)
+        analysis.mh_dyadic_norms(imaginary_power_cut(1.0), l_grid, 64)
 
 
 def test_sobolev_growth_exponents():
@@ -564,8 +607,8 @@ def test_profile_columns_match_per_vertex_chains(t):
     gradk = analysis._heat_gradk(t)
     for w, m, y in ((bw, bm, bc), (bw, bm, sorted(bw.vertices)[-1]), (gw, gm, gy)):
         cols = {"plain": analysis.heat_kernel_column(w, m, t, y),
-                "grad_x": analysis.grad_heat_kernel_column(w, m, t, y, side="x"),
-                "gradstar_z": analysis.grad_heat_kernel_column(w, m, t, y, side="y")}
+                "grad_x": grad_heat_kernel_column(w, m, t, y, side="x"),
+                "gradstar_z": grad_heat_kernel_column(w, m, t, y, side="y")}
         for variant, col in cols.items():
             want = {}
             for x in w.vertices:
@@ -644,8 +687,8 @@ def test_profile_columns_bit_equal_to_the_pair_keys(bench_ball, t):
     gradk = analysis._heat_gradk(t)
     for y in (c, anchors[0], anchors[-1]):
         cols = {"plain": analysis.heat_kernel_column(w, m, t, y),
-                "grad_x": analysis.grad_heat_kernel_column(w, m, t, y, side="x"),
-                "gradstar_z": analysis.grad_heat_kernel_column(w, m, t, y, side="y")}
+                "grad_x": grad_heat_kernel_column(w, m, t, y, side="x"),
+                "gradstar_z": grad_heat_kernel_column(w, m, t, y, side="y")}
         for variant, col in cols.items():
             want = _profile_column_by_pairs(w, m, gradk, y, variant)
             assert list(col.values.items()) == list(want.items())

@@ -137,6 +137,29 @@ def test_kernel_on_the_line_reads_dmax(tmp_path):
     assert meta["nmax"] == 5
 
 
+def test_kernel_on_the_line_doubles_the_grid_for_the_wave_packet(tmp_path):
+    """The wave packet at t = 2 fails the default grid for --dmax 16 and
+    passes at twice it: the line kernel comes from 2048 points."""
+    out = tmp_path / "o"
+    assert run(["kernel", "--window", "zline", "--multiplier", "schrodinger",
+                "--t", "2", "--out", str(out)]) == 0
+    assert (out / "zkernel.csv").exists()
+    meta = json.loads((out / "zkernel.csv.meta.json").read_text())
+    assert meta["grid"] == 2048
+
+
+def test_kernel_on_the_line_past_the_largest_grid_exits_one(tmp_path):
+    """lambda^i is not smooth at 0, so no grid passes the aliasing guard:
+    exit 1, and the failure record names the largest grid."""
+    out = tmp_path / "o"
+    assert run(["kernel", "--window", "zline", "--multiplier", "x^{i*alpha}",
+                "--alpha", "1", "--out", str(out)]) == 1
+    failure = json.loads((out / "failure.json").read_text())["failure"]
+    assert failure["error"] == "AliasingError"
+    assert failure["message"].startswith(f"grid {zline.MAX_GRID} insufficient")
+    assert zline.MAX_GRID == 65536
+
+
 def test_kernel_over_the_vertex_cap_names_its_size_and_the_cap(tmp_path, capsys):
     """The degree-20 ball of the 3-ary tree exits 2 before it is built; the
     message names both numbers and offers no way around the cap."""

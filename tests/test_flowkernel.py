@@ -283,7 +283,8 @@ def test_meeting_level_below_chain_or_vertex_raises():
     gradk = zline.heat_z_gradkernel(1.0, 20)
     lb = w.level[b]
     with pytest.raises(TreeError, match="below the chain base"):
-        flowkernel.variant_value(gradk, chain, lb - 1, lb - 2, np.array([lb, lb - 1]))
+        flowkernel.variant_value(gradk, chain, lb - 1, lb - 2, np.array([lb, lb - 1]),
+                                 "plain")
     with pytest.raises(TreeError, match="a vertex's level"):
         flowkernel.variant_value(gradk, chain, lb + 1, lb, lb, "grad_x")
     with pytest.raises(TreeError, match="a vertex's level"):

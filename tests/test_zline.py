@@ -78,17 +78,41 @@ def test_grad_odd_symmetry():
         assert abs(zk.value(-n) + zk.value(n)) < 1e-14
 
 
-def test_aliasing_guard_trips():
+def pin_grid(monkeypatch, G):
+    """Have the aliasing guard try the grid G alone: it raises
+    AliasingError where G does not pass."""
+    monkeypatch.setattr(zline, "_default_grid", lambda nmax: G)
+    monkeypatch.setattr(zline, "MAX_GRID", G)
+
+
+def test_aliasing_guard_trips(monkeypatch):
     """The wave packet at t = 2 needs more than the default grid at nmax 16
     (512 points): doubling it moves the values by about 6e-10."""
-    with pytest.raises(zline.AliasingError):
+    pin_grid(monkeypatch, 512)
+    with pytest.raises(zline.AliasingError, match="^grid 512 insufficient: "
+                       "doubling moved values by 6.148e-10$"):
         zline.z_multiplier_kernel(schrodinger_multiplier(2.0), 16)
 
 
-def test_grad_aliasing_guard_trips():
+def test_grad_aliasing_guard_trips(monkeypatch):
     osc = lambda lam: np.exp(60j * lam)
+    pin_grid(monkeypatch, 64)
     with pytest.raises(zline.AliasingError):
-        zline.z_grad_multiplier_kernel(osc, 4, grid=64)
+        zline.z_grad_multiplier_kernel(osc, 4)
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_guard_doubles_the_grid_until_it_passes(odd):
+    """The wave packet at t = 2 and nmax 16 fails the default grid (G =
+    512) and passes at G = 1024, so its kernel comes from 2048 points, and
+    its values lie within 1e-15 max|k| of the two-pass sums on a grid four
+    times finer."""
+    fn = schrodinger_multiplier(2.0)
+    kernel = zline.z_grad_multiplier_kernel if odd else zline.z_multiplier_kernel
+    zk = kernel(fn, 16)
+    want, _ = doubled_grid_two_pass(fn, 4096, 16, odd)
+    assert zk.grid == 2048
+    assert np.max(np.abs(zk.values - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 GUARD_SYMBOLS = {
@@ -116,12 +140,12 @@ def test_one_grid_guard_matches_the_two_pass_guard(monkeypatch, name, odd):
         nmax = min(G // 4 - 10, 300)
         want, moved = doubled_grid_two_pass(fn, G, nmax, odd)
         margin = 1e-14 * np.max(np.abs(want))
-        monkeypatch.setattr(zline, "_default_grid", lambda n: G)
+        pin_grid(monkeypatch, G)
 
         def kernel():
             try:
                 if odd:
-                    return zline.z_grad_multiplier_kernel(fn, nmax, grid=G)
+                    return zline.z_grad_multiplier_kernel(fn, nmax)
                 return zline.z_multiplier_kernel(fn, nmax)
             except zline.ConsistencyError:
                 return None     # past the guard
@@ -349,13 +373,14 @@ def test_imaginary_power_kernel_gap_keeps_nan(monkeypatch):
     assert math.isnan(zline.imaginary_power_kernel(1.0, 3)[2])
 
 
-def test_weighted_l2_grad_stable_under_refinement():
+def test_weighted_l2_grad_stable_under_refinement(monkeypatch):
     """Weighted l2 norms of the gradient kernel settle as the grid doubles."""
     fn = lambda lam: chi0(lam - 0.9)
     for alpha in (0, 1, 2):
         vals = []
         for grid in (1 << 12, 1 << 13):
-            zk = zline.z_grad_multiplier_kernel(fn, 300, grid=grid)
+            pin_grid(monkeypatch, grid)
+            zk = zline.z_grad_multiplier_kernel(fn, 300)
             ns = np.arange(-300, 301)
             s = np.sum((1.0 + np.abs(ns)) ** (2 * alpha) * np.abs(zk.values) ** 2)
             vals.append(s)
@@ -363,16 +388,15 @@ def test_weighted_l2_grad_stable_under_refinement():
         assert abs(vals[0] - vals[1]) <= 1e-8 * max(vals[1], 1.0)
 
 
-def test_scale_invariant_grad_l2_band():
+def test_scale_invariant_grad_l2_band(monkeypatch):
     """t^{3/2}-normalized weighted l2 sums stay in a narrow band in t."""
     fn = lambda lam: chi0((lam - 1.0) / 0.75)  # supported in [1/4, 7/4]
     for alpha in (0, 1):
         vals = []
         for t in (1.0, 4.0, 16.0, 64.0):
             nmax = int(40 * math.sqrt(t)) + 60
-            zk = zline.z_grad_multiplier_kernel(
-                lambda lam: fn(t * lam), nmax,
-                grid=1 << int(np.ceil(np.log2(64 * nmax))))
+            pin_grid(monkeypatch, 1 << int(np.ceil(np.log2(64 * nmax))))
+            zk = zline.z_grad_multiplier_kernel(lambda lam: fn(t * lam), nmax)
             ns = np.arange(-nmax, nmax + 1)
             s = np.sum((1.0 + np.abs(ns) / math.sqrt(t)) ** (2 * alpha)
                        * np.abs(zk.values) ** 2)
