@@ -16,6 +16,7 @@ backend never leaves the rationals.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,27 +42,63 @@ def sphere_weight_scaled(q: int, d: int) -> float:
     return 2.0 + (d - 1) * (q - 1) / q
 
 
-def _surd(q, x):
-    return x if isinstance(x, QSurd) else QSurd(q, x)
+def _integer_pairs(q: int, xs) -> tuple[list, int]:
+    """The entries as integer pairs (a, b) over one denominator D, each entry
+    being (a + b sqrt(q))/D: a QSurd gives its two parts, any other entry
+    (int, Fraction, or a float taken as its Fraction value) its value and 0."""
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+    parts = []
+    for x in xs:
+        if isinstance(x, QSurd):
+            if x.q != q:
+                raise ValueError("mixed surd bases")
+            parts.append((x.a, x.b))
+        else:
+            parts.append((x if type(x) is Fraction else Fraction(x), 0))
+    den = math.lcm(*{y.denominator for pair in parts for y in pair})
+    return [(a.numerator * (den // a.denominator), b.numerator * (den // b.denominator))
+            for a, b in parts], den
+
+
+def _sqrt_q_scale(q: int, k: int, a: int, b: int) -> tuple[int, int]:
+    """q^(k/2) (a + b sqrt(q)) as an integer pair, for k >= 0; a perfect
+    square q multiplies by its root (b is then 0)."""
+    half, odd = divmod(k, 2)
+    s = q ** half
+    if not odd:
+        return a * s, b * s
+    r = math.isqrt(q)
+    if r * r == q:
+        return a * r * s, b * r * s
+    return b * q * s, a * s
+
+
+def _surds(q: int, pairs, den: int) -> list:
+    return [QSurd(q, Fraction(a, den), Fraction(b, den)) for a, b in pairs]
 
 
 def abel_forward(q: int, phi) -> list:
     """J_q(phi)(j) = q^{j/2} [phi(j) + ((q-1)/q) sum_{k>=1} q^k phi(j+2k)].
 
-    phi is a finitely supported sequence on the naturals (list) of
-    rationals, QSurds or floats; every entry is taken exactly (a float as
-    its Fraction value) and the result is a list of QSurds.  The tail sums
-    run in one pass from the end, tail(j) = q (phi(j+2) + tail(j+2)), zero
-    for j >= n - 2; tests/conftest.py keeps the quadratic definition as the
-    reference.
+    phi is a finitely supported sequence on the naturals (list) of ints,
+    Fractions, QSurds or floats; every entry is taken exactly (a float as
+    its Fraction value) and the result is a list of QSurds.  The entries
+    become integer pairs over one denominator D, and the tail sums run on
+    them in one pass from the end, t(j) = phi(j+2) + q t(j+2), zero for
+    j >= n - 2, so that J_q(phi)(j) = q^{j/2} (phi(j) + (q-1) t(j)); each
+    output is built once, as a QSurd over D.  tests/conftest.py keeps the
+    quadratic definition as the reference.
     """
-    phi = [_surd(q, x) for x in phi]
-    n = len(phi)
-    tail = [QSurd(q)] * (n + 2)
+    pairs, den = _integer_pairs(q, phi)
+    n = len(pairs)
+    tail = [(0, 0)] * (n + 2)
     for j in range(n - 3, -1, -1):
-        tail[j] = (phi[j + 2] + tail[j + 2]) * q
-    c = Fraction(q - 1, q)
-    return [QSurd.sqrt_q_power(q, j) * (phi[j] + tail[j] * c) for j in range(n)]
+        (pa, pb), (ta, tb) = pairs[j + 2], tail[j + 2]
+        tail[j] = (pa + q * ta, pb + q * tb)
+    out = [_sqrt_q_scale(q, j, a + (q - 1) * ta, b + (q - 1) * tb)
+           for j, ((a, b), (ta, tb)) in enumerate(zip(pairs, tail))]
+    return _surds(q, out, den)
 
 
 def abel_inverse(q: int, psi) -> list:
@@ -69,17 +106,24 @@ def abel_inverse(q: int, psi) -> list:
 
     The summand is the symmetric gradient of psi at n+2j+1, with psi extended
     by zeros beyond its support.  Entries are taken exactly, as in
-    abel_forward.  The sums run in one pass from the end, out(m) =
-    q^{-m/2} (psi(m) - psi(m+2)) + out(m+2), zero for m >= n;
-    tests/conftest.py keeps the quadratic definition as the reference.
+    abel_forward, and become integer pairs over one denominator D.  The sums
+    run on them in one pass from the end, out(m) = q^{-m/2} (psi(m) -
+    psi(m+2)) + out(m+2), zero for m >= n, over the common denominator
+    D q^H, H = floor(n/2), where q^{-m/2} becomes q^{(2H-m)/2}: an integer
+    scale and, for odd m, one factor sqrt(q), which swaps the pair.  Each
+    output is built once, as a QSurd.  tests/conftest.py keeps the quadratic
+    definition as the reference.
     """
-    psi = [_surd(q, x) for x in psi]
-    n = len(psi)
-    psi += [QSurd(q)] * 2
-    out = [QSurd(q)] * (n + 2)
+    pairs, den = _integer_pairs(q, psi)
+    n = len(pairs)
+    h = n // 2
+    pairs += [(0, 0)] * 2
+    out = [(0, 0)] * (n + 2)
     for m in range(n - 1, -1, -1):
-        out[m] = QSurd.sqrt_q_power(q, -m) * (psi[m] - psi[m + 2]) + out[m + 2]
-    return out[:n]
+        (a, b), (a2, b2), (oa, ob) = pairs[m], pairs[m + 2], out[m + 2]
+        da, db = _sqrt_q_scale(q, 2 * h - m, a - a2, b - b2)
+        out[m] = (da + oa, db + ob)
+    return _surds(q, out[:n], den * q ** h)
 
 
 @dataclass
@@ -188,7 +232,10 @@ def _q_power(q: int, e: int) -> Fraction:
 def homog_kernel_value_exact(q: int, A_exact, lx: int, ly: int, d: int) -> Fraction:
     if (lx + ly + d) % 2:
         raise ValueError("no vertex pair has odd level(x)+level(y)+d")
-    return A_exact[d] * _q_power(q, -(lx + ly + d) // 2)
+    a = A_exact[d]
+    if not a:
+        return a
+    return a * _q_power(q, -(lx + ly + d) // 2)
 
 
 class DominatedTailError(NumericalError):

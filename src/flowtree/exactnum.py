@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from fractions import Fraction
 
 
@@ -100,11 +101,17 @@ class QSurd:
         return QSurd(self.q, Fraction(other), 0)
 
     def __eq__(self, other):
+        if isinstance(other, float) and not math.isfinite(other):
+            return False
+        if not isinstance(other, (QSurd, numbers.Rational, float)):
+            return NotImplemented
         other = self._coerce(other)
         return self.q == other.q and self.a == other.a and self.b == other.b
 
     def __hash__(self):
-        return hash((self.q, self.a, self.b))
+        """A rational value (b == 0) hashes as that rational, as equality
+        with ints, Fractions and floats requires."""
+        return hash(self.a) if not self.b else hash((self.q, self.a, self.b))
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -23,16 +23,28 @@ support, not the window.  Certified sets are materialised only when needed:
 Word polynomials, Laplacian polynomials and the Chebyshev recurrence sum
 their stencil results through one helper, ``_combine``.
 
-Zero reads are skipped, not added: a child sum starts from its first
-nonzero product, and an entry new to a sum starts from its term, with no
-int 0 in front (a Fraction would take its slow reverse add for it) and no
-multiplication by a unit coefficient.  A float or complex term still gets
-that 0 +, which clears the signed zeros of a complex value, so every value
-keeps its type and its bits.
+On the rational backend the three stencils that read children (Sigma*, A
+and L) run on integer numerators when every input value is an int or a
+Fraction: the input goes over one common denominator D, the lcm of its
+denominators, and the measure on the support and its parents over one
+common denominator M, so each child weight m(c)/m(v) is a ratio of
+integers mu(c)/mu(v).  Each output is then built once, as one
+Fraction(n, s D mu(v)), instead of through a Fraction multiply, add and
+divide per child.  The float backend, rational windows holding other
+values, and shift and gradient (which read no measure and keep their ints)
+apply the stencil's combine vertex by vertex.
+
+There, and in every sum, zero reads are skipped, not added: a child sum
+starts from its first nonzero product, and an entry new to a sum starts
+from its term, with no int 0 in front (a Fraction would take its slow
+reverse add for it) and no multiplication by a unit coefficient.  A float
+or complex term still gets that 0 +, which clears the signed zeros of a
+complex value, so every value keeps its type and its bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -146,15 +158,17 @@ def _certified(window: TreeWindow, f: WindowFunction, reads_self: bool,
 
 
 def _stencil(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
-             combine: Callable, reads_self: bool, reads_parent: bool,
-             reads_children: bool) -> WindowFunction:
+             combine: Callable, weights: tuple) -> WindowFunction:
     """(Tf)(v) = combine(f(v), f(parent(v)), (1/m(v)) sum over children c of
     f(c) m(c)), with combine(0, 0, 0) = 0.
 
-    Only the support and its parents and children can carry a nonzero value,
-    so only they are visited, in vertex order.
+    weights = (a, b, c, s) states the same rule in integers, (Tf)(v) =
+    (a f(v) + b f(parent(v)) + c (1/m(v)) sum f(c) m(c)) / s; a zero weight
+    means the value is not read.  Only the support and its parents and
+    children can carry a nonzero value, so only they are visited, in vertex
+    order.
     """
-    m = measure.values
+    reads_self, reads_parent, reads_children = (w != 0 for w in weights[:3])
     fv = f.values
     pred, succ = window.pred, window.succ
     near = set()
@@ -167,8 +181,25 @@ def _stencil(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
             near.update(succ.get(u, ()))
         if reads_children and u in pred:
             near.add(pred[u])
+    if (reads_children and measure.backend == "rational"
+            and all(type(x) in _RATIONAL for x in fv.values())):
+        vals = _integer_stencil(measure, fv, pred, sorted(near), weights)
+    else:
+        vals = _generic_stencil(measure, fv, pred, succ, sorted(near), combine,
+                                reads_children)
+    zero = f.zero_outside
+    if reads_parent:
+        zero = zero and _zero_on_incomplete(window, f)
+    if reads_children:
+        zero = zero and not f.value(window.apex)
+    safe = _certified(window, f, reads_self, reads_parent, reads_children)
+    return WindowFunction(vals, safe, zero)
+
+
+def _generic_stencil(measure, fv, pred, succ, near, combine, reads_children):
+    m = measure.values
     vals: dict[Vertex, complex] = {}
-    for v in sorted(near):
+    for v in near:
         p = pred.get(v)
         fp = fv.get(p, 0) if p is not None else 0
         child_acc = 0
@@ -184,25 +215,60 @@ def _stencil(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
         x = combine(fv.get(v, 0), fp, child_acc)
         if x:
             vals[v] = x
-    zero = f.zero_outside
-    if reads_parent:
-        zero = zero and _zero_on_incomplete(window, f)
-    if reads_children:
-        zero = zero and not f.value(window.apex)
-    safe = _certified(window, f, reads_self, reads_parent, reads_children)
-    return WindowFunction(vals, safe, zero)
+    return vals
+
+
+def _integer_stencil(measure, fv, pred, near, weights):
+    """The stencil on ints and Fractions, in integers: f = F/D over the lcm D
+    of the support's denominators, m = mu/M over the lcm M of the measure's
+    denominators on the support and its parents, so the child weight
+    m(c)/m(v) is mu(c)/mu(v), and each output is one Fraction(n, s D mu(v))
+    (s D where no child of v is in the support)."""
+    a, b, c, s = weights
+    m = measure.values
+    D = math.lcm(*{x.denominator for x in fv.values() if x})
+    F = {u: x.numerator * (D // x.denominator) for u, x in fv.items() if x}
+    child_sum = dict.fromkeys((pred[u] for u in F if u in pred), 0)
+    M = math.lcm(*{m[u].denominator for u in F},
+                 *{m[v].denominator for v in child_sum})
+    for u, x in F.items():
+        if u in pred:
+            mass = m[u]
+            child_sum[pred[u]] += x * mass.numerator * (M // mass.denominator)
+    den = s * D
+    vals: dict[Vertex, Fraction] = {}
+    for v in near:
+        n = a * F.get(v, 0) + b * F.get(pred.get(v), 0)
+        if v in child_sum:
+            mass = m[v]
+            mv = mass.numerator * (M // mass.denominator)
+            n = n * mv + c * child_sum[v]
+            if n:
+                vals[v] = Fraction(n, den * mv)
+        elif n:
+            vals[v] = Fraction(n, den)
+    return vals
+
+
+# the weights (a, b, c, s) of each stencil, as _stencil reads them
+_SHIFT = (0, 1, 0, 1)
+_SHIFT_ADJOINT = (0, 0, 1, 1)
+_GRADIENT = (1, -1, 0, 1)
+_AVERAGING = (0, 1, 1, 2)
+_LAPLACIAN = (2, -1, -1, 2)
+_RATIONAL = (int, Fraction)
 
 
 def apply_shift(window: TreeWindow, measure: FlowMeasure, f: WindowFunction) -> WindowFunction:
     """(Sigma f)(x) = f(parent(x)); the apex value is known only if the
     function is certified zero outside the window."""
-    return _stencil(window, measure, f, lambda fv, fp, fc: fp, False, True, False)
+    return _stencil(window, measure, f, lambda fv, fp, fc: fp, _SHIFT)
 
 
 def apply_shift_adjoint(window: TreeWindow, measure: FlowMeasure,
                         f: WindowFunction) -> WindowFunction:
     """(Sigma* f)(x) = (1/m(x)) sum over successors of f(y) m(y)."""
-    return _stencil(window, measure, f, lambda fv, fp, fc: fc, False, False, True)
+    return _stencil(window, measure, f, lambda fv, fp, fc: fc, _SHIFT_ADJOINT)
 
 
 def apply_word(window: TreeWindow, measure: FlowMeasure, word: Iterable[int],
@@ -226,54 +292,24 @@ def apply_ncpoly(window: TreeWindow, measure: FlowMeasure, poly: NcPolynomial,
 
 def apply_gradient(window, measure, f):
     """(grad f)(x) = f(x) - f(parent(x))."""
-    return _stencil(window, measure, f, lambda fv, fp, fc: fv - fp, True, True, False)
+    return _stencil(window, measure, f, lambda fv, fp, fc: fv - fp, _GRADIENT)
 
 
-_HALF = Fraction(1, 2)
-_RATIONAL = (int, Fraction)
-
-
-def _half_sum(fp, fc):
-    """fp + fc of ints and Fractions, with no int on the left of a Fraction
-    (its slow reverse add); None when either is another type."""
-    if type(fp) not in _RATIONAL or type(fc) not in _RATIONAL:
-        return None
-    return fc if not fp else fp if not fc else fp + fc
-
-
-def _average_rational(fv, fp, fc):
-    """fp/2 + fc/2 in one Fraction multiply; other values as on floats."""
-    s = _half_sum(fp, fc)
-    if s is None:
-        return _HALF * fp + _HALF * fc
-    return _HALF * s
-
-
-def _laplacian_rational(fv, fp, fc):
-    """fv - fp/2 - fc/2 in one Fraction multiply, and fv as a Fraction when
-    fp and fc are zero; other values as on floats, which keeps the rounding
-    and the signed zeros of float and complex values."""
-    s = _half_sum(fp, fc) if type(fv) in _RATIONAL else None
-    if s is None:
-        return fv - _HALF * fp - _HALF * fc
-    if not s:
-        return fv if type(fv) is Fraction else Fraction(fv)
-    s = _HALF * s
-    return fv - s if fv else -s
+def _half(measure: FlowMeasure):
+    return Fraction(1, 2) if measure.backend == "rational" else 0.5
 
 
 def apply_averaging(window, measure, f):
     """(A f)(x) = f(parent)/2 + (1/2m(x)) sum over successors of f m."""
-    combine = (_average_rational if measure.backend == "rational"
-               else lambda fv, fp, fc: 0.5 * fp + 0.5 * fc)
-    return _stencil(window, measure, f, combine, True, True, True)
+    h = _half(measure)
+    return _stencil(window, measure, f, lambda fv, fp, fc: h * fp + h * fc, _AVERAGING)
 
 
 def apply_laplacian(window, measure, f):
     """(L f)(x) = f(x) - (A f)(x); one unit of propagation per application."""
-    combine = (_laplacian_rational if measure.backend == "rational"
-               else lambda fv, fp, fc: fv - 0.5 * fp - 0.5 * fc)
-    return _stencil(window, measure, f, combine, True, True, True)
+    h = _half(measure)
+    return _stencil(window, measure, f, lambda fv, fp, fc: fv - h * fp - h * fc,
+                    _LAPLACIAN)
 
 
 def apply_lambda_poly(window, measure, coeffs, f: WindowFunction) -> WindowFunction:
@@ -317,8 +353,14 @@ class KernelColumn:
 
 
 def _column_from_function(window, measure, g: WindowFunction, y) -> KernelColumn:
+    """g / m(y); an int or Fraction over a Fraction m(y) = a/b is one
+    Fraction(x b, a), not a Fraction division."""
     my = measure.values[y]
-    vals = {v: x / my for v, x in g.values.items()}
+    if type(my) is not Fraction:
+        return KernelColumn(y, {v: x / my for v, x in g.values.items()}, g.safe)
+    a, b = my.numerator, my.denominator
+    vals = {v: Fraction(x.numerator * b, x.denominator * a) if type(x) in _RATIONAL
+            else x / my for v, x in g.values.items()}
     return KernelColumn(y, vals, g.safe)
 
 

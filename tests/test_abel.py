@@ -72,17 +72,21 @@ def test_abel_transforms_take_floats_exactly():
         assert abel.abel_inverse(q, xs) == abel.abel_inverse(q, exact)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9, 10])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 9, 10])
 def test_abel_transforms_match_the_quadratic_definitions(q):
     """The linear-time recursions equal the definitions summed term by term
     (square q folds the sqrt(q) part away), for Fraction, float and QSurd
-    entries and every length from 0 to 16."""
+    entries, for lists mixing ints, Fractions, floats and QSurds, and every
+    length from 0 to 16."""
     rng = random.Random(q)
     for n in range(17):
         fracs = [Fraction(rng.randint(-99, 99), rng.randint(1, 23)) for _ in range(n)]
         floats = [rng.uniform(-5.0, 5.0) for _ in range(n)]
         surds = [QSurd(q, a, Fraction(rng.randint(-9, 9), rng.randint(1, 5))) for a in fracs]
-        for seq in (fracs, floats, surds):
+        ints = [rng.randint(-50, 50) for _ in range(n)]
+        roots = [QSurd(q, a, Fraction(i + 1, 3)) for i, a in enumerate(fracs)]
+        mixed = [(ints, fracs, floats, roots)[(i + n) % 4][i] for i in range(n)]
+        for seq in (fracs, floats, surds, mixed):
             for fast, slow in ((abel.abel_forward, abel_forward_quadratic),
                                (abel.abel_inverse, abel_inverse_quadratic)):
                 got, want = fast(q, seq), slow(q, seq)
@@ -284,3 +288,22 @@ def test_sharpness_window_oracle():
             break
         x = w.parent(x)
         # next k compares K(p^k(c), c)
+
+
+def test_qsurd_hashes_as_the_rational_it_equals():
+    """A QSurd with no sqrt(q) part equals its rational value and hashes as
+    it, so sets and dicts treat the two as one key."""
+    half = QSurd(2, Fraction(1, 2))
+    assert half == Fraction(1, 2) and hash(half) == hash(Fraction(1, 2))
+    assert len({half, Fraction(1, 2), 0.5}) == 1
+    assert len({QSurd(3, 2), 2, 2.0, Fraction(2)}) == 1
+    assert QSurd(4, 1, 1) == 3 and hash(QSurd(4, 1, 1)) == hash(3)  # sqrt(4) folds
+    assert len({QSurd(2, 1, 1), QSurd(2, 1, 1), QSurd(2, 1)}) == 2
+
+
+def test_qsurd_is_unequal_to_non_numbers():
+    x = QSurd(2, Fraction(1, 2), 1)
+    for other in ("x", "1/2", None, [1], float("nan"), float("inf")):
+        assert not x == other
+        assert x != other
+    assert QSurd(2) != "0" and QSurd(2) != None  # noqa: E711

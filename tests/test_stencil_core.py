@@ -11,6 +11,7 @@ zero-outside flag part way through.
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from flowtree import (TreeError, constant_ratio_window, load_window,
                       safe_region, window_to_json)
-from flowtree import ball_window, localops, quotient
+from flowtree import ball_window, quotient
 from flowtree.chebyshev import cheb_apply, cheb_approx, cheb_column
 from flowtree.localops import (InsufficientMarginError, KernelColumn,
                                WindowFunction, apply_averaging, apply_gradient,
@@ -205,14 +206,42 @@ def ref_fiber_average(sub, column):
 
 # -- windows and anchors ----------------------------------------------------
 
+SPLITS = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(2, 5), Fraction(3, 5)),
+          (Fraction(1, 3), Fraction(1, 3), Fraction(1, 3)))
+
+
+def mixed_window_json(depth, up):
+    """A rational window whose vertices split their mass by each of SPLITS
+    in turn (by vertex id), so the ratios m(c)/m(v) have denominators that
+    differ from vertex to vertex, below a chain of `up` >= 1 ancestors;
+    depth >= 1."""
+    recs = [{"id": i, "pred": i - 1 if i else None,
+             "measure": str(Fraction(2) ** (up - i)), "complete": False}
+            for i in range(up)]
+    recs.append({"id": up, "pred": up - 1, "measure": "1", "complete": True})
+    level, mass = [up], {up: Fraction(1)}
+    for k in range(depth):
+        nxt = []
+        for v in level:
+            for r in SPLITS[v % len(SPLITS)]:
+                c = len(recs)
+                mass[c] = mass[v] * r
+                recs.append({"id": c, "pred": v, "measure": str(mass[c]),
+                             "complete": k + 1 < depth})
+                nxt.append(c)
+        level = nxt
+    return {"apex_level": up, "vertices": recs}
+
+
 def _windows():
     ball_w, ball_m, _ = ball_window(2, 5)
     ratio_w, ratio_m, _ = constant_ratio_window(
         (Fraction(2, 3), Fraction(1, 3)), depth=5, up=3)
     fw, fm, _ = constant_ratio_window((0.6, 0.4), depth=5, up=3, backend="float")
     loaded_w, loaded_m = load_window(json.dumps(window_to_json(fw, fm)))
+    mixed_w, mixed_m = load_window(json.dumps(mixed_window_json(5, 3)))
     return {"ball": (ball_w, ball_m), "ratio": (ratio_w, ratio_m),
-            "loaded": (loaded_w, loaded_m)}
+            "loaded": (loaded_w, loaded_m), "mixed": (mixed_w, mixed_m)}
 
 
 WINDOWS = _windows()
@@ -241,13 +270,19 @@ def assert_same_bits(got, want):
 
 
 def start_pair(w, y, start):
-    """The input of a test and its reference copy: the indicator of y, or
+    """The input of a test and its reference copy: the indicator of y,
     complex values with signed-zero parts at y and its children (where
-    0 + x and x differ in their bits)."""
+    0 + x and x differ in their bits), or Fractions with assorted
+    denominators at y and its children."""
     if start == "indicator":
         return indicator(w, y), ref_indicator(w, y)
-    vals = {y: complex(-1.0, -0.0)}
-    vals.update((c, complex(-0.0, 0.5)) for c in w.children(y))
+    if start == "fractions":
+        rng = random.Random(y)
+        vals = {v: Fraction(rng.choice((-7, -2, 1, 3, 5)), rng.randint(1, 12))
+                for v in (y, *w.children(y))}
+    else:
+        vals = {y: complex(-1.0, -0.0)}
+        vals.update((c, complex(-0.0, 0.5)) for c in w.children(y))
     return (WindowFunction(dict(vals), w.all_vertices(), True),
             WindowFunction(dict(vals), frozenset(w.vertices), True))
 
@@ -257,7 +292,7 @@ distance_st = st.integers(0, DEG + 1)
 pick_st = st.integers(0, 10 ** 6)
 letter_st = st.sampled_from((Z1, Z2))
 coeff_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-start_st = st.sampled_from(("indicator", "signed zeros"))
+start_st = st.sampled_from(("indicator", "signed zeros", "fractions"))
 
 
 @HYPO
@@ -403,15 +438,24 @@ COMBINE_VALUES = (0, 1, -2, Fraction(0), Fraction(3, 4), Fraction(-5, 6), 0.5,
                   -0.0, complex(-1.0, -0.0), complex(-0.0, 0.5))
 
 
-def test_rational_combines_match_the_reference_lambdas():
-    """On the rational backend the Laplacian and averaging combines give the
+SMALL_RATIONAL = {"ball": ball_window(2, 2)[:2],
+                  "mixed": load_window(json.dumps(mixed_window_json(2, 1)))}
+
+
+def test_rational_stencils_match_the_reference_lambdas():
+    """On rational windows the Laplacian and averaging stencils give the
     value, the type and the bits of the reference lambdas on every mix of
-    ints, Fractions, floats and complex values, signed zeros included (the
-    indicator's int 1 comes out a Fraction)."""
-    half = Fraction(1, 2)
-    for fv, fp, fc in itertools.product(COMBINE_VALUES, repeat=3):
-        for got, want in ((localops._laplacian_rational(fv, fp, fc),
-                           fv - half * fp - half * fc),
-                          (localops._average_rational(fv, fp, fc),
-                           half * fp + half * fc)):
-            assert type(got) is type(want) and repr(got) == repr(want)
+    ints, Fractions, floats and complex values at a vertex, its parent and
+    a child, signed zeros included: all-rational inputs take the integer
+    route, every other mix the lambdas themselves."""
+    for w, m in SMALL_RATIONAL.values():
+        y = min(v for v in w.vertices if w.parent(v) is not None and w.children(v))
+        p, c = w.parent(y), w.children(y)[-1]
+        for fv, fp, fc in itertools.product(COMBINE_VALUES, repeat=3):
+            vals = {y: fv, p: fp, c: fc}
+            for op in ("lap", "avg"):
+                got = OPS[op](w, m, WindowFunction(dict(vals), w.all_vertices(), True))
+                want = REF_OPS[op](w, m, WindowFunction(dict(vals), frozenset(w.vertices),
+                                                        True))
+                assert_same(got, want)
+                assert_same_bits(got, want)
