@@ -180,22 +180,21 @@ def _meeting_levels(window: TreeWindow, y: Vertex) -> tuple[np.ndarray, np.ndarr
     """level(x) and level(lca(x, y)) for every window vertex x, in window
     order, as int64 arrays.
 
-    One pass over the window's dicts gives the levels and each vertex's
-    parent index.  A vertex of y's ancestor line (y and the apex included)
-    points at itself, any other at its parent, and pointer jumping (every
-    pointer replaced by its target's) takes each vertex to its nearest
-    ancestor on the line, where it meets y, in log2(depth) array steps.
+    The levels and parent positions come from the window's cached arrays
+    (the level array is that read-only array itself).  A vertex of y's
+    ancestor line (y and the apex included) points at itself, any other at
+    its parent, and pointer jumping (every pointer replaced by its target's)
+    takes each vertex to its nearest ancestor on the line, where it meets
+    y, in log2(depth) array steps.
     """
-    index = dict(zip(window.level, range(len(window))))
-    level = np.fromiter(window.level.values(), dtype=np.int64, count=len(window))
-    up = np.fromiter(map(index.__getitem__, map(window.pred.get, window.level, window.level)),
-                     dtype=np.int64, count=len(window))
-    line = np.fromiter(map(index.__getitem__, window.ancestors(y)), dtype=np.int64)
+    arrays = window.arrays()
+    up = arrays.parent.copy()
+    line = arrays.positions(window.ancestors(y))
     up[line] = line
     while True:
         jumped = up[up]
         if np.array_equal(jumped, up):
-            return level, level[up]
+            return arrays.level, arrays.level[up]
         up = jumped
 
 
@@ -219,7 +218,7 @@ def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     at_key = flowkernel.variant_value(gradk, chain, lam + low, window.level[y],
                                       j + low, variant)
     vals = {x: v for x, v in zip(window.vertices, at_key[key_of].tolist()) if v}
-    safe = frozenset(window.vertices) if not chain.truncated else frozenset()
+    safe = window.all_vertices() if not chain.truncated else frozenset()
     return KernelColumn(y, vals, safe, 1e-13)
 
 

@@ -5,6 +5,11 @@ Its sup-norm defect is estimated by dense sampling and reported as such; the
 pointwise kernel certificate divides that estimate by sqrt(m(x) m(y)), which
 is the L2 operator-norm route.  The sampling estimate is not a proof, so
 consumers are expected to budget headroom on top of it.
+
+The recurrence T_{k+1} = 2 (L - I) T_k - T_{k-1} runs one Laplacian stencil
+per degree; a kernel column on a float window runs it instead as the
+array sweep of the anchor's ball (``localops._swept_column``), with the
+same bits.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 from .localops import (KernelColumn, WindowFunction, _accumulate, _anchored,
-                       _combine, apply_laplacian)
+                       _combine, _swept_column, apply_laplacian)
 from .trees import FlowMeasure, TreeWindow, Vertex
 
 
@@ -92,14 +97,19 @@ def cheb_apply(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
 
 def cheb_column(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
                 y: Vertex) -> KernelColumn:
-    """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N)."""
-    g = _forward_recurrence(window, measure, model.coef,
-                            _anchored(window, model.degree, y))
+    """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N);
+    on a float window by sweeps of the anchor's ball."""
+    f = _anchored(window, model.degree, y)
     my = measure.as_float(y)
-    vals = {v: complex(x) / my for v, x in g.values.items()}
-    m_min = min((measure.as_float(v) for v in g.safe), default=my)
-    err = model.sup_err / np.sqrt(m_min * my)
-    return KernelColumn(y, vals, g.safe, float(err))
+    if measure.backend == "float":
+        col = _swept_column(window, measure, model.coef, y, True)
+        m_min = float(window.arrays().masses(measure).min())
+    else:
+        g = _forward_recurrence(window, measure, model.coef, f)
+        col = KernelColumn(y, {v: complex(x) / my for v, x in g.values.items()}, g.safe)
+        m_min = min((measure.as_float(v) for v in g.safe), default=my)
+    col.err_bound = float(model.sup_err / np.sqrt(m_min * my))
+    return col
 
 
 def kernel_value_general(window: TreeWindow, measure: FlowMeasure,

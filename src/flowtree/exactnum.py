@@ -106,6 +106,8 @@ class QSurd:
         if not isinstance(other, (QSurd, numbers.Rational, float)):
             return NotImplemented
         other = self._coerce(other)
+        if not (self.b or other.b):  # two rationals: the base does not matter
+            return self.a == other.a
         return self.q == other.q and self.a == other.a and self.b == other.b
 
     def __hash__(self):

@@ -40,6 +40,17 @@ from its term, with no int 0 in front (a Fraction would take its slow
 reverse add for it) and no multiplication by a unit coefficient.  A float
 or complex term still gets that 0 +, which clears the signed zeros of a
 complex value, so every value keeps its type and its bits.
+
+Anchored kernel columns on float windows (``kernel_column_lambda_poly``
+here, ``chebyshev.cheb_column`` through the same sweep) skip the dicts: the
+anchor's ball B_N(y), which holds every iterate, is read from the window's
+cached arrays (``TreeWindow.arrays``), and each Laplacian step is one pass
+of the Laplacian's rule over numpy arrays on the ball, with the stencil's
+sums in the stencil's order, so every value keeps the per-vertex route's
+bits and type.  Rational windows, whose iterates are exact Fractions, the
+``apply_*`` functions, whose inputs need not be anchored, and Laplacian
+polynomials whose coefficients are not all real or all complex Python
+numbers keep the stencils.
 """
 
 from __future__ import annotations
@@ -49,9 +60,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .ncpoly import Z1, Z2, NcPolynomial
 from .trees import (FlowMeasure, InsufficientMarginError, TreeWindow, Vertex,
-                    in_safe_region)
+                    WindowArrays, in_safe_region)
 
 
 @dataclass
@@ -305,11 +318,15 @@ def apply_averaging(window, measure, f):
     return _stencil(window, measure, f, lambda fv, fp, fc: h * fp + h * fc, _AVERAGING)
 
 
+def _laplacian_rule(h):
+    """(L f)(v) from f(v), f(parent(v)) and the child term (1/m(v)) sum f(c)
+    m(c): one rule for the stencil's numbers and the ball sweep's arrays."""
+    return lambda fv, fp, fc: fv - h * fp - h * fc
+
+
 def apply_laplacian(window, measure, f):
     """(L f)(x) = f(x) - (A f)(x); one unit of propagation per application."""
-    h = _half(measure)
-    return _stencil(window, measure, f, lambda fv, fp, fc: fv - h * fp - h * fc,
-                    _LAPLACIAN)
+    return _stencil(window, measure, f, _laplacian_rule(_half(measure)), _LAPLACIAN)
 
 
 def apply_lambda_poly(window, measure, coeffs, f: WindowFunction) -> WindowFunction:
@@ -373,7 +390,139 @@ def kernel_column_poly(window: TreeWindow, measure: FlowMeasure,
 
 def kernel_column_lambda_poly(window: TreeWindow, measure: FlowMeasure,
                               coeffs, y: Vertex) -> KernelColumn:
-    """Column of sum coeffs[k] L^k, via stencils (margin = polynomial degree)."""
-    g = apply_lambda_poly(window, measure, coeffs,
-                          _anchored(window, max(len(coeffs) - 1, 0), y))
-    return _column_from_function(window, measure, g, y)
+    """Column of sum coeffs[k] L^k, via stencils (margin = polynomial degree);
+    on a float window by sweeps of the anchor's ball."""
+    f = _anchored(window, max(len(coeffs) - 1, 0), y)
+    kinds = _kinds(coeffs)
+    if measure.backend == "float" and (kinds <= {False} or kinds <= {True}):
+        return _swept_column(window, measure, coeffs, y, False)
+    return _column_from_function(window, measure,
+                                 apply_lambda_poly(window, measure, coeffs, f), y)
+
+
+def _segments(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Every p with start[i] <= p < stop[i], for i in order."""
+    count = stop - start
+    return np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
+
+
+def _ball(arrays: WindowArrays, y: int, radius: int) -> tuple[np.ndarray, list]:
+    """The positions of B_radius(y) (y a position), nearest first, and the
+    number of them within each distance k <= radius."""
+    seen = np.zeros(len(arrays.parent), dtype=bool)
+    seen[y] = True
+    sphere = np.array([y])
+    spheres, end = [sphere], [1]
+    for _ in range(radius):
+        near = np.concatenate((arrays.parent[sphere], arrays.child[
+            _segments(arrays.child_start[sphere], arrays.child_start[sphere + 1])]))
+        sphere = near[~seen[near] & (near >= 0)]
+        seen[sphere] = True
+        spheres.append(sphere)
+        end.append(end[-1] + len(sphere))
+    return np.concatenate(spheres), end
+
+
+def _swept_iterates(window: TreeWindow, measure: FlowMeasure, y: Vertex,
+                    count: int, chebyshev: bool):
+    """The ball B of radius count - 1 around y, the number end[k] of its
+    vertices within distance k, and an iterator over the k < count of
+    P_k(L) delta_y on B (nearest first, one zero entry past the end):
+    L^k, or the Chebyshev T_k(L - I) when ``chebyshev`` is set.
+
+    Each Laplacian step evaluates _laplacian_rule on arrays over B_k, from
+    the window's cached arrays: child terms f(c) m(c) are summed per parent
+    in successor order, from the first (np.bincount adds in array order), a
+    parent outside B reads the zero entry, and the Chebyshev steps are the
+    dict route's (L - I) T, then 2 (L - I) T - T_prev, so every nonzero
+    value has the per-vertex stencils' bits.
+    """
+    arrays = window.arrays()
+    mass = arrays.masses(measure)
+    ball, end = _ball(arrays, arrays.positions([y])[0], max(count - 1, 0))
+    size = len(ball)
+    local = np.full(len(mass) + 1, size)   # position -1 (no parent) reads local[-1]
+    local[ball] = np.arange(size)
+    parent = local[arrays.parent[ball]]
+    start, stop = arrays.child_start[ball], arrays.child_start[ball + 1]
+    child = local[arrays.child[_segments(start, stop)]]
+    owner = np.repeat(np.arange(size), stop - start)
+    inside = child < size
+    child, owner = child[inside], owner[inside]
+    links = np.searchsorted(owner, end)     # the child links of B_k's vertices
+    m = mass[ball]
+    child_mass = m[child]
+    rule = _laplacian_rule(_half(measure))
+
+    def laplacian(x, k):
+        n, nl = end[k], links[k]
+        fc = np.bincount(owner[:nl], x[child[:nl]] * child_mass[:nl], n) / m[:n]
+        out = np.zeros(size + 1)
+        out[:n] = rule(x[:n], x[parent[:n]], fc)
+        return out
+
+    def iterates():
+        x = np.zeros(size + 1)
+        x[0] = 1.0
+        yield x
+        prev = None
+        for k in range(1, count):
+            lx = laplacian(x, k)
+            if chebyshev:
+                n = end[k]
+                lx[:n] -= x[:n]
+                if k >= 2:
+                    lx[:n] = 2 * lx[:n] - prev[:n]
+                prev = x
+            x = lx
+            yield x
+
+    return ball, end, iterates()
+
+
+_PLAIN = (int, bool, Fraction, float, complex)
+
+
+def _kinds(coeffs) -> set:
+    """The kinds of the nonzero coefficients: True for complex, False for
+    real Python numbers, None for any other number.  The ball sweep takes
+    one Python kind; mixed kinds (a vertex's type then depends on which
+    terms reach it) and other numbers (numpy scalars keep their own
+    arithmetic and types) keep the stencils."""
+    return {isinstance(c, complex) if type(c) in _PLAIN else None for c in coeffs if c}
+
+
+def _swept_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vertex,
+                  chebyshev: bool) -> KernelColumn:
+    """The column of sum coeffs[k] P_k(L) at anchor y on a float window,
+    from _swept_iterates's P_k, with the dict route's bits and types: each
+    term c P_k is added where P_k is nonzero, in k order, with c x taken as
+    Python and numpy multiply a number by a float ((cr x - ci 0, cr 0 + ci x)
+    for a complex c), and each sum is divided by m(y) part by part (what
+    complex / float does to these sums, whose parts are never -0.0).
+    Chebyshev values are all complex, as complex(x) / m(y); Laplacian
+    polynomial coefficients are of one kind (_kinds).  Keys come in window
+    order; the certified set is the window, since y is safe at the degree.
+    """
+    ball, end, xs = _swept_iterates(window, measure, y, len(coeffs), chebyshev)
+    arrays = window.arrays()
+    re, im = np.zeros(len(ball)), np.zeros(len(ball))
+    for k, (c, x) in enumerate(zip(coeffs, xs)):
+        if not c:
+            continue
+        n = end[k]
+        if isinstance(c, complex):
+            re[:n] += c.real * x[:n] - c.imag * 0.0
+            im[:n] += c.real * 0.0 + c.imag * x[:n]
+        else:
+            re[:n] += float(c) * x[:n]
+    nz = np.flatnonzero((re != 0) | (im != 0))
+    nz = nz[np.argsort(ball[nz])]
+    my = float(arrays.masses(measure)[ball[0]])
+    if chebyshev or _kinds(coeffs) == {True}:
+        values = np.empty(len(nz), dtype=complex)
+        values.real, values.imag = re[nz] / my, im[nz] / my
+    else:
+        values = re[nz] / my
+    return KernelColumn(y, dict(zip(arrays.vertices[ball[nz]].tolist(), values.tolist())),
+                        window.all_vertices())

@@ -14,7 +14,15 @@ import os
 from fractions import Fraction
 
 
+# the cell text of the exact types that fill most rows, looked up before the
+# isinstance chain (whose Fraction test goes through the ABC check)
+_FMT_EXACT = {int: str, str: str, float: repr, complex: repr}
+
+
 def _fmt(x) -> str:
+    fmt = _FMT_EXACT.get(type(x))
+    if fmt is not None:
+        return fmt(x)
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (float, complex)):

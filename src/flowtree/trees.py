@@ -20,7 +20,10 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 Vertex = int
 Number = Union[Fraction, float]
@@ -57,6 +60,7 @@ class TreeWindow:
     _defect_dist: Optional[dict[Vertex, int]] = field(default=None, repr=False)
     _all_vertices: Optional[frozenset[Vertex]] = field(default=None, repr=False,
                                                        compare=False)
+    _arrays: Optional["WindowArrays"] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.level)
@@ -71,6 +75,13 @@ class TreeWindow:
         if self._all_vertices is None:
             self._all_vertices = frozenset(self.level)
         return self._all_vertices
+
+    def arrays(self) -> "WindowArrays":
+        """The window's dicts as read-only arrays, built on first use and
+        cached (never while the window is built)."""
+        if self._arrays is None:
+            self._arrays = WindowArrays.of(self)
+        return self._arrays
 
     def parent(self, v: Vertex) -> Optional[Vertex]:
         return self.pred.get(v)
@@ -134,6 +145,67 @@ class TreeWindow:
                 frontier = found
             self._defect_dist = dist
         return self._defect_dist
+
+
+@dataclass
+class WindowArrays:
+    """A window's dicts as arrays, in window order (the order of ``level``).
+
+    ``vertices`` holds the vertex ids themselves (an object array);
+    ``level`` holds the levels, ``parent`` each vertex's parent position
+    (-1 at the apex), and ``child[child_start[i]:child_start[i + 1]]`` the
+    positions of vertex i's children in successor-list order.  ``position``
+    maps ids to positions, or is None where they are equal: a built window
+    numbers its vertices 0, 1, ... in window order (``_Builder``).
+    """
+
+    vertices: np.ndarray
+    position: Optional[dict[Vertex, int]]
+    level: np.ndarray
+    parent: np.ndarray
+    child_start: np.ndarray
+    child: np.ndarray
+    _masses: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def of(cls, window: TreeWindow) -> "WindowArrays":
+        level, n = window.level, len(window.level)
+        kids = list(map(window.succ.get, level, repeat(())))
+        if list(level) == list(range(n)):
+            position = None
+            up = map(window.pred.get, level, repeat(-1))
+            down = chain.from_iterable(kids)
+        else:
+            position = dict(zip(level, range(n)))
+            up = map(position.get, map(window.pred.get, level), repeat(-1))
+            down = map(position.__getitem__, chain.from_iterable(kids))
+        child_start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, kids), dtype=np.int64, count=n), out=child_start[1:])
+        arrays = (np.fromiter(level, dtype=object, count=n),
+                  np.fromiter(level.values(), dtype=np.int64, count=n),
+                  np.fromiter(up, dtype=np.int64, count=n), child_start,
+                  np.fromiter(down, dtype=np.int64, count=child_start[-1]))
+        for a in arrays:
+            a.setflags(write=False)
+        vertices, levels, parent, child_start, child = arrays
+        return cls(vertices, position, levels, parent, child_start, child)
+
+    def positions(self, vs: Iterable[Vertex]) -> np.ndarray:
+        """The positions of the given window vertices."""
+        if self.position is not None:
+            vs = map(self.position.__getitem__, vs)
+        return np.fromiter(vs, dtype=np.int64)
+
+    def masses(self, measure: "FlowMeasure") -> np.ndarray:
+        """float(m(v)) in window order, read-only, built once per measure
+        (the entry keeps the measure, so its id is not reused)."""
+        entry = self._masses.get(id(measure))
+        if entry is None:
+            m = np.fromiter(map(measure.values.__getitem__, self.vertices),
+                            dtype=float, count=len(self.vertices))
+            m.setflags(write=False)
+            entry = self._masses[id(measure)] = (measure, m)
+        return entry[1]
 
 
 @dataclass

@@ -301,6 +301,17 @@ def test_qsurd_hashes_as_the_rational_it_equals():
     assert len({QSurd(2, 1, 1), QSurd(2, 1, 1), QSurd(2, 1)}) == 2
 
 
+def test_qsurd_equality_is_transitive_across_bases():
+    """Rational QSurds over different bases equal each other exactly when
+    their values do, as their hashes say; a sqrt part keeps the base."""
+    a, b = QSurd(3, 2), QSurd(5, 2)
+    assert a == 2 and 2 == b and a == b and hash(a) == hash(b) == hash(2)
+    assert QSurd(3, Fraction(1, 2)) != QSurd(5, Fraction(1, 3))
+    assert len({a, b, QSurd(7, Fraction(4, 2)), 2.0}) == 1
+    assert QSurd(3, 1, 1) != QSurd(5, 1, 1)
+    assert QSurd(3, 1, 1) != QSurd(3, 1) and QSurd(3, 1) != QSurd(3, 1, 1)
+
+
 def test_qsurd_is_unequal_to_non_numbers():
     x = QSurd(2, Fraction(1, 2), 1)
     for other in ("x", "1/2", None, [1], float("nan"), float("inf")):

@@ -16,12 +16,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowtree import (TreeError, constant_ratio_window, load_window,
+from flowtree import (TreeError, analysis, constant_ratio_window, load_window,
                       safe_region, window_to_json)
-from flowtree import ball_window, quotient
+from flowtree import TreeWindow, ball_window, quotient
 from flowtree.chebyshev import cheb_apply, cheb_approx, cheb_column
 from flowtree.localops import (InsufficientMarginError, KernelColumn,
                                WindowFunction, apply_averaging, apply_gradient,
@@ -233,6 +233,18 @@ def mixed_window_json(depth, up):
     return {"apex_level": up, "vertices": recs}
 
 
+GOLDEN = ((5 ** 0.5 - 1) / 2, 1 - (5 ** 0.5 - 1) / 2)
+# three unequal splits whose child sums round differently in reverse order
+UNEVEN = (0.61, 0.27, 0.12)
+
+
+def reversed_successors(w):
+    """The window w with every successor list reversed, so that children no
+    longer come in id order (nor in window order)."""
+    return TreeWindow(w.apex, dict(w.pred), {v: cs[::-1] for v, cs in w.succ.items()},
+                      dict(w.level), dict(w.complete))
+
+
 def _windows():
     ball_w, ball_m, _ = ball_window(2, 5)
     ratio_w, ratio_m, _ = constant_ratio_window(
@@ -240,8 +252,12 @@ def _windows():
     fw, fm, _ = constant_ratio_window((0.6, 0.4), depth=5, up=3, backend="float")
     loaded_w, loaded_m = load_window(json.dumps(window_to_json(fw, fm)))
     mixed_w, mixed_m = load_window(json.dumps(mixed_window_json(5, 3)))
+    uneven_w, uneven_m, _ = ball_window(UNEVEN, 5, backend="float")
     return {"ball": (ball_w, ball_m), "ratio": (ratio_w, ratio_m),
-            "loaded": (loaded_w, loaded_m), "mixed": (mixed_w, mixed_m)}
+            "loaded": (loaded_w, loaded_m), "mixed": (mixed_w, mixed_m),
+            "float ball": ball_window(3, 5, backend="float")[:2],
+            "golden": ball_window(GOLDEN, 6, backend="float")[:2],
+            "reversed": (reversed_successors(uneven_w), uneven_m)}
 
 
 WINDOWS = _windows()
@@ -269,6 +285,12 @@ def assert_same_bits(got, want):
     assert repr(sorted(got.values.items())) == repr(sorted(want.values.items()))
 
 
+def assert_same_column(col, want: dict):
+    """A column's values are want's, bit for bit and type for type."""
+    typed = lambda vals: repr(sorted((v, type(x), x) for v, x in vals.items()))
+    assert typed(col.values) == typed(want)
+
+
 def start_pair(w, y, start):
     """The input of a test and its reference copy: the indicator of y,
     complex values with signed-zero parts at y and its children (where
@@ -292,6 +314,24 @@ distance_st = st.integers(0, DEG + 1)
 pick_st = st.integers(0, 10 ** 6)
 letter_st = st.sampled_from((Z1, Z2))
 coeff_st = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+float_st = st.floats(-3, 3)
+complex_st = st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+number_st = st.one_of(coeff_st, float_st, float_st.map(np.float64), complex_st)
+
+
+def coeff_lists(element):
+    return st.lists(element, min_size=1, max_size=DEG + 1)
+
+
+# Laplacian polynomial coefficients of one Python kind, real or complex (the
+# float windows' ball sweeps), or mixing Fractions, floats, numpy floats and
+# complex values (the stencils); signed zeros and subnormal parts included
+numbers_st = st.one_of(coeff_lists(coeff_st | float_st), coeff_lists(complex_st),
+                       coeff_lists(number_st))
+FLOAT_WINDOWS = ("loaded", "float ball", "golden", "reversed")
+# the rational-coefficient test's windows: three rational ones, where
+# all-Fraction lists run the exact integer stencils, and one float window
+COEFF_WINDOWS = ("ball", "loaded", "mixed", "ratio")
 start_st = st.sampled_from(("indicator", "signed zeros", "fractions"))
 
 
@@ -329,10 +369,7 @@ def test_word_polynomials_match_reference(name, d, pick, terms):
     assert col.safe == want.safe
 
 
-@HYPO
-@given(windows_st, distance_st, pick_st,
-       st.lists(coeff_st, min_size=1, max_size=DEG + 1), start_st)
-def test_laplacian_polynomials_match_reference(name, d, pick, coeffs, start):
+def check_laplacian_polynomial(name, d, pick, coeffs, start):
     w, m = WINDOWS[name]
     y = anchor_at(w, d, pick)
     f, ref = start_pair(w, y, start)
@@ -347,17 +384,40 @@ def test_laplacian_polynomials_match_reference(name, d, pick, coeffs, start):
             kernel_column_lambda_poly(w, m, coeffs, y)
         return
     col = kernel_column_lambda_poly(w, m, coeffs, y)
-    assert col.values == {v: x / m.values[y] for v, x in want.values.items()}
+    assert_same_column(col, {v: x / m.values[y] for v, x in want.values.items()})
     assert col.safe == want.safe
 
 
 @HYPO
-@given(st.sampled_from(("ball", "loaded")), distance_st, pick_st,
-       st.integers(0, DEG), st.floats(0.1, 4.0))
-def test_chebyshev_recurrence_matches_reference(name, d, pick, degree, t):
+@given(st.sampled_from(COEFF_WINDOWS), distance_st, pick_st, coeff_lists(coeff_st),
+       start_st)
+def test_laplacian_polynomials_match_reference(name, d, pick, coeffs, start):
+    """Fraction coefficients: the exact integer stencils on the rational
+    windows, the ball sweep on the loaded float one."""
+    check_laplacian_polynomial(name, d, pick, coeffs, start)
+
+
+@HYPO
+@given(windows_st, distance_st, pick_st, numbers_st, start_st)
+# mixed kinds: the anchor's value is complex, its neighbours' are floats;
+# numpy scalars: every value is a numpy float
+@example("reversed", DEG, 0, [0.5j, 1.0], "indicator")
+@example("golden", DEG, 0, [np.float64(0.5), 0.0, 1.0], "indicator")
+def test_laplacian_polynomials_of_any_numbers_match_reference(name, d, pick, coeffs,
+                                                              start):
+    """Float, complex and numpy coefficients and mixtures of them: ball
+    sweeps on float windows for one Python kind, stencils otherwise."""
+    check_laplacian_polynomial(name, d, pick, coeffs, start)
+
+
+@HYPO
+@given(st.sampled_from(("ball",) + FLOAT_WINDOWS), distance_st, pick_st,
+       st.integers(0, DEG), st.floats(0.1, 4.0), st.floats(-2.0, 2.0))
+def test_chebyshev_recurrence_matches_reference(name, d, pick, degree, t, omega):
+    """Heat (omega = 0) and complex multipliers exp((i omega - t) lambda)."""
     w, m = WINDOWS[name]
     y = anchor_at(w, d, pick)
-    model = cheb_approx(lambda lam: np.exp(-t * np.asarray(lam)), degree)
+    model = cheb_approx(lambda lam: np.exp((1j * omega - t) * np.asarray(lam)), degree)
     want = ref_chebyshev(w, m, model.coef, ref_indicator(w, y))
     assert_same(cheb_apply(w, m, model, indicator(w, y)), want)
     grad = apply_gradient(w, m, indicator(w, y))
@@ -369,10 +429,10 @@ def test_chebyshev_recurrence_matches_reference(name, d, pick, degree, t):
         return
     col = cheb_column(w, m, model, y)
     my = m.as_float(y)
-    assert col.values == {v: complex(x) / my for v, x in want.values.items()}
+    assert_same_column(col, {v: complex(x) / my for v, x in want.values.items()})
     assert col.safe == want.safe
     m_min = min(m.as_float(v) for v in want.safe)
-    assert col.err_bound == float(model.sup_err / np.sqrt(m_min * my))
+    assert repr(col.err_bound) == repr(float(model.sup_err / np.sqrt(m_min * my)))
 
 
 SUB = quotient.build_submersion_rational(
@@ -459,3 +519,66 @@ def test_rational_stencils_match_the_reference_lambdas():
                                                         True))
                 assert_same(got, want)
                 assert_same_bits(got, want)
+
+
+def test_swept_columns_sum_children_in_successor_order():
+    """Float-window columns sweep arrays on the anchor's ball; their child
+    sums follow the successor lists, so reversing every list changes some
+    bits, and both orders match the per-vertex reference."""
+    uneven_w, m, c = ball_window(UNEVEN, 5, backend="float")
+    model = cheb_approx(lambda lam: np.exp(-np.asarray(lam)), 4)
+    columns = []
+    for w in (uneven_w, reversed_successors(uneven_w)):
+        for coeffs in ([0.0, 0.0, 0.0, 1.0], [1.5 + 0j, -2j, 0.25 - 1j, 1 / 3 + 0j, 1j]):
+            want = ref_lambda_poly(w, m, coeffs, ref_indicator(w, c))
+            col = kernel_column_lambda_poly(w, m, coeffs, c)
+            assert_same_column(col, {v: x / m.values[c] for v, x in want.values.items()})
+            assert col.safe is w.all_vertices()
+            columns.append(col.values)
+        want = ref_chebyshev(w, m, model.coef, ref_indicator(w, c))
+        col = cheb_column(w, m, model, c)
+        assert_same_column(col, {v: complex(x) / m.as_float(c) for v, x in want.values.items()})
+        columns.append(col.values)
+    for forward, backward in zip(columns[:3], columns[3:]):  # L^3, the complex sum, T
+        assert forward.keys() == backward.keys()
+        assert any(repr(x) != repr(backward[v]) for v, x in forward.items())
+
+
+def test_window_arrays_are_built_once_per_window():
+    """No window builds its arrays while it is built; the first swept column
+    does, and every later column, measure lookup and meeting-level call
+    reads the same objects."""
+    w, m, c = ball_window(2, 6, backend="float")
+    assert w._arrays is None
+    model = cheb_approx(lambda lam: np.exp(-np.asarray(lam)), 4)
+    cheb_column(w, m, model, c)
+    arrays = w.arrays()
+    masses = arrays.masses(m)
+    kernel_column_lambda_poly(w, m, [0.0, 1.0, 0.5], c)
+    cheb_column(w, m, model, w.children(c)[0])
+    assert w.arrays() is arrays and arrays.masses(m) is masses
+    assert analysis._meeting_levels(w, c)[0] is arrays.level
+    assert masses.tolist() == [m.values[v] for v in w.vertices]
+    # a built window's ids are its positions; a loaded one maps them
+    loaded = WINDOWS["loaded"][0]
+    assert arrays.position is None and loaded.arrays().position is not None
+    for u in (w, loaded):
+        assert u.arrays().positions(u.vertices).tolist() == list(range(len(u)))
+        assert u.arrays().vertices.tolist() == list(u.vertices)
+
+
+def test_rational_windows_keep_exact_iterate_columns():
+    """On a rational window both columns keep the exact route: Laplacian
+    polynomial columns are Fractions, Chebyshev columns are complex(T) /
+    m(y) of exact iterates, and the window's arrays are never built."""
+    w, m, c = ball_window(2, 4)
+    coeffs = [Fraction(1, 3), Fraction(-1), 0, Fraction(2)]
+    col = kernel_column_lambda_poly(w, m, coeffs, c)
+    want = ref_lambda_poly(w, m, coeffs, ref_indicator(w, c))
+    assert all(type(x) is Fraction for x in col.values.values())
+    assert_same_column(col, {v: x / m.values[c] for v, x in want.values.items()})
+    model = cheb_approx(lambda lam: np.exp(-np.asarray(lam)), 4)
+    want = ref_chebyshev(w, m, model.coef, ref_indicator(w, c))
+    col = cheb_column(w, m, model, c)
+    assert_same_column(col, {v: complex(x) / m.as_float(c) for v, x in want.values.items()})
+    assert w._arrays is None
