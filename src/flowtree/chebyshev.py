@@ -1,15 +1,16 @@
 """Chebyshev models for scalar functions of the flow Laplacian on [0, 2].
 
 The interpolant is built in the shifted variable u = lambda - 1 on [-1, 1].
-Its sup-norm defect is estimated by dense sampling and reported as such; the
-pointwise kernel certificate divides that estimate by sqrt(m(x) m(y)), which
-is the L2 operator-norm route.  The sampling estimate is not a proof, so
-consumers are expected to budget headroom on top of it.
+Its sup-norm defect is estimated by dense sampling and reported as such.
+A kernel column of the interpolant carries the certificate sup_err /
+sqrt(m_min m(y)), m_min the least mass on its certified set: the defect
+bounds the L2 operator norm, and |K(x, y)| <= ||T|| / sqrt(m(x) m(y)).  The
+sampling estimate is not a proof, so consumers are expected to budget
+headroom on top of it.
 
-The recurrence T_{k+1} = 2 (L - I) T_k - T_{k-1} runs one Laplacian stencil
-per degree; a kernel column on a float window runs it instead as the
-array sweep of the anchor's ball (``localops._swept_column``), with the
-same bits.
+The column, sum coef[k] T_k(L - I) delta_y / m(y), comes from the one column
+entry for polynomials in L, ``localops._polynomial_column``, which runs the
+three-term recurrence on the engine the window's backend picks.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
-from .localops import (KernelColumn, WindowFunction, _accumulate, _anchored,
-                       _combine, _swept_column, apply_laplacian)
+from .localops import KernelColumn, _polynomial_column
 from .trees import FlowMeasure, TreeWindow, Vertex
 
 
@@ -70,57 +70,16 @@ def cheb_approx(fn, degree: int) -> ChebModel:
     return ChebModel(coef, degree, float(resid))
 
 
-def _forward_recurrence(window: TreeWindow, measure: FlowMeasure,
-                        coef: np.ndarray, f: WindowFunction) -> WindowFunction:
-    """sum_k coef[k] T_k(L - I) f by the forward three-term recurrence
-    T_{k+1} = 2 (L - I) T_k - T_{k-1}, one Laplacian stencil per degree."""
-
-    def terms():
-        yield coef[0], f
-        t_prev, t_cur = None, f
-        for k in range(1, len(coef)):
-            lt = apply_laplacian(window, measure, t_cur)
-            vals = _accumulate(dict(lt.values), -1, t_cur.values)
-            if k >= 2:
-                vals = _accumulate(_accumulate({}, 2, vals), -1, t_prev.values)
-            t_prev, t_cur = t_cur, WindowFunction(vals, lt.safe, lt.zero_outside)
-            yield coef[k], t_cur
-
-    return _combine(window, terms())
-
-
-def cheb_apply(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
-               f: WindowFunction) -> WindowFunction:
-    """Apply the interpolant of F to a window function."""
-    return _forward_recurrence(window, measure, model.coef, f)
-
-
 def cheb_column(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
                 y: Vertex) -> KernelColumn:
-    """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N);
-    on a float window by sweeps of the anchor's ball."""
-    f = _anchored(window, model.degree, y)
+    """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N),
+    err_bound = sup_err / sqrt(m_min m(y)), m_min over the certified set:
+    the whole window on a float one, read from its cached masses."""
+    col = _polynomial_column(window, measure, model.coef, y, True)
     my = measure.as_float(y)
     if measure.backend == "float":
-        col = _swept_column(window, measure, model.coef, y, True)
         m_min = float(window.arrays().masses(measure).min())
     else:
-        g = _forward_recurrence(window, measure, model.coef, f)
-        col = KernelColumn(y, {v: complex(x) / my for v, x in g.values.items()}, g.safe)
-        m_min = min((measure.as_float(v) for v in g.safe), default=my)
+        m_min = min((measure.as_float(v) for v in col.safe), default=my)
     col.err_bound = float(model.sup_err / np.sqrt(m_min * my))
     return col
-
-
-def kernel_value_general(window: TreeWindow, measure: FlowMeasure,
-                         model: ChebModel, x: Vertex, y: Vertex):
-    """K_{P_N(L)}(x, y) plus the pointwise certificate for K_{F(L)}(x, y).
-
-    |K_{F(L)}(x,y) - value| <= sup_err / sqrt(m(x) m(y)), since the spectrum
-    lies in [0, 2] and the interpolation defect bounds the L2 operator norm.
-    """
-    g = _forward_recurrence(window, measure, model.coef,
-                            _anchored(window, model.degree, y, x))
-    value = complex(g.values.get(x, 0)) / measure.as_float(y)
-    cert = model.sup_err / np.sqrt(measure.as_float(x) * measure.as_float(y))
-    return value, float(cert)

@@ -42,15 +42,6 @@ class QSurd:
         self.a = a
         self.b = b
 
-    @classmethod
-    def sqrt_q_power(cls, q: int, k: int) -> "QSurd":
-        """q**(k/2) for integer k (k may be negative)."""
-        half, odd = divmod(k, 2)
-        base = Fraction(q) ** half
-        if odd:
-            return cls(q, 0, base)
-        return cls(q, base, 0)
-
     def _check(self, other: "QSurd") -> None:
         if self.q != other.q:
             raise ValueError("mixed surd bases")

@@ -20,8 +20,9 @@ support, not the window.  Certified sets are materialised only when needed:
   vertex), the function may no longer vanish outside the window, and from
   then on the certified set is computed vertex by vertex over the window.
 
-Word polynomials, Laplacian polynomials and the Chebyshev recurrence sum
-their stencil results through one helper, ``_combine``.
+Word polynomials sum their stencil results through one helper,
+``_combine``; so do polynomials in L, over one generator of iterates
+(``_iterates``: L^k f, or the Chebyshev T_k(L - I) f).
 
 On the rational backend the three stencils that read children (Sigma*, A
 and L) run on integer numerators when every input value is an int or a
@@ -31,8 +32,8 @@ common denominator M, so each child weight m(c)/m(v) is a ratio of
 integers mu(c)/mu(v).  Each output is then built once, as one
 Fraction(n, s D mu(v)), instead of through a Fraction multiply, add and
 divide per child.  The float backend, rational windows holding other
-values, and shift and gradient (which read no measure and keep their ints)
-apply the stencil's combine vertex by vertex.
+values, and the shift (which reads no measure and keeps its ints) apply the
+stencil's combine vertex by vertex.
 
 There, and in every sum, zero reads are skipped, not added: a child sum
 starts from its first nonzero product, and an entry new to a sum starts
@@ -41,16 +42,18 @@ reverse add for it) and no multiplication by a unit coefficient.  A float
 or complex term still gets that 0 +, which clears the signed zeros of a
 complex value, so every value keeps its type and its bits.
 
-Anchored kernel columns on float windows (``kernel_column_lambda_poly``
-here, ``chebyshev.cheb_column`` through the same sweep) skip the dicts: the
-anchor's ball B_N(y), which holds every iterate, is read from the window's
-cached arrays (``TreeWindow.arrays``), and each Laplacian step is one pass
-of the Laplacian's rule over numpy arrays on the ball, with the stencil's
-sums in the stencil's order, so every value keeps the per-vertex route's
-bits and type.  Rational windows, whose iterates are exact Fractions, the
-``apply_*`` functions, whose inputs need not be anchored, and Laplacian
-polynomials whose coefficients are not all real or all complex Python
-numbers keep the stencils.
+Kernel columns of polynomials in L, ``kernel_column_lambda_poly`` here and
+``chebyshev.cheb_column``, share one entry, ``_polynomial_column``, which
+anchors the column, picks its engine and divides by m(y).  On float
+windows it skips the dicts: the anchor's ball B_N(y), which holds every
+iterate, is read from the window's cached arrays (``TreeWindow.arrays``),
+and each Laplacian step is one pass of the Laplacian's rule over numpy
+arrays on the ball, with the stencil's sums in the stencil's order, so
+every value keeps the per-vertex route's bits and type.  Rational windows,
+whose iterates are exact Fractions, and Laplacian polynomials whose
+coefficients are not all real or all complex Python numbers keep the
+stencils; so do the ``apply_*`` functions, whose inputs need not be
+anchored.
 """
 
 from __future__ import annotations
@@ -266,7 +269,6 @@ def _integer_stencil(measure, fv, pred, near, weights):
 # the weights (a, b, c, s) of each stencil, as _stencil reads them
 _SHIFT = (0, 1, 0, 1)
 _SHIFT_ADJOINT = (0, 0, 1, 1)
-_GRADIENT = (1, -1, 0, 1)
 _AVERAGING = (0, 1, 1, 2)
 _LAPLACIAN = (2, -1, -1, 2)
 _RATIONAL = (int, Fraction)
@@ -303,11 +305,6 @@ def apply_ncpoly(window: TreeWindow, measure: FlowMeasure, poly: NcPolynomial,
                              for word, c in poly.terms.items()))
 
 
-def apply_gradient(window, measure, f):
-    """(grad f)(x) = f(x) - f(parent(x))."""
-    return _stencil(window, measure, f, lambda fv, fp, fc: fv - fp, _GRADIENT)
-
-
 def _half(measure: FlowMeasure):
     return Fraction(1, 2) if measure.backend == "rational" else 0.5
 
@@ -329,16 +326,22 @@ def apply_laplacian(window, measure, f):
     return _stencil(window, measure, f, _laplacian_rule(_half(measure)), _LAPLACIAN)
 
 
-def apply_lambda_poly(window, measure, coeffs, f: WindowFunction) -> WindowFunction:
-    """sum_k coeffs[k] L^k f by iterated Laplacian stencils (radius = degree)."""
-    def powers():
-        g = f
-        for k, c in enumerate(coeffs):
-            if k:
-                g = apply_laplacian(window, measure, g)
-            yield c, g
-
-    return _combine(window, powers())
+def _iterates(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
+              count: int, chebyshev: bool):
+    """f, then P_k(L) f for 0 < k < count, one Laplacian stencil per step:
+    L^k f, or the Chebyshev T_k(L - I) f when ``chebyshev`` is set, by
+    T_{k+1} = 2 (L - I) T_k - T_{k-1}."""
+    prev = None
+    for k in range(count):
+        if k:
+            g = apply_laplacian(window, measure, f)
+            if chebyshev:
+                vals = _accumulate(dict(g.values), -1, f.values)
+                if k >= 2:
+                    vals = _accumulate(_accumulate({}, 2, vals), -1, prev.values)
+                prev, g = f, WindowFunction(vals, g.safe, g.zero_outside)
+            f = g
+        yield f
 
 
 @dataclass
@@ -390,14 +393,32 @@ def kernel_column_poly(window: TreeWindow, measure: FlowMeasure,
 
 def kernel_column_lambda_poly(window: TreeWindow, measure: FlowMeasure,
                               coeffs, y: Vertex) -> KernelColumn:
-    """Column of sum coeffs[k] L^k, via stencils (margin = polynomial degree);
-    on a float window by sweeps of the anchor's ball."""
+    """Column of sum coeffs[k] L^k at anchor y; needs y safe at the degree."""
+    return _polynomial_column(window, measure, coeffs, y, False)
+
+
+def _polynomial_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vertex,
+                       chebyshev: bool) -> KernelColumn:
+    """The column at anchor y of sum coeffs[k] P_k(L): P_k = L^k, or
+    T_k(L - I) when ``chebyshev`` is set; y must be safe at the degree.
+
+    The one place a column picks its engine: a float window sweeps the
+    anchor's ball (_swept_column) for a Chebyshev model or coefficients of
+    one Python kind (_kinds); otherwise the stencils' iterates are summed
+    by _combine and divided by m(y) as the sweep divides them, a Laplacian
+    polynomial by _column_from_function, a Chebyshev value as
+    complex(x) / m(y).
+    """
     f = _anchored(window, max(len(coeffs) - 1, 0), y)
-    kinds = _kinds(coeffs)
-    if measure.backend == "float" and (kinds <= {False} or kinds <= {True}):
-        return _swept_column(window, measure, coeffs, y, False)
-    return _column_from_function(window, measure,
-                                 apply_lambda_poly(window, measure, coeffs, f), y)
+    one_kind = _kinds(coeffs) in (set(), {False}, {True})
+    if measure.backend == "float" and (chebyshev or one_kind):
+        return _swept_column(window, measure, coeffs, y, chebyshev)
+    g = _combine(window, zip(coeffs, _iterates(window, measure, f, len(coeffs),
+                                                chebyshev)))
+    if not chebyshev:
+        return _column_from_function(window, measure, g, y)
+    my = measure.as_float(y)
+    return KernelColumn(y, {v: complex(x) / my for v, x in g.values.items()}, g.safe)
 
 
 def _segments(start: np.ndarray, stop: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ a word is a tuple of symbols applied right-to-left, so (1, 2) means Z1*Z2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 Z1 = 1
 Z2 = 2
@@ -25,35 +24,6 @@ class NcPolynomial:
             for w, c in dict(terms).items():
                 if c:
                     self.terms[tuple(w)] = c
-
-    @classmethod
-    def identity(cls):
-        return cls({(): 1})
-
-    @classmethod
-    def letter(cls, j):
-        if j not in (Z1, Z2):
-            raise ValueError("letter must be Z1 or Z2")
-        return cls({(j,): 1})
-
-    @classmethod
-    def laplacian(cls):
-        """(1/2)(1 - Z2)(1 - Z1)."""
-        h = Fraction(1, 2)
-        return cls({(): h, (Z1,): -h, (Z2,): -h, (Z2, Z1): h})
-
-    @classmethod
-    def from_lambda_coeffs(cls, coeffs):
-        """sum_k coeffs[k] * L**k with L the flow Laplacian word expansion."""
-        out = cls()
-        power = cls.identity()
-        lap = cls.laplacian()
-        for k, c in enumerate(coeffs):
-            if k:
-                power = power * lap
-            if c:
-                out = out + power.scale(c)
-        return out
 
     def scale(self, c):
         return NcPolynomial({w: c * v for w, v in self.terms.items()})

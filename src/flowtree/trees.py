@@ -57,7 +57,8 @@ class TreeWindow:
     level: dict[Vertex, int]
     complete: dict[Vertex, bool]
     up_ratio: Optional[Number] = None
-    _defect_dist: Optional[dict[Vertex, int]] = field(default=None, repr=False)
+    _defect_dist: Optional[dict[Vertex, int]] = field(default=None, repr=False,
+                                                      compare=False)
     _all_vertices: Optional[frozenset[Vertex]] = field(default=None, repr=False,
                                                        compare=False)
     _arrays: Optional["WindowArrays"] = field(default=None, repr=False, compare=False)

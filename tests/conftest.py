@@ -106,6 +106,14 @@ def profile_value_exact(gradk, window, measure, v, lx, lz, j0):
     return total
 
 
+def sqrt_q_power(q, k):
+    """q**(k/2) as a QSurd, for integer k (k may be negative)."""
+    from flowtree.exactnum import QSurd
+    half, odd = divmod(k, 2)
+    base = Fraction(q) ** half
+    return QSurd(q, 0, base) if odd else QSurd(q, base, 0)
+
+
 def abel_forward_quadratic(q, phi):
     """J_q(phi)(j) = q^{j/2} [phi(j) + ((q-1)/q) sum_{k>=1} q^k phi(j+2k)],
     every tail summed afresh: the reference of abel.abel_forward."""
@@ -117,7 +125,7 @@ def abel_forward_quadratic(q, phi):
         tail = QSurd(q)
         for k in range(1, (n - 1 - j) // 2 + 1):
             tail = tail + Fraction(q) ** k * phi[j + 2 * k]
-        out.append(QSurd.sqrt_q_power(q, j) * (phi[j] + tail * Fraction(q - 1, q)))
+        out.append(sqrt_q_power(q, j) * (phi[j] + tail * Fraction(q - 1, q)))
     return out
 
 
@@ -135,7 +143,7 @@ def abel_inverse_quadratic(q, psi):
     for m in range(n):
         acc = QSurd(q)
         for j in range(0, (n - m) // 2 + 1):
-            acc = acc + QSurd.sqrt_q_power(q, -(m + 2 * j)) * (at(m + 2 * j) - at(m + 2 * j + 2))
+            acc = acc + sqrt_q_power(q, -(m + 2 * j)) * (at(m + 2 * j) - at(m + 2 * j + 2))
         out.append(acc)
     return out
 
@@ -227,6 +235,71 @@ def weighted_col_sums(window, measure, column, weight):
         d = window.distance(v, y)
         total = total + weight(d, window.level[v], ly) * abs(x) * measure.values[v]
     return total, truncated
+
+
+def apply_gradient(window, measure, f):
+    """(grad f)(x) = f(x) - f(parent(x)), on the stencil core: weights
+    (1, -1, 0, 1) read the vertex and its parent."""
+    from flowtree import localops
+    return localops._stencil(window, measure, f, lambda fv, fp, fc: fv - fp, (1, -1, 0, 1))
+
+
+def apply_lambda_poly(window, measure, coeffs, f):
+    """sum_k coeffs[k] L^k f for any window function f, by iterated
+    Laplacian stencils: the stencil route of kernel_column_lambda_poly."""
+    from flowtree import localops
+    return localops._combine(window, zip(coeffs, localops._iterates(
+        window, measure, f, len(coeffs), False)))
+
+
+def cheb_apply(window, measure, model, f):
+    """The interpolant of F applied to any window function by the forward
+    three-term recurrence on stencils: the stencil route of cheb_column,
+    and on float windows the cross-check of its ball sweep."""
+    from flowtree import localops
+    return localops._combine(window, zip(model.coef, localops._iterates(
+        window, measure, f, len(model.coef), True)))
+
+
+def kernel_value_general(window, measure, model, x, y):
+    """K_{P_N(L)}(x, y) by the stencil recurrence, plus the pointwise
+    certificate for K_{F(L)}(x, y): |K_{F(L)}(x,y) - value| <= sup_err /
+    sqrt(m(x) m(y)), since the spectrum lies in [0, 2] and the
+    interpolation defect bounds the L2 operator norm."""
+    from flowtree import localops
+    g = cheb_apply(window, measure, model,
+                   localops._anchored(window, model.degree, y, x))
+    value = complex(g.values.get(x, 0)) / measure.as_float(y)
+    cert = model.sup_err / np.sqrt(measure.as_float(x) * measure.as_float(y))
+    return value, float(cert)
+
+
+def word_identity():
+    """The identity as a word polynomial."""
+    from flowtree.ncpoly import NcPolynomial
+    return NcPolynomial({(): 1})
+
+
+def word_laplacian():
+    """L = (1/2)(1 - Z2)(1 - Z1) as a word polynomial."""
+    from flowtree.ncpoly import Z1, Z2, NcPolynomial
+    h = Fraction(1, 2)
+    return NcPolynomial({(): h, (Z1,): -h, (Z2,): -h, (Z2, Z1): h})
+
+
+def from_lambda_coeffs(coeffs):
+    """sum_k coeffs[k] L**k as a word polynomial, L expanded as
+    (1/2)(1 - Z2)(1 - Z1)."""
+    from flowtree.ncpoly import NcPolynomial
+    out = NcPolynomial()
+    power = word_identity()
+    lap = word_laplacian()
+    for k, c in enumerate(coeffs):
+        if k:
+            power = power * lap
+        if c:
+            out = out + power.scale(c)
+    return out
 
 
 def modulation(window, f: dict) -> dict:

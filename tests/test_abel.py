@@ -13,7 +13,8 @@ from flowtree import abel, zline
 from flowtree.exactnum import QSurd
 from flowtree.localops import kernel_column_lambda_poly
 
-from conftest import abel_forward_quadratic, abel_inverse_quadratic, weighted_col_sums
+from conftest import (abel_forward_quadratic, abel_inverse_quadratic, apply_gradient,
+                      cheb_apply, sqrt_q_power, weighted_col_sums)
 
 
 def _sphere_count(q, d, r):
@@ -113,7 +114,7 @@ def test_abel_relation_polynomials_exact():
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(deg + 1)]
             a_ex = abel.e_f_exact(q, coeffs, deg + 3)
-            e_seq = [QSurd.sqrt_q_power(q, -k) * a_ex[k] for k in range(len(a_ex))]
+            e_seq = [sqrt_q_power(q, -k) * a_ex[k] for k in range(len(a_ex))]
             fwd = abel.abel_forward(q, e_seq)
             zk = zline.z_kernel_lambda_poly(coeffs)
             for n, val in enumerate(fwd):
@@ -268,14 +269,13 @@ def test_sharpness_window_oracle():
     """Radial oscillating coefficients vs a Chebyshev column combination."""
     from flowtree.bumps import chi0
     from flowtree.chebyshev import cheb_approx, cheb_column
-    from flowtree.localops import indicator, apply_gradient
+    from flowtree.localops import indicator
     q, t = 2, 6.0
     sh = abel.sharpness_radial(q, t, 8)
     w, m, c = ball_window(q, 8, backend="float")
     fn = lambda lam: np.exp(1j * t * lam) * chi0(lam)
     model = cheb_approx(fn, 40)
     # columns of F(L) grad: apply grad to the indicator first
-    from flowtree.chebyshev import cheb_apply
     g = apply_gradient(w, m, indicator(w, c))
     gc = cheb_apply(w, m, model, g)
     # pick x on the ancestor line (x not strictly below y): scaled combo

@@ -5,9 +5,11 @@ import pytest
 
 from flowtree import ball_window
 from flowtree import zline
-from flowtree.chebyshev import cheb_approx, cheb_column, kernel_value_general
+from flowtree.chebyshev import cheb_approx, cheb_column
 from flowtree.localops import kernel_column_lambda_poly
 from flowtree.trees import InsufficientMarginError, in_safe_region
+
+from conftest import kernel_value_general
 
 
 def test_polynomial_reproduced():

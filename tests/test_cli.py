@@ -192,12 +192,14 @@ def test_kernel_on_the_line_writes_the_line_kernel(tmp_path):
         assert abs(got - want[abs(int(r["n"]))]) < 1e-12
 
 
-def test_kernel_power_multiplier_matches_the_polynomial_column(tmp_path):
-    """x^k with k = 2 through the Chebyshev route is the exact column of
-    L^2, on the same radius-4 ball, within the certified error."""
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_kernel_power_multiplier_matches_the_polynomial_column(tmp_path, backend):
+    """x^k with k = 2 through the Chebyshev route, on the stencils (rational)
+    and the ball sweep (float), is the exact column of L^2, on the same
+    radius-4 ball, within the certified error."""
     cheb, exact = tmp_path / "cheb", tmp_path / "exact"
     assert run(["kernel", "--q", "2", "--multiplier", "x^k", "--k", "2",
-                "--degree", "3", "--out", str(cheb)]) == 0
+                "--degree", "3", "--backend", backend, "--out", str(cheb)]) == 0
     assert run(["kernel", "--q", "2", "--coeffs", "0,0,1", "--out", str(exact)]) == 0
     metas = [json.loads((d / "kernel.csv.meta.json").read_text()) for d in (cheb, exact)]
     assert metas[0]["window_size"] == metas[1]["window_size"] == len(ball_window(2, 4)[0])

@@ -7,13 +7,13 @@ import pytest
 
 from flowtree import ball_window, homogeneous_window, safe_region
 from flowtree.localops import (InsufficientMarginError, WindowFunction,
-                               apply_gradient, apply_laplacian, apply_ncpoly,
-                               apply_shift, apply_shift_adjoint, apply_word,
-                               indicator, kernel_column_lambda_poly,
-                               kernel_column_poly)
+                               apply_laplacian, apply_ncpoly, apply_shift,
+                               apply_shift_adjoint, apply_word, indicator,
+                               kernel_column_lambda_poly, kernel_column_poly)
 from flowtree.ncpoly import Z1, Z2, NcPolynomial
 
-from conftest import modulation, weighted_col_sums
+from conftest import (apply_gradient, from_lambda_coeffs, modulation, weighted_col_sums,
+                      word_identity, word_laplacian)
 
 
 def rand_poly(rng, max_deg=4, max_terms=5):
@@ -53,7 +53,7 @@ def test_laplacian_stencil_column(t2_ball):
 
 def test_laplacian_word_and_stencil_agree(t2_ball):
     w, m, c = t2_ball
-    col_word = kernel_column_poly(w, m, NcPolynomial.laplacian(), c)
+    col_word = kernel_column_poly(w, m, word_laplacian(), c)
     col_sten = kernel_column_lambda_poly(w, m, [Fraction(0), Fraction(1)], c)
     for v in set(col_word.values) | set(col_sten.values):
         assert col_word.value(v) == col_sten.value(v)
@@ -61,7 +61,7 @@ def test_laplacian_word_and_stencil_agree(t2_ball):
 
 def test_identity_kernel(t2_ball):
     w, m, c = t2_ball
-    col = kernel_column_poly(w, m, NcPolynomial.identity(), c)
+    col = kernel_column_poly(w, m, word_identity(), c)
     assert col.values == {c: 1 / m.of(c)}
     assert col.err_bound == 0
 
@@ -131,7 +131,7 @@ def test_quadratic_form_positive(t2_ball):
 
 def test_weighted_col_sums_examples(t2_ball):
     w, m, c = t2_ball
-    ident = kernel_column_poly(w, m, NcPolynomial.identity(), c)
+    ident = kernel_column_poly(w, m, word_identity(), c)
     assert weighted_col_sums(w, m, ident, lambda d, lx, ly: 1)[0] == 1
     lap = kernel_column_lambda_poly(w, m, [Fraction(0), Fraction(1)], c)
     assert weighted_col_sums(w, m, lap, lambda d, lx, ly: 1)[0] == 2
@@ -173,7 +173,7 @@ def test_cubed_word_expansion_matches_stencil(t2_ball):
     stencil route exactly (dual code paths)."""
     w, m, c = ball_window(2, 7)
     coeffs = [Fraction(0), Fraction(0), Fraction(0), Fraction(1)]
-    via_words = kernel_column_poly(w, m, NcPolynomial.from_lambda_coeffs(coeffs), c)
+    via_words = kernel_column_poly(w, m, from_lambda_coeffs(coeffs), c)
     via_stencil = kernel_column_lambda_poly(w, m, coeffs, c)
     for v in set(via_words.values) | set(via_stencil.values):
         assert via_words.value(v) == via_stencil.value(v)

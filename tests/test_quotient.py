@@ -17,7 +17,7 @@ from flowtree.localops import (indicator, kernel_column_lambda_poly,
                                kernel_column_poly)
 from flowtree.ncpoly import Z1, Z2, NcPolynomial
 
-from conftest import validate_submersion_fraction, weighted_col_sums
+from conftest import validate_submersion_fraction, weighted_col_sums, word_identity
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -107,7 +107,7 @@ def test_fiber_average_identity_column():
                     if target.level[v] == target.level[base] - 2)
     anchor_s = next(s for s, t in sub.mapping.items() if t == anchor_t)
     col = kernel_column_poly(sub.source, sub.source_measure,
-                             NcPolynomial.identity(), anchor_s)
+                             word_identity(), anchor_s)
     pushed = quotient.fiber_average_kernel(sub, col)
     assert pushed.value(anchor_t) == 1 / tmeas.values[anchor_t]
     assert all(v == anchor_t for v in pushed.support())

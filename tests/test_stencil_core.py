@@ -22,13 +22,15 @@ from hypothesis import strategies as st
 from flowtree import (TreeError, analysis, constant_ratio_window, load_window,
                       safe_region, window_to_json)
 from flowtree import TreeWindow, ball_window, quotient
-from flowtree.chebyshev import cheb_apply, cheb_approx, cheb_column
+from flowtree.chebyshev import cheb_approx, cheb_column
 from flowtree.localops import (InsufficientMarginError, KernelColumn,
-                               WindowFunction, apply_averaging, apply_gradient,
-                               apply_lambda_poly, apply_laplacian, apply_ncpoly,
-                               apply_shift, apply_shift_adjoint, indicator,
-                               kernel_column_lambda_poly, kernel_column_poly)
+                               WindowFunction, apply_averaging, apply_laplacian,
+                               apply_ncpoly, apply_shift, apply_shift_adjoint,
+                               indicator, kernel_column_lambda_poly,
+                               kernel_column_poly)
 from flowtree.ncpoly import Z1, Z2, NcPolynomial
+
+from conftest import apply_gradient, apply_lambda_poly, cheb_apply
 
 DEG = 4
 HYPO = settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -251,6 +251,16 @@ def test_defect_distances_are_distances_to_the_nearest_defect():
         assert list(dist)[:len(defects)] == defects
 
 
+def test_equal_windows_stay_equal_after_filling_their_caches():
+    """Equality reads the tree, not which caches a window has filled."""
+    w, _, _ = ball_window(2, 3)
+    other, _, _ = ball_window(2, 3)
+    assert w == other
+    w.defect_distances(), w.all_vertices(), w.arrays()
+    assert w == other and other == w
+    assert w != ball_window(2, 4)[0]
+
+
 def test_ball_window_center_safety():
     w, m, c = ball_window(2, 5)
     assert c in safe_region(w, 5)
