@@ -155,10 +155,10 @@ def _at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
-def _flow(args, q=None):
+def _flow(args):
     """The flow of a built-in ball, as ``ball_window`` takes it: ``--ratios``,
-    the golden ratios, 1 for the line, or else the degree q (``--q`` when
-    q is None); None for a loaded file and the spine, which are not balls."""
+    the golden ratios, 1 for the line, or else the degree ``--q``; None for
+    a loaded file and the spine, which are not balls."""
     if args.ratios:
         if args.tree or args.window != "homog":
             other = "--tree" if args.tree else f"--window {args.window}"
@@ -173,7 +173,7 @@ def _flow(args, q=None):
         return (GOLDEN_RATIO, 1 - GOLDEN_RATIO)
     if kind == "zline":
         return 1
-    return args.q if q is None else q
+    return args.q
 
 
 class _Seen:
@@ -187,10 +187,10 @@ class _Seen:
         return getattr(self.args, dest)
 
 
-def _route(args, q=None):
+def _route(args):
     """The window the flags choose, as a function of the radius; every flag
     it reads is read here, before anything is built."""
-    flow = _flow(args, q)
+    flow = _flow(args)
     if args.tree:
         path = args.tree
 
@@ -217,21 +217,18 @@ def _refuse(args, route: str, dests) -> None:
             raise ValueError(f"{route} does not read {args.explicit[dest]}")
 
 
-def make_window(args, radius: int, q=None):
+def make_window(args, radius: int):
     """Window selection shared by the subcommands: a loaded file, the spine
     (``--depth`` long), or the ball of ``_flow``'s flow around the anchor it
-    returns (the line's ball: radius at least 12).  A given q is the ball's
-    degree in place of ``--q``.  An explicit window flag, or ``--q`` when q
-    is not given, that the chosen route does not read exits 2 before
-    anything is built.  q stays a parameter for ``rationalize``, which
-    reads ``--q`` as its denominator on every route, so that a ball it
-    builds takes its degree from q and ``--q`` is not refused."""
+    returns (the line's ball: radius at least 12).  An explicit window flag
+    or ``--q`` that the chosen route does not read exits 2 before anything
+    is built."""
     seen = _Seen(args)
-    build = _route(seen, q)
+    build = _route(seen)
     how = ("--tree" if args.tree else "--ratios" if args.ratios
            else f"--window {args.window}")
-    flags = (*WINDOW, "q") if q is None else tuple(WINDOW)
-    _refuse(args, f"{args.command} {how}", [d for d in flags if d not in seen.read])
+    _refuse(args, f"{args.command} {how}",
+            [d for d in (*WINDOW, "q") if d not in seen.read])
     return build(radius)
 
 
@@ -408,8 +405,10 @@ def cmd_transfer_check(args, out):
 
 
 def cmd_rationalize(args, out):
-    # --q is the denominator here, not the degree of a ball
-    window, measure, _ = make_window(args, 6, q=2)
+    # --q is the denominator here, read on every route; a ball has degree 2
+    ball = argparse.Namespace(**vars(args))
+    ball.q, ball.explicit = 2, {d: f for d, f in args.explicit.items() if d != "q"}
+    window, measure, _ = make_window(ball, 6)
     q = args.q
     mq, rows, max_err = quotient.rationalize_flow(window, measure, q)
     csv_rows = [(r.vertex, r.child_index, r.ratio.numerator, r.ratio.denominator,
@@ -422,7 +421,7 @@ def cmd_rationalize(args, out):
 
 def cmd_weighted_sweep(args, out):
     ts = _grid(args, "--t-grid", _positive_grid)
-    qs = _grid(args, "--q-grid", _int_grid, least=1)
+    qs = _grid(args, "--q-grid", _int_grid, least=2)
     rep = analysis.weighted_heat_sweep(args.epsilon, ts, qs)
     _write(out, "weighted_sweep.csv", rep.csv_header(), rep.csv_rows(),
            {"fits": rep.fit, **rep.meta})
@@ -442,7 +441,8 @@ def cmd_level_sum(args, out):
 def cmd_mh_norms(args, out):
     alpha = args.alpha
     ls = _grid(args, "--l-grid", _distinct_int_grid, least=0)
-    rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls, q=args.q)
+    rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
+                                   q=_at_least("--q", args.q, 2))
     _write(out, "mh_norms.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, "alpha": alpha, **rep.meta})
     return {}
@@ -450,7 +450,7 @@ def cmd_mh_norms(args, out):
 
 def cmd_sharpness(args, out):
     ts = _grid(args, "--t-grid", _int_grid, least=2)
-    rep = analysis.sharpness_fit(args.q, ts)
+    rep = analysis.sharpness_fit(_at_least("--q", args.q, 2), ts)
     sob = analysis.sobolev_growth(list(np.exp(np.linspace(np.log(30.0), np.log(300.0), 12))))
     _write(out, "sharpness.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, "sobolev": {s: f for s, f in sob.items()}, **rep.meta})

@@ -26,7 +26,6 @@ the column and level sums.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -58,12 +57,6 @@ class AncestorChain:
         """m(a_J)/m(a_K) at chain indices i = J - base_level, k = K - base_level."""
         return np.ldexp(self.mantissa[i] / self.mantissa[k],
                         self.exponent[i] - self.exponent[k])
-
-    @functools.cached_property
-    def never_falls(self) -> bool:
-        """m(a_J) <= m(a_{J+1}) at every level, compared exactly."""
-        step = np.clip(np.diff(self.exponent), -2, 2)
-        return bool(np.all(np.ldexp(self.mantissa[1:], step) >= self.mantissa[:-1]))
 
     def inverse_measures(self, levels) -> np.ndarray:
         """1/m(a_J) at integer levels J >= base_level, zero above the top."""
@@ -114,58 +107,25 @@ def _suffix_sums(h: np.ndarray, chain: AncestorChain, s: np.ndarray,
     from its top level (the last inside h and the chain) in blocks over
     which log2 m rises by at most _SPAN_BITS: terms scaled to the measure at
     their block's top, one cumulative sum per block, and the blocks above
-    carried down, rescaled block by block.  Each value is added from the
-    top down whatever else shares the call.
-
-    On a chain whose measures never fall, real rows leave out the blocks
-    above the one before the first block any row reads, if what those
-    blocks carry down is shown not to change a bit (see _block_sums); else
-    the rows are summed again from their tops."""
+    carried down, rescaled block by block.  Rows are summed _BLOCK_ENTRIES
+    table entries at a time, to bound memory.  Each value is added from the
+    top down whatever else shares the call."""
     rows, row = np.unique(s, return_inverse=True)
     hi = np.minimum(chain.top_level, (len(h) - 2 + rows) // 2)
     k = hi[row] - first
-    width = max(k.max(initial=0), 0) + 1
-    size = width if chain.rise <= 0 else max(1, min(width, int(_SPAN_BITS / chain.rise)))
-    drop = 0
-    if width > 2 * size and h.dtype.kind == "f":
-        top_read = k.min()   # the first level any row reads
-        if top_read < 0:
-            top_read = k[k >= 0].min(initial=width)
-        drop = max(top_read // size - 1, 0)
-    if drop and not chain.never_falls:
-        drop = 0
-    out = _block_sums(h, chain, rows, hi, row, k, j0, size, drop)
-    return out if out is not None else _block_sums(h, chain, rows, hi, row, k, j0, size, 0)
-
-
-def _block_sums(h, chain, rows, hi, row, k, j0, size, drop) -> Optional[np.ndarray]:
-    """_suffix_sums with every row summed from `drop` blocks below its top,
-    or None if the dropped blocks might change a bit.
-
-    Dropping the blocks above block D loses the carry into D, which is at
-    most C = 2 shift (max|h| + 2^-1073) with shift the levels dropped: each
-    of their ratios m(a_top_D)/m(a_J) is at most 1, rounding grows a sum of
-    under 2^40 terms by under a factor 2, and each subnormal product adds
-    at most 2^-1075.  Block D is not read; it passes on only its last sum
-    x, which that carry leaves unchanged if C <= |x| 2^-55.
-    """
-    shift = drop * size
-    if shift:
-        k = k - shift
-    width = -(-(max(k.max(initial=0), 0) + 1) // size) * size
+    reach = max(k.max(initial=0), 0) + 1
+    size = reach if chain.rise <= 0 else max(1, min(reach, int(_SPAN_BITS / chain.rise)))
+    width = -(-reach // size) * size
     out = np.zeros(len(row), dtype=np.result_type(chain.mantissa, h))
-    lost = 2 * shift * (np.abs(h).max(initial=0.0) + 2.0 ** -1073)   # C
     per_chunk = max(1, _BLOCK_ENTRIES // width)
     for lo in range(0, len(rows), per_chunk):
-        J = hi[lo:lo + per_chunk, None] - shift - np.arange(width)
+        J = hi[lo:lo + per_chunk, None] - np.arange(width)
         # entries below a row's lowest start are never read; clip them into range
         n = np.maximum(J - chain.base_level, 0)
         top = n[:, ::size]
         terms = (chain.ratio(np.repeat(top, size, axis=1), n)
                  * h[np.clip(2 * J - rows[lo:lo + per_chunk, None] + 1, 0, len(h) - 1)])
         part = np.cumsum(terms.reshape(len(J), -1, size), axis=2)
-        if drop and not np.all(lost <= np.abs(part[:, 0, -1]) * 2.0 ** -55):
-            return None
         for b in range(1, part.shape[1]):   # add the blocks above, rescaled
             part[:, b] += part[:, b - 1, -1:] * chain.ratio(top[:, b], top[:, b - 1])[:, None]
         at = np.flatnonzero((row >= lo) & (row < lo + per_chunk) & (k >= 0))

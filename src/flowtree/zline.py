@@ -92,7 +92,9 @@ def _doubled_grid(fn, nmax: int, transform):
 
     G starts at _default_grid(nmax) and doubles until the G-point sums
     differ from the 2G-point ones by at most ALIAS_TOL; a G of MAX_GRID or
-    more where they still differ raises AliasingError, naming G.
+    more where they still differ raises AliasingError, naming G.  An nmax
+    whose default grid is past MAX_GRID is refused, ValueError, before any
+    array is built.
 
     transform returns its full length-2G transform, linear in the symbol.
     The G points are the even ones of the 2G, and the even samples' sums
@@ -101,6 +103,9 @@ def _doubled_grid(fn, nmax: int, transform):
     symbol evaluation and one transform per grid tried.
     """
     G = _default_grid(nmax)
+    if G > MAX_GRID:
+        raise ValueError(f"nmax {nmax} needs a grid of {G} points, past "
+                         f"MAX_GRID = {MAX_GRID}")
     while True:
         points = 2 * G
         theta = 2 * np.pi * np.arange(points) / points

@@ -160,6 +160,18 @@ def test_kernel_on_the_line_past_the_largest_grid_exits_one(tmp_path):
     assert zline.MAX_GRID == 65536
 
 
+def test_kernel_on_the_line_past_the_largest_default_grid_exits_two(tmp_path, capsys):
+    """--dmax 16304 is the largest nmax whose default grid is MAX_GRID; one
+    past it is refused as bad input before any grid is built."""
+    assert run(["kernel", "--window", "zline", "--multiplier", "exp(-t*x)",
+                "--t", "1", "--dmax", "16304", "--out", str(tmp_path / "o")]) == 0
+    assert run(["kernel", "--window", "zline", "--multiplier", "exp(-t*x)",
+                "--t", "1", "--dmax", "17000", "--out", str(tmp_path / "p")]) == 2
+    err = capsys.readouterr().err
+    assert "nmax 17000" in err and "MAX_GRID = 65536" in err
+    assert not (tmp_path / "p" / "failure.json").exists()
+
+
 def test_kernel_over_the_vertex_cap_names_its_size_and_the_cap(tmp_path, capsys):
     """The degree-20 ball of the 3-ary tree exits 2 before it is built; the
     message names both numbers and offers no way around the cap."""
@@ -684,6 +696,9 @@ def test_spectrum_command(tmp_path):
     (["transfer-check", "--q", "0"], "needs q >= 1"),
     # a radius-0 ball holds no pair besides the anchor
     (["riesz-skew-check", "--dmax", "0"], "--dmax must be >= 1"),
+    # the radial route needs q >= 2; neither command reads --window
+    (["mh-norms", "--q", "1"], "--q must be >= 2"),
+    (["sharpness", "--q", "1"], "--q must be >= 2"),
 ])
 def test_bad_numeric_flag_exits_two(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -705,13 +720,15 @@ def test_mh_norms_l_grid_needs_two_distinct_levels(tmp_path, capfd, value):
     (["sharpness", "--t-grid", "1"], "--t-grid"),
     (["divergence", "--d-grid", "0,8"], "--d-grid"),
     (["weighted-sweep", "--q-grid", "0"], "--q-grid"),
+    (["weighted-sweep", "--q-grid", "1"], "--q-grid"),
     (["spectrum", "--d-grid", "0"], "--d-grid"),
     (["weighted-sweep", "--t-grid", "0"], "--t-grid"),
     (["level-sum", "--t-grid", "inf"], "--t-grid"),
     (["spectrum", "--theta-grid", "x"], "--theta-grid"),
     (["level-sum", "--t-grid=-1,2"], "--t-grid"),
-], ids=["sharpness-t1", "divergence-d0", "weighted-sweep-q0", "spectrum-d0",
-        "weighted-sweep-t0", "level-sum-inf", "spectrum-theta-x", "level-sum-t-1"])
+], ids=["sharpness-t1", "divergence-d0", "weighted-sweep-q0", "weighted-sweep-q1",
+        "spectrum-d0", "weighted-sweep-t0", "level-sum-inf", "spectrum-theta-x",
+        "level-sum-t-1"])
 def test_bad_grid_names_its_flag(tmp_path, capsys, argv, flag):
     """A grid refused for its form or its range exits 2 naming the flag."""
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
