@@ -2,11 +2,17 @@
 
 A submersion intertwines predecessors and successor sets; compatibility of
 the two flow measures says each target branching ratio equals the mass
-fraction of the matching fiber slice upstairs.  Windows with uniformly
-rational branching ratios (common denominator q) are exactly the quotients
-of the q-ary canonical tree, and the constructor below realizes the quotient
-map top-down by repeating each child in a length-q successor list with
-multiplicity q * m(child) / m(parent).
+fraction of the matching fiber slice upstairs.  The validator checks all
+of this in array passes over int views of both windows (levels, parent
+positions, completeness flags, child links, the mapping as target
+positions), one path for both backends: each slice of a complete source
+vertex's children over one image is one compatibility identity, tested
+exactly on rational masses in Python ints, over one common denominator of
+the source masses, and within 1e-10 relative on floats.  Windows with
+uniformly rational branching ratios (common denominator q) are exactly
+the quotients of the q-ary canonical tree, and the constructor below
+realizes the quotient map top-down by repeating each child in a length-q
+successor list with multiplicity q * m(child) / m(parent).
 """
 
 from __future__ import annotations
@@ -14,11 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Optional
 
+import numpy as np
+
 from .localops import KernelColumn
-from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, _Builder,
-                    validate_measure, validate_window)
+from .trees import (FlowMeasure, TreeError, TreeWindow, Vertex, WindowArrays,
+                    _Builder, validate_measure, validate_window)
 
 
 @dataclass
@@ -59,103 +68,124 @@ def validate_submersion(sub: Submersion) -> SubmersionReport:
     """Check the intertwining axioms, level-shift constancy, and measure
     compatibility at every vertex where both sides are determined.
 
-    One pass over the source; a complete vertex sums its children's masses
-    once per image for its successor and compatibility checks.  Each
-    violation carries a witness vertex (by kind, then in source order).  A
-    vertex mapped nowhere or outside the target is reported as "unmapped",
-    and then nothing else is.
+    The check runs as array passes over int views of both windows, built
+    for this call from the windows as they are now (never the cached
+    ``arrays()``): levels, parent positions, completeness flags, child
+    links in successor order, and the mapping as target positions.  A
+    vertex mapped nowhere or outside the target is reported as
+    "unmapped", and then nothing else is.  Otherwise the level shift and
+    pred intertwining are array comparisons, one entry per source vertex;
+    the children of every complete source vertex v are grouped into
+    slices, one per (v, image) pair, and v's successor check compares
+    its slices' images with the successor set of v's image.  Each
+    violation carries a witness vertex, by kind, then in source order.
 
-    Compatibility at a child slice of v mapped to t, under tp = pred(t),
-    is m2(t) m1(v) = m2(tp) mass, mass the slice's summed child masses.
-    Floats pass within 1e-10 relative.  Rational masses (ints or Fractions)
-    are checked exactly in integers: with A = num m2(t) den m2(tp) and
-    B = num m2(tp) den m2(t), taken once per target vertex, and the slice
-    summed as an unreduced fraction N/D, the identity holds iff
-    A num m1(v) D = B N den m1(v).  The two sides are the sides of the
-    identity times den m2(t) den m2(tp) den m1(v) D, a product of positive
-    denominators, so both the equality and its failure carry over, zero
-    masses included.
+    Compatibility at the slice of v over t, under tp = pred(t), is one
+    identity m2(t) m1(v) = m2(tp) mass, mass the slice's summed child
+    masses.  Floats pass within 1e-10 relative, the slice summed in child
+    order.  Rational masses (ints or Fractions) are checked exactly in
+    Python ints: with the source masses over one common denominator M,
+    m1 = N / M, and A = num m2(t) den m2(tp), B = num m2(tp) den m2(t),
+    taken once per target vertex, the identity holds iff
+    A N(v) = B N(slice).  The two sides are the sides of the identity
+    times M den m2(t) den m2(tp), a product of positive denominators, so
+    both the equality and its failure carry over, zero masses included.
     """
     src, tgt = sub.source, sub.target
-    m1, m2 = sub.source_measure.values, sub.target_measure.values
-    pi = sub.mapping
-    exact = (sub.source_measure.backend == "rational"
-             and sub.target_measure.backend == "rational")
-    bad: dict[str, list] = {kind: [] for kind in (
-        "unmapped", "level_shift", "pred_intertwine", "succ_onto", "compatibility")}
-    spred, scomplete, ssucc = src.pred, src.complete, src.succ
-    tpred, tlevel, tcomplete, tsucc = tgt.pred, tgt.level, tgt.complete, tgt.succ
-    if exact:  # target vertex -> (A, B) against its parent
-        cross = {}
-        for t, tp in tpred.items():
-            a, b = m2[t], m2[tp]
-            cross[t] = (a.numerator * b.denominator, b.numerator * a.denominator)
-    n_pred = n_succ = n_compat = 0
+    S, T = WindowArrays.of(src), WindowArrays.of(tgt)
+    n, m = len(S.level), len(T.level)
+    tpos = dict(zip(tgt.level, range(m)))
+    img = np.fromiter(map(tpos.get, map(sub.mapping.get, src.level), repeat(-1)),
+                      dtype=np.int64, count=n)
+    unmapped = img < 0
+    if unmapped.any():
+        return SubmersionReport(False, [("unmapped", v) for v in
+                                        S.vertices[unmapped].tolist()])
+    scomplete = _flags(src)
+    kid, slice_of, s_parent, s_img = _slices(S, img, scomplete, m)
+    compat_checked = (T.parent[s_img] >= 0)[slice_of]
+    off = _slice_defects(sub, S, T, s_parent, s_img, kid, slice_of)
 
-    shift = None
-    for v, lv in src.level.items():
-        tv = pi.get(v)
-        tl = tlevel.get(tv)
-        if tl is None:
-            bad["unmapped"].append(v)
-            continue
-        if shift is None:
-            shift = tl - lv
-        elif tl - lv != shift:
-            bad["level_shift"].append(v)
-        p, tp = spred.get(v), tpred.get(tv)
-        if p is not None and tp is not None:  # else the image is the apex
-            n_pred += 1
-            if pi.get(p) != tp:
-                bad["pred_intertwine"].append(v)
-        if not scomplete.get(v, False):
-            continue
-        kids = ssucc.get(v, [])
-        slices: dict = {}  # image -> mass of v's children mapped there
-        off = {}  # image with a target parent -> compatibility violated
-        if exact:
-            for c in kids:  # the mass as [N, D], unreduced
-                t, x = pi.get(c), m1[c]
-                s = slices.get(t)
-                if s is None:
-                    slices[t] = [x.numerator, x.denominator]
-                elif s[1] == x.denominator:
-                    s[0] += x.numerator
-                else:
-                    s[0] = s[0] * x.denominator + x.numerator * s[1]
-                    s[1] *= x.denominator
-            mv = m1[v]
-            for t, (n, d) in slices.items():
-                ab = cross.get(t)
-                if ab is not None:
-                    off[t] = (ab[0] * mv.numerator * d
-                              != ab[1] * n * mv.denominator)
-        else:
-            for c in kids:
-                t = pi.get(c)
-                slices[t] = slices[t] + m1[c] if t in slices else m1[c]
-            for t, mass in slices.items():
-                tp = tpred.get(t)
-                if tp is not None:
-                    lhs, rhs = m2[t] * m1[v], m2[tp] * mass
-                    off[t] = (abs(float(lhs) - float(rhs))
-                              > 1e-10 * max(abs(float(lhs)), 1.0))
-        if tcomplete.get(tv, False):
-            n_succ += 1
-            if slices.keys() != set(tsucc.get(tv, [])):
-                bad["succ_onto"].append(v)
-        checked = [c for c in kids if pi.get(c) in off]
-        n_compat += len(checked)
-        bad["compatibility"] += [c for c in checked if off[pi[c]]]
+    # successor onto-ness: as sets, the slices' images are the successors
+    # of the parent's image (the target's distinct successor pairs, sorted)
+    t_keys = np.sort(np.repeat(np.arange(m), np.diff(T.child_start)) * m + T.child)
+    t_keys = t_keys[np.diff(t_keys, prepend=-1) != 0]
+    pair = img[s_parent] * m + s_img
+    stray = np.searchsorted(t_keys, pair, "left") == np.searchsorted(t_keys, pair, "right")
+    onto_checked = scomplete & _flags(tgt)[img]
+    onto_bad = onto_checked & (
+        (np.bincount(s_parent, minlength=n) != np.bincount(t_keys // m, minlength=m)[img])
+        | (np.bincount(s_parent[stray], minlength=n) > 0))
 
-    if bad["unmapped"]:
-        return SubmersionReport(False, [("unmapped", v) for v in bad["unmapped"]])
-    if bad["compatibility"]:  # witnessed by children, found parent by parent
-        rank = {v: i for i, v in enumerate(src.level)}
-        bad["compatibility"].sort(key=rank.__getitem__)
-    violations = [(kind, v) for kind, vs in bad.items() for v in vs]
-    counts = {"pred": n_pred, "succ": n_succ, "level": len(src), "compat": n_compat}
+    shift = int(T.level[img[0]] - S.level[0]) if n else None
+    tparent = T.parent[img]
+    has_pred = (S.parent >= 0) & (tparent >= 0)  # else the image is the apex
+    bad = {"level_shift": T.level[img] - S.level != shift,
+           "pred_intertwine": has_pred & (img[S.parent] != tparent),
+           "succ_onto": onto_bad}
+    violations = [(kind, v) for kind, mask in bad.items()
+                  for v in S.vertices[mask].tolist()]
+    violations += [("compatibility", v) for v in
+                   S.vertices[np.sort(kid[off[slice_of]])].tolist()]
+    counts = {"pred": int(has_pred.sum()), "succ": int(onto_checked.sum()),
+              "level": n, "compat": int(compat_checked.sum())}
     return SubmersionReport(not violations, violations, shift, counts)
+
+
+def _flags(window: TreeWindow) -> np.ndarray:
+    """complete[v] in window order."""
+    return np.fromiter(map(window.complete.get, window.level, repeat(False)),
+                       dtype=bool, count=len(window))
+
+
+def _slices(S: WindowArrays, img: np.ndarray, complete: np.ndarray, m: int):
+    """The children of complete source vertices, parent by parent, and
+    their slices, one per (parent, image) pair in key order: returns the
+    children's positions, each child's slice, and each slice's parent
+    and image."""
+    n_kids = np.diff(S.child_start)
+    take = np.repeat(complete, n_kids)
+    kid = S.child[take]
+    keys, slice_of = np.unique(np.repeat(np.arange(len(img)), n_kids)[take] * m + img[kid],
+                               return_inverse=True)
+    return (kid, slice_of, *np.divmod(keys, m))
+
+
+def _slice_defects(sub, S, T, s_parent, s_img, kid, slice_of) -> np.ndarray:
+    """Whether each slice breaks compatibility (never where its image is
+    the target apex): A N(parent) != B N(slice) in Python ints when both
+    measures are rational, the 1e-10 relative test otherwise."""
+    if sub.source_measure.backend == sub.target_measure.backend == "rational":
+        N = _common_numerators(sub.source_measure.values, S.vertices)
+        t_mass = list(map(sub.target_measure.values.__getitem__, T.vertices))
+        A, B = np.zeros((2, len(t_mass)), dtype=object)  # 0 == 0 at the apex
+        for t, p in enumerate(T.parent.tolist()):
+            if p >= 0:
+                a, b = t_mass[t], t_mass[p]
+                A[t] = a.numerator * b.denominator
+                B[t] = b.numerator * a.denominator
+        mass = np.zeros(len(s_img), dtype=object)
+        np.add.at(mass, slice_of, N[kid])
+        return A[s_img] * N[s_parent] != B[s_img] * mass
+    f1, f2 = S.masses(sub.source_measure), T.masses(sub.target_measure)
+    s_tp = T.parent[s_img]
+    mass = np.bincount(slice_of, weights=f1[kid], minlength=len(s_img))
+    lhs, rhs = f2[s_img] * f1[s_parent], f2[s_tp] * mass
+    return (s_tp >= 0) & (np.abs(lhs - rhs) > 1e-10 * np.maximum(np.abs(lhs), 1.0))
+
+
+def _common_numerators(values: dict, vertices: np.ndarray) -> np.ndarray:
+    """The integers N with values[v] = N / M for each of the vertices, over
+    the lcm M of the denominators, as Python ints in an object array.
+    Each distinct mass object is read once (a built quotient shares one
+    per level)."""
+    _, first, inverse = np.unique(
+        np.fromiter(map(id, map(values.__getitem__, vertices)), dtype=np.int64,
+                    count=len(vertices)), return_index=True, return_inverse=True)
+    distinct = list(map(values.__getitem__, vertices[first]))
+    M = math.lcm(*(x.denominator for x in distinct))
+    return np.array([x.numerator * (M // x.denominator) for x in distinct],
+                    dtype=object)[inverse]
 
 
 def _ratio_multiplicity(q: int, mv, mp) -> int:
@@ -176,9 +206,11 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
     expands into the length-q list where y_i repeats q*m(y_i)/m(target vertex)
     times (successor file order).  The canonical source measure is scaled so
     apex masses agree, making fiber masses match target masses exactly.
-    Each target vertex's lifted list is computed once, for the first source
-    vertex of its fiber, and each level's mass once, as the canonical
-    measure depends on the level only.
+    Each target vertex's lift entry (lifted list, child masses and
+    completeness flag) is computed once, for the first source vertex of
+    its fiber, and each level's mass once, as the canonical measure
+    depends on the level only.  Only source vertices whose image has
+    children are visited.
     """
     if target_measure.backend != "rational":
         raise TreeError("rational backend required to build an exact quotient")
@@ -190,15 +222,17 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
     tm = target_measure.values
     b = _Builder(target.level[target.apex], Fraction(tm[target.apex]))
     mapping: dict[Vertex, Vertex] = {0: target.apex}
-    lifted: dict[Vertex, list[Vertex]] = {}  # target vertex -> lifted children
-    child_mass: dict[int, Fraction] = {}      # source level -> its children's mass
-    stack = [0]
+    # target vertex -> (lifted children, their masses, completeness flag,
+    # which lifted children have children: the only ones the walk visits)
+    lifted: dict[Vertex, tuple] = {}
+    child_mass: dict[int, Fraction] = {}  # level -> its children's mass
+    stack = [0] if target.children(target.apex) else []
     while stack:
         s = stack.pop()
         tv = mapping[s]
-        complete = target.is_complete(tv)
-        lift = lifted.get(tv)
-        if lift is None:
+        entry = lifted.get(tv)
+        if entry is None:
+            complete = target.is_complete(tv)
             # a boundary vertex lifts each visible child once and stays
             # incomplete: siblings and multiplicities are unknown upstairs
             # (fibers stay exact inside complete cones, where anchors live)
@@ -211,14 +245,15 @@ def build_submersion_rational(target: TreeWindow, target_measure: FlowMeasure,
                     raise TreeError(
                         f"ratios at target vertex {tv} do not fill a length-{q} list "
                         f"(got {len(lift)})")
-            lifted[tv] = lift
-        if lift:
-            lv = b.level[s]
+            lv = target.level[tv]
             if lv not in child_mass:
                 child_mass[lv] = b.values[s] / q
-            kids = b.add(s, [child_mass[lv]] * len(lift), complete)
-            mapping.update(zip(kids, lift))
-            stack.extend(kids)
+            entry = lifted[tv] = (lift, [child_mass[lv]] * len(lift), complete,
+                                  [bool(target.children(c)) for c in lift])
+        lift, masses, complete, inner = entry
+        kids = b.add(s, masses, complete)
+        mapping.update(zip(kids, lift))
+        stack.extend(compress(kids, inner))
 
     window, measure = b.finish("rational", Fraction(q))
     return Submersion(window, measure, target, target_measure, mapping)

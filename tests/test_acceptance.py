@@ -180,7 +180,7 @@ def test_criterion_05_transference_exactness():
                     if pushed.value(v) != direct.value(v):
                         ok = False
     finish(5, ok, "3 ratio profiles validated; 20 random words each, exact",
-           t0, 10.0)
+           t0, 2.0)
 
 
 def test_criterion_06_rationalization_bounds():

@@ -481,3 +481,89 @@ def test_benchmark_sized_quotients_match_the_fraction_reference(ratios, q, size)
     rep = quotient.validate_submersion(sub)
     assert rep == validate_submersion_fraction(sub)
     assert rep.violations == [("compatibility", deep)]
+
+
+# -- random small flows, one target-side mutation each ---------------------
+
+@st.composite
+def rational_flows(draw):
+    """A small window of a flow whose branching ratios are multiples of 1/q
+    (a constant-ratio cone or a ratio ball, depth or radius at most 3),
+    with its q."""
+    q = draw(st.sampled_from((2, 3, 4, 6)))
+    cuts = draw(st.lists(st.integers(1, q - 1), max_size=2, unique=True))
+    parts = [b - a for a, b in zip([0] + sorted(cuts), sorted(cuts) + [q])]
+    ratios = tuple(Fraction(p, q) for p in parts)
+    depth = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        target, tmeas, _ = constant_ratio_window(ratios, depth=depth,
+                                                 up=draw(st.integers(0, 1)))
+    else:
+        target, tmeas, _ = ball_window(ratios, depth)
+    return target, tmeas, q
+
+
+TARGET_MUTATIONS = ("remap", "unmap", "shift target level", "rehang target pred",
+                    "add target succ", "drop target succ", "scale target mass")
+# off by a part in 10^8 fails the float test too, by a part in 10^14 only the exact one
+SCALES = (Fraction(2), Fraction(0), Fraction(-1), 1 + Fraction(1, 10 ** 8),
+          1 + Fraction(1, 10 ** 14))
+
+
+def mutate_target(sub, kind, i, j, factor):
+    """One mutation of sub's mapping or target, in place; i and j pick the
+    vertices."""
+    s_vs, t_vs = list(sub.source.vertices), list(sub.target.vertices)
+    s, t, t2 = s_vs[i % len(s_vs)], t_vs[i % len(t_vs)], t_vs[j % len(t_vs)]
+    tgt = sub.target
+    if kind == "remap":
+        sub.mapping[s] = t2
+    elif kind == "unmap":
+        del sub.mapping[s]
+    elif kind == "shift target level":
+        tgt.level[t] += 1 if j % 2 else -1
+    elif kind == "rehang target pred":
+        tgt.pred[t] = t2
+    elif kind in ("add target succ", "drop target succ"):  # where it is checked
+        parents = [v for v in t_vs if tgt.complete[v]] or t_vs
+        t = parents[i % len(parents)]
+        tgt.succ[t] = (tgt.succ[t] + [t2] if kind == "add target succ"
+                       else tgt.succ[t][1:])
+    elif kind == "scale target mass":
+        sub.target_measure.values[t] *= factor
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(rational_flows(), st.sampled_from(["rational", "float"]),
+       st.sampled_from(TARGET_MUTATIONS), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6), st.sampled_from(SCALES))
+def test_random_flows_match_the_fraction_reference(flow, backend, kind, i, j, factor):
+    """Quotients of random small rational flows, each with one mutation of
+    its mapping or target, give the Fraction reference's report, field for
+    field."""
+    target, tmeas, q = flow
+    sub = quotient.build_submersion_rational(target, tmeas, q)
+    if backend == "float":
+        sub = as_float(sub)
+    mutate_target(sub, kind, i, j, factor if backend == "rational" else float(factor))
+    rep, ref = quotient.validate_submersion(sub), validate_submersion_fraction(sub)
+    for f in dataclasses.fields(rep):
+        assert getattr(rep, f.name) == getattr(ref, f.name), f.name
+
+
+@BACKENDS
+def test_validation_reads_the_windows_not_their_cached_views(backend):
+    """Array views cached before the target changes do not hide its level,
+    successor or mass violations."""
+    sub = small_quotient(backend)
+    for window, measure in ((sub.source, sub.source_measure),
+                            (sub.target, sub.target_measure)):
+        window.arrays().masses(measure)
+    sub.target.level[6] += 1
+    sub.target.succ[2] = [5]
+    sub.target_measure.values[4] *= 2
+    rep = quotient.validate_submersion(sub)
+    assert rep.violations == (witnesses("level_shift", fiber(sub, 6))
+                              + witnesses("succ_onto", fiber(sub, 2))
+                              + witnesses("compatibility", fiber(sub, 4)))
+    assert rep == validate_submersion_fraction(sub)
