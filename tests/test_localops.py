@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from flowtree import ball_window, homogeneous_window, safe_region
+from flowtree import (FlowMeasure, ball_window, homogeneous_window, safe_region,
+                      validate_measure)
 from flowtree.localops import (InsufficientMarginError, WindowFunction,
                                apply_laplacian, apply_ncpoly, apply_shift,
                                apply_shift_adjoint, apply_word, indicator,
@@ -227,3 +228,23 @@ def test_gradient_square_is_twice_the_laplacian(flow):
         back = apply_shift_adjoint(w, m, apply_shift(w, m, f))
         assert interior <= back.safe
         assert all(back.value(v) == f.value(v) for v in back.safe)
+
+
+def test_columns_over_integral_masses_stay_exact():
+    """A rational measure may hold its integral masses as ints.  A column
+    divides by such an m(y) exactly: the identity column is a Fraction for
+    int and Fraction coefficients, and L + L^2 equals its value on the
+    Fraction measure, type for type."""
+    w, m, c = ball_window(2, 2)
+    ints = FlowMeasure({v: int(x) if x.denominator == 1 else x
+                        for v, x in m.values.items()}, "rational")
+    validate_measure(w, ints)
+    assert type(ints.values[c]) is int
+    for coeffs in ([1], [Fraction(1)]):
+        col = kernel_column_lambda_poly(w, ints, coeffs, c)
+        assert col.values == {c: 1}
+        assert all(type(x) is Fraction for x in col.values.values())
+    col = kernel_column_lambda_poly(w, ints, [0, 1, 1], c)
+    want = kernel_column_lambda_poly(w, m, [0, 1, 1], c)
+    assert col.values == want.values and len(col.values) > 1
+    assert all(type(x) is Fraction for x in col.values.values())

@@ -24,7 +24,8 @@ from flowtree import (TreeError, analysis, constant_ratio_window, load_window,
 from flowtree import TreeWindow, ball_window, quotient
 from flowtree.chebyshev import cheb_approx, cheb_column
 from flowtree.localops import (InsufficientMarginError, KernelColumn,
-                               WindowFunction, apply_averaging, apply_laplacian,
+                               WindowFunction, _accumulate, apply_averaging,
+                               apply_laplacian,
                                apply_ncpoly, apply_shift, apply_shift_adjoint,
                                indicator, kernel_column_lambda_poly,
                                kernel_column_poly)
@@ -521,6 +522,56 @@ def test_rational_stencils_match_the_reference_lambdas():
                                                         True))
                 assert_same(got, want)
                 assert_same_bits(got, want)
+
+
+def test_a_unit_copy_into_an_empty_sum_matches_the_loop():
+    """Into an empty sum, a unit coefficient (int or Fraction) copies a term
+    of nonzero Fractions object for object.  Any other term gets the
+    reference's entries, in its key order: a Fraction(0) entry is dropped,
+    and int, float and complex entries keep the reference's types and
+    signed-zero bits."""
+    a, b = Fraction(3, 4), Fraction(-5, 6)
+    terms = ({7: a, 3: b}, {7: a, 5: Fraction(0), 3: b}, {7: a, 5: 2, 3: b},
+             {7: a, 5: 0.5, 3: -0.0}, {7: complex(-1.0, -0.0), 5: a, 3: complex(-0.0, 0.5)},
+             {7: 0, 5: 1, 3: a})
+    typed = lambda vals: repr([(v, type(x), x) for v, x in vals.items()])
+    for c in (1, Fraction(1)):
+        for g in terms:
+            want = {}
+            ref_axpy(want, c, g)
+            assert typed(_accumulate({}, c, g)) == typed(want)
+        got = _accumulate({}, c, terms[0])
+        assert all(got[v] is x for v, x in terms[0].items())
+
+
+def test_exact_columns_build_each_distinct_value_once(monkeypatch):
+    """The L^6 column at the centre of ball_window(4, 7) holds 6,826 values,
+    28 of them distinct.  The rational stencils build each distinct value
+    once per step, so the column takes at most a few hundred Fractions, not
+    one per vertex per step; equal values are one object there and in a
+    Laplacian on the (3/4, 1/4) ball, where distinct (numerator, mass)
+    pairs reduce to one value."""
+    w, m, c = ball_window(4, 7)
+    built = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    col = kernel_column_lambda_poly(w, m, [Fraction(0)] * 6 + [Fraction(1)], c)
+    monkeypatch.undo()
+    assert built[0] <= 500
+    values = list(col.values.values())
+    assert len(values) == 6826 and len(set(values)) == 28
+    assert len({id(x) for x in values}) == 28
+    w, m, c = ball_window((Fraction(3, 4), Fraction(1, 4)), 7)
+    f = indicator(w, c)
+    for _ in range(6):
+        f = apply_laplacian(w, m, f)
+    values = list(f.values.values())
+    assert len({id(x) for x in values}) == len(set(values)) < len(values)
 
 
 def test_swept_columns_sum_children_in_successor_order():
