@@ -29,14 +29,15 @@ and L) run on integer numerators when every input value is an int or a
 Fraction: the input goes over one common denominator D, the lcm of its
 denominators, and the measure on the support and its parents over one
 common denominator M, so each child weight m(c)/m(v) is a ratio of
-integers mu(c)/mu(v).  Each distinct value is then built once per call,
-as one Fraction(n, s D mu(v)), instead of through a Fraction multiply, add
-and divide per child at every vertex: vertices with equal (n, mu(v)) share
-one construction, and equal values are one object.  On q-ary and
-constant-ratio windows few values are distinct (28 of the 6,826 in the
-L^6 column at the centre of ``ball_window(4, 7)``).  The float backend,
-rational windows holding other values, and the shift (which reads no
-measure and keeps its ints) apply the stencil's combine vertex by vertex.
+integers mu(c)/mu(v).  Each output is then one Fraction(n, s D mu(v)),
+instead of a Fraction multiply, add and divide per child.  An input whose
+numerators repeat (at most half of them distinct) builds each distinct
+(n, mu(v)) once per call.  Columns are such inputs on every flow, not only
+q-ary ones: the L^6 column at the centre of ``ball_window(4, 7)`` holds 28
+distinct values of 6,826, and on a ball of random rational ratios 28 of
+964.  The float backend, rational windows holding other values, and the
+shift (which reads no measure and keeps its ints) apply the stencil's
+combine vertex by vertex.
 
 There, and in every sum, zero reads are skipped, not added: a child sum
 starts from its first nonzero product, and an entry new to a sum starts
@@ -45,7 +46,7 @@ reverse add for it).  A float or complex term still gets that 0 +, which
 clears the signed zeros of a complex value, so every value keeps its type
 and its bits.  A unit coefficient copies a term of nonzero Fractions into
 an empty sum in one dict update, objects and all, and a rational column
-divides each distinct value object by m(y) once.
+divides each distinct value by m(y) once.
 
 Kernel columns of polynomials in L, ``kernel_column_lambda_poly`` here and
 ``chebyshev.cheb_column``, share one entry, ``_polynomial_column``, which
@@ -245,9 +246,13 @@ def _integer_stencil(measure, fv, pred, near, weights):
     of the support's denominators, m = mu/M over the lcm M of the measure's
     denominators on the support and its parents, so the child weight
     m(c)/m(v) is mu(c)/mu(v), and each output is one Fraction(n, s D mu(v))
-    (s D where no child of v is in the support, read as mu(v) = 1).  Each
-    distinct (n, mu(v)) is built once per call, and equal values are one
-    object: two pairs can reduce to one value."""
+    (s D where no child of v is in the support, read as mu(v) = 1).
+
+    Equal inputs give equal outputs, so when at most half of the input's
+    numerators are distinct (an iterate of an indicator holds a few dozen
+    values over thousands of vertices) each distinct (n, mu(v)) is built
+    once per call; an input of mostly distinct values skips the memo,
+    whose lookups would only add to every output."""
     a, b, c, s = weights
     m = measure.values
     D = math.lcm(*{x.denominator for x in fv.values() if x})
@@ -260,8 +265,7 @@ def _integer_stencil(measure, fv, pred, near, weights):
             mass = m[u]
             child_sum[pred[u]] += x * mass.numerator * (M // mass.denominator)
     den = s * D
-    built: dict[tuple, Fraction] = {}    # (n, mu(v)) -> its Fraction
-    same: dict[tuple, Fraction] = {}     # (numerator, denominator) -> its one object
+    built = {} if 2 * len(set(F.values())) <= len(F) else None  # (n, mu(v)) -> value
     vals: dict[Vertex, Fraction] = {}
     for v in near:
         n = a * F.get(v, 0) + b * F.get(pred.get(v), 0)
@@ -270,12 +274,15 @@ def _integer_stencil(measure, fv, pred, near, weights):
             mass = m[v]
             mv = mass.numerator * (M // mass.denominator)
             n = n * mv + c * child_sum[v]
-        if n:
-            x = built.get((n, mv))
-            if x is None:
-                x = Fraction(n, den * mv)
-                x = built[n, mv] = same.setdefault((x.numerator, x.denominator), x)
-            vals[v] = x
+        if not n:
+            continue
+        if built is None:
+            vals[v] = Fraction(n, den * mv)
+            continue
+        x = built.get((n, mv))
+        if x is None:
+            x = built[n, mv] = Fraction(n, den * mv)
+        vals[v] = x
     return vals
 
 
@@ -387,21 +394,23 @@ class KernelColumn:
 
 def _column_from_function(window, measure, g: WindowFunction, y) -> KernelColumn:
     """g / m(y); an int or Fraction over an int or Fraction m(y) = a/b is one
-    Fraction(x b, a), not a division, and is built once per distinct value
-    object (the stencils share equal values).  The memo is keyed by id(x)
-    and holds x, so no id is reused while it lives."""
+    Fraction(x b, a), not a division, built once per distinct value x: a
+    column of a polynomial at y holds few distinct values, on any flow."""
     my = measure.values[y]
     if type(my) not in _RATIONAL:
         return KernelColumn(y, {v: x / my for v, x in g.values.items()}, g.safe)
     a, b = my.numerator, my.denominator
-    divided: dict[int, tuple] = {}
+    divided: dict[tuple, Fraction] = {}    # (numerator, denominator) -> quotient
     vals = {}
     for v, x in g.values.items():
-        hit = divided.get(id(x))
-        if hit is None:
-            hit = divided[id(x)] = (x, Fraction(x.numerator * b, x.denominator * a)
-                                    if type(x) in _RATIONAL else x / my)
-        vals[v] = hit[1]
+        if type(x) not in _RATIONAL:
+            vals[v] = x / my
+            continue
+        key = x.numerator, x.denominator
+        z = divided.get(key)
+        if z is None:
+            z = divided[key] = Fraction(key[0] * b, key[1] * a)
+        vals[v] = z
     return KernelColumn(y, vals, g.safe)
 
 

@@ -25,8 +25,8 @@ from flowtree import TreeWindow, ball_window, quotient
 from flowtree.chebyshev import cheb_approx, cheb_column
 from flowtree.localops import (InsufficientMarginError, KernelColumn,
                                WindowFunction, _accumulate, apply_averaging,
-                               apply_laplacian,
-                               apply_ncpoly, apply_shift, apply_shift_adjoint,
+                               apply_laplacian, apply_ncpoly, apply_shift,
+                               apply_shift_adjoint,
                                indicator, kernel_column_lambda_poly,
                                kernel_column_poly)
 from flowtree.ncpoly import Z1, Z2, NcPolynomial
@@ -510,12 +510,19 @@ def test_rational_stencils_match_the_reference_lambdas():
     value, the type and the bits of the reference lambdas on every mix of
     ints, Fractions, floats and complex values at a vertex, its parent and
     a child, signed zeros included: all-rational inputs take the integer
-    route, every other mix the lambdas themselves."""
+    route, every other mix the lambdas themselves.  So do Fractions on
+    every vertex, all distinct or three values (the integer route builds
+    each distinct output once only for the second)."""
+    rng = random.Random(7)
     for w, m in SMALL_RATIONAL.values():
         y = min(v for v in w.vertices if w.parent(v) is not None and w.children(v))
         p, c = w.parent(y), w.children(y)[-1]
-        for fv, fp, fc in itertools.product(COMBINE_VALUES, repeat=3):
-            vals = {y: fv, p: fp, c: fc}
+        inputs = [{y: fv, p: fp, c: fc}
+                  for fv, fp, fc in itertools.product(COMBINE_VALUES, repeat=3)]
+        inputs += [{v: Fraction(rng.randint(-999, 999), rng.randint(1, 97))
+                    for v in w.vertices},
+                   {v: Fraction(rng.choice((-1, 2, 3)), 4) for v in w.vertices}]
+        for vals in inputs:
             for op in ("lap", "avg"):
                 got = OPS[op](w, m, WindowFunction(dict(vals), w.all_vertices(), True))
                 want = REF_OPS[op](w, m, WindowFunction(dict(vals), frozenset(w.vertices),
@@ -548,9 +555,10 @@ def test_exact_columns_build_each_distinct_value_once(monkeypatch):
     """The L^6 column at the centre of ball_window(4, 7) holds 6,826 values,
     28 of them distinct.  The rational stencils build each distinct value
     once per step, so the column takes at most a few hundred Fractions, not
-    one per vertex per step; equal values are one object there and in a
-    Laplacian on the (3/4, 1/4) ball, where distinct (numerator, mass)
-    pairs reduce to one value."""
+    one per vertex per step, and the column divides each distinct value by
+    m(y) once: equal values are one object, also on the (3/4, 1/4) ball,
+    where distinct (numerator, mass) pairs of a stencil reduce to one
+    value."""
     w, m, c = ball_window(4, 7)
     built = [0]
     new = Fraction.__new__
@@ -559,18 +567,16 @@ def test_exact_columns_build_each_distinct_value_once(monkeypatch):
         built[0] += 1
         return new(cls, *args, **kwargs)
 
+    coeffs = [Fraction(0)] * 6 + [Fraction(1)]
     monkeypatch.setattr(Fraction, "__new__", counting)
-    col = kernel_column_lambda_poly(w, m, [Fraction(0)] * 6 + [Fraction(1)], c)
+    col = kernel_column_lambda_poly(w, m, coeffs, c)
     monkeypatch.undo()
     assert built[0] <= 500
     values = list(col.values.values())
     assert len(values) == 6826 and len(set(values)) == 28
     assert len({id(x) for x in values}) == 28
     w, m, c = ball_window((Fraction(3, 4), Fraction(1, 4)), 7)
-    f = indicator(w, c)
-    for _ in range(6):
-        f = apply_laplacian(w, m, f)
-    values = list(f.values.values())
+    values = list(kernel_column_lambda_poly(w, m, coeffs, c).values.values())
     assert len({id(x) for x in values}) == len(set(values)) < len(values)
 
 
