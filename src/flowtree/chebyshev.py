@@ -2,15 +2,15 @@
 
 The interpolant is built in the shifted variable u = lambda - 1 on [-1, 1].
 Its sup-norm defect is estimated by dense sampling and reported as such.
-A kernel column of the interpolant carries the certificate sup_err /
-sqrt(m_min m(y)), m_min the least mass on its certified set: the defect
-bounds the L2 operator norm, and |K(x, y)| <= ||T|| / sqrt(m(x) m(y)).  The
-sampling estimate is not a proof, so consumers are expected to budget
-headroom on top of it.
+A kernel column of the interpolant carries sup_err / sqrt(m_min m(y)),
+m_min the least mass of the window: the defect bounds the L2 operator norm,
+and |K(x, y)| <= ||T|| / sqrt(m(x) m(y)).  The defect is sampled, not
+proved, so the column's err_bound is an estimate too, and consumers are
+expected to budget headroom on top of it.
 
-The column, sum coef[k] T_k(L - I) delta_y / m(y), comes from the one column
-entry for polynomials in L, ``localops._polynomial_column``, which runs the
-three-term recurrence on the engine the window's backend picks.
+The column, sum coef[k] T_k(L - I) delta_y / m(y), is float-valued, so
+``localops._polynomial_column`` runs its three-term recurrence as a sweep of
+the anchor's ball on float masses, on both backends.
 """
 
 from __future__ import annotations
@@ -72,14 +72,10 @@ def cheb_approx(fn, degree: int) -> ChebModel:
 
 def cheb_column(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
                 y: Vertex) -> KernelColumn:
-    """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N),
-    err_bound = sup_err / sqrt(m_min m(y)), m_min over the certified set:
-    the whole window on a float one, read from its cached masses."""
+    """Kernel column of the interpolant P_N(L) at anchor y (exact for P_N,
+    up to rounding), err_bound = sup_err / sqrt(m_min m(y)), m_min over the
+    certified set, which is the whole window: read from its cached masses."""
     col = _polynomial_column(window, measure, model.coef, y, True)
-    my = measure.as_float(y)
-    if measure.backend == "float":
-        m_min = float(window.arrays().masses(measure).min())
-    else:
-        m_min = min((measure.as_float(v) for v in col.safe), default=my)
-    col.err_bound = float(model.sup_err / np.sqrt(m_min * my))
+    m_min = float(window.arrays().masses(measure).min())
+    col.err_bound = float(model.sup_err / np.sqrt(m_min * measure.as_float(y)))
     return col

@@ -194,9 +194,10 @@ def _route(args):
     if args.tree:
         path = args.tree
 
-        def loaded(radius):
+        def loaded(radius):  # the middle vertex safe at radius, or as near as any is
             window, measure = load_window(path)
-            anchors = sorted(safe_region(window, min(radius, 4))) or [window.apex]
+            deepest = max(window.defect_distances().values())
+            anchors = sorted(safe_region(window, min(radius, deepest)))
             return window, measure, anchors[len(anchors) // 2]
         return loaded
     if flow is None:

@@ -21,8 +21,8 @@ support, not the window.  Certified sets are materialised only when needed:
   then on the certified set is computed vertex by vertex over the window.
 
 Word polynomials sum their stencil results through one helper,
-``_combine``; so do polynomials in L, over one generator of iterates
-(``_iterates``: L^k f, or the Chebyshev T_k(L - I) f).
+``_combine``; so do exact polynomials in L, over one generator of iterates
+(``_iterates``: L^k f).
 
 On the rational backend the three stencils that read children (Sigma*, A
 and L) run on integer numerators when every input value is an int or a
@@ -50,16 +50,15 @@ divides each distinct value by m(y) once.
 
 Kernel columns of polynomials in L, ``kernel_column_lambda_poly`` here and
 ``chebyshev.cheb_column``, share one entry, ``_polynomial_column``, which
-anchors the column, picks its engine and divides by m(y).  On float
-windows it skips the dicts: the anchor's ball B_N(y), which holds every
-iterate, is read from the window's cached arrays (``TreeWindow.arrays``),
-and each Laplacian step is one pass of the Laplacian's rule over numpy
-arrays on the ball, with the stencil's sums in the stencil's order, so
-every value keeps the per-vertex route's bits and type.  Rational windows,
-whose iterates are exact Fractions, and Laplacian polynomials whose
-coefficients are not all real or all complex Python numbers keep the
-stencils; so do the ``apply_*`` functions, whose inputs need not be
-anchored.
+anchors the column and picks its engine by the kind of its numbers.  Exact
+columns, int and Fraction coefficients on a rational window, sum the
+integer stencils' iterates.  Every other column is float-valued, on either
+backend, and skips the dicts: each Laplacian step is one pass of the
+Laplacian's rule over numpy arrays on the anchor's ball B_N(y), read from
+the window's cached arrays (``TreeWindow.arrays``) with float masses, with
+the stencil's sums in the stencil's order, so every value has the bits of
+the per-vertex stencils on the float copy of the measure.  The ``apply_*``
+functions, whose inputs need not be anchored, keep the stencils.
 """
 
 from __future__ import annotations
@@ -346,21 +345,11 @@ def apply_laplacian(window, measure, f):
     return _stencil(window, measure, f, _laplacian_rule(_half(measure)), _LAPLACIAN)
 
 
-def _iterates(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
-              count: int, chebyshev: bool):
-    """f, then P_k(L) f for 0 < k < count, one Laplacian stencil per step:
-    L^k f, or the Chebyshev T_k(L - I) f when ``chebyshev`` is set, by
-    T_{k+1} = 2 (L - I) T_k - T_{k-1}."""
-    prev = None
+def _iterates(window: TreeWindow, measure: FlowMeasure, f: WindowFunction, count: int):
+    """f, then L^k f for 0 < k < count, one Laplacian stencil per step."""
     for k in range(count):
         if k:
-            g = apply_laplacian(window, measure, f)
-            if chebyshev:
-                vals = _accumulate(dict(g.values), -1, f.values)
-                if k >= 2:
-                    vals = _accumulate(_accumulate({}, 2, vals), -1, prev.values)
-                prev, g = f, WindowFunction(vals, g.safe, g.zero_outside)
-            f = g
+            f = apply_laplacian(window, measure, f)
         yield f
 
 
@@ -368,8 +357,14 @@ def _iterates(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
 class KernelColumn:
     """Sparse kernel column x -> K(x, anchor) with a certification set.
 
-    err_bound majorizes |true - stored| at every safe vertex; exact
-    polynomial evaluation sets it to zero.
+    err_bound is what the column's route states about |true - stored| at
+    a safe vertex, and only an exact column's is a bound:
+    * exact columns (int and Fraction values) are exact: 0.0;
+    * Chebyshev columns (``chebyshev.cheb_column``): sup_err / sqrt(m_min
+      m(y)), an estimate, since it inherits the sampled defect sup_err;
+    * profile columns (``analysis._profile_column``): a fixed estimate,
+      1e-13;
+    * swept and other float-valued columns: 0.0, which leaves rounding out.
     """
 
     anchor: Vertex
@@ -431,24 +426,15 @@ def _polynomial_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vert
                        chebyshev: bool) -> KernelColumn:
     """The column at anchor y of sum coeffs[k] P_k(L): P_k = L^k, or
     T_k(L - I) when ``chebyshev`` is set; y must be safe at the degree.
-
-    The one place a column picks its engine: a float window sweeps the
-    anchor's ball (_swept_column) for a Chebyshev model or coefficients of
-    one Python kind (_kinds); otherwise the stencils' iterates are summed
-    by _combine and divided by m(y) as the sweep divides them, a Laplacian
-    polynomial by _column_from_function, a Chebyshev value as
-    complex(x) / m(y).
-    """
+    The one engine choice: exact stencil iterates (_combine, then
+    _column_from_function) for int and Fraction coefficients on a rational
+    window, the ball sweep (_swept_column) for every other column."""
     f = _anchored(window, max(len(coeffs) - 1, 0), y)
-    one_kind = _kinds(coeffs) in (set(), {False}, {True})
-    if measure.backend == "float" and (chebyshev or one_kind):
+    if (chebyshev or measure.backend != "rational"
+            or any(c and type(c) not in _RATIONAL for c in coeffs)):
         return _swept_column(window, measure, coeffs, y, chebyshev)
-    g = _combine(window, zip(coeffs, _iterates(window, measure, f, len(coeffs),
-                                                chebyshev)))
-    if not chebyshev:
-        return _column_from_function(window, measure, g, y)
-    my = measure.as_float(y)
-    return KernelColumn(y, {v: complex(x) / my for v, x in g.values.items()}, g.safe)
+    g = _combine(window, zip(coeffs, _iterates(window, measure, f, len(coeffs))))
+    return _column_from_function(window, measure, g, y)
 
 
 def _segments(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
@@ -479,14 +465,12 @@ def _swept_iterates(window: TreeWindow, measure: FlowMeasure, y: Vertex,
     """The ball B of radius count - 1 around y, the number end[k] of its
     vertices within distance k, and an iterator over the k < count of
     P_k(L) delta_y on B (nearest first, one zero entry past the end):
-    L^k, or the Chebyshev T_k(L - I) when ``chebyshev`` is set.
-
-    Each Laplacian step evaluates _laplacian_rule on arrays over B_k, from
-    the window's cached arrays: child terms f(c) m(c) are summed per parent
-    in successor order, from the first (np.bincount adds in array order), a
-    parent outside B reads the zero entry, and the Chebyshev steps are the
-    dict route's (L - I) T, then 2 (L - I) T - T_prev, so every nonzero
-    value has the per-vertex stencils' bits.
+    L^k, or the Chebyshev T_k(L - I) when ``chebyshev`` is set, by
+    (L - I) T_k, then 2 (L - I) T_k - T_{k-1}.  Each Laplacian step
+    evaluates _laplacian_rule on float arrays over B_k: child terms f(c)
+    m(c) are summed per parent in successor order, from the first
+    (np.bincount adds in array order), and a parent outside B reads the
+    zero entry, so every nonzero value has the per-vertex stencils' bits.
     """
     arrays = window.arrays()
     mass = arrays.masses(measure)
@@ -503,7 +487,7 @@ def _swept_iterates(window: TreeWindow, measure: FlowMeasure, y: Vertex,
     links = np.searchsorted(owner, end)     # the child links of B_k's vertices
     m = mass[ball]
     child_mass = m[child]
-    rule = _laplacian_rule(_half(measure))
+    rule = _laplacian_rule(0.5)
 
     def laplacian(x, k):
         n, nl = end[k], links[k]
@@ -531,29 +515,18 @@ def _swept_iterates(window: TreeWindow, measure: FlowMeasure, y: Vertex,
     return ball, end, iterates()
 
 
-_PLAIN = (int, bool, Fraction, float, complex)
-
-
-def _kinds(coeffs) -> set:
-    """The kinds of the nonzero coefficients: True for complex, False for
-    real Python numbers, None for any other number.  The ball sweep takes
-    one Python kind; mixed kinds (a vertex's type then depends on which
-    terms reach it) and other numbers (numpy scalars keep their own
-    arithmetic and types) keep the stencils."""
-    return {isinstance(c, complex) if type(c) in _PLAIN else None for c in coeffs if c}
-
-
 def _swept_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vertex,
                   chebyshev: bool) -> KernelColumn:
-    """The column of sum coeffs[k] P_k(L) at anchor y on a float window,
-    from _swept_iterates's P_k, with the dict route's bits and types: each
-    term c P_k is added where P_k is nonzero, in k order, with c x taken as
-    Python and numpy multiply a number by a float ((cr x - ci 0, cr 0 + ci x)
-    for a complex c), and each sum is divided by m(y) part by part (what
-    complex / float does to these sums, whose parts are never -0.0).
-    Chebyshev values are all complex, as complex(x) / m(y); Laplacian
-    polynomial coefficients are of one kind (_kinds).  Keys come in window
-    order; the certified set is the window, since y is safe at the degree.
+    """The column of sum coeffs[k] P_k(L) at anchor y, from
+    _swept_iterates's P_k, with the bits of the per-vertex stencils on the
+    float copy of the measure: each term c P_k is added in k order, c x
+    taken as Python multiplies a float by c as a Python number ((cr x -
+    ci 0, cr 0 + ci x) for a complex c), and each sum is divided by m(y)
+    part by part (as complex / float does to sums whose parts are never
+    -0.0).  Values are complex for a Chebyshev model or where any
+    coefficient is (np.iscomplexobj: np.complex64 is no complex subclass),
+    floats otherwise.  Keys come in window order; the certified set is the
+    window, since y is safe at the degree.
     """
     ball, end, xs = _swept_iterates(window, measure, y, len(coeffs), chebyshev)
     arrays = window.arrays()
@@ -562,7 +535,8 @@ def _swept_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vertex,
         if not c:
             continue
         n = end[k]
-        if isinstance(c, complex):
+        if np.iscomplexobj(c):
+            c = complex(c)
             re[:n] += c.real * x[:n] - c.imag * 0.0
             im[:n] += c.real * 0.0 + c.imag * x[:n]
         else:
@@ -570,7 +544,7 @@ def _swept_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vertex,
     nz = np.flatnonzero((re != 0) | (im != 0))
     nz = nz[np.argsort(ball[nz])]
     my = float(arrays.masses(measure)[ball[0]])
-    if chebyshev or _kinds(coeffs) == {True}:
+    if chebyshev or any(np.iscomplexobj(c) for c in coeffs):
         values = np.empty(len(nz), dtype=complex)
         values.real, values.imag = re[nz] / my, im[nz] / my
     else:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -536,18 +538,31 @@ def spine_window(depth: int) -> tuple[TreeWindow, FlowMeasure, Vertex]:
 
 
 def _parse_measure(raw) -> tuple[Number, str]:
+    """A measure entry and its backend.  A positive entry whose float is not
+    a normal double (it overflows, or underflows to a subnormal or to 0) is
+    refused: every float route, and the ball sweep on rational windows too,
+    reads each mass as a double."""
     if isinstance(raw, bool):
         raise TreeError(f"unsupported measure entry {raw!r}")
     if isinstance(raw, (str, int)):
         try:
-            return Fraction(raw), "rational"
+            m, backend = Fraction(raw), "rational"
         except ZeroDivisionError as exc:
             raise TreeError(f"measure {raw!r} has a zero denominator") from exc
-    if isinstance(raw, float):
+    elif isinstance(raw, float):
         if not math.isfinite(raw):
             raise TreeError(f"non-finite measure {raw!r}")
-        return raw, "float"
-    raise TreeError(f"unsupported measure entry {raw!r}")
+        m, backend = raw, "float"
+    else:
+        raise TreeError(f"unsupported measure entry {raw!r}")
+    try:
+        normal = m <= 0 or float(m) >= sys.float_info.min
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise TreeError(f"measure {reprlib.repr(raw)} is outside the range of "
+                        "normal doubles")
+    return m, backend
 
 
 def _read_document(source) -> dict:

@@ -249,16 +249,29 @@ def apply_lambda_poly(window, measure, coeffs, f):
     Laplacian stencils: the stencil route of kernel_column_lambda_poly."""
     from flowtree import localops
     return localops._combine(window, zip(coeffs, localops._iterates(
-        window, measure, f, len(coeffs), False)))
+        window, measure, f, len(coeffs))))
 
 
 def cheb_apply(window, measure, model, f):
     """The interpolant of F applied to any window function by the forward
-    three-term recurrence on stencils: the stencil route of cheb_column,
-    and on float windows the cross-check of its ball sweep."""
+    three-term recurrence on Laplacian stencils, T_1 = (L - I) T_0 and
+    T_{k+1} = 2 (L - I) T_k - T_{k-1}: the per-vertex cross-check of
+    cheb_column's ball sweep."""
     from flowtree import localops
-    return localops._combine(window, zip(model.coef, localops._iterates(
-        window, measure, f, len(model.coef), True)))
+
+    def iterates(f):
+        prev = None
+        for k in range(len(model.coef)):
+            if k:
+                g = localops.apply_laplacian(window, measure, f)
+                vals = localops._accumulate(dict(g.values), -1, f.values)
+                if k >= 2:
+                    vals = localops._accumulate(localops._accumulate({}, 2, vals), -1,
+                                                prev.values)
+                prev, f = f, localops.WindowFunction(vals, g.safe, g.zero_outside)
+            yield f
+
+    return localops._combine(window, zip(model.coef, iterates(f)))
 
 
 def kernel_value_general(window, measure, model, x, y):

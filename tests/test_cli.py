@@ -54,6 +54,54 @@ def test_bad_measure_entry_exit_two(tmp_path, capsys, measure):
     assert "bad vertex record" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def saved_ball(tmp_path_factory):
+    """ball_window(2, 9) saved as a tree file, and its document."""
+    w, m, _ = ball_window(2, 9)
+    doc = trees.window_to_json(w, m)
+    path = tmp_path_factory.mktemp("ball") / "ball.json"
+    path.write_text(json.dumps(doc))
+    return path, doc
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10 ** 400), Fraction(1, 10 ** 310),
+                                   Fraction(10 ** 306), Fraction(10 ** 400)],
+                         ids=["1e-400", "1e-310", "1e306", "1e400"])
+def test_masses_outside_double_range_exit_two(tmp_path, capsys, saved_ball, scale):
+    """A saved ball whose rational masses are scaled past the normal doubles
+    (some mass underflows to a subnormal or to 0, or overflows) is bad
+    input for every command that loads it, not a traceback or a NaN."""
+    doc = json.loads(json.dumps(saved_ball[1]))
+    for rec in doc["vertices"]:
+        rec["measure"] = str(Fraction(rec["measure"]) * scale)
+    tree = tmp_path / "scaled.json"
+    tree.write_text(json.dumps(doc))
+    for argv in (["kernel", "--coeffs", "0,1"], ["heat"], ["riesz"]):
+        assert run([*argv, "--tree", str(tree), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "bad vertex record" in err and "normal doubles" in err
+
+
+def test_loaded_ball_anchors_in_its_deepest_safe_region(tmp_path, saved_ball):
+    """A loaded window anchors a command at the middle of the vertices safe
+    at its radius, or at the deepest defect distance the window has: the
+    degree-8 multiplier column of a saved ball_window(2, 9) sits at the
+    centre, the one vertex safe at 9, with the built-in ball's bytes.  heat
+    reads radius 0, so it keeps the middle of every vertex."""
+    tree, doc = saved_ball
+    flags = ["--multiplier", "exp(-t*x)", "--t", "1"]
+    assert run(["kernel", "--tree", str(tree), *flags, "--out", str(tmp_path / "a")]) == 0
+    assert run(["kernel", "--q", "2", *flags, "--out", str(tmp_path / "b")]) == 0
+    for name in ("kernel.csv", "kernel.csv.meta.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    assert json.loads((tmp_path / "a" / "kernel.csv.meta.json").read_text())["anchor"] == \
+        ball_window(2, 9)[2]
+    assert run(["heat", "--tree", str(tree), "--out", str(tmp_path / "h")]) == 0
+    ids = sorted(rec["id"] for rec in doc["vertices"])
+    assert json.loads((tmp_path / "h" / "heat.csv.meta.json").read_text())["anchor"] == \
+        ids[len(ids) // 2]
+
+
 def test_missing_tree_file_exit_two(tmp_path, capsys):
     assert run(["kernel", "--tree", str(tmp_path / "missing.json"),
                 "--coeffs", "0,1", "--out", str(tmp_path / "o")]) == 2

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from flowtree import (TreeError, analysis, constant_ratio_window, load_window,
                       safe_region, window_to_json)
 from flowtree import TreeWindow, ball_window, quotient
-from flowtree.chebyshev import cheb_approx, cheb_column
+from flowtree.chebyshev import ChebModel, cheb_approx, cheb_column
 from flowtree.localops import (InsufficientMarginError, KernelColumn,
                                WindowFunction, _accumulate, apply_averaging,
                                apply_laplacian, apply_ncpoly, apply_shift,
@@ -30,6 +30,7 @@ from flowtree.localops import (InsufficientMarginError, KernelColumn,
                                indicator, kernel_column_lambda_poly,
                                kernel_column_poly)
 from flowtree.ncpoly import Z1, Z2, NcPolynomial
+from flowtree.trees import FlowMeasure
 
 from conftest import apply_gradient, apply_lambda_poly, cheb_apply
 
@@ -372,6 +373,37 @@ def test_word_polynomials_match_reference(name, d, pick, terms):
     assert col.safe == want.safe
 
 
+def float_copy(m):
+    """The measure with every mass as float(m(v)), on the float backend."""
+    return FlowMeasure({v: float(x) for v, x in m.values.items()}, "float")
+
+
+def python_numbers(coeffs):
+    """Each coefficient as the Python number the ball sweep reads it as."""
+    return [complex(c) if np.iscomplexobj(c) else float(c) for c in coeffs]
+
+
+def is_exact(m, coeffs):
+    """The engine rule: int and Fraction coefficients on a rational window."""
+    return m.backend == "rational" and all(type(c) in (int, Fraction) for c in coeffs if c)
+
+
+def expected_column(w, m, coeffs, y, chebyshev=False):
+    """The column at y the engine rule gives, from the whole-window
+    reference: an exact one is the exact reference over m(y); any other is
+    the reference on the float copy of the measure with the coefficients as
+    Python numbers, complex for a Chebyshev model or where any coefficient
+    is complex, float otherwise."""
+    if not chebyshev and is_exact(m, coeffs):
+        want = ref_lambda_poly(w, m, coeffs, ref_indicator(w, y))
+        return {v: x / m.values[y] for v, x in want.values.items()}
+    fm = float_copy(m)
+    ref = ref_chebyshev if chebyshev else ref_lambda_poly
+    want = ref(w, fm, python_numbers(coeffs), ref_indicator(w, y))
+    kind = complex if chebyshev or any(np.iscomplexobj(c) for c in coeffs) else float
+    return {v: kind(x) / fm.values[y] for v, x in want.values.items()}
+
+
 def check_laplacian_polynomial(name, d, pick, coeffs, start):
     w, m = WINDOWS[name]
     y = anchor_at(w, d, pick)
@@ -387,7 +419,7 @@ def check_laplacian_polynomial(name, d, pick, coeffs, start):
             kernel_column_lambda_poly(w, m, coeffs, y)
         return
     col = kernel_column_lambda_poly(w, m, coeffs, y)
-    assert_same_column(col, {v: x / m.values[y] for v, x in want.values.items()})
+    assert_same_column(col, expected_column(w, m, coeffs, y))
     assert col.safe == want.safe
 
 
@@ -402,14 +434,16 @@ def test_laplacian_polynomials_match_reference(name, d, pick, coeffs, start):
 
 @HYPO
 @given(windows_st, distance_st, pick_st, numbers_st, start_st)
-# mixed kinds: the anchor's value is complex, its neighbours' are floats;
-# numpy scalars: every value is a numpy float
+# mixed kinds: every column value is complex, the anchor's and its float
+# neighbours' alike; numpy scalars: every column value is a Python float
 @example("reversed", DEG, 0, [0.5j, 1.0], "indicator")
 @example("golden", DEG, 0, [np.float64(0.5), 0.0, 1.0], "indicator")
 def test_laplacian_polynomials_of_any_numbers_match_reference(name, d, pick, coeffs,
                                                               start):
-    """Float, complex and numpy coefficients and mixtures of them: ball
-    sweeps on float windows for one Python kind, stencils otherwise."""
+    """Float, complex and numpy coefficients and mixtures of them: the
+    stencils apply them as they are; their columns sweep the anchor's ball
+    on every window, unless every nonzero coefficient is an int or a
+    Fraction on a rational window."""
     check_laplacian_polynomial(name, d, pick, coeffs, start)
 
 
@@ -627,17 +661,156 @@ def test_window_arrays_are_built_once_per_window():
 
 
 def test_rational_windows_keep_exact_iterate_columns():
-    """On a rational window both columns keep the exact route: Laplacian
-    polynomial columns are Fractions, Chebyshev columns are complex(T) /
-    m(y) of exact iterates, and the window's arrays are never built."""
+    """On a rational window Laplacian polynomial columns with Fraction
+    coefficients keep the exact route, as Fractions, and never build the
+    window's arrays; Chebyshev columns are float-valued and sweep the ball
+    on the float copy of the measure."""
     w, m, c = ball_window(2, 4)
     coeffs = [Fraction(1, 3), Fraction(-1), 0, Fraction(2)]
     col = kernel_column_lambda_poly(w, m, coeffs, c)
     want = ref_lambda_poly(w, m, coeffs, ref_indicator(w, c))
     assert all(type(x) is Fraction for x in col.values.values())
     assert_same_column(col, {v: x / m.values[c] for v, x in want.values.items()})
-    model = cheb_approx(lambda lam: np.exp(-np.asarray(lam)), 4)
-    want = ref_chebyshev(w, m, model.coef, ref_indicator(w, c))
-    col = cheb_column(w, m, model, c)
-    assert_same_column(col, {v: complex(x) / m.as_float(c) for v, x in want.values.items()})
     assert w._arrays is None
+    model = cheb_approx(lambda lam: np.exp(-np.asarray(lam)), 4)
+    col = cheb_column(w, m, model, c)
+    assert_same_column(col, expected_column(w, m, model.coef, c, chebyshev=True))
+    assert w._arrays is not None
+
+
+def _random_ratios(seed, q):
+    """q branching ratios with random integer weights, as Fractions."""
+    rng = random.Random(seed)
+    weights = [rng.randint(1, 9) for _ in range(q)]
+    return tuple(Fraction(x, sum(weights)) for x in weights)
+
+
+EXACT_BALLS = {"3:1": ball_window((Fraction(3, 4), Fraction(1, 4)), DEG),
+               "q=3": ball_window(3, DEG),
+               "random ratios": ball_window(_random_ratios(11, 3), DEG)}
+HEAT = cheb_approx(lambda lam: np.exp(-np.asarray(lam)), DEG)
+# one input of each kind, and the engine the rule sends it to
+ENGINE_INPUTS = [
+    ("Fractions", [Fraction(1, 3), 0, Fraction(-2, 5), Fraction(1)], "integer"),
+    ("ints", [0, 1, 0, -2], "integer"),
+    ("zero floats among Fractions", [0.0, Fraction(1, 2), -0.0, Fraction(1)], "integer"),
+    ("floats", [0.5, -1.0, 0.0, 2.0], "swept"),
+    ("complex", [0.5j, 1 + 0j], "swept"),
+    ("np.float32", [np.float32(0.5), np.float32(1)], "swept"),
+    ("np.complex64", [np.complex64(0.5 + 1j), np.complex64(1)], "swept"),
+    ("mixed", [Fraction(1, 3), 0.5, 1j, np.float64(2)], "swept"),
+    ("Chebyshev", HEAT, "swept"),
+]
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("kind, coeffs, engine", ENGINE_INPUTS,
+                         ids=[i[0] for i in ENGINE_INPUTS])
+def test_columns_pick_their_engine_by_number_kind(monkeypatch, backend, kind, coeffs,
+                                                  engine):
+    """Exact columns, int and Fraction coefficients on a rational window,
+    run one integer stencil per Laplacian step and never build the
+    window's arrays; every other column, on either backend, is one ball
+    sweep, and no column reaches the per-vertex stencil."""
+    from flowtree import localops
+    calls = {"integer": 0, "generic": 0, "swept": 0}
+
+    def counted(name, key):
+        fn = getattr(localops, name)
+
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(localops, name, wrapped)
+
+    counted("_integer_stencil", "integer")
+    counted("_generic_stencil", "generic")
+    counted("_swept_column", "swept")
+    w, m, c = ball_window(2, DEG, backend=backend)
+    if isinstance(coeffs, ChebModel):
+        degree = coeffs.degree
+        cheb_column(w, m, coeffs, c)
+    else:
+        degree = len(coeffs) - 1
+        kernel_column_lambda_poly(w, m, coeffs, c)
+    if backend == "float":
+        engine = "swept"
+    want = {"integer": degree if engine == "integer" else 0, "generic": 0,
+            "swept": int(engine == "swept")}
+    assert calls == want
+    assert (w._arrays is None) == (engine == "integer")
+
+
+real_st = st.floats(-3, 3, allow_subnormal=False)
+complex_st_normal = st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                       allow_infinity=False, allow_subnormal=False)
+float32_st = st.floats(-3, 3, width=32).map(np.float32)
+complex64_st = complex_st_normal.map(np.complex64)
+KIND_LISTS = {
+    "float": coeff_lists(real_st),
+    "complex": coeff_lists(complex_st_normal),
+    "np.float32": coeff_lists(float32_st),
+    "np.complex64": coeff_lists(complex64_st),
+    "mixed": coeff_lists(st.one_of(coeff_st, real_st, float32_st, complex_st_normal,
+                                   complex64_st)),
+}
+
+
+def exact_iterates(w, m, y, count, chebyshev):
+    """delta_y, then L^k delta_y or T_k(L - I) delta_y for k < count, as
+    exact dicts on the rational measure."""
+    full = frozenset(w.vertices)
+    g, prev, out = {y: Fraction(1)}, None, []
+    for k in range(count):
+        if k:
+            lg = REF_OPS["lap"](w, m, WindowFunction(g, full, True)).values
+            if chebyshev:
+                lg = {v: lg.get(v, 0) - g.get(v, 0) for v in set(lg) | set(g)}
+                if k >= 2:
+                    lg = {v: 2 * lg.get(v, 0) - prev.get(v, 0) for v in set(lg) | set(prev)}
+            prev, g = g, lg
+        out.append(g)
+    return out
+
+
+def exact_column(w, m, coeffs, y, chebyshev):
+    """sum coeffs[k] P_k delta_y / m(y) in exact arithmetic, each part of
+    each coefficient read exactly, rounded once to a complex value."""
+    re, im = {}, {}
+    for c, it in zip(coeffs, exact_iterates(w, m, y, len(coeffs), chebyshev)):
+        c = complex(c)
+        cr, ci = Fraction(c.real), Fraction(c.imag)
+        for v, x in it.items():
+            re[v] = re.get(v, 0) + cr * x
+            im[v] = im.get(v, 0) + ci * x
+    my = m.values[y]
+    return {v: complex(re[v] / my, im[v] / my) for v in re}
+
+
+@HYPO
+@given(st.sampled_from(sorted(EXACT_BALLS)),
+       st.sampled_from(sorted(KIND_LISTS) + ["chebyshev"]), st.data())
+def test_float_valued_columns_on_rational_windows(name, kind, data):
+    """Float-valued columns on rational windows, float, complex, numpy and
+    mixed coefficient lists and Chebyshev models alike, have the bits of
+    the whole-window reference on the float copy of the measure, and lie
+    within 1e-15 of max |value| of the exact-measure column.  (Normal
+    coefficients: a subnormal one has no relative accuracy to keep.)"""
+    w, m, c = EXACT_BALLS[name]
+    if kind == "chebyshev":
+        t, omega = data.draw(st.floats(0.1, 4.0)), data.draw(st.floats(-2.0, 2.0))
+        model = cheb_approx(lambda lam: np.exp((1j * omega - t) * np.asarray(lam)),
+                            data.draw(st.integers(0, DEG)))
+        coeffs, col = model.coef, cheb_column(w, m, model, c)
+    else:
+        coeffs = data.draw(KIND_LISTS[kind])
+        if is_exact(m, coeffs):  # a mixed list that drew only Fractions and zeros
+            return
+        col = kernel_column_lambda_poly(w, m, coeffs, c)
+    chebyshev = kind == "chebyshev"
+    assert_same_column(col, expected_column(w, m, coeffs, c, chebyshev))
+    exact = exact_column(w, m, coeffs, c, chebyshev)
+    scale = max(map(abs, exact.values()), default=0.0)
+    err = max((abs(complex(col.value(v)) - exact.get(v, 0)) for v in set(exact) | set(col.values)),
+              default=0.0)
+    assert err <= 1e-15 * scale

@@ -84,6 +84,22 @@ def test_load_rejects_bad_measure_entries(measure, match):
         load_window(json.dumps(_one_vertex(measure)))
 
 
+@pytest.mark.parametrize("measure", [
+    "1/" + "1" + "0" * 400, "1" + "0" * 400, 10 ** 400, "1/" + "1" + "0" * 310, 1e-310,
+    5e-324, f"1/{2 ** 1023}",
+], ids=["1e-400", "1e400 text", "1e400 int", "1e-310", "1e-310 float", "5e-324", "2^-1023"])
+def test_load_rejects_masses_outside_the_normal_doubles(measure):
+    """A positive mass whose float overflows or is subnormal (or 0) is
+    refused, and the error names the record; the least normal double is
+    read."""
+    with pytest.raises(TreeError, match=r"record at index 0: .* normal doubles"):
+        load_window(_one_vertex(measure))
+    tiny = 2.0 ** -1022
+    for entry in (tiny, f"1/{2 ** 1022}"):
+        _, m = load_window(_one_vertex(entry))
+        assert float(m.values[0]) == tiny
+
+
 def test_load_missing_path_is_unreadable(tmp_path):
     with pytest.raises(TreeError, match="cannot read tree file"):
         load_window(str(tmp_path / "missing.json"))
