@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from . import abel, flowkernel
 from .localops import KernelColumn
-from .trees import FlowMeasure, TreeError, TreeWindow, Vertex
+from .trees import DEFAULT_VERTEX_CAP, FlowMeasure, TreeError, TreeWindow, Vertex
 from .zline import heat_support_radius, heat_z_gradkernel
 
 SQRT_PI = math.sqrt(math.pi)
@@ -108,7 +108,13 @@ class QuadratureSpec:
 
 
 def _heat_gradk(t: float) -> np.ndarray:
-    return heat_z_gradkernel(t, heat_support_radius(t, HEAT_TOL))
+    """The heat gradient kernel at time t, to HEAT_TOL; a kernel longer than
+    DEFAULT_VERTEX_CAP (t above about 5e10) is refused before it is built."""
+    nmax = heat_support_radius(t, HEAT_TOL)
+    if nmax >= DEFAULT_VERTEX_CAP:
+        raise TreeError(f"t = {t:g} needs a line kernel of {nmax + 1:,} entries, "
+                        f"over the cap of {DEFAULT_VERTEX_CAP:,}")
+    return heat_z_gradkernel(t, nmax)
 
 
 @functools.lru_cache(maxsize=None)

@@ -15,6 +15,8 @@ the anchor's ball on float masses, on both backends.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,9 @@ def cheb_column(window: TreeWindow, measure: FlowMeasure, model: ChebModel,
     up to rounding), err_bound = sup_err / sqrt(m_min m(y)), m_min over the
     certified set, which is the whole window: read from its cached masses."""
     col = _polynomial_column(window, measure, model.coef, y, True)
-    m_min = float(window.arrays().masses(measure).min())
-    col.err_bound = float(model.sup_err / np.sqrt(m_min * measure.as_float(y)))
+    m_min, my = float(window.arrays().masses(measure).min()), measure.as_float(y)
+    # both masses are scaled by 2^600 when their product is no normal double:
+    # the root cannot underflow, and a normal product's bound keeps its bits
+    scale = 1.0 if m_min * my >= sys.float_info.min else 2.0 ** 600
+    col.err_bound = float(model.sup_err / math.sqrt((m_min * scale) * (my * scale)) * scale)
     return col

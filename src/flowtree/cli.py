@@ -576,12 +576,12 @@ def _config_tokens(parser: argparse.ArgumentParser, path: str) -> list[str]:
 
 
 def _check_numbers(parser: argparse.ArgumentParser, args) -> None:
-    """Integer flags are non-negative, float flags finite."""
+    """Integer flags and --tol are non-negative, float flags finite."""
     for action in parser._actions:
         val = getattr(args, action.dest, None)
         if val is None:
             continue
-        if action.type is int:
+        if action.type is int or action.dest == "tol":
             _at_least(action.option_strings[0], val, 0)
         if action.type is float and not math.isfinite(val):
             raise ValueError(f"{action.option_strings[0]} must be finite, not {val}")

@@ -21,8 +21,8 @@ support, not the window.  Certified sets are materialised only when needed:
   then on the certified set is computed vertex by vertex over the window.
 
 Word polynomials sum their stencil results through one helper,
-``_combine``; so do exact polynomials in L, over one generator of iterates
-(``_iterates``: L^k f).
+``_combine``; so do exact polynomials in L, by Horner's rule: g <- L g +
+c_k f, one Laplacian stencil and one ``_combine`` per coefficient.
 
 On the rational backend the three stencils that read children (Sigma*, A
 and L) run on integer numerators when every input value is an int or a
@@ -51,8 +51,8 @@ divides each distinct value by m(y) once.
 Kernel columns of polynomials in L, ``kernel_column_lambda_poly`` here and
 ``chebyshev.cheb_column``, share one entry, ``_polynomial_column``, which
 anchors the column and picks its engine by the kind of its numbers.  Exact
-columns, int and Fraction coefficients on a rational window, sum the
-integer stencils' iterates.  Every other column is float-valued, on either
+columns, int and Fraction coefficients on a rational window, run Horner's
+rule on the integer stencils.  Every other column is float-valued, on either
 backend, and skips the dicts: each Laplacian step is one pass of the
 Laplacian's rule over numpy arrays on the anchor's ball B_N(y), read from
 the window's cached arrays (``TreeWindow.arrays``) with float masses, with
@@ -345,14 +345,6 @@ def apply_laplacian(window, measure, f):
     return _stencil(window, measure, f, _laplacian_rule(_half(measure)), _LAPLACIAN)
 
 
-def _iterates(window: TreeWindow, measure: FlowMeasure, f: WindowFunction, count: int):
-    """f, then L^k f for 0 < k < count, one Laplacian stencil per step."""
-    for k in range(count):
-        if k:
-            f = apply_laplacian(window, measure, f)
-        yield f
-
-
 @dataclass
 class KernelColumn:
     """Sparse kernel column x -> K(x, anchor) with a certification set.
@@ -426,14 +418,17 @@ def _polynomial_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vert
                        chebyshev: bool) -> KernelColumn:
     """The column at anchor y of sum coeffs[k] P_k(L): P_k = L^k, or
     T_k(L - I) when ``chebyshev`` is set; y must be safe at the degree.
-    The one engine choice: exact stencil iterates (_combine, then
-    _column_from_function) for int and Fraction coefficients on a rational
-    window, the ball sweep (_swept_column) for every other column."""
+    The one engine choice: Horner's rule on the exact stencils, g <- L g +
+    c_k delta_y from the top coefficient down, then _column_from_function,
+    for int and Fraction coefficients on a rational window; the ball sweep
+    (_swept_column) for every other column."""
     f = _anchored(window, max(len(coeffs) - 1, 0), y)
     if (chebyshev or measure.backend != "rational"
             or any(c and type(c) not in _RATIONAL for c in coeffs)):
         return _swept_column(window, measure, coeffs, y, chebyshev)
-    g = _combine(window, zip(coeffs, _iterates(window, measure, f, len(coeffs))))
+    g = _combine(window, [(c, f) for c in coeffs[-1:]])
+    for c in reversed(coeffs[:-1]):
+        g = _combine(window, ((1, apply_laplacian(window, measure, g)), (c, f)))
     return _column_from_function(window, measure, g, y)
 
 

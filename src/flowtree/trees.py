@@ -526,6 +526,7 @@ def spine_window(depth: int) -> tuple[TreeWindow, FlowMeasure, Vertex]:
     single (complete) successor carrying the full mass, ``depth`` levels
     down.  Rational backend.  Returns (window, measure, x1).
     """
+    _check_cap(depth + 5)
     one, half = Fraction(1), Fraction(1, 2)
     b = _Builder(3, one)
     branch, = b.add(0, [one], False)
@@ -537,13 +538,33 @@ def spine_window(depth: int) -> tuple[TreeWindow, FlowMeasure, Vertex]:
     return (*b.finish("rational", one), x1)
 
 
+def _check_normal(raw, m) -> None:
+    """Refuse the entry raw when the float of its positive value m is not a
+    normal double."""
+    try:
+        x = float(m)
+    except OverflowError:
+        x = math.inf
+    if not sys.float_info.min <= x < math.inf:
+        raise TreeError(f"measure {reprlib.repr(raw)} is outside the range of "
+                        "normal doubles")
+
+
 def _parse_measure(raw) -> tuple[Number, str]:
     """A measure entry and its backend.  A positive entry whose float is not
     a normal double (it overflows, or underflows to a subnormal or to 0) is
     refused: every float route, and the ball sweep on rational windows too,
-    reads each mass as a double."""
+    reads each mass as a double.  A decimal string is tested as a Decimal,
+    which keeps its exponent, before Fraction would expand it in full."""
     if isinstance(raw, bool):
         raise TreeError(f"unsupported measure entry {raw!r}")
+    if isinstance(raw, str):
+        try:
+            d = Decimal(raw)
+        except ArithmeticError:   # "p/q", or malformed: Fraction reads or refuses it
+            d = Decimal(0)
+        if d.is_finite() and d > 0:
+            _check_normal(raw, d)
     if isinstance(raw, (str, int)):
         try:
             m, backend = Fraction(raw), "rational"
@@ -555,13 +576,8 @@ def _parse_measure(raw) -> tuple[Number, str]:
         m, backend = raw, "float"
     else:
         raise TreeError(f"unsupported measure entry {raw!r}")
-    try:
-        normal = m <= 0 or float(m) >= sys.float_info.min
-    except OverflowError:
-        normal = False
-    if not normal:
-        raise TreeError(f"measure {reprlib.repr(raw)} is outside the range of "
-                        "normal doubles")
+    if m > 0:
+        _check_normal(raw, m)
     return m, backend
 
 

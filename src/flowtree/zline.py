@@ -150,22 +150,18 @@ def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
 
 
 def z_kernel_lambda_poly(coeffs) -> dict[int, Fraction]:
-    """Exact kernel of a polynomial in the Z-Laplacian, by convolution powers
-    of its one-step kernel (1 at 0, -1/2 at +-1)."""
+    """Exact kernel of a polynomial in the Z-Laplacian, by Horner's rule on
+    its one-step kernel base (1 at 0, -1/2 at +-1): out <- base * out +
+    c_k delta_0, from the top coefficient down."""
     base = {-1: Fraction(-1, 2), 0: Fraction(1), 1: Fraction(-1, 2)}
     out: dict[int, Fraction] = {}
-    power = {0: Fraction(1)}
-    for k, c in enumerate(coeffs):
-        if k:
-            new: dict[int, Fraction] = {}
-            for i, a in power.items():
-                for j, b in base.items():
-                    new[i + j] = new.get(i + j, Fraction(0)) + a * b
-            power = new
+    for c in reversed(coeffs):
+        prev, out = out, {}
+        for i, a in prev.items():
+            for j, b in base.items():
+                out[i + j] = out.get(i + j, Fraction(0)) + a * b
         if c:
-            c = Fraction(c)
-            for n, a in power.items():
-                out[n] = out.get(n, Fraction(0)) + c * a
+            out[0] = out.get(0, Fraction(0)) + Fraction(c)
     return {n: a for n, a in out.items() if a}
 
 

@@ -245,11 +245,35 @@ def apply_gradient(window, measure, f):
 
 
 def apply_lambda_poly(window, measure, coeffs, f):
-    """sum_k coeffs[k] L^k f for any window function f, by iterated
-    Laplacian stencils: the stencil route of kernel_column_lambda_poly."""
+    """sum_k coeffs[k] L^k f for any window function f, as a sum of powers
+    in k order, each L^k f one more Laplacian stencil: the oracle of
+    kernel_column_lambda_poly's Horner evaluation."""
     from flowtree import localops
-    return localops._combine(window, zip(coeffs, localops._iterates(
-        window, measure, f, len(coeffs))))
+
+    def powers(f):
+        for k in range(len(coeffs)):
+            if k:
+                f = localops.apply_laplacian(window, measure, f)
+            yield f
+    return localops._combine(window, zip(coeffs, powers(f)))
+
+
+def z_kernel_power_sum(coeffs):
+    """The exact line kernel of sum_k coeffs[k] L^k as a sum of convolution
+    powers of the one-step kernel, in k order: the oracle of
+    zline.z_kernel_lambda_poly's Horner evaluation."""
+    base = {-1: Fraction(-1, 2), 0: Fraction(1), 1: Fraction(-1, 2)}
+    out, power = {}, {0: Fraction(1)}
+    for k, c in enumerate(coeffs):
+        if k:
+            new = {}
+            for i, a in power.items():
+                for j, b in base.items():
+                    new[i + j] = new.get(i + j, Fraction(0)) + a * b
+            power = new
+        for n, a in power.items():
+            out[n] = out.get(n, Fraction(0)) + Fraction(c) * a
+    return {n: a for n, a in out.items() if a}
 
 
 def cheb_apply(window, measure, model, f):

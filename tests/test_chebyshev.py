@@ -1,5 +1,9 @@
 """Chebyshev models: approximation quality and certified kernel values."""
 
+import math
+import warnings
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +11,7 @@ from flowtree import ball_window
 from flowtree import zline
 from flowtree.chebyshev import cheb_approx, cheb_column
 from flowtree.localops import kernel_column_lambda_poly
-from flowtree.trees import InsufficientMarginError, in_safe_region
+from flowtree.trees import FlowMeasure, InsufficientMarginError, in_safe_region
 
 from conftest import kernel_value_general
 
@@ -105,3 +109,21 @@ def test_pointwise_certificate_formula(z_ball):
     val, cert = kernel_value_general(w, m, model, c, c)
     assert cert == pytest.approx(model.sup_err, rel=1e-12)  # unit masses
     assert abs(val - zk.value(0)) <= cert
+
+
+@pytest.mark.parametrize("exponent", [200, 300])
+def test_err_bound_is_finite_for_tiny_normal_masses(exponent):
+    """sqrt(m_min m(y)) underflows once both masses fall below about
+    1e-154.  On ball_window(2, 9) with every mass scaled by 10^-exponent, all
+    of them normal doubles, the bound stays finite with no warning and grows
+    by 10^exponent, as the masses' root shrinks."""
+    w, m, c = ball_window(2, 9)
+    scale = Fraction(1, 10 ** exponent)
+    tiny = FlowMeasure({v: x * scale for v, x in m.values.items()}, m.backend)
+    model = cheb_approx(lambda lam: np.exp(-np.asarray(lam)), 8)
+    base = cheb_column(w, m, model, c).err_bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cheb_column(w, tiny, model, c).err_bound
+    assert math.isfinite(got) and got > 0
+    assert got == pytest.approx(base * 10.0 ** exponent, rel=1e-12)

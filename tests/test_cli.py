@@ -860,6 +860,42 @@ def test_bad_numeric_values_never_raise(case):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("command", ["heat", "riesz-skew-check"])
+def test_negative_tol_exits_two(tmp_path, capsys, command):
+    """A negative --tol is bad input, not a failed check; --tol 0 is a
+    strict check, which the line's skew identity (deviation 0) passes."""
+    out = tmp_path / "o"
+    assert run([command, "--tol", "-1", "--out", str(out)]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (out / "failure.json").exists()
+    assert run(["riesz-skew-check", "--window", "zline", "--dmax", "2", "--tol", "0",
+                "--out", str(tmp_path / "zero")]) == 0
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("built past the cap")
+
+
+@pytest.mark.parametrize("argv, builder, size", [
+    (["heat", "--q", "2", "--t", "1e16"], (analysis, "heat_z_gradkernel"), "t = 1e+16"),
+    (["level-sum", "--t-grid", "1e16"], (analysis, "heat_z_gradkernel"), "t = 1e+16"),
+    (["weighted-sweep", "--t-grid", "1e11", "--q-grid", "2"],
+     (analysis, "heat_z_gradkernel"), "t = 1e+11"),
+    (["divergence", "--d-grid", "1000000"], (trees, "_Builder"), "2,000,009 vertices"),
+    (["heat", "--window", "spine", "--depth", "3000000"], (trees, "_Builder"),
+     "3,000,005 vertices"),
+], ids=["heat", "level-sum", "weighted-sweep", "divergence", "spine"])
+def test_sizes_over_the_cap_exit_two_before_building(tmp_path, capsys, monkeypatch,
+                                                     argv, builder, size):
+    """A heat time whose line kernel, or a spine whose window, would pass
+    DEFAULT_VERTEX_CAP exits 2 naming its size.  The builder it would call
+    fails the test instead, so nothing of that size is ever allocated."""
+    monkeypatch.setattr(*builder, _never)
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert size in err and "over the cap" in err and "Traceback" not in err
+
+
 def test_transfer_check_zero_trials(tmp_path):
     """--trials 0 runs no trial: a header-only CSV, exit 0."""
     out = tmp_path / "o"

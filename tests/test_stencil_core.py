@@ -592,9 +592,10 @@ def test_exact_columns_build_each_distinct_value_once(monkeypatch):
     one per vertex per step, and the column divides each distinct value by
     m(y) once: equal values are one object, also on the (3/4, 1/4) ball,
     where distinct (numerator, mass) pairs of a stencil reduce to one
-    value."""
+    value.  Coefficients 1, 1/2, ..., 1/7 add one value at the anchor per
+    step of Horner's rule, so they stay under the same bound (a sum of
+    powers multiplies each of them by every value of its term)."""
     w, m, c = ball_window(4, 7)
-    built = [0]
     new = Fraction.__new__
 
     def counting(cls, *args, **kwargs):
@@ -602,10 +603,12 @@ def test_exact_columns_build_each_distinct_value_once(monkeypatch):
         return new(cls, *args, **kwargs)
 
     coeffs = [Fraction(0)] * 6 + [Fraction(1)]
-    monkeypatch.setattr(Fraction, "__new__", counting)
-    col = kernel_column_lambda_poly(w, m, coeffs, c)
-    monkeypatch.undo()
-    assert built[0] <= 500
+    for cs in ([Fraction(1, k) for k in range(1, 8)], coeffs):
+        built = [0]
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        col = kernel_column_lambda_poly(w, m, cs, c)
+        monkeypatch.undo()
+        assert built[0] <= 500
     values = list(col.values.values())
     assert len(values) == 6826 and len(set(values)) == 28
     assert len({id(x) for x in values}) == 28

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,19 @@ def test_load_rejects_masses_outside_the_normal_doubles(measure):
     for entry in (tiny, f"1/{2 ** 1022}"):
         _, m = load_window(_one_vertex(entry))
         assert float(m.values[0]) == tiny
+
+
+def test_load_refuses_far_exponents_before_expanding_them():
+    """A decimal exponent far past double range is refused from the entry's
+    Decimal, where Fraction would write out ten million digits (seconds);
+    zero and negative decimals keep the nonpositive message."""
+    start = time.perf_counter()
+    with pytest.raises(TreeError, match=r"record at index 0: .* normal doubles"):
+        load_window(_one_vertex("1e-10000000"))
+    assert time.perf_counter() - start < 0.1
+    for entry in ("0", "0e-5", "-1e-400", "-2.5e3"):
+        with pytest.raises(TreeError, match="nonpositive"):
+            load_window(_one_vertex(entry))
 
 
 def test_load_missing_path_is_unreadable(tmp_path):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from flowtree import zline
 from flowtree.bumps import chi0, schrodinger_multiplier
 
-from conftest import doubled_grid_two_pass
+from conftest import doubled_grid_two_pass, z_kernel_power_sum
 
 
 def test_identity_symbol_gives_delta():
@@ -54,6 +54,22 @@ def test_exact_poly_kernel_matches_quadrature():
         lambda lam: 1 / 3 - lam + 2 * lam ** 3, 10)
     for n in range(-6, 7):
         assert abs(zk.value(n) - float(exact.get(n, 0))) < 1e-12
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.just(Fraction(0)), st.just(0), rationals, st.integers(-3, 3)),
+                max_size=9),
+       st.integers(0, 3))
+def test_exact_poly_kernel_equals_the_power_sum(coeffs, trailing):
+    """Horner's rule gives the power sum's kernel key for key, in Fractions,
+    for rational and int coefficients with zeros among them and at the top."""
+    coeffs = coeffs + [0] * trailing
+    got = zline.z_kernel_lambda_poly(coeffs)
+    assert got == z_kernel_power_sum(coeffs)
+    assert all(type(a) is Fraction and a for a in got.values())
 
 
 def test_grad_of_delta():
