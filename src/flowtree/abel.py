@@ -157,17 +157,22 @@ def radial_from_gradkernel(q: int, gradk: np.ndarray, kmax: int) -> RadialKernel
     """Assemble A from one-sided gradient-kernel values gradk[n], n = 0..nmax.
 
     A(d) = sum_{j>=0} q^{-j} gradk(d+2j+1); the recursion runs backward from
-    the end of the array.  The tail bound and meta are left to the caller.
+    the end of the array, on Python numbers (floats while gradk is real), and
+    multiplies by 1/q as numpy's complex division by q does, so a finite
+    gradk gives A bit for bit as a complex128 array recursion would.  The
+    tail bound and meta are left to the caller.
     """
     if q < 2:
         raise ValueError("radial assembly needs q >= 2 (use zline for q = 1)")
     nmax = len(gradk) - 1
     if kmax + 1 > nmax:
         raise ValueError("gradient kernel array too short for kmax")
-    A = np.zeros(nmax + 2, dtype=complex)
+    g = np.asarray(gradk).tolist()
+    inv = 1.0 / q
+    A = [0.0] * (nmax + 2)
     for d in range(nmax - 1, -1, -1):
-        A[d] = gradk[d + 1] + A[d + 2] / q
-    return RadialKernel(q, A[:kmax + 1].copy(), kmax)
+        A[d] = g[d + 1] + A[d + 2] * inv
+    return RadialKernel(q, np.array(A[:kmax + 1], dtype=complex), kmax)
 
 
 def e_f_coefficients(q: int, fn, kmax: int) -> RadialKernel:
@@ -251,32 +256,35 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str,
     The sum collapses over spheres; by homogeneity it does not depend on y.
     Returns (value, tail_estimate); raises NumericalError if a weight
     overflows, and DominatedTailError if the truncated tail fails the
-    dominated check.
+    dominated check.  The sums run on Python numbers and multiply by 1/q,
+    as numpy's complex division by q does.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
-    A = radial.A
+    A = np.asarray(radial.A, dtype=complex).tolist()
+    inv = 1.0 / q
     kmax = radial.kmax
-    terms = np.zeros(kmax - 1 if variant == "grad_both" else kmax, dtype=float)
-    for d in range(len(terms)):
+    terms = []
+    for d in range(kmax - 1 if variant == "grad_both" else kmax):
         s = sphere_weight_scaled(q, d)
         if variant == "plain":
             val = abs(A[d]) * s
         elif variant in ("grad_x", "gradstar_z"):
-            b_near = abs(A[d] - A[d + 1] / q)
+            b_near = abs(A[d] - A[d + 1] * inv)
             b_far = abs(A[d] - A[d - 1]) if d >= 1 else 0.0
             val = b_near + (s - 1.0) * b_far
         else:
             if d == 0:
-                val = abs(A[0] - 2 * A[1] / q + A[0] / q)
+                val = abs(A[0] - 2 * A[1] * inv + A[0] * inv)
             else:
-                b_comp = abs(A[d] - A[d - 1] - A[d + 1] / q + A[d] / q)
+                b_comp = abs(A[d] - A[d - 1] - A[d + 1] * inv + A[d] * inv)
                 b_inc = abs(A[d] - 2 * A[d - 1] + (A[d - 2] if d >= 2 else 0.0))
                 val = 2.0 * b_comp + max(s - 2.0, 0.0) * b_inc
         try:
-            terms[d] = weight(d) * val
+            terms.append(weight(d) * val)
         except OverflowError as exc:
             raise NumericalError(f"weight at distance {d} overflows: {exc}") from exc
+    terms = np.array(terms, dtype=float)
     total = float(np.sum(terms))
     tail = float(np.sum(terms[-4:]))
     if tail_check and total > 0 and tail > 1e-6 * total + 1e-300:

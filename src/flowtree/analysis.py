@@ -443,20 +443,25 @@ def sobolev_growth(t_grid) -> dict:
 
     Norms are computed spectrally from 2^15 samples of exp(i t lam)
     chi0(lam) on a period of 8: one transform per t, whose |f^|^2 gives
-    both weighted norms.  The exponent of t in ||F_t||_{L^2_s} should match
-    s.
+    both weighted norms.  The weights (1 + xi^2)^s are computed once, and
+    exp(i t lam) only where chi0 is nonzero.  The exponent of t in
+    ||F_t||_{L^2_s} should match s.
     """
     from .bumps import chi0
     grid, span = 1 << 15, 8.0
     lam = (np.arange(grid) - grid / 2) * (span / grid)
     xi = (np.arange(grid) - grid / 2) * (2 * np.pi / span)
     base = chi0(lam)
-    norms = {1: [], 2: []}
+    on = base != 0
+    lam_on, base_on = lam[on], base[on]
+    weights = {s: (1 + xi ** 2) ** s for s in (1, 2)}
+    norms = {s: [] for s in weights}
+    f = np.zeros(grid, dtype=complex)
     for t in t_grid:
-        f = np.exp(1j * t * lam) * base
+        f[on] = np.exp(1j * t * lam_on) * base_on
         power = np.abs(np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f))) * (span / grid)) ** 2
         for s, vals in norms.items():
-            vals.append(float(np.sqrt(np.sum((1 + xi ** 2) ** s * power)
+            vals.append(float(np.sqrt(np.sum(weights[s] * power)
                                       / (2 * np.pi) * (2 * np.pi / span))))
     return {s: fit_loglog(list(t_grid), vals) for s, vals in norms.items()}
 

@@ -152,7 +152,9 @@ def _anchored(window: TreeWindow, radius: int, y: Vertex, *also: Vertex) -> Wind
 
 
 def _zero_on_incomplete(window: TreeWindow, f: WindowFunction) -> bool:
-    return all(window.is_complete(v) for v in f.values if f.values[v])
+    """f is zero at every incomplete vertex: only values there are tested."""
+    complete = window.complete
+    return all(complete.get(v, False) or not x for v, x in f.values.items())
 
 
 def _certified(window: TreeWindow, f: WindowFunction, reads_self: bool,
@@ -188,15 +190,14 @@ def _stencil(window: TreeWindow, measure: FlowMeasure, f: WindowFunction,
     (a f(v) + b f(parent(v)) + c (1/m(v)) sum f(c) m(c)) / s; a zero weight
     means the value is not read.  Only the support and its parents and
     children can carry a nonzero value, so only they are visited, in vertex
-    order.
+    order.  A zero value of f adds only vertices whose values come out
+    zero and are dropped, so values are not tested for zero here.
     """
     reads_self, reads_parent, reads_children = (w != 0 for w in weights[:3])
     fv = f.values
     pred, succ = window.pred, window.succ
     near = set()
-    for u, x in fv.items():
-        if not x:
-            continue
+    for u in fv:
         if reads_self:
             near.add(u)
         if reads_parent:
@@ -251,11 +252,13 @@ def _integer_stencil(measure, fv, pred, near, weights):
     numerators are distinct (an iterate of an indicator holds a few dozen
     values over thousands of vertices) each distinct (n, mu(v)) is built
     once per call; an input of mostly distinct values skips the memo,
-    whose lookups would only add to every output."""
+    whose lookups would only add to every output.  A zero value has
+    denominator 1 and drops out of F by its integer numerator, so no value
+    is tested for zero as a Fraction."""
     a, b, c, s = weights
     m = measure.values
-    D = math.lcm(*{x.denominator for x in fv.values() if x})
-    F = {u: x.numerator * (D // x.denominator) for u, x in fv.items() if x}
+    D = math.lcm(*{x.denominator for x in fv.values()})
+    F = {u: n for u, x in fv.items() if (n := x.numerator * (D // x.denominator))}
     child_sum = dict.fromkeys((pred[u] for u in F if u in pred), 0)
     M = math.lcm(*{m[u].denominator for u in F},
                  *{m[v].denominator for v in child_sum})

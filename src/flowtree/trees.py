@@ -555,15 +555,19 @@ def _parse_measure(raw) -> tuple[Number, str]:
     a normal double (it overflows, or underflows to a subnormal or to 0) is
     refused: every float route, and the ball sweep on rational windows too,
     reads each mass as a double.  A decimal string is tested as a Decimal,
-    which keeps its exponent, before Fraction would expand it in full."""
+    which keeps its exponent, before Fraction would expand it in full; a
+    nonpositive one comes back as 0, for validate_measure to refuse with the
+    vertex named."""
     if isinstance(raw, bool):
         raise TreeError(f"unsupported measure entry {raw!r}")
     if isinstance(raw, str):
         try:
             d = Decimal(raw)
         except ArithmeticError:   # "p/q", or malformed: Fraction reads or refuses it
-            d = Decimal(0)
-        if d.is_finite() and d > 0:
+            d = Decimal("NaN")
+        if d.is_finite():
+            if d <= 0:
+                return Fraction(0), "rational"
             _check_normal(raw, d)
     if isinstance(raw, (str, int)):
         try:

@@ -5,11 +5,14 @@ kernels come from uniform trapezoid sums over the circle, which are exact for
 trigonometric polynomials and spectrally accurate for smooth symbols.  The
 sums run on a doubled grid, and the aliasing guard reads how far they moved
 from the half grid off the doubled grid's aliased image, so a grid takes one
-symbol evaluation and one transform.  The guard picks the grid: it starts
-at the default grid for nmax and doubles it until the sums hold still, up
-to MAX_GRID, where it gives up.  The symmetric-gradient kernel
+symbol evaluation and one transform.  Each grid size's 1 - cos(theta) and
+sin(theta) are computed once (_grid keeps the last size, read-only), and a
+real symbol stays real up to the transform.  The guard picks the grid: it
+starts at the default grid for nmax and doubles it until the sums hold
+still, up to MAX_GRID, where it gives up.  The symmetric-gradient kernel
 is computed from the odd symbol sin(theta) F(1 - cos(theta)) and crosschecked
-against the finite difference k(n-1) - k(n+1).
+against the finite difference k(n-1) - k(n+1) of the plain kernel, which a
+real transform of the even symbol's first half gives.
 
 Three closed-form routes stand beside the trapezoid sums, each in numpy:
 
@@ -27,6 +30,7 @@ Three closed-form routes stand beside the trapezoid sums, each in numpy:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,13 +72,6 @@ class ZKernel:
                 for n in range(-self.nmax, self.nmax + 1)]
 
 
-def _fourier_sum(symbol_values: np.ndarray, nmax: int) -> np.ndarray:
-    """k(n) = (1/G) sum_j vals_j exp(i n theta_j) for n = -nmax..nmax."""
-    k = np.fft.ifft(symbol_values)
-    idx = np.arange(-nmax, nmax + 1) % len(symbol_values)
-    return k[idx]
-
-
 ALIAS_TOL = 1e-10        # most a kernel value may move when the grid doubles
 MAX_GRID = 1 << 16       # the finest grid the aliasing guard tries
 CONSISTENCY_TOL = 1e-12  # most the gradient's two routes may differ
@@ -86,9 +83,21 @@ def _default_grid(nmax: int) -> int:
     return 1 << int(np.ceil(np.log2(g)))
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda = 1 - cos theta and sin theta at theta_j = 2 pi j / points,
+    read-only; the last grid size asked for is kept."""
+    theta = 2 * np.pi * np.arange(points) / points
+    lam, sin = 1.0 - np.cos(theta), np.sin(theta)
+    lam.flags.writeable = sin.flags.writeable = False
+    return lam, sin
+
+
 def _doubled_grid(fn, nmax: int, transform):
-    """The kernel transform(theta, symbol)[n], |n| <= nmax, of the symbol
+    """The kernel transform(sin theta, symbol)[n], |n| <= nmax, of the symbol
     F(1 - cos theta) on 2G points, the symbol there (checked finite) and 2G.
+    A float64 or complex128 symbol keeps its dtype; any other is widened to
+    complex128.
 
     G starts at _default_grid(nmax) and doubles until the G-point sums
     differ from the 2G-point ones by at most ALIAS_TOL; a G of MAX_GRID or
@@ -108,11 +117,13 @@ def _doubled_grid(fn, nmax: int, transform):
                          f"MAX_GRID = {MAX_GRID}")
     while True:
         points = 2 * G
-        theta = 2 * np.pi * np.arange(points) / points
-        symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
+        lam, sin = _grid(points)
+        symbol = np.asarray(fn(lam))
+        if symbol.dtype not in (np.float64, np.complex128):
+            symbol = symbol.astype(complex)
         if not np.all(np.isfinite(symbol)):
             raise ValueError("non-finite symbol value")
-        full = transform(theta, symbol)
+        full = transform(sin, symbol)
         idx = np.arange(-nmax, nmax + 1) % points
         moved = np.max(np.abs(full[(idx + G) % points]))
         if moved <= ALIAS_TOL:
@@ -126,9 +137,20 @@ def _doubled_grid(fn, nmax: int, transform):
 def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums on the
     grid the aliasing guard picks (_doubled_grid)."""
-    out, _, points = _doubled_grid(
-        fn, nmax, lambda theta, symbol: np.fft.ifft(symbol))
+    out, _, points = _doubled_grid(fn, nmax, lambda sin, symbol: np.fft.ifft(symbol))
     return ZKernel(out, nmax, points)
+
+
+def _even_kernel(symbol: np.ndarray, nmax: int) -> np.ndarray:
+    """k(n), |n| <= nmax, of a symbol even in theta, from the real transforms
+    of its first half (points/2 + 1 values): one for a real symbol, one for
+    each part of a complex one."""
+    points = len(symbol)
+    half = symbol[:points // 2 + 1]
+    k = np.fft.irfft(half.real, points)
+    if np.iscomplexobj(half):
+        k = k + 1j * np.fft.irfft(half.imag, points)
+    return k[np.arange(-nmax, nmax + 1) % points]
 
 
 def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
@@ -139,8 +161,8 @@ def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
     on the same grid, must agree within CONSISTENCY_TOL.
     """
     out, symbol, points = _doubled_grid(
-        fn, nmax, lambda theta, symbol: -2j * np.fft.ifft(np.sin(theta) * symbol))
-    plain = _fourier_sum(symbol, nmax + 1)
+        fn, nmax, lambda sin, symbol: -2j * np.fft.ifft(sin * symbol))
+    plain = _even_kernel(symbol, nmax + 1)
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))
     if dev > CONSISTENCY_TOL:

@@ -90,6 +90,62 @@ def doubled_grid_two_pass(fn, G, nmax, odd):
     return out, moved
 
 
+def radial_numpy_scalars(q, gradk, kmax):
+    """A(d) = gradk(d+1) + A(d+2)/q on a complex128 array, one numpy scalar
+    per step: the loop abel.radial_from_gradkernel's Python-number
+    recursion replaces, and its oracle.  Returns A(0..kmax)."""
+    nmax = len(gradk) - 1
+    A = np.zeros(nmax + 2, dtype=complex)
+    for d in range(nmax - 1, -1, -1):
+        A[d] = gradk[d + 1] + A[d + 2] / q
+    return A[:kmax + 1].copy()
+
+
+def opsum_numpy_scalars(q, A, kmax, weight, variant):
+    """The closed-form sphere sums of abel.homog_weighted_opsum on numpy
+    scalars of the complex128 array A, dividing by q: the loop its
+    Python-number sums replace, and their oracle.  Returns (total, tail)
+    without the dominated-tail check."""
+    from flowtree import abel
+    terms = np.zeros(kmax - 1 if variant == "grad_both" else kmax, dtype=float)
+    for d in range(len(terms)):
+        s = abel.sphere_weight_scaled(q, d)
+        if variant == "plain":
+            val = abs(A[d]) * s
+        elif variant in ("grad_x", "gradstar_z"):
+            b_near = abs(A[d] - A[d + 1] / q)
+            b_far = abs(A[d] - A[d - 1]) if d >= 1 else 0.0
+            val = b_near + (s - 1.0) * b_far
+        elif d == 0:
+            val = abs(A[0] - 2 * A[1] / q + A[0] / q)
+        else:
+            b_comp = abs(A[d] - A[d - 1] - A[d + 1] / q + A[d] / q)
+            b_inc = abs(A[d] - 2 * A[d - 1] + (A[d - 2] if d >= 2 else 0.0))
+            val = 2.0 * b_comp + max(s - 2.0, 0.0) * b_inc
+        terms[d] = weight(d) * val
+    return float(np.sum(terms)), float(np.sum(terms[-4:]))
+
+
+def sobolev_norms_full_grid(t_grid):
+    """The L2 Sobolev norms (s = 1, 2) of exp(i t lam) chi0(lam) that
+    analysis.sobolev_growth fits, with the wave packet evaluated on the
+    whole grid and the weights (1 + xi^2)^s recomputed for every t: the
+    loop it replaces, and its oracle."""
+    from flowtree.bumps import chi0
+    grid, span = 1 << 15, 8.0
+    lam = (np.arange(grid) - grid / 2) * (span / grid)
+    xi = (np.arange(grid) - grid / 2) * (2 * np.pi / span)
+    base = chi0(lam)
+    norms = {1: [], 2: []}
+    for t in t_grid:
+        f = np.exp(1j * t * lam) * base
+        power = np.abs(np.fft.fftshift(np.fft.fft(np.fft.ifftshift(f))) * (span / grid)) ** 2
+        for s, vals in norms.items():
+            vals.append(float(np.sqrt(np.sum((1 + xi ** 2) ** s * power)
+                                      / (2 * np.pi) * (2 * np.pi / span))))
+    return norms
+
+
 def profile_value_exact(gradk, window, measure, v, lx, lz, j0):
     """The profile sum of a pair at levels lx, lz meeting at level j0, in
     exact arithmetic over the window ancestors of v at levels j0 and up,

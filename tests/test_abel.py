@@ -1,5 +1,6 @@
 """Discrete Abel bridge: sphere weights, transforms, radial kernels, sums."""
 
+import functools
 import math
 import random
 from collections import Counter
@@ -14,7 +15,8 @@ from flowtree.exactnum import QSurd
 from flowtree.localops import kernel_column_lambda_poly
 
 from conftest import (abel_forward_quadratic, abel_inverse_quadratic, apply_gradient,
-                      cheb_apply, sqrt_q_power, weighted_col_sums)
+                      cheb_apply, opsum_numpy_scalars, radial_numpy_scalars,
+                      sqrt_q_power, weighted_col_sums)
 
 
 def _sphere_count(q, d, r):
@@ -241,6 +243,42 @@ def test_weighted_sum_dominated_tail_check():
     rad = abel.radial_from_gradkernel(q, gradk, 8)  # kmax far too small
     with pytest.raises(ValueError, match="dominated-tail"):
         abel.homog_weighted_opsum(q, rad, lambda d: math.exp(6.0 * d), "plain")
+
+
+@functools.lru_cache(maxsize=None)
+def _gradkernels():
+    """Real (heat) and complex (wave packet) gradient kernels, nmax 80 to
+    13,000."""
+    from flowtree.bumps import schrodinger_multiplier
+    return {"heat t=1": zline.heat_z_gradkernel(1.0, 80),
+            "heat t=2e6": zline.heat_z_gradkernel(2e6, 13000),
+            "wave t=3": zline.z_grad_multiplier_kernel(
+                schrodinger_multiplier(3.0), 200).one_sided(),
+            "wave t=8": zline.z_grad_multiplier_kernel(
+                schrodinger_multiplier(8.0), 13000).one_sided()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 64, 4096])
+def test_radial_sums_match_the_numpy_scalar_loops(q):
+    """The radial recursion and the four closed-form sums, run on Python
+    numbers, give bit for bit what the numpy-scalar loops give (those
+    divide by q; numpy's complex division multiplies by 1/q)."""
+    for name, gradk in _gradkernels().items():
+        kmax = len(gradk) - 3
+        rad = abel.radial_from_gradkernel(q, gradk, kmax)
+        want = radial_numpy_scalars(q, gradk, kmax)
+        assert rad.A.dtype == want.dtype and np.array_equal(rad.A, want), name
+        weight = lambda d: math.exp(d / 5000.0)
+        for variant in ("plain", "grad_x", "gradstar_z", "grad_both"):
+            got = abel.homog_weighted_opsum(q, rad, weight, variant, tail_check=False)
+            assert got == opsum_numpy_scalars(q, want, kmax, weight, variant), \
+                (name, variant)
+
+
+def test_weighted_sum_overflowing_weight_names_the_distance():
+    rad = abel.radial_from_gradkernel(2, _gradkernels()["heat t=2e6"], 800)
+    with pytest.raises(zline.NumericalError, match="weight at distance 710 overflows"):
+        abel.homog_weighted_opsum(2, rad, math.exp, "grad_x", tail_check=False)
 
 
 def test_e_f_real_for_real_symbol():

@@ -19,7 +19,8 @@ from flowtree.analysis import RIESZ_CUT, QuadratureSpec
 from flowtree.trees import ball
 
 from conftest import (doubled_grid_two_pass, grad_heat_kernel_column, meeting_levels,
-                      modulation, modulation_conjugate_model, riesz_quadrature)
+                      modulation, modulation_conjugate_model, riesz_quadrature,
+                      sobolev_norms_full_grid)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -533,6 +534,16 @@ def test_sobolev_growth_exponents():
     out = analysis.sobolev_growth(ts)
     assert abs(out[1]["slope"] - 1.0) <= 0.2
     assert abs(out[2]["slope"] - 2.0) <= 0.2
+
+
+def test_sobolev_growth_matches_the_full_grid_loop(monkeypatch):
+    """Evaluating the wave packet only where chi0 is nonzero, and the
+    weights once, changes no bit of the norms that are fitted."""
+    ts = [0.5, 30.0, 123.4, 300.0]
+    fitted = {}
+    monkeypatch.setattr(analysis, "fit_loglog", lambda x, y: fitted.setdefault(len(fitted), y))
+    analysis.sobolev_growth(ts)
+    assert list(fitted.values()) == list(sobolev_norms_full_grid(ts).values())
 
 
 def _riesz_per_node(window, measure, pairs, spec):

@@ -104,14 +104,17 @@ def test_load_rejects_masses_outside_the_normal_doubles(measure):
 def test_load_refuses_far_exponents_before_expanding_them():
     """A decimal exponent far past double range is refused from the entry's
     Decimal, where Fraction would write out ten million digits (seconds);
-    zero and negative decimals keep the nonpositive message."""
+    zero and negative decimals keep the nonpositive message, naming the
+    vertex, and are refused from the Decimal's sign, far exponents too."""
     start = time.perf_counter()
     with pytest.raises(TreeError, match=r"record at index 0: .* normal doubles"):
         load_window(_one_vertex("1e-10000000"))
     assert time.perf_counter() - start < 0.1
-    for entry in ("0", "0e-5", "-1e-400", "-2.5e3"):
-        with pytest.raises(TreeError, match="nonpositive"):
+    for entry in ("0", "0e-5", "-1e-400", "-2.5e3", "-1e-3000000", "0e-3000000"):
+        start = time.perf_counter()
+        with pytest.raises(TreeError, match="^nonpositive measure at vertex 0$"):
             load_window(_one_vertex(entry))
+        assert time.perf_counter() - start < 0.1
 
 
 def test_load_missing_path_is_unreadable(tmp_path):

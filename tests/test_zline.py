@@ -183,6 +183,62 @@ def test_one_grid_guard_matches_the_two_pass_guard(monkeypatch, name, odd):
     assert trips == sorted(trips, reverse=True)
 
 
+KERNELS = (zline.z_multiplier_kernel, zline.z_grad_multiplier_kernel)
+REAL_SYMBOLS = ("heat t=1", "heat t=40", "bump")
+
+
+def _outcome(kernel, fn, nmax):
+    """The kernel's values as bytes, or the error it raised."""
+    try:
+        return kernel(fn, nmax).values.tobytes()
+    except zline.NumericalError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", REAL_SYMBOLS)
+def test_real_symbols_give_the_complex_route_kernel(name):
+    """A real symbol stays real up to the transform, and its kernels are bit
+    for bit those of the same symbol returned as complex128; a float32
+    symbol is widened to complex128 and gives the kernels (or the error)
+    of its float64 values."""
+    fn = GUARD_SYMBOLS[name]
+    as_complex = lambda lam: np.asarray(fn(lam), dtype=complex)
+    as_float32 = lambda lam: np.asarray(fn(lam), dtype=np.float32)
+    widened = lambda lam: as_float32(lam).astype(np.float64)
+    assert fn(zline._grid(64)[0]).dtype == np.float64
+    for kernel in KERNELS:
+        for nmax in (16, 300, 5000):
+            assert kernel(fn, nmax).values.tobytes() == \
+                kernel(as_complex, nmax).values.tobytes()
+            assert _outcome(kernel, as_float32, nmax) == _outcome(kernel, widened, nmax)
+
+
+def test_grid_trigonometry_is_read_only_and_kept_for_one_size():
+    zline._grid.cache_clear()
+    lam, sin = zline._grid(64)
+    theta = 2 * np.pi * np.arange(64) / 64
+    assert np.array_equal(lam, 1.0 - np.cos(theta))
+    assert np.array_equal(sin, np.sin(theta))
+    for a in (lam, sin):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert zline._grid(64)[0] is lam
+    zline._grid(128)
+    assert zline._grid.cache_info().currsize == 1
+    assert zline._grid(64)[0] is not lam
+
+
+def test_consistency_check_trips_below_the_rounding_gap(monkeypatch):
+    """The finite-difference route, read from the real transforms of the
+    symbol's first half, meets the odd-symbol route only to rounding: a
+    tolerance of 0 trips the check, for a real and a complex symbol."""
+    monkeypatch.setattr(zline, "CONSISTENCY_TOL", 0.0)
+    for name in ("heat t=1", "wave packet t=8"):
+        with pytest.raises(zline.ConsistencyError):
+            zline.z_grad_multiplier_kernel(GUARD_SYMBOLS[name], 300)
+
+
 def test_heat_closed_forms_match_quadrature():
     t = 1.0
     zk = zline.z_multiplier_kernel(lambda lam: np.exp(-t * lam), 20)
