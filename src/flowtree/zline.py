@@ -5,14 +5,13 @@ kernels come from uniform trapezoid sums over the circle, which are exact for
 trigonometric polynomials and spectrally accurate for smooth symbols.  The
 sums run on a doubled grid, and the aliasing guard reads how far they moved
 from the half grid off the doubled grid's aliased image, so a grid takes one
-symbol evaluation and one transform.  Each grid size's 1 - cos(theta) and
-sin(theta) are computed once (_grid keeps the last size, read-only), and a
-real symbol stays real up to the transform.  The guard picks the grid: it
-starts at the default grid for nmax and doubles it until the sums hold
-still, up to MAX_GRID, where it gives up.  The symmetric-gradient kernel
+symbol evaluation and one transform, and a real symbol stays real up to
+the transform.  The guard picks the grid: it starts at the default grid
+for nmax and doubles it until the sums hold still, up to MAX_GRID, where
+it gives up.  The symmetric-gradient kernel
 is computed from the odd symbol sin(theta) F(1 - cos(theta)) and crosschecked
-against the finite difference k(n-1) - k(n+1) of the plain kernel, which a
-real transform of the even symbol's first half gives.
+against the finite difference k(n-1) - k(n+1) of the plain kernel, which,
+for a real symbol, a real transform of the symbol's first half gives.
 
 Three closed-form routes stand beside the trapezoid sums, each in numpy:
 
@@ -30,7 +29,6 @@ Three closed-form routes stand beside the trapezoid sums, each in numpy:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -83,18 +81,8 @@ def _default_grid(nmax: int) -> int:
     return 1 << int(np.ceil(np.log2(g)))
 
 
-@functools.lru_cache(maxsize=1)
-def _grid(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """lambda = 1 - cos theta and sin theta at theta_j = 2 pi j / points,
-    read-only; the last grid size asked for is kept."""
-    theta = 2 * np.pi * np.arange(points) / points
-    lam, sin = 1.0 - np.cos(theta), np.sin(theta)
-    lam.flags.writeable = sin.flags.writeable = False
-    return lam, sin
-
-
 def _doubled_grid(fn, nmax: int, transform):
-    """The kernel transform(sin theta, symbol)[n], |n| <= nmax, of the symbol
+    """The kernel transform(theta, symbol)[n], |n| <= nmax, of the symbol
     F(1 - cos theta) on 2G points, the symbol there (checked finite) and 2G.
     A float64 or complex128 symbol keeps its dtype; any other is widened to
     complex128.
@@ -117,13 +105,13 @@ def _doubled_grid(fn, nmax: int, transform):
                          f"MAX_GRID = {MAX_GRID}")
     while True:
         points = 2 * G
-        lam, sin = _grid(points)
-        symbol = np.asarray(fn(lam))
+        theta = 2 * np.pi * np.arange(points) / points
+        symbol = np.asarray(fn(1.0 - np.cos(theta)))
         if symbol.dtype not in (np.float64, np.complex128):
             symbol = symbol.astype(complex)
         if not np.all(np.isfinite(symbol)):
             raise ValueError("non-finite symbol value")
-        full = transform(sin, symbol)
+        full = transform(theta, symbol)
         idx = np.arange(-nmax, nmax + 1) % points
         moved = np.max(np.abs(full[(idx + G) % points]))
         if moved <= ALIAS_TOL:
@@ -137,19 +125,21 @@ def _doubled_grid(fn, nmax: int, transform):
 def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums on the
     grid the aliasing guard picks (_doubled_grid)."""
-    out, _, points = _doubled_grid(fn, nmax, lambda sin, symbol: np.fft.ifft(symbol))
+    out, _, points = _doubled_grid(
+        fn, nmax, lambda theta, symbol: np.fft.ifft(symbol))
     return ZKernel(out, nmax, points)
 
 
 def _even_kernel(symbol: np.ndarray, nmax: int) -> np.ndarray:
-    """k(n), |n| <= nmax, of a symbol even in theta, from the real transforms
-    of its first half (points/2 + 1 values): one for a real symbol, one for
-    each part of a complex one."""
+    """k(n), |n| <= nmax, of a symbol even in theta: a real symbol's from the
+    real transform of its first half (points/2 + 1 values), a complex one's
+    from its full transform (one complex transform costs less than a real
+    one for each part)."""
     points = len(symbol)
-    half = symbol[:points // 2 + 1]
-    k = np.fft.irfft(half.real, points)
-    if np.iscomplexobj(half):
-        k = k + 1j * np.fft.irfft(half.imag, points)
+    if np.iscomplexobj(symbol):
+        k = np.fft.ifft(symbol)
+    else:
+        k = np.fft.irfft(symbol[:points // 2 + 1], points)
     return k[np.arange(-nmax, nmax + 1) % points]
 
 
@@ -161,7 +151,7 @@ def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
     on the same grid, must agree within CONSISTENCY_TOL.
     """
     out, symbol, points = _doubled_grid(
-        fn, nmax, lambda sin, symbol: -2j * np.fft.ifft(sin * symbol))
+        fn, nmax, lambda theta, symbol: -2j * np.fft.ifft(np.sin(theta) * symbol))
     plain = _even_kernel(symbol, nmax + 1)
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))

@@ -205,7 +205,7 @@ def test_real_symbols_give_the_complex_route_kernel(name):
     as_complex = lambda lam: np.asarray(fn(lam), dtype=complex)
     as_float32 = lambda lam: np.asarray(fn(lam), dtype=np.float32)
     widened = lambda lam: as_float32(lam).astype(np.float64)
-    assert fn(zline._grid(64)[0]).dtype == np.float64
+    assert fn(np.linspace(0.0, 2.0, 64)).dtype == np.float64
     for kernel in KERNELS:
         for nmax in (16, 300, 5000):
             assert kernel(fn, nmax).values.tobytes() == \
@@ -213,26 +213,26 @@ def test_real_symbols_give_the_complex_route_kernel(name):
             assert _outcome(kernel, as_float32, nmax) == _outcome(kernel, widened, nmax)
 
 
-def test_grid_trigonometry_is_read_only_and_kept_for_one_size():
-    zline._grid.cache_clear()
-    lam, sin = zline._grid(64)
-    theta = 2 * np.pi * np.arange(64) / 64
-    assert np.array_equal(lam, 1.0 - np.cos(theta))
-    assert np.array_equal(sin, np.sin(theta))
-    for a in (lam, sin):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-    assert zline._grid(64)[0] is lam
-    zline._grid(128)
-    assert zline._grid.cache_info().currsize == 1
-    assert zline._grid(64)[0] is not lam
+def test_symbols_may_write_into_their_argument():
+    """Each symbol evaluation gets a fresh 1 - cos theta, so a symbol that
+    computes in place gives the kernels of one that does not, and a second
+    call is not changed by the first."""
+    def in_place(lam):
+        lam *= -1.0
+        return np.exp(lam, out=lam)
+    heat = GUARD_SYMBOLS["heat t=1"]
+    for kernel in KERNELS:
+        for nmax in (16, 300):
+            want = kernel(heat, nmax).values.tobytes()
+            assert kernel(in_place, nmax).values.tobytes() == want
+            assert kernel(in_place, nmax).values.tobytes() == want
 
 
 def test_consistency_check_trips_below_the_rounding_gap(monkeypatch):
-    """The finite-difference route, read from the real transforms of the
-    symbol's first half, meets the odd-symbol route only to rounding: a
-    tolerance of 0 trips the check, for a real and a complex symbol."""
+    """The finite-difference route, read from a real transform of a real
+    symbol's first half or from a complex symbol's full transform, meets
+    the odd-symbol route only to rounding: a tolerance of 0 trips the
+    check, for a real and a complex symbol."""
     monkeypatch.setattr(zline, "CONSISTENCY_TOL", 0.0)
     for name in ("heat t=1", "wave packet t=8"):
         with pytest.raises(zline.ConsistencyError):
