@@ -5,10 +5,11 @@ kernels come from uniform trapezoid sums over the circle, which are exact for
 trigonometric polynomials and spectrally accurate for smooth symbols.  The
 sums run on a doubled grid, and the aliasing guard reads how far they moved
 from the half grid off the doubled grid's aliased image, so a grid takes one
-symbol evaluation and one transform, and a real symbol stays real up to
-the transform.  The guard picks the grid: it starts at the default grid
-for nmax and doubles it until the sums hold still, up to MAX_GRID, where
-it gives up.  The symmetric-gradient kernel
+symbol evaluation and one transform.  Each grid size's 1 - cos(theta) and
+sin(theta) are computed once (_grid keeps the last size, read-only), and a
+real symbol stays real up to the transform.  The guard picks the grid: it
+starts at the default grid for nmax and doubles it until the sums hold
+still, up to MAX_GRID, where it gives up.  The symmetric-gradient kernel
 is computed from the odd symbol sin(theta) F(1 - cos(theta)) and crosschecked
 against the finite difference k(n-1) - k(n+1) of the plain kernel, which,
 for a real symbol, a real transform of the symbol's first half gives.
@@ -29,6 +30,7 @@ Three closed-form routes stand beside the trapezoid sums, each in numpy:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,11 +83,26 @@ def _default_grid(nmax: int) -> int:
     return 1 << int(np.ceil(np.log2(g)))
 
 
+@functools.lru_cache(maxsize=1)
+def _grid(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """lambda = 1 - cos theta and sin theta at theta_j = 2 pi j / points,
+    read-only; the last grid size asked for is kept.  Both are computed
+    in place, sin theta over theta itself: with the temporaries of the
+    largest grid freed around the cached pair, the heap fragmented and a
+    perfbench ancestor_profile pass peaked about 1 MB higher."""
+    theta = 2 * np.pi * np.arange(points) / points
+    lam = np.cos(theta)
+    np.subtract(1.0, lam, out=lam)
+    sin = np.sin(theta, out=theta)
+    lam.flags.writeable = sin.flags.writeable = False
+    return lam, sin
+
+
 def _doubled_grid(fn, nmax: int, transform):
-    """The kernel transform(theta, symbol)[n], |n| <= nmax, of the symbol
-    F(1 - cos theta) on 2G points, the symbol there (checked finite) and 2G.
-    A float64 or complex128 symbol keeps its dtype; any other is widened to
-    complex128.
+    """The kernel transform(sin theta, symbol)[n], |n| <= nmax, of the
+    symbol F(1 - cos theta) on 2G points, the symbol there (checked finite)
+    and 2G.  fn gets _grid's read-only 1 - cos theta.  A float64 or
+    complex128 symbol keeps its dtype; any other is widened to complex128.
 
     G starts at _default_grid(nmax) and doubles until the G-point sums
     differ from the 2G-point ones by at most ALIAS_TOL; a G of MAX_GRID or
@@ -105,13 +122,13 @@ def _doubled_grid(fn, nmax: int, transform):
                          f"MAX_GRID = {MAX_GRID}")
     while True:
         points = 2 * G
-        theta = 2 * np.pi * np.arange(points) / points
-        symbol = np.asarray(fn(1.0 - np.cos(theta)))
+        lam, sin = _grid(points)
+        symbol = np.asarray(fn(lam))
         if symbol.dtype not in (np.float64, np.complex128):
             symbol = symbol.astype(complex)
         if not np.all(np.isfinite(symbol)):
             raise ValueError("non-finite symbol value")
-        full = transform(theta, symbol)
+        full = transform(sin, symbol)
         idx = np.arange(-nmax, nmax + 1) % points
         moved = np.max(np.abs(full[(idx + G) % points]))
         if moved <= ALIAS_TOL:
@@ -124,9 +141,11 @@ def _doubled_grid(fn, nmax: int, transform):
 
 def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """k(n) = (1/2pi) int F(1 - cos t) e^{int} dt by trapezoid sums on the
-    grid the aliasing guard picks (_doubled_grid)."""
+    grid the aliasing guard picks (_doubled_grid).  fn(lam) gets a
+    read-only array and returns a new one: a symbol that writes into lam
+    raises ValueError."""
     out, _, points = _doubled_grid(
-        fn, nmax, lambda theta, symbol: np.fft.ifft(symbol))
+        fn, nmax, lambda sin, symbol: np.fft.ifft(symbol))
     return ZKernel(out, nmax, points)
 
 
@@ -148,10 +167,11 @@ def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
 
     Primary evaluation integrates sin(t) F(1 - cos t) on the grid the
     aliasing guard picks; the finite-difference route on the plain kernel,
-    on the same grid, must agree within CONSISTENCY_TOL.
+    on the same grid, must agree within CONSISTENCY_TOL.  As in
+    z_multiplier_kernel, fn(lam) gets a read-only array.
     """
     out, symbol, points = _doubled_grid(
-        fn, nmax, lambda theta, symbol: -2j * np.fft.ifft(np.sin(theta) * symbol))
+        fn, nmax, lambda sin, symbol: -2j * np.fft.ifft(sin * symbol))
     plain = _even_kernel(symbol, nmax + 1)
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))

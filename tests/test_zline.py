@@ -205,7 +205,7 @@ def test_real_symbols_give_the_complex_route_kernel(name):
     as_complex = lambda lam: np.asarray(fn(lam), dtype=complex)
     as_float32 = lambda lam: np.asarray(fn(lam), dtype=np.float32)
     widened = lambda lam: as_float32(lam).astype(np.float64)
-    assert fn(np.linspace(0.0, 2.0, 64)).dtype == np.float64
+    assert fn(zline._grid(64)[0]).dtype == np.float64
     for kernel in KERNELS:
         for nmax in (16, 300, 5000):
             assert kernel(fn, nmax).values.tobytes() == \
@@ -213,19 +213,39 @@ def test_real_symbols_give_the_complex_route_kernel(name):
             assert _outcome(kernel, as_float32, nmax) == _outcome(kernel, widened, nmax)
 
 
-def test_symbols_may_write_into_their_argument():
-    """Each symbol evaluation gets a fresh 1 - cos theta, so a symbol that
-    computes in place gives the kernels of one that does not, and a second
-    call is not changed by the first."""
+def test_grid_trigonometry_is_read_only_and_kept_for_one_size():
+    """Computed in place, the pair is bit for bit 1.0 - np.cos(theta) and
+    np.sin(theta), up to the largest grid the guard tries."""
+    for points in (64, 4096, 2 * zline.MAX_GRID):
+        lam, sin = zline._grid(points)
+        theta = 2 * np.pi * np.arange(points) / points
+        assert lam.tobytes() == (1.0 - np.cos(theta)).tobytes()
+        assert sin.tobytes() == np.sin(theta).tobytes()
+    zline._grid.cache_clear()
+    lam, sin = zline._grid(64)
+    for a in (lam, sin):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert zline._grid(64)[0] is lam
+    zline._grid(128)
+    assert zline._grid.cache_info().currsize == 1
+    assert zline._grid(64)[0] is not lam
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_symbol_that_writes_into_its_argument_is_refused(kernel):
+    """The symbol's argument is the kept grid's read-only 1 - cos theta: a
+    symbol that computes in place raises ValueError, and the grid it
+    tried to write into still gives the right kernel."""
     def in_place(lam):
         lam *= -1.0
         return np.exp(lam, out=lam)
     heat = GUARD_SYMBOLS["heat t=1"]
-    for kernel in KERNELS:
-        for nmax in (16, 300):
-            want = kernel(heat, nmax).values.tobytes()
-            assert kernel(in_place, nmax).values.tobytes() == want
-            assert kernel(in_place, nmax).values.tobytes() == want
+    want = kernel(heat, 300).values.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        kernel(in_place, 300)
+    assert kernel(heat, 300).values.tobytes() == want
 
 
 def test_consistency_check_trips_below_the_rounding_gap(monkeypatch):
