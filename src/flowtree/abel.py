@@ -299,17 +299,15 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str,
 def sharpness_radial(q: int, t: float, kmax: int) -> dict:
     """Scaled oscillating-multiplier coefficients for the modulated cutoff.
 
-    The multiplier is exp(i t lam) * chi0(lam), with the documented smooth
-    bump chi0 (plateau on [-1/4, 1/4], support in (-1/2, 1/2)).  Returns per-k
+    The multiplier is the wave packet schrodinger_multiplier(t), exp(i t
+    lam) chi0(lam) with the documented smooth bump chi0 (plateau on
+    [-1/4, 1/4], support in (-1/2, 1/2)).  Returns per-k
     values of q^{k/2} * (E(k) - sqrt(q) E(k+1)), the quantity whose
     (k+1)-weighted partial sums exhibit the lower-bound growth.
     """
-    from .bumps import chi0
-
-    def fn(lam):
-        return np.exp(1j * t * np.asarray(lam)) * chi0(np.asarray(lam))
+    from .bumps import schrodinger_multiplier
 
     nmax = int(2 * t) + 2 * kmax + 120
-    zk = z_grad_multiplier_kernel(fn, nmax)
+    zk = z_grad_multiplier_kernel(schrodinger_multiplier(t), nmax)
     A = radial_from_gradkernel(q, zk.one_sided(), kmax + 1).A
     return {k: complex(A[k] - A[k + 1]) for k in range(kmax + 1)}

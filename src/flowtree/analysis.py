@@ -30,6 +30,9 @@ HEAT_TOL = 1e-17
 DENSE_SOLVE_CAP = 500
 # Riesz values profile the line kernel on n = 0..RIESZ_CUT and sum the rest
 RIESZ_CUT = 10_000
+# QuadratureSpec's Gauss-Legendre nodes in u = sqrt(t) on (0, 1], and per decade of t
+_INTERIOR_NODES = 48
+_PANELS_PER_DECADE = 24
 
 
 def ktilde_z(n) -> np.ndarray:
@@ -83,19 +86,17 @@ class QuadratureSpec:
     No command uses it: it is the tests' oracle for the Riesz kernel.
     """
 
-    interior_nodes: int = 48
-    panels_per_decade: int = 24
     t_cut: float = 1e8
 
     def nodes(self):
         """(t, weight) pairs approximating (1/sqrt(pi)) int f(t) dt/sqrt(t)."""
         out = []
-        xs, ws = leggauss(self.interior_nodes)
+        xs, ws = leggauss(_INTERIOR_NODES)
         for xi, wi in zip(xs, ws):
             u = 0.5 * (xi + 1.0)
             out.append((u * u, 2.0 * 0.5 * wi / SQRT_PI, 0))
         # in s = log t the integrand is f(e^s) e^{s/2}
-        xs, ws = leggauss(self.panels_per_decade)
+        xs, ws = leggauss(_PANELS_PER_DECADE)
         ndec = int(round(math.log10(self.t_cut)))
         for k in range(ndec):
             a, b = k * math.log(10.0), (k + 1) * math.log(10.0)

@@ -271,6 +271,7 @@ def cmd_kernel(args, out):
         _refuse(args, "kernel --multiplier off the line", ["dmax"])
     deg = len(coeffs) - 1 if coeffs else args.degree
     window, measure, anchor = make_window(args, max(deg + 1, 4))
+    failure = {}
     if coeffs is not None:
         col = kernel_column_lambda_poly(window, measure, coeffs, anchor)
         op_meta = {"lambda_coeffs": [str(c) for c in coeffs]}
@@ -283,16 +284,26 @@ def cmd_kernel(args, out):
         col = cheb_column(window, measure, model, anchor)
         op_meta = {"multiplier": args.multiplier, "sup_err": model.sup_err}
         if _flow(args) == 1:
-            zk = zline.z_multiplier_kernel(fn, args.dmax)
+            zmeta = {"multiplier": args.multiplier}
+            if args.multiplier == "x^{i*alpha}":
+                # lambda^(i alpha) is singular at 0, so no trapezoid grid
+                # resolves it: the Gamma quotient, checked by quadrature
+                zk, _, worst = zline.imaginary_power_kernel(args.alpha, args.dmax)
+                zmeta["quad_discrepancy"] = worst
+                if not worst <= zline.CONSISTENCY_TOL:
+                    failure = {"check": "imaginary power quadrature",
+                               "discrepancy": worst}
+            else:
+                zk = zline.z_multiplier_kernel(fn, args.dmax)
             _write(out, "zkernel.csv", ["n", "re", "im"], zk.csv_rows(),
-                   {"multiplier": args.multiplier, "nmax": zk.nmax, "grid": zk.grid})
+                   {**zmeta, "nmax": zk.nmax, "grid": zk.grid})
     _write(out, "kernel.csv",
            ["x_id", "value_re", "value_im", "distance", "level_x"],
            col.csv_rows(window),
            {**_window_meta(window), "anchor": col.anchor,
             "err_bound": col.err_bound, **op_meta},
            [f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
-    return {}
+    return failure
 
 
 def cmd_heat(args, out):

@@ -105,12 +105,3 @@ class QSurd:
         """A rational value (b == 0) hashes as that rational, as equality
         with ints, Fractions and floats requires."""
         return hash(self.a) if not self.b else hash((self.q, self.a, self.b))
-
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
-    def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.q)
-
-    def __repr__(self):
-        return f"QSurd({self.q}, {self.a}, {self.b})"

@@ -27,7 +27,7 @@ the column and level sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -67,7 +67,7 @@ class AncestorChain:
 
 
 def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
-             nmax: Optional[int] = None) -> AncestorChain:
+             nmax: int) -> AncestorChain:
     """Ancestor chain of x, for line kernels whose largest index is nmax.
 
     A profile-sum term at level J with x as one end reads the kernel at
@@ -77,10 +77,9 @@ def chain_of(window: TreeWindow, measure: FlowMeasure, x: Vertex,
     up to level(x) + nmax + 2.  The chain climbs to that level: past the
     apex by the window's growth law, log2 m rising by log2(up_ratio) a
     level, or, with no growth law, not past the apex, with `truncated` set.
-    With no nmax it stops at the apex.
     """
     mantissa, exponent = np.frexp(list(map(measure.as_float, window.ancestors(x))))
-    need = 0 if nmax is None else nmax + 3 - len(mantissa)
+    need = nmax + 3 - len(mantissa)
     truncated = need > 0 and window.up_ratio is None
     if need > 0 and not truncated:
         bits = np.log2(mantissa[-1]) + np.arange(1, need + 1) * np.log2(float(window.up_ratio))

@@ -62,14 +62,3 @@ class NcPolynomial:
     def norm(self):
         """sum over words of |coefficient| (exact for exact input)."""
         return sum(abs(c) for c in self.terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, NcPolynomial) and self.terms == other.terms
-
-    def __repr__(self):
-        names = {Z1: "Z1", Z2: "Z2"}
-        parts = []
-        for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0])):
-            word = "*".join(names[a] for a in w) if w else "1"
-            parts.append(f"({c})*{word}")
-        return " + ".join(parts) if parts else "0"

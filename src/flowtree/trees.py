@@ -218,9 +218,6 @@ class FlowMeasure:
     values: dict[Vertex, Number]
     backend: str  # "rational" | "float"
 
-    def of(self, v: Vertex) -> Number:
-        return self.values[v]
-
     def as_float(self, v: Vertex) -> float:
         return float(self.values[v])
 

@@ -16,7 +16,8 @@ for a real symbol, a real transform of the symbol's first half gives.
 
 Three closed-form routes stand beside the trapezoid sums, each in numpy:
 
-* heat kernels e^{-t} I_n(t) by Miller's backward recurrence, started at
+* heat kernels e^{-t} I_n(t) by Miller's backward recurrence (_heat; its
+  public entry is the gradient kernel heat_z_gradkernel), started at
   N = sqrt(n^2 + 2t ln 1e17) + 10 and normalised by the identity
   e^t = I_0(t) + 2 sum_{n>=1} I_n(t); past the Chernoff bound
   e^{-t} I_n(t) <= exp(-t h(n/t)), h(x) = x asinh x - sqrt(1 + x^2) + 1,
@@ -299,8 +300,14 @@ def _miller(t: float, n_last: int) -> np.ndarray:
 
 
 def _heat(t: float, nmax: int) -> np.ndarray:
-    """heat_z_kernel's values.  heat_z_gradkernel calls this, not the
-    public name, so wrappers of the two count one evaluation per call."""
+    """k(n) = e^{-t} I_n(t) for n = 0..nmax, by Miller's backward recurrence
+    (_miller), and 0 past the Chernoff bound's underflow point.  Against
+    mpmath.besseli at 30 digits, where above 1e-300: within 2e-14 relative
+    up to t = 1e5, and at most 4.5e-15 at the points checked from t = 1e6
+    to 1e8 (3.7e-15 at t = 1e7, n = 0; 4.5e-15 at t = 1e8, n = 44,646);
+    rounding over the ~12 sqrt(t) steps makes that about 1e-13 at t = 1e14.
+    Raises ValueError unless 0 <= t <= MAX_HEAT_T and nmax >= 0.  The
+    public Bessel entry is heat_z_gradkernel, which scales these values."""
     if not (math.isfinite(t) and 0.0 <= t <= MAX_HEAT_T):
         raise ValueError(f"t must be finite and in [0, {MAX_HEAT_T:g}], not {t}")
     if nmax < 0:
@@ -313,17 +320,6 @@ def _heat(t: float, nmax: int) -> np.ndarray:
     n_last = _last_nonzero(t, nmax)
     out[:n_last + 1] = _miller(t, n_last)
     return out
-
-
-def heat_z_kernel(t: float, nmax: int) -> np.ndarray:
-    """k(n) = e^{-t} I_n(t) for n = 0..nmax, by Miller's backward recurrence
-    (_miller), and 0 past the Chernoff bound's underflow point.  Against
-    mpmath.besseli at 30 digits, where above 1e-300: within 2e-14 relative
-    up to t = 1e5, and at most 4.5e-15 at the points checked from t = 1e6
-    to 1e8 (3.7e-15 at t = 1e7, n = 0; 4.5e-15 at t = 1e8, n = 44,646);
-    rounding over the ~12 sqrt(t) steps makes that about 1e-13 at t = 1e14.
-    Raises ValueError unless 0 <= t <= MAX_HEAT_T and nmax >= 0."""
-    return _heat(t, nmax)
 
 
 def heat_z_gradkernel(t: float, nmax: int) -> np.ndarray:

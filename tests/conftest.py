@@ -90,6 +90,12 @@ def doubled_grid_two_pass(fn, G, nmax, odd):
     return out, moved
 
 
+def heat_z_kernel(t, nmax):
+    """The line's heat kernel e^{-t} I_n(t), n = 0..nmax (zline._heat)."""
+    from flowtree import zline
+    return zline._heat(t, nmax)
+
+
 def radial_numpy_scalars(q, gradk, kmax):
     """A(d) = gradk(d+1) + A(d+2)/q on a complex128 array, one numpy scalar
     per step: the loop abel.radial_from_gradkernel's Python-number

@@ -93,7 +93,7 @@ def test_criterion_03_line_base_cases():
     zb = zline.z_multiplier_kernel(bump, 240)
     resid = zline.parseval_residual(bump, zb)
     ok = dev <= 1e-14 and resid <= 1e-10
-    finish(3, ok, f"one-step kernel dev {dev:.1e}; Parseval {resid:.1e}", t0, 30.0)
+    finish(3, ok, f"one-step kernel dev {dev:.1e}; Parseval {resid:.1e}", t0, 10.0)
 
 
 def _within_quadrature(w, m, pairs) -> bool:
@@ -203,7 +203,7 @@ def test_criterion_06_rationalization_bounds():
     mono = all(a > b for a, b in zip(devs, devs[1:]))
     ok = ok and mono
     finish(6, ok, f"errors within 1/q; deviations {'|'.join(f'{d:.2e}' for d in devs)}",
-           t0, 60.0)
+           t0, 10.0)
 
 
 def test_criterion_07_heat_sweep_scaling():
@@ -278,7 +278,7 @@ def test_criterion_11_imaginary_powers():
     band = [abs(kern.value(n)) * n for n in range(10, 201)]
     ratio = max(band) / min(band)
     ok = ratio <= 1.2 and worst <= 1e-8
-    finish(11, ok, f"band x{ratio:.4f}; quad-vs-Gamma {worst:.2e}", t0, 60.0)
+    finish(11, ok, f"band x{ratio:.4f}; quad-vs-Gamma {worst:.2e}", t0, 10.0)
 
 
 def test_criterion_11_quadrature_meets_gamma_to_rounding():
@@ -309,7 +309,7 @@ def test_criterion_12_spectrum_probe():
         if lo < -1e-10 or hi > 2 + 1e-10:
             ok = False
     finish(12, ok, f"residual slopes {sorted(round(s, 3) for s in rep.fit['slopes'].values())}; "
-           f"eig ranges ok", t0, 120.0)
+           f"eig ranges ok", t0, 10.0)
 
 
 def test_criterion_13_divergence_increments():
@@ -321,7 +321,7 @@ def test_criterion_13_divergence_increments():
     incs = rep.fit["increments"]
     ok = all(abs(incs[d] / math.log(2.0) - 1.0) <= 0.25 for d in (16, 32, 64))
     detail = ", ".join(f"D={d}: {incs[d]:.4f}" for d in (16, 32, 64))
-    finish(13, ok, f"{detail} vs log2={math.log(2.0):.4f}", t0, 60.0)
+    finish(13, ok, f"{detail} vs log2={math.log(2.0):.4f}", t0, 10.0)
 
 
 def _ktilde_doubling_sum(d: int) -> float:

@@ -18,9 +18,9 @@ from flowtree import analysis, flowkernel, zline
 from flowtree.analysis import RIESZ_CUT, QuadratureSpec
 from flowtree.trees import ball
 
-from conftest import (doubled_grid_two_pass, grad_heat_kernel_column, meeting_levels,
-                      modulation, modulation_conjugate_model, riesz_quadrature,
-                      sobolev_norms_full_grid)
+from conftest import (doubled_grid_two_pass, grad_heat_kernel_column, heat_z_kernel,
+                      meeting_levels, modulation, modulation_conjugate_model,
+                      riesz_quadrature, sobolev_norms_full_grid)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -170,7 +170,7 @@ def test_grad_heat_sides_and_decay(z_ball):
     w, m, c = z_ball
     gx = grad_heat_kernel_column(w, m, 1.0, c, side="x")
     gk = zline.heat_z_gradkernel(1.0, 30)
-    kk = zline.heat_z_kernel(1.0, 31)
+    kk = heat_z_kernel(1.0, 31)
     for x in w.vertices:
         n = w.level[x] - w.level[c]
         want = kk[abs(n)] - kk[abs(n + 1)]

@@ -23,6 +23,8 @@ from flowtree import (analysis, ball_window, cli, constant_ratio_window, flowker
                       reports, trees, zline)
 from flowtree.cli import main
 
+from conftest import heat_z_kernel
+
 
 def run(args):
     return main(args)
@@ -197,15 +199,61 @@ def test_kernel_on_the_line_doubles_the_grid_for_the_wave_packet(tmp_path):
 
 
 def test_kernel_on_the_line_past_the_largest_grid_exits_one(tmp_path):
-    """lambda^i is not smooth at 0, so no grid passes the aliasing guard:
-    exit 1, and the failure record names the largest grid."""
+    """The wave packet at t = 100000 oscillates faster than the largest
+    grid resolves, so no grid passes the aliasing guard: exit 1, and the
+    failure record names the largest grid."""
     out = tmp_path / "o"
-    assert run(["kernel", "--window", "zline", "--multiplier", "x^{i*alpha}",
-                "--alpha", "1", "--out", str(out)]) == 1
+    assert run(["kernel", "--window", "zline", "--multiplier", "schrodinger",
+                "--t", "100000", "--out", str(out)]) == 1
     failure = json.loads((out / "failure.json").read_text())["failure"]
     assert failure["error"] == "AliasingError"
     assert failure["message"].startswith(f"grid {zline.MAX_GRID} insufficient")
     assert zline.MAX_GRID == 65536
+
+
+def _line_kernel(out):
+    with open(out / "zkernel.csv", encoding="utf-8") as fh:
+        return {int(r["n"]): complex(float(r["re"]), float(r["im"]))
+                for r in csv.DictReader(fh)}
+
+
+@pytest.mark.parametrize("alpha", [1.0, -2.0, 16.0])
+def test_kernel_on_the_line_takes_the_imaginary_power_closed_form(tmp_path, alpha):
+    """lambda^(i alpha) is singular at 0, so on the line its kernel is the
+    Gamma quotient of zline.imaginary_power_kernel, value for value: exit
+    0, grid 0 and the quadrature discrepancy in the sidecar."""
+    out = tmp_path / "o"
+    assert run(["kernel", "--window", "zline", "--multiplier", "x^{i*alpha}",
+                "--alpha", str(alpha), "--out", str(out)]) == 0
+    kern, _, worst = zline.imaginary_power_kernel(alpha, 16)
+    assert _line_kernel(out) == {n: kern.value(n) for n in range(-16, 17)}
+    meta = json.loads((out / "zkernel.csv.meta.json").read_text())
+    assert meta == {"multiplier": "x^{i*alpha}", "nmax": 16, "grid": 0,
+                    "quad_discrepancy": worst}
+    assert worst <= zline.CONSISTENCY_TOL
+
+
+def test_kernel_on_the_line_imaginary_power_discrepancy_exits_one(tmp_path, monkeypatch):
+    """A quadrature discrepancy above CONSISTENCY_TOL (here 0) exits 1 with
+    a failure record that holds it."""
+    monkeypatch.setattr(zline, "CONSISTENCY_TOL", 0.0)
+    out = tmp_path / "o"
+    assert run(["kernel", "--window", "zline", "--multiplier", "x^{i*alpha}",
+                "--alpha", "1", "--out", str(out)]) == 1
+    failure = json.loads((out / "failure.json").read_text())["failure"]
+    meta = json.loads((out / "zkernel.csv.meta.json").read_text())
+    assert failure == {"check": "imaginary power quadrature",
+                       "discrepancy": meta["quad_discrepancy"]}
+    assert failure["discrepancy"] > 0
+
+
+def test_kernel_on_the_line_imaginary_power_zero_exits_two(tmp_path, capsys):
+    """alpha = 0 is refused by the closed form: exit 2, no line kernel."""
+    out = tmp_path / "o"
+    assert run(["kernel", "--window", "zline", "--multiplier", "x^{i*alpha}",
+                "--alpha", "0", "--out", str(out)]) == 2
+    assert "alpha must be finite and nonzero" in capsys.readouterr().err
+    assert not (out / "zkernel.csv").exists() and not (out / "failure.json").exists()
 
 
 def test_kernel_on_the_line_past_the_largest_default_grid_exits_two(tmp_path, capsys):
@@ -246,7 +294,7 @@ def test_kernel_on_the_line_writes_the_line_kernel(tmp_path):
     with open(out / "zkernel.csv", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert [int(r["n"]) for r in rows] == list(range(-16, 17))
-    want = zline.heat_z_kernel(1.0, 16)
+    want = heat_z_kernel(1.0, 16)
     for r in rows:
         got = complex(float(r["re"]), float(r["im"]))
         assert abs(got - want[abs(int(r["n"]))]) < 1e-12

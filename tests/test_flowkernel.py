@@ -86,12 +86,12 @@ def test_float_gradient_variants_match_shifted_pairs():
     rng = random.Random(9)
     for _ in range(20):
         x, z = rng.choice(safe), rng.choice(safe)
-        cx = flowkernel.chain_of(w, m, x)
+        cx = flowkernel.chain_of(w, m, x, 0)
         a = w.lca(x, z)
         lx, lz, j0 = w.level[x], w.level[z], w.level[a]
         base = flowkernel.variant_value(gradk, cx, lx, lz, j0, "plain")
         px = w.parent(x)
-        cpx = flowkernel.chain_of(w, m, px)
+        cpx = flowkernel.chain_of(w, m, px, 0)
         apx = w.lca(px, z)
         base_px = flowkernel.variant_value(gradk, cpx, w.level[px], lz,
                                            w.level[apx], "plain")
@@ -216,7 +216,7 @@ def test_weighted_colsum_matches_window_enumeration():
     col = kernel_column_lambda_poly(w, m, coeffs, y)
     want, truncated = weighted_col_sums(w, m, col, lambda d, lx, ly: 1.0 + d)
     assert not truncated
-    chain = flowkernel.chain_of(w, m, y)
+    chain = flowkernel.chain_of(w, m, y, 0)
     got = flowkernel.weighted_colsum(chain, gradk, w.level[y],
                                      lambda d: 1.0 + d, "plain")
     assert abs(got - float(want)) < 1e-12
@@ -249,7 +249,7 @@ def test_array_variants_match_exact_profile_sums(ratios):
     a scalar call gives the same bits as the array entry."""
     w, m, b = constant_ratio_window(ratios, depth=5, up=12)
     x = next(v for v in w.vertices if w.level[v] == w.level[b] - 5)
-    chain = flowkernel.chain_of(w, m, x)
+    chain = flowkernel.chain_of(w, m, x, 0)
     rng = random.Random(17)
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(6)]
     gk = zline.z_gradkernel_lambda_poly(coeffs)
@@ -279,7 +279,7 @@ def test_array_variants_match_exact_profile_sums(ratios):
 
 def test_meeting_level_below_chain_or_vertex_raises():
     w, m, b = constant_ratio_window((Fraction(2, 3), Fraction(1, 3)), depth=3, up=4)
-    chain = flowkernel.chain_of(w, m, b)
+    chain = flowkernel.chain_of(w, m, b, 0)
     gradk = zline.heat_z_gradkernel(1.0, 20)
     lb = w.level[b]
     with pytest.raises(TreeError, match="below the chain base"):
@@ -408,11 +408,11 @@ def test_group_sums_match_the_radial_route(q, t):
 
 def test_chain_climbs_to_its_reach():
     """A chain for a kernel of largest index nmax holds levels up to
-    level(x) + nmax + 2, past the apex by the growth law; with no nmax it
+    level(x) + nmax + 2, past the apex by the growth law; with nmax 0 it
     stops at the apex; a window with no growth law is flagged truncated."""
     w, m, b = constant_ratio_window((Fraction(2, 3), Fraction(1, 3)), depth=3, up=4)
     lb = w.level[b]
-    assert flowkernel.chain_of(w, m, b).top_level == w.level[w.apex]
+    assert flowkernel.chain_of(w, m, b, 0).top_level == w.level[w.apex]
     assert flowkernel.chain_of(w, m, b, 40).top_level == lb + 42
     chain = flowkernel.chain_of(dataclasses.replace(w, up_ratio=None), m, b, 40)
     assert chain.truncated and chain.top_level == w.level[w.apex]

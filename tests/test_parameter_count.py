@@ -12,7 +12,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "flowtree"
-MAX_DEFAULTED = 18
+MAX_DEFAULTED = 17
 
 
 def defaulted_parameters() -> list[str]:

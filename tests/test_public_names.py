@@ -30,10 +30,6 @@ ALLOWED = {
     "analysis.QuadratureSpec": "the benchmark tracer's Riesz hook imports it",
     "ncpoly.NcPolynomial.adjoint": "the benchmark tracer wraps it by name",
     "ncpoly.NcPolynomial.norm": "the benchmark tracer wraps it by name",
-    "zline.heat_z_kernel":
-        "the line's heat kernel e^{-t} I_n(t) that the README documents and "
-        "heat_z_gradkernel scales; only the tests read it so far (ROADMAP "
-        "item 10)",
 }
 
 

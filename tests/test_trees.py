@@ -41,7 +41,7 @@ def test_load_flow_equation_forced():
         {"id": 1, "pred": 0, "measure": "1/2", "complete": False},
         {"id": 2, "pred": 0, "measure": "1/2", "complete": False},
     ]))
-    assert measure.of(1) == Fraction(1, 2)
+    assert measure.values[1] == Fraction(1, 2)
 
 
 def test_load_flow_violation():
@@ -156,19 +156,19 @@ def test_json_roundtrip_deep_spine_keeps_preorder():
 def test_homogeneous_window_counts_and_measure():
     w, m = homogeneous_window(1, depth=5, up=5)
     assert len(w) == 11  # the integer line
-    assert all(m.of(v) == 1 for v in w.vertices)
+    assert all(m.values[v] == 1 for v in w.vertices)
 
     w, m = homogeneous_window(2, depth=3, up=0)
     assert len(w) == 15
     leaves = [v for v in w.vertices if w.level[v] == -3]
     assert len(leaves) == 8
-    assert all(m.of(v) == Fraction(1, 8) for v in leaves)
+    assert all(m.values[v] == Fraction(1, 8) for v in leaves)
 
     w, m = homogeneous_window(3, depth=2)
     assert len(w) == 13
     for v in w.vertices:
         if w.is_complete(v):
-            assert sum(m.of(c) for c in w.children(v)) == m.of(v)
+            assert sum(m.values[c] for c in w.children(v)) == m.values[v]
             assert len(w.children(v)) == 3
 
 
@@ -319,7 +319,7 @@ def test_spine_window_structure():
     for _ in range(20):
         assert w.is_complete(v)
         assert len(w.children(v)) == 1
-        assert m.of(w.children(v)[0]) == m.of(v)
+        assert m.values[w.children(v)[0]] == m.values[v]
         v = w.children(v)[0]
 
 
@@ -335,8 +335,8 @@ def test_constant_ratio_flow_equation_exact():
                                     depth=4, up=3)
     validate_window(w)
     validate_measure(w, m)
-    assert m.of(b) == 1
-    assert m.of(w.apex) == 27
+    assert m.values[b] == 1
+    assert m.values[w.apex] == 27
 
 
 def test_ball_and_meeting_levels_match_distance_and_lca():

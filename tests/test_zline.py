@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from flowtree import zline
 from flowtree.bumps import chi0, schrodinger_multiplier
 
-from conftest import doubled_grid_two_pass, z_kernel_power_sum
+from conftest import doubled_grid_two_pass, heat_z_kernel, z_kernel_power_sum
 
 
 def test_identity_symbol_gives_delta():
@@ -262,7 +262,7 @@ def test_consistency_check_trips_below_the_rounding_gap(monkeypatch):
 def test_heat_closed_forms_match_quadrature():
     t = 1.0
     zk = zline.z_multiplier_kernel(lambda lam: np.exp(-t * lam), 20)
-    hk = zline.heat_z_kernel(t, 20)
+    hk = heat_z_kernel(t, 20)
     for n in range(0, 21):
         assert abs(zk.value(n) - hk[n]) < 1e-14
     gk = zline.heat_z_gradkernel(t, 20)
@@ -298,7 +298,7 @@ def test_heat_kernels_match_mpmath_besseli(t):
     (within 1e-300 below it), at every nmax from 0 to past underflow."""
     radius = zline.heat_support_radius(t, 1e-17)
     for nmax in (0, 1, 50, radius, 12000):
-        k, g = zline.heat_z_kernel(t, nmax), zline.heat_z_gradkernel(t, nmax)
+        k, g = heat_z_kernel(t, nmax), zline.heat_z_gradkernel(t, nmax)
         assert len(k) == len(g) == nmax + 1
         for n in sorted(HEAT_N | {radius, nmax}):
             if n > nmax:
@@ -314,7 +314,7 @@ def test_heat_kernels_match_mpmath_besseli_at_large_t(t):
     Riesz quadrature oracle reads (up to its t_cut = 1e8), on the kernel's
     support radius n_last: at n = 0, 1, sqrt(t), 3 sqrt(t) and n_last / 2."""
     n_last = zline.heat_support_radius(t, 1e-17)
-    k, g = zline.heat_z_kernel(t, n_last), zline.heat_z_gradkernel(t, n_last)
+    k, g = heat_z_kernel(t, n_last), zline.heat_z_gradkernel(t, n_last)
     for n in (0, 1, math.isqrt(int(t)), math.isqrt(int(9 * t)), n_last // 2):
         want = _mp_heat(n, t)
         assert abs(k[n] - want) <= 1e-14 * want, n
@@ -328,7 +328,7 @@ def test_heat_kernel_crosschecks_scipy_ive(t):
     at n = 11504 against MP_HEAT_1E5)."""
     from scipy.special import ive
     want = ive(np.arange(12001), t)
-    got = zline.heat_z_kernel(t, 12000)
+    got = heat_z_kernel(t, 12000)
     on = want > (1e-50 if t == 1e5 else 1e-300)
     assert np.all(np.abs(got[on] - want[on]) <= 1e-12 * want[on])
 
@@ -339,7 +339,7 @@ def test_heat_kernel_is_a_decreasing_recurrence_solution(log_t, nmax):
     """k(n) >= 0, non-increasing in n, and (2n/t) k(n) = k(n-1) - k(n+1)
     to rounding (to 1e-300 among subnormal values)."""
     t = 10.0 ** log_t
-    k, g = zline.heat_z_kernel(t, nmax), zline.heat_z_gradkernel(t, nmax)
+    k, g = heat_z_kernel(t, nmax), zline.heat_z_gradkernel(t, nmax)
     assert np.all(k >= 0) and np.all(np.diff(k) <= 0)
     eps = np.finfo(float).eps
     tol = np.maximum(64 * eps * (k[:-2] + k[2:]), 1e-300)
@@ -348,14 +348,14 @@ def test_heat_kernel_is_a_decreasing_recurrence_solution(log_t, nmax):
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -math.inf])
 def test_heat_kernels_reject_bad_t(t):
-    for kernel in (zline.heat_z_kernel, zline.heat_z_gradkernel):
+    for kernel in (heat_z_kernel, zline.heat_z_gradkernel):
         with pytest.raises(ValueError, match="t must be finite"):
             kernel(t, 5)
 
 
 def test_heat_kernels_at_t_zero_and_tiny_t():
     for t in (0.0, 1e-310):
-        assert zline.heat_z_kernel(t, 3).tolist() == [1.0, t / 2, 0.0, 0.0]
+        assert heat_z_kernel(t, 3).tolist() == [1.0, t / 2, 0.0, 0.0]
         assert zline.heat_z_gradkernel(t, 3).tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
