@@ -11,6 +11,14 @@ which is bounded (no overflow at large distance) and satisfies the backward
 recursion A(d) = gradk(d+1) + A(d+2)/q.  Since level(x) + level(y) + d(x,y)
 is always even, kernel values are integer powers of q times A, so the exact
 backend never leaves the rationals.
+
+The radial routes (everything but the Abel transforms, which stay on
+integer q) read q only as the growth m(a_{J+1})/m(a_J) of the anchor's
+ancestor chain, m(a_J) = q**J, so they take any real q >= 1: the window's
+up_ratio at the anchor of every built-in ball, which is q on the q-ary
+tree, 1/rho on a flow whose anchor's chain keeps the ratio rho, and 1 on
+the line.  Off the q-ary tree the formula holds for pairs with one end at
+that anchor.
 """
 
 from __future__ import annotations
@@ -31,11 +39,13 @@ from .zline import (NumericalError, z_grad_multiplier_kernel,
 E_F_TOL = 1e-12
 
 
-def sphere_weight_scaled(q: int, d: int) -> float:
+def sphere_weight_scaled(q: float, d: int) -> float:
     """q**(-d/2) * sum over the distance-d sphere of q**((level offset)/2).
 
     Equals 2 + (d-1)(q-1)/q for d >= 1 and 1 for d = 0; this is the scaled
     sphere weight entering every radial column sum (the degree-one factor).
+    At q = 1/rho it is the same sum of flow masses over the sphere about an
+    anchor whose ancestor chain keeps the ratio rho: 2 + (d-1)(1 - rho).
     """
     if d == 0:
         return 1.0
@@ -130,11 +140,13 @@ def abel_inverse(q: int, psi) -> list:
 class RadialKernel:
     """Scaled radial coefficients A(d) = q^{d/2} E_F(d) for d <= kmax.
 
-    tail_scaled bounds |A_true(d) - A(d)| uniformly in d (truncation of the
-    geometric sum plus any unresolved gradient-kernel tail).
+    q is the growth of the anchor's ancestor chain, any real q >= 1 (see
+    the module docstring).  tail_scaled bounds |A_true(d) - A(d)| uniformly
+    in d (truncation of the geometric sum plus any unresolved
+    gradient-kernel tail).
     """
 
-    q: int
+    q: float
     A: np.ndarray
     kmax: int
     tail_scaled: float = 0.0
@@ -153,17 +165,18 @@ class RadialKernel:
                 for k in range(self.kmax + 1)]
 
 
-def radial_from_gradkernel(q: int, gradk: np.ndarray, kmax: int) -> RadialKernel:
+def radial_from_gradkernel(q: float, gradk: np.ndarray, kmax: int) -> RadialKernel:
     """Assemble A from one-sided gradient-kernel values gradk[n], n = 0..nmax.
 
-    A(d) = sum_{j>=0} q^{-j} gradk(d+2j+1); the recursion runs backward from
-    the end of the array, on Python numbers (floats while gradk is real), and
-    multiplies by 1/q as numpy's complex division by q does, so a finite
-    gradk gives A bit for bit as a complex128 array recursion would.  The
-    tail bound and meta are left to the caller.
+    A(d) = sum_{j>=0} q^{-j} gradk(d+2j+1) for a chain growth q >= 1 (at
+    q = 1 it telescopes to the line kernel k(d)); the recursion runs
+    backward from the end of the array, on Python numbers (floats while
+    gradk is real), and multiplies by 1/q as numpy's complex division by q
+    does, so a finite gradk gives A bit for bit as a complex128 array
+    recursion would.  The tail bound and meta are left to the caller.
     """
-    if q < 2:
-        raise ValueError("radial assembly needs q >= 2 (use zline for q = 1)")
+    if q < 1:
+        raise ValueError("radial assembly needs a chain growth q >= 1")
     nmax = len(gradk) - 1
     if kmax + 1 > nmax:
         raise ValueError("gradient kernel array too short for kmax")
@@ -175,16 +188,18 @@ def radial_from_gradkernel(q: int, gradk: np.ndarray, kmax: int) -> RadialKernel
     return RadialKernel(q, np.array(A[:kmax + 1], dtype=complex), kmax)
 
 
-def e_f_coefficients(q: int, fn, kmax: int) -> RadialKernel:
-    """Radial coefficients of F(flow Laplacian) on the q-ary tree.
+def e_f_coefficients(q: float, fn, kmax: int) -> RadialKernel:
+    """Radial coefficients of F(flow Laplacian) on the q-ary tree, or at an
+    anchor whose ancestor chain grows by q > 1 a level (1/rho for a chain of
+    constant ratio rho); the geometric tail below needs q > 1.
 
     The gradient kernel on the line is computed far enough out that both the
     geometric truncation and the remaining kernel mass are below E_F_TOL.
     The tail bound adds the largest |gradk(n)| of the last three n, summed
     geometrically in 1/q as a bound past nmax, to the truncation bound.
     """
-    if q < 2:
-        raise ValueError("need q >= 2")
+    if q <= 1:
+        raise ValueError("need a chain growth q > 1")
     # worst-case bound sup |gradk| <= 2 sup |F| feeds the geometric tail
     lam = np.linspace(0.0, 2.0, 257)
     supf = float(np.max(np.abs(np.asarray(fn(lam), dtype=complex))))
@@ -205,8 +220,10 @@ def e_f_coefficients(q: int, fn, kmax: int) -> RadialKernel:
     return rad
 
 
-def e_f_exact(q: int, coeffs, kmax: int) -> list[Fraction]:
-    """Exact scaled coefficients A(d) for a polynomial in the Laplacian."""
+def e_f_exact(q: int | Fraction, coeffs, kmax: int) -> list[Fraction]:
+    """Exact scaled coefficients A(d) for a polynomial in the Laplacian, at
+    an integer or Fraction chain growth q >= 1 (1/rho on a rational chain
+    of constant ratio rho)."""
     gk = z_gradkernel_lambda_poly(coeffs)
     hi = max((n for n in gk if n > 0), default=0)
     A = [Fraction(0)] * (max(kmax + 3, hi + 2))
@@ -215,7 +232,7 @@ def e_f_exact(q: int, coeffs, kmax: int) -> list[Fraction]:
     return A[:kmax + 1]
 
 
-def homog_kernel_value(q: int, radial: RadialKernel, lx: int, ly: int, d: int):
+def homog_kernel_value(q: float, radial: RadialKernel, lx: int, ly: int, d: int):
     """K(x, y) = q^{-(lx+ly)/2} E(d) with its propagated tail bound.
 
     The formula is radial; the caller owns the geometry (whether a vertex
@@ -230,11 +247,12 @@ def homog_kernel_value(q: int, radial: RadialKernel, lx: int, ly: int, d: int):
 
 
 @functools.lru_cache(maxsize=1024)
-def _q_power(q: int, e: int) -> Fraction:
+def _q_power(q: int | Fraction, e: int) -> Fraction:
     return Fraction(q) ** e
 
 
-def homog_kernel_value_exact(q: int, A_exact, lx: int, ly: int, d: int) -> Fraction:
+def homog_kernel_value_exact(q: int | Fraction, A_exact, lx: int, ly: int,
+                             d: int) -> Fraction:
     if (lx + ly + d) % 2:
         raise ValueError("no vertex pair has odd level(x)+level(y)+d")
     a = A_exact[d]
@@ -247,13 +265,16 @@ class DominatedTailError(NumericalError):
     """The last block of a truncated weighted sum does not decay."""
 
 
-def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str,
+def homog_weighted_opsum(q: float, radial: RadialKernel, weight, variant: str,
                          tail_check: bool = True):
     """sup_y sum_x w(d(x,y)) |K(x,y)| m(x) on the q-ary tree, in closed form.
 
     variant selects the operator: F(L) itself, grad F(L) (gradient in the
     first variable), F(L) grad* (gradient in the second), or grad F(L) grad*.
-    The sum collapses over spheres; by homogeneity it does not depend on y.
+    The sum collapses over spheres; on the q-ary tree, by homogeneity, it
+    does not depend on y.  At a chain growth q = 1/rho (1 on the line) it is
+    the column sum at an anchor whose ancestor chain keeps the ratio rho,
+    that anchor's own column, not a supremum.
     Returns (value, tail_estimate); raises NumericalError if a weight
     overflows, and DominatedTailError if the truncated tail fails the
     dominated check.  The sums run on Python numbers and multiply by 1/q,
@@ -296,14 +317,15 @@ def homog_weighted_opsum(q: int, radial: RadialKernel, weight, variant: str,
     return total, tail
 
 
-def sharpness_radial(q: int, t: float, kmax: int) -> dict:
+def sharpness_radial(q: float, t: float, kmax: int) -> dict:
     """Scaled oscillating-multiplier coefficients for the modulated cutoff.
 
     The multiplier is the wave packet schrodinger_multiplier(t), exp(i t
     lam) chi0(lam) with the documented smooth bump chi0 (plateau on
     [-1/4, 1/4], support in (-1/2, 1/2)).  Returns per-k
     values of q^{k/2} * (E(k) - sqrt(q) E(k+1)), the quantity whose
-    (k+1)-weighted partial sums exhibit the lower-bound growth.
+    (k+1)-weighted partial sums exhibit the lower-bound growth, for any
+    chain growth q >= 1 (see radial_from_gradkernel).
     """
     from .bumps import schrodinger_multiplier
 

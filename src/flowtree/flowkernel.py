@@ -14,20 +14,21 @@ the test-suite pins the identity exactly against direct window evaluation.
 
 Because only the ancestor chain enters, heat-type kernels remain computable
 at times far beyond what any materialized window could certify, and level
-sums or weighted column sums collapse to sums over common-ancestor groups
-whose masses the flow equation gives in closed form.
+sums collapse to sums over common-ancestor groups whose masses the flow
+equation gives in closed form.
 
 One engine evaluates them: for fixed s = level(x) + level(z) the sums from
 every meeting level at once are cumulative sums down the chain of ratios
 m(a_j)/m(a_J) <= 1, which stay in double range where the measures leave
-it; one group reader lists a column's groups as arrays for heat's rows and
-the column and level sums.
+it; one group reader, column_masses, lists a column's groups as arrays for
+heat's rows and the level sums, on chains whose ratio may change from
+level to level.  On a chain of constant ratio rho, weighted column sums
+have abel's radial closed form at q = 1/rho.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -210,21 +211,3 @@ def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
     return (lam, J, _scaled_value(gradk, chain, lam, ly, J, variant) * share,
             np.log2(chain.mantissa[n] * share) + chain.exponent[n])
 
-
-def distance_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
-                    variant: str = "plain") -> np.ndarray:
-    """Entry d: sum over x at distance d from the chain's vertex y (level
-    ly) of |K variant(x, y)| m(x); length nmax + 3, past which K vanishes."""
-    lam, j, value_mass, _ = column_masses(chain, gradk, ly, variant)
-    return np.bincount(2 * j - lam - ly, np.abs(value_mass),
-                       minlength=len(gradk) + 2)
-
-
-def weighted_colsum(chain: AncestorChain, gradk: np.ndarray, ly: int,
-                    weight: Callable[[np.ndarray], np.ndarray],
-                    variant: str = "plain") -> float:
-    """sum over x of w(d(x,y)) |K variant(x, y)| m(x); the weight takes an
-    integer array of the distances where the column has mass."""
-    per_d = distance_masses(chain, gradk, ly, variant)
-    ds = np.flatnonzero(per_d)
-    return float(np.sum(weight(ds) * per_d[ds]))

@@ -11,23 +11,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from fractions import Fraction
-
-
-# the cell text of the exact types that fill most rows, looked up before the
-# isinstance chain (whose Fraction test goes through the ABC check)
-_FMT_EXACT = {int: str, str: str, float: repr, complex: repr}
 
 
 def _fmt(x) -> str:
-    fmt = _FMT_EXACT.get(type(x))
-    if fmt is not None:
-        return fmt(x)
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, (float, complex)):
-        return repr(x)
-    return str(x)
+    """A float or complex cell's repr; any other cell's (int, str, bool,
+    None) str."""
+    return repr(x) if type(x) in (float, complex) else str(x)
 
 
 def write_csv(path: str, header, rows, comments=()) -> None:
@@ -42,18 +31,10 @@ def write_csv(path: str, header, rows, comments=()) -> None:
 
 def _jsonable(obj):
     """obj with JSON types only; a float that is not finite becomes null."""
-    if hasattr(obj, "item"):  # numpy scalars
-        obj = obj.item()
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, complex):
-        return {"re": _jsonable(obj.real), "im": _jsonable(obj.imag)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     return obj

@@ -438,10 +438,11 @@ def ball_window(q: Union[int, tuple], radius: int, center_level: int = 0,
     ratio, with m = ratios[0]**-level, and any other child has its
     parent's mass times its ratio.
 
-    Returns (window, measure, center).  The center is safe at the full
-    radius, so a ball of radius r+? hosts columns of operators with
-    propagation up to ``radius``.  Vertex ids are depth first: a child's
-    whole cone comes before its next sibling.
+    Returns (window, measure, center).  The center is in
+    ``safe_region(window, radius)`` and not in ``safe_region(window,
+    radius + 1)``, so a ball of radius r hosts the center's columns of
+    operators with propagation up to r.  Vertex ids are depth first: a
+    child's whole cone comes before its next sibling.
     """
     degree = len(q) if isinstance(q, tuple) else q
     if degree < 1 or radius < 0:

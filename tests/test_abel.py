@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flowtree import ball_window
-from flowtree import abel, zline
+from flowtree import abel, analysis, zline
 from flowtree.exactnum import QSurd
 from flowtree.localops import kernel_column_lambda_poly
 
@@ -158,6 +158,9 @@ def test_e_f_tail_bound_covers_the_closed_form(q, t, kmax):
 
 
 def test_e_f_heat_decay_and_window_oracle():
+    """Heat coefficients on the binary tree against a Chebyshev column, and,
+    at the chain growth q = 1/rho, against the ancestor-profile heat column
+    at the center of ratio balls."""
     q = 2
     t = 1.0
     gradk = zline.heat_z_gradkernel(t, 80)
@@ -174,9 +177,22 @@ def test_e_f_heat_decay_and_window_oracle():
         d = w.distance(x, c)
         want, errb = abel.homog_kernel_value(q, rad, w.level[x], w.level[c], d)
         assert abs(col.value(x) - want) <= col.err_bound + errb + 1e-12
+    golden = (math.sqrt(5) - 1) / 2
+    for ratios in ((golden, 1 - golden), (0.75, 0.25), (0.99, 0.01)):
+        w, m, c = ball_window(ratios, 6, backend="float")
+        q = float(w.up_ratio)
+        rad = abel.e_f_coefficients(q, lambda lam: np.exp(-t * np.asarray(lam)), 6)
+        col = analysis.heat_kernel_column(w, m, t, c)
+        for x in w.vertices:
+            want, _ = abel.homog_kernel_value(q, rad, w.level[x], w.level[c],
+                                              w.distance(x, c))
+            assert abs(col.value(x) - want) <= 1e-12
 
 
 def test_homog_kernel_value_trivial_and_cross():
+    """Identity and Laplacian values, the cached powers of q, and the exact
+    L^k columns, k <= 5, at the center of rational ratio balls, at the
+    Fraction chain growth q = 1/rho."""
     q = 3
     a_id = abel.e_f_exact(q, [Fraction(1)], 2)
     assert abel.homog_kernel_value_exact(q, a_id, -2, -2, 0) == Fraction(q) ** 2
@@ -197,6 +213,17 @@ def test_homog_kernel_value_trivial_and_cross():
                 got = abel.homog_kernel_value_exact(q, a_lap, lx, ly, d)
                 assert type(got) is Fraction
                 assert got == a_lap[d] * Fraction(q) ** (-(lx + ly + d) // 2)
+    for ratios in ((Fraction(3, 4), Fraction(1, 4)), (Fraction(1, 3), Fraction(2, 3)),
+                   (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5))):
+        w, m, c = ball_window(ratios, 6)
+        q = w.up_ratio
+        for k in range(6):
+            coeffs = [Fraction(0)] * k + [Fraction(1)]
+            col = kernel_column_lambda_poly(w, m, coeffs, c)
+            a_ex = abel.e_f_exact(q, coeffs, 6)
+            for x in w.vertices:
+                assert col.value(x) == abel.homog_kernel_value_exact(
+                    q, a_ex, w.level[x], w.level[c], w.distance(x, c))
 
 
 def test_homog_weighted_l1_examples():

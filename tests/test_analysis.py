@@ -20,7 +20,7 @@ from flowtree.trees import ball
 
 from conftest import (doubled_grid_two_pass, grad_heat_kernel_column, heat_z_kernel,
                       meeting_levels, modulation, modulation_conjugate_model,
-                      riesz_quadrature, sobolev_norms_full_grid)
+                      riesz_gradkernels, riesz_quadrature, sobolev_norms_full_grid)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -599,9 +599,9 @@ def test_riesz_summed_kernel_matches_per_node_quadrature():
 
 
 def test_riesz_kernels_cached_per_spec():
-    a = analysis._riesz_gradkernels(QuadratureSpec())
-    assert analysis._riesz_gradkernels(QuadratureSpec(t_cut=1e8)) is a
-    b = analysis._riesz_gradkernels(QuadratureSpec(t_cut=1e7))
+    a = riesz_gradkernels(QuadratureSpec())
+    assert riesz_gradkernels(QuadratureSpec(t_cut=1e8)) is a
+    b = riesz_gradkernels(QuadratureSpec(t_cut=1e7))
     assert len(b[0]) < len(a[0]) and not np.array_equal(b[1], a[1][:len(b[1])])
     for arr in a + b:
         assert not arr.flags.writeable

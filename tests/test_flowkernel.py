@@ -20,7 +20,8 @@ from flowtree import TreeError, ball_window, constant_ratio_window, spine_window
 from flowtree import abel, analysis, flowkernel, zline
 from flowtree.localops import kernel_column_lambda_poly
 
-from conftest import profile_value_exact, weighted_col_sums
+from conftest import (distance_masses, profile_value_exact, weighted_col_sums,
+                      weighted_colsum)
 
 
 def exact_pair(window, measure, coeffs, x, z):
@@ -138,7 +139,7 @@ def test_weighted_colsum_matches_homog_radial():
     eps = 1.0
     wfun = lambda d: np.exp(eps * d / math.sqrt(t))
     for variant in flowkernel.VARIANTS:
-        got = flowkernel.weighted_colsum(chain, gradk, w.level[c], wfun, variant)
+        got = weighted_colsum(chain, gradk, w.level[c], wfun, variant)
         want, _ = abel.homog_weighted_opsum(q, rad, wfun, variant,
                                             tail_check=False)
         assert abs(got - want) < 1e-9 * max(1.0, want)
@@ -217,8 +218,7 @@ def test_weighted_colsum_matches_window_enumeration():
     want, truncated = weighted_col_sums(w, m, col, lambda d, lx, ly: 1.0 + d)
     assert not truncated
     chain = flowkernel.chain_of(w, m, y, 0)
-    got = flowkernel.weighted_colsum(chain, gradk, w.level[y],
-                                     lambda d: 1.0 + d, "plain")
+    got = weighted_colsum(chain, gradk, w.level[y], lambda d: 1.0 + d, "plain")
     assert abs(got - float(want)) < 1e-12
 
 
@@ -353,9 +353,9 @@ def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
     w, m, c = ball_window(2, 0, backend="float")
     gradk = zline.heat_z_gradkernel(16.0, 80)
     chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
-    whole = flowkernel.distance_masses(chain, gradk, 0, "grad_both")
+    whole = distance_masses(chain, gradk, 0, "grad_both")
     monkeypatch.setattr(flowkernel, "_BLOCK_ENTRIES", 50)
-    assert np.array_equal(flowkernel.distance_masses(chain, gradk, 0, "grad_both"),
+    assert np.array_equal(distance_masses(chain, gradk, 0, "grad_both"),
                           whole)
 
 
@@ -379,31 +379,38 @@ def test_suffix_sums_carry_across_blocks(spike):
     assert want > 0 and abs(got[0] - want) <= 1728 * 2.0 ** -53 * want
 
 
-# (q, t) across degrees and times: at q^(nmax + 2) past 1e308 (q = 8 from
+# (flow, t) across degrees and times: at q^(nmax + 2) past 1e308 (q = 8 from
 # t = 1024, q = 64 from t = 256) the measures leave double range, and the
 # group sums run on their ratios; (3, 1024) and (64, 64) add an odd degree
-# and a time between the grid's
+# and a time between the grid's; the ratio flows and the line have chains
+# of constant ratio rho, whose growth 1/rho the radial route takes as q
+GOLDEN = (math.sqrt(5) - 1) / 2
+RATIO_FLOWS = {"golden": (GOLDEN, 1 - GOLDEN), "3:1": (0.75, 0.25),
+               "0.99:0.01": (0.99, 0.01), "line": 1}
 FULL_REACH = ([(q, t) for q in (2, 8, 64, 512, 4096) for t in (16.0, 256.0, 1024.0, 4096.0)]
-              + [(3, 1024.0), (64, 64.0)])
+              + [(3, 1024.0), (64, 64.0)]
+              + [pytest.param(flow, t, id=f"{name}-{t}") for name, flow in RATIO_FLOWS.items()
+                 for t in (1.0, 16.0, 256.0)])
 
 
-@pytest.mark.parametrize("q, t", FULL_REACH)
-def test_group_sums_match_the_radial_route(q, t):
+@pytest.mark.parametrize("flow, t", FULL_REACH)
+def test_group_sums_match_the_radial_route(flow, t):
     """The profile route's weighted column sums (weight e^{d/sqrt t}) equal
-    the radial route's closed-form operator sums for every variant, and the
-    heat column's masses per distance add up to 1, at large t and large q."""
+    the radial route's closed-form operator sums at the chain's growth for
+    every variant, and the heat column's masses per distance add up to 1,
+    at large t and large q, on ratio flows and on the line."""
     gradk = analysis._heat_gradk(t)
+    w, m, c = ball_window(flow, 0, backend="float")
+    q = float(w.up_ratio)
     rad = abel.radial_from_gradkernel(q, gradk, len(gradk) - 3)
-    w, m, c = ball_window(q, 0, backend="float")
     chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     assert not chain.truncated
     for variant in flowkernel.VARIANTS:
-        got = flowkernel.weighted_colsum(chain, gradk, 0,
-                                         lambda d: np.exp(d / math.sqrt(t)), variant)
+        got = weighted_colsum(chain, gradk, 0, lambda d: np.exp(d / math.sqrt(t)), variant)
         want, _ = abel.homog_weighted_opsum(q, rad, lambda d: math.exp(d / math.sqrt(t)),
                                             variant)
         assert abs(got - want) <= 1e-12 * want
-    assert abs(flowkernel.distance_masses(chain, gradk, 0).sum() - 1.0) <= 1e-12
+    assert abs(distance_masses(chain, gradk, 0).sum() - 1.0) <= 1e-12
 
 
 def test_chain_climbs_to_its_reach():

@@ -23,11 +23,8 @@ LIBRARY = sorted((ROOT / "src" / "flowtree").glob("*.py"))
 
 # public names with no caller yet, each with the reason it stays
 ALLOWED = {
-    "flowkernel.weighted_colsum":
-        "the any-flow weighted column sum (with distance_masses, its group "
-        "reader) that weighted-sweep, sharpness and mh-norms are to read "
-        "on every flow (ROADMAP item 2)",
     "analysis.QuadratureSpec": "the benchmark tracer's Riesz hook imports it",
+    "analysis.QuadratureSpec.nodes": "the benchmark tracer's Riesz hook calls it",
     "ncpoly.NcPolynomial.adjoint": "the benchmark tracer wraps it by name",
     "ncpoly.NcPolynomial.norm": "the benchmark tracer wraps it by name",
 }
