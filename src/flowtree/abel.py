@@ -18,7 +18,8 @@ ancestor chain, m(a_J) = q**J, so they take any real q >= 1: the window's
 up_ratio at the anchor of every built-in ball, which is q on the q-ary
 tree, 1/rho on a flow whose anchor's chain keeps the ratio rho, and 1 on
 the line.  Off the q-ary tree the formula holds for pairs with one end at
-that anchor.
+that anchor.  e_f_coefficients alone needs q > 1, and its j-limit refuses
+q near 1 (see there).
 """
 
 from __future__ import annotations
@@ -191,7 +192,9 @@ def radial_from_gradkernel(q: float, gradk: np.ndarray, kmax: int) -> RadialKern
 def e_f_coefficients(q: float, fn, kmax: int) -> RadialKernel:
     """Radial coefficients of F(flow Laplacian) on the q-ary tree, or at an
     anchor whose ancestor chain grows by q > 1 a level (1/rho for a chain of
-    constant ratio rho); the geometric tail below needs q > 1.
+    constant ratio rho).  The geometric tail needs q > 1, and at most 4,000
+    of its terms: for sup |F| = 1 that refuses q below about 1.0083 (rho
+    above about 0.9918), and a larger F moves the limit up.
 
     The gradient kernel on the line is computed far enough out that both the
     geometric truncation and the remaining kernel mass are below E_F_TOL.

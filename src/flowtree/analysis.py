@@ -9,6 +9,7 @@ the residual reported.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -115,6 +116,31 @@ def _heat_gradk(t: float) -> np.ndarray:
         raise TreeError(f"t = {t:g} needs a line kernel of {nmax + 1:,} entries, "
                         f"over the cap of {DEFAULT_VERTEX_CAP:,}")
     return heat_z_gradkernel(t, nmax)
+
+
+@functools.lru_cache(maxsize=None)
+def _riesz_gradkernels(spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The quadrature's weighted sum of heat gradient kernels, and the part
+    of that sum from the last decade (t_cut / 10 to t_cut), zero-padded to
+    one length and read-only.
+
+    The ancestor-profile formula is linear in the line kernel, so profiling
+    these two sums equals profiling every node and summing the results.
+    The sums run in extended precision and in node order: rounded once,
+    they keep the Riesz values as close to the exact quadrature as the
+    node-by-node sums were.
+    """
+    ndec = int(round(math.log10(spec.t_cut)))
+    nodes = spec.nodes()
+    # kernel lengths grow with t, so the longest fixes the sums' length
+    size = heat_support_radius(max(t for t, _, _ in nodes), HEAT_TOL) + 1
+    sums = np.zeros((2, size), dtype=np.longdouble)
+    for t, w, block in nodes:
+        g = w * _heat_gradk(t)
+        sums[:1 + (block == ndec), :len(g)] += g   # row 1: the last decade
+    sums = sums.astype(float)
+    sums.setflags(write=False)
+    return sums[0], sums[1]
 
 
 def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
@@ -364,7 +390,8 @@ def mh_dyadic_norms(fn, l_grid, q: float) -> EstimateReport:
     log2 against l), while the weighted sums, with weight
     (1 + d / 2^{l/2})^{1/2}, stay bounded.  The fit needs at least two
     distinct l, each at least 0.  q may be any chain growth q >= 1, as in
-    weighted_heat_sweep.
+    weighted_heat_sweep; on every chain the sums stop where the line
+    kernel is cut.
     """
     from .bumps import dyadic_phi
     from .zline import z_grad_multiplier_kernel
@@ -394,13 +421,12 @@ def mh_dyadic_norms(fn, l_grid, q: float) -> EstimateReport:
                           {"q": q, "eps": eps})
 
 
-def sharpness_fit(q: float, t_grid) -> EstimateReport:
+def sharpness_fit(q: int, t_grid) -> EstimateReport:
     """Growth of the oscillating-multiplier lower-bound functional.
 
     For each t the functional sums (k+1) q^{k/2} |Etilde(k)| over the window
     t/4 <= k+1 <= t/2; stationary-phase predicts growth t^{3/2}.  That
-    window is empty below t = 2, so every t must be at least 2.  q may be
-    any chain growth q >= 1, as in weighted_heat_sweep.
+    window is empty below t = 2, so every t must be at least 2.
     """
     if any(t < 2 for t in t_grid):
         raise ValueError("sharpness_fit needs every t >= 2")

@@ -13,10 +13,14 @@ import math
 import os
 
 
+# a cell's text by exact type: one lookup per cell beats a chain of tests
+_FMT = {float: repr, complex: repr}
+
+
 def _fmt(x) -> str:
     """A float or complex cell's repr; any other cell's (int, str, bool,
     None) str."""
-    return repr(x) if type(x) in (float, complex) else str(x)
+    return _FMT.get(type(x), str)(x)
 
 
 def write_csv(path: str, header, rows, comments=()) -> None:

@@ -4,8 +4,6 @@ Acceptance tests register one line each; the terminal summary prints them
 so every criterion shows an explicit pass/fail verdict in the pytest output.
 """
 
-import functools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -23,7 +21,7 @@ def riesz_quadrature(window, measure, pairs, spec=None):
     (contributions decay like 1/t there: the last decade over 9), and the
     error estimate |correction| / 3 + 1e-12, inf on a truncated chain."""
     from flowtree import analysis, flowkernel
-    total, last = riesz_gradkernels(spec or analysis.QuadratureSpec())
+    total, last = analysis._riesz_gradkernels(spec or analysis.QuadratureSpec())
     lx, ly, j0 = np.array([(window.level[x], window.level[y],
                             window.level[window.lca(x, y)]) for x, y in pairs]).T
     uses = Counter(v for pair in pairs for v in pair)
@@ -39,33 +37,6 @@ def riesz_quadrature(window, measure, pairs, spec=None):
         if chain.truncated:
             truncated[idx] = np.inf
     return vals + tails / 9.0, np.abs(tails / 9.0) / 3.0 + 1e-12 + truncated
-
-
-@functools.lru_cache(maxsize=None)
-def riesz_gradkernels(spec):
-    """The quadrature's weighted sum of heat gradient kernels, and the part
-    of that sum from the last decade (t_cut / 10 to t_cut), zero-padded to
-    one length and read-only.
-
-    The ancestor-profile formula is linear in the line kernel, so profiling
-    these two sums equals profiling every node and summing the results.
-    The sums run in extended precision and in node order: rounded once,
-    they keep the Riesz values as close to the exact quadrature as the
-    node-by-node sums were.
-    """
-    from flowtree.analysis import HEAT_TOL, _heat_gradk
-    from flowtree.zline import heat_support_radius
-    ndec = int(round(math.log10(spec.t_cut)))
-    nodes = spec.nodes()
-    # kernel lengths grow with t, so the longest fixes the sums' length
-    size = heat_support_radius(max(t for t, _, _ in nodes), HEAT_TOL) + 1
-    sums = np.zeros((2, size), dtype=np.longdouble)
-    for t, w, block in nodes:
-        g = w * _heat_gradk(t)
-        sums[:1 + (block == ndec), :len(g)] += g   # row 1: the last decade
-    sums = sums.astype(float)
-    sums.setflags(write=False)
-    return sums[0], sums[1]
 
 
 def distance_masses(chain, gradk, ly, variant="plain"):

@@ -160,7 +160,8 @@ def test_e_f_tail_bound_covers_the_closed_form(q, t, kmax):
 def test_e_f_heat_decay_and_window_oracle():
     """Heat coefficients on the binary tree against a Chebyshev column, and,
     at the chain growth q = 1/rho, against the ancestor-profile heat column
-    at the center of ratio balls."""
+    at the center of ratio balls; at rho = 0.995 the geometric tail needs
+    more terms than the j-limit allows."""
     q = 2
     t = 1.0
     gradk = zline.heat_z_gradkernel(t, 80)
@@ -187,6 +188,8 @@ def test_e_f_heat_decay_and_window_oracle():
             want, _ = abel.homog_kernel_value(q, rad, w.level[x], w.level[c],
                                               w.distance(x, c))
             assert abs(col.value(x) - want) <= 1e-12
+    with pytest.raises(ValueError, match="j-limit"):
+        abel.e_f_coefficients(1 / 0.995, lambda lam: np.exp(-t * np.asarray(lam)), 6)
 
 
 def test_homog_kernel_value_trivial_and_cross():

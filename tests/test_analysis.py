@@ -20,7 +20,7 @@ from flowtree.trees import ball
 
 from conftest import (doubled_grid_two_pass, grad_heat_kernel_column, heat_z_kernel,
                       meeting_levels, modulation, modulation_conjugate_model,
-                      riesz_gradkernels, riesz_quadrature, sobolev_norms_full_grid)
+                      riesz_quadrature, sobolev_norms_full_grid, weighted_colsum)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -348,21 +348,59 @@ def test_riesz_pairs_beyond_the_cut_are_refused():
         analysis.riesz_kernel_values(w, m, [(far, c)])
 
 
+ROWS = (("plain", "heat"), ("grad_x", "grad_heat"),
+        ("gradstar_z", "heat_gradstar"), ("grad_both", "grad_heat_gradstar"))
+
+
 def test_weighted_heat_sweep_bands():
-    rep = analysis.weighted_heat_sweep(1.0, [1, 4, 16, 64], [2, 5])
+    """The slope bands hold on the q-ary trees and at the golden chain's
+    growth; there and on the line (growth 1) every row equals the anchor's
+    column sum read by the profile route."""
+    golden, _, _ = ball_window((GOLDEN, 1 - GOLDEN), 0, backend="float")
+    rep = analysis.weighted_heat_sweep(1.0, [1, 4, 16, 64], [2, 5, golden.up_ratio, 1])
     assert rep.fit["heat_variation"]["overall"] <= 10.0
     for q, s in rep.fit["grad_heat"].items():
-        assert abs(s + 0.5) <= 0.1
+        assert q == 1 or abs(s + 0.5) <= 0.1
     for q, s in rep.fit["grad_heat_gradstar"].items():
-        assert abs(s + 1.0) <= 0.15
+        assert q == 1 or abs(s + 1.0) <= 0.15
+    for flow in ((GOLDEN, 1 - GOLDEN), 1):
+        w, m, c = ball_window(flow, 0, backend="float")
+        rows = [r for r in rep.rows if r["q"] == w.up_ratio]
+        assert len(rows) == 4
+        for row in rows:
+            gradk = analysis._heat_gradk(row["t"])
+            chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
+            for variant, name in ROWS:
+                got = weighted_colsum(chain, gradk, 0,
+                                      lambda d: np.exp(d / math.sqrt(row["t"])), variant)
+                assert abs(got - row[name]) <= 1e-12 * got
 
 
 def test_mh_dyadic_norms_reference_symbol():
-    from flowtree.bumps import imaginary_power_cut
-    rep = analysis.mh_dyadic_norms(imaginary_power_cut(1.0), range(5), q=64)
+    """Bounded weighted pieces and decaying gradient sums on the 64-ary
+    tree; at the golden chain's growth and on the line the rows equal the
+    anchor's column sums read by the profile route, up to the gap between
+    the two routes' cuts of the line kernel, which the 64-ary rows show
+    too."""
+    from flowtree.bumps import dyadic_phi, imaginary_power_cut
+    fn = imaginary_power_cut(1.0)
+    rep = analysis.mh_dyadic_norms(fn, range(5), q=64)
     ws = [r["weighted"] for r in rep.rows]
     assert max(ws) / min(ws) < 3.0  # scale-invariant symbol: bounded pieces
     assert rep.fit["gradsum_slope_log2"] < -0.3
+    for flow in (64, (GOLDEN, 1 - GOLDEN), 1):
+        w, m, c = ball_window(flow, 0, backend="float")
+        rows = rep.rows if flow == 64 else analysis.mh_dyadic_norms(fn, range(5), w.up_ratio).rows
+        for row in rows:
+            l = row["l"]
+            piece = lambda lam: np.asarray(fn(lam)) * dyadic_phi(2.0 ** l * np.asarray(lam))
+            gradk = zline.z_grad_multiplier_kernel(piece, int(40 * 2 ** (l / 2) * 5 + 200)).one_sided()
+            chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
+            weighted = weighted_colsum(chain, gradk, 0,
+                                       lambda d: (1.0 + d / 2.0 ** (l / 2)) ** 0.5)
+            gradsum = weighted_colsum(chain, gradk, 0, np.ones_like, "gradstar_z")
+            assert abs(weighted - row["weighted"]) <= 5e-5 * weighted
+            assert abs(gradsum - row["gradsum"]) <= 5e-5 * gradsum
 
 
 def _recorded_line_kernels(monkeypatch, module):
@@ -599,9 +637,9 @@ def test_riesz_summed_kernel_matches_per_node_quadrature():
 
 
 def test_riesz_kernels_cached_per_spec():
-    a = riesz_gradkernels(QuadratureSpec())
-    assert riesz_gradkernels(QuadratureSpec(t_cut=1e8)) is a
-    b = riesz_gradkernels(QuadratureSpec(t_cut=1e7))
+    a = analysis._riesz_gradkernels(QuadratureSpec())
+    assert analysis._riesz_gradkernels(QuadratureSpec(t_cut=1e8)) is a
+    b = analysis._riesz_gradkernels(QuadratureSpec(t_cut=1e7))
     assert len(b[0]) < len(a[0]) and not np.array_equal(b[1], a[1][:len(b[1])])
     for arr in a + b:
         assert not arr.flags.writeable

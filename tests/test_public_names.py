@@ -24,7 +24,6 @@ LIBRARY = sorted((ROOT / "src" / "flowtree").glob("*.py"))
 # public names with no caller yet, each with the reason it stays
 ALLOWED = {
     "analysis.QuadratureSpec": "the benchmark tracer's Riesz hook imports it",
-    "analysis.QuadratureSpec.nodes": "the benchmark tracer's Riesz hook calls it",
     "ncpoly.NcPolynomial.adjoint": "the benchmark tracer wraps it by name",
     "ncpoly.NcPolynomial.norm": "the benchmark tracer wraps it by name",
 }
