@@ -17,6 +17,7 @@ rerun reproduces artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -128,6 +129,16 @@ def _grid(args, flag: str, read=parse_grid, least=None) -> list:
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from exc
     return vals
+
+
+@contextlib.contextmanager
+def _grid_cap(flag: str):
+    """A line kernel refused inside the block for passing the grid cap is a
+    ValueError that names the flag whose value set its nmax."""
+    try:
+        yield
+    except zline.GridCapError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _eval_angle(tok: str) -> float:
@@ -294,7 +305,8 @@ def cmd_kernel(args, out):
                     failure = {"check": "imaginary power quadrature",
                                "discrepancy": worst}
             else:
-                zk = zline.z_multiplier_kernel(fn, args.dmax)
+                with _grid_cap("--dmax"):
+                    zk = zline.z_multiplier_kernel(fn, args.dmax)
             _write(out, "zkernel.csv", ["n", "re", "im"], zk.csv_rows(),
                    {**zmeta, "nmax": zk.nmax, "grid": zk.grid})
     _write(out, "kernel.csv",
@@ -453,8 +465,9 @@ def cmd_level_sum(args, out):
 def cmd_mh_norms(args, out):
     alpha = args.alpha
     ls = _grid(args, "--l-grid", _distinct_int_grid, least=0)
-    rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
-                                   q=_at_least("--q", args.q, 2))
+    with _grid_cap("--l-grid"):
+        rep = analysis.mh_dyadic_norms(imaginary_power_cut(alpha), ls,
+                                       q=_at_least("--q", args.q, 2))
     _write(out, "mh_norms.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, "alpha": alpha, **rep.meta})
     return {}
@@ -462,7 +475,8 @@ def cmd_mh_norms(args, out):
 
 def cmd_sharpness(args, out):
     ts = _grid(args, "--t-grid", _int_grid, least=2)
-    rep = analysis.sharpness_fit(_at_least("--q", args.q, 2), ts)
+    with _grid_cap("--t-grid"):
+        rep = analysis.sharpness_fit(_at_least("--q", args.q, 2), ts)
     sob = analysis.sobolev_growth(list(np.exp(np.linspace(np.log(30.0), np.log(300.0), 12))))
     _write(out, "sharpness.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, "sobolev": {s: f for s, f in sob.items()}, **rep.meta})

@@ -5,9 +5,11 @@ kernels come from uniform trapezoid sums over the circle, which are exact for
 trigonometric polynomials and spectrally accurate for smooth symbols.  The
 sums run on a doubled grid, and the aliasing guard reads how far they moved
 from the half grid off the doubled grid's aliased image, so a grid takes one
-symbol evaluation and one transform.  Each grid size's 1 - cos(theta) and
+symbol evaluation and one transform.  That transform runs in place in one
+complex buffer of the doubled grid's size, and the gradient's factor -2j
+scales only the entries read off it.  Each grid size's 1 - cos(theta) and
 sin(theta) are computed once (_grid keeps the last size, read-only), and a
-real symbol stays real up to the transform.  The guard picks the grid: it
+real symbol stays real up to the buffer, which takes it as its real part.  The guard picks the grid: it
 starts at the default grid for nmax and doubles it until the sums hold
 still, up to MAX_GRID, where it gives up.  The symmetric-gradient kernel
 is computed from the odd symbol sin(theta) F(1 - cos(theta)) and crosschecked
@@ -49,6 +51,11 @@ class AliasingError(NumericalError):
 
 class ConsistencyError(NumericalError):
     """Two evaluation routes that must agree did not."""
+
+
+class GridCapError(ValueError):
+    """An nmax whose default grid is past MAX_GRID: bad input, refused
+    before any array is built."""
 
 
 @dataclass
@@ -100,27 +107,31 @@ def _grid(points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _doubled_grid(fn, nmax: int, transform):
-    """The kernel transform(sin theta, symbol)[n], |n| <= nmax, of the
-    symbol F(1 - cos theta) on 2G points, the symbol there (checked finite)
-    and 2G.  fn gets _grid's read-only 1 - cos theta.  A float64 or
+    """The kernel k(n), |n| <= nmax, of the symbol F(1 - cos theta) on 2G
+    points as transform reads it, the symbol there (checked finite) and
+    2G.  fn gets _grid's read-only 1 - cos theta.  A float64 or
     complex128 symbol keeps its dtype; any other is widened to complex128.
 
     G starts at _default_grid(nmax) and doubles until the G-point sums
     differ from the 2G-point ones by at most ALIAS_TOL; a G of MAX_GRID or
     more where they still differ raises AliasingError, naming G.  An nmax
-    whose default grid is past MAX_GRID is refused, ValueError, before any
-    array is built.
+    whose default grid is past MAX_GRID is refused, GridCapError, before
+    any array is built.
 
-    transform returns its full length-2G transform, linear in the symbol.
+    transform(sin theta, symbol, buf) writes the inverse transform's
+    input, linear in the symbol, into buf, a zeroed complex128 array of 2G
+    points, and returns read: read(i) is k at the indices i (n mod 2G) of
+    buf once np.fft.ifft has run on it in place.  A grid thus holds one
+    2G-point complex array, and read scales only the entries it reads.
     The G points are the even ones of the 2G, and the even samples' sums
     alias two values of the 2G sums: k_G(n) = k_2G(n) + k_2G(n + G).  So
-    doubling moves k(n) by k_2G(n + G), read from the same array: one
+    doubling moves k(n) by k_2G(n + G), read from the same buffer: one
     symbol evaluation and one transform per grid tried.
     """
     G = _default_grid(nmax)
     if G > MAX_GRID:
-        raise ValueError(f"nmax {nmax} needs a grid of {G} points, past "
-                         f"MAX_GRID = {MAX_GRID}")
+        raise GridCapError(f"nmax {nmax} needs a grid of {G} points, past "
+                           f"MAX_GRID = {MAX_GRID}")
     while True:
         points = 2 * G
         lam, sin = _grid(points)
@@ -129,11 +140,13 @@ def _doubled_grid(fn, nmax: int, transform):
             symbol = symbol.astype(complex)
         if not np.all(np.isfinite(symbol)):
             raise ValueError("non-finite symbol value")
-        full = transform(sin, symbol)
+        buf = np.zeros(points, complex)
+        read = transform(sin, symbol, buf)
+        np.fft.ifft(buf, out=buf)
         idx = np.arange(-nmax, nmax + 1) % points
-        moved = np.max(np.abs(full[(idx + G) % points]))
+        moved = np.max(np.abs(read((idx + G) % points)))
         if moved <= ALIAS_TOL:
-            return full[idx], symbol, points
+            return read(idx), symbol, points
         if G >= MAX_GRID:
             raise AliasingError(
                 f"grid {G} insufficient: doubling moved values by {moved:.3e}")
@@ -145,8 +158,10 @@ def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
     grid the aliasing guard picks (_doubled_grid).  fn(lam) gets a
     read-only array and returns a new one: a symbol that writes into lam
     raises ValueError."""
-    out, _, points = _doubled_grid(
-        fn, nmax, lambda sin, symbol: np.fft.ifft(symbol))
+    def transform(sin, symbol, buf):
+        buf[:] = symbol
+        return buf.__getitem__
+    out, _, points = _doubled_grid(fn, nmax, transform)
     return ZKernel(out, nmax, points)
 
 
@@ -167,12 +182,17 @@ def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """Symmetric-gradient kernel k(n-1) - k(n+1), via the odd symbol route.
 
     Primary evaluation integrates sin(t) F(1 - cos t) on the grid the
-    aliasing guard picks; the finite-difference route on the plain kernel,
-    on the same grid, must agree within CONSISTENCY_TOL.  As in
-    z_multiplier_kernel, fn(lam) gets a read-only array.
+    aliasing guard picks: the product (a real symbol's in the buffer's real
+    part) is transformed in place, and -2j scales only the kept entries and
+    the aliased ones the guard reads.  The buffer is freed before the
+    finite-difference route on the plain kernel, on the same grid, which
+    must agree within CONSISTENCY_TOL.  As in z_multiplier_kernel, fn(lam)
+    gets a read-only array.
     """
-    out, symbol, points = _doubled_grid(
-        fn, nmax, lambda sin, symbol: -2j * np.fft.ifft(sin * symbol))
+    def transform(sin, symbol, buf):
+        np.multiply(sin, symbol, out=buf if np.iscomplexobj(symbol) else buf.real)
+        return lambda i: -2j * buf[i]
+    out, symbol, points = _doubled_grid(fn, nmax, transform)
     plain = _even_kernel(symbol, nmax + 1)
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))
