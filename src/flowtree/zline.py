@@ -9,12 +9,13 @@ symbol evaluation and one transform.  That transform runs in place in one
 complex buffer of the doubled grid's size, and the gradient's factor -2j
 scales only the entries read off it.  Each grid size's 1 - cos(theta) and
 sin(theta) are computed once (_grid keeps the last size, read-only), and a
-real symbol stays real up to the buffer, which takes it as its real part.  The guard picks the grid: it
-starts at the default grid for nmax and doubles it until the sums hold
-still, up to MAX_GRID, where it gives up.  The symmetric-gradient kernel
-is computed from the odd symbol sin(theta) F(1 - cos(theta)) and crosschecked
-against the finite difference k(n-1) - k(n+1) of the plain kernel, which,
-for a real symbol, a real transform of the symbol's first half gives.
+real symbol stays real up to the buffer, which takes it as its real part.
+The guard picks the grid: it starts at the default grid for nmax and
+doubles it until the sums hold still, up to MAX_GRID, where it gives up.
+The symmetric-gradient kernel is computed from the odd symbol sin(theta)
+F(1 - cos(theta)) and crosschecked against the finite difference
+k(n-1) - k(n+1) of the plain kernel, which, for a real symbol, a real
+transform of the symbol's first half gives.
 
 Three closed-form routes stand beside the trapezoid sums, each in numpy:
 

@@ -795,6 +795,9 @@ def test_spectrum_command(tmp_path):
     # the radial route needs q >= 2; neither command reads --window
     (["mh-norms", "--q", "1"], "--q must be >= 2"),
     (["sharpness", "--q", "1"], "--q must be >= 2"),
+    # a line kernel past the grid cap names the flag that set its nmax
+    (["kernel", "--window", "zline", "--multiplier", "schrodinger", "--t", "2",
+      "--dmax", "20000"], "error: --dmax: nmax 20000 needs a grid of 131072"),
 ])
 def test_bad_numeric_flag_exits_two(tmp_path, capsys, argv, message):
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
@@ -822,14 +825,18 @@ def test_mh_norms_l_grid_needs_two_distinct_levels(tmp_path, capfd, value):
     (["level-sum", "--t-grid", "inf"], "--t-grid"),
     (["spectrum", "--theta-grid", "x"], "--theta-grid"),
     (["level-sum", "--t-grid=-1,2"], "--t-grid"),
+    # a line kernel past the grid cap: l = 40, t = 20000
+    (["mh-norms", "--l-grid", "0,40"], "--l-grid"),
+    (["sharpness", "--t-grid", "2,20000"], "--t-grid"),
 ], ids=["sharpness-t1", "divergence-d0", "weighted-sweep-q0", "weighted-sweep-q1",
         "spectrum-d0", "weighted-sweep-t0", "level-sum-inf", "spectrum-theta-x",
-        "level-sum-t-1"])
+        "level-sum-t-1", "mh-norms-l-past-grid-cap", "sharpness-t-past-grid-cap"])
 def test_bad_grid_names_its_flag(tmp_path, capsys, argv, flag):
-    """A grid refused for its form or its range exits 2 naming the flag."""
+    """A grid refused for its form, its range or a line kernel past the grid
+    cap exits 2, its message starting with the flag."""
     assert run(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert flag in err and "Traceback" not in err
+    assert err.startswith(f"error: {flag}: ") and "Traceback" not in err
 
 
 def _strict_json(text):

@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import pathlib
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -32,6 +33,7 @@ def test_laplacian_symbol_kernel():
     assert abs(zk.value(-1) + 0.5) < 1e-14
     for n in range(2, 9):
         assert abs(zk.value(n)) < 1e-14
+    assert zk.value(9) == zk.value(-9) == 0j  # past nmax
 
 
 def test_lambda_squared_self_convolution():
@@ -248,6 +250,37 @@ def test_a_symbol_that_writes_into_its_argument_is_refused(kernel):
     assert kernel(heat, 300).values.tobytes() == want
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_non_finite_symbol_is_refused(kernel):
+    """A symbol with a NaN value on the grid raises ValueError before any
+    transform."""
+    def nan_at_pi(lam):
+        out = np.exp(-lam)
+        out[len(out) // 2] = np.nan
+        return out
+    with pytest.raises(ValueError, match="non-finite symbol value"):
+        kernel(nan_at_pi, 16)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_a_large_kernel_traces_one_grid_buffer(kernel):
+    """On the warm 2^17-point grid, one nmax-10,000 heat kernel traces at
+    most 4.5 MiB above its start: its symbol, the one complex buffer its
+    transform runs in and the kept entries.  A route that also holds the
+    real product, its complex widening and the scaled transform as
+    full-grid arrays traces 5 MiB (plain) and 6 MiB (gradient)."""
+    fn = lambda lam: np.exp(-5.0 * lam)
+    assert kernel(fn, 10_000).grid == 1 << 17
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kernel(fn, 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 4.5 * 2 ** 20
+
+
 def test_consistency_check_trips_below_the_rounding_gap(monkeypatch):
     """The finite-difference route, read from a real transform of a real
     symbol's first half or from a complex symbol's full transform, meets
@@ -353,6 +386,12 @@ def test_heat_kernels_reject_bad_t(t):
             kernel(t, 5)
 
 
+def test_heat_kernels_reject_a_negative_nmax():
+    for kernel in (heat_z_kernel, zline.heat_z_gradkernel):
+        with pytest.raises(ValueError, match="nmax must be >= 0"):
+            kernel(1.0, -1)
+
+
 def test_heat_kernels_at_t_zero_and_tiny_t():
     for t in (0.0, 1e-310):
         assert heat_z_kernel(t, 3).tolist() == [1.0, t / 2, 0.0, 0.0]
@@ -453,6 +492,12 @@ def test_imaginary_power_band():
 def test_imaginary_power_kernel_rejects_bad_alpha(alpha):
     with pytest.raises(ValueError, match="alpha must be finite and nonzero"):
         zline.imaginary_power_kernel(alpha, 3)
+
+
+@pytest.mark.parametrize("n", [0, [1, 0, 2]], ids=["int", "array"])
+def test_imaginary_power_gamma_refuses_n_zero(n):
+    with pytest.raises(ValueError, match="only for n != 0"):
+        zline.imaginary_power_gamma(1.0, n)
 
 
 def test_imaginary_power_kernel_gap_keeps_nan(monkeypatch):
