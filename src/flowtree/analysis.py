@@ -13,7 +13,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -153,24 +153,24 @@ def heat_kernel_column(window: TreeWindow, measure: FlowMeasure, t: float,
     return _profile_column(window, measure, _heat_gradk(t), y, "plain")
 
 
-def heat_column_groups(window: TreeWindow, measure: FlowMeasure, t: float,
-                       y: Vertex) -> EstimateReport:
-    """The heat column at time t >= 0 and anchor y, one row per nonempty
+def heat_column_groups(chain_for: Callable[[int], flowkernel.AncestorChain],
+                       t: float) -> EstimateReport:
+    """The heat column at time t >= 0 at the anchor y whose chain for line
+    kernels of largest index nmax is chain_for(nmax), one row per nonempty
     (level, meeting level) group: its distance from y, log10 of |value|
     (every vertex of the group has the value) and of the group's flow-
     equation mass, and value_mass, their product, in range where they are not.
 
     Only y's ancestor chain is read, so the rows cover the column's whole
-    support in the flow tree around the window.  The meta holds the anchor,
-    the column's mass (the sum of value_mass) and whether the chain was
-    truncated.
+    support in the flow tree.  The meta holds the column's mass (the sum
+    of value_mass) and whether the chain was truncated.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
     gradk = _heat_gradk(t)
-    ly = window.level[y]
-    chain = flowkernel.chain_of(window, measure, y, len(gradk) - 1)
-    lam, j, value_mass, log2_mass = flowkernel.column_masses(chain, gradk, ly, "plain")
+    chain = chain_for(len(gradk) - 1)
+    ly = chain.base_level
+    lam, j, value_mass, log2_mass = flowkernel.column_masses(chain, gradk, "plain")
     value_mass = value_mass.real
     log10_mass = log2_mass * math.log10(2)
     with np.errstate(divide="ignore"):   # a group of value 0: -inf
@@ -179,7 +179,7 @@ def heat_column_groups(window: TreeWindow, measure: FlowMeasure, t: float,
              "log10_value": lv, "log10_mass": lm, "value_mass": vm}
             for l, jj, lv, lm, vm in zip(lam.tolist(), j.tolist(), log10_value.tolist(),
                                          log10_mass.tolist(), value_mass.tolist())]
-    return EstimateReport(rows, {}, {"anchor": y, "mass": float(np.sum(value_mass)),
+    return EstimateReport(rows, {}, {"mass": float(np.sum(value_mass)),
                                      "truncated": chain.truncated})
 
 
@@ -229,10 +229,10 @@ def _profile_column(window, measure, gradk, y, variant) -> KernelColumn:
     return KernelColumn(y, vals, safe, 1e-13)
 
 
-def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
-                       t_grid: Iterable[float], x: Vertex,
-                       orientation: str = "x") -> EstimateReport:
-    """Level-slice L1 mass of the gradient heat kernel against 1/(1+t).
+def level_sum_estimate(chain_for: Callable[[int], flowkernel.AncestorChain],
+                       t_grid: Iterable[float], orientation: str = "x") -> EstimateReport:
+    """Level-slice L1 mass of the gradient heat kernel against 1/(1+t), at
+    the anchor whose chains chain_for gives (as in heat_column_groups).
 
     Scans the levels within a few diffusion lengths of the anchor and keeps
     the maximum: the decay rate of this supremum over levels is the
@@ -246,11 +246,11 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
     # orientation "x": the gradient acts on x, the column's fixed vertex
     variant = "gradstar_z" if orientation == "x" else "grad_x"
     gradks = [_heat_gradk(t) for t in ts]
-    lx = window.level[x]
-    chain = flowkernel.chain_of(window, measure, x, max(map(len, gradks)) - 1)
+    chain = chain_for(max(map(len, gradks)) - 1)
+    lx = chain.base_level
     rows = []
     for t, gradk in zip(ts, gradks):
-        lam, _, value_mass, _ = flowkernel.column_masses(chain, gradk, lx, variant)
+        lam, _, value_mass, _ = flowkernel.column_masses(chain, gradk, variant)
         span = int(3 * math.sqrt(t)) + 3
         near = np.abs(lam - lx) <= span
         per_level = np.bincount(lam[near] - (lx - span), np.abs(value_mass[near]),
@@ -260,9 +260,8 @@ def level_sum_estimate(window: TreeWindow, measure: FlowMeasure,
                      "level": lx - span + best if per_level[best] > 0 else None,
                      "chain_truncated": chain.truncated})
     fit = fit_loglog([1.0 + t for t in ts], [r["value"] for r in rows])
-    return EstimateReport(rows, fit, {
-        "anchor": x, "orientation": orientation, "l": "sup",
-        "abscissa": "log(1+t)"})
+    return EstimateReport(rows, fit, {"orientation": orientation, "l": "sup",
+                                      "abscissa": "log(1+t)"})
 
 
 def riesz_kernel_values(window: TreeWindow, measure: FlowMeasure, pairs):
@@ -391,7 +390,9 @@ def mh_dyadic_norms(fn, l_grid, q: float) -> EstimateReport:
     (1 + d / 2^{l/2})^{1/2}, stay bounded.  The fit needs at least two
     distinct l, each at least 0.  q may be any chain growth q >= 1, as in
     weighted_heat_sweep; on every chain the sums stop where the line
-    kernel is cut.
+    kernel is cut.  The meta's cut_estimate gives, per piece, that cut (the
+    line kernel's nmax) and each sum's last four sphere terms: an estimate,
+    not a bound, of what the cut leaves out.
     """
     from .bumps import dyadic_phi
     from .zline import z_grad_multiplier_kernel
@@ -400,25 +401,27 @@ def mh_dyadic_norms(fn, l_grid, q: float) -> EstimateReport:
     if len(set(l_grid)) < 2 or min(l_grid) < 0:
         raise ValueError("mh_dyadic_norms needs at least two distinct l >= 0")
     eps = 0.5
-    rows = []
+    rows, cut = [], []
     for l in l_grid:
         piece = lambda lam, l=l: np.asarray(fn(lam)) * dyadic_phi((2.0 ** l) * np.asarray(lam))
         nmax = int(40 * 2 ** (l / 2) * 5 + 200)
         zk = z_grad_multiplier_kernel(piece, nmax)
         rad = abel.radial_from_gradkernel(q, zk.one_sided(), nmax - 3)
         wfun = lambda d, l=l: (1.0 + d / 2.0 ** (l / 2.0)) ** eps
-        weighted, _ = abel.homog_weighted_opsum(q, rad, wfun, "plain",
-                                                tail_check=False)
-        gradsum, _ = abel.homog_weighted_opsum(q, rad, lambda d: 1.0,
-                                               "gradstar_z", tail_check=False)
+        weighted, weighted_tail = abel.homog_weighted_opsum(q, rad, wfun, "plain",
+                                                            tail_check=False)
+        gradsum, gradsum_tail = abel.homog_weighted_opsum(q, rad, lambda d: 1.0,
+                                                          "gradstar_z", tail_check=False)
         rows.append({"l": l, "weighted": weighted, "gradsum": gradsum})
+        cut.append({"l": l, "nmax": nmax, "weighted_tail": weighted_tail,
+                    "gradsum_tail": gradsum_tail})
     ls = [r["l"] for r in rows]
     gs = [r["gradsum"] for r in rows]
     slope = float(np.polyfit(ls, np.log2(gs), 1)[0])
     pairwise = [math.log2(gs[i + 1] / gs[i]) for i in range(len(gs) - 1)]
     return EstimateReport(rows, {"gradsum_slope_log2": slope,
                                  "pairwise": pairwise},
-                          {"q": q, "eps": eps})
+                          {"q": q, "eps": eps, "cut_estimate": cut})
 
 
 def sharpness_fit(q: int, t_grid) -> EstimateReport:

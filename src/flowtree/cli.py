@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import abel, analysis, quotient, reports, zline
 from .bumps import imaginary_power_cut, named_multiplier
+from .flowkernel import chain_of
 from .localops import kernel_column_lambda_poly, kernel_column_poly
 from .ncpoly import NcPolynomial
 from .trees import (TreeError, ball, ball_window, in_safe_region, load_window,
@@ -42,21 +44,21 @@ GOLDEN_RATIO = (math.sqrt(5) - 1) / 2  # heavier branch of the golden flow
 # The flags each command reads, by parser dest, and their defaults (None:
 # unset).  A grid's or a ratio list's default is its flag text, read by the
 # same parser as a typed flag.  Every command also reads --out and --config.
-WINDOW = {"tree": None, "window": "homog", "ratios": None,
-          "backend": "rational", "depth": 140}  # make_window's flags
+CHAIN = {"tree": None, "window": "homog", "ratios": None, "backend": "rational"}
+WINDOW = {**CHAIN, "depth": 140}  # make_window's flags; CHAIN: all but the spine's length
 READS = {
     # kernel --multiplier: --degree is the Chebyshev degree and, plus one,
     # the window radius; --dmax is the line kernel's nmax
     "kernel": {**WINDOW, "q": 2, "degree": 8, "dmax": 16, "coeffs": None,
                "multiplier": None, "t_param": None, "k": None, "alpha": None},
-    "heat": {**WINDOW, "q": 2, "t_param": 1.0, "tol": 1e-6},
+    "heat": {**CHAIN, "q": 2, "t_param": 1.0, "tol": 1e-6},
     "riesz": {**WINDOW, "q": 2, "dmax": 6},
     "riesz-skew-check": {**WINDOW, "q": 2, "dmax": 8, "tol": 1e-6},
     "abel-check": {"q": 3, "degree": 5},
     "transfer-check": {"q": 4, "ratios": "3/4,1/4", "degree": 4, "trials": 20},
     "rationalize": {**WINDOW, "q": 64},  # --q is the denominator
     "weighted-sweep": {"epsilon": 1.0, "t_grid": "1,4,16,64", "q_grid": "2,3,5"},
-    "level-sum": {**WINDOW, "q": 2, "t_grid": "1,2,4,8,16,32,64,128"},
+    "level-sum": {**CHAIN, "q": 2, "t_grid": "1,2,4,8,16,32,64,128"},
     "mh-norms": {"alpha": 1.0, "q": 64, "l_grid": "0:6:7"},
     "sharpness": {"q": 2, "t_grid": "10:40:31"},
     "divergence": {"tree": None, "d_grid": "16,32,64"},
@@ -212,7 +214,7 @@ def _route(args):
             return window, measure, anchors[len(anchors) // 2]
         return loaded
     if flow is None:
-        depth = args.depth
+        depth = args.depth if "depth" in READS[args.command] else WINDOW["depth"]
         return lambda radius: spine_window(depth=depth)
     if args.window == "golden":
         return lambda radius: ball_window(flow, radius, center_level=-radius,
@@ -231,10 +233,11 @@ def _refuse(args, route: str, dests) -> None:
 
 def make_window(args, radius: int):
     """Window selection shared by the subcommands: a loaded file, the spine
-    (``--depth`` long), or the ball of ``_flow``'s flow around the anchor it
-    returns (the line's ball: radius at least 12).  An explicit window flag
-    or ``--q`` that the chosen route does not read exits 2 before anything
-    is built."""
+    (``--depth`` long, or as long as its default for a command that does
+    not read ``--depth``), or the ball of ``_flow``'s flow around the
+    anchor it returns (the line's ball: radius at least 12).  An explicit
+    window flag or ``--q`` that the chosen route does not read exits 2
+    before anything is built."""
     seen = _Seen(args)
     build = _route(seen)
     how = ("--tree" if args.tree else "--ratios" if args.ratios
@@ -322,7 +325,7 @@ def cmd_heat(args, out):
     t = args.t_param
     # the column's groups read the anchor's ancestor chain only: the radius-0 ball
     window, measure, anchor = make_window(args, 0)
-    rep = analysis.heat_column_groups(window, measure, t, anchor)
+    rep = analysis.heat_column_groups(functools.partial(chain_of, window, measure, anchor), t)
     flow = _flow(args)
     if isinstance(flow, int) and flow >= 2:
         rad = abel.e_f_coefficients(flow,
@@ -332,7 +335,7 @@ def cmd_heat(args, out):
                {"q": flow, "t": t, "kmax": 24, "tail_scaled": rad.tail_scaled,
                 **rad.meta})
     _write(out, "heat.csv", rep.csv_header(), rep.csv_rows(),
-           {"t": t, **rep.meta, **_window_meta(window)})
+           {"t": t, "anchor": anchor, **rep.meta, **_window_meta(window)})
     if abs(rep.meta["mass"] - 1.0) > args.tol:
         return {"check": "heat mass conservation", "mass": rep.meta["mass"]}
     return {}
@@ -456,9 +459,9 @@ def cmd_level_sum(args, out):
     ts = _grid(args, "--t-grid", least=0)
     # the sums read the anchor's ancestor chain only: the radius-0 ball
     window, measure, x = make_window(args, 0)
-    rep = analysis.level_sum_estimate(window, measure, ts, x)
+    rep = analysis.level_sum_estimate(functools.partial(chain_of, window, measure, x), ts)
     _write(out, "level_sum.csv", rep.csv_header(), rep.csv_rows(),
-           {"fit": rep.fit, **rep.meta, **_window_meta(window)})
+           {"fit": rep.fit, "anchor": x, **rep.meta, **_window_meta(window)})
     return {}
 
 

@@ -179,24 +179,23 @@ def variant_value(gradk: np.ndarray, chain: AncestorChain, lx, lz, j0,
     return complex(v) if not j0.shape else v
 
 
-def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
-                  variant: str):
-    """The column of K variant(., y) at the chain's vertex y (level ly) as
-    arrays of groups: level lam, meeting level j, value_mass (the value K
-    variant(x, y) of every vertex x of the group times the group's mass, in
-    range wherever the column's mass is) and log2 of the mass, which comes
-    from the flow equation (a slice below the anchor: m(a_ly); a_j alone:
-    m(a_j); the rest of a slice meeting at j: m(a_j) - m(a_{j-1})).  A level
-    j > ly whose rest is empty gives the group of a_j only; groups past the
-    kernel's support for every variant (2j - lam - ly > nmax + 2) or the
-    chain's top are left out.  A column of more than DEFAULT_VERTEX_CAP
-    groups is refused before it is listed: TreeError.
+def column_masses(chain: AncestorChain, gradk: np.ndarray, variant: str):
+    """The column of K variant(., y) at the chain's vertex y (level ly, the
+    chain's base level) as arrays of groups: level lam, meeting level j,
+    value_mass (the value K variant(x, y) of every vertex x of the group
+    times the group's mass, in range wherever the column's mass is) and
+    log2 of the mass, which comes from the flow equation (a slice below the
+    anchor: m(a_ly); a_j alone: m(a_j); the rest of a slice meeting at j:
+    m(a_j) - m(a_{j-1})).  A level j > ly whose rest is empty gives the
+    group of a_j only; groups past the kernel's support for every variant
+    (2j - lam - ly > nmax + 2) or the chain's top are left out.  A column
+    of more than DEFAULT_VERTEX_CAP groups is refused before it is listed:
+    TreeError.
     """
-    nmax = len(gradk) - 1
+    nmax, ly = len(gradk) - 1, chain.base_level
     j = np.arange(ly, min(chain.top_level, ly + nmax + 2) + 1)
-    i = j - chain.base_level
     # the share of m(a_j) off the chain: 1 - m(a_{j-1})/m(a_j)
-    rest = 1.0 - chain.ratio(np.maximum(i - 1, i[0]), i)
+    rest = 1.0 - chain.ratio(np.maximum(j - ly - 1, 0), j - ly)
     # levels j down to 2j - ly - nmax - 2, or a_j alone
     count = np.where((j == ly) | (rest > 0), nmax + 3 + ly - j, 1)
     total = int(count.sum())
@@ -206,8 +205,7 @@ def column_masses(chain: AncestorChain, gradk: np.ndarray, ly: int,
             f"the cap of {DEFAULT_VERTEX_CAP:,}")
     J = np.repeat(j, count)
     lam = J - (np.arange(total) - np.repeat(np.cumsum(count) - count, count))
-    share = np.where((J == ly) | (lam == J), 1.0, rest[J - ly])
-    n = J - chain.base_level
+    n = J - ly
+    share = np.where((J == ly) | (lam == J), 1.0, rest[n])
     return (lam, J, _scaled_value(gradk, chain, lam, ly, J, variant) * share,
             np.log2(chain.mantissa[n] * share) + chain.exponent[n])
-

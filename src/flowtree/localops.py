@@ -72,7 +72,7 @@ import numpy as np
 
 from .ncpoly import Z1, Z2, NcPolynomial
 from .trees import (FlowMeasure, InsufficientMarginError, TreeWindow, Vertex,
-                    WindowArrays, in_safe_region)
+                    _ball, _segments, in_safe_region)
 
 
 @dataclass
@@ -433,29 +433,6 @@ def _polynomial_column(window: TreeWindow, measure: FlowMeasure, coeffs, y: Vert
     for c in reversed(coeffs[:-1]):
         g = _combine(window, ((1, apply_laplacian(window, measure, g)), (c, f)))
     return _column_from_function(window, measure, g, y)
-
-
-def _segments(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """Every p with start[i] <= p < stop[i], for i in order."""
-    count = stop - start
-    return np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
-
-
-def _ball(arrays: WindowArrays, y: int, radius: int) -> tuple[np.ndarray, list]:
-    """The positions of B_radius(y) (y a position), nearest first, and the
-    number of them within each distance k <= radius."""
-    seen = np.zeros(len(arrays.parent), dtype=bool)
-    seen[y] = True
-    sphere = np.array([y])
-    spheres, end = [sphere], [1]
-    for _ in range(radius):
-        near = np.concatenate((arrays.parent[sphere], arrays.child[
-            _segments(arrays.child_start[sphere], arrays.child_start[sphere + 1])]))
-        sphere = near[~seen[near] & (near >= 0)]
-        seen[sphere] = True
-        spheres.append(sphere)
-        end.append(end[-1] + len(sphere))
-    return np.concatenate(spheres), end
 
 
 def _swept_iterates(window: TreeWindow, measure: FlowMeasure, y: Vertex,

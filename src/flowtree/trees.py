@@ -211,6 +211,29 @@ class WindowArrays:
         return entry[1]
 
 
+def _segments(start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """Every p with start[i] <= p < stop[i], for i in order."""
+    count = stop - start
+    return np.arange(count.sum()) + np.repeat(start + count - np.cumsum(count), count)
+
+
+def _ball(arrays: WindowArrays, y: int, radius: int) -> tuple[np.ndarray, list]:
+    """The positions of B_radius(y) (y a position), nearest first, and the
+    number of them within each distance k <= radius."""
+    seen = np.zeros(len(arrays.parent), dtype=bool)
+    seen[y] = True
+    sphere = np.array([y])
+    spheres, end = [sphere], [1]
+    for _ in range(radius):
+        near = np.concatenate((arrays.parent[sphere], arrays.child[
+            _segments(arrays.child_start[sphere], arrays.child_start[sphere + 1])]))
+        sphere = near[~seen[near] & (near >= 0)]
+        seen[sphere] = True
+        spheres.append(sphere)
+        end.append(end[-1] + len(sphere))
+    return np.concatenate(spheres), end
+
+
 @dataclass
 class FlowMeasure:
     """Positive vertex weights; flow equation holds at complete vertices."""
@@ -246,20 +269,10 @@ def in_safe_region(window: TreeWindow, v: Vertex, n: int) -> bool:
 
 
 def ball(window: TreeWindow, center: Vertex, radius: int) -> set[Vertex]:
-    """Window vertices within graph distance ``radius`` of center, by a
-    breadth-first search over the predecessor and successor maps."""
-    seen = {center}
-    frontier = [center]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            p = window.pred.get(v)
-            for w in ([p] if p is not None else []) + window.children(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+    """Window vertices within graph distance ``radius`` of center."""
+    arrays = window.arrays()
+    at = _ball(arrays, arrays.positions([center])[0], radius)[0]
+    return set(arrays.vertices[at].tolist())
 
 
 def _levels_from_apex(apex: Vertex, apex_level: int,

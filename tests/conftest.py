@@ -39,20 +39,20 @@ def riesz_quadrature(window, measure, pairs, spec=None):
     return vals + tails / 9.0, np.abs(tails / 9.0) / 3.0 + 1e-12 + truncated
 
 
-def distance_masses(chain, gradk, ly, variant="plain"):
-    """Entry d: sum over x at distance d from the chain's vertex y (level
-    ly) of |K variant(x, y)| m(x); length nmax + 3, past which K vanishes.
+def distance_masses(chain, gradk, variant="plain"):
+    """Entry d: sum over x at distance d from the chain's vertex y of
+    |K variant(x, y)| m(x); length nmax + 3, past which K vanishes.
     The any-flow oracle of abel's radial sums."""
     from flowtree.flowkernel import column_masses
-    lam, j, value_mass, _ = column_masses(chain, gradk, ly, variant)
-    return np.bincount(2 * j - lam - ly, np.abs(value_mass),
+    lam, j, value_mass, _ = column_masses(chain, gradk, variant)
+    return np.bincount(2 * j - lam - chain.base_level, np.abs(value_mass),
                        minlength=len(gradk) + 2)
 
 
-def weighted_colsum(chain, gradk, ly, weight, variant="plain"):
+def weighted_colsum(chain, gradk, weight, variant="plain"):
     """sum over x of w(d(x,y)) |K variant(x, y)| m(x); the weight takes an
     integer array of the distances where the column has mass."""
-    per_d = distance_masses(chain, gradk, ly, variant)
+    per_d = distance_masses(chain, gradk, variant)
     ds = np.flatnonzero(per_d)
     return float(np.sum(weight(ds) * per_d[ds]))
 

@@ -192,6 +192,25 @@ def test_e_f_heat_decay_and_window_oracle():
         abel.e_f_coefficients(1 / 0.995, lambda lam: np.exp(-t * np.asarray(lam)), 6)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: abel.radial_from_gradkernel(0.5, np.ones(8), 4), "chain growth q >= 1"),
+    (lambda: abel.e_f_coefficients(1, lambda lam: np.exp(-np.asarray(lam)), 4),
+     "chain growth q > 1"),
+    (lambda: abel.radial_from_gradkernel(2, np.ones(8), 7), "too short for kmax"),
+    (lambda: abel.homog_weighted_opsum(
+        2, abel.radial_from_gradkernel(2, np.ones(8), 4), lambda d: 1.0, "grad_y"),
+     "variant must be one of"),
+    (lambda: abel.homog_kernel_value(2, abel.radial_from_gradkernel(2, np.ones(8), 4),
+                                     0, 0, 1), "no vertex pair has odd"),
+], ids=["radial-q0.5", "e_f-q1", "radial-kmax", "opsum-variant", "value-parity"])
+def test_radial_calculus_refuses_what_lies_outside_its_domain(call, message):
+    """A chain growth below 1 (below or at 1 for the geometric tail of
+    e_f_coefficients), a kmax the kernel is too short for, an unknown
+    variant and a distance of the wrong parity are each a ValueError."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_homog_kernel_value_trivial_and_cross():
     """Identity and Laplacian values, the cached powers of q, and the exact
     L^k columns, k <= 5, at the center of rational ratio balls, at the

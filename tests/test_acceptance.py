@@ -6,6 +6,7 @@ the stated independent oracles (enumeration, convolution, quadrature),
 never by the code path under test.
 """
 
+import functools
 import math
 import random
 import time
@@ -17,7 +18,7 @@ import pytest
 from conftest import record_acceptance, riesz_quadrature
 from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
                       safe_region, spine_window)
-from flowtree import abel, analysis, quotient, zline
+from flowtree import abel, analysis, flowkernel, quotient, zline
 from flowtree.bumps import chi0, imaginary_power_cut
 from flowtree.exactnum import QSurd
 from flowtree.localops import kernel_column_lambda_poly, kernel_column_poly
@@ -231,12 +232,13 @@ def test_criterion_08_level_sum_decay():
     t0 = time.time()
     ts = [1, 2, 4, 8, 16, 32, 64, 128]
     w2, m2, c2 = ball_window(2, 4)
-    s1 = analysis.level_sum_estimate(w2, m2, ts, c2).fit["slope"]
+    s1 = analysis.level_sum_estimate(
+        functools.partial(flowkernel.chain_of, w2, m2, c2), ts).fit["slope"]
     w34, m34, b34 = constant_ratio_window((Fraction(3, 4), Fraction(1, 4)),
                                           depth=3, up=6)
-    s2 = analysis.level_sum_estimate(w34, m34, ts, b34).fit["slope"]
-    s3 = analysis.level_sum_estimate(w34, m34, ts, b34,
-                                     orientation="z").fit["slope"]
+    chain34 = functools.partial(flowkernel.chain_of, w34, m34, b34)
+    s2 = analysis.level_sum_estimate(chain34, ts).fit["slope"]
+    s3 = analysis.level_sum_estimate(chain34, ts, orientation="z").fit["slope"]
     ok = all(abs(s + 1.0) <= 0.1 for s in (s1, s2, s3))
     finish(8, ok, f"slopes {s1:.3f} (binary), {s2:.3f}/{s3:.3f} (3:1 flow)",
            t0, 10.0)

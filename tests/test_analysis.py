@@ -1,6 +1,7 @@
 """Heat, Riesz, level-sum, multiplier, and spectrum experiments."""
 
 import dataclasses
+import functools
 import json
 import math
 import warnings
@@ -84,7 +85,7 @@ def test_heat_column_groups_match_the_vertices(name):
     meet = meeting_levels(w, y)
     inside = w.defect_distances().get(y, 0)
     for t in (0.0, 0.5, 4.0):
-        rep = analysis.heat_column_groups(w, m, t, y)
+        rep = analysis.heat_column_groups(functools.partial(flowkernel.chain_of, w, m, y), t)
         col = analysis.heat_kernel_column(w, m, t, y)
         chain = flowkernel.chain_of(w, m, y, len(analysis._heat_gradk(t)) - 1)
         groups = {(r["level"], r["meeting_level"]): r for r in rep.rows}
@@ -124,7 +125,7 @@ def test_heat_column_groups_hold_the_mass(make):
     """The groups' value * mass adds up to 1 within 1e-12, from t = 0 to 64."""
     w, m, y = make()
     for t in (0.0, 0.5, 4.0, 64.0):
-        rep = analysis.heat_column_groups(w, m, t, y)
+        rep = analysis.heat_column_groups(functools.partial(flowkernel.chain_of, w, m, y), t)
         assert not rep.meta["truncated"]
         assert abs(rep.meta["mass"] - 1.0) <= 1e-12
         assert abs(math.fsum(r["value_mass"] for r in rep.rows) - 1.0) <= 1e-12
@@ -142,7 +143,7 @@ def test_heat_groups_hold_the_mass_on_two_way_flows(split, t):
     w, m, y = ball_window((Fraction(a, b), 1 - Fraction(a, b)), 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = analysis.heat_column_groups(w, m, t, y)
+        rep = analysis.heat_column_groups(functools.partial(flowkernel.chain_of, w, m, y), t)
     assert abs(rep.meta["mass"] - 1.0) <= 1e-12
 
 
@@ -214,7 +215,7 @@ def test_grad_heat_t0_columns_are_the_gradient_stencils(make):
 
 def test_level_sum_small_t_bounded():
     w, m, c = ball_window(2, 4)
-    rep = analysis.level_sum_estimate(w, m, [1e-3], c)
+    rep = analysis.level_sum_estimate(functools.partial(flowkernel.chain_of, w, m, c), [1e-3])
     assert rep.rows[0]["value"] <= 2.0 + 1e-9
 
 
@@ -222,7 +223,8 @@ def test_level_sum_slopes_both_orientations():
     w, m, c = ball_window(2, 4)
     ts = [1, 2, 4, 8, 16, 32, 64, 128]
     for orient in ("x", "z"):
-        rep = analysis.level_sum_estimate(w, m, ts, c, orientation=orient)
+        rep = analysis.level_sum_estimate(functools.partial(flowkernel.chain_of, w, m, c), ts,
+                                          orientation=orient)
         assert abs(rep.fit["slope"] + 1.0) < 0.1
 
 
@@ -234,11 +236,11 @@ def test_level_sum_rows_match_the_per_level_loop(flow):
     same level."""
     w, m, c = ball_window(flow, 0)
     ts = [0.5, 4.0, 64.0, 1024.0]
-    rep = analysis.level_sum_estimate(w, m, ts, c)
+    rep = analysis.level_sum_estimate(functools.partial(flowkernel.chain_of, w, m, c), ts)
     gradks = [analysis._heat_gradk(t) for t in ts]
     chain = flowkernel.chain_of(w, m, c, max(map(len, gradks)) - 1)
     for t, gradk, row in zip(ts, gradks, rep.rows):
-        lam, _, value_mass, _ = flowkernel.column_masses(chain, gradk, 0, "gradstar_z")
+        lam, _, value_mass, _ = flowkernel.column_masses(chain, gradk, "gradstar_z")
         span = int(3 * math.sqrt(t)) + 3
         sums = [float(np.sum(np.abs(value_mass[lam == l]))) for l in range(-span, span + 1)]
         assert abs(row["value"] - max(sums)) <= 1e-14 * max(sums)
@@ -371,7 +373,7 @@ def test_weighted_heat_sweep_bands():
             gradk = analysis._heat_gradk(row["t"])
             chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
             for variant, name in ROWS:
-                got = weighted_colsum(chain, gradk, 0,
+                got = weighted_colsum(chain, gradk,
                                       lambda d: np.exp(d / math.sqrt(row["t"])), variant)
                 assert abs(got - row[name]) <= 1e-12 * got
 
@@ -396,9 +398,9 @@ def test_mh_dyadic_norms_reference_symbol():
             piece = lambda lam: np.asarray(fn(lam)) * dyadic_phi(2.0 ** l * np.asarray(lam))
             gradk = zline.z_grad_multiplier_kernel(piece, int(40 * 2 ** (l / 2) * 5 + 200)).one_sided()
             chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
-            weighted = weighted_colsum(chain, gradk, 0,
+            weighted = weighted_colsum(chain, gradk,
                                        lambda d: (1.0 + d / 2.0 ** (l / 2)) ** 0.5)
-            gradsum = weighted_colsum(chain, gradk, 0, np.ones_like, "gradstar_z")
+            gradsum = weighted_colsum(chain, gradk, np.ones_like, "gradstar_z")
             assert abs(weighted - row["weighted"]) <= 5e-5 * weighted
             assert abs(gradsum - row["gradsum"]) <= 5e-5 * gradsum
 
@@ -533,8 +535,9 @@ def test_report_monotone_under_window_growth():
                                               depth=3, up=10)
     big, mbig, xb = constant_ratio_window((Fraction(1, 2), Fraction(1, 2)),
                                           depth=3, up=30)
-    rs = analysis.level_sum_estimate(small, msmall, [t], xs)
-    rb = analysis.level_sum_estimate(big, mbig, [t], xb)
+    rs = analysis.level_sum_estimate(
+        functools.partial(flowkernel.chain_of, small, msmall, xs), [t])
+    rb = analysis.level_sum_estimate(functools.partial(flowkernel.chain_of, big, mbig, xb), [t])
     assert rs.rows[0]["value"] <= rb.rows[0]["value"] + 1e-12
 
 
@@ -750,11 +753,17 @@ def test_profile_columns_bit_equal_to_the_pair_keys(bench_ball, t):
      "every d >= 1"),
     (lambda: analysis.divergence_probe(*spine_window(depth=10), [0]),
      "every D >= 1"),
-], ids=["sharpness-t1.5", "sharpness-t0", "spectrum-d0", "divergence-D0"])
+    (lambda: analysis.heat_kernel_column(*ball_window(2, 2)[:2], -1.0, 0), "t must be >= 0"),
+    (lambda: analysis.heat_column_groups(
+        functools.partial(flowkernel.chain_of, *ball_window(2, 0)), -1.0), "t must be >= 0"),
+    (lambda: analysis.weighted_heat_sweep(1.0, [4.0, 0.0], [2]), "t must be > 0"),
+], ids=["sharpness-t1.5", "sharpness-t0", "spectrum-d0", "divergence-D0",
+        "heat-column-t-1", "heat-groups-t-1", "weighted-sweep-t0"])
 def test_probes_reject_grid_points_below_their_range(call, message):
     """A t below 2 leaves the sharpness window empty, and d = 0 or D = 0
     leaves a probe nothing to sum: each is a ValueError, not a log(0) fit
-    or a KeyError."""
+    or a KeyError.  So is a heat time below 0, and t = 0 in the weighted
+    sweep, whose weight exp(eps d / sqrt(t)) it would divide by zero."""
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -767,4 +776,5 @@ def test_level_sum_estimate_rejects_negative_t_and_unknown_orientation(
         ts, orientation, message):
     w, m, c = ball_window(2, 4)
     with pytest.raises(ValueError, match=message):
-        analysis.level_sum_estimate(w, m, ts, c, orientation=orientation)
+        analysis.level_sum_estimate(functools.partial(flowkernel.chain_of, w, m, c), ts,
+                                    orientation=orientation)

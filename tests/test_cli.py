@@ -3,6 +3,7 @@
 import cmath
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -611,17 +612,22 @@ def test_window_routes_refuse_each_flag_they_do_not_read(tmp_path, capsys):
     """Exit 2 before anything is built, naming the route and the flag, on
     every command whose window route leaves the flag unread; rationalize
     reads --q as its denominator on every route, and kernel --coeffs takes
-    its degree from the coefficients."""
+    its degree from the coefficients.  heat and level-sum read the anchor's
+    chain only, so --depth exits 2 on every route, the spine's too, naming
+    the command."""
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps(trees.window_to_json(*ball_window(2, 3)[:2])))
     cases = [(cmd, [str(tree) if a == "TREE" else a for a in route] + extra.split(),
-              f"{cmd} {how}", extra.split()[0])
+              f"{cmd} {how}" if flag[2:] in cli.READS[cmd] else cmd, flag)
              for cmd in ROUTE_COMMANDS + ("rationalize",)
              for route, how, flags in ROUTES for extra in flags
-             if not (cmd == "rationalize" and extra.startswith("--q"))]
+             for flag in [extra.split()[0]]
+             if not (cmd == "rationalize" and flag == "--q")]
     cases.append(("kernel", ["--coeffs", "0,1", "--degree", "5"],
                   "kernel --coeffs", "--degree"))
-    assert len(cases) == 6 * 14 - 5 + 1
+    cases += [(cmd, ["--window", "spine", "--depth", "10"], cmd, "--depth")
+              for cmd in ("heat", "level-sum")]
+    assert len(cases) == 6 * 14 - 5 + 1 + 2
     for i, (cmd, argv, route, flag) in enumerate(cases):
         out = tmp_path / str(i)
         assert run([cmd, *argv, "--out", str(out)]) == 2, (cmd, argv)
@@ -632,7 +638,7 @@ def test_window_routes_refuse_each_flag_they_do_not_read(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["riesz", "--window", "zline", "--backend", "float", "--dmax", "2"],
-    ["level-sum", "--window", "spine", "--depth", "40", "--t-grid", "1"],
+    ["riesz", "--window", "spine", "--depth", "40", "--dmax", "2"],
     ["heat", "--ratios", "3/4,1/4", "--backend", "float"],
     ["rationalize", "--ratios", "3/4,1/4", "--q", "8"],
 ], ids=["zline-backend", "spine-depth", "ratios-backend", "rationalize-ratios"])
@@ -680,9 +686,12 @@ def test_readme_flag_list_is_the_reads_table():
     text = README.read_text(encoding="utf-8").split("Each command reads the flags")[1]
     rows = {ln.split()[0]: ln.split()[1:]
             for ln in text.split("```")[1].splitlines() if ln.strip()}
-    window = _readme_entry(rows.pop("window"))
-    assert window == cli.WINDOW
-    got = {cmd: {**(window if tokens[0] == "window" else {}), **_readme_entry(tokens)}
+    groups = {}   # the rows a row may start with, each standing for its flags
+    for name, want in (("chain", cli.CHAIN), ("window", cli.WINDOW)):
+        tokens = rows.pop(name)
+        groups[name] = {**groups.get(tokens[0], {}), **_readme_entry(tokens)}
+        assert groups[name] == want
+    got = {cmd: {**groups.get(tokens[0], {}), **_readme_entry(tokens)}
            for cmd, tokens in rows.items()}
     assert got == cli.READS
 
@@ -937,7 +946,7 @@ def _never(*args, **kwargs):
     (["weighted-sweep", "--t-grid", "1e11", "--q-grid", "2"],
      (analysis, "heat_z_gradkernel"), "t = 1e+11"),
     (["divergence", "--d-grid", "1000000"], (trees, "_Builder"), "2,000,009 vertices"),
-    (["heat", "--window", "spine", "--depth", "3000000"], (trees, "_Builder"),
+    (["riesz", "--window", "spine", "--depth", "3000000"], (trees, "_Builder"),
      "3,000,005 vertices"),
 ], ids=["heat", "level-sum", "weighted-sweep", "divergence", "spine"])
 def test_sizes_over_the_cap_exit_two_before_building(tmp_path, capsys, monkeypatch,
@@ -1018,7 +1027,8 @@ def test_level_sum_reads_the_window_flag(tmp_path):
                 "--out", str(out)]) == 0
     golden = (cli.GOLDEN_RATIO, 1 - cli.GOLDEN_RATIO)
     w, m, c = ball_window(golden, 0, backend="float")
-    rep = analysis.level_sum_estimate(w, m, [1.0, 4.0, 16.0], c)
+    rep = analysis.level_sum_estimate(functools.partial(flowkernel.chain_of, w, m, c),
+                                      [1.0, 4.0, 16.0])
     want = tmp_path / "want.csv"
     reports.write_csv(str(want), rep.csv_header(), rep.csv_rows())
     assert (out / "level_sum.csv").read_bytes() == want.read_bytes()

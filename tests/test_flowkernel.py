@@ -115,7 +115,7 @@ def test_level_sum_matches_brute_force():
     lx = w.level[x]
     full = flowkernel.chain_of(w, m, x, len(gradk) - 1)
     lb = w.level[b]
-    lam, j, value_mass, _ = flowkernel.column_masses(full, gradk, lx, "gradstar_z")
+    lam, j, value_mass, _ = flowkernel.column_masses(full, gradk, "gradstar_z")
     km = np.abs(value_mass)
     for l in (lx - 3, lx - 1, lx, lx + 1):
         got = float(np.sum(km[(lam == l) & (j <= lb)]))
@@ -139,7 +139,7 @@ def test_weighted_colsum_matches_homog_radial():
     eps = 1.0
     wfun = lambda d: np.exp(eps * d / math.sqrt(t))
     for variant in flowkernel.VARIANTS:
-        got = weighted_colsum(chain, gradk, w.level[c], wfun, variant)
+        got = weighted_colsum(chain, gradk, wfun, variant)
         want, _ = abel.homog_weighted_opsum(q, rad, wfun, variant,
                                             tail_check=False)
         assert abs(got - want) < 1e-9 * max(1.0, want)
@@ -218,7 +218,7 @@ def test_weighted_colsum_matches_window_enumeration():
     want, truncated = weighted_col_sums(w, m, col, lambda d, lx, ly: 1.0 + d)
     assert not truncated
     chain = flowkernel.chain_of(w, m, y, 0)
-    got = weighted_colsum(chain, gradk, w.level[y], lambda d: 1.0 + d, "plain")
+    got = weighted_colsum(chain, gradk, lambda d: 1.0 + d, "plain")
     assert abs(got - float(want)) < 1e-12
 
 
@@ -277,6 +277,17 @@ def test_array_variants_match_exact_profile_sums(ratios):
             assert isinstance(one, complex) and one == got[i]
 
 
+@pytest.mark.parametrize("call", [
+    lambda chain, gradk: flowkernel.column_masses(chain, gradk, "grad_y"),
+    lambda chain, gradk: flowkernel.variant_value(gradk, chain, 0, 0, 0, "grad_y"),
+], ids=["column_masses", "variant_value"])
+def test_an_unknown_variant_is_refused(call):
+    w, m, c = ball_window(2, 0)
+    gradk = zline.heat_z_gradkernel(1.0, 20)
+    with pytest.raises(ValueError, match="variant must be one of"):
+        call(flowkernel.chain_of(w, m, c, len(gradk) - 1), gradk)
+
+
 def test_meeting_level_below_chain_or_vertex_raises():
     w, m, b = constant_ratio_window((Fraction(2, 3), Fraction(1, 3)), depth=3, up=4)
     chain = flowkernel.chain_of(w, m, b, 0)
@@ -322,7 +333,7 @@ def test_column_groups_skip_empty_slices_in_the_same_order(make):
     gradk = analysis._heat_gradk(16.0)
     chain = flowkernel.chain_of(w, m, y, len(gradk) - 1)
     for variant in ("plain", "gradstar_z"):
-        got = flowkernel.column_masses(chain, gradk, w.level[y], variant)
+        got = flowkernel.column_masses(chain, gradk, variant)
         want = _every_candidate_group(chain, gradk, w.level[y], variant)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
@@ -336,8 +347,7 @@ def test_line_column_groups_are_few_and_small():
     chain = flowkernel.chain_of(w, m, y, len(gradk) - 1)
     tracemalloc.start()
     try:
-        lam, j, value_mass, log2_mass = flowkernel.column_masses(chain, gradk,
-                                                                 w.level[y], "plain")
+        lam, j, value_mass, log2_mass = flowkernel.column_masses(chain, gradk, "plain")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,9 +363,9 @@ def test_suffix_sums_in_blocks_give_the_same_bits(monkeypatch):
     w, m, c = ball_window(2, 0, backend="float")
     gradk = zline.heat_z_gradkernel(16.0, 80)
     chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
-    whole = distance_masses(chain, gradk, 0, "grad_both")
+    whole = distance_masses(chain, gradk, "grad_both")
     monkeypatch.setattr(flowkernel, "_BLOCK_ENTRIES", 50)
-    assert np.array_equal(distance_masses(chain, gradk, 0, "grad_both"),
+    assert np.array_equal(distance_masses(chain, gradk, "grad_both"),
                           whole)
 
 
@@ -406,11 +416,11 @@ def test_group_sums_match_the_radial_route(flow, t):
     chain = flowkernel.chain_of(w, m, c, len(gradk) - 1)
     assert not chain.truncated
     for variant in flowkernel.VARIANTS:
-        got = weighted_colsum(chain, gradk, 0, lambda d: np.exp(d / math.sqrt(t)), variant)
+        got = weighted_colsum(chain, gradk, lambda d: np.exp(d / math.sqrt(t)), variant)
         want, _ = abel.homog_weighted_opsum(q, rad, lambda d: math.exp(d / math.sqrt(t)),
                                             variant)
         assert abs(got - want) <= 1e-12 * want
-    assert abs(distance_masses(chain, gradk, 0).sum() - 1.0) <= 1e-12
+    assert abs(distance_masses(chain, gradk).sum() - 1.0) <= 1e-12
 
 
 def test_chain_climbs_to_its_reach():

@@ -6,7 +6,10 @@ Run it from anywhere; it runs ``tests/`` of its own checkout in this
 interpreter under a standard-library ``sys.settrace`` line tracer, so no
 coverage package is needed, and then prints every statement of
 ``src/flowtree`` that no test ran: by module, its line number and first
-source line, then the count.
+source line, then the count.  Last it names each failed test whose only
+failed assertion is a runtime limit (the "criterion N runtime Xs > Ls"
+of the acceptance criteria), since the tracer slows every test: such a
+failure is a timing under the tracer, not a fault of the library.
 
 A statement counts as run when a line event falls on its first lines (its
 decorators and header for a compound statement, all of it otherwise) or
@@ -22,12 +25,15 @@ from __future__ import annotations
 import ast
 import os
 import pathlib
+import re
 import sys
 import threading
 from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "flowtree"
+# the message of an acceptance criterion that failed on its runtime limit only
+RUNTIME_LIMIT = re.compile(r"AssertionError: (criterion \d+ runtime \S+ > \S+)")
 
 
 def _spans(tree):
@@ -61,12 +67,28 @@ def never_run(path: pathlib.Path, hits: set[int]) -> list[int]:
     return sorted(first for node, first, _, _ in spans if not ran[node])
 
 
-def _trace_lines(argv) -> tuple[int, dict[str, set[int]]]:
-    """pytest's exit status on tests/ and the lines run in each file of SRC."""
+class _Failures:
+    """A pytest plugin that keeps the id and crash message of every failed
+    test report."""
+
+    def __init__(self):
+        self.reports: list[tuple[str, str]] = []
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            crash = getattr(report.longrepr, "reprcrash", None)
+            self.reports.append((report.nodeid, crash.message if crash
+                                 else str(report.longrepr)))
+
+
+def _trace_lines(argv) -> tuple[int, dict[str, set[int]], list[tuple[str, str]]]:
+    """pytest's exit status on tests/, the lines run in each file of SRC,
+    and the (test id, crash message) of each failed test report."""
     import pytest
 
     prefix = str(SRC) + os.sep
     hits: dict[str, set[int]] = defaultdict(set)
+    failures = _Failures()
 
     def local(frame, event, arg):
         if event == "line":
@@ -80,17 +102,17 @@ def _trace_lines(argv) -> tuple[int, dict[str, set[int]]]:
     sys.settrace(on_call)
     try:
         status = pytest.main(["-q", "--continue-on-collection-errors",
-                              str(ROOT / "tests"), *argv])
+                              str(ROOT / "tests"), *argv], plugins=[failures])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(status), hits
+    return int(status), hits, failures.reports
 
 
 def main(argv) -> int:
     os.chdir(ROOT)
     sys.path.insert(0, str(ROOT / "src"))
-    status, hits = _trace_lines(argv)
+    status, hits, failed = _trace_lines(argv)
     total = 0
     print("\nstatements of src/flowtree that no tier-1 test ran:")
     for path in sorted(SRC.glob("*.py")):
@@ -103,6 +125,12 @@ def main(argv) -> int:
             print(f"  {line:5d}  {source[line - 1].strip()}")
         total += len(lines)
     print(f"total: {total}")
+    timed = [(test, limit[1]) for test, message in failed
+             if (limit := RUNTIME_LIMIT.match(message))]
+    print("failures whose only failed assertion is a runtime limit:"
+          + ("" if timed else " none"))
+    for test, limit in timed:
+        print(f"  {test}: {limit}")
     return status
 
 
