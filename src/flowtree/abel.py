@@ -162,8 +162,8 @@ class RadialKernel:
         return self.tail_scaled * self.q ** (-k / 2.0)
 
     def csv_rows(self):
-        return [(k, self.e(k).real, self.e(k).imag, self.e_tail(k))
-                for k in range(self.kmax + 1)]
+        ks = range(self.kmax + 1)
+        return [(k, e.real, e.imag, self.e_tail(k)) for k, e in zip(ks, map(self.e, ks))]
 
 
 def radial_from_gradkernel(q: float, gradk: np.ndarray, kmax: int) -> RadialKernel:

@@ -5,17 +5,20 @@ kernels come from uniform trapezoid sums over the circle, which are exact for
 trigonometric polynomials and spectrally accurate for smooth symbols.  The
 sums run on a doubled grid, and the aliasing guard reads how far they moved
 from the half grid off the doubled grid's aliased image, so a grid takes one
-symbol evaluation and one transform.  That transform runs in place in one
-complex buffer of the doubled grid's size, and the gradient's factor -2j
-scales only the entries read off it.  Each grid size's 1 - cos(theta) and
-sin(theta) are computed once (_grid keeps the last size, read-only), and a
-real symbol stays real up to the buffer, which takes it as its real part.
+symbol evaluation and one transform.  The symbol F(1 - cos(theta)) is even in
+theta, so it is evaluated on the G + 1 nodes of the half circle [0, pi]
+only, and the 2G-point sums come from a real transform of those values:
+the cosine sums (a DCT-I) for the plain kernel and the sine sums (a DST-I)
+of sin(theta) F for the gradient's; a complex symbol's real and imaginary
+parts are transformed apart, and a real symbol's kernels are real.  Each
+grid size's 1 - cos(theta) and sin(theta) on the half circle are computed
+once (_grid keeps the last size, read-only).
 The guard picks the grid: it starts at the default grid for nmax and
 doubles it until the sums hold still, up to MAX_GRID, where it gives up.
 The symmetric-gradient kernel is computed from the odd symbol sin(theta)
 F(1 - cos(theta)) and crosschecked against the finite difference
-k(n-1) - k(n+1) of the plain kernel, which, for a real symbol, a real
-transform of the symbol's first half gives.
+k(n-1) - k(n+1) of the plain kernel, the cosine sums of the same symbol
+values.
 
 Three closed-form routes stand beside the trapezoid sums, each in numpy:
 
@@ -77,8 +80,8 @@ class ZKernel:
         return self.values[self.nmax:]
 
     def csv_rows(self):
-        return [(n, self.value(n).real, self.value(n).imag)
-                for n in range(-self.nmax, self.nmax + 1)]
+        ns = range(-self.nmax, self.nmax + 1)
+        return [(n, v.real, v.imag) for n, v in zip(ns, map(self.value, ns))]
 
 
 ALIAS_TOL = 1e-10        # most a kernel value may move when the grid doubles
@@ -94,12 +97,13 @@ def _default_grid(nmax: int) -> int:
 
 @functools.lru_cache(maxsize=1)
 def _grid(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """lambda = 1 - cos theta and sin theta at theta_j = 2 pi j / points,
+    """lambda = 1 - cos theta and sin theta at the points/2 + 1 nodes
+    theta_j = 2 pi j / points, j = 0..points/2, of the half circle [0, pi],
     read-only; the last grid size asked for is kept.  Both are computed
     in place, sin theta over theta itself: with the temporaries of the
     largest grid freed around the cached pair, the heap fragmented and a
     perfbench ancestor_profile pass peaked about 1 MB higher."""
-    theta = 2 * np.pi * np.arange(points) / points
+    theta = 2 * np.pi * np.arange(points // 2 + 1) / points
     lam = np.cos(theta)
     np.subtract(1.0, lam, out=lam)
     sin = np.sin(theta, out=theta)
@@ -107,11 +111,33 @@ def _grid(points: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, sin
 
 
-def _doubled_grid(fn, nmax: int, transform):
-    """The kernel k(n), |n| <= nmax, of the symbol F(1 - cos theta) on 2G
-    points as transform reads it, the symbol there (checked finite) and
-    2G.  fn gets _grid's read-only 1 - cos theta.  A float64 or
-    complex128 symbol keeps its dtype; any other is widened to complex128.
+def _sums(half: np.ndarray, points: int, odd: bool) -> np.ndarray:
+    """The trapezoid sums k(n), n mod points, of a symbol on the full circle
+    of points = 2G nodes, from its values half[j] at theta_j = pi j / G,
+    j = 0..G: an even symbol's are irfft(half, 2G), a DCT-I, and, half
+    being an odd symbol's values (sin theta F), -2j times its sums are
+    2 irfft(-1j half, 2G), a DST-I.  A real half gives real sums; a
+    complex one's real and imaginary parts are transformed apart."""
+    if np.iscomplexobj(half):
+        out = np.empty(points, complex)
+        out.real = _sums(half.real, points, odd)
+        out.imag = _sums(half.imag, points, odd)
+        return out
+    if not odd:
+        return np.fft.irfft(half, points)
+    k = np.fft.irfft(-1j * half, points)
+    k *= 2.0
+    return k
+
+
+def _doubled_grid(fn, nmax: int, odd: bool):
+    """The kernel k(n), |n| <= nmax, of the symbol F(1 - cos theta) (odd:
+    -2j times that of sin theta F(1 - cos theta)) by trapezoid sums on 2G
+    points, as complex128; the symbol's G + 1 values on the half circle
+    (checked finite); and 2G.  fn gets _grid's read-only 1 - cos theta.
+    A float64 or complex128 symbol keeps its dtype; any other is widened
+    to complex128.  A real symbol's kernel is real: its imaginary parts
+    are 0.0.
 
     G starts at _default_grid(nmax) and doubles until the G-point sums
     differ from the 2G-point ones by at most ALIAS_TOL; a G of MAX_GRID or
@@ -119,15 +145,12 @@ def _doubled_grid(fn, nmax: int, transform):
     whose default grid is past MAX_GRID is refused, GridCapError, before
     any array is built.
 
-    transform(sin theta, symbol, buf) writes the inverse transform's
-    input, linear in the symbol, into buf, a zeroed complex128 array of 2G
-    points, and returns read: read(i) is k at the indices i (n mod 2G) of
-    buf once np.fft.ifft has run on it in place.  A grid thus holds one
-    2G-point complex array, and read scales only the entries it reads.
-    The G points are the even ones of the 2G, and the even samples' sums
-    alias two values of the 2G sums: k_G(n) = k_2G(n) + k_2G(n + G).  So
-    doubling moves k(n) by k_2G(n + G), read from the same buffer: one
-    symbol evaluation and one transform per grid tried.
+    The symbol is even in theta, so its 2G values repeat the G + 1 on the
+    half circle, and _sums gives all 2G sums from those.  The G points are
+    the even ones of the 2G, and the even samples' sums alias two values
+    of the 2G sums: k_G(n) = k_2G(n) + k_2G(n + G).  So doubling moves
+    k(n) by k_2G(n + G), read from the same sums: one symbol evaluation
+    and one transform (two for a complex symbol) per grid tried.
     """
     G = _default_grid(nmax)
     if G > MAX_GRID:
@@ -141,13 +164,11 @@ def _doubled_grid(fn, nmax: int, transform):
             symbol = symbol.astype(complex)
         if not np.all(np.isfinite(symbol)):
             raise ValueError("non-finite symbol value")
-        buf = np.zeros(points, complex)
-        read = transform(sin, symbol, buf)
-        np.fft.ifft(buf, out=buf)
-        idx = np.arange(-nmax, nmax + 1) % points
-        moved = np.max(np.abs(read((idx + G) % points)))
+        k = _sums(sin * symbol if odd else symbol, points, odd)
+        idx = np.arange(-nmax, nmax + 1)
+        moved = np.max(np.abs(k[(idx + G) % points]))
         if moved <= ALIAS_TOL:
-            return read(idx), symbol, points
+            return k[idx % points].astype(complex), symbol, points
         if G >= MAX_GRID:
             raise AliasingError(
                 f"grid {G} insufficient: doubling moved values by {moved:.3e}")
@@ -159,42 +180,21 @@ def z_multiplier_kernel(fn, nmax: int) -> ZKernel:
     grid the aliasing guard picks (_doubled_grid).  fn(lam) gets a
     read-only array and returns a new one: a symbol that writes into lam
     raises ValueError."""
-    def transform(sin, symbol, buf):
-        buf[:] = symbol
-        return buf.__getitem__
-    out, _, points = _doubled_grid(fn, nmax, transform)
+    out, _, points = _doubled_grid(fn, nmax, False)
     return ZKernel(out, nmax, points)
-
-
-def _even_kernel(symbol: np.ndarray, nmax: int) -> np.ndarray:
-    """k(n), |n| <= nmax, of a symbol even in theta: a real symbol's from the
-    real transform of its first half (points/2 + 1 values), a complex one's
-    from its full transform (one complex transform costs less than a real
-    one for each part)."""
-    points = len(symbol)
-    if np.iscomplexobj(symbol):
-        k = np.fft.ifft(symbol)
-    else:
-        k = np.fft.irfft(symbol[:points // 2 + 1], points)
-    return k[np.arange(-nmax, nmax + 1) % points]
 
 
 def z_grad_multiplier_kernel(fn, nmax: int) -> ZKernel:
     """Symmetric-gradient kernel k(n-1) - k(n+1), via the odd symbol route.
 
     Primary evaluation integrates sin(t) F(1 - cos t) on the grid the
-    aliasing guard picks: the product (a real symbol's in the buffer's real
-    part) is transformed in place, and -2j scales only the kept entries and
-    the aliased ones the guard reads.  The buffer is freed before the
-    finite-difference route on the plain kernel, on the same grid, which
+    aliasing guard picks, by the sine sums of _sums.  The finite-difference
+    route on the plain kernel, the cosine sums of the same symbol values,
     must agree within CONSISTENCY_TOL.  As in z_multiplier_kernel, fn(lam)
     gets a read-only array.
     """
-    def transform(sin, symbol, buf):
-        np.multiply(sin, symbol, out=buf if np.iscomplexobj(symbol) else buf.real)
-        return lambda i: -2j * buf[i]
-    out, symbol, points = _doubled_grid(fn, nmax, transform)
-    plain = _even_kernel(symbol, nmax + 1)
+    out, symbol, points = _doubled_grid(fn, nmax, True)
+    plain = _sums(symbol, points, False)[np.arange(-nmax - 1, nmax + 2) % points]
     diff = plain[:-2] - plain[2:]
     dev = np.max(np.abs(diff - out))
     if dev > CONSISTENCY_TOL:

@@ -87,22 +87,46 @@ def meeting_levels(window, y):
     return meet
 
 
-def doubled_grid_two_pass(fn, G, nmax, odd):
+def full_circle_sums(fn, g, nmax, odd):
     """The line kernel of F(1 - cos theta) (odd: of the odd symbol
-    sin(theta) F(1 - cos theta), times -2i), |n| <= nmax, by trapezoid sums
-    on G and then on 2G points, each grid's symbol evaluated and
-    transformed on its own, and the most any value moved between them:
-    the two-pass guard that zline._doubled_grid's aliased image replaces.
-    Returns the 2G kernel and that move."""
+    sin(theta) F(1 - cos theta), times -2i), |n| <= nmax, by one complex
+    transform of the symbol on all g points of the circle: the route
+    zline._sums's half-circle transforms replace, and their oracle."""
+    theta = 2 * np.pi * np.arange(g) / g
+    symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
+    assert np.all(np.isfinite(symbol))
+    idx = np.arange(-nmax, nmax + 1) % g
+    if odd:
+        return -2j * np.fft.ifft(np.sin(theta) * symbol)[idx]
+    return np.fft.ifft(symbol)[idx]
+
+
+def half_circle_sums(fn, g, nmax, odd):
+    """The same trapezoid sums from the symbol's g/2 + 1 values on
+    [0, pi]: cosine sums irfft(F, g), or, for odd, sine sums
+    2 irfft(-1j sin(theta) F, g), of the real and the imaginary part
+    apart."""
+    theta = 2 * np.pi * np.arange(g // 2 + 1) / g
+    symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
+    assert np.all(np.isfinite(symbol))
+    if odd:
+        symbol = np.sin(theta) * symbol
+        transform = lambda x: 2.0 * np.fft.irfft(-1j * x, g)
+    else:
+        transform = lambda x: np.fft.irfft(x, g)
+    k = transform(symbol.real) + 1j * transform(symbol.imag)
+    return k[np.arange(-nmax, nmax + 1) % g]
+
+
+def doubled_grid_two_pass(fn, G, nmax, odd):
+    """The line kernel of half_circle_sums, |n| <= nmax, on G and then on
+    2G points, each grid's symbol evaluated and transformed on its own,
+    and the most any value moved between them: the two-pass guard that
+    zline._doubled_grid's aliased image replaces.  Returns the 2G kernel
+    and that move."""
     out = None
     for g in (G, 2 * G):
-        theta = 2 * np.pi * np.arange(g) / g
-        symbol = np.asarray(fn(1.0 - np.cos(theta)), dtype=complex)
-        assert np.all(np.isfinite(symbol))
-        if odd:
-            k = -2j * np.fft.ifft(np.sin(theta) * symbol)[np.arange(-nmax, nmax + 1) % g]
-        else:
-            k = np.fft.ifft(symbol)[np.arange(-nmax, nmax + 1) % g]
+        k = half_circle_sums(fn, g, nmax, odd)
         moved = None if out is None else float(np.max(np.abs(k - out)))
         out = k
     return out, moved

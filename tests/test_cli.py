@@ -1,10 +1,8 @@
 """CLI subcommands: exit codes, artifacts, reproducibility."""
 
 import cmath
-import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import os
@@ -912,16 +910,16 @@ BAD_CASES = [(cmd, DESTS[dest].option_strings[0], value)
              for value in BAD_VALUES[_kind(dest)]]
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from(BAD_CASES))
-def test_bad_numeric_values_never_raise(case):
-    """Exit 0, 1 or 2 with no traceback, whatever the numeric flag holds."""
-    cmd, flag, value = case
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        rc = run([cmd, f"{flag}={value}", "--out", os.path.join(tmp, "o")])
-    assert rc in (0, 1, 2)
-    assert "Traceback" not in err.getvalue()
+def test_bad_numeric_values_never_raise(capsys):
+    """Exit 0, 1 or 2 with no traceback, whatever the numeric flag holds:
+    every case of BAD_CASES, so what runs does not move with edits to
+    cli.READS (303 cases, every (command, flag) pair; 0.5 s on 2 CPUs)."""
+    for cmd, flag, value in BAD_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            rc = run([cmd, f"{flag}={value}", "--out", os.path.join(tmp, "o")])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2), (cmd, flag, value, rc)
+        assert "Traceback" not in err, (cmd, flag, value)
 
 
 @pytest.mark.parametrize("command", ["heat", "riesz-skew-check"])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from flowtree import zline
 from flowtree.bumps import chi0, schrodinger_multiplier
 
-from conftest import doubled_grid_two_pass, heat_z_kernel, z_kernel_power_sum
+from conftest import doubled_grid_two_pass, full_circle_sums, heat_z_kernel, z_kernel_power_sum
 
 
 def test_identity_symbol_gives_delta():
@@ -215,12 +215,49 @@ def test_real_symbols_give_the_complex_route_kernel(name):
             assert _outcome(kernel, as_float32, nmax) == _outcome(kernel, widened, nmax)
 
 
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("name", REAL_SYMBOLS)
+def test_real_symbols_give_real_kernels(kernel, name):
+    """A float64 symbol's kernel has imaginary parts of exactly 0.0, not
+    the rounding of a complex transform."""
+    for nmax in (16, 300, 5000):
+        imag = kernel(GUARD_SYMBOLS[name], nmax).values.imag
+        assert not np.any(imag) and not np.any(np.signbit(imag))
+
+
+@pytest.mark.parametrize("odd", [False, True])
+@pytest.mark.parametrize("name", GUARD_SYMBOLS)
+def test_half_circle_kernels_match_the_full_circle_sums(monkeypatch, name, odd):
+    """On every grid G = 64 to 16,384 the guard accepts, the kernel lies
+    within 2e-15 max|k| of the complex trapezoid sums over all 2G points of
+    the circle, and within 2e-14 max|k| for the oscillating symbol
+    exp(60i lambda): its phase reaches 120 radians, so the full circle's
+    own values at theta and 2 pi - theta, evaluated apart, differ by up
+    to 5e-14.  (Measured: at most 1.4e-15 and 1.5e-14.)"""
+    fn = GUARD_SYMBOLS[name]
+    tol = 2e-14 if name == "oscillating" else 2e-15
+    kernel = zline.z_grad_multiplier_kernel if odd else zline.z_multiplier_kernel
+    accepted = 0
+    for G in (64, 256, 1024, 4096, 16384):
+        nmax = min(G // 4 - 10, 300)
+        pin_grid(monkeypatch, G)
+        try:
+            zk = kernel(fn, nmax)
+        except zline.AliasingError:
+            continue
+        want = full_circle_sums(fn, 2 * G, nmax, odd)
+        assert np.max(np.abs(zk.values - want)) <= tol * np.max(np.abs(want))
+        accepted += 1
+    assert accepted >= 2
+
+
 def test_grid_trigonometry_is_read_only_and_kept_for_one_size():
     """Computed in place, the pair is bit for bit 1.0 - np.cos(theta) and
-    np.sin(theta), up to the largest grid the guard tries."""
+    np.sin(theta) at the points/2 + 1 nodes of the half circle, up to the
+    largest grid the guard tries."""
     for points in (64, 4096, 2 * zline.MAX_GRID):
         lam, sin = zline._grid(points)
-        theta = 2 * np.pi * np.arange(points) / points
+        theta = 2 * np.pi * np.arange(points // 2 + 1) / points
         assert lam.tobytes() == (1.0 - np.cos(theta)).tobytes()
         assert sin.tobytes() == np.sin(theta).tobytes()
     zline._grid.cache_clear()
@@ -264,13 +301,16 @@ def test_a_non_finite_symbol_is_refused(kernel):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_a_large_kernel_traces_one_grid_buffer(kernel):
-    """On the warm 2^17-point grid, one nmax-10,000 heat kernel traces at
-    most 4.5 MiB above its start: its symbol, the one complex buffer its
-    transform runs in and the kept entries.  A route that also holds the
-    real product, its complex widening and the scaled transform as
-    full-grid arrays traces 5 MiB (plain) and 6 MiB (gradient)."""
+    """On the warm 2^17-point grid (G = 2^16), one nmax-10,000 heat kernel
+    traces at most 3.25 MiB above its start: its G + 1 symbol values (0.5
+    MiB), the gradient's product with sin theta (0.5 MiB), the complex
+    half spectrum the real transform takes (1 MiB) and its 2G real sums
+    (1 MiB), 2.5 MiB (plain) and 3 MiB (gradient) in all, with 0.25 MiB
+    to spare.  The 2G-point complex buffer the half circle replaced traced
+    3.6 MiB.  The kept grid pair holds 2 (G + 1) floats."""
     fn = lambda lam: np.exp(-5.0 * lam)
     assert kernel(fn, 10_000).grid == 1 << 17
+    assert [(a.dtype, a.size) for a in zline._grid(1 << 17)] == [(np.float64, (1 << 16) + 1)] * 2
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -278,7 +318,7 @@ def test_a_large_kernel_traces_one_grid_buffer(kernel):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 4.5 * 2 ** 20
+    assert peak - start <= 3.25 * 2 ** 20
 
 
 def test_consistency_check_trips_below_the_rounding_gap(monkeypatch):
