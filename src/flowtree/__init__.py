@@ -10,16 +10,14 @@ from .exactnum import QSurd
 from .ncpoly import NcPolynomial, Z1, Z2
 from .trees import (FlowMeasure, InsufficientMarginError, TreeError,
                     TreeWindow, ball_window, constant_ratio_window,
-                    homogeneous_window, load_window, safe_region,
-                    spine_window, validate_measure, validate_window,
-                    window_to_json)
+                    load_window, safe_region, spine_window,
+                    validate_measure, validate_window, window_to_json)
 
 __all__ = [
     "FlowMeasure", "InsufficientMarginError", "NcPolynomial", "QSurd",
     "TreeError", "TreeWindow", "Z1", "Z2", "ball_window",
-    "constant_ratio_window", "homogeneous_window", "load_window",
-    "safe_region", "spine_window", "validate_measure", "validate_window",
-    "window_to_json",
+    "constant_ratio_window", "load_window", "safe_region", "spine_window",
+    "validate_measure", "validate_window", "window_to_json",
 ]
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ def fit_loglog(xs, ys) -> dict:
     """Least-squares slope of log(y) against log(x), with RMS residual."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
-    if len(lx) < 2:
+    if len(set(lx.tolist())) < 2:  # no line through fewer than two distinct points
         return {"slope": float("nan"), "intercept": float(ly[0]) if len(ly) else float("nan"),
                 "resid": 0.0}
     coef = np.polyfit(lx, ly, 1)
@@ -352,9 +352,9 @@ def weighted_heat_sweep(eps: float, t_grid, q_grid) -> EstimateReport:
     ts = sorted(set(float(t) for t in t_grid))
     if ts[0] <= 0:
         raise ValueError("t must be > 0")
+    gradks = {t: _heat_gradk(t) for t in ts}
     for q in q_grid:
-        for t in ts:
-            gradk = _heat_gradk(t)
+        for t, gradk in gradks.items():
             kmax = len(gradk) - 3
             rad = abel.radial_from_gradkernel(q, gradk, kmax)
             w = lambda d: math.exp(eps * d / math.sqrt(t))

@@ -17,6 +17,7 @@ rerun reproduces artifacts byte for byte.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import json
@@ -168,42 +169,20 @@ def _at_least(flag: str, value: int, least: int) -> int:
     return value
 
 
-def _flow(args):
-    """The flow of a built-in ball, as ``ball_window`` takes it: ``--ratios``,
-    the golden ratios, 1 for the line, or else the degree ``--q``; None for
-    a loaded file and the spine, which are not balls."""
-    if args.ratios:
-        if args.tree or args.window != "homog":
-            other = "--tree" if args.tree else f"--window {args.window}"
-            raise ValueError(f"--ratios and {other} both set the window")
-        return parse_ratios(args.ratios)
-    if args.tree:
-        return None
-    kind = args.window
-    if kind == "spine":
-        return None
-    if kind == "golden":
-        return (GOLDEN_RATIO, 1 - GOLDEN_RATIO)
-    if kind == "zline":
-        return 1
-    return args.q
+# The window the flags choose: its name in refusals, its flow as ball_window
+# takes it (None for a loaded file and the spine, which are not balls), the
+# window flags it reads, by dest, and its window as a function of the radius.
+_Route = collections.namedtuple("_Route", "name flow reads build")
 
 
-class _Seen:
-    """The parsed flags, noting the dest of every flag read through it."""
-
-    def __init__(self, args):
-        self.args, self.read = args, set()
-
-    def __getattr__(self, dest):
-        self.read.add(dest)
-        return getattr(self.args, dest)
-
-
-def _route(args):
-    """The window the flags choose, as a function of the radius; every flag
-    it reads is read here, before anything is built."""
-    flow = _flow(args)
+def _route(args) -> _Route:
+    """The one reader of the window flags: a loaded file, the spine
+    (``--depth`` long, or as long as its default for a command that does
+    not read ``--depth``), or the ball of ``--ratios``, the golden ratios,
+    the line (radius at least 12) or the degree ``--q`` around its center."""
+    if args.ratios and (args.tree or args.window != "homog"):
+        other = "--tree" if args.tree else f"--window {args.window}"
+        raise ValueError(f"--ratios and {other} both set the window")
     if args.tree:
         path = args.tree
 
@@ -212,16 +191,25 @@ def _route(args):
             deepest = max(window.defect_distances().values())
             anchors = sorted(safe_region(window, min(radius, deepest)))
             return window, measure, anchors[len(anchors) // 2]
-        return loaded
-    if flow is None:
+        return _Route("--tree", None, frozenset({"tree", "ratios"}), loaded)
+    name = "--ratios" if args.ratios else f"--window {args.window}"
+    reads = frozenset({"tree", "window", "ratios"})
+    if args.window == "spine":
         depth = args.depth if "depth" in READS[args.command] else WINDOW["depth"]
-        return lambda radius: spine_window(depth=depth)
+        return _Route(name, None, reads | {"depth"}, lambda radius: spine_window(depth=depth))
     if args.window == "golden":
-        return lambda radius: ball_window(flow, radius, center_level=-radius,
-                                          backend="float")
+        flow = (GOLDEN_RATIO, 1 - GOLDEN_RATIO)
+        return _Route(name, flow, reads, lambda radius: ball_window(
+            flow, radius, center_level=-radius, backend="float"))
+    if args.ratios:
+        flow = parse_ratios(args.ratios)
+    elif args.window == "zline":
+        flow = 1
+    else:
+        flow, reads = args.q, reads | {"q"}
     backend = args.backend
-    return lambda radius: ball_window(flow, max(radius, 12) if flow == 1 else radius,
-                                      backend=backend)
+    return _Route(name, flow, reads | {"backend"}, lambda radius: ball_window(
+        flow, max(radius, 12) if flow == 1 else radius, backend=backend))
 
 
 def _refuse(args, route: str, dests) -> None:
@@ -231,20 +219,12 @@ def _refuse(args, route: str, dests) -> None:
             raise ValueError(f"{route} does not read {args.explicit[dest]}")
 
 
-def make_window(args, radius: int):
-    """Window selection shared by the subcommands: a loaded file, the spine
-    (``--depth`` long, or as long as its default for a command that does
-    not read ``--depth``), or the ball of ``_flow``'s flow around the
-    anchor it returns (the line's ball: radius at least 12).  An explicit
-    window flag or ``--q`` that the chosen route does not read exits 2
-    before anything is built."""
-    seen = _Seen(args)
-    build = _route(seen)
-    how = ("--tree" if args.tree else "--ratios" if args.ratios
-           else f"--window {args.window}")
-    _refuse(args, f"{args.command} {how}",
-            [d for d in (*WINDOW, "q") if d not in seen.read])
-    return build(radius)
+def make_window(args, route: _Route, radius: int):
+    """The route's window of the given radius; an explicit window flag or
+    ``--q`` the route does not read exits 2 before anything is built."""
+    _refuse(args, f"{args.command} {route.name}",
+            [d for d in (*WINDOW, "q") if d not in route.reads])
+    return route.build(radius)
 
 
 def _multiplier(args):
@@ -269,10 +249,10 @@ def _window_meta(window) -> dict:
             "apex_level": window.level[window.apex]}
 
 
-def _write(out, name, header, rows, meta, comments=()):
+def _write(out, name, header, rows, meta):
     """The artifact ``out/name``: its CSV rows and its .meta.json sidecar."""
     path = os.path.join(out, name)
-    reports.write_csv(path, header, rows, comments=comments)
+    reports.write_csv(path, header, rows)
     reports.write_meta(path, meta)
 
 
@@ -281,10 +261,11 @@ def cmd_kernel(args, out):
     if coeffs:  # the polynomial's degree is the column's, and no multiplier
         _refuse(args, "kernel --coeffs",
                 ["degree", "multiplier", "t_param", "k", "alpha", "dmax"])
-    elif args.multiplier and _flow(args) != 1:  # --dmax: the line kernel's nmax
+    route = _route(args)
+    if args.multiplier and route.flow != 1:  # --dmax: the line kernel's nmax
         _refuse(args, "kernel --multiplier off the line", ["dmax"])
     deg = len(coeffs) - 1 if coeffs else args.degree
-    window, measure, anchor = make_window(args, max(deg + 1, 4))
+    window, measure, anchor = make_window(args, route, max(deg + 1, 4))
     failure = {}
     if coeffs is not None:
         col = kernel_column_lambda_poly(window, measure, coeffs, anchor)
@@ -297,7 +278,7 @@ def cmd_kernel(args, out):
         model = cheb_approx(fn, deg)
         col = cheb_column(window, measure, model, anchor)
         op_meta = {"multiplier": args.multiplier, "sup_err": model.sup_err}
-        if _flow(args) == 1:
+        if route.flow == 1:
             zmeta = {"multiplier": args.multiplier}
             if args.multiplier == "x^{i*alpha}":
                 # lambda^(i alpha) is singular at 0, so no trapezoid grid
@@ -316,23 +297,22 @@ def cmd_kernel(args, out):
            ["x_id", "value_re", "value_im", "distance", "level_x"],
            col.csv_rows(window),
            {**_window_meta(window), "anchor": col.anchor,
-            "err_bound": col.err_bound, **op_meta},
-           [f"anchor={col.anchor}", f"err_bound={col.err_bound!r}"])
+            "err_bound": col.err_bound, **op_meta})
     return failure
 
 
 def cmd_heat(args, out):
     t = args.t_param
+    route = _route(args)
     # the column's groups read the anchor's ancestor chain only: the radius-0 ball
-    window, measure, anchor = make_window(args, 0)
+    window, measure, anchor = make_window(args, route, 0)
     rep = analysis.heat_column_groups(functools.partial(chain_of, window, measure, anchor), t)
-    flow = _flow(args)
-    if isinstance(flow, int) and flow >= 2:
-        rad = abel.e_f_coefficients(flow,
+    if isinstance(route.flow, int) and route.flow >= 2:
+        rad = abel.e_f_coefficients(route.flow,
                                     lambda lam: np.exp(-t * np.asarray(lam)),
                                     kmax=24)
         _write(out, "radial.csv", ["k", "E_re", "E_im", "tail_bound"], rad.csv_rows(),
-               {"q": flow, "t": t, "kmax": 24, "tail_scaled": rad.tail_scaled,
+               {"q": route.flow, "t": t, "kmax": 24, "tail_scaled": rad.tail_scaled,
                 **rad.meta})
     _write(out, "heat.csv", rep.csv_header(), rep.csv_rows(),
            {"t": t, "anchor": anchor, **rep.meta, **_window_meta(window)})
@@ -343,7 +323,7 @@ def cmd_heat(args, out):
 
 def cmd_riesz(args, out):
     radius = args.dmax
-    window, measure, anchor = make_window(args, radius + 2)
+    window, measure, anchor = make_window(args, _route(args), radius + 2)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius))
     vals, errs = analysis.riesz_kernel_values(window, measure, pairs)
     rows = [(x, y, v.real, v.imag, e) for (x, y), v, e in zip(pairs, vals, errs)]
@@ -354,7 +334,7 @@ def cmd_riesz(args, out):
 
 def cmd_riesz_skew_check(args, out):
     radius = _at_least("--dmax", args.dmax, 1)
-    window, measure, anchor = make_window(args, radius + 1)
+    window, measure, anchor = make_window(args, _route(args), radius + 1)
     pairs = sorted((x, anchor) for x in ball(window, anchor, radius)
                    if x != anchor)
     rep = analysis.riesz_skew_check(window, measure, pairs)
@@ -435,7 +415,7 @@ def cmd_rationalize(args, out):
     # --q is the denominator here, read on every route; a ball has degree 2
     ball = argparse.Namespace(**vars(args))
     ball.q, ball.explicit = 2, {d: f for d, f in args.explicit.items() if d != "q"}
-    window, measure, _ = make_window(ball, 6)
+    window, measure, _ = make_window(ball, _route(ball), 6)
     q = args.q
     mq, rows, max_err = quotient.rationalize_flow(window, measure, q)
     csv_rows = [(r.vertex, r.child_index, r.ratio.numerator, r.ratio.denominator,
@@ -458,7 +438,7 @@ def cmd_weighted_sweep(args, out):
 def cmd_level_sum(args, out):
     ts = _grid(args, "--t-grid", least=0)
     # the sums read the anchor's ancestor chain only: the radius-0 ball
-    window, measure, x = make_window(args, 0)
+    window, measure, x = make_window(args, _route(args), 0)
     rep = analysis.level_sum_estimate(functools.partial(chain_of, window, measure, x), ts)
     _write(out, "level_sum.csv", rep.csv_header(), rep.csv_rows(),
            {"fit": rep.fit, "anchor": x, **rep.meta, **_window_meta(window)})

@@ -23,11 +23,9 @@ def _fmt(x) -> str:
     return _FMT.get(type(x), str)(x)
 
 
-def write_csv(path: str, header, rows, comments=()) -> None:
+def write_csv(path: str, header, rows) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for c in comments:
-            fh.write(f"# {c}\n")
         fh.write(",".join(str(h) for h in header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")

@@ -420,28 +420,6 @@ def _canonical_flow(q: Number, backend: str):
     return functools.lru_cache(maxsize=None)(unit.__pow__), unit
 
 
-def homogeneous_window(q: int, depth: int, up: int = 0
-                       ) -> tuple[TreeWindow, FlowMeasure]:
-    """Window into the q-ary tree with its canonical flow m(x) = q**level(x),
-    on the rational backend.
-
-    The apex sits at level 0, an ancestor chain of length ``up`` below it
-    leads to a base vertex, and the full q-ary cone of the base extends
-    ``depth`` levels down.  Chain vertices are complete only for q = 1
-    (their ambient siblings are missing otherwise).
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    _check_cap(up + _cone_size(q, depth))
-    mass, unit = _canonical_flow(q, "rational")
-    b = _Builder(0, mass(0))
-    base = 0
-    for j in range(up):
-        base, = b.add(base, [mass(-j - 1)], q == 1)
-    b.cone(base, depth, lambda m, lv: [mass(lv)] * q)
-    return b.finish("rational", unit)
-
-
 def ball_window(q: Union[int, tuple], radius: int, center_level: int = 0,
                 backend: str = "rational"
                 ) -> tuple[TreeWindow, FlowMeasure, Vertex]:
@@ -513,8 +491,9 @@ def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
 
     The base sits at level 0 with mass 1, under an ancestor chain of length
     ``up`` that follows the first-ratio branch (so the apex is at level
-    ``up``), and the ambient measure grows by 1/ratios[0] per level up.
-    Returns (window, measure, base).
+    ``up``), and the ambient measure grows by 1/ratios[0] per level up; the
+    chain is complete for one ratio (the line) only.  Ratios 1/q, q times,
+    give the q-ary tree's flow m = q**level.  Returns (window, measure, base).
     """
     backend, rr = _ratio_flow(ratios, backend)
     _check_cap(up + _cone_size(len(ratios), depth))
@@ -523,7 +502,7 @@ def constant_ratio_window(ratios: tuple, depth: int, up: int = 0,
     b = _Builder(up, base_mass / (r0 ** up) if up else base_mass)
     base = 0
     for _ in range(up):
-        base, = b.add(base, [b.values[base] * r0], False)
+        base, = b.add(base, [b.values[base] * r0], len(rr) == 1)
     b.cone(base, depth, lambda m, lv: [m * r for r in rr])
     return (*b.finish(backend, 1 / r0), base)
 

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance, riesz_quadrature
-from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
-                      safe_region, spine_window)
+from flowtree import ball_window, constant_ratio_window, safe_region, spine_window
 from flowtree import abel, analysis, flowkernel, quotient, zline
 from flowtree.bumps import chi0, imaginary_power_cut
 from flowtree.exactnum import QSurd
@@ -296,8 +295,7 @@ def test_criterion_12_spectrum_probe():
     (exponent -0.5 +- 0.1, theta in {0, pi/3, pi}, d up to 200); dense
     eigenvalues of window compressions stay within [0, 2] to 1e-10."""
     t0 = time.time()
-    w, m = homogeneous_window(1, depth=206, up=4)
-    o = next(v for v in w.vertices if w.level[v] == w.level[w.apex] - 4)
+    w, m, o = constant_ratio_window((Fraction(1),), depth=206, up=4)
     rep = analysis.spectrum_probe(w, m, o, [0.0, math.pi / 3, math.pi],
                                   [25, 50, 100, 200])
     ok = all(abs(s + 0.5) <= 0.1 for s in rep.fit["slopes"].values())
@@ -305,7 +303,7 @@ def test_criterion_12_spectrum_probe():
     for ww, mm in ((ball_window(2, 6)[:2]),
                    (constant_ratio_window((GOLDEN, 1 - GOLDEN), depth=7, up=2,
                                           backend="float")[:2]),
-                   (homogeneous_window(1, depth=400, up=2))):
+                   (constant_ratio_window((Fraction(1),), depth=400, up=2)[:2])):
         lo, hi = analysis.rayleigh_bounds(ww, mm)
         eigs.append((lo, hi))
         if lo < -1e-10 or hi > 2 + 1e-10:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flowtree import (ball_window, constant_ratio_window, homogeneous_window,
-                      load_window, safe_region, spine_window, window_to_json)
+from flowtree import (ball_window, constant_ratio_window, load_window,
+                      safe_region, spine_window, window_to_json)
 from flowtree import analysis, flowkernel, zline
 from flowtree.analysis import RIESZ_CUT, QuadratureSpec
 from flowtree.trees import ball
@@ -490,8 +490,7 @@ def test_divergence_shape_independent():
 
 
 def test_spectrum_probe_path_window():
-    w, m = homogeneous_window(1, depth=120, up=4)
-    o = next(v for v in w.vertices if w.level[v] == w.level[w.apex] - 4)
+    w, m, o = constant_ratio_window((Fraction(1),), depth=120, up=4)
     rep = analysis.spectrum_probe(w, m, o, [0.0, math.pi], [20, 40, 80])
     for theta, s in rep.fit["slopes"].items():
         assert abs(s + 0.5) < 0.1
@@ -543,8 +542,7 @@ def test_report_monotone_under_window_growth():
 
 def test_spectrum_probe_chain_too_short():
     from flowtree import TreeError
-    w, m = homogeneous_window(1, depth=10, up=2)
-    o = next(v for v in w.vertices if w.level[v] == w.level[w.apex] - 2)
+    w, m, o = constant_ratio_window((Fraction(1),), depth=10, up=2)
     with pytest.raises(TreeError):
         analysis.spectrum_probe(w, m, o, [0.0], [50])
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -279,7 +280,7 @@ def test_kernel_over_the_vertex_cap_names_its_size_and_the_cap(tmp_path, capsys)
 
 def _kernel_values(out) -> dict:
     with open(out / "kernel.csv", encoding="utf-8") as fh:
-        rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+        rows = csv.DictReader(fh)
         return {int(r["x_id"]): complex(float(r["value_re"]), float(r["value_im"]))
                 for r in rows}
 
@@ -862,12 +863,23 @@ def _strict_json(text):
                 for s in m["fits"][name].values()]),
     (["spectrum", "--d-grid", "25"], "spectrum.csv.meta.json",
      lambda m: list(m["fit"]["slopes"].values())),
-], ids=["sharpness", "level-sum", "weighted-sweep", "spectrum"])
+    # a repeated point is one abscissa too
+    (["sharpness", "--t-grid", "2,2"], "sharpness.csv.meta.json",
+     lambda m: [m["fit"]["slope"]]),
+    (["level-sum", "--t-grid", "4,4"], "level_sum.csv.meta.json",
+     lambda m: [m["fit"]["slope"]]),
+    (["spectrum", "--d-grid", "5,5"], "spectrum.csv.meta.json",
+     lambda m: list(m["fit"]["slopes"].values())),
+], ids=["sharpness", "level-sum", "weighted-sweep", "spectrum", "sharpness-repeated",
+        "level-sum-repeated", "spectrum-repeated"])
 def test_one_point_fit_sidecars_are_strict_json(tmp_path, argv, sidecar, slopes):
     """A fit through one grid point has no slope: the sidecar says null,
-    and it parses under a parser that refuses NaN and Infinity."""
+    and it parses under a parser that refuses NaN and Infinity.  No fit
+    warns."""
     out = tmp_path / "o"
-    assert run(argv + ["--out", str(out)]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(out)]) == 0
     meta = _strict_json((out / sidecar).read_text())
     got = slopes(meta)
     assert got and all(s is None for s in got)

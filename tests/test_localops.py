@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from flowtree import (FlowMeasure, ball_window, homogeneous_window, safe_region,
-                      validate_measure)
+from flowtree import (FlowMeasure, ball_window, constant_ratio_window,
+                      safe_region, validate_measure)
 from flowtree.localops import (InsufficientMarginError, WindowFunction,
                                apply_laplacian, apply_ncpoly, apply_shift,
                                apply_shift_adjoint, apply_word, indicator,
@@ -140,8 +140,7 @@ def test_weighted_col_sums_examples(t2_ball):
 
 
 def test_weighted_col_sums_truncation_flag():
-    w, m = homogeneous_window(2, depth=2, up=2)
-    base = [v for v in w.vertices if w.level[v] == -2 and w.children(v)][0:1]
+    w, m, _ = constant_ratio_window((Fraction(1, 2),) * 2, depth=2, up=2)
     col = kernel_column_lambda_poly(w, m, [Fraction(0), Fraction(1)],
                                     next(iter(safe_region(w, 1))))
     _, truncated = weighted_col_sums(w, m, col, lambda d, lx, ly: 1)

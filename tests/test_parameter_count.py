@@ -12,7 +12,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "flowtree"
-MAX_DEFAULTED = 15
+MAX_DEFAULTED = 12
 
 
 def defaulted_parameters() -> list[str]:

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowtree import (TreeError, TreeWindow, ball_window,
-                      constant_ratio_window, homogeneous_window, load_window,
+from flowtree import (FlowMeasure, InsufficientMarginError, TreeError,
+                      TreeWindow, ball_window, constant_ratio_window, load_window,
                       safe_region, spine_window, validate_measure,
                       validate_window, window_to_json)
-from flowtree.trees import ball
+from flowtree.localops import kernel_column_lambda_poly
+from flowtree.trees import ball, in_safe_region
 
 from conftest import meeting_levels
 
@@ -73,6 +74,7 @@ def _one_vertex(measure):
 
 @pytest.mark.parametrize("measure, match", [
     (True, "unsupported measure"),
+    (None, "unsupported measure"),
     (float("nan"), "non-finite"),
     (float("inf"), "non-finite"),
     ("1/0", "zero denominator"),
@@ -117,6 +119,24 @@ def test_load_refuses_far_exponents_before_expanding_them():
         assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("document, match", [
+    ("[1]", "must be an object with a 'vertices' array"),
+    ({"vertex": []}, "must be an object with a 'vertices' array"),
+    ({"apex_level": "0", "vertices": []}, "apex_level must be an integer"),
+    (doc(0, [{"id": 0, "pred": None, "measure": "1"},
+             {"id": 0, "pred": None, "measure": "1"}]), r"duplicate vertex id 0 \(record 1\)"),
+    (doc(0, [{"id": 0, "pred": None, "measure": "1"},
+             {"id": 1, "pred": None, "measure": "1"}]), r"two apexes: 0 and 1 \(record 1\)"),
+    (doc(0, [{"id": 0, "pred": None, "measure": "1"},
+             {"id": 1, "pred": 2, "measure": "1"},
+             {"id": 2, "pred": 1, "measure": "1"}]), "vertex 1: disconnected from apex"),
+], ids=["list", "no-vertices", "text-apex-level", "duplicate-id", "two-apexes",
+        "cycle-off-the-apex"])
+def test_load_refuses_malformed_documents(document, match):
+    with pytest.raises(TreeError, match=match):
+        load_window(document)
+
+
 def test_load_missing_path_is_unreadable(tmp_path):
     with pytest.raises(TreeError, match="cannot read tree file"):
         load_window(str(tmp_path / "missing.json"))
@@ -154,27 +174,46 @@ def test_json_roundtrip_deep_spine_keeps_preorder():
 
 
 def test_homogeneous_window_counts_and_measure():
-    w, m = homogeneous_window(1, depth=5, up=5)
+    """The q-ary cone is constant_ratio_window with q ratios 1/q: counts,
+    m(v) = q**level(v) exactly, up_ratio q; on the line (q = 1) the chain
+    is complete too, so the base hosts its L^2 column."""
+    w, m, _ = constant_ratio_window((Fraction(1),), depth=5, up=5)
     assert len(w) == 11  # the integer line
     assert all(m.values[v] == 1 for v in w.vertices)
 
-    w, m = homogeneous_window(2, depth=3, up=0)
+    w, m, _ = constant_ratio_window((Fraction(1, 2),) * 2, depth=3)
     assert len(w) == 15
     leaves = [v for v in w.vertices if w.level[v] == -3]
     assert len(leaves) == 8
     assert all(m.values[v] == Fraction(1, 8) for v in leaves)
 
-    w, m = homogeneous_window(3, depth=2)
+    w, m, _ = constant_ratio_window((Fraction(1, 3),) * 3, depth=2)
     assert len(w) == 13
     for v in w.vertices:
         if w.is_complete(v):
             assert sum(m.values[c] for c in w.children(v)) == m.values[v]
             assert len(w.children(v)) == 3
 
+    for q in (1, 2, 3):
+        w, m, base = constant_ratio_window((Fraction(1, q),) * q, depth=6, up=4)
+        assert all(m.values[v] == Fraction(q) ** w.level[v] for v in w.vertices)
+        assert w.up_ratio == q
+        chain = list(w.ancestors(base))[1:]
+        assert all(w.is_complete(v) == (q == 1) for v in chain)
+        if q == 1:
+            # (1 - cos θ)^2 = 3/2 - 2 cos θ + (cos 2θ)/2
+            col = kernel_column_lambda_poly(w, m, [0, 0, 1], base)
+            by_distance = {0: Fraction(3, 2), 1: -1, 2: Fraction(1, 4)}
+            assert col.values == {v: by_distance[w.distance(v, base)]
+                                  for v in w.vertices if w.distance(v, base) <= 2}
+        else:
+            with pytest.raises(InsufficientMarginError):
+                kernel_column_lambda_poly(w, m, [0, 0, 1], base)
+
 
 def test_vertex_cap():
     with pytest.raises(TreeError, match="cap"):
-        homogeneous_window(2, depth=40)
+        constant_ratio_window((Fraction(1, 2),) * 2, depth=40)
 
 
 def test_vertex_cap_names_a_huge_count_to_two_digits():
@@ -186,7 +225,7 @@ def test_vertex_cap_names_a_huge_count_to_two_digits():
 
 
 def test_validate_catches_bad_levels():
-    w, m = homogeneous_window(2, depth=2)
+    w, m, _ = constant_ratio_window((Fraction(1, 2),) * 2, depth=2)
     w.level[w.children(w.apex)[0]] += 1
     with pytest.raises(TreeError):
         validate_window(w)
@@ -208,6 +247,31 @@ def test_validate_catches_vertices_cut_off_from_apex():
         validate_window(two_cycle)
 
 
+@pytest.mark.parametrize("window, match", [
+    (TreeWindow(5, {}, {0: []}, {0: 0}, {}), "apex not among vertices"),
+    (TreeWindow(0, {0: 1}, {0: [], 1: [0]}, {0: 0, 1: 1}, {}),
+     "apex must have no predecessor"),
+    (TreeWindow(0, {1: 7}, {0: [], 1: []}, {0: 0, 1: -1}, {}),
+     "predecessor 7 of 1 not in window"),
+    (TreeWindow(0, {1: 0}, {0: [], 1: []}, {0: 0, 1: -1}, {}),
+     "vertex 1 missing from successor list of 0"),
+    (TreeWindow(0, {1: 0, 2: 1}, {0: [1, 2], 1: [2], 2: []}, {0: 0, 1: -1, 2: -2}, {}),
+     "successor 2 of 0 has wrong predecessor"),
+    (TreeWindow(0, {1: 0}, {0: [1, 1], 1: []}, {0: 0, 1: -1}, {}),
+     "duplicate successor at 0"),
+], ids=["apex-missing", "apex-with-pred", "pred-outside", "not-a-successor",
+        "wrong-pred", "duplicate-successor"])
+def test_validate_refuses_inconsistent_pred_and_succ(window, match):
+    with pytest.raises(TreeError, match=match):
+        validate_window(window)
+
+
+def test_validate_measure_needs_every_vertex():
+    w, _, _ = ball_window(2, 1)
+    with pytest.raises(TreeError, match="no measure at vertex 0"):
+        validate_measure(w, FlowMeasure({}, "rational"))
+
+
 def test_measure_float_tolerance():
     w, m, _ = ball_window(2, 2, backend="float")
     validate_measure(w, m)
@@ -217,19 +281,23 @@ def test_measure_float_tolerance():
 
 
 def test_safe_region_radius_zero_is_everything():
-    w, _ = homogeneous_window(2, depth=3)
+    w, _, _ = constant_ratio_window((Fraction(1, 2),) * 2, depth=3)
     assert safe_region(w, 0) == set(w.vertices)
+    assert not in_safe_region(w, len(w), 0)  # a vertex outside the window
+    for refuse in (lambda: safe_region(w, -1), lambda: in_safe_region(w, 0, -1)):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            refuse()
 
 
 def test_safe_region_depth3_cone_radius_one():
-    w, _ = homogeneous_window(2, depth=3, up=0)
+    w, _, _ = constant_ratio_window((Fraction(1, 2),) * 2, depth=3)
     expect = {v for v in w.vertices
               if w.is_complete(v) and w.parent(v) is not None}
     assert safe_region(w, 1) == expect
 
 
 def test_safe_region_nesting():
-    w, _ = homogeneous_window(2, depth=5, up=5)
+    w, _, _ = constant_ratio_window((Fraction(1, 2),) * 2, depth=5, up=5)
     for n in range(5):
         assert safe_region(w, n + 1) <= safe_region(w, n)
 
@@ -263,7 +331,7 @@ def brute_force_safe(window, n):
 
 
 def test_safe_region_matches_dependency_closure():
-    w, _ = homogeneous_window(2, depth=4, up=3)
+    w, _, _ = constant_ratio_window((Fraction(1, 2),) * 2, depth=4, up=3)
     for n in (1, 2, 3):
         assert safe_region(w, n) == brute_force_safe(w, n)
     bw, _, _ = ball_window(3, 4)
@@ -274,7 +342,8 @@ def test_safe_region_matches_dependency_closure():
 def test_defect_distances_are_distances_to_the_nearest_defect():
     """Each vertex's distance to the apex or the nearest incomplete vertex,
     in breadth-first order from the defects (the order the dict keeps)."""
-    for w in (homogeneous_window(2, depth=4, up=3)[0], ball_window(3, 3)[0],
+    for w in (constant_ratio_window((Fraction(1, 2),) * 2, depth=4, up=3)[0],
+              ball_window(3, 3)[0],
               spine_window(12)[0]):
         defects = [v for v in w.vertices if v == w.apex or not w.is_complete(v)]
         dist = w.defect_distances()
@@ -310,6 +379,9 @@ def test_distance_and_lca():
     assert w.lca(c, sib) == p
     assert w.distance(c, c) == 0
     assert w.lca(c, p) == p and w.lca(p, c) != c
+    two_tops = TreeWindow(0, {}, {0: [], 1: []}, {0: 0, 1: 0}, {})
+    with pytest.raises(TreeError, match="no common ancestor"):
+        two_tops.lca(0, 1)
 
 
 def test_spine_window_structure():
@@ -325,7 +397,7 @@ def test_spine_window_structure():
 
 def test_homogeneous_branching_invariant():
     for q in (1, 2, 4):
-        w, _ = homogeneous_window(q, depth=3, up=2)
+        w, _, _ = constant_ratio_window((Fraction(1, q),) * q, depth=3, up=2)
         assert all(len(w.children(v)) == q
                    for v in w.vertices if w.is_complete(v))
 
@@ -337,6 +409,8 @@ def test_constant_ratio_flow_equation_exact():
     validate_measure(w, m)
     assert m.values[b] == 1
     assert m.values[w.apex] == 27
+    with pytest.raises(TreeError, match="ratios must sum to one"):
+        constant_ratio_window((Fraction(1, 2), Fraction(1, 3)), depth=2)
 
 
 def test_ball_and_meeting_levels_match_distance_and_lca():
@@ -355,7 +429,8 @@ def test_ball_and_meeting_levels_match_distance_and_lca():
 
 BACKEND = st.sampled_from(["rational", "float"])
 WINDOWS = st.one_of(
-    st.builds(lambda q, depth, up: homogeneous_window(q, depth, up=up),
+    st.builds(lambda q, depth, up: constant_ratio_window((Fraction(1, q),) * q,
+                                                         depth, up=up)[:2],
               st.integers(1, 3), st.integers(0, 3), st.integers(0, 2)),
     st.builds(lambda r, depth, up: constant_ratio_window(r, depth=depth, up=up)[:2],
               st.sampled_from([(Fraction(1, 3), Fraction(2, 3)), (0.618, 0.382),
