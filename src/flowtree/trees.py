@@ -1,11 +1,11 @@
 """Finite windows into trees with a root at infinity, and flow measures on them.
 
 A window stores a predecessor map (every vertex except one apex has its
-predecessor in the window), ordered successor lists, integer levels, and a
-per-vertex completeness flag saying whether the stored successor list is the
-full one in the ambient infinite tree.  A flow measure assigns a positive
-weight to every vertex and satisfies m(x) = sum of m over successors at every
-complete vertex.
+predecessor in the window), ordered successor lists of the vertices that
+have children, integer levels, and the set of complete vertices, those
+whose stored successor list is the full one in the ambient infinite tree.
+A flow measure assigns a positive weight to every vertex and satisfies
+m(x) = sum of m over successors at every complete vertex.
 
 All operator evaluations elsewhere in the package certify their results
 against these flags via ``safe_region``; nothing silently pretends the window
@@ -47,7 +47,10 @@ class TreeWindow:
     """Finite p-subtree of a tree with root at infinity.
 
     ``pred`` omits the apex; ``succ`` lists children in their fixed order;
-    ``complete[v]`` means succ[v] is exhaustive in the ambient tree.
+    ``complete[v]`` (always True) means succ[v] is exhaustive in the ambient
+    tree.  Both are sparse: a vertex missing from ``succ`` has no children,
+    and one missing from ``complete`` is incomplete, so read them through
+    ``children`` and ``is_complete`` (or ``.get`` with that default).
     ``up_ratio``, when set by a generator, is the factor by which the ambient
     measure grows per level above the apex (used to extend ancestor profiles
     analytically; loaded files leave it None).
@@ -102,17 +105,19 @@ class TreeWindow:
             v = self.pred.get(v)
 
     def lca(self, x: Vertex, y: Vertex) -> Vertex:
-        lx, ly = self.level[x], self.level[y]
+        pred, level = self.pred, self.level
+        lx, ly = level[x], level[y]
         while lx < ly:
-            x = self.pred[x]
+            x = pred[x]
             lx += 1
         while ly < lx:
-            y = self.pred[y]
+            y = pred[y]
             ly += 1
-        while x != y:
-            if x not in self.pred or y not in self.pred:
-                raise TreeError("vertices have no common ancestor in window")
-            x, y = self.pred[x], self.pred[y]
+        try:
+            while x != y:
+                x, y = pred[x], pred[y]
+        except KeyError:
+            raise TreeError("vertices have no common ancestor in window") from None
         return x
 
     def distance(self, x: Vertex, y: Vertex) -> int:
@@ -366,34 +371,42 @@ class _Builder:
     """The one writer of generated windows.
 
     It assigns sequential vertex ids from the apex (id 0) and writes pred,
-    succ, level, complete and the measure, every dict in id order.  The
-    generators keep their own math: they pass in the masses and say which
-    parents are complete.
+    level and the measure in id order, and succ and complete sparsely: a
+    parent enters succ with its first child, and complete only while its
+    last ``add`` says it is complete.  Each level's int is one object,
+    shared by the level's vertices.  The generators keep their own math:
+    they pass in the masses and say which parents are complete.
     """
 
     def __init__(self, apex_level: int, apex_mass: Number):
         self.pred: dict[Vertex, Vertex] = {}
-        self.succ: dict[Vertex, list[Vertex]] = {0: []}
+        self.succ: dict[Vertex, list[Vertex]] = {}
         self.level: dict[Vertex, int] = {0: apex_level}
-        self.complete: dict[Vertex, bool] = {0: False}
+        self.complete: dict[Vertex, bool] = {}
         self.values: dict[Vertex, Number] = {0: apex_mass}
+        self._levels: dict[int, int] = {}
 
     def add(self, p: Vertex, masses, complete: bool) -> list[Vertex]:
-        """Children of p, one per mass, at level(p) - 1; sets complete[p]."""
+        """Children of p, one per mass, at level(p) - 1; sets p's flag."""
         pred, succ, level, flags, values = (self.pred, self.succ, self.level,
                                             self.complete, self.values)
         lv = level[p] - 1
+        lv = self._levels.setdefault(lv, lv)
         kids = []
         for m in masses:
             v = len(level)
             pred[v] = p
-            succ[v] = []
             level[v] = lv
-            flags[v] = False
             values[v] = m
             kids.append(v)
-        succ[p] += kids
-        flags[p] = complete
+        if p in succ:
+            succ[p] += kids
+        elif kids:
+            succ[p] = kids
+        if complete:
+            flags[p] = True
+        else:
+            flags.pop(p, None)
         return kids
 
     def cone(self, base: Vertex, depth: int, child_masses) -> None:
@@ -602,7 +615,9 @@ def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
     Schema: {"apex_level": int, "vertices": [{"id", "pred" (null for apex),
     "measure" ("p/q" string or float), "complete": bool}, ...]}.
     Successor order is array order among children of the same pred, and
-    vertices keep document order.
+    vertices keep document order.  Like a generated window, the result
+    keeps only vertices with children in ``succ`` and only complete ones in
+    ``complete``.
     """
     doc = _read_document(source)
     if not isinstance(doc, dict) or "vertices" not in doc:
@@ -631,8 +646,8 @@ def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
         order.append(vid)
         values[vid] = m
         backends.add(bk)
-        complete[vid] = comp
-        succ.setdefault(vid, [])
+        if comp:
+            complete[vid] = True
         if p is None:
             if apex is not None:
                 raise TreeError(f"two apexes: {apex} and {vid} (record {i})")
@@ -646,7 +661,7 @@ def load_window(source) -> tuple[TreeWindow, FlowMeasure]:
             p = pred[vid]
             if p not in values:
                 raise TreeError(f"vertex {vid} refers to unknown predecessor {p}")
-            succ[p].append(vid)
+            succ.setdefault(p, []).append(vid)
 
     backend = "float" if "float" in backends else "rational"
     if backend == "float":

@@ -9,6 +9,7 @@ change to the shared window builder cannot move any of them.
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -91,7 +92,9 @@ def _sha(*parts) -> str:
 
 def _window_digest(w, m) -> str:
     types = sorted({type(x).__name__ for x in m.values.values()})
-    maps = [list(d.items()) for d in (w.pred, w.succ, w.level, w.complete, m.values)]
+    maps = [list(w.pred.items()), [(v, w.children(v)) for v in w.level],
+            list(w.level.items()), [(v, w.is_complete(v)) for v in w.level],
+            list(m.values.items())]
     return _sha(json.dumps(trees.window_to_json(w, m), sort_keys=True),
                 repr(w.up_ratio), m.backend, types, maps)
 
@@ -108,6 +111,62 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES) + sorted(SUBMERSIONS))
 def test_generated_windows_are_pinned(name):
     assert digest(name) == EXPECTED[name]
+
+
+def _pinned_window(name):
+    if name in SUBMERSIONS:
+        return quotient.build_submersion_rational(*SUBMERSIONS[name]()).source
+    return CASES[name]()[0]
+
+
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(SUBMERSIONS) + ["loaded"])
+def test_windows_store_only_parents_and_complete_vertices(name):
+    """succ holds the vertices with children and complete the complete
+    ones: no empty successor list and no False flag is stored."""
+    w = trees.load_window(LOADED)[0] if name == "loaded" else _pinned_window(name)
+    assert set(w.succ) == {v for v in w.level if w.children(v)}
+    assert all(w.succ.values())
+    assert set(w.complete.values()) <= {True}
+    if name == "loaded":
+        assert (sorted(w.succ), sorted(w.complete)) == ([0, 1, 2], [0, 1])
+
+
+DEEP = {
+    "ball": lambda: trees.ball_window(2, 6, -10)[0],
+    "ratio-ball": lambda: trees.ball_window((F(2, 3), F(1, 3)), 5, -8)[0],
+    "cone": lambda: trees.constant_ratio_window((F(1, 2),) * 2, 9)[0],
+    "lift": lambda: quotient.build_submersion_rational(
+        *trees.constant_ratio_window((F(3, 4), F(1, 4)), 8)[:2], 4).source,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_each_level_is_one_int_object(name):
+    """Levels below the small-int cache are shared too: one object per level."""
+    w = DEEP[name]()
+    ids = {}
+    for lv in w.level.values():
+        ids.setdefault(lv, set()).add(id(lv))
+    assert min(ids) < -5 and all(len(s) == 1 for s in ids.values())
+
+
+def _traced_peak_mb(build) -> float:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_large_windows_stay_within_their_memory():
+    """Traced peak of building ball_window(4, 7) and the 29,524-vertex lift
+    of the (2/3, 1/3) cone of depth 9: 9.9 and 11.2 MB while every leaf kept
+    an empty successor list, a False flag and its own level int."""
+    assert _traced_peak_mb(lambda: trees.ball_window(4, 7)) < 7
+    target, tmeas, _ = trees.constant_ratio_window((F(2, 3), F(1, 3)), 9)
+    assert _traced_peak_mb(
+        lambda: quotient.build_submersion_rational(target, tmeas, 3)) < 8.5
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

@@ -525,10 +525,10 @@ def mutate_target(sub, kind, i, j, factor):
     elif kind == "rehang target pred":
         tgt.pred[t] = t2
     elif kind in ("add target succ", "drop target succ"):  # where it is checked
-        parents = [v for v in t_vs if tgt.complete[v]] or t_vs
+        parents = [v for v in t_vs if tgt.is_complete(v)] or t_vs
         t = parents[i % len(parents)]
-        tgt.succ[t] = (tgt.succ[t] + [t2] if kind == "add target succ"
-                       else tgt.succ[t][1:])
+        tgt.succ[t] = (tgt.children(t) + [t2] if kind == "add target succ"
+                       else tgt.children(t)[1:])
     elif kind == "scale target mass":
         sub.target_measure.values[t] *= factor
 
