@@ -188,7 +188,7 @@ def _route(args) -> _Route:
 
         def loaded(radius):  # the middle vertex safe at radius, or as near as any is
             window, measure = load_window(path)
-            deepest = max(window.defect_distances().values())
+            deepest = max(window.defect_distances().values(), default=0)
             anchors = sorted(safe_region(window, min(radius, deepest)))
             return window, measure, anchors[len(anchors) // 2]
         return _Route("--tree", None, frozenset({"tree", "ratios"}), loaded)

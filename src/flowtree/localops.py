@@ -13,9 +13,9 @@ support and those vertices' parents and children, so its cost follows the
 support, not the window.  Certified sets are materialised only when needed:
 
 * While the input is certified at every vertex and vanishes outside the
-  window, so is the output.  "Every vertex" is the window's one cached
-  frozenset (``TreeWindow.all_vertices``), so meeting two such sets costs
-  an identity check.
+  window, so is the output.  "Every vertex" is a view of the window's keys
+  (``TreeWindow.all_vertices``), not a copy; a certified set is a subset of
+  its window, so meeting it with another set costs a size check.
 * Once the support reaches a window defect (the apex or an incomplete
   vertex), the function may no longer vanish outside the window, and from
   then on the certified set is computed vertex by vertex over the window.
@@ -66,7 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from .trees import (FlowMeasure, InsufficientMarginError, TreeWindow, Vertex,
 @dataclass
 class WindowFunction:
     values: dict[Vertex, complex]
-    safe: frozenset[Vertex]
+    safe: AbstractSet[Vertex]
     zero_outside: bool
 
     def value(self, v: Vertex):
@@ -118,12 +118,12 @@ def _accumulate(acc: dict, c, g: dict) -> dict:
     return acc
 
 
-def _meet(window: TreeWindow, a: frozenset, b: frozenset) -> frozenset:
-    """a & b for certified sets; free when either is the whole window."""
-    full = window.all_vertices()
-    if a is b or b is full:
+def _meet(window: TreeWindow, a: AbstractSet, b: AbstractSet) -> AbstractSet:
+    """a & b for certified sets (subsets of the window); free when either is
+    the whole window, which its size tells."""
+    if a is b or len(b) == len(window):
         return a
-    if a is full:
+    if len(a) == len(window):
         return b
     return a & b
 
@@ -158,7 +158,7 @@ def _zero_on_incomplete(window: TreeWindow, f: WindowFunction) -> bool:
 
 
 def _certified(window: TreeWindow, f: WindowFunction, reads_self: bool,
-               reads_parent: bool, reads_children: bool) -> frozenset:
+               reads_parent: bool, reads_children: bool) -> AbstractSet:
     """Vertices whose stencil value is exact: every value read is certified,
     a parent outside the window is known to carry zero, and a child list is
     complete or the missing children are known to carry zero."""
@@ -364,7 +364,7 @@ class KernelColumn:
 
     anchor: Vertex
     values: dict[Vertex, complex]
-    safe: frozenset[Vertex]
+    safe: AbstractSet[Vertex]
     err_bound: float = 0.0
 
     def value(self, x: Vertex):

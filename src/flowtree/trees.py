@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -64,8 +64,6 @@ class TreeWindow:
     up_ratio: Optional[Number] = None
     _defect_dist: Optional[dict[Vertex, int]] = field(default=None, repr=False,
                                                       compare=False)
-    _all_vertices: Optional[frozenset[Vertex]] = field(default=None, repr=False,
-                                                       compare=False)
     _arrays: Optional["WindowArrays"] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -75,12 +73,12 @@ class TreeWindow:
     def vertices(self) -> Iterable[Vertex]:
         return self.level.keys()
 
-    def all_vertices(self) -> frozenset[Vertex]:
-        """Every vertex, as one cached frozenset: the certified set of a
-        function that is exact everywhere on the window."""
-        if self._all_vertices is None:
-            self._all_vertices = frozenset(self.level)
-        return self._all_vertices
+    def all_vertices(self) -> AbstractSet[Vertex]:
+        """Every vertex, as a view of ``level``'s keys (no copy): the
+        certified set of a function that is exact everywhere on the window.
+        A certified set is a subset of its window, so a whole-window set is
+        told by its size."""
+        return self.level.keys()
 
     def arrays(self) -> "WindowArrays":
         """The window's dicts as read-only arrays, built on first use and
@@ -125,7 +123,8 @@ class TreeWindow:
         return 2 * self.level[a] - self.level[x] - self.level[y]
 
     def defect_distances(self) -> dict[Vertex, int]:
-        """Graph distance from each vertex to the nearest window defect.
+        """Graph distance from each vertex to the nearest window defect,
+        stored only where it is positive: read it with ``.get(v, 0)``.
 
         Defects are the apex (its ambient predecessor is missing) and every
         incomplete vertex (some ambient successor is missing).  A closed ball
@@ -133,21 +132,20 @@ class TreeWindow:
         distance is >= N.
         """
         if self._defect_dist is None:
-            pred, succ, complete = self.pred, self.succ, self.complete
-            frontier = [v for v in self.vertices
-                        if v == self.apex or not complete.get(v, False)]
-            dist = dict.fromkeys(frontier, 0)
+            apex, pred, succ, complete = self.apex, self.pred, self.succ, self.complete
+            frontier = [v for v in self.vertices if v == apex or not complete.get(v, False)]
+            dist: dict[Vertex, int] = {}
             d = 0
-            while frontier:  # breadth first, one distance at a time
+            while frontier:  # breadth first from the defects, never storing one
                 d += 1
                 found = []
                 for v in frontier:
                     p = pred.get(v)
-                    if p is not None and p not in dist:
+                    if p not in dist and complete.get(p) and p != apex:
                         dist[p] = d
                         found.append(p)
-                    for w in succ.get(v, ()):
-                        if w not in dist:
+                    for w in succ.get(v, ()):  # never the apex
+                        if w not in dist and complete.get(w):
                             dist[w] = d
                             found.append(w)
                 frontier = found
@@ -260,8 +258,7 @@ def safe_region(window: TreeWindow, n: int) -> set[Vertex]:
         raise ValueError("radius must be >= 0")
     if n == 0:
         return set(window.vertices)
-    dist = window.defect_distances()
-    return {v for v in window.vertices if dist.get(v, 0) >= n}
+    return {v for v, d in window.defect_distances().items() if d >= n}
 
 
 def in_safe_region(window: TreeWindow, v: Vertex, n: int) -> bool:

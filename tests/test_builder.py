@@ -9,12 +9,13 @@ change to the shared window builder cannot move any of them.
 
 import hashlib
 import json
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
-from flowtree import quotient, trees
+from flowtree import localops, quotient, trees
 
 G = (0.6180339887498949, 0.3819660112501051)
 
@@ -166,6 +167,33 @@ def test_large_windows_stay_within_their_memory():
     target, tmeas, _ = trees.constant_ratio_window((F(2, 3), F(1, 3)), 9)
     assert _traced_peak_mb(
         lambda: quotient.build_submersion_rational(target, tmeas, 3)) < 8.5
+
+
+def _traced_retained_mb(call) -> float:
+    """MB that call() allocates and still holds when it returns, its result
+    and any cache it fills included."""
+    tracemalloc.start()
+    try:
+        kept = call()  # held while the current size is read
+        return tracemalloc.get_traced_memory()[0] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_window_caches_hold_no_copy_of_the_vertex_set():
+    """On ball_window(4, 7) (27,306 vertices, 20,480 of them leaves, so
+    defects): the defect distances keep only the positive ones, 1.31 MB
+    while every defect was stored at 0; and an everywhere-certified column
+    holds a view of the window's keys, not a window-sized set."""
+    w, m, c = trees.ball_window(4, 7)
+    assert _traced_retained_mb(w.defect_distances) < 0.5
+    window_set_mb = sys.getsizeof(frozenset(w.level)) / 1e6
+    for coeffs in ([0, 0, 1], [0.0, 0.0, 1.0]):  # the exact and the swept route
+        w, m, c = trees.ball_window(4, 7)
+        w.defect_distances(), w.arrays().masses(m)  # the caches a window keeps
+        assert _traced_retained_mb(
+            lambda: localops.kernel_column_lambda_poly(w, m, coeffs, c)) < window_set_mb / 4
+        assert localops.kernel_column_lambda_poly(w, m, coeffs, c).safe == w.vertices
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4])

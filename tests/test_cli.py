@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -119,6 +120,21 @@ def test_flow_violation_exit_two(tmp_path):
     ]}))
     assert run(["kernel", "--tree", str(bad), "--coeffs", "0,1",
                 "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("records", [
+    [{"id": 0, "pred": None, "measure": "1", "complete": False}],
+    [{"id": 0, "pred": None, "measure": "1", "complete": True},
+     {"id": 1, "pred": 0, "measure": "1", "complete": False}],
+], ids=["one-vertex", "apex-and-incomplete-child"])
+def test_tree_of_defects_only_is_not_safe(tmp_path, capsys, records):
+    """A loaded tree whose every vertex is a defect has no vertex safe at
+    radius 1: the refusal names the anchor, not a traceback."""
+    tree = tmp_path / "defects.json"
+    tree.write_text(json.dumps({"apex_level": 0, "vertices": records}))
+    assert run(["kernel", "--tree", str(tree), "--coeffs", "0,1",
+                "--out", str(tmp_path / "o")]) == 2
+    assert re.search(r"vertex \d+ is not safe at radius 1", capsys.readouterr().err)
 
 
 def test_kernel_csv_reproducible(tmp_path):

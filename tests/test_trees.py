@@ -341,16 +341,17 @@ def test_safe_region_matches_dependency_closure():
 
 def test_defect_distances_are_distances_to_the_nearest_defect():
     """Each vertex's distance to the apex or the nearest incomplete vertex,
-    in breadth-first order from the defects (the order the dict keeps)."""
+    read with .get(v, 0): only positive distances are stored, in
+    breadth-first order from the defects (the order the dict keeps)."""
     for w in (constant_ratio_window((Fraction(1, 2),) * 2, depth=4, up=3)[0],
               ball_window(3, 3)[0],
               spine_window(12)[0]):
         defects = [v for v in w.vertices if v == w.apex or not w.is_complete(v)]
         dist = w.defect_distances()
-        assert dist == {v: min(w.distance(v, d) for d in defects)
-                        for v in w.vertices}
+        for v in w.vertices:
+            assert dist.get(v, 0) == min(w.distance(v, d) for d in defects)
+        assert 0 not in dist.values()
         assert list(dist.values()) == sorted(dist.values())
-        assert list(dist)[:len(defects)] == defects
 
 
 def test_equal_windows_stay_equal_after_filling_their_caches():
