@@ -181,10 +181,10 @@ def _traced_retained_mb(call) -> float:
 
 
 def test_window_caches_hold_no_copy_of_the_vertex_set():
-    """On ball_window(4, 7) (27,306 vertices, 20,480 of them leaves, so
-    defects): the defect distances keep only the positive ones, 1.31 MB
-    while every defect was stored at 0; and an everywhere-certified column
-    holds a view of the window's keys, not a window-sized set."""
+    """On ball_window(4, 7) (27,306 vertices, 20,480 of them defects: the
+    leaves and the apex): the defect distances keep only the positive ones,
+    1.31 MB while every defect was stored at 0; and an everywhere-certified
+    column holds a view of the window's keys, not a window-sized set."""
     w, m, c = trees.ball_window(4, 7)
     assert _traced_retained_mb(w.defect_distances) < 0.5
     window_set_mb = sys.getsizeof(frozenset(w.level)) / 1e6
